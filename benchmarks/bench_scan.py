@@ -1,13 +1,14 @@
 """Benchmark the scan kernel: compiled extension vs pure Python.
 
 Runs the normal-form agreement scan at increasing sizes with both backends
-and reports best-of-N wall-clock times and the speedup.  The two backends
-are also cross-checked for identical word counts and failure counts at
-every size; a mismatch aborts the run.
+and reports best-of-N wall-clock times and the speedup.  The run exits
+nonzero when either backend reports failures or the two backends disagree
+on word or failure counts, so it still checks the engine when only the
+pure-Python backend is available.
 
-The pure-Python backend models homeomorphisms with exact rational
-arithmetic and is orders of magnitude slower, so the default sizes are
-small; pass --sizes to push the compiled backend harder.
+Both backends use exact integer dyadics.  The pure-Python one takes about
+0.18 s at size 5:2 (2-core x86-64 Xeon, Python 3.11); pass --sizes to push
+the compiled backend harder.
 
 Usage: python benchmarks/bench_scan.py [--sizes 3:2,4:2,5:2] [--repeat 3]
 """
@@ -53,20 +54,21 @@ def main():
     for max_len, max_index in sizes:
         t_py, r_py = run(_scan_py.thompson_agreement_scan,
                          max_len, max_index, args.repeat)
+        reports = {"python": r_py}
         row = f"{f'{max_len}:{max_index}':>8} {r_py['words']:>12} {t_py:>10.3f}s"
         if _scan_cy is None:
             row += f" {'not built':>11} {'-':>9}"
         else:
-            t_cy, r_cy = run(_scan_cy.thompson_agreement_scan,
-                             max_len, max_index, args.repeat)
-            if (r_cy["words"] != r_py["words"]
-                    or len(r_cy["failures"]) != len(r_py["failures"])):
-                raise SystemExit(
-                    f"backend disagreement at {max_len}:{max_index}: "
-                    f"python {r_py['words']}/{len(r_py['failures'])}, "
-                    f"compiled {r_cy['words']}/{len(r_cy['failures'])}")
+            t_cy, reports["compiled"] = run(_scan_cy.thompson_agreement_scan,
+                                            max_len, max_index, args.repeat)
             row += f" {t_cy:>10.3f}s {t_py / t_cy:>8.1f}x"
         print(row)
+        counts = {name: (r["words"], len(r["failures"])) for name, r in reports.items()}
+        if len(set(counts.values())) > 1 or any(f for _, f in counts.values()):
+            raise SystemExit(
+                f"scan check failed at {max_len}:{max_index}: "
+                + ", ".join(f"{name} {w} words / {f} failures"
+                            for name, (w, f) in counts.items()))
 
 
 if __name__ == "__main__":

@@ -1,31 +1,118 @@
 """Pure-Python scan kernel; same contract as the compiled one.
 
-Used automatically when the compiled extension is not built.  Orders of
-magnitude slower, which only matters for the full acceptance-scale scan;
-correctness is identical and the two backends are cross-checked in tests.
+Used automatically when the compiled extension is not built.  Maps are the
+dyadic PL homeomorphisms of [0,1] from the Cannon-Floyd-Parry model, held as
+pairs of int tuples (xs, ys): breakpoints scaled by 2^E, canonical (no
+collinear interior breakpoints), so equal tuples are equal maps.  Every
+interpolation is a divmod that raises ArithmeticError unless it is exact,
+and a generator whose breakpoints fall off the 2^-E grid raises too, so a
+precision that is too small can never produce a result.
+
+Both sides of each check are built independently from generator maps: the
+word's map by one composition per DFS edge, the normal form P N^-1 from the
+maps of its positive parts P and N, each cached by its runs tuple and built
+one letter at a time from its longest cached prefix.  _plmodel, the
+Fraction model, is the reference the tests hold these maps to.
 """
 
 from __future__ import annotations
 
-from ._plmodel import compose, identity_pl, letter_pl, word_pl
 from .thompson import f_normal_form
 from .words import Word
+
+
+def _precision(max_len: int, max_index: int) -> int:
+    """Bits E for the scan.  A correct engine needs max_index + max_len + 1.
+    The headroom keeps a wrong normal form a reported failure: with at most
+    max_len letters and indices below max_index + 2 * max_len its map still
+    fits, as x_n needs n + 2 bits and each composed letter adds at most one."""
+    return max_index + 3 * max_len + 3
+
+
+def _generator(index: int, bits: int) -> tuple:
+    """x_index: identity left of 1 - 2^-index, then the base map, which sends
+    1/2 -> 1/4 and 3/4 -> 1/2, scaled onto the tail."""
+    if index + 2 > bits:
+        raise ArithmeticError(f"x_{index} needs {index + 2} bits, precision is {bits}")
+    one = 1 << bits
+    q = 1 << (bits - index - 2)
+    a = one - 4 * q
+    xs, ys = (a, a + 2 * q, a + 3 * q, one), (a, a + q, a + 2 * q, one)
+    if index:
+        return (0,) + xs, (0,) + ys
+    return xs, ys
+
+
+def _values(xs: tuple, ys: tuple, points: list) -> list:
+    """Images of the ascending points under the map (xs, ys)."""
+    out = []
+    k = 0
+    for u in points:
+        while xs[k + 1] < u:
+            k += 1
+        x0, y0 = xs[k], ys[k]
+        q, r = divmod((u - x0) * (ys[k + 1] - y0), xs[k + 1] - x0)
+        if r:
+            raise ArithmeticError("breakpoint image falls off the dyadic grid")
+        out.append(y0 + q)
+    return out
+
+
+def _canonical(xs: list, ys: list) -> tuple:
+    """Drop interior breakpoints whose two slopes agree."""
+    cx, cy = [xs[0]], [ys[0]]
+    for k in range(1, len(xs) - 1):
+        x, y = xs[k], ys[k]
+        if (y - cy[-1]) * (xs[k + 1] - x) != (ys[k + 1] - y) * (x - cx[-1]):
+            cx.append(x)
+            cy.append(y)
+    cx.append(xs[-1])
+    cy.append(ys[-1])
+    return tuple(cx), tuple(cy)
+
+
+def _compose(f: tuple, g: tuple) -> tuple:
+    """The map t -> f(g(t)); g is applied first, as in _plmodel.compose."""
+    fx, fy = f
+    gx, gy = g
+    mid = sorted(set(gy).union(fx))
+    return _canonical(_values(gy, gx, mid), _values(fx, fy, mid))
+
+
+def _part_map(runs: tuple, cache: dict, bits: int) -> tuple:
+    """Map of the positive word x_i^a ... for runs ((i, a), ...), extending
+    the longest cached prefix one letter at a time."""
+    found = cache.get(runs)
+    if found is None:
+        index, exp = runs[-1]
+        prefix = runs[:-1] + ((index, exp - 1),) if exp > 1 else runs[:-1]
+        found = _compose(_part_map(prefix, cache, bits), _generator(index, bits))
+        cache[runs] = found
+    return found
 
 
 def thompson_agreement_scan(max_len: int, max_index: int, failure_cap: int = 10) -> dict:
     """Check engine-vs-model agreement on every freely reduced word of
     length <= max_len over indices <= max_index."""
+    bits = _precision(max_len, max_index)
+    one = 1 << bits
     letters = [(i, s) for i in range(max_index + 1) for s in (1, -1)]
-    letter_maps = {l: letter_pl(l) for l in letters}
+    letter_maps = {}
+    for i in range(max_index + 1):
+        xs, ys = _generator(i, bits)
+        letter_maps[i, 1], letter_maps[i, -1] = (xs, ys), (ys, xs)
+    identity = ((0, one), (0, one))
+    parts = {(): identity}
     failures: list = []
     words = 0
 
-    stack = [((), identity_pl())]
+    stack = [((), identity)]
     while stack:
         word, plw = stack.pop()
         words += 1
         nf = f_normal_form(Word(word))
-        if word_pl(nf.word()) != plw:
+        nx, ny = _part_map(nf.negative, parts, bits)
+        if _compose(_part_map(nf.positive, parts, bits), (ny, nx)) != plw:
             if len(failures) < failure_cap:
                 failures.append((word, (nf.positive, nf.negative)))
         if len(word) < max_len:
@@ -33,6 +120,6 @@ def thompson_agreement_scan(max_len: int, max_index: int, failure_cap: int = 10)
             for l in reversed(letters):
                 if word and word[-1][0] == l[0] and word[-1][1] == -l[1]:
                     continue
-                stack.append((word + (l,), compose(plw, letter_maps[l])))
+                stack.append((word + (l,), _compose(plw, letter_maps[l])))
 
     return {"words": words, "failures": failures, "backend": "python"}

@@ -37,12 +37,6 @@ class BrittonForm:
     def is_trivial(self) -> bool:
         return self.head == 0 and not self.tail
 
-    def syllable_count(self) -> int:
-        return len(self.tail)
-
-    def stable_signs(self) -> tuple[int, ...]:
-        return tuple(e for e, _ in self.tail)
-
     def word(self) -> Word:
         w = generator(X, self.head)
         for e, a in self.tail:

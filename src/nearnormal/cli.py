@@ -673,16 +673,19 @@ _SHIFT_WORDS = ("x0^2", "x0^-2", "x0 x1", "x1 x0^-1", "x0^2 x1^-2")
               help="Shift property checked for n up to this.")
 @click.option("--m-bound", default=8, show_default=True,
               help="Tail-subgroup search bound.")
-@click.option("--max-len", default=5, show_default=True,
+@click.option("--max-len", type=click.IntRange(min=0), default=5, show_default=True,
               help="Scan: word length bound.")
-@click.option("--max-index", default=2, show_default=True,
+@click.option("--max-index", type=click.IntRange(min=0), default=2, show_default=True,
               help="Scan: generator index bound.")
 @_format_option
 def thompson_verify(which, identity_bound, pair_bound, shift_bound, m_bound,
                     max_len, max_index, fmt):
     """Run the lemma grids or the normal-form agreement scan."""
     if which == "scan":
-        report = scan.thompson_agreement_scan(max_len, max_index)
+        try:
+            report = scan.thompson_agreement_scan(max_len, max_index)
+        except ValueError as exc:  # the compiled kernel's size limits
+            raise click.UsageError(str(exc))
         _emit({"suite": "scan", "max_len": max_len, "max_index": max_index,
                "backend": report["backend"], "words": report["words"],
                "failures": [list(f) for f in report["failures"]],

@@ -561,6 +561,8 @@ def preset(name: str) -> GroupContext:
         return GroupContext(pres, "coset-table", name=f"cyclic({k})")
     if base == "bs" and arg1 is not None and arg2 is not None:
         p, q = int(arg1), int(arg2)
+        if p < 1 or q < 1:
+            raise ValueError("bs(m,n) needs m, n >= 1")
         rel = generator(1, -1) * generator(0, p) * generator(1) * generator(0, -q)
         pres = Presentation(("x", "y"), (rel,))
         return GroupContext(pres, "britton", bs_params=(p, q), name=f"bs({p},{q})")

@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from nearnormal import groups, suites
+from nearnormal import groups, scan, suites
 from nearnormal.cli import main
 
 
@@ -170,6 +170,32 @@ def test_thompson_verify_scan(runner):
     data = json.loads(result.output)
     assert data["words"] == 53
     assert data["pass"] is True
+
+
+@pytest.mark.parametrize("option, value", [("--max-len", "-1"), ("--max-index", "-3")])
+def test_thompson_verify_scan_rejects_negative_bounds(runner, option, value):
+    result = runner.invoke(main, [
+        "thompson", "verify", "--suite", "scan", option, value])
+    assert result.exit_code == 2
+    assert option in result.output
+
+
+def test_thompson_verify_scan_kernel_limit_is_a_usage_error(runner, monkeypatch):
+    def limited(max_len, max_index):
+        raise ValueError("max_len too large for compiled kernel (<= 12)")
+
+    monkeypatch.setattr(scan, "thompson_agreement_scan", limited)
+    result = runner.invoke(main, [
+        "thompson", "verify", "--suite", "scan", "--max-len", "13"])
+    assert result.exit_code == 2
+    assert "Error: max_len too large for compiled kernel (<= 12)" in result.output
+
+
+def test_bs_preset_rejects_zero_exponent(runner):
+    result = runner.invoke(main, [
+        "ends", "estimate", "--group", "bs(0,3)", "--l", "-", "--radii", "2"])
+    assert result.exit_code == 1
+    assert result.output.strip() == "Error: bs(m,n) needs m, n >= 1"
 
 
 def test_bs_verify_and_reduce(runner):

@@ -192,3 +192,9 @@ def test_preset_rejects_unknown():
         preset("sporadic")
     with pytest.raises(ValueError):
         preset("cyclic(0)")
+
+
+@pytest.mark.parametrize("name", ["bs(0,3)", "bs(2,0)", "bs(0,0)"])
+def test_preset_rejects_degenerate_bs(name):
+    with pytest.raises(ValueError, match="needs m, n >= 1"):
+        preset(name)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nearnormal import scan
+from nearnormal import _scan_py, scan, thompson
 from nearnormal._plmodel import (
     PLMap, compose, generator_pl, identity_pl, invert_pl, letter_pl,
     pl_equal, word_pl,
@@ -30,11 +30,49 @@ def test_backend_tag():
 
 
 def test_python_backend_counts_and_passes():
-    for max_len, max_index in ((2, 1), (3, 2)):
+    assert reduced_word_count(5, 2) == 4687
+    for max_len, max_index in ((2, 1), (3, 2), (5, 2)):
         report = scan_py(max_len, max_index)
         assert report["words"] == reduced_word_count(max_len, max_index)
         assert report["failures"] == []
         assert report["backend"] == "python"
+
+
+def test_python_backend_reports_a_broken_engine(monkeypatch):
+    # negative control: x_1 read as x_2 must show up as failures
+    mul_letter = thompson._mul_letter
+
+    def broken(pos, neg, index, sign):
+        mul_letter(pos, neg, index + (index == 1), sign)
+
+    monkeypatch.setattr(thompson, "_mul_letter", broken)
+    report = scan_py(4, 2)
+    assert report["words"] == reduced_word_count(4, 2)
+    assert len(report["failures"]) == 10
+    assert all(any(i == 1 for i, _ in word) for word, _ in report["failures"])
+
+
+@pytest.mark.parametrize("bits", [3, 5])
+def test_python_backend_precision_is_checked(monkeypatch, bits):
+    # x_2 needs 4 bits; the length-3 maps over x_0..x_2 need 6
+    monkeypatch.setattr(_scan_py, "_precision", lambda max_len, max_index: bits)
+    with pytest.raises(ArithmeticError):
+        scan_py(3, 2)
+
+
+def test_python_backend_maps_match_the_fraction_model():
+    bits = 24
+    one = 1 << bits
+    rng = random.Random(14)
+    for _ in range(300):
+        w = random_word(rng, 8, 3)
+        acc = ((0, one), (0, one))
+        for index, sign in w:
+            xs, ys = _scan_py._generator(index, bits)
+            acc = _scan_py._compose(acc, (xs, ys) if sign == 1 else (ys, xs))
+        ref = word_pl(w)
+        assert tuple(Fraction(x, one) for x in acc[0]) == ref.xs
+        assert tuple(Fraction(y, one) for y in acc[1]) == ref.ys
 
 
 def test_backend_parity():
