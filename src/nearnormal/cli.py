@@ -14,7 +14,6 @@ semicolons separate family nodes.
 
 from __future__ import annotations
 
-import itertools
 import json
 import pathlib
 import sys
@@ -23,7 +22,7 @@ import click
 
 from . import baumslag_solitar as bs
 from . import completion, ends, families, groups, scan, subgroups, suites, thompson
-from .words import Word, exponent_vector, format_word, generator, invert, parse_word
+from .words import Word, exponent_vector, format_word, generator, parse_word
 
 _format_option = click.option(
     "--format", "fmt", type=click.Choice(("json", "text")), default="json",
@@ -480,75 +479,6 @@ def completion_build(group_spec, family_name, nodes_text, ceiling, fmt):
            "is_group": completion.completion_is_group(tc)}, fmt)
 
 
-def _law_table(ctx_obj, fam, tc):
-    laws = {}
-    witnesses = {}
-
-    def record(name, ok, witness=None):
-        laws[name] = "pass" if ok is True else ("fail" if ok is False else str(ok))
-        if witness is not None:
-            witnesses[name] = witness
-
-    e = completion.identity_element(tc)
-    bad = next((f for f in tc.elements
-                if completion.multiply(tc, e, f) != f
-                or completion.multiply(tc, f, e) != f), None)
-    record("identity", bad is None, bad and list(bad.assignment))
-    bad = next(((f, g, h) for f, g, h in itertools.product(tc.elements, repeat=3)
-                if completion.multiply(tc, completion.multiply(tc, f, g), h)
-                != completion.multiply(tc, f, completion.multiply(tc, g, h))), None)
-    record("associativity", bad is None,
-           bad and [list(t.assignment) for t in bad])
-    bad = next(((f, g, node) for f, g in itertools.product(tc.elements, repeat=2)
-                for node in range(len(fam.nodes))
-                if completion.conj_node(tc, node, completion.multiply(tc, f, g))
-                != completion.conj_node(tc, completion.conj_node(tc, node, f), g)),
-               None)
-    record("conjugation-cocycle", bad is None,
-           bad and {"f": list(bad[0].assignment),
-                    "g": list(bad[1].assignment), "node": bad[2]})
-    elements = groups.group_elements(ctx_obj)
-    names = ctx_obj.generator_names
-    bad = next(((g1, g2) for g1 in elements for g2 in elements
-                if completion.multiply(tc, completion.embed(g1, tc),
-                                       completion.embed(g2, tc))
-                != completion.embed(g1 * g2, tc)), None)
-    record("embed-homomorphism", bad is None,
-           bad and [format_word(w, names) for w in bad])
-    stable = families.check_stable(fam)
-    if not stable["stable"]:
-        record("inverses", "unknown",
-               {"reason": "family is not stable",
-                "witness": list(stable["witness"])})
-        record("inverse-anti-homomorphism", "unknown")
-        record("inverse-necessary-condition", "unknown")
-        return laws, witnesses
-    try:
-        inverses = {f: completion.invert_stable(tc, f) for f in tc.elements}
-    except (RuntimeError, ValueError) as exc:
-        record("inverses", False, str(exc))
-        record("inverse-anti-homomorphism", "unknown")
-        record("inverse-necessary-condition", "unknown")
-        return laws, witnesses
-    record("inverses", True)
-    bad = next(((f, g) for f, g in itertools.product(tc.elements, repeat=2)
-                if completion.invert_stable(tc, completion.multiply(tc, f, g))
-                != completion.multiply(tc, inverses[g], inverses[f])), None)
-    record("inverse-anti-homomorphism", bad is None,
-           bad and [list(t.assignment) for t in bad])
-    necessary = True
-    witness = None
-    for f, finv in inverses.items():
-        for node in range(len(fam.nodes)):
-            xrep = fam.nodes[node].coset_table.representatives[f.assignment[node]]
-            hf = completion.conj_node(tc, node, f)
-            if finv.assignment[hf] != fam.nodes[hf].coset_table.coset_of(invert(xrep)):
-                necessary = False
-                witness = {"f": list(f.assignment), "node": node}
-    record("inverse-necessary-condition", necessary, witness)
-    return laws, witnesses
-
-
 @completion_cmd.command(name="laws")
 @_completion_options
 @_format_option
@@ -557,7 +487,11 @@ def completion_laws(group_spec, family_name, nodes_text, ceiling, fmt):
     ctx_obj = _load_context(group_spec)
     fam = _family_for(ctx_obj, family_name, nodes_text)
     tc = _completion_of(fam, ceiling)
-    laws, witnesses = _law_table(ctx_obj, fam, tc)
+    laws, witnesses = {}, {}
+    for name, verdict, witness in completion.law_records(tc):
+        laws[name] = verdict
+        if witness is not None:
+            witnesses[name] = witness
     _emit({"group": group_spec, "family": family_name or "custom",
            "element_count": len(tc.elements),
            "laws": laws, "witnesses": witnesses}, fmt)

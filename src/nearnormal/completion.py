@@ -10,15 +10,24 @@ Assignments are tuples of coset ids aligned with fam.nodes.  Representative
 words are always the stored table representatives, so every operation is
 deterministic; well-definedness under different choices is a property checked
 by the test suite, not assumed here.
+
+The arithmetic runs on the truncation's integer tables (FamilyTruncation
+coset_conj, coset_product and projection), built once per family from those
+representatives: a product is one lookup per node, and compatibility is a
+projection lookup per inclusion.  Inverses are solved per element, not
+searched for: f.g = e fixes g(H^f) at every node H, and only the elements
+with those values are tried.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import modp
-from .families import FamilyTruncation, FiniteModule, check_stable, word_matrix
-from .words import Word, invert
+from .families import FamilyTruncation, FiniteModule, word_matrix
+from .groups import group_elements
+from .words import Word, format_word, invert
 
 ENUM_CEILING = 10 ** 6
 
@@ -38,28 +47,21 @@ class TruncatedCompletion:
     elements: tuple  # every compatible assignment, sorted
 
 
-def _tables(fam: FamilyTruncation):
-    return [h.coset_table for h in fam.nodes]
-
-
-def _compatible_pair(fam: FamilyTruncation, i: int, j: int, ci: int, cj: int) -> bool:
-    rep = fam.nodes[i].coset_table.representatives[ci]
-    return fam.nodes[j].coset_table.coset_of(rep) == cj
-
-
 def is_compatible(fam: FamilyTruncation, assignment) -> bool:
-    n = len(fam.nodes)
-    for i in range(n):
-        for j in range(n):
-            if i != j and fam.leq(i, j):
-                if not _compatible_pair(fam, i, j, assignment[i], assignment[j]):
-                    return False
-    return True
+    return all(proj[assignment[i]] == assignment[j]
+               for (i, j), proj in fam.projection.items())
 
 
 def _enumerate_assignments(fam: FamilyTruncation, ceiling: int):
-    tables = _tables(fam)
-    n = len(tables)
+    """Depth-first over the nodes, checking each inclusion with an earlier
+    node as soon as both values are set.  An inclusion from an earlier node
+    fixes the value outright, through its projection."""
+    n = len(fam.nodes)
+    counts = [h.coset_table.coset_count for h in fam.nodes]
+    below = [[(i, fam.projection[i, pos]) for i in range(pos) if (i, pos) in fam.projection]
+             for pos in range(n)]
+    above = [[(j, fam.projection[pos, j]) for j in range(pos) if (pos, j) in fam.projection]
+             for pos in range(n)]
     out = []
     assignment = [0] * n
 
@@ -69,18 +71,14 @@ def _enumerate_assignments(fam: FamilyTruncation, ceiling: int):
             if len(out) > ceiling:
                 raise ValueError(f"completion enumeration exceeds ceiling {ceiling}")
             return
-        for c in range(tables[pos].coset_count):
-            ok = True
-            for prev in range(pos):
-                if fam.leq(prev, pos) and not _compatible_pair(fam, prev, pos,
-                                                               assignment[prev], c):
-                    ok = False
-                    break
-                if fam.leq(pos, prev) and not _compatible_pair(fam, pos, prev,
-                                                               c, assignment[prev]):
-                    ok = False
-                    break
-            if ok:
+        if below[pos]:
+            i, proj = below[pos][0]
+            candidates = (proj[assignment[i]],)
+        else:
+            candidates = range(counts[pos])
+        for c in candidates:
+            if (all(proj[assignment[i]] == c for i, proj in below[pos])
+                    and all(proj[c] == assignment[j] for j, proj in above[pos])):
                 assignment[pos] = c
                 fill(pos + 1)
         assignment[pos] = 0
@@ -113,27 +111,21 @@ def _representative(tc: TruncatedCompletion, node: int, f: CompletionElement) ->
 
 def conj_node(tc: TruncatedCompletion, node: int, f: CompletionElement) -> int:
     """The node H^f = H^x for any representative x of f(H)."""
-    return tc.fam.conj_by_word(node, _representative(tc, node, f))
+    return tc.fam.coset_conj[node][f.assignment[node]]
 
 
 def multiply(tc: TruncatedCompletion, f: CompletionElement,
              f2: CompletionElement) -> CompletionElement:
-    """f.f'(H) = f(H) f'(H^f), evaluated through table representatives."""
-    if len(f.assignment) != len(f2.assignment) or len(f.assignment) != len(tc.fam.nodes):
+    """f.f'(H) = f(H) f'(H^f), one coset_product lookup per node."""
+    fam = tc.fam
+    a, a2 = f.assignment, f2.assignment
+    if len(a) != len(a2) or len(a) != len(fam.nodes):
         raise ValueError("elements belong to different truncations")
-    values = []
-    for node in range(len(tc.fam.nodes)):
-        x = _representative(tc, node, f)
-        x2 = _representative(tc, conj_node(tc, node, f), f2)
-        values.append(tc.fam.nodes[node].coset_table.coset_of(x * x2))
-    out = tuple(values)
-    if not is_compatible(tc.fam, out):
+    conj, product = fam.coset_conj, fam.coset_product
+    out = tuple(product[node][c][a2[conj[node][c]]] for node, c in enumerate(a))
+    if not is_compatible(fam, out):
         raise RuntimeError("product violates the compatibility invariant")
     return CompletionElement(out)
-
-
-def _node_index(fam: FamilyTruncation, node: int) -> int:
-    return fam.nodes[node].coset_table.coset_count
 
 
 def invert_stable(tc: TruncatedCompletion, f: CompletionElement) -> CompletionElement:
@@ -142,7 +134,7 @@ def invert_stable(tc: TruncatedCompletion, f: CompletionElement) -> CompletionEl
     value at K^(x^-1), and set the H-value to the coset of t^-1.  Nodes K are
     tried in increasing index order."""
     fam = tc.fam
-    stab = check_stable(fam)
+    stab = fam.stability
     if not stab["stable"]:
         raise ValueError(f"family is not stable, witness {stab['witness']}")
     n = len(fam.nodes)
@@ -155,7 +147,7 @@ def invert_stable(tc: TruncatedCompletion, f: CompletionElement) -> CompletionEl
         if not candidates:
             raise MissingNodeError(
                 f"no truncation node below nodes {node} and {hf} is normal in {hf}")
-        k = min(candidates, key=lambda c: (_node_index(fam, c), c))
+        k = min(candidates, key=lambda c: (fam.nodes[c].coset_table.coset_count, c))
         kx = fam.conj_by_word(k, invert(x))
         t = _representative(tc, kx, f)
         values.append(fam.nodes[node].coset_table.coset_of(invert(t)))
@@ -180,12 +172,36 @@ def act(tc: TruncatedCompletion, m, f: CompletionElement, module: FiniteModule):
 
 
 def invertibility_scan(tc: TruncatedCompletion) -> dict:
-    """Exhaustive two-sided inverse search; reports elements with none."""
+    """Two-sided inverse search, solved per element; reports elements with none.
+
+    f.g = e holds exactly when, at every node H, g(H^f) is the c2 with
+    coset_product[H][f(H)][c2] == 0 (c2 -> coset_product[H][c][c2] is a
+    bijection, so there is one).  The elements are indexed by their values on
+    the image of H -> H^f; only those the index admits are tried, and both
+    products are checked with multiply.  The report is the exhaustive one."""
+    fam = tc.fam
     e = identity_element(tc)
+    solve = []  # solve[H][c]: the c2 with coset_product[H][c][c2] == 0
+    for rows in fam.coset_product:
+        if any(sorted(row) != list(range(len(row))) for row in rows):
+            raise RuntimeError("a coset product row is not a bijection")
+        solve.append(tuple(row.index(0) for row in rows))
+    index = {}  # image nodes -> {values there: elements in order}
     witnesses = []
     for f in tc.elements:
-        if not any(multiply(tc, f, g) == e and multiply(tc, g, f) == e
-                   for g in tc.elements):
+        need = {}
+        for node, c in enumerate(f.assignment):
+            if need.setdefault(fam.coset_conj[node][c], solve[node][c]) != solve[node][c]:
+                candidates = ()  # two nodes H conjugate to one H^f disagree
+                break
+        else:
+            nodes = tuple(sorted(need))
+            if nodes not in index:
+                buckets = index[nodes] = {}
+                for g in tc.elements:
+                    buckets.setdefault(tuple(g.assignment[m] for m in nodes), []).append(g)
+            candidates = index[nodes].get(tuple(need[m] for m in nodes), ())
+        if not any(multiply(tc, f, g) == e and multiply(tc, g, f) == e for g in candidates):
             witnesses.append(f.assignment)
     return {"total": len(tc.elements),
             "invertible": len(tc.elements) - len(witnesses),
@@ -229,3 +245,65 @@ def profinite_compare(tc: TruncatedCompletion) -> bool:
 def completion_is_group(tc: TruncatedCompletion) -> bool:
     report = invertibility_scan(tc)
     return not report["non_invertible_witnesses"]
+
+
+def law_records(tc: TruncatedCompletion):
+    """Exhaustive law checks, yielded as (name, verdict, witness) in a fixed
+    order.  The verdict is "pass", "fail" or "unknown"; a failing law carries
+    its first failing case as the witness, a passing one None.  The inverse
+    laws are "unknown" over an unstable family."""
+    fam, elements = tc.fam, tc.elements
+
+    def record(name, bad, witness):
+        return (name, "pass", None) if bad is None else (name, "fail", witness)
+
+    e = identity_element(tc)
+    bad = next((f for f in elements
+                if multiply(tc, e, f) != f or multiply(tc, f, e) != f), None)
+    yield record("identity", bad, bad and list(bad.assignment))
+    bad = next(((f, g, h) for f, g, h in itertools.product(elements, repeat=3)
+                if multiply(tc, multiply(tc, f, g), h) != multiply(tc, f, multiply(tc, g, h))),
+               None)
+    yield record("associativity", bad, bad and [list(t.assignment) for t in bad])
+    bad = next(((f, g, node) for f, g in itertools.product(elements, repeat=2)
+                for fg in (multiply(tc, f, g),)
+                for node in range(len(fam.nodes))
+                if conj_node(tc, node, fg) != conj_node(tc, conj_node(tc, node, f), g)),
+               None)
+    yield record("conjugation-cocycle", bad,
+                 bad and {"f": list(bad[0].assignment), "g": list(bad[1].assignment),
+                          "node": bad[2]})
+    words = group_elements(fam.ctx)
+    embeds = [embed(g, tc) for g in words]
+    bad = next(((g1, g2) for (g1, f1), (g2, f2) in itertools.product(zip(words, embeds), repeat=2)
+                if multiply(tc, f1, f2) != embed(g1 * g2, tc)), None)
+    yield record("embed-homomorphism", bad,
+                 bad and [format_word(w, fam.ctx.generator_names) for w in bad])
+    stable = fam.stability
+    if not stable["stable"]:
+        yield ("inverses", "unknown",
+               {"reason": "family is not stable", "witness": list(stable["witness"])})
+        yield ("inverse-anti-homomorphism", "unknown", None)
+        yield ("inverse-necessary-condition", "unknown", None)
+        return
+    try:
+        inverses = {f: invert_stable(tc, f) for f in elements}
+    except (RuntimeError, ValueError) as exc:
+        yield ("inverses", "fail", str(exc))
+        yield ("inverse-anti-homomorphism", "unknown", None)
+        yield ("inverse-necessary-condition", "unknown", None)
+        return
+    yield ("inverses", "pass", None)
+    # (fg)^-1 is read from the inverse table, so every product must be an element.
+    bad = next(((f, g) for f, g in itertools.product(elements, repeat=2)
+                for fg in (multiply(tc, f, g),)
+                if fg not in inverses
+                or inverses[fg] != multiply(tc, inverses[g], inverses[f])), None)
+    yield record("inverse-anti-homomorphism", bad, bad and [list(t.assignment) for t in bad])
+    # An inverse must assign at H^f the coset of x^-1, x representing f(H).
+    bad = next(((f, node) for f, finv in inverses.items() for node in range(len(fam.nodes))
+                for hf in (conj_node(tc, node, f),)
+                if finv.assignment[hf] != fam.nodes[hf].coset_table.coset_of(
+                    invert(_representative(tc, node, f)))), None)
+    yield record("inverse-necessary-condition", bad,
+                 bad and {"f": list(bad[0].assignment), "node": bad[1]})

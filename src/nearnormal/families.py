@@ -14,6 +14,7 @@ Derivations satisfy d(gh) = d(g).h + d(h), hence d(x^-1) = -d(x).x^-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import modp
 from .groups import GroupContext, Incomplete, element_key, group_elements, is_trivial, regular_table
@@ -35,7 +36,7 @@ class FamilyTruncation:
     def conj(self, node: int, letter: Letter) -> int:
         return self._conj_map[(node, letter)]
 
-    @property
+    @cached_property
     def _conj_map(self) -> dict:
         return dict(self.conjugation_action)
 
@@ -46,6 +47,42 @@ class FamilyTruncation:
 
     def leq(self, i: int, j: int) -> bool:
         return (i, j) in self.order
+
+    # Integer tables over the table representatives rep_H[c] of each node's
+    # cosets, built once per truncation on first use.
+
+    @cached_property
+    def coset_conj(self) -> tuple:
+        """coset_conj[node][c] is the node H^x, x = rep_H[c]."""
+        return tuple(tuple(self.conj_by_word(node, rep)
+                           for rep in h.coset_table.representatives)
+                     for node, h in enumerate(self.nodes))
+
+    @cached_property
+    def coset_product(self) -> tuple:
+        """coset_product[node][c][c2] is the H-coset of rep_H[c] rep_{H^x}[c2],
+        x = rep_H[c]: the walk from coset c along rep_{H^x}[c2]."""
+        out = []
+        for node, h in enumerate(self.nodes):
+            table = h.coset_table
+            out.append(tuple(
+                tuple(table.coset_of(rep2, start=c)
+                      for rep2 in self.nodes[hx].coset_table.representatives)
+                for c, hx in enumerate(self.coset_conj[node])))
+        return tuple(out)
+
+    @cached_property
+    def projection(self) -> dict:
+        """projection[(i, j)][ci], for every strict inclusion i < j, is the
+        node-j coset of rep_i[ci]: the map K\\G -> H\\G of K <= H."""
+        return {(i, j): tuple(self.nodes[j].coset_table.coset_of(rep)
+                              for rep in self.nodes[i].coset_table.representatives)
+                for i, j in sorted(self.order) if i != j}
+
+    @cached_property
+    def stability(self) -> dict:
+        """check_stable(self), run once per truncation."""
+        return check_stable(self)
 
     def bottom(self) -> int:
         for i in range(len(self.nodes)):

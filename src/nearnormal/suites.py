@@ -9,7 +9,6 @@ same seed serialize to identical bytes.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 
@@ -231,59 +230,28 @@ def _completion_fixtures():
     ]
 
 
+# completion.law_records name -> (check id stem, law text)
+_COMPLETION_LAWS = {
+    "identity": ("identity", "e is a two-sided identity"),
+    "associativity": ("assoc", "the twisted product is associative"),
+    "conjugation-cocycle": ("conj-cocycle", "H^(fg) = (H^f)^g"),
+    "embed-homomorphism": ("embed-hom", "embedding is a monoid homomorphism"),
+    "inverses": ("inverses", "stable inversion yields two-sided inverses"),
+    "inverse-anti-homomorphism": ("inverse-anti-hom", "(fg)^-1 = g^-1 f^-1"),
+    "inverse-necessary-condition": ("inverse-necessary",
+                                    "f^-1(H^f) is the coset of a representative inverse"),
+}
+
+
 def suite_completion(seed: int) -> list:
     out = []
     for label, ctx, nodes in _completion_fixtures():
         fam = families.truncation(ctx, nodes)
         tc = completion.truncated_completion(fam)
         inputs = {"fixture": label, "elements": len(tc.elements)}
-        e = completion.identity_element(tc)
-        ok = all(completion.multiply(tc, e, f) == f and completion.multiply(tc, f, e) == f
-                 for f in tc.elements)
-        _check(out, f"completion/identity-{label}", "e is a two-sided identity", inputs, ok)
-        assoc = all(
-            completion.multiply(tc, completion.multiply(tc, f, g), h)
-            == completion.multiply(tc, f, completion.multiply(tc, g, h))
-            for f, g, h in itertools.product(tc.elements, repeat=3))
-        _check(out, f"completion/assoc-{label}", "the twisted product is associative", inputs, assoc)
-        cocycle = all(
-            completion.conj_node(tc, node, completion.multiply(tc, f, g))
-            == completion.conj_node(tc, completion.conj_node(tc, node, f), g)
-            for f, g in itertools.product(tc.elements, repeat=2)
-            for node in range(len(fam.nodes)))
-        _check(out, f"completion/conj-cocycle-{label}", "H^(fg) = (H^f)^g", inputs, cocycle)
-        elements = groups.group_elements(ctx)
-        hom = all(
-            completion.multiply(tc, completion.embed(g1, tc), completion.embed(g2, tc))
-            == completion.embed(g1 * g2, tc)
-            for g1 in elements for g2 in elements)
-        _check(out, f"completion/embed-hom-{label}", "embedding is a monoid homomorphism", inputs, hom)
-        inverses = True
-        inv_witness = None
-        anti = True
-        necessary = True
-        try:
-            for f in tc.elements:
-                finv = completion.invert_stable(tc, f)
-                for node in range(len(fam.nodes)):
-                    xrep = fam.nodes[node].coset_table.representatives[f.assignment[node]]
-                    hf = completion.conj_node(tc, node, f)
-                    if finv.assignment[hf] != fam.nodes[hf].coset_table.coset_of(invert(xrep)):
-                        necessary = False
-            for f, g in itertools.product(tc.elements, repeat=2):
-                lhs = completion.invert_stable(tc, completion.multiply(tc, f, g))
-                rhs = completion.multiply(tc, completion.invert_stable(tc, g),
-                                          completion.invert_stable(tc, f))
-                if lhs != rhs:
-                    anti = False
-        except (RuntimeError, ValueError) as exc:
-            inverses = anti = necessary = False
-            inv_witness = str(exc)
-        _check(out, f"completion/inverses-{label}", "stable inversion yields two-sided inverses",
-               inputs, inverses, inv_witness)
-        _check(out, f"completion/inverse-anti-hom-{label}", "(fg)^-1 = g^-1 f^-1", inputs, anti)
-        _check(out, f"completion/inverse-necessary-{label}", "f^-1(H^f) is the coset of a representative inverse",
-               inputs, necessary)
+        for name, verdict, witness in completion.law_records(tc):
+            stem, law = _COMPLETION_LAWS[name]
+            _check(out, f"completion/{stem}-{label}", law, inputs, verdict, witness)
         scan_report = completion.invertibility_scan(tc)
         _check(out, f"completion/scan-{label}", "every element of a stable completion is invertible",
                inputs, not scan_report["non_invertible_witnesses"], scan_report)

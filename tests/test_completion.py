@@ -4,11 +4,12 @@ import itertools
 
 import pytest
 
-from nearnormal import modp
+from nearnormal import cli, completion, families, modp
 from nearnormal.completion import (
     CompletionElement, MissingNodeError, act, completion_is_group, conj_node,
     embed, enumerate_completion, identity_element, invert_stable,
-    invertibility_scan, multiply, profinite_compare, truncated_completion,
+    invertibility_scan, law_records, multiply, profinite_compare,
+    truncated_completion,
 )
 from nearnormal.families import h0_S, regular_module, truncation
 from nearnormal.groups import group_elements, preset
@@ -236,3 +237,157 @@ def test_action_rejects_vectors_outside_h0s():
     outside = (1, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         act(tc, outside, identity_element(tc), module)
+
+
+# --- integer tables against the word-walking reference ----------------------
+
+S4 = "gens: a b\nrels: a^2 b^3 (a b)^4"
+S4_DIRECTED = "-; b; a b a b, b a b a; b, a b a; a, b"
+S4_NON_DIRECTED = "a b; a b, b a b a"  # 216 elements, 48 invertible
+
+
+def build(group, nodes_text):
+    ctx = cli._load_context(group)
+    return truncated_completion(cli._build_family(ctx, nodes_text))
+
+
+NAMED = sorted(cli._NAMED_FAMILIES.items())
+TABLE_CASES = [pytest.param(group, text, id=f"{group}:{name}")
+               for (group, name), text in NAMED] + [
+    pytest.param(S4, S4_DIRECTED, id="s4-directed"),
+    pytest.param(S4, S4_NON_DIRECTED, id="s4-non-directed"),
+]
+
+
+def word_product(tc, f, f2):
+    """The product walked through representative words: the reference the
+    coset_product table must reproduce."""
+    fam = tc.fam
+    values = []
+    for node, table in enumerate(h.coset_table for h in fam.nodes):
+        x = table.representatives[f.assignment[node]]
+        hf = fam.conj_by_word(node, x)
+        x2 = fam.nodes[hf].coset_table.representatives[f2.assignment[hf]]
+        values.append(table.coset_of(x * x2))
+    return CompletionElement(tuple(values))
+
+
+def exhaustive_scan(tc):
+    """The O(N^2) inverse search the solve in invertibility_scan replaces."""
+    e = identity_element(tc)
+    witnesses = [f.assignment for f in tc.elements
+                 if not any(multiply(tc, f, g) == e and multiply(tc, g, f) == e
+                            for g in tc.elements)]
+    return {"total": len(tc.elements), "invertible": len(tc.elements) - len(witnesses),
+            "non_invertible_witnesses": witnesses}
+
+
+@pytest.mark.parametrize("group, nodes_text", TABLE_CASES)
+def test_table_product_matches_word_reference(group, nodes_text):
+    tc = build(group, nodes_text)
+    fam = tc.fam
+    for node, h in enumerate(fam.nodes):
+        reps = h.coset_table.representatives
+        for c, x in enumerate(reps):
+            hx = fam.conj_by_word(node, x)
+            assert fam.coset_conj[node][c] == hx
+            reps2 = fam.nodes[hx].coset_table.representatives
+            assert fam.coset_product[node][c] == tuple(
+                h.coset_table.coset_of(x * x2) for x2 in reps2)
+    for (i, j), proj in fam.projection.items():
+        assert i != j and fam.leq(i, j)
+        assert proj == tuple(fam.nodes[j].coset_table.coset_of(x)
+                             for x in fam.nodes[i].coset_table.representatives)
+    for f, f2 in itertools.product(tc.elements, repeat=2):
+        assert multiply(tc, f, f2) == word_product(tc, f, f2)
+
+
+def test_corrupted_product_table_breaks_compatibility(monkeypatch):
+    tc = build("sym3", "-; a; b; a b a; a b; a,b")
+    fam = tc.fam
+    bottom = fam.bottom()
+    assert fam.nodes[bottom].coset_table.coset_count == 6
+    e = identity_element(tc)
+    assert multiply(tc, e, e) == e
+    rows = list(fam.coset_product)
+    rows[bottom] = ((1,) + rows[bottom][0][1:],) + rows[bottom][1:]
+    monkeypatch.setitem(vars(fam), "coset_product", tuple(rows))
+    with pytest.raises(RuntimeError, match="compatibility invariant"):
+        multiply(tc, e, e)
+
+
+@pytest.mark.parametrize("group, nodes_text", [
+    pytest.param(group, text, id=f"{group}:{name}") for (group, name), text in NAMED] + [
+    pytest.param("sym3", "a; a,b", id="sym3:order2-orbit"),
+    pytest.param(S4, S4_NON_DIRECTED, id="s4-non-directed"),
+])
+def test_solved_scan_matches_exhaustive_search(group, nodes_text):
+    tc = build(group, nodes_text)
+    report = invertibility_scan(tc)
+    assert report == exhaustive_scan(tc)
+    if nodes_text == S4_NON_DIRECTED:
+        assert (report["total"], report["invertible"]) == (216, 48)
+
+
+def test_scan_of_the_4096_element_non_directed_family():
+    # Four conjugate order-3 subgroups of S4 and S4 itself: no lower bounds,
+    # so 8^4 compatible assignments.  The counts were cross-checked once
+    # against the exhaustive O(N^2) scan on the tables (16.8M pairs).
+    tc = build(S4, "b; a,b")
+    assert len(tc.fam.nodes) == 5
+    assert not families.check_admissible(tc.fam)["downward_directed"]
+    report = invertibility_scan(tc)
+    assert (report["total"], report["invertible"]) == (4096, 384)
+    assert len(report["non_invertible_witnesses"]) == 4096 - 384
+
+
+def test_stability_is_checked_once_per_family(monkeypatch):
+    calls = []
+    real = families.check_stable
+    monkeypatch.setattr(families, "check_stable", lambda fam: calls.append(1) or real(fam))
+    _, _, tc = sym3_all_subgroups()
+    for f in tc.elements:
+        invert_stable(tc, f)
+    list(law_records(tc))
+    assert len(calls) == 1
+
+
+# --- law records -------------------------------------------------------------
+
+LAW_NAMES = ["identity", "associativity", "conjugation-cocycle", "embed-homomorphism",
+             "inverses", "inverse-anti-homomorphism", "inverse-necessary-condition"]
+
+
+def test_law_records_pass_in_a_fixed_order():
+    _, _, tc = sym3_all_subgroups()
+    assert list(law_records(tc)) == [(name, "pass", None) for name in LAW_NAMES]
+
+
+def test_law_records_leave_inverses_unknown_on_an_unstable_family():
+    tc = build("sym3", "a; a,b")
+    records = list(law_records(tc))
+    assert [r[0] for r in records] == LAW_NAMES
+    assert [r[1] for r in records[:4]] == ["pass"] * 4
+    assert records[4] == ("inverses", "unknown",
+                          {"reason": "family is not stable",
+                           "witness": list(families.check_stable(tc.fam)["witness"])})
+    assert records[5:] == [("inverse-anti-homomorphism", "unknown", None),
+                           ("inverse-necessary-condition", "unknown", None)]
+
+
+def test_law_records_report_the_first_failing_witness(monkeypatch):
+    # A broken inversion (f^-1 := f) fails both inverse laws; each law must
+    # name its first failing case in element and node order.
+    _, fam, tc = sym3_all_subgroups()
+    monkeypatch.setattr(completion, "invert_stable", lambda tc, f: f)
+    records = {name: (verdict, witness) for name, verdict, witness in law_records(tc)}
+    necessary = next((f, node) for f in tc.elements for node in range(len(fam.nodes))
+                     if f.assignment[conj_node(tc, node, f)]
+                     != fam.nodes[conj_node(tc, node, f)].coset_table.coset_of(
+                         invert(fam.nodes[node].coset_table.representatives[f.assignment[node]])))
+    assert records["inverse-necessary-condition"] == (
+        "fail", {"f": list(necessary[0].assignment), "node": necessary[1]})
+    anti = next((f, g) for f, g in itertools.product(tc.elements, repeat=2)
+                if multiply(tc, f, g) != multiply(tc, g, f))
+    assert records["inverse-anti-homomorphism"] == (
+        "fail", [list(anti[0].assignment), list(anti[1].assignment)])

@@ -12,7 +12,7 @@ from nearnormal.families import (
     parse_module_matrices, permutation_module, regular_module, restrict_to_h0s,
     trivial_module, truncation, word_matrix,
 )
-from nearnormal.groups import preset, todd_coxeter
+from nearnormal.groups import context_from_text, preset, todd_coxeter
 from nearnormal.words import Word, generator, invert, parse_word
 
 
@@ -84,6 +84,29 @@ def test_conjugation_action_is_an_action():
         v = Word([(rng.randrange(2), rng.choice((1, -1))) for _ in range(4)])
         assert fam.conj_by_word(node, u * v) == fam.conj_by_word(fam.conj_by_word(node, u), v)
         assert fam.conj_by_word(fam.conj_by_word(node, u), invert(u)) == node
+
+
+CONJ_FIXTURES = {
+    "sym3/full-lattice": ("sym3", ["-", "a", "b", "a b a", "a b", "a,b"]),
+    "sym3/order2-orbit": ("sym3", ["a", "a,b"]),
+    "sym3/normal-order3": ("sym3", ["a b", "a,b"]),
+    "cyclic4/index2": ("cyclic(4)", ["a^2", "a"]),
+    "klein4/all-subgroups": ("klein4", ["-", "a", "b", "a b", "a,b"]),
+    "s4/directed": ("gens: a b\nrels: a^2 b^3 (a b)^4",
+                    ["-", "b", "a b a b, b a b a", "b, a b a", "a, b"]),
+    "s4/non-directed": ("gens: a b\nrels: a^2 b^3 (a b)^4", ["a b", "a b, b a b a"]),
+}
+
+
+@pytest.mark.parametrize("label", sorted(CONJ_FIXTURES))
+def test_conj_agrees_with_the_conjugation_action(label):
+    group, nodes = CONJ_FIXTURES[label]
+    ctx = context_from_text(group) if "gens:" in group else preset(group)
+    fam = truncation(ctx, [[parse_word(t, ctx.generator_names) for t in node.split(",")]
+                           if node != "-" else [] for node in nodes])
+    assert fam._conj_map is fam._conj_map  # built once per truncation
+    for (node, letter), target in fam.conjugation_action:
+        assert fam.conj(node, letter) == target
 
 
 def test_bottom_is_the_global_lower_bound():
