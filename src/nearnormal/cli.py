@@ -21,7 +21,7 @@ import sys
 import click
 
 from . import baumslag_solitar as bs
-from . import completion, ends, families, groups, scan, subgroups, suites, thompson
+from . import completion, ends, families, groups, modp, scan, subgroups, suites, thompson
 from .words import Word, exponent_vector, format_word, generator, parse_word
 
 _format_option = click.option(
@@ -313,6 +313,18 @@ def _node_summaries(fam: families.FamilyTruncation) -> list:
     return out
 
 
+def _prime(ctx, param, value):
+    if not modp.is_prime(value):
+        raise click.BadParameter(f"{value} is not a prime")
+    return value
+
+
+_p_option = click.option("--p", default=2, show_default=True, callback=_prime,
+                         help="Field size (prime).")
+_dim_option = click.option("--dim", type=click.IntRange(min=1), default=1,
+                           show_default=True, help="Dimension of the trivial module.")
+
+
 def _load_module(ctx_obj, spec: str, p: int, dim: int) -> families.FiniteModule:
     if ctx_obj.generator_count is None:
         raise click.ClickException("modules need a finitely presented context")
@@ -364,16 +376,18 @@ def family_check(group_spec, nodes_text, fmt):
 @click.option("--module", "module_spec", default="trivial", show_default=True,
               help="trivial, regular, or a matrix file (row-major integer "
                    "blocks, one per generator, blank-line separated).")
-@click.option("--p", default=2, show_default=True, help="Field size (prime).")
-@click.option("--dim", default=1, show_default=True,
-              help="Dimension of the trivial module.")
+@_p_option
+@_dim_option
 @_format_option
 def family_h0(group_spec, nodes_text, module_spec, p, dim, fmt):
     """Vectors fixed by the family, and by the ambient group when legal."""
     ctx_obj = _load_context(group_spec)
     fam = _build_family(ctx_obj, nodes_text)
     module = _load_module(ctx_obj, module_spec, p, dim)
-    basis = families.h0_S(module, fam)
+    try:
+        basis = families.h0_S(module, fam)
+    except ValueError as exc:  # no bottom node
+        raise click.ClickException(str(exc))
     data = {
         "group": group_spec, "module": module_spec, "p": module.p,
         "module_dimension": module.dimension,
@@ -393,8 +407,8 @@ def family_h0(group_spec, nodes_text, module_spec, p, dim, fmt):
 @family_cmd.command(name="h1")
 @click.option("--group", "group_spec", required=True)
 @click.option("--module", "module_spec", default="trivial", show_default=True)
-@click.option("--p", default=2, show_default=True)
-@click.option("--dim", default=1, show_default=True)
+@_p_option
+@_dim_option
 @_format_option
 def family_h1(group_spec, module_spec, p, dim, fmt):
     """Derivations modulo inner derivations."""

@@ -14,7 +14,7 @@ by the test suite, not assumed here.
 The arithmetic runs on the truncation's integer tables (FamilyTruncation
 coset_conj, coset_product and projection), built once per family from those
 representatives: a product is one lookup per node, and compatibility is a
-projection lookup per inclusion.  Inverses are solved per element, not
+projection lookup per covering inclusion.  Inverses are solved per element, not
 searched for: f.g = e fixes g(H^f) at every node H, and only the elements
 with those values are tried.
 """
@@ -49,7 +49,7 @@ class TruncatedCompletion:
 
 def is_compatible(fam: FamilyTruncation, assignment) -> bool:
     return all(proj[assignment[i]] == assignment[j]
-               for (i, j), proj in fam.projection.items())
+               for (i, j), proj in fam.covering.items())
 
 
 def _enumerate_assignments(fam: FamilyTruncation, ceiling: int):

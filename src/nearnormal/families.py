@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import modp
-from .groups import GroupContext, Incomplete, element_key, group_elements, is_trivial, regular_table
+from .groups import GroupContext, Incomplete, element_key, regular_table
 from .subgroups import SubgroupHandle, contains, finite_subgroup
 from .words import Word, exponent_vector, generator, invert
 
@@ -80,6 +80,16 @@ class FamilyTruncation:
                 for i, j in sorted(self.order) if i != j}
 
     @cached_property
+    def covering(self) -> dict:
+        """projection restricted to the covering pairs i < j, those with no
+        node strictly between.  Projections compose along chains, so these
+        pairs alone decide compatibility."""
+        n = len(self.nodes)
+        return {(i, j): proj for (i, j), proj in self.projection.items()
+                if not any(k not in (i, j) and self.leq(i, k) and self.leq(k, j)
+                           for k in range(n))}
+
+    @cached_property
     def stability(self) -> dict:
         """check_stable(self), run once per truncation."""
         return check_stable(self)
@@ -89,10 +99,6 @@ class FamilyTruncation:
             if all(self.leq(i, j) for j in range(len(self.nodes))):
                 return i
         raise ValueError("truncation has no global lower-bound node")
-
-
-def _node_members(ctx: GroupContext, handle: SubgroupHandle) -> tuple[Word, ...]:
-    return tuple(g for g in group_elements(ctx) if handle.coset_table.coset_of(g) == 0)
 
 
 def _key_set(ctx: GroupContext, elements) -> frozenset:
@@ -107,57 +113,78 @@ def _signed_letters(ctx: GroupContext) -> list[Letter]:
     return out
 
 
+def _conjugation_perms(table, letters) -> dict:
+    """perms[l][x] is the regular-table index of l^-1 x l: the walk along the
+    representative of x from the coset of l^-1, then one step along l."""
+    perms = {}
+    for index, sign in letters:
+        start = table.step(0, (index, -sign))
+        perms[index, sign] = tuple(table.step(table.coset_of(rep, start=start), (index, sign))
+                                   for rep in table.representatives)
+    return perms
+
+
+def _conjugate_keys(keys: frozenset, w: Word, perms: dict) -> frozenset:
+    """The index set of w^-1 K w, one letter permutation at a time."""
+    out = list(keys)
+    for letter in w.letters:
+        perm = perms[letter]
+        out = [perm[x] for x in out]
+    return frozenset(out)
+
+
 def truncation(ctx: GroupContext, node_generator_lists, close: bool = True) -> FamilyTruncation:
     """Build a certified truncation over a finite coset-table group.
 
     Starts from the given generator lists, optionally closes the node set
     under conjugation by ambient generator letters, and certifies order,
-    conjugation action, and normality pairs exhaustively."""
+    conjugation action, and normality pairs.  A node is the set of its
+    members' indices in the regular table, and conjugation by a letter is a
+    permutation of those indices.  Node i is certified normal in node j when
+    g^-1 H_i g = H_i for every generator g of node j: for finite groups this
+    is exact, because the normaliser of H_i is a subgroup."""
     if ctx.oracle != "coset-table":
         raise ValueError("truncations are built over finite coset-table groups")
-    if isinstance(regular_table(ctx), Incomplete):
+    regular = regular_table(ctx)
+    if isinstance(regular, Incomplete):
         raise ValueError("ambient group enumeration incomplete")
+    reps = regular.representatives
     handles = []
-    key_sets = []
+    index = {}  # key set -> node
     for gens in node_generator_lists:
         h = finite_subgroup(ctx, tuple(gens))
-        ks = _key_set(ctx, _node_members(ctx, h))
-        if ks not in key_sets:
-            key_sets.append(ks)
+        ks = frozenset(c for c, rep in enumerate(reps) if h.coset_table.coset_of(rep) == 0)
+        if ks not in index:
+            index[ks] = len(handles)
             handles.append(h)
+    key_sets = list(index)
     letters = _signed_letters(ctx)
+    perms = _conjugation_perms(regular, letters)
+    conj_pairs = []
     i = 0
     while i < len(handles):
-        h = handles[i]
         for letter in letters:
             l_word = generator(*letter)
-            conj_gens = tuple(invert(l_word) * g * l_word for g in h.generators)
-            ks = _key_set(ctx, (invert(l_word) * m * l_word for m in _node_members(ctx, h)))
-            if ks not in key_sets:
+            ks = _conjugate_keys(key_sets[i], l_word, perms)
+            if ks not in index:
                 if not close:
                     raise ValueError("node set is not closed under conjugation")
+                index[ks] = len(handles)
                 key_sets.append(ks)
-                handles.append(finite_subgroup(ctx, conj_gens))
+                handles.append(finite_subgroup(
+                    ctx, tuple(invert(l_word) * g * l_word for g in handles[i].generators)))
+            conj_pairs.append(((i, letter), index[ks]))
         i += 1
-    members = tuple(_node_members(ctx, h) for h in handles)
+    members = tuple(tuple(reps[c] for c in sorted(ks)) for ks in key_sets)
     n = len(handles)
     order = frozenset((i, j) for i in range(n) for j in range(n)
                       if key_sets[i] <= key_sets[j])
-    conj_pairs = []
-    for i in range(n):
-        for letter in letters:
-            l_word = generator(*letter)
-            ks = _key_set(ctx, (invert(l_word) * m * l_word for m in members[i]))
-            conj_pairs.append(((i, letter), key_sets.index(ks)))
-    normal = set()
-    for i, j in order:
-        ok = all(element_key(ctx, invert(h) * m * h) in key_sets[i]
-                 for h in members[j] for m in members[i])
-        if ok:
-            normal.add((i, j))
+    normal = frozenset((i, j) for i, j in order
+                       if all(_conjugate_keys(key_sets[i], g, perms) == key_sets[i]
+                              for g in handles[j].generators))
     return FamilyTruncation(ctx=ctx, nodes=tuple(handles), members=members,
                             order=order, conjugation_action=tuple(sorted(conj_pairs)),
-                            normal_in=frozenset(normal))
+                            normal_in=normal)
 
 
 def check_admissible(fam: FamilyTruncation) -> dict:
@@ -232,7 +259,10 @@ class FiniteModule:
 
 
 def finite_module(ctx: GroupContext, matrices, p: int = 2) -> FiniteModule:
-    """Validated module: matrices invertible, relators act as the identity."""
+    """Validated module: p prime, matrices invertible, relators act as the
+    identity."""
+    if not modp.is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
     mats = tuple(modp.mat_mod(m, p) for m in matrices)
     if ctx.presentation.schema is not None:
         raise ValueError("finite modules need a finitely generated presentation")
@@ -320,23 +350,25 @@ def h0_S(module: FiniteModule, fam: FamilyTruncation):
     bottom one) and closure under every ambient generator matrix."""
     bottom = fam.bottom()
     basis = node_fixed_space(module, fam, bottom)
-    for node in range(len(fam.nodes)):
-        for v in node_fixed_space(module, fam, node):
-            if not modp.in_span(basis, v, module.p):
-                raise RuntimeError("node fixed space escapes the bottom node: "
-                                   "truncation is not downward directed")
-    for m in module.matrices:
-        for v in basis:
-            if not modp.in_span(basis, modp.vec_mat(v, m, module.p), module.p):
-                raise RuntimeError("computed subspace is not a submodule")
+    p = module.p
+    if not modp.span_contains(basis, [v for node in range(len(fam.nodes))
+                                      for v in node_fixed_space(module, fam, node)], p):
+        raise RuntimeError("node fixed space escapes the bottom node: "
+                           "truncation is not downward directed")
+    if not modp.span_contains(basis, [modp.vec_mat(v, m, p)
+                                      for m in module.matrices for v in basis], p):
+        raise RuntimeError("computed subspace is not a submodule")
     return basis
 
 
 def h0_G_mod_S(module: FiniteModule, fam: FamilyTruncation):
     """Simultaneous fixed space of the ambient generators; input must equal
-    its own h0_S (an object of the subcategory)."""
-    basis = h0_S(module, fam)
-    if len(basis) != module.dimension:
+    its own h0_S (an object of the subcategory).
+
+    h0_S is the fixed space of the bottom node, so it is the whole module
+    exactly when the bottom node's generators act as the identity; the
+    union and submodule checks of h0_S then hold for the whole space."""
+    if len(node_fixed_space(module, fam, fam.bottom())) != module.dimension:
         raise ValueError("module is not an object of the subcategory: "
                          "h0_S is a proper subspace")
     return modp.fixed_space(list(module.matrices), module.p, dim=module.dimension)
@@ -427,9 +459,8 @@ def h1_derivations(ctx: GroupContext, module: FiniteModule) -> dict:
             flat.extend(modp.vec_sub(moved, e, p))
         ider_rows.append(tuple(flat))
     ider_basis = modp.row_space(ider_rows, p)
-    for v in ider_basis:
-        if not modp.in_span(der_basis, v, p) and relators:
-            raise RuntimeError("inner derivation fails the relator system")
+    if relators and not modp.span_contains(der_basis, ider_basis, p):
+        raise RuntimeError("inner derivation fails the relator system")
     for v in der_basis:
         delta = tuple(v[i * d:(i + 1) * d] for i in range(n))
         for r in relators:

@@ -6,6 +6,12 @@ The module convention everywhere is right action on row vectors: v -> v. M.
 
 from __future__ import annotations
 
+from math import isqrt
+
+
+def is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+
 
 def vec_mod(v, p: int):
     return tuple(a % p for a in v)
@@ -83,13 +89,17 @@ def row_space(rows, p: int):
     return rref(rows, p)[0]
 
 
-def in_span(basis, vec, p: int) -> bool:
-    if not any(vec_mod(vec, p)):
+def span_contains(basis, vectors, p: int) -> bool:
+    """True when every vector lies in the row span of basis: one elimination
+    of basis and the nonzero vectors, compared with the rank of basis."""
+    extra = [v for v in vectors if any(vec_mod(v, p))]
+    if not extra:
         return True
-    if not basis:
-        return False
-    before = rank(basis, p)
-    return rank(list(basis) + [vec], p) == before
+    return rank(list(basis) + extra, p) == rank(basis, p)
+
+
+def in_span(basis, vec, p: int) -> bool:
+    return span_contains(basis, [vec], p)
 
 
 def spans_equal(a, b, p: int) -> bool:

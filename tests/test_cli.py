@@ -252,3 +252,30 @@ def test_text_format_renders_scalars(runner):
         "group", "show", "sym3", "--format", "text"])
     assert "order: 6" in result.output
     assert "oracle: coset-table" in result.output
+
+
+@pytest.mark.parametrize("command", [
+    ["family", "h0", "--group", "sym3", "--nodes", "-; a,b"],
+    ["family", "h1", "--group", "sym3", "--module", "regular"],
+])
+@pytest.mark.parametrize("option, value", [
+    ("--p", "4"), ("--p", "0"), ("--p", "1"), ("--p", "-5"), ("--dim", "0"), ("--dim", "-1")])
+def test_family_functors_reject_a_bad_field_or_dimension(runner, command, option, value):
+    result = runner.invoke(main, command + [option, value])
+    assert result.exit_code == 2
+    assert f"Invalid value for '{option}'" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_family_functors_accept_an_odd_prime(runner):
+    h0 = json.loads(invoke(runner, ["family", "h0", "--group", "sym3", "--nodes", "-; a,b",
+                                    "--p", "3", "--dim", "2"]).output)
+    assert (h0["p"], h0["h0_dimension"], h0["ambient_fixed_dimension"]) == (3, 2, 2)
+    h1 = json.loads(invoke(runner, ["family", "h1", "--group", "sym3", "--p", "3"]).output)
+    assert h1["dim_h1"] == 0
+
+
+def test_family_h0_without_a_bottom_node(runner):
+    result = runner.invoke(main, ["family", "h0", "--group", "sym3", "--nodes", "a"])
+    assert result.exit_code == 1
+    assert result.output.strip() == "Error: truncation has no global lower-bound node"

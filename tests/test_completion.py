@@ -302,6 +302,26 @@ def test_table_product_matches_word_reference(group, nodes_text):
         assert multiply(tc, f, f2) == word_product(tc, f, f2)
 
 
+def test_covering_inclusions_decide_compatibility():
+    tc = build(S4, S4_DIRECTED)
+    fam = tc.fam
+    assert (len(fam.covering), len(fam.projection)) == (11, 18)
+    assert set(fam.covering) <= set(fam.projection)
+    counts = [h.coset_table.coset_count for h in fam.nodes]
+    conj, product = fam.coset_conj, fam.coset_product
+    for f, f2 in itertools.product(tc.elements, repeat=2):
+        out = [product[node][c][f2.assignment[conj[node][c]]]
+               for node, c in enumerate(f.assignment)]
+        # the product, and the product with one node's value moved
+        node = (f.assignment[0] + f2.assignment[-1]) % len(out)
+        moved = list(out)
+        moved[node] = (moved[node] + 1) % counts[node]
+        for assignment in (out, moved):
+            assert completion.is_compatible(fam, assignment) == all(
+                proj[assignment[i]] == assignment[j]
+                for (i, j), proj in fam.projection.items())
+
+
 def test_corrupted_product_table_breaks_compatibility(monkeypatch):
     tc = build("sym3", "-; a; b; a b a; a b; a,b")
     fam = tc.fam

@@ -5,14 +5,17 @@ import random
 
 import pytest
 
-from nearnormal import modp
+from nearnormal import cli, modp
 from nearnormal.families import (
     check_admissible, check_stable, derivation_eval, finite_module, h0_G_mod_S,
     h0_S, h1_derivations, h1_trivial_expected, node_fixed_space,
     parse_module_matrices, permutation_module, regular_module, restrict_to_h0s,
     trivial_module, truncation, word_matrix,
 )
-from nearnormal.groups import context_from_text, preset, todd_coxeter
+from nearnormal.groups import (
+    context_from_text, element_key, group_elements, preset, todd_coxeter,
+)
+from nearnormal.subgroups import finite_subgroup
 from nearnormal.words import Word, generator, invert, parse_word
 
 
@@ -118,11 +121,86 @@ def test_bottom_is_the_global_lower_bound():
 
 def test_order_matches_membership():
     ctx, fam = sym3_full_lattice()
-    from nearnormal.groups import element_key
     key_sets = [frozenset(element_key(ctx, m) for m in ms) for ms in fam.members]
     for i in range(len(fam.nodes)):
         for j in range(len(fam.nodes)):
             assert fam.leq(i, j) == (key_sets[i] <= key_sets[j])
+
+
+def word_truncation(ctx, node_generator_lists):
+    """The truncation built by multiplying words and comparing element-key
+    sets, with normality tested on every member pair: the reference the
+    index-permutation build must reproduce."""
+    def node_members(h):
+        return tuple(g for g in group_elements(ctx) if h.coset_table.coset_of(g) == 0)
+
+    def key_set(elements):
+        return frozenset(element_key(ctx, e) for e in elements)
+
+    letters = [(i, s) for i in range(ctx.generator_count) for s in (1, -1)]
+    handles, key_sets = [], []
+    for gens in node_generator_lists:
+        h = finite_subgroup(ctx, tuple(gens))
+        ks = key_set(node_members(h))
+        if ks not in key_sets:
+            key_sets.append(ks)
+            handles.append(h)
+    i = 0
+    while i < len(handles):
+        for letter in letters:
+            l_word = generator(*letter)
+            ks = key_set(invert(l_word) * m * l_word for m in node_members(handles[i]))
+            if ks not in key_sets:
+                key_sets.append(ks)
+                handles.append(finite_subgroup(
+                    ctx, tuple(invert(l_word) * g * l_word for g in handles[i].generators)))
+        i += 1
+    members = tuple(node_members(h) for h in handles)
+    n = len(handles)
+    order = frozenset((i, j) for i in range(n) for j in range(n) if key_sets[i] <= key_sets[j])
+    conj_pairs = []
+    for i in range(n):
+        for letter in letters:
+            l_word = generator(*letter)
+            ks = key_set(invert(l_word) * m * l_word for m in members[i])
+            conj_pairs.append(((i, letter), key_sets.index(ks)))
+    normal = frozenset((i, j) for i, j in order
+                       if all(element_key(ctx, invert(h) * m * h) in key_sets[i]
+                              for h in members[j] for m in members[i]))
+    return handles, members, order, tuple(sorted(conj_pairs)), normal
+
+
+REFERENCE_FAMILIES = [
+    pytest.param(group, text, id=f"{group}:{name}")
+    for (group, name), text in sorted(cli._NAMED_FAMILIES.items())] + [
+    pytest.param("gens: a b\nrels: a^2 b^3 (a b)^4",
+                 "-; b; a b a b, b a b a; b, a b a; a, b", id="s4-directed"),
+    pytest.param("cyclic(120)", "-; a^2; a", id="cyclic120"),
+    pytest.param("gens: a b\nrels: a^2 b^3 (a b)^5", "-; b; a,b", id="a5"),
+]
+
+
+@pytest.mark.parametrize("group, nodes_text", REFERENCE_FAMILIES)
+def test_truncation_matches_the_word_reference(group, nodes_text):
+    ctx = cli._load_context(group)
+    fam = cli._build_family(ctx, nodes_text)
+    handles, members, order, conj, normal = word_truncation(ctx, cli._parse_nodes(ctx, nodes_text))
+    assert [h.generators for h in fam.nodes] == [h.generators for h in handles]
+    assert fam.members == members
+    assert fam.order == order
+    assert fam.conjugation_action == conj
+    assert fam.normal_in == normal
+
+
+def test_a_non_normal_subgroup_has_no_normal_pair():
+    ctx, fam = sym3_full_lattice()
+    order2 = fam.members.index((Word(()), w("a")))
+    whole = len(fam.nodes) - 1
+    assert len(fam.members[whole]) == 6
+    assert fam.leq(order2, whole)
+    assert (order2, whole) not in fam.normal_in
+    assert (order2, order2) in fam.normal_in
+    assert (fam.members.index((Word(()), w("a b"), w("b a"))), whole) in fam.normal_in
 
 
 # --- modules -----------------------------------------------------------------
@@ -143,6 +221,9 @@ def test_finite_module_validation():
     module = finite_module(ctx, [swap])
     assert module.dimension == 2
     assert module.inverses[0] == swap
+    for p in (-3, 0, 1, 4, 9):
+        with pytest.raises(ValueError, match="prime"):
+            finite_module(ctx, [swap], p=p)
 
 
 def test_word_matrix_is_a_homomorphism():

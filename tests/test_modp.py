@@ -48,6 +48,22 @@ def test_in_span_matches_enumeration(nrows, ncols, p):
             assert modp.in_span(m, v, p) == (v in span)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_span_contains_matches_per_vector_checks(p):
+    rng = random.Random(p)
+    for _ in range(40):
+        basis = random_matrix(rng, rng.randrange(4), 3, p)
+        span = brute_span(basis, 3, p)
+        vectors = random_matrix(rng, rng.randrange(4), 3, p)
+        expected = all(v in span for v in vectors)
+        assert modp.span_contains(basis, vectors, p) == expected
+        assert all(modp.in_span(basis, v, p) for v in vectors) == expected
+
+
+def test_is_prime():
+    assert [n for n in range(-2, 30) if modp.is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
 def test_rref_is_canonical_for_the_row_space():
     rng = random.Random(5)
     for _ in range(30):
