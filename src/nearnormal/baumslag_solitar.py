@@ -80,18 +80,30 @@ class _Reducer:
             self.head = r
         self.tail.append([sign, carried])
 
+    def feed(self, letters) -> None:
+        """Push a letter sequence; it need not be freely reduced, because
+        push_x is additive and push_y cancels y y^-1 and y^-1 y itself."""
+        for index, sign in letters:
+            if index == X:
+                self.push_x(sign)
+            elif index == Y:
+                self.push_y(sign)
+            else:
+                raise ValueError(f"BS words use generators x0 (x) and x1 (y); got index {index}")
+
+    def in_x_power(self, a: int) -> bool:
+        """The element pushed so far lies in <x^a>."""
+        return not self.tail and self.head % a == 0
+
+    def form(self) -> BrittonForm:
+        return BrittonForm(self.head, tuple((e, a) for e, a in self.tail), self.m, self.n)
+
 
 def britton_reduce(w: Word, m: int = 2, n: int = 3) -> BrittonForm:
     """Canonical form of w; sound and complete for the word problem."""
     red = _Reducer(m, n)
-    for index, sign in w:
-        if index == X:
-            red.push_x(sign)
-        elif index == Y:
-            red.push_y(sign)
-        else:
-            raise ValueError(f"BS words use generators x0 (x) and x1 (y); got index {index}")
-    return BrittonForm(red.head, tuple((e, a) for e, a in red.tail), m, n)
+    red.feed(w.letters)
+    return red.form()
 
 
 def bs_is_trivial(w: Word, m: int = 2, n: int = 3) -> bool:
@@ -118,14 +130,53 @@ def power_conjugate(g: Word, a_bound: int, m: int = 2, n: int = 3):
     return None
 
 
+def _conjugate_in_x_power(w: Word, wi: Word, t: int, a: int, m: int, n: int) -> bool:
+    """w x^t w^-1 in <x^a>, with wi = w^-1: the reducer takes w, then x^t as
+    one syllable, then w^-1, so no product word is built or freely reduced."""
+    red = _Reducer(m, n)
+    red.feed(w.letters)
+    red.push_x(t)
+    red.feed(wi.letters)
+    return red.in_x_power(a)
+
+
 def _least_power_in_conjugate(w: Word, a: int, t_bound: int, m: int, n: int) -> int | None:
     """Least t >= 1 with x^t in <x^a>^w, i.e. w x^t w^-1 a power x^(a l)."""
     wi = invert(w)
     for t in range(1, t_bound + 1):
-        form = britton_reduce(w * generator(X, t) * wi, m, n)
-        if form.is_power_of_x() and form.head % a == 0:
+        if _conjugate_in_x_power(w, wi, t, a, m, n):
             return t
     return None
+
+
+def _verify_power_in_conjugate(w: Word, a: int, e: int, m: int, n: int) -> bool:
+    return _conjugate_in_x_power(w, invert(w), e, a, m, n)
+
+
+def conjugator_words(conjugators: list[Word], conj_len: int, m: int = 2,
+                     n: int = 3) -> list[Word]:
+    """One word per distinct element among the products of at most conj_len
+    conjugators: the first one met level by level, level L holding w * c for
+    the words w of level L-1 in order and c in order.
+
+    Only words whose element is new are extended.  The children of a repeat
+    repeat the children of the earlier word, which come earlier, so pruning
+    keeps every first occurrence and its order: the work is linear in the
+    number of distinct elements found, not in len(conjugators)^conj_len.
+    """
+    seen = {britton_reduce(Word(), m, n).key(): Word()}
+    frontier = [Word()]
+    for _ in range(conj_len):
+        fresh = []
+        for w in frontier:
+            for c in conjugators:
+                wc = w * c
+                key = britton_reduce(wc, m, n).key()
+                if key not in seen:
+                    seen[key] = wc
+                    fresh.append(wc)
+        frontier = fresh
+    return list(seen.values())
 
 
 def family_axiom_check(conjugators: list[Word], a_bound: int, conj_len: int = 1,
@@ -133,21 +184,16 @@ def family_axiom_check(conjugators: list[Word], a_bound: int, conj_len: int = 1,
     """Check the truncation {<x^a>^w : 1 <= a <= a_bound, w short} of the
     family of subgroups containing a positive power of x.
 
-    Conjugation closure: each node conjugated by each conjugator still
-    contains a positive power of x (witness found by a bounded scan).
-    Directedness: each pair of nodes has a common <x^e> below both,
-    e computed through least contained powers and lcm, then re-verified.
+    The conjugates w are `conjugator_words` up to conj_len.  Conjugation
+    closure: each node conjugated by each conjugator still contains a
+    positive power of x (witness found by a bounded scan, one per node and
+    conjugator).  Directedness: each pair of nodes has a common <x^e> below
+    both, e the lcm of the two least contained powers, then re-verified by
+    reduction.  Each node's least contained power is scanned once and
+    shared by all its pairs; every scan step reduces w x^t w^-1 syllable
+    by syllable.
     """
-    words: list[Word] = [Word()]
-    frontier = [Word()]
-    for _ in range(conj_len):
-        frontier = [w * c for w in frontier for c in conjugators]
-        words.extend(frontier)
-    seen = {}
-    for w in words:
-        seen.setdefault(britton_reduce(w, m, n).key(), w)
-    conj_words = list(seen.values())
-
+    conj_words = conjugator_words(conjugators, conj_len, m, n)
     nodes = [(a, w) for a in range(1, a_bound + 1) for w in conj_words]
     t_bound = max(m, n) ** (conj_len + 1) * a_bound * 2
 
@@ -167,14 +213,14 @@ def family_axiom_check(conjugators: list[Word], a_bound: int, conj_len: int = 1,
                 closure_pass = False
             closure.append(entry)
 
+    least = [_least_power_in_conjugate(w, a, t_bound, m, n) for a, w in nodes]
     directed = []
     directed_pass = True
     for idx1 in range(len(nodes)):
         for idx2 in range(idx1, len(nodes)):
             a1, w1 = nodes[idx1]
             a2, w2 = nodes[idx2]
-            t1 = _least_power_in_conjugate(w1, a1, t_bound, m, n)
-            t2 = _least_power_in_conjugate(w2, a2, t_bound, m, n)
+            t1, t2 = least[idx1], least[idx2]
             if t1 is None or t2 is None:
                 directed_pass = False
                 directed.append({"pair": (idx1, idx2), "witness": None})
@@ -196,11 +242,6 @@ def family_axiom_check(conjugators: list[Word], a_bound: int, conj_len: int = 1,
         "directed_pass": directed_pass,
         "all_pass": closure_pass and directed_pass,
     }
-
-
-def _verify_power_in_conjugate(w: Word, a: int, e: int, m: int, n: int) -> bool:
-    form = britton_reduce(w * generator(X, e) * invert(w), m, n)
-    return form.is_power_of_x() and form.head % a == 0
 
 
 # -- naive rewriting oracle (reference, exponential; small inputs only) ------

@@ -555,6 +555,8 @@ def ends_estimate(group_spec, l_text, gens_text, radii, fmt):
         schedule = tuple(int(r) for r in radii.split(","))
     except ValueError:
         raise click.UsageError(f"bad radii {radii!r}")
+    if any(r < 0 for r in schedule):
+        raise click.UsageError(f"radii must be non-negative, got {radii!r}")
     try:
         report = ends.ends_estimate(ctx_obj, sub, gens, schedule)
     except (ValueError, ends.CosetOracleError) as exc:
@@ -571,7 +573,7 @@ def ends_estimate(group_spec, l_text, gens_text, radii, fmt):
 @click.option("--l", "l_text", required=True,
               help="Generators of the subgroup L, comma-separated.")
 @click.option("--gens", "gens_text", default=None)
-@click.option("--radius", default=3, show_default=True)
+@click.option("--radius", type=click.IntRange(min=0), default=3, show_default=True)
 @click.option("--dot", "dot_flag", is_flag=True,
               help="Emit DOT text instead of JSON.")
 @_format_option
@@ -691,11 +693,11 @@ def bs_cmd():
 @bs_cmd.command(name="verify")
 @click.option("--suite", "which", type=click.Choice(("family",)),
               default="family", show_default=True)
-@click.option("--bound", default=12, show_default=True,
+@click.option("--bound", type=click.IntRange(min=1), default=12, show_default=True,
               help="Largest power of x in the truncation.")
 @click.option("--conjugators", default="y,y^-1", show_default=True,
               help="Comma-separated conjugator words.")
-@click.option("--conj-len", default=1, show_default=True,
+@click.option("--conj-len", type=click.IntRange(min=0), default=1, show_default=True,
               help="Conjugator word-length bound.")
 @click.option("--m", "m_param", default=2, show_default=True)
 @click.option("--n", "n_param", default=3, show_default=True)

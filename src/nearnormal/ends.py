@@ -38,6 +38,7 @@ class CosetGraphBall:
     depth: tuple
     edges: tuple  # (u, v, label) with label an index into gens
     key_to_index: dict = field(repr=False)
+    key_fn: object = field(repr=False)  # right-coset key of sub, or None
 
     @property
     def vertex_count(self) -> int:
@@ -45,9 +46,8 @@ class CosetGraphBall:
 
     def vertex_index(self, g: Word) -> int | None:
         """Classify an arbitrary element's coset within the ball."""
-        key = _left_key(self.sub, g)
-        if key is not None:
-            return self.key_to_index.get(key)
+        if self.key_fn is not None:
+            return self.key_to_index.get(_left_key(self.key_fn, g))
         for i, rep in enumerate(self.vertices):
             hit = same_coset(self.sub, rep, g, "left")
             if hit is True:
@@ -77,13 +77,10 @@ def vertex_set(ball: CosetGraphBall, predicate) -> VertexSet:
         i for i, rep in enumerate(ball.vertices) if predicate(rep)))
 
 
-def _left_key(sub: SubgroupHandle, g: Word):
+def _left_key(key_fn, g: Word):
     # gL = g'L iff Lg^-1 = Lg'^-1, so a right-coset key applied to g^-1 is
     # canonical for the left coset gL.
-    fn = _right_coset_key_fn(sub)
-    if fn is None:
-        return None
-    return fn(invert(g))
+    return key_fn(invert(g))
 
 
 def coset_graph_ball(ctx, sub: SubgroupHandle, gens, radius: int) -> CosetGraphBall:
@@ -95,14 +92,14 @@ def coset_graph_ball(ctx, sub: SubgroupHandle, gens, radius: int) -> CosetGraphB
     extra neighbors through its non-canonical members (the coset graph of a
     commensurated subgroup has finite but nontrivial local degree)."""
     gens = tuple(gens)
-    has_key = _right_coset_key_fn(sub) is not None
+    key_fn = _right_coset_key_fn(sub)
     vertices: list = []
     depth: list = []
     key_to_index: dict = {}
 
     def classify(g: Word) -> int | None:
-        if has_key:
-            return key_to_index.get(_left_key(sub, g))
+        if key_fn is not None:
+            return key_to_index.get(_left_key(key_fn, g))
         for i, rep in enumerate(vertices):
             hit = same_coset(sub, rep, g, "left")
             if hit is True:
@@ -113,8 +110,8 @@ def coset_graph_ball(ctx, sub: SubgroupHandle, gens, radius: int) -> CosetGraphB
 
     def add_vertex(g: Word, r: int):
         if classify(g) is None:
-            if has_key:
-                key_to_index[_left_key(sub, g)] = len(vertices)
+            if key_fn is not None:
+                key_to_index[_left_key(key_fn, g)] = len(vertices)
             vertices.append(g)
             depth.append(r)
 
@@ -149,7 +146,7 @@ def coset_graph_ball(ctx, sub: SubgroupHandle, gens, radius: int) -> CosetGraphB
                 edges.append(edge)
     return CosetGraphBall(ctx=ctx, sub=sub, gens=gens, radius=radius,
                           vertices=tuple(vertices), depth=tuple(depth),
-                          edges=tuple(edges), key_to_index=key_to_index)
+                          edges=tuple(edges), key_to_index=key_to_index, key_fn=key_fn)
 
 
 # ---------------------------------------------------------------------------

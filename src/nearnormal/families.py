@@ -413,6 +413,28 @@ def derivation_eval(module: FiniteModule, delta, w: Word):
     return acc
 
 
+def relator_blocks(module: FiniteModule, r: Word) -> list:
+    """Fox-derivative coefficients of relator r: block i is the d x d matrix
+    with delta(r) = sum_i delta(x_i) * block_i for every derivation delta.
+
+    The letter at position t contributes the matrix of the suffix after it
+    (negated and premultiplied by the inverse for an inverse letter); the
+    suffix matrices are accumulated right to left, one product per letter."""
+    d, p = module.dimension, module.p
+    blocks = [[modp.zero_vector(d) for _ in range(d)] for _ in range(len(module.matrices))]
+    smat = modp.identity_matrix(d)
+    for index, sign in reversed(r.letters):
+        if sign > 0:
+            coeff = smat
+            smat = modp.mat_mul(module.matrices[index], smat, p)
+        else:
+            smat = modp.mat_mul(module.inverses[index], smat, p)
+            coeff = tuple(modp.vec_scale(row, p - 1, p) for row in smat)
+        blocks[index] = [modp.vec_add(blocks[index][row], coeff[row], p)
+                         for row in range(d)]
+    return blocks
+
+
 def h1_derivations(ctx: GroupContext, module: FiniteModule) -> dict:
     """Solve the relator-expansion linear system for derivations and quotient
     by inner derivations; returns dimensions and bases."""
@@ -424,21 +446,7 @@ def h1_derivations(ctx: GroupContext, module: FiniteModule) -> dict:
     p = module.p
     relators = pres.relators
     # Unknown row vector: concatenation of d(x_0), ..., d(x_{n-1}).
-    columns = []
-    for r in relators:
-        blocks = [[modp.zero_vector(d) for _ in range(d)] for _ in range(n)]
-        letters = r.letters
-        for t, (index, sign) in enumerate(letters):
-            suffix = Word(letters[t + 1:])
-            smat = word_matrix(module, suffix)
-            if sign > 0:
-                coeff = smat
-            else:
-                coeff = modp.mat_mul(module.inverses[index], smat, p)
-                coeff = tuple(modp.vec_scale(row, p - 1, p) for row in coeff)
-            blocks[index] = [modp.vec_add(blocks[index][row], coeff[row], p)
-                             for row in range(d)]
-        columns.append(blocks)
+    columns = [relator_blocks(module, r) for r in relators]
     if relators:
         big = []
         for i in range(n):

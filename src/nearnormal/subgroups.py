@@ -26,7 +26,7 @@ from math import gcd
 from . import _intlinalg as intlin
 from . import baumslag_solitar as bs
 from . import groups, thompson
-from .words import Word, exponent_vector, generator, invert
+from .words import Word, exponent_vector, generator, invert, word_key
 
 INFINITE_OR_EXCEEDS = "infinite-or-exceeds"
 
@@ -176,10 +176,11 @@ def contains(sub: SubgroupHandle, w: Word):
     raise ValueError(f"unknown membership tag {tag!r}")
 
 
-def free_root(w: Word) -> tuple[Word, int]:
-    """(r, k) with w = r^k in the free group, r not a proper power; k=0 for 1."""
+def _root_parts(w: Word) -> tuple[Word, Word, int]:
+    """(c, r, k) with w = c r^k c^-1 in the free group, r cyclically reduced
+    and not a proper power; (1, 1, 0) for w = 1."""
     if not w:
-        return Word(()), 0
+        return Word(()), Word(()), 0
     letters = list(w.letters)
     prefix = []
     while len(letters) >= 2 and letters[0] == (letters[-1][0], -letters[-1][1]):
@@ -189,9 +190,14 @@ def free_root(w: Word) -> tuple[Word, int]:
     size = len(core)
     for p in range(1, size + 1):
         if size % p == 0 and core == core[:p] * (size // p):
-            conj = Word(tuple(prefix))
-            return conj * Word(core[:p]) * invert(conj), size // p
+            return Word(tuple(prefix)), Word(core[:p]), size // p
     raise AssertionError("unreachable: p = size always matches")
+
+
+def free_root(w: Word) -> tuple[Word, int]:
+    """(r, k) with w = r^k in the free group, r not a proper power; k=0 for 1."""
+    conj, r, k = _root_parts(w)
+    return conj * r * invert(conj), k
 
 
 def _free_cyclic_contains(u: Word, w: Word) -> bool:
@@ -295,7 +301,11 @@ def _cyclic_coordinate(sub: SubgroupHandle, w: Word):
 
 def _right_coset_key_fn(sub: SubgroupHandle):
     """Canonical key for right cosets (sub)g, or None when only pairwise
-    membership comparison is available."""
+    membership comparison is available.
+
+    Coset tables, the trivial subgroup, lattices, conjugated x-powers in
+    BS(m,n) and cyclic subgroups of a free group have a key; other handles
+    do not."""
     tag = sub.membership[0] if sub.membership else None
     if sub.coset_table is not None and tag in (None, "table"):
         table = sub.coset_table
@@ -306,6 +316,8 @@ def _right_coset_key_fn(sub: SubgroupHandle):
         hnf = sub.membership[1]
         n = sub.ctx.generator_count
         return lambda g: intlin.lattice_residue(hnf, exponent_vector(g, n))
+    if tag == "free-cyclic":
+        return _free_cyclic_key_fn(sub.membership[1])
     unwrapped = _unwrap_cyclic(sub)
     if unwrapped is not None:
         k, c = unwrapped
@@ -322,6 +334,35 @@ def _right_coset_key_fn(sub: SubgroupHandle):
 
         return key
     return None
+
+
+def _free_cyclic_key_fn(u: Word):
+    """Key of the right coset <u>g in a free group.
+
+    With u = c r^k c^-1 and h = c^-1 g, left multiplication by c^-1 maps
+    <u>g to the coset <r^k>h, whose elements are r^j h for k | j; the key
+    is the letters of its shortlex-least element.  As r is cyclically reduced,
+    |r^j h| >= |j||r| - |h|, which exceeds |h| = |r^0 h| once
+    |j||r| > 2|h|, so the least element has |j||r| <= 2|h|."""
+    if not u:
+        return lambda g: g.letters
+    c, r, k = _root_parts(u)
+    ci = invert(c)
+    period = len(r)
+    forward, backward = r.letters * k, invert(r).letters * k
+
+    def key(g):
+        h = ci * g
+        steps = 2 * len(h) // (period * k)
+        best = h
+        for i in range(1, steps + 1):
+            for step in (forward, backward):
+                cand = Word(step * i + h.letters)
+                if word_key(cand) < word_key(best):
+                    best = cand
+        return best.letters
+
+    return key
 
 
 def _ambient_letters(ctx) -> list[Word]:

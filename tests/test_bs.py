@@ -1,7 +1,9 @@
 """Britton reduction checked against rewriting reachability and an affine model."""
 
 import itertools
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -208,3 +210,136 @@ def test_reducer_rejects_bad_input():
         bs.britton_reduce(generator(2))
     with pytest.raises(ValueError):
         bs.britton_reduce(X, m=0)
+
+
+# -- the power-family check against the word-walking reference --------------
+
+
+def reference_least_power(w, a, t_bound, m, n):
+    """Least t with w x^t w^-1 in <x^a>, reducing the product word each step."""
+    wi = invert(w)
+    for t in range(1, t_bound + 1):
+        form = bs.britton_reduce(w * generator(0, t) * wi, m, n)
+        if form.is_power_of_x() and form.head % a == 0:
+            return t
+    return None
+
+
+def reference_verify(w, a, e, m, n):
+    form = bs.britton_reduce(w * generator(0, e) * invert(w), m, n)
+    return form.is_power_of_x() and form.head % a == 0
+
+
+def reference_conjugator_words(conjugators, conj_len, m, n):
+    """Every product of at most conj_len conjugators, then deduplicated."""
+    words = [Word()]
+    frontier = [Word()]
+    for _ in range(conj_len):
+        frontier = [w * c for w in frontier for c in conjugators]
+        words.extend(frontier)
+    seen = {}
+    for w in words:
+        seen.setdefault(bs.britton_reduce(w, m, n).key(), w)
+    return list(seen.values())
+
+
+def reference_family_axiom_check(conjugators, a_bound, conj_len=1, m=2, n=3):
+    """The family check scanning both nodes of every pair from scratch."""
+    conj_words = reference_conjugator_words(conjugators, conj_len, m, n)
+    nodes = [(a, w) for a in range(1, a_bound + 1) for w in conj_words]
+    t_bound = max(m, n) ** (conj_len + 1) * a_bound * 2
+    closure, closure_pass = [], True
+    for a, w in nodes:
+        for c in conjugators:
+            wc = w * c
+            j = reference_least_power(wc, a, t_bound, m, n)
+            closure.append({"power": a, "conjugator_len": len(wc), "witness": j,
+                            "in_truncation": j is not None and j <= a_bound})
+            closure_pass = closure_pass and j is not None
+    directed, directed_pass = [], True
+    for idx1 in range(len(nodes)):
+        for idx2 in range(idx1, len(nodes)):
+            a1, w1 = nodes[idx1]
+            a2, w2 = nodes[idx2]
+            t1 = reference_least_power(w1, a1, t_bound, m, n)
+            t2 = reference_least_power(w2, a2, t_bound, m, n)
+            if t1 is None or t2 is None:
+                directed_pass = False
+                directed.append({"pair": (idx1, idx2), "witness": None})
+                continue
+            e = t1 * t2 // gcd(t1, t2)
+            ok = reference_verify(w1, a1, e, m, n) and reference_verify(w2, a2, e, m, n)
+            directed_pass = directed_pass and ok
+            directed.append({"pair": (idx1, idx2), "witness": e if ok else None})
+    return {"nodes": len(nodes), "closure": closure, "closure_pass": closure_pass,
+            "directed": directed, "directed_pass": directed_pass,
+            "all_pass": closure_pass and directed_pass}
+
+
+@pytest.mark.parametrize("conj_len, bounds", [(1, (4, 6, 8, 10, 12)), (2, (4, 8, 12))])
+def test_family_axiom_check_matches_the_word_reference(conj_len, bounds):
+    conjugators = [Y, invert(Y)]
+    for a_bound in bounds:
+        assert bs.family_axiom_check(conjugators, a_bound, conj_len) \
+            == reference_family_axiom_check(conjugators, a_bound, conj_len), a_bound
+
+
+def test_family_axiom_check_matches_the_word_reference_on_other_conjugators():
+    for conjugators in ([X, Y], [Y, X * Y * invert(X)]):
+        assert bs.family_axiom_check(conjugators, 4, 2) \
+            == reference_family_axiom_check(conjugators, 4, 2)
+
+
+def test_syllable_reduction_equals_britton_reduce():
+    rng = random.Random(5)
+    balls = reduced_ball(6)
+    for m, n in ((2, 3), (2, 3), (1, 2), (3, 2), (2, 4)):
+        for _ in range(100):
+            w = Word(rng.choice(balls))
+            t = rng.randint(-40, 40)
+            red = bs._Reducer(m, n)
+            red.feed(w.letters)
+            red.push_x(t)
+            red.feed(invert(w).letters)
+            assert red.form() == bs.britton_reduce(w * generator(0, t) * invert(w), m, n), (w, t)
+
+
+def test_feed_accepts_unreduced_letters():
+    for w in reduced_ball(4):
+        red = bs._Reducer(2, 3)
+        red.feed(w + tuple((i, -s) for i, s in reversed(w)) + w)
+        assert red.form() == bs.britton_reduce(Word(w))
+
+
+def test_corrupted_push_x_fails_the_family_check(monkeypatch):
+    assert bs.family_axiom_check([Y, invert(Y)], 6)["all_pass"] is True
+    push_x = bs._Reducer.push_x
+    # a syllable x^t with t >= 2 lands one letter too far
+    monkeypatch.setattr(bs._Reducer, "push_x",
+                        lambda self, e: push_x(self, e + 1 if e >= 2 else e))
+    report = bs.family_axiom_check([Y, invert(Y)], 6)
+    assert report["all_pass"] is False
+
+
+@pytest.mark.parametrize("conjugators", [[Y, invert(Y)], [X, Y], [Y, X * Y * invert(X)]])
+def test_conjugator_words_match_the_full_enumeration(conjugators):
+    for conj_len in range(5):
+        assert bs.conjugator_words(conjugators, conj_len) \
+            == reference_conjugator_words(conjugators, conj_len, 2, 3)
+
+
+def test_conjugator_words_never_build_every_product(monkeypatch):
+    # y^k for |k| <= 40: 81 elements out of 2^41 - 1 products
+    products = []
+    mul = Word.__mul__
+
+    def counting(self, other):
+        products.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(Word, "__mul__", counting)
+    words = bs.conjugator_words([Y, invert(Y)], 40)
+    assert len(words) == 81
+    assert set(words) == {generator(1, k) for k in range(-40, 41)}
+    # level 1 extends the empty word; each later level extends y^L and y^-L
+    assert len(products) == 2 + 4 * 39

@@ -212,6 +212,35 @@ def test_bs_verify_and_reduce(runner):
     assert rdata["is_power_of_x"] is True
 
 
+@pytest.mark.parametrize("args, option", [
+    (["bs", "verify", "--bound", "0"], "--bound"),
+    (["bs", "verify", "--bound", "-1"], "--bound"),
+    (["bs", "verify", "--conj-len", "-1"], "--conj-len"),
+    (["ends", "graph", "--group", "free(2)", "--l", "a", "--radius", "-1"], "--radius"),
+])
+def test_negative_or_vacuous_bounds_are_usage_errors(runner, args, option):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert f"Invalid value for '{option}'" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("radii", ["-1,2", "1,-2", "-3"])
+def test_ends_estimate_rejects_negative_radii(runner, radii):
+    result = runner.invoke(main, [
+        "ends", "estimate", "--group", "free(2)", "--l", "a", "--radii", radii])
+    assert result.exit_code == 2
+    assert "radii must be non-negative" in result.output
+
+
+def test_zero_conj_len_and_radius_are_accepted(runner):
+    data = json.loads(invoke(runner, ["bs", "verify", "--bound", "1", "--conj-len", "0"]).output)
+    assert data["nodes"] == 1 and data["all_pass"] is True
+    data = json.loads(invoke(runner, [
+        "ends", "graph", "--group", "free(2)", "--l", "a", "--radius", "0"]).output)
+    assert data["vertex_count"] == 1
+
+
 def test_suite_json_is_schema_valid(runner):
     result = invoke(runner, ["suite", "words"])
     report = json.loads(result.output)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from nearnormal import ends
 from nearnormal.ends import (
     CosetOracleError, boundary_edges, bs_side_predicate, claim3_check,
     coset_graph_ball, double_coset_membership, double_coset_orbit,
@@ -9,7 +10,7 @@ from nearnormal.ends import (
 )
 from nearnormal.groups import preset
 from nearnormal.subgroups import (
-    CosetSet, finite_subgroup, lattice_subgroup, power_subgroup,
+    CosetSet, finite_subgroup, free_cyclic_subgroup, lattice_subgroup, power_subgroup,
     same_coset, subgroup, trivial_subgroup, whole_group,
 )
 from nearnormal.words import Word, exponent_vector, generator, invert, parse_word
@@ -193,6 +194,38 @@ def test_bs_ball_matches_pairwise_classification():
         if not any(same_coset(sub, r, e, "left") is True for r in expected):
             expected.append(e)
     assert ball.vertex_count == len(expected)
+
+
+@pytest.mark.parametrize("u", ["a", "b a^2 b^-1", "a b a^-1 b^-1"])
+def test_free_cyclic_ball_matches_pairwise_classification(u):
+    ctx = preset("free(2)")
+    sub = free_cyclic_subgroup(ctx, parse_word(u, ("a", "b")))
+    gens = (generator(0), generator(1))
+    ball = coset_graph_ball(ctx, sub, gens, 3)
+    expected = []
+    for e in element_ball(ctx, gens, 3):
+        hits = [i for i, r in enumerate(expected) if same_coset(sub, r, e, "left") is True]
+        if not hits:
+            expected.append(e)
+        assert ball.vertex_index(e) == (hits[0] if hits else len(expected) - 1)
+    assert list(ball.vertices) == expected
+
+
+def test_ball_builds_its_coset_key_once(monkeypatch):
+    built = []
+
+    def counting(sub):
+        built.append(sub)
+        return key_fn(sub)
+
+    key_fn = ends._right_coset_key_fn
+    monkeypatch.setattr(ends, "_right_coset_key_fn", counting)
+    ctx = preset("bs(2,3)")
+    gens = (generator(0), generator(1))
+    ball = coset_graph_ball(ctx, power_subgroup(ctx, 2), gens, 3)
+    for e in element_ball(ctx, gens, 3):
+        assert ball.vertex_index(e) is not None
+    assert len(built) == 1
 
 
 def test_bs_edges_come_from_all_coset_members():

@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from nearnormal import cli, modp
+from nearnormal import cli, families, modp
 from nearnormal.families import (
     check_admissible, check_stable, derivation_eval, finite_module, h0_G_mod_S,
     h0_S, h1_derivations, h1_trivial_expected, node_fixed_space,
-    parse_module_matrices, permutation_module, regular_module, restrict_to_h0s,
-    trivial_module, truncation, word_matrix,
+    parse_module_matrices, permutation_module, regular_module, relator_blocks,
+    restrict_to_h0s, trivial_module, truncation, word_matrix,
 )
 from nearnormal.groups import (
     context_from_text, element_key, group_elements, preset, todd_coxeter,
@@ -399,3 +399,41 @@ def test_h1_trivial_expected_from_abelianization(name, expected):
 def test_h1_rejects_schema_presentations():
     with pytest.raises(ValueError):
         h1_derivations(preset("thompson-f"), None)
+
+
+def suffix_loop_blocks(module, r):
+    """Relator coefficients with each suffix matrix rebuilt from its word."""
+    d, p = module.dimension, module.p
+    blocks = [[modp.zero_vector(d) for _ in range(d)] for _ in module.matrices]
+    letters = r.letters
+    for t, (index, sign) in enumerate(letters):
+        coeff = word_matrix(module, Word(letters[t + 1:]))
+        if sign < 0:
+            coeff = modp.mat_mul(module.inverses[index], coeff, p)
+            coeff = tuple(modp.vec_scale(row, p - 1, p) for row in coeff)
+        blocks[index] = [modp.vec_add(blocks[index][row], coeff[row], p)
+                         for row in range(d)]
+    return blocks
+
+
+A5 = "gens: a b\nrels: a^2 b^3 (a b)^5"
+S4_INVERSE_LETTERS = "gens: a b\nrels: a^2 b^-3 (a b^-1)^4"
+
+
+@pytest.mark.parametrize("spec, kind", [
+    (A5, "regular"), (S4_INVERSE_LETTERS, "permutation"),
+    (S4_INVERSE_LETTERS, "trivial"), (A5, "trivial"),
+], ids=["a5-regular", "s4-permutation", "s4-trivial", "a5-trivial"])
+def test_relator_blocks_match_the_suffix_loop(monkeypatch, spec, kind):
+    ctx = context_from_text(spec)
+    if kind == "regular":
+        module = regular_module(ctx)
+    elif kind == "permutation":
+        module = permutation_module(ctx, todd_coxeter(ctx, [w("b")], 100), p=3)
+    else:
+        module = trivial_module(ctx, dim=2, p=3)
+    for r in ctx.presentation.relators:
+        assert relator_blocks(module, r) == suffix_loop_blocks(module, r)
+    got = h1_derivations(ctx, module)
+    monkeypatch.setattr(families, "relator_blocks", suffix_loop_blocks)
+    assert h1_derivations(ctx, module) == got

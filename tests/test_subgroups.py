@@ -265,3 +265,50 @@ def test_neumann_translate_exhausts_on_a_cover():
     reps = tuple(table.representatives)
     x_set = CosetSet(h, reps, "right")
     assert neumann_translate(x_set, 4) is None
+
+
+# --- free-cyclic coset key ---------------------------------------------------
+
+
+def free_ball(radius):
+    """All freely reduced words over a, b of length <= radius."""
+    words, frontier = [Word(())], [Word(())]
+    letters = [generator(0), generator(0, -1), generator(1), generator(1, -1)]
+    for _ in range(radius):
+        frontier = [g * x for g in frontier for x in letters
+                    if len(g * x) == len(g) + 1]
+        words.extend(frontier)
+    return words
+
+
+@pytest.mark.parametrize("u", ["a", "a^2", "b a^2 b^-1", "a b a b", "a b a^-1 b^-1", "a b"])
+def test_free_cyclic_key_agrees_with_same_coset(u):
+    from nearnormal.subgroups import _right_coset_key_fn
+
+    sub = free_cyclic_subgroup(preset("free(2)"), w(u))
+    key = _right_coset_key_fn(sub)
+    ball = free_ball(4)
+    keys = [key(g) for g in ball]
+    for i in range(len(ball)):
+        for j in range(i + 1, len(ball)):
+            assert (keys[i] == keys[j]) == same_coset(sub, ball[i], ball[j], "right"), \
+                (ball[i], ball[j])
+
+
+def test_free_cyclic_key_is_the_shortlex_least_element():
+    from nearnormal.subgroups import _right_coset_key_fn
+
+    ctx = preset("free(2)")
+    # r = a b, h = a: the coset <a b> a holds a and b^-1, both of length 1
+    key = _right_coset_key_fn(free_cyclic_subgroup(ctx, w("a b")))
+    assert key(w("a")) == key(w("b^-1")) == w("a").letters
+    # u = b a^2 b^-1, g = b a^5: c^-1 g = a^5 is cut down to a
+    key = _right_coset_key_fn(free_cyclic_subgroup(ctx, w("b a^2 b^-1")))
+    assert key(w("b a^5")) == key(w("b a")) == w("a").letters
+    assert _right_coset_key_fn(free_cyclic_subgroup(ctx, Word(())))(w("a b")) == w("a b").letters
+
+
+def test_free_cyclic_index_in_a_free_group_is_infinite():
+    ctx = preset("free(2)")
+    assert index_bounded(free_cyclic_subgroup(ctx, w("a")), whole_group(ctx), 30) \
+        == INFINITE_OR_EXCEEDS
