@@ -465,8 +465,9 @@ def _completion_options(fn):
                               "all-subgroups, index2)."),
             click.option("--nodes", "nodes_text", default=None,
                          help="Custom nodes, as in 'family check'."),
-            click.option("--ceiling", default=completion.ENUM_CEILING,
-                         show_default=True, help="Element enumeration ceiling."))):
+            click.option("--ceiling", type=click.IntRange(min=1),
+                         default=completion.ENUM_CEILING, show_default=True,
+                         help="Element enumeration ceiling."))):
         fn = opt(fn)
     return fn
 

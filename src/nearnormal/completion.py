@@ -16,7 +16,10 @@ coset_conj, coset_product and projection), built once per family from those
 representatives: a product is one lookup per node, and compatibility is a
 projection lookup per covering inclusion.  Inverses are solved per element, not
 searched for: f.g = e fixes g(H^f) at every node H, and only the elements
-with those values are tried.
+with those values are tried.  The laws are checked on one N x N table of
+element indices, filled with N^2 checked products (N^2 ints of memory), and
+not by multiplying out every case: associativity alone would take about 4 N^3
+products.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 from . import modp
 from .families import FamilyTruncation, FiniteModule, word_matrix
-from .groups import group_elements
+from .groups import group_elements, regular_table
 from .words import Word, format_word, invert
 
 ENUM_CEILING = 10 ** 6
@@ -251,32 +254,57 @@ def law_records(tc: TruncatedCompletion):
     """Exhaustive law checks, yielded as (name, verdict, witness) in a fixed
     order.  The verdict is "pass", "fail" or "unknown"; a failing law carries
     its first failing case as the witness, a passing one None.  The inverse
-    laws are "unknown" over an unstable family."""
+    laws are "unknown" over an unstable family.
+
+    Every law is read from one N x N table of element indices, filled with
+    N^2 checked products, table[i][j] = index of elements[i].elements[j]; a
+    product that is not an element raises RuntimeError.  The table holds N^2
+    ints, and every product a law compares is one of its entries (the
+    embedding law reads the coset of g1 g2 from the regular table), so each law
+    checks the same facts as multiplying its cases out, and its witness is the
+    first failing case in itertools.product order."""
     fam, elements = tc.fam, tc.elements
+    index = {f: i for i, f in enumerate(elements)}
+
+    def position(f):
+        i = index.get(f)
+        if i is None:
+            raise RuntimeError(f"{list(f.assignment)} is not an element of the completion")
+        return i
 
     def record(name, bad, witness):
         return (name, "pass", None) if bad is None else (name, "fail", witness)
 
-    e = identity_element(tc)
-    bad = next((f for f in elements
-                if multiply(tc, e, f) != f or multiply(tc, f, e) != f), None)
-    yield record("identity", bad, bad and list(bad.assignment))
-    bad = next(((f, g, h) for f, g, h in itertools.product(elements, repeat=3)
-                if multiply(tc, multiply(tc, f, g), h) != multiply(tc, f, multiply(tc, g, h))),
+    table = [[position(multiply(tc, f, g)) for g in elements] for f in elements]
+    e = position(identity_element(tc))
+    bad = next((f for i, f in enumerate(elements) if table[e][i] != i or table[i][e] != i),
                None)
+    yield record("identity", bad, bad and list(bad.assignment))
+    # (f g) h = f (g h) for every h at once: row fg against row f read through row g.
+    bad = None
+    for (i, row), j in itertools.product(enumerate(table), range(len(elements))):
+        left, right = table[row[j]], list(map(row.__getitem__, table[j]))
+        if left != right:
+            k = next(k for k, (x, y) in enumerate(zip(left, right)) if x != y)
+            bad = (elements[i], elements[j], elements[k])
+            break
     yield record("associativity", bad, bad and [list(t.assignment) for t in bad])
-    bad = next(((f, g, node) for f, g in itertools.product(elements, repeat=2)
-                for fg in (multiply(tc, f, g),)
-                for node in range(len(fam.nodes))
-                if conj_node(tc, node, fg) != conj_node(tc, conj_node(tc, node, f), g)),
+    # H -> H^f per element, from the value at H
+    conj = [[fam.coset_conj[node][c] for node, c in enumerate(f.assignment)]
+            for f in elements]
+    bad = next(((elements[i], elements[j], node)
+                for i, j in itertools.product(range(len(elements)), repeat=2)
+                for node, h in enumerate(conj[i]) if conj[table[i][j]][node] != conj[j][h]),
                None)
     yield record("conjugation-cocycle", bad,
                  bad and {"f": list(bad[0].assignment), "g": list(bad[1].assignment),
                           "node": bad[2]})
-    words = group_elements(fam.ctx)
-    embeds = [embed(g, tc) for g in words]
-    bad = next(((g1, g2) for (g1, f1), (g2, f2) in itertools.product(zip(words, embeds), repeat=2)
-                if multiply(tc, f1, f2) != embed(g1 * g2, tc)), None)
+    words = group_elements(fam.ctx)  # the regular table's representatives
+    regular = regular_table(fam.ctx)
+    embeds = [position(embed(g, tc)) for g in words]
+    # g1 g2 lies in the regular coset reached by walking g2 from g1's coset
+    bad = next(((g1, g2) for (a, g1), (b, g2) in itertools.product(enumerate(words), repeat=2)
+                if table[embeds[a]][embeds[b]] != embeds[regular.coset_of(g2, start=a)]), None)
     yield record("embed-homomorphism", bad,
                  bad and [format_word(w, fam.ctx.generator_names) for w in bad])
     stable = fam.stability
@@ -288,17 +316,15 @@ def law_records(tc: TruncatedCompletion):
         return
     try:
         inverses = {f: invert_stable(tc, f) for f in elements}
+        inv = [position(inverses[f]) for f in elements]
     except (RuntimeError, ValueError) as exc:
         yield ("inverses", "fail", str(exc))
         yield ("inverse-anti-homomorphism", "unknown", None)
         yield ("inverse-necessary-condition", "unknown", None)
         return
     yield ("inverses", "pass", None)
-    # (fg)^-1 is read from the inverse table, so every product must be an element.
-    bad = next(((f, g) for f, g in itertools.product(elements, repeat=2)
-                for fg in (multiply(tc, f, g),)
-                if fg not in inverses
-                or inverses[fg] != multiply(tc, inverses[g], inverses[f])), None)
+    bad = next(((f, g) for (i, f), (j, g) in itertools.product(enumerate(elements), repeat=2)
+                if inv[table[i][j]] != table[inv[j]][inv[i]]), None)
     yield record("inverse-anti-homomorphism", bad, bad and [list(t.assignment) for t in bad])
     # An inverse must assign at H^f the coset of x^-1, x representing f(H).
     bad = next(((f, node) for f, finv in inverses.items() for node in range(len(fam.nodes))

@@ -108,15 +108,19 @@ def coset_graph_ball(ctx, sub: SubgroupHandle, gens, radius: int) -> CosetGraphB
                 raise CosetOracleError("coset equality undecided during expansion")
         return None
 
-    def add_vertex(g: Word, r: int):
-        if classify(g) is None:
-            if key_fn is not None:
-                key_to_index[_left_key(key_fn, g)] = len(vertices)
+    def add_vertex(g: Word, r: int) -> int:
+        """The index of the vertex gL, which is added at depth r if new."""
+        if key_fn is None:
+            i = classify(g)
+            i = len(vertices) if i is None else i
+        else:
+            i = key_to_index.setdefault(_left_key(key_fn, g), len(vertices))
+        if i == len(vertices):
             vertices.append(g)
             depth.append(r)
+        return i
 
-    elements = [Word(())]
-    add_vertex(Word(()), 0)
+    elements = [(Word(()), add_vertex(Word(()), 0))]  # (element, its vertex)
     seen_elements = {groups.element_key(ctx, Word(()))}
     frontier = [Word(())]
     for r in range(1, radius + 1):
@@ -128,14 +132,12 @@ def coset_graph_ball(ctx, sub: SubgroupHandle, gens, radius: int) -> CosetGraphB
                     ekey = groups.element_key(ctx, cand)
                     if ekey not in seen_elements:
                         seen_elements.add(ekey)
-                        elements.append(cand)
+                        elements.append((cand, add_vertex(cand, r)))
                         nxt.append(cand)
-                        add_vertex(cand, r)
         frontier = nxt
     edges = []
     seen_edges = set()
-    for g in elements:
-        source = classify(g)
+    for g, source in elements:
         for label, x in enumerate(gens):
             target = classify(g * x)
             if target is None:

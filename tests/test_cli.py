@@ -308,3 +308,20 @@ def test_family_h0_without_a_bottom_node(runner):
     result = runner.invoke(main, ["family", "h0", "--group", "sym3", "--nodes", "a"])
     assert result.exit_code == 1
     assert result.output.strip() == "Error: truncation has no global lower-bound node"
+
+
+@pytest.mark.parametrize("command", ["build", "laws", "scan"])
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_completion_rejects_a_ceiling_below_one(runner, command, value):
+    result = runner.invoke(main, ["completion", command, "--group", "sym3",
+                                  "--family", "normal-order3", "--ceiling", value])
+    assert result.exit_code == 2
+    assert "Invalid value for '--ceiling'" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_completion_ceiling_of_one_is_a_runtime_error(runner):
+    result = runner.invoke(main, ["completion", "build", "--group", "sym3",
+                                  "--family", "normal-order3", "--ceiling", "1"])
+    assert result.exit_code == 1
+    assert result.output.strip() == "Error: completion enumeration exceeds ceiling 1"

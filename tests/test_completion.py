@@ -13,7 +13,7 @@ from nearnormal.completion import (
 )
 from nearnormal.families import h0_S, regular_module, truncation
 from nearnormal.groups import group_elements, preset
-from nearnormal.words import Word, invert, parse_word
+from nearnormal.words import Word, format_word, invert, parse_word
 
 
 def w(text):
@@ -411,3 +411,139 @@ def test_law_records_report_the_first_failing_witness(monkeypatch):
                 if multiply(tc, f, g) != multiply(tc, g, f))
     assert records["inverse-anti-homomorphism"] == (
         "fail", [list(anti[0].assignment), list(anti[1].assignment)])
+
+
+def reference_law_records(tc):
+    """The product-walking law checker law_records replaces: every case
+    multiplied out with multiply, in itertools.product order."""
+    fam, elements = tc.fam, tc.elements
+
+    def record(name, bad, witness):
+        return (name, "pass", None) if bad is None else (name, "fail", witness)
+
+    e = identity_element(tc)
+    bad = next((f for f in elements
+                if multiply(tc, e, f) != f or multiply(tc, f, e) != f), None)
+    yield record("identity", bad, bad and list(bad.assignment))
+    bad = next(((f, g, h) for f, g, h in itertools.product(elements, repeat=3)
+                if multiply(tc, multiply(tc, f, g), h) != multiply(tc, f, multiply(tc, g, h))),
+               None)
+    yield record("associativity", bad, bad and [list(t.assignment) for t in bad])
+    bad = next(((f, g, node) for f, g in itertools.product(elements, repeat=2)
+                for fg in (multiply(tc, f, g),)
+                for node in range(len(fam.nodes))
+                if conj_node(tc, node, fg) != conj_node(tc, conj_node(tc, node, f), g)),
+               None)
+    yield record("conjugation-cocycle", bad,
+                 bad and {"f": list(bad[0].assignment), "g": list(bad[1].assignment),
+                          "node": bad[2]})
+    words = group_elements(fam.ctx)
+    embeds = [embed(g, tc) for g in words]
+    bad = next(((g1, g2) for (g1, f1), (g2, f2) in itertools.product(zip(words, embeds), repeat=2)
+                if multiply(tc, f1, f2) != embed(g1 * g2, tc)), None)
+    yield record("embed-homomorphism", bad,
+                 bad and [format_word(w, fam.ctx.generator_names) for w in bad])
+    stable = fam.stability
+    if not stable["stable"]:
+        yield ("inverses", "unknown",
+               {"reason": "family is not stable", "witness": list(stable["witness"])})
+        yield ("inverse-anti-homomorphism", "unknown", None)
+        yield ("inverse-necessary-condition", "unknown", None)
+        return
+    try:
+        inverses = {f: completion.invert_stable(tc, f) for f in elements}
+    except (RuntimeError, ValueError) as exc:
+        yield ("inverses", "fail", str(exc))
+        yield ("inverse-anti-homomorphism", "unknown", None)
+        yield ("inverse-necessary-condition", "unknown", None)
+        return
+    yield ("inverses", "pass", None)
+    bad = next(((f, g) for f, g in itertools.product(elements, repeat=2)
+                for fg in (multiply(tc, f, g),)
+                if fg not in inverses
+                or inverses[fg] != multiply(tc, inverses[g], inverses[f])), None)
+    yield record("inverse-anti-homomorphism", bad, bad and [list(t.assignment) for t in bad])
+    bad = next(((f, node) for f, finv in inverses.items() for node in range(len(fam.nodes))
+                for hf in (conj_node(tc, node, f),)
+                if finv.assignment[hf] != fam.nodes[hf].coset_table.coset_of(
+                    invert(fam.nodes[node].coset_table.representatives[f.assignment[node]]))),
+               None)
+    yield record("inverse-necessary-condition", bad,
+                 bad and {"f": list(bad[0].assignment), "node": bad[1]})
+
+
+def outcome(records, tc):
+    """The record list, or the type and message of the error it raised."""
+    try:
+        return list(records(tc))
+    except (RuntimeError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@pytest.mark.parametrize("group, nodes_text", [
+    pytest.param(group, text, id=f"{group}:{name}") for (group, name), text in NAMED] + [
+    pytest.param(S4, S4_DIRECTED, id="s4-directed"),
+    pytest.param("sym3", "a; a,b", id="sym3:order2-orbit"),
+])
+def test_law_table_matches_the_reference(group, nodes_text):
+    tc = build(group, nodes_text)
+    records = list(law_records(tc))
+    assert records == list(reference_law_records(tc))
+    assert [r[0] for r in records] == LAW_NAMES
+
+
+def corrupt_product(monkeypatch, tc, node, c, c2, value):
+    fam = tc.fam
+    rows = list(fam.coset_product)
+    table = [list(row) for row in rows[node]]
+    assert table[c][c2] != value
+    table[c][c2] = value
+    rows[node] = tuple(tuple(row) for row in table)
+    monkeypatch.setitem(vars(fam), "coset_product", tuple(rows))
+
+
+@pytest.mark.parametrize("group, nodes_text, entry, expected", [
+    # <a> has no node below it, so a wrong entry stays compatible: a law fails
+    pytest.param("sym3", "a; a,b", (0, 1, 1, 0), "associativity", id="law-fails"),
+    # every node lies over the trivial one, so a wrong entry is incompatible
+    pytest.param("klein4", "-; a; b; a b; a,b", (0, 1, 1, 2), "RuntimeError", id="raises"),
+])
+def test_law_table_and_reference_agree_on_a_corrupted_product(
+        monkeypatch, group, nodes_text, entry, expected):
+    tc = build(group, nodes_text)
+    corrupt_product(monkeypatch, tc, *entry)
+    got = outcome(law_records, tc)
+    assert got == outcome(reference_law_records, tc)
+    if expected == "RuntimeError":
+        assert got == ("RuntimeError", "product violates the compatibility invariant")
+    else:
+        first = next(r for r in got if r[1] == "fail")
+        assert first[0] == expected and first[2] is not None
+
+
+def test_law_table_rejects_a_product_outside_the_elements():
+    _, fam, tc = sym3_all_subgroups()
+    partial = completion.TruncatedCompletion(fam=fam, elements=tc.elements[:-1])
+    with pytest.raises(RuntimeError, match="is not an element of the completion"):
+        list(law_records(partial))
+
+
+def test_law_table_makes_n_squared_products(monkeypatch):
+    tc = build(S4, S4_DIRECTED)
+    calls = []
+    real = completion.multiply
+    monkeypatch.setattr(completion, "multiply",
+                        lambda tc, f, g: calls.append(1) or real(tc, f, g))
+    assert all(verdict == "pass" for _, verdict, _ in law_records(tc))
+    n = len(tc.elements)
+    assert n == 24
+    # the table, then the two checking products of each invert_stable
+    assert len(calls) == n * n + 2 * n
+
+
+def test_law_records_on_the_216_element_family():
+    tc = build(S4, S4_NON_DIRECTED)
+    assert len(tc.elements) == 216
+    records = list(law_records(tc))
+    assert [r[0] for r in records] == LAW_NAMES
+    assert [r[1] for r in records] == ["pass"] * 4 + ["fail", "unknown", "unknown"]

@@ -8,10 +8,10 @@ from nearnormal.ends import (
     coset_graph_ball, double_coset_membership, double_coset_orbit,
     element_ball, ends_estimate, to_dot, vertex_set,
 )
-from nearnormal.groups import preset
+from nearnormal.groups import element_key, preset
 from nearnormal.subgroups import (
-    CosetSet, finite_subgroup, free_cyclic_subgroup, lattice_subgroup, power_subgroup,
-    same_coset, subgroup, trivial_subgroup, whole_group,
+    CosetSet, am_subgroup, finite_subgroup, free_cyclic_subgroup, lattice_subgroup,
+    power_subgroup, same_coset, subgroup, trivial_subgroup, whole_group,
 )
 from nearnormal.words import Word, exponent_vector, generator, invert, parse_word
 
@@ -302,3 +302,73 @@ def test_to_dot_output():
     marked = to_dot(ball, highlight=vertex_set(ball, lambda w: not w))
     assert "fillcolor" in marked
     assert 'label="1"' in marked
+
+
+def reference_ball(ctx, sub, gens, radius):
+    """The reference coset_graph_ball must match: each new vertex is keyed
+    twice, and every element is classified again as an edge source.
+    Returns (vertices, depth, edges, element count)."""
+    key_fn = ends._right_coset_key_fn(sub)
+    vertices, depth, key_to_index = [], [], {}
+
+    def classify(g):
+        if key_fn is not None:
+            return key_to_index.get(ends._left_key(key_fn, g))
+        return next((i for i, rep in enumerate(vertices)
+                     if same_coset(sub, rep, g, "left") is True), None)
+
+    def add_vertex(g, r):
+        if classify(g) is None:
+            if key_fn is not None:
+                key_to_index[ends._left_key(key_fn, g)] = len(vertices)
+            vertices.append(g)
+            depth.append(r)
+
+    elements, frontier = [Word(())], [Word(())]
+    add_vertex(Word(()), 0)
+    seen = {element_key(ctx, Word(()))}
+    for r in range(1, radius + 1):
+        nxt = []
+        for e in frontier:
+            for x in gens:
+                for step in (x, invert(x)):
+                    cand = e * step
+                    key = element_key(ctx, cand)
+                    if key not in seen:
+                        seen.add(key)
+                        elements.append(cand)
+                        nxt.append(cand)
+                        add_vertex(cand, r)
+        frontier = nxt
+    edges = []
+    for g in elements:
+        source = classify(g)
+        for label, x in enumerate(gens):
+            target = classify(g * x)
+            if target is not None and (source, target, label) not in edges:
+                edges.append((source, target, label))
+    return vertices, depth, edges, len(elements)
+
+
+@pytest.mark.parametrize("group, make_sub, radius", [
+    pytest.param("bs(2,3)", lambda ctx: power_subgroup(ctx, 2), 5, id="bs23-x2"),
+    pytest.param("zn(2)", lambda ctx: lattice_subgroup(ctx, [(1, 0)]), 4, id="z2-lattice"),
+    pytest.param("free(2)", lambda ctx: free_cyclic_subgroup(ctx, parse_word("a b", ("a", "b"))),
+                 3, id="free2-cyclic"),
+    pytest.param("sym3", lambda ctx: finite_subgroup(ctx, (generator(0),)), 3, id="sym3-table"),
+    # no coset key: classified by pairwise membership tests
+    pytest.param("thompson-f", lambda ctx: am_subgroup(ctx, 1), 2, id="f-a1-unkeyed"),
+])
+def test_ball_keys_each_element_once(monkeypatch, group, make_sub, radius):
+    ctx = preset(group)
+    sub = make_sub(ctx)
+    gens = (generator(0), generator(1))
+    vertices, depth, edges, element_count = reference_ball(ctx, sub, gens, radius)
+    calls = []
+    real = ends._left_key
+    monkeypatch.setattr(ends, "_left_key", lambda key_fn, g: calls.append(1) or real(key_fn, g))
+    ball = coset_graph_ball(ctx, sub, gens, radius)
+    assert (list(ball.vertices), list(ball.depth), list(ball.edges)) == (vertices, depth, edges)
+    # one key per element at discovery, one per element and generator for its edges
+    keyed = ends._right_coset_key_fn(sub) is not None
+    assert len(calls) == (element_count * (1 + len(gens)) if keyed else 0)
