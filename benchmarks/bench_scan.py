@@ -1,14 +1,16 @@
-"""Benchmark the scan kernel: compiled extension vs pure Python.
+"""Benchmark the scan kernel: the C extension vs pure Python.
 
 Runs the normal-form agreement scan at increasing sizes with both backends
-and reports best-of-N wall-clock times and the speedup.  The run exits
-nonzero when either backend reports failures or the two backends disagree
-on word or failure counts, so it still checks the engine when only the
-pure-Python backend is available.
+and reports, per backend, the best-of-N wall-clock seconds and the words
+checked per second.  The run exits nonzero when either backend reports
+failures or the two backends disagree on word or failure counts, so it
+still checks the engine when only the pure-Python backend is available.
 
-Both backends use exact integer dyadics.  The pure-Python one takes about
-0.18 s at size 5:2 (2-core x86-64 Xeon, Python 3.11); pass --sizes to push
-the compiled backend harder.
+The C kernel (`nearnormal._scan_c`) exists once setup.py has built it, for
+example with `python setup.py build_ext --inplace`.  Both backends use
+exact integer dyadics.  The pure-Python one takes about 0.18 s at size 5:2
+(2-core x86-64 Xeon, Python 3.11), the C kernel about 0.005 s; pass --sizes to
+push both harder.
 
 Usage: python benchmarks/bench_scan.py [--sizes 3:2,4:2,5:2] [--repeat 3]
 """
@@ -21,9 +23,9 @@ import time
 from nearnormal import _scan_py
 
 try:
-    from nearnormal import _scan_cy
+    from nearnormal import _scan_c
 except ImportError:
-    _scan_cy = None
+    _scan_c = None
 
 
 def run(fn, max_len: int, max_index: int, repeat: int):
@@ -50,19 +52,23 @@ def main():
         left, _, right = part.partition(":")
         sizes.append((int(left), int(right)))
 
-    print(f"{'size':>8} {'words':>12} {'python':>11} {'compiled':>11} {'speedup':>9}")
+    backends = {"python": _scan_py.thompson_agreement_scan}
+    if _scan_c is not None:
+        backends["compiled"] = _scan_c.thompson_agreement_scan
+    header = f"{'size':>6} {'words':>11}"
+    for name in ("python", "compiled"):
+        header += f" {name + ' s':>12} {name + ' words/s':>18}"
+    print(header)
     for max_len, max_index in sizes:
-        t_py, r_py = run(_scan_py.thompson_agreement_scan,
-                         max_len, max_index, args.repeat)
-        reports = {"python": r_py}
-        row = f"{f'{max_len}:{max_index}':>8} {r_py['words']:>12} {t_py:>10.3f}s"
-        if _scan_cy is None:
-            row += f" {'not built':>11} {'-':>9}"
-        else:
-            t_cy, reports["compiled"] = run(_scan_cy.thompson_agreement_scan,
-                                            max_len, max_index, args.repeat)
-            row += f" {t_cy:>10.3f}s {t_py / t_cy:>8.1f}x"
-        print(row)
+        cells, reports = "", {}
+        for name in ("python", "compiled"):
+            if name not in backends:
+                cells += f" {'not built':>12} {'-':>18}"
+                continue
+            seconds, reports[name] = run(backends[name], max_len, max_index, args.repeat)
+            cells += f" {seconds:>12.3f} {reports[name]['words'] / seconds:>18,.0f}"
+        print(f"{f'{max_len}:{max_index}':>6} {reports['python']['words']:>11}{cells}",
+              flush=True)
         counts = {name: (r["words"], len(r["failures"])) for name, r in reports.items()}
         if len(set(counts.values())) > 1 or any(f for _, f in counts.values()):
             raise SystemExit(

@@ -1,20 +1,11 @@
-"""Build hook: compile the scan kernel extension when Cython is available.
+"""Build hook: compile the hand-written C scan kernel, nearnormal._scan_c.
 
-The package works without the extension; nearnormal.scan falls back to the
-pure-Python kernel at import time.
+The extension is optional: without a C compiler or the Python headers the
+build warns and goes on, and nearnormal.scan falls back to the pure-Python
+kernel at import time.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/nearnormal/_scan_cy.pyx"],
-        language_level=3,
-    )
-except ImportError:
-    pass
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("nearnormal._scan_c", ["src/nearnormal/_scan_c.c"],
+                             optional=True)])

@@ -94,6 +94,8 @@ def _part_map(runs: tuple, cache: dict, bits: int) -> tuple:
 def thompson_agreement_scan(max_len: int, max_index: int, failure_cap: int = 10) -> dict:
     """Check engine-vs-model agreement on every freely reduced word of
     length <= max_len over indices <= max_index."""
+    if max_len < 0 or max_index < 0:
+        raise ValueError("max_len and max_index must be non-negative")
     bits = _precision(max_len, max_index)
     one = 1 << bits
     letters = [(i, s) for i in range(max_index + 1) for s in (1, -1)]

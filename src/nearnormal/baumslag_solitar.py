@@ -110,10 +110,6 @@ def bs_is_trivial(w: Word, m: int = 2, n: int = 3) -> bool:
     return britton_reduce(w, m, n).is_trivial()
 
 
-def bs_equal(u: Word, v: Word, m: int = 2, n: int = 3) -> bool:
-    return bs_is_trivial(u * invert(v), m, n)
-
-
 def power_of_x_in(w: Word, k: int, m: int = 2, n: int = 3) -> bool:
     """Membership of w in <x^k>: the form is x^a with k | a."""
     form = britton_reduce(w, m, n)

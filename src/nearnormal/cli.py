@@ -91,20 +91,10 @@ def _load_context(spec: str) -> groups.GroupContext:
 
 
 def _word(ctx_obj: groups.GroupContext, text: str) -> Word:
-    if text.strip() in ("", "1", "-"):
-        return Word(())
     try:
-        w = parse_word(text, ctx_obj.generator_names)
+        return groups.parse_context_word(ctx_obj, text)
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    rank = ctx_obj.generator_count
-    if rank is not None:
-        for index, _ in w.letters:
-            if index >= rank:
-                raise click.ClickException(
-                    f"word {text!r} uses generator index {index}, "
-                    f"but the group has rank {rank}")
-    return w
 
 
 def _word_list(ctx_obj, text: str) -> list:
@@ -282,20 +272,9 @@ def family_cmd():
     """Directed subgroup families: axioms and low-degree functors."""
 
 
-def _parse_nodes(ctx_obj, text: str) -> list:
-    nodes = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if chunk in ("", "-", "1"):
-            nodes.append([])
-        else:
-            nodes.append(_word_list(ctx_obj, chunk))
-    return nodes
-
-
 def _build_family(ctx_obj, nodes_text: str) -> families.FamilyTruncation:
     try:
-        return families.truncation(ctx_obj, _parse_nodes(ctx_obj, nodes_text))
+        return families.truncation(ctx_obj, families.parse_nodes(ctx_obj, nodes_text))
     except ValueError as exc:
         raise click.ClickException(str(exc))
 
@@ -434,27 +413,19 @@ def completion_cmd():
     """The completion monoid along a truncated subgroup family."""
 
 
-_NAMED_FAMILIES = {
-    ("sym3", "normal-order3"): "a b; a,b",
-    ("sym3", "all-subgroups"): "-; a; b; a b a; a b; a,b",
-    ("cyclic(4)", "index2"): "a^2; a",
-    ("klein4", "all-subgroups"): "-; a; b; a b; a,b",
-}
-
-
 def _family_for(ctx_obj, family_name, nodes_text) -> families.FamilyTruncation:
     if nodes_text:
         return _build_family(ctx_obj, nodes_text)
     if not family_name:
         raise click.UsageError("pass --family NAME or --nodes LIST")
     key = (ctx_obj.name, family_name)
-    if key not in _NAMED_FAMILIES:
-        known = sorted(f"{g}:{f}" for g, f in _NAMED_FAMILIES)
+    if key not in families.NAMED_FAMILIES:
+        known = sorted(f"{g}:{f}" for g, f in families.NAMED_FAMILIES)
         raise click.UsageError(
             f"no built-in family {family_name!r} for group "
             f"{ctx_obj.name or 'custom'}; built-ins: {', '.join(known)}; "
             f"or pass --nodes")
-    return _build_family(ctx_obj, _NAMED_FAMILIES[key])
+    return _build_family(ctx_obj, families.NAMED_FAMILIES[key])
 
 
 def _completion_options(fn):

@@ -95,11 +95,6 @@ def truncated_completion(fam: FamilyTruncation, ceiling: int = ENUM_CEILING) -> 
     return TruncatedCompletion(fam=fam, elements=elems)
 
 
-def enumerate_completion(tc: TruncatedCompletion) -> list:
-    """Recomputes the compatible assignments from scratch."""
-    return [CompletionElement(a) for a in _enumerate_assignments(tc.fam, ENUM_CEILING)]
-
-
 def identity_element(tc: TruncatedCompletion) -> CompletionElement:
     return CompletionElement(tuple(0 for _ in tc.fam.nodes))
 

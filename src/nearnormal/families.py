@@ -17,7 +17,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import modp
-from .groups import GroupContext, Incomplete, element_key, regular_table
+from .groups import (
+    GroupContext, Incomplete, element_key, parse_context_word, preset,
+    regular_table,
+)
 from .subgroups import SubgroupHandle, contains, finite_subgroup
 from .words import Word, exponent_vector, generator, invert
 
@@ -185,6 +188,42 @@ def truncation(ctx: GroupContext, node_generator_lists, close: bool = True) -> F
     return FamilyTruncation(ctx=ctx, nodes=tuple(handles), members=members,
                             order=order, conjugation_action=tuple(sorted(conj_pairs)),
                             normal_in=normal)
+
+
+def parse_nodes(ctx: GroupContext, text: str) -> list:
+    """Node generator lists from node text: ';' separates the nodes, ','
+    the generators of a node, and an empty node, '-' or '1' is the trivial
+    subgroup.  ValueError for a word the context cannot parse."""
+    nodes = []
+    for chunk in text.split(";"):
+        chunk = chunk.strip()
+        if chunk in ("", "-", "1"):
+            nodes.append([])
+        else:
+            nodes.append([parse_context_word(ctx, part)
+                          for part in chunk.split(",") if part.strip()])
+    return nodes
+
+
+# The built-in completion families, (group preset, family name) -> node text.
+# The CLI's --family, the completion suite and the acceptance tests read them.
+NAMED_FAMILIES = {
+    ("sym3", "normal-order3"): "a b; a,b",
+    ("sym3", "all-subgroups"): "-; a; b; a b a; a b; a,b",
+    ("cyclic(4)", "index2"): "a^2; a",
+    ("klein4", "all-subgroups"): "-; a; b; a b; a,b",
+}
+
+
+def named_families() -> list:
+    """(label, ctx, node lists) per built-in family, in table order; the
+    label is group/name without the preset's parentheses (cyclic4/index2)."""
+    out = []
+    for (group, name), text in NAMED_FAMILIES.items():
+        ctx = preset(group)
+        label = group.replace("(", "").replace(")", "") + "/" + name
+        out.append((label, ctx, parse_nodes(ctx, text)))
+    return out
 
 
 def check_admissible(fam: FamilyTruncation) -> dict:

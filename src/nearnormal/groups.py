@@ -24,7 +24,9 @@ from functools import lru_cache
 
 from . import baumslag_solitar as bs
 from . import thompson
-from .words import Letter, Word, exponent_vector, format_word, generator, invert
+from .words import (
+    Letter, Word, exponent_vector, format_word, generator, parse_word,
+)
 
 ORACLES = ("coset-table", "britton", "thompson-normal-form", "free-abelian", "free")
 
@@ -327,10 +329,6 @@ def is_trivial(ctx: GroupContext, w: Word):
     return not w.letters
 
 
-def equal_in(ctx: GroupContext, u: Word, v: Word):
-    return is_trivial(ctx, u * invert(v))
-
-
 def element_key(ctx: GroupContext, w: Word):
     """Canonical hashable key: equal group elements get equal keys."""
     if ctx.oracle == "coset-table":
@@ -526,6 +524,21 @@ def serialize_presentation(pres: Presentation, oracle: str) -> str:
 def context_from_text(text: str, **kwargs) -> GroupContext:
     pres, oracle = parse_presentation(text)
     return GroupContext(presentation=pres, oracle=oracle, **kwargs)
+
+
+def parse_context_word(ctx: GroupContext, text: str) -> Word:
+    """A word in the context's generator names; "", "1" and "-" are the
+    empty word.  ValueError for an unknown name or an index beyond the rank."""
+    if text.strip() in ("", "1", "-"):
+        return Word(())
+    w = parse_word(text, ctx.generator_names)
+    rank = ctx.generator_count
+    if rank is not None:
+        for index, _ in w.letters:
+            if index >= rank:
+                raise ValueError(f"word {text!r} uses generator index {index}, "
+                                 f"but the group has rank {rank}")
+    return w
 
 
 # ---------------------------------------------------------------------------

@@ -102,10 +102,6 @@ def in_span(basis, vec, p: int) -> bool:
     return span_contains(basis, [vec], p)
 
 
-def spans_equal(a, b, p: int) -> bool:
-    return rref(a, p)[0] == rref(b, p)[0]
-
-
 def left_nullspace(m, p: int):
     """Basis of {v : v . M = 0} for an r x c matrix M, as rows of length r."""
     r = len(m)
@@ -144,24 +140,6 @@ def solve_linear_combination(basis, vec, p: int):
             return None
         coeffs[pcol] = row[k]
     return tuple(coeffs)
-
-
-def subspace_intersect(a_rows, b_rows, p: int):
-    """Basis of (row span of A) intersect (row span of B)."""
-    a = row_space(a_rows, p)
-    b = row_space(b_rows, p)
-    if not a or not b:
-        return ()
-    n = len(a[0])
-    stacked = list(a) + list(b)
-    combos = left_nullspace(tuple(stacked), p)
-    members = []
-    for coeffs in combos:
-        v = zero_vector(n)
-        for c, row in zip(coeffs[:len(a)], a):
-            v = vec_add(v, vec_scale(row, c, p), p)
-        members.append(v)
-    return row_space(members, p)
 
 
 def mat_inverse(m, p: int):

@@ -167,7 +167,7 @@ def contains(sub: SubgroupHandle, w: Word):
         vec = exponent_vector(w, sub.ctx.generator_count)
         return intlin.lattice_contains(sub.membership[1], vec)
     if tag == "free-cyclic":
-        return _free_cyclic_contains(sub.membership[1], w)
+        return _cyclic_coordinate(sub, w) is not None
     if tag == "a-m":
         return _am_contains(sub.membership[1], w)
     if tag == "conjugate":
@@ -198,20 +198,6 @@ def free_root(w: Word) -> tuple[Word, int]:
     """(r, k) with w = r^k in the free group, r not a proper power; k=0 for 1."""
     conj, r, k = _root_parts(w)
     return conj * r * invert(conj), k
-
-
-def _free_cyclic_contains(u: Word, w: Word) -> bool:
-    if not w:
-        return True
-    if not u:
-        return False
-    ru, ku = free_root(u)
-    rw, kw = free_root(w)
-    if rw == ru:
-        return kw % ku == 0
-    if rw == invert(ru):
-        return kw % ku == 0
-    return False
 
 
 def _am_contains(m: int, w: Word):

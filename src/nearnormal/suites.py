@@ -215,21 +215,6 @@ def suite_families(seed: int) -> list:
     return out
 
 
-def _completion_fixtures():
-    s3 = groups.preset("sym3")
-    a, b = generator(0), generator(1)
-    c4 = groups.preset("cyclic(4)")
-    t = generator(0)
-    k4 = groups.preset("klein4")
-    ka, kb = generator(0), generator(1)
-    return [
-        ("sym3/normal-order3", s3, [[a * b], [a, b]]),
-        ("sym3/all-subgroups", s3, [[], [a], [b], [a * b * a], [a * b], [a, b]]),
-        ("cyclic4/index2", c4, [[t * t], [t]]),
-        ("klein4/all-subgroups", k4, [[], [ka], [kb], [ka * kb], [ka, kb]]),
-    ]
-
-
 # completion.law_records name -> (check id stem, law text)
 _COMPLETION_LAWS = {
     "identity": ("identity", "e is a two-sided identity"),
@@ -245,7 +230,7 @@ _COMPLETION_LAWS = {
 
 def suite_completion(seed: int) -> list:
     out = []
-    for label, ctx, nodes in _completion_fixtures():
+    for label, ctx, nodes in families.named_families():
         fam = families.truncation(ctx, nodes)
         tc = completion.truncated_completion(fam)
         inputs = {"fixture": label, "elements": len(tc.elements)}

@@ -86,11 +86,6 @@ def invert(w: Word) -> Word:
     return Word(_reduced=tuple((i, -s) for i, s in reversed(w.letters)))
 
 
-def conjugate_word(w: Word, g: Word) -> Word:
-    """Free reduction of g^-1 w g."""
-    return invert(g) * w * g
-
-
 def exponent_sum(w: Word) -> int:
     """Sum of letter signs; a homomorphism to the integers."""
     return sum(s for _, s in w.letters)

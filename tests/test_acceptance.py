@@ -14,8 +14,7 @@ import pytest
 
 from nearnormal import baumslag_solitar as bs
 from nearnormal import (
-    completion, ends, families, groups, modp, scan, subgroups, suites,
-    thompson,
+    completion, ends, families, groups, modp, subgroups, suites, thompson,
 )
 from nearnormal.words import Word, exponent_sum, generator, invert, parse_word
 
@@ -24,6 +23,9 @@ from nearnormal.words import Word, exponent_sum, generator, invert, parse_word
 def verdict(number, label):
     try:
         yield
+    except pytest.skip.Exception:
+        print(f"ACCEPTANCE {number} {label}: SKIP")
+        raise
     except BaseException:
         print(f"ACCEPTANCE {number} {label}: FAIL")
         raise
@@ -33,32 +35,19 @@ def verdict(number, label):
 # -- shared fixtures ----------------------------------------------------------
 
 
-def _fixtures():
-    s3 = groups.preset("sym3")
-    a, b = generator(0), generator(1)
-    c4 = groups.preset("cyclic(4)")
-    t = generator(0)
-    k4 = groups.preset("klein4")
-    return [
-        ("sym3/normal-order3", s3, [[a * b], [a, b]], True),
-        ("sym3/all-subgroups", s3, [[], [a], [b], [a * b * a], [a * b], [a, b]], False),
-        ("cyclic4/index2", c4, [[t * t], [t]], True),
-        ("klein4/all-subgroups", k4, [[], [a], [b], [a * b], [a, b]], True),
-    ]
-
-
 _BUILT = None
 
 
 def built_fixtures():
-    """(label, ctx, fam, tc, all_normal) per fixture, built once."""
+    """(label, ctx, fam, tc, all_normal) per built-in family, built once;
+    sym3/all-subgroups is the one with a non-normal node."""
     global _BUILT
     if _BUILT is None:
         _BUILT = []
-        for label, ctx, nodes, all_normal in _fixtures():
+        for label, ctx, nodes in families.named_families():
             fam = families.truncation(ctx, nodes)
             tc = completion.truncated_completion(fam)
-            _BUILT.append((label, ctx, fam, tc, all_normal))
+            _BUILT.append((label, ctx, fam, tc, label != "sym3/all-subgroups"))
     return _BUILT
 
 
@@ -114,7 +103,7 @@ def test_acceptance_05_profinite_comparison():
         assert checked == 3
 
 
-def test_acceptance_06_thompson_lemma_grid():
+def test_acceptance_06_thompson_lemma_grid(request):
     with verdict(6, "pair-generator lemma grid and normal-form agreement"):
         for n in range(1, 11):
             for m in range(n):
@@ -144,10 +133,9 @@ def test_acceptance_06_thompson_lemma_grid():
         for w in words:
             assert thompson.naive_equal(w, thompson.f_normal_form(w).word()) is True
         # engine vs the exact homeomorphism model, every word of length <= 8
-        # over indices <= 4 (unreduced words factor through free reduction)
-        if scan.BACKEND != "compiled":
-            pytest.skip("full-scale scan needs the compiled kernel")
-        report = scan.thompson_agreement_scan(8, 4)
+        # over indices <= 4 (unreduced words factor through free reduction);
+        # the kernel is requested last so the checks above run without it
+        report = request.getfixturevalue("scan_c").thompson_agreement_scan(8, 4)
         assert report["words"] == 53_808_401
         assert report["failures"] == []
 

@@ -7,7 +7,7 @@ import pytest
 from nearnormal import cli, completion, families, modp
 from nearnormal.completion import (
     CompletionElement, MissingNodeError, act, completion_is_group, conj_node,
-    embed, enumerate_completion, identity_element, invert_stable,
+    embed, identity_element, invert_stable,
     invertibility_scan, law_records, multiply, profinite_compare,
     truncated_completion,
 )
@@ -51,7 +51,8 @@ def test_enumeration_ceiling():
 
 def test_enumerate_completion_recomputes():
     _, _, tc = sym3_all_subgroups()
-    assert enumerate_completion(tc) == list(tc.elements)
+    recomputed = completion._enumerate_assignments(tc.fam, completion.ENUM_CEILING)
+    assert [CompletionElement(a) for a in recomputed] == list(tc.elements)
 
 
 def test_identity_laws():
@@ -251,7 +252,7 @@ def build(group, nodes_text):
     return truncated_completion(cli._build_family(ctx, nodes_text))
 
 
-NAMED = sorted(cli._NAMED_FAMILIES.items())
+NAMED = sorted(families.NAMED_FAMILIES.items())
 TABLE_CASES = [pytest.param(group, text, id=f"{group}:{name}")
                for (group, name), text in NAMED] + [
     pytest.param(S4, S4_DIRECTED, id="s4-directed"),

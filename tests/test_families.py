@@ -172,7 +172,7 @@ def word_truncation(ctx, node_generator_lists):
 
 REFERENCE_FAMILIES = [
     pytest.param(group, text, id=f"{group}:{name}")
-    for (group, name), text in sorted(cli._NAMED_FAMILIES.items())] + [
+    for (group, name), text in sorted(families.NAMED_FAMILIES.items())] + [
     pytest.param("gens: a b\nrels: a^2 b^3 (a b)^4",
                  "-; b; a b a b, b a b a; b, a b a; a, b", id="s4-directed"),
     pytest.param("cyclic(120)", "-; a^2; a", id="cyclic120"),
@@ -184,7 +184,7 @@ REFERENCE_FAMILIES = [
 def test_truncation_matches_the_word_reference(group, nodes_text):
     ctx = cli._load_context(group)
     fam = cli._build_family(ctx, nodes_text)
-    handles, members, order, conj, normal = word_truncation(ctx, cli._parse_nodes(ctx, nodes_text))
+    handles, members, order, conj, normal = word_truncation(ctx, families.parse_nodes(ctx, nodes_text))
     assert [h.generators for h in fam.nodes] == [h.generators for h in handles]
     assert fam.members == members
     assert fam.order == order

@@ -52,6 +52,12 @@ def test_python_backend_reports_a_broken_engine(monkeypatch):
     assert all(any(i == 1 for i, _ in word) for word, _ in report["failures"])
 
 
+def test_python_backend_rejects_negative_sizes():
+    for max_len, max_index in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            scan_py(max_len, max_index)
+
+
 @pytest.mark.parametrize("bits", [3, 5])
 def test_python_backend_precision_is_checked(monkeypatch, bits):
     # x_2 needs 4 bits; the length-3 maps over x_0..x_2 need 6
@@ -75,20 +81,24 @@ def test_python_backend_maps_match_the_fraction_model():
         assert tuple(Fraction(y, one) for y in acc[1]) == ref.ys
 
 
-def test_backend_parity():
-    compiled = pytest.importorskip("nearnormal._scan_cy")
-    for max_len, max_index in ((3, 2), (4, 2)):
-        a = compiled.thompson_agreement_scan(max_len, max_index)
+def test_backend_parity(scan_c):
+    for max_len, max_index in ((3, 2), (4, 2), (5, 2)):
+        a = scan_c.thompson_agreement_scan(max_len, max_index)
         b = scan_py(max_len, max_index)
         assert a["backend"] == "compiled"
         assert a["words"] == b["words"] == reduced_word_count(max_len, max_index)
         assert a["failures"] == b["failures"] == []
+    for max_len, max_index in ((6, 3), (7, 3)):
+        report = scan_c.thompson_agreement_scan(max_len=max_len, max_index=max_index)
+        assert report["words"] == reduced_word_count(max_len, max_index)
+        assert report["failures"] == []
 
 
-def test_compiled_depth_guard():
-    compiled = pytest.importorskip("nearnormal._scan_cy")
-    with pytest.raises(ValueError):
-        compiled.thompson_agreement_scan(13, 2)
+def test_compiled_depth_guard(scan_c):
+    # only rejected sizes: an admitted large size would start a long scan
+    for max_len, max_index in ((13, 2), (12, 25), (-1, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            scan_c.thompson_agreement_scan(max_len, max_index)
 
 
 def test_facade_exports_active_backend():
