@@ -7,9 +7,9 @@ coset graphs and end counting (ends), the Thompson and Baumslag-Solitar
 fixtures (thompson, bs), and the named check suites (suite).
 
 Output is JSON on stdout; --format text renders the same data as indented
-key/value lines.  Word syntax everywhere: whitespace-separated atoms with
-optional ^exponents (``y^-1 x y``); commas separate the words of a list;
-semicolons separate family nodes.
+key/value lines.  Word syntax everywhere: juxtaposed generators and
+parenthesized words with optional ^exponents (``y^-1 x y``, ``(a b)^3 a``);
+commas separate the words of a list; semicolons separate family nodes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import click
 
 from . import baumslag_solitar as bs
 from . import completion, ends, families, groups, modp, scan, subgroups, suites, thompson
-from .words import Word, exponent_vector, format_word, generator, parse_word
+from .words import Word, format_word, generator, parse_word
 
 _format_option = click.option(
     "--format", "fmt", type=click.Choice(("json", "text")), default="json",
@@ -110,49 +110,11 @@ def _default_gens(ctx_obj, text, what: str) -> list:
     return [generator(i) for i in range(rank)]
 
 
-def _subgroup_from_words(ctx_obj, ws) -> subgroups.SubgroupHandle:
-    """Attach the richest membership oracle the ambient context supports."""
-    if not ws or all(not w for w in ws):
-        return subgroups.trivial_subgroup(ctx_obj)
-    if ctx_obj.oracle == "coset-table":
-        return subgroups.finite_subgroup(ctx_obj, tuple(ws))
-    if ctx_obj.oracle == "free-abelian":
-        vectors = [exponent_vector(w, ctx_obj.generator_count) for w in ws]
-        return subgroups.lattice_subgroup(ctx_obj, vectors)
-    if ctx_obj.oracle == "free" and len(ws) == 1:
-        return subgroups.free_cyclic_subgroup(ctx_obj, ws[0])
-    if ctx_obj.oracle == "britton" and len(ws) == 1:
-        handle = _britton_subgroup(ctx_obj, ws[0])
-        if handle is not None:
-            return handle
-    raise click.ClickException(
-        f"no membership oracle for this generating set under "
-        f"the {ctx_obj.oracle!r} context")
-
-
-def _britton_subgroup(ctx_obj, w: Word):
-    """Conjugates of powers of x are the decidable one-generator case."""
-    mp, np = ctx_obj.bs_params
-    form = bs.britton_reduce(w, mp, np)
-    if form.is_power_of_x():
-        if form.head == 0:
-            return subgroups.trivial_subgroup(ctx_obj)
-        return subgroups.power_subgroup(ctx_obj, abs(form.head))
-    letters = list(w.letters)
-    strip = 0
-    while (len(letters) >= 2 and letters[0][0] == letters[-1][0]
-           and letters[0][1] == -letters[-1][1]):
-        letters.pop()
-        letters.pop(0)
-        strip += 1
-    if strip == 0 or not letters:
-        return None
-    core = bs.britton_reduce(Word(tuple(letters)), mp, np)
-    if not core.is_power_of_x() or core.head == 0:
-        return None
-    conjugator = Word(w.letters[len(w.letters) - strip:])
-    return subgroups.conjugate(
-        subgroups.power_subgroup(ctx_obj, abs(core.head)), conjugator)
+def _subgroup(ctx_obj, text: str) -> subgroups.SubgroupHandle:
+    try:
+        return subgroups.subgroup_from_words(ctx_obj, _word_list(ctx_obj, text))
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +192,14 @@ def subgroup_cmd():
               help="Generators of H, comma-separated words.")
 @click.option("--k", "k_text", required=True,
               help="Generators of K, comma-separated words.")
-@click.option("--bound", default=50, show_default=True,
+@click.option("--bound", type=click.IntRange(min=1), default=50, show_default=True,
               help="Index search bound.")
 @_format_option
 def subgroup_commensurable(group_spec, h_text, k_text, bound, fmt):
     """Decide whether H and K share a finite-index common subgroup."""
     ctx_obj = _load_context(group_spec)
-    h = _subgroup_from_words(ctx_obj, _word_list(ctx_obj, h_text))
-    k = _subgroup_from_words(ctx_obj, _word_list(ctx_obj, k_text))
+    h = _subgroup(ctx_obj, h_text)
+    k = _subgroup(ctx_obj, k_text)
     report = subgroups.commensurability_report(h, k, bound)
     _emit({"group": group_spec, "h": h_text, "k": k_text, "bound": bound,
            "result": report["result"], "indices": report["indices"],
@@ -250,12 +212,12 @@ def subgroup_commensurable(group_spec, h_text, k_text, bound, fmt):
               help="Generators of H, comma-separated words.")
 @click.option("--gens", "gens_text", default=None,
               help="Conjugating elements; defaults to the group generators.")
-@click.option("--bound", default=50, show_default=True)
+@click.option("--bound", type=click.IntRange(min=1), default=50, show_default=True)
 @_format_option
 def subgroup_near_normal(group_spec, h_text, gens_text, bound, fmt):
     """Check that each conjugator keeps H commensurable with itself."""
     ctx_obj = _load_context(group_spec)
-    h = _subgroup_from_words(ctx_obj, _word_list(ctx_obj, h_text))
+    h = _subgroup(ctx_obj, h_text)
     gens = _default_gens(ctx_obj, gens_text, "--gens")
     verdict = subgroups.near_normal_on(h, gens, bound)
     _emit({"group": group_spec, "h": h_text, "bound": bound,
@@ -521,7 +483,7 @@ def ends_cmd():
 def ends_estimate(group_spec, l_text, gens_text, radii, fmt):
     """Count unbounded annulus components of the coset graph."""
     ctx_obj = _load_context(group_spec)
-    sub = _subgroup_from_words(ctx_obj, _word_list(ctx_obj, l_text))
+    sub = _subgroup(ctx_obj, l_text)
     gens = _default_gens(ctx_obj, gens_text, "--gens")
     try:
         schedule = tuple(int(r) for r in radii.split(","))
@@ -552,7 +514,7 @@ def ends_estimate(group_spec, l_text, gens_text, radii, fmt):
 def ends_graph(group_spec, l_text, gens_text, radius, dot_flag, fmt):
     """Materialize a ball of the coset graph."""
     ctx_obj = _load_context(group_spec)
-    sub = _subgroup_from_words(ctx_obj, _word_list(ctx_obj, l_text))
+    sub = _subgroup(ctx_obj, l_text)
     gens = _default_gens(ctx_obj, gens_text, "--gens")
     try:
         ball = ends.coset_graph_ball(ctx_obj, sub, gens, radius)
@@ -587,13 +549,13 @@ _SHIFT_WORDS = ("x0^2", "x0^-2", "x0 x1", "x1 x0^-1", "x0^2 x1^-2")
 @thompson_cmd.command(name="verify")
 @click.option("--suite", "which", type=click.Choice(("lemma", "scan")),
               default="lemma", show_default=True)
-@click.option("--identity-bound", default=10, show_default=True,
+@click.option("--identity-bound", type=click.IntRange(min=0), default=10, show_default=True,
               help="Conjugation identities for 0 <= m < n <= this.")
-@click.option("--pair-bound", default=12, show_default=True,
+@click.option("--pair-bound", type=click.IntRange(min=0), default=12, show_default=True,
               help="Commutation of pair generators with indices up to this.")
-@click.option("--shift-bound", default=20, show_default=True,
+@click.option("--shift-bound", type=click.IntRange(min=2), default=20, show_default=True,
               help="Shift property checked for n up to this.")
-@click.option("--m-bound", default=8, show_default=True,
+@click.option("--m-bound", type=click.IntRange(min=0), default=8, show_default=True,
               help="Tail-subgroup search bound.")
 @click.option("--max-len", type=click.IntRange(min=0), default=5, show_default=True,
               help="Scan: word length bound.")
@@ -671,8 +633,8 @@ def bs_cmd():
               help="Comma-separated conjugator words.")
 @click.option("--conj-len", type=click.IntRange(min=0), default=1, show_default=True,
               help="Conjugator word-length bound.")
-@click.option("--m", "m_param", default=2, show_default=True)
-@click.option("--n", "n_param", default=3, show_default=True)
+@click.option("--m", "m_param", type=click.IntRange(min=1), default=2, show_default=True)
+@click.option("--n", "n_param", type=click.IntRange(min=1), default=3, show_default=True)
 @_format_option
 def bs_verify(which, bound, conjugators, conj_len, m_param, n_param, fmt):
     """Check conjugation closure and directedness of the power family."""
@@ -695,8 +657,8 @@ def bs_verify(which, bound, conjugators, conj_len, m_param, n_param, fmt):
 
 @bs_cmd.command(name="reduce")
 @click.option("--word", "word_text", required=True)
-@click.option("--m", "m_param", default=2, show_default=True)
-@click.option("--n", "n_param", default=3, show_default=True)
+@click.option("--m", "m_param", type=click.IntRange(min=1), default=2, show_default=True)
+@click.option("--n", "n_param", type=click.IntRange(min=1), default=3, show_default=True)
 @_format_option
 def bs_reduce(word_text, m_param, n_param, fmt):
     """Britton-reduce a word to its pushed-right form."""

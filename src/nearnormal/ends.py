@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import baumslag_solitar as bs
 from . import groups
-from .subgroups import CosetSet, SubgroupHandle, _right_coset_key_fn, same_coset
+from .subgroups import CosetSet, SubgroupHandle, same_coset
 from .words import Word, format_word, invert
 
 Edge = tuple[int, int, int]  # vertex index, vertex index, X index
@@ -92,7 +92,7 @@ def coset_graph_ball(ctx, sub: SubgroupHandle, gens, radius: int) -> CosetGraphB
     extra neighbors through its non-canonical members (the coset graph of a
     commensurated subgroup has finite but nontrivial local degree)."""
     gens = tuple(gens)
-    key_fn = _right_coset_key_fn(sub)
+    key_fn = sub.membership.coset_key(sub)
     vertices: list = []
     depth: list = []
     key_to_index: dict = {}

@@ -25,7 +25,8 @@ from functools import lru_cache
 from . import baumslag_solitar as bs
 from . import thompson
 from .words import (
-    Letter, Word, exponent_vector, format_word, generator, parse_word,
+    NAME_RE, Letter, PresentationError, Word, exponent_vector, format_word,
+    generator, parse_relators, parse_word,
 )
 
 ORACLES = ("coset-table", "britton", "thompson-normal-form", "free-abelian", "free")
@@ -350,108 +351,6 @@ def element_key(ctx: GroupContext, w: Word):
 # presentation text format
 
 
-class PresentationError(ValueError):
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
-
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"-?\d+")
-
-
-class _WordScanner:
-    def __init__(self, text: str, line: int, col_base: int, names: tuple[str, ...]):
-        self.text = text
-        self.line = line
-        self.col_base = col_base
-        self.names = names
-        self.pos = 0
-
-    def error(self, message: str, at: int | None = None):
-        col = self.col_base + (self.pos if at is None else at)
-        raise PresentationError(message, self.line, col)
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _exponent(self) -> int:
-        if self.pos < len(self.text) and self.text[self.pos] == "^":
-            self.pos += 1
-            m = _INT_RE.match(self.text, self.pos)
-            if not m:
-                self.error("expected an integer exponent after '^'")
-            self.pos = m.end()
-            e = int(m.group())
-            if e == 0:
-                self.error("zero exponent", at=m.start())
-            return e
-        return 1
-
-    def parse(self, stop_at_paren: bool = False) -> Word:
-        out = Word(())
-        while True:
-            self._skip_ws()
-            if self.pos >= len(self.text):
-                if stop_at_paren:
-                    self.error("unclosed '('")
-                return out
-            ch = self.text[self.pos]
-            if ch == ")":
-                if not stop_at_paren:
-                    self.error("unmatched ')'")
-                self.pos += 1
-                return out
-            if ch == "(":
-                self.pos += 1
-                inner = self.parse(stop_at_paren=True)
-                out = out * (inner ** self._exponent())
-                continue
-            m = _NAME_RE.match(self.text, self.pos)
-            if not m:
-                self.error(f"unexpected character {ch!r}")
-            name = m.group()
-            start = self.pos
-            self.pos = m.end()
-            if name in self.names:
-                index = self.names.index(name)
-            elif re.fullmatch(r"x\d+", name):
-                index = int(name[1:])
-                if self.names and index >= len(self.names):
-                    self.error(f"undeclared generator {name!r}", at=start)
-            else:
-                self.error(f"undeclared generator {name!r}", at=start)
-            out = out * (generator(index) ** self._exponent())
-
-
-def parse_relator_text(text: str, names: tuple[str, ...], line: int = 1, col_base: int = 1) -> list[Word]:
-    """Whitespace-separated word expressions; parentheses group subwords."""
-    scanner = _WordScanner(text, line, col_base, names)
-    words = []
-    while True:
-        scanner._skip_ws()
-        if scanner.pos >= len(scanner.text):
-            return words
-        start = scanner.pos
-        # each top-level atom or group is one relator entry
-        ch = scanner.text[scanner.pos]
-        if ch == "(":
-            scanner.pos += 1
-            w = scanner.parse(stop_at_paren=True) ** scanner._exponent()
-        elif ch == ")":
-            scanner.error("unmatched ')'")
-        else:
-            m = _NAME_RE.match(scanner.text, scanner.pos)
-            if not m:
-                scanner.error(f"unexpected character {ch!r}")
-            one = _WordScanner(scanner.text[start:m.end()], line, col_base + start, names)
-            scanner.pos = m.end()
-            w = one.parse() ** scanner._exponent()
-        words.append(w)
-
-
 def parse_presentation(text: str) -> tuple[Presentation, str]:
     """Parse the line-based format; returns (presentation, oracle tag).
 
@@ -479,7 +378,7 @@ def parse_presentation(text: str) -> tuple[Presentation, str]:
                 raise PresentationError("duplicate gens line", lineno, 1)
             parts = body.split()
             for p in parts:
-                if not _NAME_RE.fullmatch(p):
+                if not NAME_RE.fullmatch(p):
                     raise PresentationError(f"bad generator name {p!r}", lineno, body_col)
             if len(set(parts)) != len(parts):
                 raise PresentationError("repeated generator name", lineno, body_col)
@@ -488,7 +387,7 @@ def parse_presentation(text: str) -> tuple[Presentation, str]:
             if names is None:
                 raise PresentationError("rels before gens", lineno, 1)
             seen_rels_at = (lineno, body_col)
-            relators.extend(parse_relator_text(body, names, lineno, body_col))
+            relators.extend(parse_relators(body, names, lineno, body_col))
         elif key == "oracle":
             if body not in ORACLES:
                 raise PresentationError(f"unknown oracle {body!r}", lineno, body_col)

@@ -2,17 +2,22 @@
 relations built on them (commensurability, commensurator membership,
 near-normality), plus the disjoint-coset-translate search.
 
-A handle pairs a finite generator list with an optional direct membership
-oracle.  Oracles are declared per fixture, never inferred:
+A handle pairs a finite generator list with a membership oracle, declared
+per fixture, never inferred.  Each oracle is one small class that owns
+membership, conjugation, the right-coset key and the cyclic coordinate; its
+tag names it in certificates:
 
-    ("all",)                whole-group handle
-    ("trivial",)            trivial subgroup (membership = word-problem oracle)
-    ("table",)              membership via the attached coset table
-    ("x-power", k)          <x^k> in a BS(m,n) context
-    ("lattice", rows)       row-span sublattice of Z^n (free-abelian context)
-    ("free-cyclic", u)      <u> in a free group (syntactic root arithmetic)
-    ("a-m", m)              the diagonal-generator subgroup A_m of Thompson's F
-    ("conjugate", h, g)     h^g, i.e. t in h^g  iff  g t g^-1 in h
+    All             "all"          whole-group handle
+    Trivial         "trivial"      trivial subgroup (word-problem oracle)
+    Table           "table"        membership via the attached coset table
+    Bare            "bare"         generators only: decides the empty word
+    XPower(k, c)    "x-power"      <x^k>^c in BS(m,n); "conjugate" if c != 1
+    Lattice(rows)   "lattice"      row-span sublattice of Z^n (free-abelian)
+    FreeCyclic(u)   "free-cyclic"  <u> in a free group (root arithmetic)
+    AM(m)           "a-m"          the subgroup A_m of Thompson's F
+    Conjugate(h, g) "conjugate"    h^g, i.e. t in h^g  iff  g t g^-1 in h
+
+Only ``intersect`` reads two oracles at once, through its table of pairs.
 
 Everything bounded is three-valued: True / False / "unknown", never a guess.
 """
@@ -21,7 +26,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import gcd
+from functools import partial
+from math import gcd, lcm
+from typing import ClassVar
 
 from . import _intlinalg as intlin
 from . import baumslag_solitar as bs
@@ -39,18 +46,17 @@ class UnsupportedOraclePair(ValueError):
 class SubgroupHandle:
     ctx: groups.GroupContext
     generators: tuple[Word, ...]
-    coset_table: groups.CosetTable | None = None
-    membership: tuple | None = None
+    coset_table: groups.CosetTable | None
+    membership: Oracle
 
     def __post_init__(self):
         if self.coset_table is not None:
             for w in self.generators:
                 if self.coset_table.coset_of(w) != 0:
                     raise ValueError("generator moves the base coset of the attached table")
-        if self.membership is not None:
-            for w in self.generators:
-                if contains(self, w) is False:
-                    raise ValueError("membership oracle rejects a listed generator")
+        for w in self.generators:
+            if contains(self, w) is False:
+                raise ValueError("membership oracle rejects a listed generator")
 
 
 @dataclass(frozen=True)
@@ -79,36 +85,291 @@ def same_coset(sub: SubgroupHandle, g1: Word, g2: Word, side: str):
 
 
 # ---------------------------------------------------------------------------
+# oracles
+
+
+class Oracle:
+    """Membership oracle of the handle ``sub`` passed to each method; each
+    subclass is a frozen dataclass, so oracles compare and hash by value."""
+
+    tag: ClassVar[str]
+
+    def contains(self, sub: SubgroupHandle, w: Word):
+        """w in sub: True / False / "unknown"."""
+        raise NotImplementedError
+
+    def conjugate(self, sub: SubgroupHandle, g: Word, gens: tuple[Word, ...]) -> SubgroupHandle:
+        """The handle sub^g, generated by gens = the conjugated generators."""
+        return SubgroupHandle(sub.ctx, gens, None, Conjugate(sub, g))
+
+    def coset_key(self, sub: SubgroupHandle):
+        """Canonical key function of the right cosets (sub)g, or None when
+        only pairwise membership comparison is available."""
+        return None
+
+    def cyclic_coordinate(self, sub: SubgroupHandle):
+        """When sub is infinite cyclic: the function w -> t with w = c^t for
+        its generator c, None when w is outside sub.  Else None."""
+        return None
+
+
+@dataclass(frozen=True)
+class All(Oracle):
+    tag = "all"
+
+    def contains(self, sub, w):
+        return True
+
+    def conjugate(self, sub, g, gens):
+        return sub
+
+
+@dataclass(frozen=True)
+class Trivial(Oracle):
+    tag = "trivial"
+
+    def contains(self, sub, w):
+        return groups.is_trivial(sub.ctx, w)
+
+    def conjugate(self, sub, g, gens):
+        return sub
+
+    def coset_key(self, sub):
+        return partial(groups.element_key, sub.ctx)
+
+
+@dataclass(frozen=True)
+class Table(Oracle):
+    tag = "table"
+
+    def contains(self, sub, w):
+        return sub.coset_table.coset_of(w) == 0
+
+    def conjugate(self, sub, g, gens):
+        return finite_subgroup(sub.ctx, gens)
+
+    def coset_key(self, sub):
+        return sub.coset_table.coset_of
+
+
+@dataclass(frozen=True)
+class Bare(Oracle):
+    tag = "bare"
+
+    def contains(self, sub, w):
+        return True if not w else "unknown"
+
+
+@dataclass(frozen=True)
+class XPower(Oracle):
+    """<x^k>^c in BS(m,n): t is a member iff c t c^-1 is a power of x^k."""
+
+    k: int
+    conjugator: Word = Word(())
+
+    @property
+    def tag(self) -> str:
+        return "conjugate" if self.conjugator else "x-power"
+
+    def contains(self, sub, w):
+        c = self.conjugator
+        return bs.power_of_x_in(c * w * invert(c) if c else w, self.k, *sub.ctx.bs_params)
+
+    def conjugate(self, sub, g, gens):
+        return SubgroupHandle(sub.ctx, gens, None, XPower(self.k, self.conjugator * g))
+
+    def coset_key(self, sub):
+        k, c = self.k, self.conjugator
+        m, n = sub.ctx.bs_params
+
+        def key(g):
+            # (sub)g -> g^-1(sub): Britton form of g^-1 c^-1 with the free
+            # trailing exponent reduced mod k is canonical for the coset.
+            form = bs.britton_reduce(invert(c * g), m, n)
+            if not form.tail:
+                return (form.head % k,)
+            sign, last = form.tail[-1]
+            return (form.head, form.tail[:-1], sign, last % k)
+
+        return key
+
+    def cyclic_coordinate(self, sub):
+        k, c = self.k, self.conjugator
+        m, n = sub.ctx.bs_params
+
+        def coordinate(w):
+            if not w:
+                return 0
+            form = bs.britton_reduce(c * w * invert(c), m, n)
+            if not form.is_power_of_x() or form.head % k:
+                return None
+            return form.head // k
+
+        return coordinate
+
+
+@dataclass(frozen=True)
+class Lattice(Oracle):
+    """Row span of ``rows``, a Hermite normal form, in Z^n."""
+
+    rows: tuple[tuple[int, ...], ...]
+    tag = "lattice"
+
+    def contains(self, sub, w):
+        return intlin.lattice_contains(self.rows, exponent_vector(w, sub.ctx.generator_count))
+
+    def conjugate(self, sub, g, gens):
+        # abelian ambient: conjugation fixes every subgroup
+        return SubgroupHandle(sub.ctx, gens, None, self)
+
+    def coset_key(self, sub):
+        n = sub.ctx.generator_count
+        return lambda g: intlin.lattice_residue(self.rows, exponent_vector(g, n))
+
+    def cyclic_coordinate(self, sub):
+        if len(self.rows) != 1:
+            return None
+        n = sub.ctx.generator_count
+
+        def coordinate(w):
+            coords = intlin.coords_in(self.rows, exponent_vector(w, n))
+            return None if coords is None else coords[0]
+
+        return coordinate
+
+
+@dataclass(frozen=True)
+class FreeCyclic(Oracle):
+    u: Word
+    tag = "free-cyclic"
+
+    def contains(self, sub, w):
+        return self._coordinate(w) is not None if self.u else not w
+
+    def conjugate(self, sub, g, gens):
+        return SubgroupHandle(sub.ctx, gens, None, FreeCyclic(invert(g) * self.u * g))
+
+    def coset_key(self, sub):
+        """Key of the right coset <u>g.
+
+        With u = c r^k c^-1 and h = c^-1 g, left multiplication by c^-1 maps
+        <u>g to the coset <r^k>h, whose elements are r^j h for k | j; the key
+        is the letters of its shortlex-least element.  As r is cyclically
+        reduced, |r^j h| >= |j||r| - |h|, which exceeds |h| = |r^0 h| once
+        |j||r| > 2|h|, so the least element has |j||r| <= 2|h|."""
+        if not self.u:
+            return lambda g: g.letters
+        c, r, k = _root_parts(self.u)
+        ci = invert(c)
+        period = len(r)
+        forward, backward = r.letters * k, invert(r).letters * k
+
+        def key(g):
+            h = ci * g
+            steps = 2 * len(h) // (period * k)
+            best = h
+            for i in range(1, steps + 1):
+                for step in (forward, backward):
+                    cand = Word(step * i + h.letters)
+                    if word_key(cand) < word_key(best):
+                        best = cand
+            return best.letters
+
+        return key
+
+    def cyclic_coordinate(self, sub):
+        return self._coordinate if self.u else None
+
+    def _coordinate(self, w):
+        if not w:
+            return 0
+        ru, ku = free_root(self.u)
+        rw, kw = free_root(w)
+        if rw == ru and kw % ku == 0:
+            return kw // ku
+        if rw == invert(ru) and kw % ku == 0:
+            return -kw // ku
+        return None
+
+
+@dataclass(frozen=True)
+class AM(Oracle):
+    m: int
+    tag = "a-m"
+
+    def contains(self, sub, w):
+        if not w:
+            return True
+        index_bound = max(i for i, _ in w.letters) + len(w.letters) + 4
+        verdict = thompson.a_membership(w, index_bound=index_bound)
+        if verdict is not True:
+            return verdict
+        exps = thompson.a_exponents(w, index_bound=index_bound)
+        if exps is None:
+            return "unknown"
+        return all(n >= self.m for n in exps)
+
+
+@dataclass(frozen=True)
+class Conjugate(Oracle):
+    """inner^g for a handle whose oracle has no conjugation of its own."""
+
+    inner: SubgroupHandle
+    g: Word
+    tag = "conjugate"
+
+    def contains(self, sub, w):
+        return contains(self.inner, self.g * w * invert(self.g))
+
+    def conjugate(self, sub, g, gens):
+        return SubgroupHandle(sub.ctx, gens, None, Conjugate(self.inner, self.g * g))
+
+
+def contains(sub: SubgroupHandle, w: Word):
+    """w in sub: True / False / "unknown"."""
+    return sub.membership.contains(sub, w)
+
+
+def conjugate(sub: SubgroupHandle, g: Word) -> SubgroupHandle:
+    """The handle for sub^g with membership t in sub^g iff g t g^-1 in sub."""
+    if not g:
+        return sub
+    return sub.membership.conjugate(sub, g, tuple(invert(g) * w * g for w in sub.generators))
+
+
+# ---------------------------------------------------------------------------
 # constructors
 
 
-def subgroup(ctx, gens, membership=None, coset_table=None) -> SubgroupHandle:
+def subgroup(ctx, gens, membership: Oracle | None = None, coset_table=None) -> SubgroupHandle:
+    if membership is None:
+        membership = Bare() if coset_table is None else Table()
     return SubgroupHandle(ctx, tuple(gens), coset_table, membership)
 
 
 def whole_group(ctx) -> SubgroupHandle:
     names = ctx.generator_count
     count = 2 if names is None else names
-    return SubgroupHandle(ctx, tuple(generator(i) for i in range(count)), None, ("all",))
+    return SubgroupHandle(ctx, tuple(generator(i) for i in range(count)), None, All())
 
 
 def trivial_subgroup(ctx) -> SubgroupHandle:
-    return SubgroupHandle(ctx, (), None, ("trivial",))
+    return SubgroupHandle(ctx, (), None, Trivial())
 
 
 def power_subgroup(ctx, k: int) -> SubgroupHandle:
     if ctx.oracle != "britton" or k < 1:
         raise ValueError("power_subgroup is the <x^k> handle of a BS context")
-    return SubgroupHandle(ctx, (generator(0, k),), None, ("x-power", k))
+    return SubgroupHandle(ctx, (generator(0, k),), None, XPower(k))
 
 
 def lattice_subgroup(ctx, vectors) -> SubgroupHandle:
     if ctx.oracle != "free-abelian":
         raise ValueError("lattice_subgroup needs a free-abelian context")
     n = ctx.generator_count
-    rows = intlin.hermite_normal_form([tuple(v) for v in vectors], n)
+    rows = tuple(intlin.hermite_normal_form([tuple(v) for v in vectors], n))
     gens = tuple(_vector_word(row) for row in rows)
-    return SubgroupHandle(ctx, gens, None, ("lattice", rows))
+    return SubgroupHandle(ctx, gens, None, Lattice(rows))
 
 
 def _vector_word(vec) -> Word:
@@ -123,14 +384,14 @@ def free_cyclic_subgroup(ctx, u: Word) -> SubgroupHandle:
     if ctx.oracle != "free":
         raise ValueError("free_cyclic_subgroup needs a free context")
     gens = (u,) if u else ()
-    return SubgroupHandle(ctx, gens, None, ("free-cyclic", u))
+    return SubgroupHandle(ctx, gens, None, FreeCyclic(u))
 
 
 def am_subgroup(ctx, m: int) -> SubgroupHandle:
     if ctx.oracle != "thompson-normal-form" or m < 0:
         raise ValueError("am_subgroup is the A_m handle of a Thompson context")
     gens = (thompson.a_generator(m), thompson.a_generator(m + 1))
-    return SubgroupHandle(ctx, gens, None, ("a-m", m))
+    return SubgroupHandle(ctx, gens, None, AM(m))
 
 
 def finite_subgroup(ctx, gens, limit: int | None = None) -> SubgroupHandle:
@@ -139,59 +400,63 @@ def finite_subgroup(ctx, gens, limit: int | None = None) -> SubgroupHandle:
     table = groups.todd_coxeter(ctx, list(gens), ctx.table_limit if limit is None else limit)
     if isinstance(table, groups.Incomplete):
         raise ValueError(f"coset enumeration incomplete at {table.limit} live cosets")
-    return SubgroupHandle(ctx, gens, table, ("table",))
+    return SubgroupHandle(ctx, gens, table, Table())
+
+
+def subgroup_from_words(ctx, ws) -> SubgroupHandle:
+    """The handle with the richest membership oracle the context supports for
+    the subgroup generated by ws; ValueError when it supports none."""
+    if all(not w for w in ws):
+        return trivial_subgroup(ctx)
+    if ctx.oracle == "coset-table":
+        return finite_subgroup(ctx, ws)
+    if ctx.oracle == "free-abelian":
+        return lattice_subgroup(ctx, [exponent_vector(w, ctx.generator_count) for w in ws])
+    if ctx.oracle == "free" and len(ws) == 1:
+        return free_cyclic_subgroup(ctx, ws[0])
+    if ctx.oracle == "britton" and len(ws) == 1:
+        handle = _britton_subgroup(ctx, ws[0])
+        if handle is not None:
+            return handle
+    raise ValueError(f"no membership oracle for this generating set under "
+                     f"the {ctx.oracle!r} context")
+
+
+def _britton_subgroup(ctx, w: Word):
+    """Conjugates of powers of x are the decidable one-generator case."""
+    m, n = ctx.bs_params
+    form = bs.britton_reduce(w, m, n)
+    if form.is_power_of_x():
+        return trivial_subgroup(ctx) if form.head == 0 else power_subgroup(ctx, abs(form.head))
+    c, core = _peel(w)
+    form = bs.britton_reduce(core, m, n)
+    if not c or not form.is_power_of_x() or form.head == 0:
+        return None
+    return conjugate(power_subgroup(ctx, abs(form.head)), invert(c))
 
 
 # ---------------------------------------------------------------------------
-# membership
+# free roots
 
 
-def contains(sub: SubgroupHandle, w: Word):
-    """w in sub: True / False / "unknown"."""
-    tag = sub.membership[0] if sub.membership else None
-    if tag is None:
-        if sub.coset_table is not None:
-            return sub.coset_table.coset_of(w) == 0
-        if not w:
-            return True
-        return "unknown"
-    if tag == "all":
-        return True
-    if tag == "trivial":
-        return groups.is_trivial(sub.ctx, w)
-    if tag == "table":
-        return sub.coset_table.coset_of(w) == 0
-    if tag == "x-power":
-        return bs.power_of_x_in(w, sub.membership[1], *sub.ctx.bs_params)
-    if tag == "lattice":
-        vec = exponent_vector(w, sub.ctx.generator_count)
-        return intlin.lattice_contains(sub.membership[1], vec)
-    if tag == "free-cyclic":
-        return _cyclic_coordinate(sub, w) is not None
-    if tag == "a-m":
-        return _am_contains(sub.membership[1], w)
-    if tag == "conjugate":
-        inner, g = sub.membership[1], sub.membership[2]
-        return contains(inner, g * w * invert(g))
-    raise ValueError(f"unknown membership tag {tag!r}")
+def _peel(w: Word) -> tuple[Word, Word]:
+    """(c, core) with w = c core c^-1 in the free group, core cyclically reduced."""
+    letters = w.letters
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i] == (letters[j - 1][0], -letters[j - 1][1]):
+        i, j = i + 1, j - 1
+    return Word(_reduced=letters[:i]), Word(_reduced=letters[i:j])
 
 
 def _root_parts(w: Word) -> tuple[Word, Word, int]:
     """(c, r, k) with w = c r^k c^-1 in the free group, r cyclically reduced
     and not a proper power; (1, 1, 0) for w = 1."""
-    if not w:
-        return Word(()), Word(()), 0
-    letters = list(w.letters)
-    prefix = []
-    while len(letters) >= 2 and letters[0] == (letters[-1][0], -letters[-1][1]):
-        prefix.append(letters[0])
-        letters = letters[1:-1]
-    core = tuple(letters)
-    size = len(core)
+    c, core = _peel(w)
+    letters, size = core.letters, len(core)
     for p in range(1, size + 1):
-        if size % p == 0 and core == core[:p] * (size // p):
-            return Word(tuple(prefix)), Word(core[:p]), size // p
-    raise AssertionError("unreachable: p = size always matches")
+        if size % p == 0 and letters == letters[:p] * (size // p):
+            return c, Word(_reduced=letters[:p]), size // p
+    return c, core, 0
 
 
 def free_root(w: Word) -> tuple[Word, int]:
@@ -200,155 +465,8 @@ def free_root(w: Word) -> tuple[Word, int]:
     return conj * r * invert(conj), k
 
 
-def _am_contains(m: int, w: Word):
-    if not w:
-        return True
-    verdict = thompson.a_membership(w, index_bound=max(i for i, _ in w.letters) + len(w.letters) + 4)
-    if verdict is not True:
-        return verdict
-    exps = thompson.a_exponents(w, index_bound=max(i for i, _ in w.letters) + len(w.letters) + 4)
-    if exps is None:
-        return "unknown"
-    return all(n >= m for n in exps)
-
-
-# ---------------------------------------------------------------------------
-# conjugation
-
-
-def conjugate(sub: SubgroupHandle, g: Word) -> SubgroupHandle:
-    """The handle for sub^g with membership t in sub^g iff g t g^-1 in sub."""
-    if not g:
-        return sub
-    conj_gens = tuple(invert(g) * w * g for w in sub.generators)
-    tag = sub.membership[0] if sub.membership else None
-    if tag in ("all", "trivial"):
-        return sub
-    if tag == "lattice":
-        # abelian ambient: conjugation fixes every subgroup
-        return SubgroupHandle(sub.ctx, conj_gens, None, sub.membership)
-    if tag == "free-cyclic":
-        return SubgroupHandle(sub.ctx, conj_gens, None,
-                              ("free-cyclic", invert(g) * sub.membership[1] * g))
-    if tag == "conjugate":
-        inner, first = sub.membership[1], sub.membership[2]
-        return SubgroupHandle(sub.ctx, conj_gens, None, ("conjugate", inner, first * g))
-    if tag == "table" or (tag is None and sub.coset_table is not None):
-        return finite_subgroup(sub.ctx, conj_gens)
-    return SubgroupHandle(sub.ctx, conj_gens, None, ("conjugate", sub, g))
-
-
-def _unwrap_cyclic(sub: SubgroupHandle):
-    """(k, c) when sub is <x^k>^c in a BS context, else None; c may be empty."""
-    tag = sub.membership[0] if sub.membership else None
-    if tag == "x-power":
-        return sub.membership[1], Word(())
-    if tag == "conjugate":
-        inner = sub.membership[1]
-        if inner.membership and inner.membership[0] == "x-power":
-            return inner.membership[1], sub.membership[2]
-    return None
-
-
-def _cyclic_coordinate(sub: SubgroupHandle, w: Word):
-    """Integer t with w = (conjugated x^k)^t, when sub is cyclic-like; None if
-    w is not in sub; "unknown" when sub is not cyclic-like."""
-    if not w:
-        return 0
-    unwrapped = _unwrap_cyclic(sub)
-    if unwrapped is not None:
-        k, c = unwrapped
-        form = bs.britton_reduce(c * w * invert(c), *sub.ctx.bs_params)
-        if not form.is_power_of_x() or form.head % k:
-            return None
-        return form.head // k
-    tag = sub.membership[0] if sub.membership else None
-    if tag == "free-cyclic":
-        u = sub.membership[1]
-        if not u:
-            return None
-        ru, ku = free_root(u)
-        rw, kw = free_root(w)
-        if rw == ru and kw % ku == 0:
-            return kw // ku
-        if rw == invert(ru) and kw % ku == 0:
-            return -kw // ku
-        return None
-    if tag == "lattice" and len(sub.membership[1]) == 1:
-        vec = exponent_vector(w, sub.ctx.generator_count)
-        coords = intlin.coords_in(sub.membership[1], vec)
-        return None if coords is None else coords[0]
-    return "unknown"
-
-
 # ---------------------------------------------------------------------------
 # index
-
-
-def _right_coset_key_fn(sub: SubgroupHandle):
-    """Canonical key for right cosets (sub)g, or None when only pairwise
-    membership comparison is available.
-
-    Coset tables, the trivial subgroup, lattices, conjugated x-powers in
-    BS(m,n) and cyclic subgroups of a free group have a key; other handles
-    do not."""
-    tag = sub.membership[0] if sub.membership else None
-    if sub.coset_table is not None and tag in (None, "table"):
-        table = sub.coset_table
-        return lambda g: table.coset_of(g)
-    if tag == "trivial":
-        return lambda g: groups.element_key(sub.ctx, g)
-    if tag == "lattice":
-        hnf = sub.membership[1]
-        n = sub.ctx.generator_count
-        return lambda g: intlin.lattice_residue(hnf, exponent_vector(g, n))
-    if tag == "free-cyclic":
-        return _free_cyclic_key_fn(sub.membership[1])
-    unwrapped = _unwrap_cyclic(sub)
-    if unwrapped is not None:
-        k, c = unwrapped
-        m, n = sub.ctx.bs_params
-
-        def key(g):
-            # (sub)g -> g^-1(sub): Britton form of g^-1 c^-1 with the free
-            # trailing exponent reduced mod k is canonical for the coset.
-            form = bs.britton_reduce(invert(c * g), m, n)
-            if not form.tail:
-                return (form.head % k,)
-            sign, last = form.tail[-1]
-            return (form.head, form.tail[:-1], sign, last % k)
-
-        return key
-    return None
-
-
-def _free_cyclic_key_fn(u: Word):
-    """Key of the right coset <u>g in a free group.
-
-    With u = c r^k c^-1 and h = c^-1 g, left multiplication by c^-1 maps
-    <u>g to the coset <r^k>h, whose elements are r^j h for k | j; the key
-    is the letters of its shortlex-least element.  As r is cyclically reduced,
-    |r^j h| >= |j||r| - |h|, which exceeds |h| = |r^0 h| once
-    |j||r| > 2|h|, so the least element has |j||r| <= 2|h|."""
-    if not u:
-        return lambda g: g.letters
-    c, r, k = _root_parts(u)
-    ci = invert(c)
-    period = len(r)
-    forward, backward = r.letters * k, invert(r).letters * k
-
-    def key(g):
-        h = ci * g
-        steps = 2 * len(h) // (period * k)
-        best = h
-        for i in range(1, steps + 1):
-            for step in (forward, backward):
-                cand = Word(step * i + h.letters)
-                if word_key(cand) < word_key(best):
-                    best = cand
-        return best.letters
-
-    return key
 
 
 def _ambient_letters(ctx) -> list[Word]:
@@ -362,42 +480,33 @@ def _ambient_letters(ctx) -> list[Word]:
 
 def _coset_bfs_count(sub: SubgroupHandle, bound: int):
     """Count right cosets of sub in its whole ambient group by BFS; exact
-    count when the ball closes, INFINITE_OR_EXCEEDS past bound."""
-    key_fn = _right_coset_key_fn(sub)
+    count when the ball closes within bound, else INFINITE_OR_EXCEEDS.
+    Cosets are told apart by sub's coset key, else pairwise by membership,
+    where any "unknown" makes the count inexact."""
+    key_fn = sub.membership.coset_key(sub)
     letters = _ambient_letters(sub.ctx)
-    if key_fn is not None:
-        seen = {key_fn(Word(())) : Word(())}
-        frontier = [Word(())]
-        while frontier:
-            nxt = []
-            for rep in frontier:
-                for letter in letters:
-                    cand = rep * letter
-                    k = key_fn(cand)
-                    if k not in seen:
-                        if len(seen) >= bound:
-                            return INFINITE_OR_EXCEEDS
-                        seen[k] = cand
-                        nxt.append(cand)
-            frontier = nxt
-        return len(seen)
-    # pairwise-membership fallback; any "unknown" poisons exactness
     reps: list[Word] = [Word(())]
-    frontier = [Word(())]
+    keys = None if key_fn is None else {key_fn(Word(()))}
     exact = True
+    frontier = [Word(())]
     while frontier:
         nxt = []
         for rep in frontier:
             for letter in letters:
                 cand = rep * letter
-                fresh = True
-                for known in reps:
-                    verdict = same_coset(sub, known, cand, "right")
-                    if verdict is True:
-                        fresh = False
-                        break
-                    if verdict == "unknown":
-                        exact = False
+                if keys is not None:
+                    key = key_fn(cand)
+                    fresh = key not in keys
+                    keys.add(key)
+                else:
+                    fresh = True
+                    for known in reps:
+                        verdict = same_coset(sub, known, cand, "right")
+                        if verdict is True:
+                            fresh = False
+                            break
+                        if verdict == "unknown":
+                            exact = False
                 if fresh:
                     if len(reps) >= bound:
                         return INFINITE_OR_EXCEEDS
@@ -405,6 +514,10 @@ def _coset_bfs_count(sub: SubgroupHandle, bound: int):
                     nxt.append(cand)
         frontier = nxt
     return len(reps) if exact else INFINITE_OR_EXCEEDS
+
+
+def _capped(index, bound: int):
+    return index if index is not None and index <= bound else INFINITE_OR_EXCEEDS
 
 
 def index_bounded(sub: SubgroupHandle, ambient: SubgroupHandle, bound: int):
@@ -415,57 +528,31 @@ def index_bounded(sub: SubgroupHandle, ambient: SubgroupHandle, bound: int):
             raise ValueError("sub generator outside the ambient subgroup")
     if sub == ambient:
         return 1
-    amb_tag = ambient.membership[0] if ambient.membership else None
-    if amb_tag == "all":
-        ctx = ambient.ctx
-        if ctx.oracle == "coset-table":
-            table = groups.todd_coxeter(ctx, list(sub.generators), max(4 * bound, 64))
-            if isinstance(table, groups.Incomplete) or table.coset_count > bound:
-                return INFINITE_OR_EXCEEDS
-            return table.coset_count
-        if ctx.oracle == "free-abelian":
-            n = ctx.generator_count
-            rows = [exponent_vector(w, n) for w in sub.generators]
-            amb_rows = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-            idx = intlin.lattice_index(rows, amb_rows, n)
-            return idx if idx is not None and idx <= bound else INFINITE_OR_EXCEEDS
-        count = _coset_bfs_count(sub, bound)
-        return count if count != INFINITE_OR_EXCEEDS and count <= bound else INFINITE_OR_EXCEEDS
-    if _is_cyclic_like(ambient):
-        coords = [_cyclic_coordinate(ambient, w) for w in sub.generators]
+    ctx = ambient.ctx
+    whole = isinstance(ambient.membership, All)
+    if whole and ctx.oracle == "coset-table":
+        table = groups.todd_coxeter(ctx, list(sub.generators), max(4 * bound, 64))
+        return _capped(None if isinstance(table, groups.Incomplete) else table.coset_count, bound)
+    if whole and ctx.oracle != "free-abelian":  # Z^n takes the lattice index below
+        return _coset_bfs_count(sub, bound)
+    coordinate = ambient.membership.cyclic_coordinate(ambient)
+    if coordinate is not None:
+        coords = [coordinate(w) for w in sub.generators]
         if any(c is None for c in coords):
             raise ValueError("sub generator outside the ambient subgroup")
-        d = 0
-        for c in coords:
-            d = gcd(d, abs(c))
-        if d == 0:
-            return INFINITE_OR_EXCEEDS
-        return d if d <= bound else INFINITE_OR_EXCEEDS
+        return _capped(gcd(*coords) or None, bound)
     # both finite-index in a coset-table group: divide whole-group indices
-    if sub.ctx.oracle == "coset-table":
+    if ctx.oracle == "coset-table":
         isub = _ensure_table(sub).coset_table.coset_count
         iamb = _ensure_table(ambient).coset_table.coset_count
         if isub % iamb:
             raise ValueError("inconsistent tables: indices not multiplicative")
-        idx = isub // iamb
-        return idx if idx <= bound else INFINITE_OR_EXCEEDS
-    amb_lat = _lattice_rows(ambient)
-    sub_lat = _lattice_rows(sub)
-    if amb_lat is not None and sub_lat is not None:
-        n = sub.ctx.generator_count
-        idx = intlin.lattice_index(sub_lat, amb_lat, n)
-        return idx if idx is not None and idx <= bound else INFINITE_OR_EXCEEDS
+        return _capped(isub // iamb, bound)
+    if ctx.oracle == "free-abelian":
+        n = ctx.generator_count
+        return _capped(intlin.lattice_index(_lattice_rows(sub), _lattice_rows(ambient), n), bound)
     raise UnsupportedOraclePair(
-        f"no index strategy for {_tag_of(sub)} inside {_tag_of(ambient)}")
-
-
-def _is_cyclic_like(sub: SubgroupHandle) -> bool:
-    if _unwrap_cyclic(sub) is not None:
-        return True
-    tag = _tag_of(sub)
-    if tag == "free-cyclic":
-        return bool(sub.membership[1])
-    return tag == "lattice" and len(sub.membership[1]) == 1
+        f"no index strategy for {sub.membership.tag} inside {ambient.membership.tag}")
 
 
 def _ensure_table(sub: SubgroupHandle) -> SubgroupHandle:
@@ -478,18 +565,10 @@ def _ensure_table(sub: SubgroupHandle) -> SubgroupHandle:
 
 
 def _lattice_rows(sub: SubgroupHandle):
-    if sub.ctx.oracle != "free-abelian":
-        return None
-    if sub.membership and sub.membership[0] == "lattice":
-        return sub.membership[1]
+    """Hermite form of the generators' exponent vectors in a free-abelian
+    context; a lattice handle's generators are its own Hermite rows."""
     n = sub.ctx.generator_count
     return intlin.hermite_normal_form([exponent_vector(w, n) for w in sub.generators], n)
-
-
-def _tag_of(sub: SubgroupHandle) -> str:
-    if sub.membership:
-        return sub.membership[0]
-    return "table" if sub.coset_table is not None else "bare"
 
 
 # ---------------------------------------------------------------------------
@@ -499,69 +578,64 @@ def _tag_of(sub: SubgroupHandle) -> str:
 _CYCLIC_SCAN_BOUND = 10_000
 
 
+def _intersect_x_powers(h: SubgroupHandle, k: SubgroupHandle) -> SubgroupHandle:
+    """<x^lcm> when neither is conjugated; else the subgroup generated by
+    the least common power, found by a bounded scan (each handle is infinite
+    cyclic, so any member subgroup is determined by its least positive
+    element)."""
+    kh, ch = h.membership.k, h.membership.conjugator
+    if not ch and not k.membership.conjugator:
+        return power_subgroup(h.ctx, lcm(kh, k.membership.k))
+    for a in range(kh, _CYCLIC_SCAN_BOUND + 1, kh):
+        cand = invert(ch) * generator(0, a) * ch  # in h by construction
+        if contains(k, cand) is True:
+            return SubgroupHandle(h.ctx, (cand,), None, XPower(a, ch))
+    raise UnsupportedOraclePair(
+        f"no common power found within the scan bound {_CYCLIC_SCAN_BOUND}")
+
+
+def _intersect_free_cyclic(h: SubgroupHandle, k: SubgroupHandle) -> SubgroupHandle:
+    u, v = h.membership.u, k.membership.u
+    if not u or not v:
+        return trivial_subgroup(h.ctx)
+    ru, ku = free_root(u)
+    rv, kv = free_root(v)
+    if rv not in (ru, invert(ru)):
+        return trivial_subgroup(h.ctx)
+    return free_cyclic_subgroup(h.ctx, ru ** lcm(ku, kv))
+
+
+# The strategies that read both oracles, by (type of h's, type of k's).
+_PAIR_INTERSECTIONS = {
+    (XPower, XPower): _intersect_x_powers,
+    (FreeCyclic, FreeCyclic): _intersect_free_cyclic,
+    (AM, AM): lambda h, k: am_subgroup(h.ctx, max(h.membership.m, k.membership.m)),
+}
+
+
 def intersect(h: SubgroupHandle, k: SubgroupHandle) -> SubgroupHandle:
     """Handle whose membership is the conjunction of the two memberships."""
     if h.ctx != k.ctx:
         raise ValueError("handles live in different group contexts")
     if h == k:
         return h
-    th, tk = _tag_of(h), _tag_of(k)
-    if th == "all":
+    if isinstance(h.membership, All):
         return k
-    if tk == "all":
+    if isinstance(k.membership, All):
         return h
-    if "trivial" in (th, tk):
+    if isinstance(h.membership, Trivial) or isinstance(k.membership, Trivial):
         return trivial_subgroup(h.ctx)
-    if th == "x-power" and tk == "x-power":
-        a, b = h.membership[1], k.membership[1]
-        return power_subgroup(h.ctx, a * b // gcd(a, b))
-    if {th, tk} == {"x-power", "conjugate"} or (th == tk == "conjugate"):
-        cyc_h, cyc_k = _unwrap_cyclic(h), _unwrap_cyclic(k)
-        if cyc_h is not None and cyc_k is not None:
-            return _intersect_bs_cyclic(h, k)
+    pair = _PAIR_INTERSECTIONS.get((type(h.membership), type(k.membership)))
+    if pair is not None:
+        return pair(h, k)
     if h.ctx.oracle == "free-abelian":
         n = h.ctx.generator_count
         rows = intlin.lattice_intersect(_lattice_rows(h), _lattice_rows(k), n)
         return lattice_subgroup(h.ctx, rows)
-    if th == "free-cyclic" and tk == "free-cyclic":
-        return _intersect_free_cyclic(h, k)
-    if th == "a-m" and tk == "a-m":
-        return am_subgroup(h.ctx, max(h.membership[1], k.membership[1]))
     if h.ctx.oracle == "coset-table":
         return _fiber_product(_ensure_table(h), _ensure_table(k))
-    raise UnsupportedOraclePair(f"no intersection strategy for ({th}, {tk})")
-
-
-def _intersect_bs_cyclic(h: SubgroupHandle, k: SubgroupHandle) -> SubgroupHandle:
-    """Both handles are conjugated x-power subgroups: the intersection is the
-    x-power-like subgroup generated by the least common power, found by a
-    bounded scan (each handle is infinite cyclic, so any member subgroup is
-    determined by its least positive element)."""
-    kh, ch = _unwrap_cyclic(h)
-    for a in range(kh, _CYCLIC_SCAN_BOUND + 1, kh):
-        cand = invert(ch) * generator(0, a) * ch
-        if contains(h, cand) is True and contains(k, cand) is True:
-            gens = (cand,)
-            if not ch:
-                return SubgroupHandle(h.ctx, gens, None, ("x-power", a))
-            inner = power_subgroup(h.ctx, a)
-            return SubgroupHandle(h.ctx, gens, None, ("conjugate", inner, ch))
     raise UnsupportedOraclePair(
-        f"no common power found within the scan bound {_CYCLIC_SCAN_BOUND}")
-
-
-def _intersect_free_cyclic(h: SubgroupHandle, k: SubgroupHandle) -> SubgroupHandle:
-    u, v = h.membership[1], k.membership[1]
-    if not u or not v:
-        return trivial_subgroup(h.ctx)
-    ru, ku = free_root(u)
-    rv, kv = free_root(v)
-    if rv == invert(ru):
-        rv, kv = ru, -kv
-    if rv != ru:
-        return trivial_subgroup(h.ctx)
-    power = abs(ku * kv) // gcd(abs(ku), abs(kv))
-    return free_cyclic_subgroup(h.ctx, ru ** power)
+        f"no intersection strategy for ({h.membership.tag}, {k.membership.tag})")
 
 
 def _fiber_product(h: SubgroupHandle, k: SubgroupHandle) -> SubgroupHandle:
@@ -596,11 +670,11 @@ def _fiber_product(h: SubgroupHandle, k: SubgroupHandle) -> SubgroupHandle:
             letter = (code // 2, 1 if code % 2 == 0 else -1)
             g = reps[idx] * generator(*letter) * invert(reps[target])
             if g and table.coset_of(g) == 0 and groups.is_trivial(h.ctx, g) is not True:
-                key = groups.element_key(h.ctx, g) if h.ctx.oracle == "coset-table" else g.letters
+                key = groups.element_key(h.ctx, g)
                 if key not in seen_keys:
                     seen_keys.add(key)
                     gens.append(g)
-    return SubgroupHandle(h.ctx, tuple(gens), table, ("table",))
+    return SubgroupHandle(h.ctx, tuple(gens), table, Table())
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +691,8 @@ def commensurability_report(h: SubgroupHandle, k: SubgroupHandle, bound: int) ->
             return {"result": False, "indices": None,
                     "certificate": f"lattice ranks: intersection {len(ri)}, "
                                    f"operands {len(rh)} and {len(rk)}"}
-    if h.ctx.oracle == "free":
-        verdict = _free_commensurable(h, k)
+    if isinstance(h.membership, FreeCyclic) and isinstance(k.membership, FreeCyclic):
+        verdict = _free_commensurable(h.membership.u, k.membership.u)
         if verdict is not None:
             return verdict
     try:
@@ -633,10 +707,7 @@ def commensurability_report(h: SubgroupHandle, k: SubgroupHandle, bound: int) ->
     return {"result": True, "indices": [i1, i2], "certificate": None}
 
 
-def _free_commensurable(h: SubgroupHandle, k: SubgroupHandle):
-    if _tag_of(h) != "free-cyclic" or _tag_of(k) != "free-cyclic":
-        return None
-    u, v = h.membership[1], k.membership[1]
+def _free_commensurable(u: Word, v: Word):
     if not u and not v:
         return {"result": True, "indices": [1, 1], "certificate": None}
     if not u or not v:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Word, exponent_sum, free_reduce, generator, invert
+from .words import Word, exponent_sum, generator, invert
 
 Run = tuple[int, int]  # (index, exponent >= 1)
 

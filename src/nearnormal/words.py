@@ -10,6 +10,7 @@ a presentation/CLI concern, not a word concern.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Iterator, Sequence
 
 Letter = tuple[int, int]
@@ -69,13 +70,8 @@ class Word:
         return free_reduce(self.letters + other.letters)
 
     def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return Word()
-        base = self if n > 0 else invert(self)
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+        base = self if n >= 0 else invert(self)
+        return free_reduce(base.letters * abs(n))
 
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r})"
@@ -116,40 +112,108 @@ def word_key(w: Word) -> tuple:
 
 # -- text syntax -------------------------------------------------------------
 #
-# Atoms are whitespace separated: `x<k>`, `x<k>^-1`, `x<k>^<e>` with e a
-# nonzero integer.  Named aliases (a, b, y, ...) resolve through a
-# generator-name list supplied by the presentation.
+# A word is a product of juxtaposed factors: a generator name or `x<k>`, or a
+# parenthesized word, each with an optional `^<e>` for a nonzero integer e
+# (`y^-1 x y`, `(a b)^3 a(b a)^-2`).  Names resolve through the generator
+# names of a presentation; in its `rels:` line each top-level factor is one
+# relator.
 
 
-def _parse_atom(atom: str, names: Sequence[str] | None) -> list[Letter]:
-    base, caret, exp_text = atom.partition("^")
-    if caret and not exp_text:
-        raise ValueError(f"dangling '^' in atom {atom!r}")
-    power = 1
-    if caret:
-        try:
-            power = int(exp_text)
-        except ValueError:
-            raise ValueError(f"bad exponent {exp_text!r} in atom {atom!r}") from None
-        if power == 0:
-            raise ValueError(f"zero exponent in atom {atom!r}")
-    index: int | None = None
-    if names and base in names:
-        index = names.index(base)
-    elif base.startswith("x") and base[1:].isdigit():
-        index = int(base[1:])
-    if index is None:
-        raise ValueError(f"unknown generator {base!r}")
-    sign = 1 if power > 0 else -1
-    return [(index, sign)] * abs(power)
+class PresentationError(ValueError):
+    def __init__(self, message: str, line: int, column: int):
+        super().__init__(f"line {line}, column {column}: {message}")
+        self.line = line
+        self.column = column
+
+
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_INT_RE = re.compile(r"-?\d+")
+_INDEXED_RE = re.compile(r"x(\d+)")
+
+
+class _Scanner:
+    """Reads factors from one text.  With a line number, errors are
+    PresentationErrors and `x<k>` must be a declared generator."""
+
+    def __init__(self, text: str, names: Sequence[str] | None,
+                 line: int | None = None, col_base: int = 1):
+        self.text = text
+        self.names = tuple(names or ())
+        self.line = line
+        self.col_base = col_base
+        self.pos = 0
+
+    def error(self, message: str, at: int | None = None):
+        if self.line is None:
+            raise ValueError(message)
+        raise PresentationError(message, self.line, self.col_base + (self.pos if at is None else at))
+
+    def at_end(self) -> bool:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        return self.pos >= len(self.text)
+
+    def _exponent(self) -> int:
+        if not self.text.startswith("^", self.pos):
+            return 1
+        self.pos += 1
+        m = _INT_RE.match(self.text, self.pos)
+        if not m:
+            self.error("expected an integer exponent after '^'")
+        self.pos = m.end()
+        if int(m.group()) == 0:
+            self.error("zero exponent", at=m.start())
+        return int(m.group())
+
+    def _index(self, m: re.Match) -> int:
+        name = m.group()
+        if name in self.names:
+            return self.names.index(name)
+        indexed = _INDEXED_RE.fullmatch(name)
+        if indexed and (self.line is None or int(indexed.group(1)) < len(self.names)):
+            return int(indexed.group(1))
+        self.error(f"undeclared generator {name!r}", at=m.start())
+
+    def factor(self) -> Word:
+        """One generator or parenthesized word with its exponent."""
+        ch = self.text[self.pos]
+        if ch == "(":
+            self.pos += 1
+            inner = self.product(closing=True)
+            return inner ** self._exponent()
+        if ch == ")":
+            self.error("unmatched ')'")
+        m = NAME_RE.match(self.text, self.pos)
+        if not m:
+            self.error(f"unexpected character {ch!r}")
+        self.pos = m.end()
+        return generator(self._index(m), self._exponent())
+
+    def product(self, closing: bool = False) -> Word:
+        letters: list[Letter] = []
+        while not self.at_end():
+            if closing and self.text[self.pos] == ")":
+                self.pos += 1
+                return free_reduce(letters)
+            letters.extend(self.factor().letters)
+        if closing:
+            self.error("unclosed '('")
+        return free_reduce(letters)
 
 
 def parse_word(text: str, names: Sequence[str] | None = None) -> Word:
-    """Parse the whitespace-separated atom syntax into a reduced word."""
-    letters: list[Letter] = []
-    for atom in text.split():
-        letters.extend(_parse_atom(atom, names))
-    return free_reduce(letters)
+    """Parse the word syntax above into a reduced word."""
+    return _Scanner(text, names).product()
+
+
+def parse_relators(text: str, names: Sequence[str], line: int, col_base: int) -> list[Word]:
+    """The top-level factors of a presentation's `rels:` text, one relator
+    each; errors are PresentationErrors at their line and column."""
+    scanner = _Scanner(text, names, line, col_base)
+    relators = []
+    while not scanner.at_end():
+        relators.append(scanner.factor())
+    return relators
 
 
 def format_word(w: Word, names: Sequence[str] | None = None) -> str:

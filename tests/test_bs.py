@@ -1,6 +1,5 @@
 """Britton reduction checked against rewriting reachability and an affine model."""
 
-import itertools
 import random
 from fractions import Fraction
 from math import gcd

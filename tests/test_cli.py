@@ -6,6 +6,8 @@ from importlib import resources
 import jsonschema
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nearnormal import groups, scan, suites
 from nearnormal.cli import main
@@ -217,6 +219,17 @@ def test_bs_verify_and_reduce(runner):
     (["bs", "verify", "--bound", "-1"], "--bound"),
     (["bs", "verify", "--conj-len", "-1"], "--conj-len"),
     (["ends", "graph", "--group", "free(2)", "--l", "a", "--radius", "-1"], "--radius"),
+    (["bs", "verify", "--m", "0"], "--m"),
+    (["bs", "verify", "--n", "-1"], "--n"),
+    (["bs", "reduce", "--word", "x", "--m", "0"], "--m"),
+    (["bs", "reduce", "--word", "x", "--n", "-1"], "--n"),
+    (["thompson", "verify", "--shift-bound", "1"], "--shift-bound"),
+    (["thompson", "verify", "--identity-bound", "-3"], "--identity-bound"),
+    (["thompson", "verify", "--pair-bound", "-1"], "--pair-bound"),
+    (["thompson", "verify", "--m-bound", "-1"], "--m-bound"),
+    (["subgroup", "commensurable", "--group", "free(2)", "--h", "a", "--k", "a^2",
+      "--bound", "-1"], "--bound"),
+    (["subgroup", "near-normal", "--group", "free(2)", "--h", "a", "--bound", "0"], "--bound"),
 ])
 def test_negative_or_vacuous_bounds_are_usage_errors(runner, args, option):
     result = runner.invoke(main, args)
@@ -231,6 +244,37 @@ def test_ends_estimate_rejects_negative_radii(runner, radii):
         "ends", "estimate", "--group", "free(2)", "--l", "a", "--radii", radii])
     assert result.exit_code == 2
     assert "radii must be non-negative" in result.output
+
+
+def test_smallest_thompson_bounds_are_accepted(runner):
+    data = json.loads(invoke(runner, [
+        "thompson", "verify", "--identity-bound", "0", "--pair-bound", "0",
+        "--shift-bound", "2", "--m-bound", "0"]).output)
+    assert data["conjugation_identities"]["checked"] == 0
+    assert data["pair_commutation"]["pass"] is True
+
+
+def test_word_options_take_parentheses(runner):
+    data = json.loads(invoke(runner, [
+        "subgroup", "commensurable", "--group", "bs(2,3)",
+        "--h", "x^2", "--k", "(y^-1 x y)^2"]).output)
+    assert (data["result"], data["indices"]) == (True, [3, 2])  # <x^2> and <x^3>
+    data = json.loads(invoke(runner, ["bs", "reduce", "--word", "y^-1(x^2)y"]).output)
+    assert data["head"] == 3
+
+
+@pytest.mark.parametrize("args, message", [
+    (["subgroup", "near-normal", "--group", "thompson-f", "--h", "x0"],
+     "Error: no membership oracle for this generating set under the "
+     "'thompson-normal-form' context"),
+    (["ends", "estimate", "--group", "gens: a b\nrels: a^2\noracle: coset-table",
+      "--l", "a"], "Error: coset enumeration incomplete at 20000 live cosets"),
+    (["bs", "reduce", "--word", "(x y"], "Error: unclosed '('"),
+])
+def test_subgroup_and_word_errors_are_one_line(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.output.strip() == message
 
 
 def test_zero_conj_len_and_radius_are_accepted(runner):
@@ -325,3 +369,53 @@ def test_completion_ceiling_of_one_is_a_runtime_error(runner):
                                   "--family", "normal-order3", "--ceiling", "1"])
     assert result.exit_code == 1
     assert result.output.strip() == "Error: completion enumeration exceeds ceiling 1"
+
+
+# --- fuzzed input ------------------------------------------------------------
+
+_exponent = st.one_of(st.just(""), st.integers(-6, 6).map("^{}".format))
+_name = st.sampled_from(["a", "b", "u", "v", "x", "y", "x0", "x1", "x9", "q", "ab"])
+_factor = st.builds(str.__add__, _name, _exponent)
+_group = st.builds(lambda fs, e: f"({' '.join(fs)}){e}", st.lists(_factor, max_size=3), _exponent)
+_junk = st.sampled_from(["(", ")", "^", "^-", "^+2", ",", ";", "1", "-", "%", "x^1_0", ""])
+_word_text = st.lists(st.one_of(_factor, _group, _junk), max_size=5).flatmap(
+    lambda parts: st.sampled_from([" ", ""]).map(lambda sep: sep.join(parts)))
+_presentation = st.builds(
+    lambda gens, lines: "\n".join([gens, *lines]) + "\n",
+    st.sampled_from(["gens: a b", "gens: x y", "gens: a", "gens: a a", "gens:", "# no gens"]),
+    st.lists(st.one_of(_word_text.map("rels: {}".format),
+                       st.sampled_from(["oracle: coset-table", "oracle: free", "oracle: magic",
+                                        "what: ever", "nonsense", ""])), max_size=3))
+
+
+def _word_commands(text, other):
+    # In bs(1,1) every conjugate of <x^k> is <x^k>, so the common-power scan of
+    # an intersection stops at its first candidate; in bs(2,3) it can run 10,000.
+    return [
+        ["subgroup", "commensurable", "--group", "free(2)", "--h", text, "--k", other],
+        ["subgroup", "commensurable", "--group", "zn(2)", "--h", text, "--k", other],
+        ["subgroup", "near-normal", "--group", "bs(1,1)", "--h", text, "--bound", "8"],
+        ["subgroup", "near-normal", "--group", "sym3", "--h", text],
+        ["ends", "estimate", "--group", "free(2)", "--l", text, "--radii", "1,2"],
+        ["ends", "estimate", "--group", "thompson-f", "--l", text, "--gens", other,
+         "--radii", "1"],
+        ["bs", "reduce", "--word", text],
+        ["family", "check", "--group", "sym3", "--nodes", text],
+    ]
+
+
+def _assert_clean_exit(result, args):
+    assert result.exit_code in (0, 1, 2), args
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        (args, repr(result.exception))
+    assert "Traceback" not in result.output, args
+    assert result.output.count("Error:") <= 1, args
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=_word_text, other=_word_text, presentation=_presentation)
+def test_fuzzed_cli_input_exits_cleanly(text, other, presentation):
+    runner = CliRunner()
+    for args in _word_commands(text, other) + [["group", "parse", presentation]]:
+        _assert_clean_exit(runner.invoke(main, args), args)

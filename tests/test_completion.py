@@ -6,7 +6,7 @@ import pytest
 
 from nearnormal import cli, completion, families, modp
 from nearnormal.completion import (
-    CompletionElement, MissingNodeError, act, completion_is_group, conj_node,
+    CompletionElement, act, completion_is_group, conj_node,
     embed, identity_element, invert_stable,
     invertibility_scan, law_records, multiply, profinite_compare,
     truncated_completion,

@@ -10,8 +10,8 @@ from nearnormal.ends import (
 )
 from nearnormal.groups import element_key, preset
 from nearnormal.subgroups import (
-    CosetSet, am_subgroup, finite_subgroup, free_cyclic_subgroup, lattice_subgroup,
-    power_subgroup, same_coset, subgroup, trivial_subgroup, whole_group,
+    CosetSet, XPower, am_subgroup, finite_subgroup, free_cyclic_subgroup,
+    lattice_subgroup, power_subgroup, same_coset, subgroup, trivial_subgroup,
 )
 from nearnormal.words import Word, exponent_vector, generator, invert, parse_word
 
@@ -214,12 +214,12 @@ def test_free_cyclic_ball_matches_pairwise_classification(u):
 def test_ball_builds_its_coset_key_once(monkeypatch):
     built = []
 
-    def counting(sub):
+    def counting(oracle, sub):
         built.append(sub)
-        return key_fn(sub)
+        return key_fn(oracle, sub)
 
-    key_fn = ends._right_coset_key_fn
-    monkeypatch.setattr(ends, "_right_coset_key_fn", counting)
+    key_fn = XPower.coset_key
+    monkeypatch.setattr(XPower, "coset_key", counting)
     ctx = preset("bs(2,3)")
     gens = (generator(0), generator(1))
     ball = coset_graph_ball(ctx, power_subgroup(ctx, 2), gens, 3)
@@ -308,7 +308,7 @@ def reference_ball(ctx, sub, gens, radius):
     """The reference coset_graph_ball must match: each new vertex is keyed
     twice, and every element is classified again as an edge source.
     Returns (vertices, depth, edges, element count)."""
-    key_fn = ends._right_coset_key_fn(sub)
+    key_fn = sub.membership.coset_key(sub)
     vertices, depth, key_to_index = [], [], {}
 
     def classify(g):
@@ -370,5 +370,5 @@ def test_ball_keys_each_element_once(monkeypatch, group, make_sub, radius):
     ball = coset_graph_ball(ctx, sub, gens, radius)
     assert (list(ball.vertices), list(ball.depth), list(ball.edges)) == (vertices, depth, edges)
     # one key per element at discovery, one per element and generator for its edges
-    keyed = ends._right_coset_key_fn(sub) is not None
+    keyed = sub.membership.coset_key(sub) is not None
     assert len(calls) == (element_count * (1 + len(gens)) if keyed else 0)

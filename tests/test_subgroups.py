@@ -4,8 +4,9 @@ import pytest
 
 from nearnormal.groups import group_elements, preset
 from nearnormal.subgroups import (
-    INFINITE_OR_EXCEEDS, CosetSet, am_subgroup, commensurability_report,
-    conjugate, contains, finite_subgroup, free_cyclic_subgroup, free_root,
+    INFINITE_OR_EXCEEDS, CosetSet, UnsupportedOraclePair, am_subgroup,
+    commensurability_report, conjugate, contains, finite_subgroup,
+    free_cyclic_subgroup, free_root,
     in_commensurator, index_bounded, intersect, is_commensurable,
     lattice_subgroup, near_normal_on, neumann_translate, power_subgroup,
     same_coset, subgroup, trivial_subgroup, whole_group,
@@ -281,12 +282,14 @@ def free_ball(radius):
     return words
 
 
+def coset_key(sub):
+    return sub.membership.coset_key(sub)
+
+
 @pytest.mark.parametrize("u", ["a", "a^2", "b a^2 b^-1", "a b a b", "a b a^-1 b^-1", "a b"])
 def test_free_cyclic_key_agrees_with_same_coset(u):
-    from nearnormal.subgroups import _right_coset_key_fn
-
     sub = free_cyclic_subgroup(preset("free(2)"), w(u))
-    key = _right_coset_key_fn(sub)
+    key = coset_key(sub)
     ball = free_ball(4)
     keys = [key(g) for g in ball]
     for i in range(len(ball)):
@@ -296,19 +299,62 @@ def test_free_cyclic_key_agrees_with_same_coset(u):
 
 
 def test_free_cyclic_key_is_the_shortlex_least_element():
-    from nearnormal.subgroups import _right_coset_key_fn
-
     ctx = preset("free(2)")
     # r = a b, h = a: the coset <a b> a holds a and b^-1, both of length 1
-    key = _right_coset_key_fn(free_cyclic_subgroup(ctx, w("a b")))
+    key = coset_key(free_cyclic_subgroup(ctx, w("a b")))
     assert key(w("a")) == key(w("b^-1")) == w("a").letters
     # u = b a^2 b^-1, g = b a^5: c^-1 g = a^5 is cut down to a
-    key = _right_coset_key_fn(free_cyclic_subgroup(ctx, w("b a^2 b^-1")))
+    key = coset_key(free_cyclic_subgroup(ctx, w("b a^2 b^-1")))
     assert key(w("b a^5")) == key(w("b a")) == w("a").letters
-    assert _right_coset_key_fn(free_cyclic_subgroup(ctx, Word(())))(w("a b")) == w("a b").letters
+    assert coset_key(free_cyclic_subgroup(ctx, Word(())))(w("a b")) == w("a b").letters
 
 
 def test_free_cyclic_index_in_a_free_group_is_infinite():
     ctx = preset("free(2)")
     assert index_bounded(free_cyclic_subgroup(ctx, w("a")), whole_group(ctx), 30) \
         == INFINITE_OR_EXCEEDS
+
+
+# --- the oracle pair matrix --------------------------------------------------
+
+
+def _native(ctx):
+    """The handle with the oracle that only this context supports."""
+    if ctx.oracle == "coset-table":
+        return finite_subgroup(ctx, [generator(0)])
+    if ctx.oracle == "britton":
+        return power_subgroup(ctx, 2)
+    if ctx.oracle == "free-abelian":
+        return lattice_subgroup(ctx, [(2, 0)])
+    if ctx.oracle == "free":
+        return free_cyclic_subgroup(ctx, generator(0) * generator(1))
+    return am_subgroup(ctx, 1)
+
+
+def _pair_matrix_handles(ctx):
+    base = [whole_group(ctx), trivial_subgroup(ctx), subgroup(ctx, (generator(0),)), _native(ctx)]
+    return base + [conjugate(h, generator(1)) for h in base]
+
+
+def _documented_outcome(call):
+    try:
+        call()
+    except UnsupportedOraclePair:
+        return "unsupported"
+    except ValueError as exc:
+        message = str(exc)
+        assert "outside the ambient" in message or "inconsistent tables" in message, message
+        return "refused"
+    return "returned"
+
+
+@pytest.mark.parametrize("group", ["sym3", "bs(2,3)", "zn(2)", "free(2)", "thompson-f"])
+def test_every_oracle_pair_returns_or_raises_a_documented_error(group):
+    ctx = preset(group)
+    handles = _pair_matrix_handles(ctx)
+    outcomes = set()
+    for h in handles:
+        for k in handles:
+            outcomes.add(_documented_outcome(lambda: intersect(h, k)))
+            outcomes.add(_documented_outcome(lambda: index_bounded(h, k, 20)))
+    assert "returned" in outcomes

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from nearnormal import thompson
 from nearnormal.thompson import (
     BoundExhausted, a_exponents, a_generator, a_membership,
     am_in_conjugate_intersection, f_equal, f_normal_form, naive_equal,
