@@ -238,64 +238,3 @@ def family_axiom_check(conjugators: list[Word], a_bound: int, conj_len: int = 1,
         "directed_pass": directed_pass,
         "all_pass": closure_pass and directed_pass,
     }
-
-
-# -- naive rewriting oracle (reference, exponential; small inputs only) ------
-
-
-def _bs_neighbors(word: tuple, m: int, n: int, len_cap: int):
-    """One free cancellation/insertion or one relation rewrite away.
-
-    The relation moves replace x^m y <-> y x^n and x^n y^-1 <-> y^-1 x^m
-    as subwords (both orientations of y^-1 x^m y = x^n read as equations).
-    """
-    L = len(word)
-    for t in range(L - 1):
-        (i1, s1), (i2, s2) = word[t], word[t + 1]
-        if i1 == i2 and s1 == -s2:
-            yield word[:t] + word[t + 2:]
-    if L + 2 <= len_cap:
-        for t in range(L + 1):
-            for letter in ((X, 1), (X, -1), (Y, 1), (Y, -1)):
-                ins = (letter, (letter[0], -letter[1]))
-                yield word[:t] + ins + word[t:]
-    pats = []
-    xm = ((X, 1),) * m
-    xn = ((X, 1),) * n
-    xm_i = ((X, -1),) * m
-    xn_i = ((X, -1),) * n
-    yp, yn_ = ((Y, 1),), ((Y, -1),)
-    pats.append((xm + yp, yp + xn))          # x^m y -> y x^n
-    pats.append((xm_i + yp, yp + xn_i))      # x^-m y -> y x^-n
-    pats.append((xn + yn_, yn_ + xm))        # x^n y^-1 -> y^-1 x^m
-    pats.append((xn_i + yn_, yn_ + xm_i))
-    all_pats = pats + [(b, a) for a, b in pats]
-    for lhs, rhs in all_pats:
-        if L - len(lhs) + len(rhs) > len_cap:
-            continue
-        for t in range(L - len(lhs) + 1):
-            if word[t:t + len(lhs)] == lhs:
-                yield word[:t] + rhs + word[t + len(lhs):]
-
-
-def bs_naive_equal(u: Word, v: Word, m: int = 2, n: int = 3,
-                   len_slack: int = 4, max_states: int = 500_000):
-    """Breadth-first equality search by raw relation moves; True, False
-    (search space exhausted), or "unknown" at the state cap."""
-    start, goal = tuple(u.letters), tuple(v.letters)
-    len_cap = max(len(start), len(goal)) + len_slack
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        if goal in seen:
-            return True
-        nxt = []
-        for word in frontier:
-            for nb in _bs_neighbors(word, m, n, len_cap):
-                if nb not in seen:
-                    if len(seen) >= max_states:
-                        return "unknown"
-                    seen.add(nb)
-                    nxt.append(nb)
-        frontier = nxt
-    return goal in seen

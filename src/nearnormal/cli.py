@@ -6,6 +6,10 @@ oracles (subgroup), directed subgroup families with the degree-0/1 functors
 coset graphs and end counting (ends), the Thompson and Baumslag-Solitar
 fixtures (thompson, bs), and the named check suites (suite).
 
+Law and lemma commands print the reports of the shared checkers
+(``completion.law_records``, ``thompson.lemma_report``) that the suites
+and the acceptance tests also read.
+
 Output is JSON on stdout; --format text renders the same data as indented
 key/value lines.  Word syntax everywhere: juxtaposed generators and
 parenthesized words with optional ^exponents (``y^-1 x y``, ``(a b)^3 a``);
@@ -22,7 +26,7 @@ import click
 
 from . import baumslag_solitar as bs
 from . import completion, ends, families, groups, modp, scan, subgroups, suites, thompson
-from .words import Word, format_word, generator, parse_word
+from .words import Word, format_word, generator
 
 _format_option = click.option(
     "--format", "fmt", type=click.Choice(("json", "text")), default="json",
@@ -543,9 +547,6 @@ def thompson_cmd():
     """Normal forms in Thompson's group F and the tail-subgroup lemma."""
 
 
-_SHIFT_WORDS = ("x0^2", "x0^-2", "x0 x1", "x1 x0^-1", "x0^2 x1^-2")
-
-
 @thompson_cmd.command(name="verify")
 @click.option("--suite", "which", type=click.Choice(("lemma", "scan")),
               default="lemma", show_default=True)
@@ -575,44 +576,8 @@ def thompson_verify(which, identity_bound, pair_bound, shift_bound, m_bound,
                "failures": [list(f) for f in report["failures"]],
                "pass": not report["failures"]}, fmt)
         return
-    data = {"suite": "lemma"}
-    id_failures = [[m, n] for n in range(1, identity_bound + 1)
-                   for m in range(n)
-                   if not thompson.verify_conjugation_identity(m, n)]
-    data["conjugation_identities"] = {
-        "bound": identity_bound,
-        "checked": identity_bound * (identity_bound + 1) // 2,
-        "failures": id_failures, "pass": not id_failures}
-    comm_failures = []
-    for i in range(pair_bound):
-        for j in range(i + 1, pair_bound + 1):
-            ai, aj = thompson.a_generator(i), thompson.a_generator(j)
-            if not thompson.f_equal(ai * aj, aj * ai):
-                comm_failures.append([i, j])
-    data["pair_commutation"] = {"bound": pair_bound,
-                                "failures": comm_failures,
-                                "pass": not comm_failures}
-    shift = {}
-    for text in _SHIFT_WORDS:
-        g = parse_word(text)
-        report = thompson.verify_shift(g, range(2, shift_bound + 1))
-        shift[text] = {"threshold": report["threshold"], "j": report["j"],
-                       "pass": report["all_pass"]}
-    data["shift"] = shift
-    inter = {}
-    for text in _SHIFT_WORDS:
-        g = parse_word(text)
-        try:
-            result = thompson.am_in_conjugate_intersection([g], m_bound)
-            inter[text] = {"m": result["m"], "pass": True}
-        except (ValueError, thompson.BoundExhausted) as exc:
-            inter[text] = {"m": None, "pass": False, "reason": str(exc)}
-    data["conjugate_intersection"] = inter
-    data["pass"] = (data["conjugation_identities"]["pass"]
-                    and data["pair_commutation"]["pass"]
-                    and all(v["pass"] for v in shift.values())
-                    and all(v["pass"] for v in inter.values()))
-    _emit(data, fmt)
+    _emit({"suite": "lemma", **thompson.lemma_report(identity_bound, pair_bound,
+                                                     shift_bound, m_bound)}, fmt)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from . import modp
 from .families import FamilyTruncation, FiniteModule, word_matrix
-from .groups import group_elements, regular_table
+from .groups import group_elements, regular_table, signed_letters
 from .words import Word, format_word, invert
 
 ENUM_CEILING = 10 ** 6
@@ -212,9 +212,7 @@ def profinite_compare(tc: TruncatedCompletion) -> bool:
     tuples, and the twisted product equals the componentwise coset product.
     Compares the full multiplication tables."""
     fam = tc.fam
-    letters = []
-    for i in range(fam.ctx.generator_count):
-        letters.extend(((i, 1), (i, -1)))
+    letters = signed_letters(fam.ctx)
     for node in range(len(fam.nodes)):
         if any(fam.conj(node, letter) != node for letter in letters):
             raise ValueError(f"node {node} is not normal in the ambient group")

@@ -15,6 +15,7 @@ for right translates Bx, which do not descend to cosets).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import baumslag_solitar as bs
 from . import groups
@@ -46,15 +47,7 @@ class CosetGraphBall:
 
     def vertex_index(self, g: Word) -> int | None:
         """Classify an arbitrary element's coset within the ball."""
-        if self.key_fn is not None:
-            return self.key_to_index.get(_left_key(self.key_fn, g))
-        for i, rep in enumerate(self.vertices):
-            hit = same_coset(self.sub, rep, g, "left")
-            if hit is True:
-                return i
-            if hit == "unknown":
-                raise CosetOracleError("coset equality undecided")
-        return None
+        return _vertex_of(self.sub, self.key_fn, self.key_to_index, self.vertices, g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,6 +76,20 @@ def _left_key(key_fn, g: Word):
     return key_fn(invert(g))
 
 
+def _vertex_of(sub, key_fn, key_to_index, vertices, g: Word) -> int | None:
+    """The index of the vertex gL among vertices, None when it is not one:
+    by key when the subgroup has a coset key, else pairwise."""
+    if key_fn is not None:
+        return key_to_index.get(_left_key(key_fn, g))
+    for i, rep in enumerate(vertices):
+        hit = same_coset(sub, rep, g, "left")
+        if hit is True:
+            return i
+        if hit == "unknown":
+            raise CosetOracleError("coset equality undecided during expansion")
+    return None
+
+
 def coset_graph_ball(ctx, sub: SubgroupHandle, gens, radius: int) -> CosetGraphBall:
     """Cosets of all elements of length at most radius, with every edge
     (gL, gxL) witnessed by a ball element g.
@@ -97,16 +104,7 @@ def coset_graph_ball(ctx, sub: SubgroupHandle, gens, radius: int) -> CosetGraphB
     depth: list = []
     key_to_index: dict = {}
 
-    def classify(g: Word) -> int | None:
-        if key_fn is not None:
-            return key_to_index.get(_left_key(key_fn, g))
-        for i, rep in enumerate(vertices):
-            hit = same_coset(sub, rep, g, "left")
-            if hit is True:
-                return i
-            if hit == "unknown":
-                raise CosetOracleError("coset equality undecided during expansion")
-        return None
+    classify = partial(_vertex_of, sub, key_fn, key_to_index, vertices)
 
     def add_vertex(g: Word, r: int) -> int:
         """The index of the vertex gL, which is added at depth r if new."""
@@ -120,21 +118,8 @@ def coset_graph_ball(ctx, sub: SubgroupHandle, gens, radius: int) -> CosetGraphB
             depth.append(r)
         return i
 
-    elements = [(Word(()), add_vertex(Word(()), 0))]  # (element, its vertex)
-    seen_elements = {groups.element_key(ctx, Word(()))}
-    frontier = [Word(())]
-    for r in range(1, radius + 1):
-        nxt = []
-        for e in frontier:
-            for x in gens:
-                for step in (x, invert(x)):
-                    cand = e * step
-                    ekey = groups.element_key(ctx, cand)
-                    if ekey not in seen_elements:
-                        seen_elements.add(ekey)
-                        elements.append((cand, add_vertex(cand, r)))
-                        nxt.append(cand)
-        frontier = nxt
+    # (element, its vertex), each vertex added when its first element is met
+    elements = [(g, add_vertex(g, r)) for g, r in _element_layers(ctx, gens, radius)]
     edges = []
     seen_edges = set()
     for g, source in elements:
@@ -213,13 +198,14 @@ def boundary_edges(b: VertexSet, ball: CosetGraphBall):
             if (u in b.indices) != (v in b.indices)]
 
 
-def element_ball(ctx, gens, radius: int):
-    """Distinct group elements of length at most radius over the given set."""
+def _element_layers(ctx, gens, radius: int):
+    """Distinct group elements of length at most radius over the given set,
+    each with its length, breadth first."""
     identity = Word(())
     seen = {groups.element_key(ctx, identity)}
-    out = [identity]
+    yield identity, 0
     frontier = [identity]
-    for _ in range(radius):
+    for r in range(1, radius + 1):
         nxt = []
         for e in frontier:
             for x in gens:
@@ -228,10 +214,14 @@ def element_ball(ctx, gens, radius: int):
                     key = groups.element_key(ctx, cand)
                     if key not in seen:
                         seen.add(key)
-                        out.append(cand)
                         nxt.append(cand)
+                        yield cand, r
         frontier = nxt
-    return out
+
+
+def element_ball(ctx, gens, radius: int):
+    """Distinct group elements of length at most radius over the given set."""
+    return [e for e, _ in _element_layers(ctx, gens, radius)]
 
 
 def claim3_check(predicate, ball: CosetGraphBall, gens=None) -> dict:
@@ -329,7 +319,7 @@ def to_dot(ball: CosetGraphBall, highlight: VertexSet | None = None,
     marked = highlight.indices if highlight is not None else frozenset()
     lines = ["graph ball {", "  node [shape=circle];"]
     for i, rep in enumerate(ball.vertices):
-        label = format_word(rep, names) if rep else "1"
+        label = format_word(rep, names)
         style = ' style=filled fillcolor="lightgray"' if i in marked else ""
         lines.append(f'  v{i} [label="{label}"{style}];')
     for u, v, label in ball.edges:

@@ -19,12 +19,10 @@ from functools import cached_property
 from . import modp
 from .groups import (
     GroupContext, Incomplete, element_key, parse_context_word, preset,
-    regular_table,
+    regular_table, signed_letters,
 )
 from .subgroups import SubgroupHandle, contains, finite_subgroup
-from .words import Word, exponent_vector, generator, invert
-
-Letter = tuple[int, int]
+from .words import Letter, Word, exponent_vector, generator, invert
 
 
 @dataclass(frozen=True)
@@ -108,14 +106,6 @@ def _key_set(ctx: GroupContext, elements) -> frozenset:
     return frozenset(element_key(ctx, e) for e in elements)
 
 
-def _signed_letters(ctx: GroupContext) -> list[Letter]:
-    out = []
-    for i in range(ctx.generator_count):
-        out.append((i, 1))
-        out.append((i, -1))
-    return out
-
-
 def _conjugation_perms(table, letters) -> dict:
     """perms[l][x] is the regular-table index of l^-1 x l: the walk along the
     representative of x from the coset of l^-1, then one step along l."""
@@ -161,7 +151,7 @@ def truncation(ctx: GroupContext, node_generator_lists, close: bool = True) -> F
             index[ks] = len(handles)
             handles.append(h)
     key_sets = list(index)
-    letters = _signed_letters(ctx)
+    letters = signed_letters(ctx)
     perms = _conjugation_perms(regular, letters)
     conj_pairs = []
     i = 0
@@ -229,7 +219,7 @@ def named_families() -> list:
 def check_admissible(fam: FamilyTruncation) -> dict:
     """Re-verifies conjugation closure and downward directedness."""
     violations = []
-    letters = _signed_letters(fam.ctx)
+    letters = signed_letters(fam.ctx)
     conj_map = fam._conj_map
     key_sets = [_key_set(fam.ctx, ms) for ms in fam.members]
     conj_ok = True

@@ -132,6 +132,13 @@ def _code_letter(code: int) -> Letter:
     return (code // 2, 1 if code % 2 == 0 else -1)
 
 
+def signed_letters(ctx: GroupContext) -> list[Letter]:
+    """x_0, x_0^-1, x_1, x_1^-1, ... over the context's generators; over
+    x_0 and x_1, which generate F, when the presentation is a schema."""
+    count = 2 if ctx.generator_count is None else ctx.generator_count
+    return [(i, sign) for i in range(count) for sign in (1, -1)]
+
+
 class _BoundHit(Exception):
     pass
 

@@ -470,12 +470,7 @@ def free_root(w: Word) -> tuple[Word, int]:
 
 
 def _ambient_letters(ctx) -> list[Word]:
-    count = 2 if ctx.generator_count is None else ctx.generator_count
-    out = []
-    for i in range(count):
-        out.append(generator(i))
-        out.append(generator(i, -1))
-    return out
+    return [generator(*letter) for letter in groups.signed_letters(ctx)]
 
 
 def _coset_bfs_count(sub: SubgroupHandle, bound: int):
@@ -584,12 +579,16 @@ def _intersect_x_powers(h: SubgroupHandle, k: SubgroupHandle) -> SubgroupHandle:
     cyclic, so any member subgroup is determined by its least positive
     element)."""
     kh, ch = h.membership.k, h.membership.conjugator
-    if not ch and not k.membership.conjugator:
-        return power_subgroup(h.ctx, lcm(kh, k.membership.k))
+    kk, ck = k.membership.k, k.membership.conjugator
+    if not ch and not ck:
+        return power_subgroup(h.ctx, lcm(kh, kk))
+    # ch^-1 x^a ch (in h by construction) lies in k iff w x^a w^-1 is a
+    # power of x^kk, w = ck ch^-1; the reducer pushes x^a as one syllable.
+    w, wi = ck * invert(ch), ch * invert(ck)
     for a in range(kh, _CYCLIC_SCAN_BOUND + 1, kh):
-        cand = invert(ch) * generator(0, a) * ch  # in h by construction
-        if contains(k, cand) is True:
-            return SubgroupHandle(h.ctx, (cand,), None, XPower(a, ch))
+        if bs._conjugate_in_x_power(w, wi, a, kk, *h.ctx.bs_params):
+            return SubgroupHandle(h.ctx, (invert(ch) * generator(0, a) * ch,), None,
+                                  XPower(a, ch))
     raise UnsupportedOraclePair(
         f"no common power found within the scan bound {_CYCLIC_SCAN_BOUND}")
 
@@ -654,8 +653,7 @@ def _fiber_product(h: SubgroupHandle, k: SubgroupHandle) -> SubgroupHandle:
             target = (ta.action[i][code], tb.action[j][code])
             if target not in order:
                 order[target] = len(order)
-                letter = (code // 2, 1 if code % 2 == 0 else -1)
-                reps.append(reps[order[(i, j)]] * generator(*letter))
+                reps.append(reps[order[(i, j)]] * generator(*groups._code_letter(code)))
                 queue.append(target)
             row.append(order[target])
         rows.append(row)
@@ -667,8 +665,7 @@ def _fiber_product(h: SubgroupHandle, k: SubgroupHandle) -> SubgroupHandle:
     for state, idx in order.items():
         for code in codes:
             target = rows[idx][code]
-            letter = (code // 2, 1 if code % 2 == 0 else -1)
-            g = reps[idx] * generator(*letter) * invert(reps[target])
+            g = reps[idx] * generator(*groups._code_letter(code)) * invert(reps[target])
             if g and table.coset_of(g) == 0 and groups.is_trivial(h.ctx, g) is not True:
                 key = groups.element_key(h.ctx, g)
                 if key not in seen_keys:

@@ -4,7 +4,9 @@ Each suite runs a module's law and fixture checks and returns plain records
 {id, law, inputs, outcome, witness}.  Outcomes are pass, fail, or unknown;
 failing records always carry a witness.  Reports are sorted by check id and
 contain no wall-clock data unless timing is requested, so two runs with the
-same seed serialize to identical bytes.
+same seed serialize to identical bytes.  The completion and thompson
+suites read the shared checkers ``completion.law_records`` and
+``thompson.lemma_report``, the latter at smaller bounds than the CLI.
 """
 
 from __future__ import annotations
@@ -35,10 +37,6 @@ def _check(out, check_id, law, inputs, ok, witness=None):
                 "outcome": outcome, "witness": witness})
 
 
-def _fmt(w: Word, names=None) -> str:
-    return format_word(w, names) if w.letters else "1"
-
-
 def _random_word(rng: random.Random, rank: int, max_len: int) -> Word:
     letters = []
     for _ in range(rng.randrange(max_len + 1)):
@@ -61,14 +59,14 @@ def suite_words(seed: int) -> list:
         w = _random_word(rng, 3, 12)
         v = _random_word(rng, 3, 12)
         if invert(invert(w)) != w:
-            inv_ok, witness = False, {"word": _fmt(w, names)}
+            inv_ok, witness = False, {"word": format_word(w, names)}
         if w.letters and parse_word(format_word(w, names), names) != w:
-            round_ok, witness = False, {"word": _fmt(w, names)}
+            round_ok, witness = False, {"word": format_word(w, names)}
         ev = tuple(a + b for a, b in zip(exponent_vector(w, 3), exponent_vector(v, 3)))
         if exponent_vector(w * v, 3) != ev:
-            exp_ok, witness = False, {"w": _fmt(w, names), "v": _fmt(v, names)}
+            exp_ok, witness = False, {"w": format_word(w, names), "v": format_word(v, names)}
         if (w * invert(w)).letters != ():
-            cancel_ok, witness = False, {"word": _fmt(w, names)}
+            cancel_ok, witness = False, {"word": format_word(w, names)}
     _check(out, "words/invert-involution", "invert(invert(w)) = w", inputs, inv_ok, witness or None)
     _check(out, "words/parse-format-roundtrip", "parse(format(w)) = w", inputs, round_ok, witness or None)
     _check(out, "words/exponent-additive", "exp(wv) = exp(w) + exp(v)", inputs, exp_ok, witness or None)
@@ -149,14 +147,14 @@ def suite_subgroups(seed: int) -> list:
     g = subgroups.neumann_translate(xset, 4)
     _check(out, "subgroups/neumann-translate-lattice", "two parallel lines admit a disjoint translate",
            {"group": "zn(2)", "cosets": 2, "radius": 4}, g is not None and g == v * v,
-           _fmt(g, ("u", "v")) if g else None)
+           format_word(g, ("u", "v")) if g else None)
     s3 = groups.preset("sym3")
     sa = subgroups.finite_subgroup(s3, (generator(0),))
     cover = subgroups.CosetSet(sa, tuple(
         groups.regular_table(s3).representatives[i] for i in (0, 2, 4)), "right")
     miss = subgroups.neumann_translate(cover, 4)
     _check(out, "subgroups/neumann-translate-cover", "a union covering the finite group has no disjoint translate",
-           {"group": "sym3", "radius": 4}, miss is None, _fmt(miss) if miss else None)
+           {"group": "sym3", "radius": 4}, miss is None, format_word(miss) if miss else None)
     return out
 
 
@@ -324,41 +322,25 @@ def suite_ends(seed: int) -> list:
 
 def suite_thompson(seed: int) -> list:
     out = []
-    grid_ok = all(thompson.verify_conjugation_identity(m, n)
-                  for n in range(1, 7) for m in range(n))
+    lemmas = thompson.lemma_report(6, 6, 12, 8, thompson.SHIFT_WORDS[:4])
     _check(out, "thompson/conjugation-grid", "even and odd conjugators shift the pair generators",
-           {"m<n": "0..6"}, grid_ok)
-    comm_ok = True
-    for m in range(6):
-        for n in range(m + 1, 7):
-            am, an = thompson.a_generator(m), thompson.a_generator(n)
-            if not thompson.f_equal(am * an, an * am):
-                comm_ok = False
+           {"m<n": "0..6"}, lemmas["conjugation_identities"]["pass"])
     _check(out, "thompson/pair-commutation", "pair generators commute pairwise",
-           {"indices": "0..6"}, comm_ok)
-    names = ("x0", "x1")
-    shift_ok = True
-    witness = {}
-    for text in ("x0^2", "x0^-2", "x0 x1", "x1 x0^-1"):
-        g = parse_word(text, names)
-        rep = thompson.verify_shift(g, range(2, 13))
-        if not rep["all_pass"]:
-            shift_ok = False
-            witness[text] = rep
+           {"indices": "0..6"}, lemmas["pair_commutation"]["pass"])
+    witness = {text: {"threshold": s["threshold"], "j": s["j"], "all_pass": s["pass"]}
+               for text, s in lemmas["shift"].items() if not s["pass"]}
     _check(out, "thompson/shift-property", "conjugation by g shifts high-index generators by the exponent sum",
-           {"elements": 4, "n": "2..12"}, shift_ok, witness or None)
+           {"elements": 4, "n": "2..12"}, not witness, witness or None)
     w = thompson.a_generator(2) * thompson.a_generator(4) ** -1
     exps = thompson.a_exponents(w, 30)
     _check(out, "thompson/a-membership", "greedy peeling recovers pair-generator exponents",
            {"word": "a2 a4^-1"}, exps == {2: 1, 4: -1}, exps)
-    try:
-        inter = thompson.am_in_conjugate_intersection(
-            [parse_word("x0^2", names), parse_word("x0 x1", names)], 8)
-        inter_ok, inter_witness = True, {"m": inter["m"]}
-    except thompson.BoundExhausted as exc:
-        inter_ok, inter_witness = False, str(exc)
+    # A_m lies in both conjugates exactly when it lies in each of them.
+    inter = [lemmas["conjugate_intersection"][text] for text in ("x0^2", "x0 x1")]
+    failed = [e for e in inter if not e["pass"]]
+    inter_witness = failed[0].get("reason") if failed else {"m": max(e["m"] for e in inter)}
     _check(out, "thompson/conjugate-intersection", "some tail subgroup lands in the conjugate intersection",
-           {"conjugators": ["x0^2", "x0 x1"], "m_bound": 8}, inter_ok, inter_witness)
+           {"conjugators": ["x0^2", "x0 x1"], "m_bound": 8}, not failed, inter_witness)
     report = scan.thompson_agreement_scan(5, 2)
     _check(out, "thompson/normal-form-agreement", "normal-form engine agrees with the homeomorphism model",
            {"max_len": 5, "max_index": 2}, len(report["failures"]) == 0,

@@ -12,13 +12,18 @@ occurs in at least one part.
 
 The subgroup A is generated by a_n = x_{2n+1} x_{2n}^-1 for n >= 0, and
 A_m by those with n >= m.
+
+``lemma_report`` checks the pair-generator lemmas at given bounds: the
+conjugation identities, commutation of the a_n, the shift property and A_m
+inside conjugate intersections.  It is the one lemma checker; the CLI, the
+thompson suite and the acceptance check read its sections.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Word, exponent_sum, generator, invert
+from .words import Word, exponent_sum, generator, invert, parse_word
 
 Run = tuple[int, int]  # (index, exponent >= 1)
 
@@ -304,79 +309,50 @@ def am_in_conjugate_intersection(gs: list[Word], m_bound: int, working_index_bou
     return {"m": m, "certificates": certificates}
 
 
-# -- naive rewriting oracle (reference, exponential; small inputs only) ------
+# Conjugators of the shift and conjugate-intersection checks, all of even
+# exponent sum.
+SHIFT_WORDS = ("x0^2", "x0^-2", "x0 x1", "x1 x0^-1", "x0^2 x1^-2")
 
 
-def _neighbors(word: tuple, index_cap: int):
-    """Words one relation move away: free cancellation and both directions
-    of x_j x_i <-> x_i x_{j+1} (i < j) applied at every position."""
-    n = len(word)
-    for t in range(n - 1):
-        (i1, s1), (i2, s2) = word[t], word[t + 1]
-        if i1 == i2 and s1 == -s2:
-            yield word[:t] + word[t + 2:]
-        for new_pair in _pair_moves(word[t], word[t + 1], index_cap):
-            yield word[:t] + new_pair + word[t + 2:]
+def lemma_report(identity_bound: int = 10, pair_bound: int = 12, shift_bound: int = 20,
+                 m_bound: int = 8, words=SHIFT_WORDS) -> dict:
+    """The pair-generator lemma grid, one section per lemma, each with its
+    failures and a pass flag:
 
-
-def _pair_moves(la, lb, index_cap):
-    """All two-letter rewrites of the adjacent pair la lb valid in F."""
-    (j, sj), (i, si) = la, lb
-    out = []
-    # x_j^e x_i^f with i < j  ->  x_i^f x_{j+f?}: derived case by case from
-    # x_j x_i = x_i x_{j+1} (i < j)
-    a, sa = la
-    b, sb = lb
-    # case: second letter has the smaller index: move it left
-    if b < a:
-        if sb == 1:
-            # x_a^sa x_b = x_b x_{a+1}^sa   (b < a)
-            if a + 1 <= index_cap:
-                out.append(((b, 1), (a + 1, sa)))
-        else:
-            # x_a^sa x_b^-1 = x_b^-1 x_{a-1}^sa  (b < a-1); from the relation
-            # with j = a-1 > i = b
-            if a - 1 > b:
-                out.append(((b, -1), (a - 1, sa)))
-    # case: first letter has the smaller index: move the second one left
-    if a < b:
-        if sa == 1:
-            # x_a x_b^sb = x_{b-1}^sb x_a   (a < b-1)
-            if b - 1 > a:
-                out.append(((b - 1, sb), (a, 1)))
-        else:
-            # x_a^-1 x_b^sb = x_{b+1}^sb x_a^-1  (a < b)
-            if b + 1 <= index_cap:
-                out.append(((b + 1, sb), (a, -1)))
-    return out
-
-
-def naive_equal(u: Word, v: Word, index_cap: int | None = None, max_states: int = 2_000_000):
-    """Breadth-first equality search using only the defining-relation moves.
-
-    Length never increases along a move, so the search is exhaustive over
-    the ball of length len(u); returns True, False (ball exhausted), or
-    "unknown" if the state cap is hit.
+    - conjugation_identities: verify_conjugation_identity(m, n) for
+      0 <= m < n <= identity_bound, failures as [m, n];
+    - pair_commutation: a_i a_j = a_j a_i for 0 <= i < j <= pair_bound;
+    - shift: verify_shift(g, 2..shift_bound) for each word g;
+    - conjugate_intersection: am_in_conjugate_intersection([g], m_bound)
+      for each word g, passing when its certificate shifts pass too.
     """
-    start = tuple(u.letters)
-    goal = tuple(v.letters)
-    if index_cap is None:
-        top = max((i for i, _ in start + goal), default=0)
-        index_cap = top + len(start) + len(goal) + 2
-    if len(goal) > len(start):
-        start, goal = goal, start
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        if start == goal or goal in seen:
-            return True
-        nxt = []
-        for word in frontier:
-            for nb in _neighbors(word, index_cap):
-                if nb not in seen:
-                    if len(seen) >= max_states:
-                        return "unknown"
-                    seen.add(nb)
-                    nxt.append(nb)
-        frontier = nxt
-    return goal in seen
+    id_failures = [[m, n] for n in range(1, identity_bound + 1) for m in range(n)
+                   if not verify_conjugation_identity(m, n)]
+    a = [a_generator(i) for i in range(pair_bound + 1)]
+    comm_failures = [[i, j] for i in range(pair_bound) for j in range(i + 1, pair_bound + 1)
+                     if not f_equal(a[i] * a[j], a[j] * a[i])]
+    shift, inter = {}, {}
+    for text in words:
+        g = parse_word(text)
+        report = verify_shift(g, range(2, shift_bound + 1))
+        shift[text] = {"threshold": report["threshold"], "j": report["j"],
+                       "pass": report["all_pass"]}
+        try:
+            result = am_in_conjugate_intersection([g], m_bound)
+        except (ValueError, BoundExhausted) as exc:
+            inter[text] = {"m": None, "pass": False, "reason": str(exc)}
+        else:
+            inter[text] = {"m": result["m"], "pass": all(
+                s["all_pass"] for s in result["certificates"]["shifts"].values())}
+    return {
+        "conjugation_identities": {"bound": identity_bound,
+                                   "checked": identity_bound * (identity_bound + 1) // 2,
+                                   "failures": id_failures, "pass": not id_failures},
+        "pair_commutation": {"bound": pair_bound, "failures": comm_failures,
+                             "pass": not comm_failures},
+        "shift": shift,
+        "conjugate_intersection": inter,
+        "pass": (not id_failures and not comm_failures
+                 and all(v["pass"] for v in shift.values())
+                 and all(v["pass"] for v in inter.values())),
+    }

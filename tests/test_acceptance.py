@@ -17,6 +17,7 @@ from nearnormal import (
     completion, ends, families, groups, modp, subgroups, suites, thompson,
 )
 from nearnormal.words import Word, exponent_sum, generator, invert, parse_word
+from rewriting import naive_equal
 
 
 @contextmanager
@@ -105,23 +106,21 @@ def test_acceptance_05_profinite_comparison():
 
 def test_acceptance_06_thompson_lemma_grid(request):
     with verdict(6, "pair-generator lemma grid and normal-form agreement"):
-        for n in range(1, 11):
-            for m in range(n):
-                assert thompson.verify_conjugation_identity(m, n), (m, n)
-        for i in range(12):
-            for j in range(i + 1, 13):
-                ai, aj = thompson.a_generator(i), thompson.a_generator(j)
-                assert thompson.f_equal(ai * aj, aj * ai), (i, j)
-        shift_words = ("x0^2", "x0^-2", "x0 x1", "x1 x0^-1", "x0^2 x1^-2")
-        for text in shift_words:
-            g = parse_word(text)
-            report = thompson.verify_shift(g, range(2, 21))
-            assert report["all_pass"], text
-            assert report["j"] == exponent_sum(g), text
-            result = thompson.am_in_conjugate_intersection([g], 8)
-            assert result["m"] >= 0, text
-            for shifts in result["certificates"]["shifts"].values():
-                assert shifts["all_pass"], text
+        # identities for m < n <= 10, pairs a_i, a_j with i < j <= 12, shifts
+        # for n <= 20 and A_m, m <= 8, in each conjugate by the five words,
+        # certificate shifts included (the defaults of thompson verify)
+        report = thompson.lemma_report(10, 12, 20, 8, thompson.SHIFT_WORDS)
+        assert report["conjugation_identities"]["checked"] == 55
+        assert report["conjugation_identities"]["failures"] == []
+        assert report["pair_commutation"]["failures"] == []
+        assert list(report["shift"]) == list(thompson.SHIFT_WORDS)
+        for text, shift in report["shift"].items():
+            assert shift["pass"], text
+            assert shift["j"] == exponent_sum(parse_word(text)), text
+        assert list(report["conjugate_intersection"]) == list(thompson.SHIFT_WORDS)
+        for text, inter in report["conjugate_intersection"].items():
+            assert inter["pass"] and inter["m"] >= 0, text
+        assert report["pass"]
         # engine vs the breadth-first rewriting oracle at small scale
         words = [Word(())]
         frontier = [()]
@@ -131,7 +130,7 @@ def test_acceptance_06_thompson_lemma_grid(request):
                         if not (w and w[-1][0] == l[0] and w[-1][1] == -l[1])]
             words.extend(Word(w) for w in frontier)
         for w in words:
-            assert thompson.naive_equal(w, thompson.f_normal_form(w).word()) is True
+            assert naive_equal(w, thompson.f_normal_form(w).word()) is True
         # engine vs the exact homeomorphism model, every word of length <= 8
         # over indices <= 4 (unreduced words factor through free reduction);
         # the kernel is requested last so the checks above run without it

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nearnormal import groups, scan, suites
+from nearnormal import groups, scan, suites, thompson
 from nearnormal.cli import main
 
 
@@ -62,6 +62,16 @@ def test_subgroup_commensurable_bs(runner):
     assert data["result"] is True
     assert data["indices"] == [3, 2]
     assert data["certificate"] is None
+
+
+def test_subgroup_commensurable_bs_scan_bound(runner):
+    # x^a in <x>^(y^14) needs 3^14 | a, past the common-power scan bound
+    result = invoke(runner, [
+        "subgroup", "commensurable", "--group", "bs(2,3)",
+        "--h", "x", "--k", "y^14 x y^-14"])
+    data = json.loads(result.output)
+    assert data["result"] == "unknown"
+    assert data["certificate"] == "no common power found within the scan bound 10000"
 
 
 def test_subgroup_near_normal(runner):
@@ -163,6 +173,28 @@ def test_thompson_verify_lemma(runner):
     assert data["pair_commutation"]["failures"] == []
     assert all(v["pass"] for v in data["shift"].values())
     assert all(v["pass"] for v in data["conjugate_intersection"].values())
+
+
+def test_thompson_verify_reports_a_failing_identity(runner, monkeypatch):
+    real = thompson.verify_conjugation_identity
+    monkeypatch.setattr(thompson, "verify_conjugation_identity",
+                        lambda m, n: (m, n) != (0, 3) and real(m, n))
+    data = json.loads(invoke(runner, ["thompson", "verify"]).output)
+    assert data["conjugation_identities"]["failures"] == [[0, 3]]
+    assert data["conjugation_identities"]["pass"] is False
+    assert data["pass"] is False
+    assert data["pair_commutation"]["pass"] is True
+
+
+def test_thompson_verify_reports_an_exhausted_intersection(runner, monkeypatch):
+    def exhausted(gs, m_bound):
+        raise thompson.BoundExhausted(f"no m <= {m_bound} certified within index bound 40")
+
+    monkeypatch.setattr(thompson, "am_in_conjugate_intersection", exhausted)
+    data = json.loads(invoke(runner, ["thompson", "verify", "--m-bound", "5"]).output)
+    assert data["conjugate_intersection"]["x0^2"] == {
+        "m": None, "pass": False, "reason": "no m <= 5 certified within index bound 40"}
+    assert data["pass"] is False
 
 
 def test_thompson_verify_scan(runner):
@@ -389,18 +421,19 @@ _presentation = st.builds(
 
 
 def _word_commands(text, other):
-    # In bs(1,1) every conjugate of <x^k> is <x^k>, so the common-power scan of
-    # an intersection stops at its first candidate; in bs(2,3) it can run 10,000.
     return [
         ["subgroup", "commensurable", "--group", "free(2)", "--h", text, "--k", other],
         ["subgroup", "commensurable", "--group", "zn(2)", "--h", text, "--k", other],
-        ["subgroup", "near-normal", "--group", "bs(1,1)", "--h", text, "--bound", "8"],
+        ["subgroup", "near-normal", "--group", "bs(2,3)", "--h", text, "--bound", "8"],
         ["subgroup", "near-normal", "--group", "sym3", "--h", text],
         ["ends", "estimate", "--group", "free(2)", "--l", text, "--radii", "1,2"],
         ["ends", "estimate", "--group", "thompson-f", "--l", text, "--gens", other,
          "--radii", "1"],
+        ["ends", "graph", "--group", "free(2)", "--l", text, "--radius", "2"],
         ["bs", "reduce", "--word", text],
         ["family", "check", "--group", "sym3", "--nodes", text],
+        ["family", "h0", "--group", "sym3", "--nodes", text],
+        ["completion", "laws", "--group", "sym3", "--nodes", text],
     ]
 
 

@@ -9,7 +9,7 @@ from nearnormal.subgroups import (
     free_cyclic_subgroup, free_root,
     in_commensurator, index_bounded, intersect, is_commensurable,
     lattice_subgroup, near_normal_on, neumann_translate, power_subgroup,
-    same_coset, subgroup, trivial_subgroup, whole_group,
+    SubgroupHandle, XPower, same_coset, subgroup, trivial_subgroup, whole_group,
 )
 from nearnormal.words import Word, generator, invert, parse_word
 
@@ -197,6 +197,34 @@ def test_intersect_bs_conjugates():
     assert index_bounded(meet, k, 20) == 2
     assert contains(meet, x ** 3) is True
     assert contains(meet, x) is False
+
+
+def _common_power_by_contains(h, k, bound):
+    """The reference x-power scan: the least a in kh, 2 kh, ... <= bound
+    with ch^-1 x^a ch in k, each candidate built as a word and tested by
+    ``contains``; None when the bound is reached."""
+    kh, ch = h.membership.k, h.membership.conjugator
+    for a in range(kh, bound + 1, kh):
+        if contains(k, invert(ch) * generator(0, a) * ch) is True:
+            return a
+    return None
+
+
+def test_intersect_x_powers_matches_contains_scan():
+    ctx = preset("bs(2,3)")
+    x, y = generator(0), generator(1)
+    # powers of y commute, so two mixed conjugators tell ck ch^-1 from ch^-1 ck
+    conjugators = [y ** e for e in range(-3, 4)] + [y * x * y, invert(y) * x * y ** 2]
+    handles = [conjugate(power_subgroup(ctx, kx), c) for c in conjugators for kx in (1, 2)]
+    for h in handles:
+        for k in handles:
+            if h == k or not (h.membership.conjugator or k.membership.conjugator):
+                continue
+            a = _common_power_by_contains(h, k, 2000)
+            assert a is not None, (h.membership, k.membership)
+            ch = h.membership.conjugator
+            assert intersect(h, k) == SubgroupHandle(
+                ctx, (invert(ch) * generator(0, a) * ch,), None, XPower(a, ch))
 
 
 # --- commensurability --------------------------------------------------------

@@ -6,6 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from nearnormal import thompson
 from nearnormal.suites import SUITES, UnknownSuiteError, report_failures, run_suite
 
 
@@ -84,3 +85,27 @@ def test_report_failures_picks_failing_records():
         {"id": "x/c", "law": "l", "inputs": {}, "outcome": "unknown", "witness": None},
     ]}
     assert [c["id"] for c in report_failures(report)] == ["x/b"]
+
+
+def _thompson_outcomes(monkeypatch, name, fake):
+    monkeypatch.setattr(thompson, name, fake)
+    return {c["id"]: c for c in run_suite("thompson")["checks"]}
+
+
+def test_thompson_suite_fails_the_grid_on_a_failing_identity(monkeypatch):
+    real = thompson.verify_conjugation_identity
+    checks = _thompson_outcomes(monkeypatch, "verify_conjugation_identity",
+                                lambda m, n: (m, n) != (0, 3) and real(m, n))
+    assert checks["thompson/conjugation-grid"]["outcome"] == "fail"
+    assert [c for c in checks.values() if c["outcome"] != "pass"] == [
+        checks["thompson/conjugation-grid"]]
+
+
+def test_thompson_suite_keeps_the_intersection_bound_text(monkeypatch):
+    # a working index bound of 3 certifies no tail subgroup for x0^2
+    real = thompson.am_in_conjugate_intersection
+    checks = _thompson_outcomes(monkeypatch, "am_in_conjugate_intersection",
+                                lambda gs, m_bound: real(gs, m_bound, working_index_bound=3))
+    record = checks["thompson/conjugate-intersection"]
+    assert record["outcome"] == "fail"
+    assert record["witness"] == "no m <= 8 certified within index bound 3"

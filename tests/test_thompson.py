@@ -7,10 +7,11 @@ import pytest
 
 from nearnormal.thompson import (
     BoundExhausted, a_exponents, a_generator, a_membership,
-    am_in_conjugate_intersection, f_equal, f_normal_form, naive_equal,
+    am_in_conjugate_intersection, f_equal, f_normal_form,
     verify_conjugation_identity, verify_shift,
 )
 from nearnormal.words import Word, generator, invert
+from rewriting import naive_equal
 
 
 def test_defining_relations():
