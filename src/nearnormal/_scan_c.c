@@ -2,10 +2,10 @@
 
    Exhaustively enumerates freely reduced words over the signed generators
    x_0..x_max_index up to a length bound, and checks at every node that the
-   normal-form engine's output denotes the same dyadic PL homeomorphism of
-   [0, 1] as the word itself (the Cannon-Floyd-Parry model of F).  The
-   contract is that of _scan_py.thompson_agreement_scan; the report is
-   tagged "compiled".
+   normal-form engine's output is canonical and denotes the same dyadic PL
+   homeomorphism of [0, 1] as the word itself (the Cannon-Floyd-Parry model
+   of F).  The contract is that of _scan_py.thompson_agreement_scan; the
+   report is tagged "compiled".
 
    Arithmetic is exact: coordinates are integer multiples of 2^-EXP held in
    int64, slopes are powers of two, and every shift is checked to drop no
@@ -270,6 +270,32 @@ static void nf_cleanup(NF *f)
     }
 }
 
+/* Indices strictly ascend and exponents are >= 1. */
+static int runs_ascend(int (*runs)[2], int n)
+{
+    int k;
+    for (k = 0; k < n; k++)
+        if (runs[k][1] < 1 || (k && runs[k - 1][0] >= runs[k][0]))
+            return 0;
+    return 1;
+}
+
+/* F's uniqueness conditions, checked without nf_cleanup: both parts ascend
+   and an index in both parts has index + 1 in one of them. */
+static int nf_canonical(NF *f)
+{
+    int k, i;
+    if (!runs_ascend(f->pos, f->np) || !runs_ascend(f->neg, f->nn))
+        return 0;
+    for (k = 0; k < f->np; k++) {
+        i = f->pos[k][0];
+        if (has_index(f->neg, f->nn, i) && !has_index(f->pos, f->np, i + 1)
+            && !has_index(f->neg, f->nn, i + 1))
+            return 0;
+    }
+    return 1;
+}
+
 /* Map of the normal-form word P N^-1, composed letter by letter into the
    two buffers in turn; *out is the one holding the result. */
 static int pl_of_nf(PL buf[2], const NF *f, const PL *gens, int ngen, PL **out)
@@ -314,14 +340,16 @@ static PyObject *pairs_tuple(int (*pairs)[2], int n)
     return t;
 }
 
-/* Check the word of the first `len` letters; record a failure under cap. */
+/* Check the word of the first `len` letters: its normal form must be
+   canonical and denote the word's map.  Record a failure under cap. */
 static int check(Scan *s, int len, int ngen, PyObject *failures, Py_ssize_t cap)
 {
     int letters[MAXLEN][2], k;
     PyObject *item;
     PL *nfmap;
     TRY(pl_of_nf(s->buf, &s->nf[len], s->gens, ngen, &nfmap));
-    if (pl_equal(nfmap, &s->word[len]) || PyList_GET_SIZE(failures) >= cap)
+    if ((nf_canonical(&s->nf[len]) && pl_equal(nfmap, &s->word[len]))
+        || PyList_GET_SIZE(failures) >= cap)
         return OK;
     for (k = 0; k < len; k++) {
         letters[k][0] = s->code[k] >> 1;

@@ -8,17 +8,20 @@ interpolation is a divmod that raises ArithmeticError unless it is exact,
 and a generator whose breakpoints fall off the 2^-E grid raises too, so a
 precision that is too small can never produce a result.
 
-Both sides of each check are built independently from generator maps: the
-word's map by one composition per DFS edge, the normal form P N^-1 from the
-maps of its positive parts P and N, each cached by its runs tuple and built
-one letter at a time from its longest cached prefix.  _plmodel, the
-Fraction model, is the reference the tests hold these maps to.
+The DFS carries each word's normal form beside its map: a child's form is
+its parent's extended by one letter (thompson.f_times), as _scan_c.c keeps
+one form per depth.  Each form is checked twice: it must be canonical (F's
+uniqueness conditions, tested here, not by the engine), and it must denote
+the word's map.  Both sides of the map check are built independently from
+generator maps: the word's map by one composition per DFS edge, the normal
+form P N^-1 from the maps of its positive parts P and N, each cached by its
+runs tuple and built one letter at a time from its longest cached prefix.
+_plmodel, the Fraction model, is the reference the tests hold these maps to.
 """
 
 from __future__ import annotations
 
-from .thompson import f_normal_form
-from .words import Word
+from .thompson import IDENTITY, f_times
 
 
 def _precision(max_len: int, max_index: int) -> int:
@@ -91,6 +94,19 @@ def _part_map(runs: tuple, cache: dict, bits: int) -> tuple:
     return found
 
 
+def _is_normal_form(pos: tuple, neg: tuple) -> bool:
+    """F's uniqueness conditions on the runs P and N of P N^-1: indices
+    strictly ascend in each part, exponents are >= 1, and an index in both
+    parts needs index + 1 in one of them."""
+    for runs in (pos, neg):
+        for k, (index, exp) in enumerate(runs):
+            if exp < 1 or (k and runs[k - 1][0] >= index):
+                return False
+    pi = {i for i, _ in pos}
+    ni = {j for j, _ in neg}
+    return all(i + 1 in pi or i + 1 in ni for i in pi & ni)
+
+
 def thompson_agreement_scan(max_len: int, max_index: int, failure_cap: int = 10) -> dict:
     """Check engine-vs-model agreement on every freely reduced word of
     length <= max_len over indices <= max_index."""
@@ -108,13 +124,13 @@ def thompson_agreement_scan(max_len: int, max_index: int, failure_cap: int = 10)
     failures: list = []
     words = 0
 
-    stack = [((), identity)]
+    stack = [((), identity, IDENTITY)]
     while stack:
-        word, plw = stack.pop()
+        word, plw, nf = stack.pop()
         words += 1
-        nf = f_normal_form(Word(word))
         nx, ny = _part_map(nf.negative, parts, bits)
-        if _compose(_part_map(nf.positive, parts, bits), (ny, nx)) != plw:
+        if (not _is_normal_form(nf.positive, nf.negative)
+                or _compose(_part_map(nf.positive, parts, bits), (ny, nx)) != plw):
             if len(failures) < failure_cap:
                 failures.append((word, (nf.positive, nf.negative)))
         if len(word) < max_len:
@@ -122,6 +138,6 @@ def thompson_agreement_scan(max_len: int, max_index: int, failure_cap: int = 10)
             for l in reversed(letters):
                 if word and word[-1][0] == l[0] and word[-1][1] == -l[1]:
                     continue
-                stack.append((word + (l,), _compose(plw, letter_maps[l])))
+                stack.append((word + (l,), _compose(plw, letter_maps[l]), f_times(nf, (l,))))
 
     return {"words": words, "failures": failures, "backend": "python"}

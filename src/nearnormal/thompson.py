@@ -10,8 +10,14 @@ with i_1 < ... < i_u, j_1 < ... < j_v, all exponents positive, subject to
 the uniqueness condition: whenever index i occurs in both parts, index i+1
 occurs in at least one part.
 
+``f_times(form, letters)`` multiplies a normal form by letters without
+rebuilding a word, one ``_mul_letter`` and one ``_cleanup`` per letter;
+``f_normal_form(w)`` is ``f_times(IDENTITY, w)``, the one normal-form
+algorithm.
+
 The subgroup A is generated by a_n = x_{2n+1} x_{2n}^-1 for n >= 0, and
-A_m by those with n >= m.
+A_m by those with n >= m.  Membership in A peels one generator pair at a
+time off the normal form, by two f_times letters, never rebuilding a word.
 
 ``lemma_report`` checks the pair-generator lemmas at given bounds: the
 conjugation identities, commutation of the a_n, the shift property and A_m
@@ -22,8 +28,9 @@ thompson suite and the acceptance check read its sections.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .words import Word, exponent_sum, generator, invert, parse_word
+from .words import Letter, Word, exponent_sum, generator, invert, parse_word
 
 Run = tuple[int, int]  # (index, exponent >= 1)
 
@@ -137,14 +144,27 @@ def _cleanup(pos: list[list[int]], neg: list[list[int]]) -> None:
         neg[:] = [r for r in neg if r[1] > 0]
 
 
-def f_normal_form(w: Word) -> FNormalForm:
-    """Normal form of a word in the x_i; sound and complete for F."""
-    pos: list[list[int]] = []
-    neg: list[list[int]] = []
-    for index, sign in w:
+IDENTITY = FNormalForm((), ())
+
+
+def f_times(form: FNormalForm, letters: Iterable[Letter]) -> FNormalForm:
+    """Normal form of form * w, for the letters (index, sign) of a word w.
+
+    The form's runs are copied once and extended one letter at a time, each
+    letter followed by _cleanup, so every intermediate state is the normal
+    form of a prefix and the result is that of the whole product.
+    """
+    pos = [list(run) for run in form.positive]
+    neg = [list(run) for run in form.negative]
+    for index, sign in letters:
         _mul_letter(pos, neg, index, sign)
         _cleanup(pos, neg)
-    return FNormalForm(tuple((i, a) for i, a in pos), tuple((j, b) for j, b in neg))
+    return FNormalForm(tuple(map(tuple, pos)), tuple(map(tuple, neg)))
+
+
+def f_normal_form(w: Word) -> FNormalForm:
+    """Normal form of a word in the x_i; sound and complete for F."""
+    return f_times(IDENTITY, w)
 
 
 def f_equal(u: Word, v: Word) -> bool:
@@ -219,6 +239,12 @@ def _peel_candidates(form: FNormalForm) -> list[tuple[int, int]]:
     return out
 
 
+def _peel(form: FNormalForm, n: int, sign: int) -> FNormalForm:
+    """form * a_n^-sign, which removes a factor a_n^sign; a_n = x_{2n+1} x_{2n}^-1."""
+    i = 2 * n
+    return f_times(form, ((i, 1), (i + 1, -1)) if sign == 1 else ((i + 1, 1), (i, -1)))
+
+
 def a_membership(w: Word, index_bound: int):
     """Is w a product of commuting pairs prod a_n^{c_n} with 2n+1 <= index_bound?
 
@@ -233,19 +259,26 @@ def a_membership(w: Word, index_bound: int):
     if form.indices() and max(form.indices()) > index_bound + 1:
         return "unknown"
 
+    # peel's verdict depends only on (form, fuel) within this call
+    memo: dict = {}
+
     def peel(form: FNormalForm, fuel: int):
         if form.is_identity():
             return True
         if fuel <= 0:
             return False
-        for n, sign in _peel_candidates(form):
-            if 2 * n + 1 > index_bound:
-                return "unknown"
-            rest = f_normal_form(form.word() * a_generator(n) ** (-sign))
-            got = peel(rest, fuel - 1)
-            if got is True or got == "unknown":
-                return got
-        return False
+        key = (form, fuel)
+        if key not in memo:
+            got = False
+            for n, sign in _peel_candidates(form):
+                if 2 * n + 1 > index_bound:
+                    got = "unknown"
+                    break
+                got = peel(_peel(form, n, sign), fuel - 1)
+                if got is True or got == "unknown":
+                    break
+            memo[key] = got
+        return memo[key]
 
     weight = sum(a for _, a in form.positive) + sum(b for _, b in form.negative)
     return peel(form, weight + 2)
@@ -267,7 +300,7 @@ def a_exponents(w: Word, index_bound: int) -> dict[int, int] | None:
         if 2 * n + 1 > index_bound:
             return None
         exps[n] = exps.get(n, 0) + sign
-        form = f_normal_form(form.word() * a_generator(n) ** (-sign))
+        form = _peel(form, n, sign)
     return {n: c for n, c in exps.items() if c}
 
 

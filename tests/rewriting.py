@@ -4,9 +4,14 @@ These are the test references for the normal-form engines of Thompson's
 group F (``thompson.f_normal_form``) and of BS(m,n)
 (``baumslag_solitar.britton_reduce``).  Each search is exponential in the
 word length, so they serve small inputs only.
+
+The word-walking A-membership peel is kept here too, as the reference for
+``thompson.a_membership`` and ``thompson.a_exponents``, which extend normal
+forms in place and memoise the peel.
 """
 
-from nearnormal.words import Word
+from nearnormal.thompson import _peel_candidates, a_generator, f_normal_form
+from nearnormal.words import Word, exponent_sum
 
 X, Y = 0, 1
 
@@ -87,6 +92,55 @@ def naive_equal(u: Word, v: Word, index_cap: int | None = None, max_states: int 
                     nxt.append(nb)
         frontier = nxt
     return goal in seen
+
+
+def a_membership_by_words(w: Word, index_bound: int):
+    """thompson.a_membership, each peel step re-normalising the whole word
+    form.word() * a_n^-sign, without a memo."""
+    if exponent_sum(w) != 0:
+        return False
+    form = f_normal_form(w)
+    if form.is_identity():
+        return True
+    if form.indices() and max(form.indices()) > index_bound + 1:
+        return "unknown"
+
+    def peel(form, fuel):
+        if form.is_identity():
+            return True
+        if fuel <= 0:
+            return False
+        for n, sign in _peel_candidates(form):
+            if 2 * n + 1 > index_bound:
+                return "unknown"
+            rest = f_normal_form(form.word() * a_generator(n) ** (-sign))
+            got = peel(rest, fuel - 1)
+            if got is True or got == "unknown":
+                return got
+        return False
+
+    weight = sum(a for _, a in form.positive) + sum(b for _, b in form.negative)
+    return peel(form, weight + 2)
+
+
+def a_exponents_by_words(w: Word, index_bound: int):
+    """thompson.a_exponents, each peel step re-normalising the whole word."""
+    exps: dict[int, int] = {}
+    form = f_normal_form(w)
+    fuel = sum(a for _, a in form.positive) + sum(b for _, b in form.negative) + 2
+    while not form.is_identity():
+        fuel -= 1
+        if fuel < 0:
+            return None
+        cands = _peel_candidates(form)
+        if not cands:
+            return None
+        n, sign = cands[0]
+        if 2 * n + 1 > index_bound:
+            return None
+        exps[n] = exps.get(n, 0) + sign
+        form = f_normal_form(form.word() * a_generator(n) ** (-sign))
+    return {n: c for n, c in exps.items() if c}
 
 
 # -- BS(m,n) ------------------------------------------------------------------

@@ -52,6 +52,28 @@ def test_python_backend_reports_a_broken_engine(monkeypatch):
     assert all(any(i == 1 for i, _ in word) for word, _ in report["failures"])
 
 
+def test_python_backend_reports_non_canonical_forms(monkeypatch):
+    # negative control: without _cleanup every form still denotes the word's
+    # map, so only the canonicity check can report the broken engine
+    monkeypatch.setattr(thompson, "_cleanup", lambda pos, neg: None)
+    report = scan_py(4, 2)
+    assert report["words"] == reduced_word_count(4, 2)
+    assert len(report["failures"]) == 10
+    for _, (pos, neg) in report["failures"]:
+        both = {i for i, _ in pos} & {j for j, _ in neg}
+        indices = {i for i, _ in pos + neg}
+        assert any(i + 1 not in indices for i in both)
+
+
+def test_normal_form_conditions():
+    assert _scan_py._is_normal_form(((0, 2), (3, 1)), ((1, 1),))
+    assert _scan_py._is_normal_form(((0, 1), (1, 1)), ((0, 1),))
+    assert not _scan_py._is_normal_form(((0, 1),), ((0, 1),))
+    assert not _scan_py._is_normal_form(((3, 1), (1, 1)), ())
+    assert not _scan_py._is_normal_form(((1, 1), (1, 1)), ())
+    assert not _scan_py._is_normal_form((), ((2, 0),))
+
+
 def test_python_backend_rejects_negative_sizes():
     for max_len, max_index in ((-1, 2), (2, -1)):
         with pytest.raises(ValueError):

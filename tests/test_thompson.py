@@ -4,14 +4,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nearnormal import thompson
 from nearnormal.thompson import (
-    BoundExhausted, a_exponents, a_generator, a_membership,
-    am_in_conjugate_intersection, f_equal, f_normal_form,
+    IDENTITY, SHIFT_WORDS, BoundExhausted, a_exponents, a_generator, a_membership,
+    am_in_conjugate_intersection, f_equal, f_normal_form, f_times,
     verify_conjugation_identity, verify_shift,
 )
-from nearnormal.words import Word, generator, invert
-from rewriting import naive_equal
+from nearnormal.words import Word, exponent_sum, generator, invert, parse_word
+from rewriting import a_exponents_by_words, a_membership_by_words, naive_equal
 
 
 def test_defining_relations():
@@ -62,6 +65,19 @@ def test_naive_oracle_agrees_on_random_pairs():
         v = random_word(rng, 2, 4)
         got = naive_equal(u, v)
         assert got == f_equal(u, v)
+
+
+_letters = st.lists(st.tuples(st.integers(0, 6), st.sampled_from((1, -1))), max_size=8)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(u=_letters, v=_letters, cancel=st.integers(0, 8))
+def test_f_times_extends_a_normal_form(u, v, cancel):
+    # v starts by cancelling up to `cancel` letters of u's tail; f_times
+    # takes v's letters as given, unreduced against u
+    v = [(i, -s) for i, s in reversed(u[len(u) - cancel:])] + v
+    assert f_times(f_normal_form(Word(u)), v) == f_normal_form(Word(u + v))
+    assert f_times(IDENTITY, u) == f_normal_form(Word(u))
 
 
 def test_a_generator_letters():
@@ -153,3 +169,45 @@ def test_conjugate_intersection_bound_exhausted():
     # a working index bound too small to certify anything
     with pytest.raises(BoundExhausted):
         am_in_conjugate_intersection([generator(0, 4)], m_bound=0, working_index_bound=3)
+
+
+def test_a_membership_matches_the_word_peel():
+    # the reference re-normalises whole words at each step and has no memo
+    cases = [(parse_word(text), n) for text in SHIFT_WORDS for n in range(20)]
+    conjugates = [g * a_generator(n) * invert(g) for g, n in cases]
+    rng = random.Random(17)
+    balanced = []
+    while len(balanced) < 200:
+        w = random_word(rng, 5, rng.randrange(1, 9))
+        if rng.random() < 0.5:
+            # likely members: a product of pair generators, conjugated
+            g = random_word(rng, 3, rng.randrange(3))
+            a = Word(())
+            for _ in range(rng.randrange(1, 4)):
+                a = a * a_generator(rng.randrange(4)) ** rng.choice((1, -1))
+            w = g * a * invert(g)
+        if exponent_sum(w) == 0:
+            balanced.append(w)
+    verdicts = []
+    for w in conjugates + balanced:
+        for bound in (3, 6, 80):
+            got = a_membership(w, bound)
+            assert got == a_membership_by_words(w, bound), (w, bound)
+            assert a_exponents(w, bound) == a_exponents_by_words(w, bound), (w, bound)
+            verdicts.append(got)
+    assert {True, False, "unknown"} <= set(verdicts)
+
+
+def test_a_membership_extends_forms_in_place(monkeypatch):
+    # the word-walking reference peel makes 19,422 _mul_letter calls here
+    calls = []
+    mul_letter = thompson._mul_letter
+
+    def counted(*args):
+        calls.append(args)
+        mul_letter(*args)
+
+    monkeypatch.setattr(thompson, "_mul_letter", counted)
+    g = parse_word("x0^2 x1^-2")
+    a_membership(g * a_generator(0) * invert(g), 80)
+    assert len(calls) <= 200
