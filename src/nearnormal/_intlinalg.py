@@ -6,6 +6,8 @@ All routines are exact and sized for small matrices (rank a handful).
 
 from __future__ import annotations
 
+from math import prod
+
 
 def hnf_with_transform(rows, n: int):
     """Row-style Hermite form.  Returns (H, kernel) with H canonical echelon
@@ -63,15 +65,23 @@ def _pivot_col(row) -> int:
     raise ValueError("zero row in echelon form")
 
 
-def lattice_residue(hnf, vec):
-    """Canonical representative of vec modulo the lattice (floor reduction)."""
+def _floor_walk(hnf, vec):
+    """Floor-reduce vec down the HNF pivots: (quotients, residue).  vec is in
+    the lattice, with the quotients as coordinates, iff the residue is 0."""
     v = list(vec)
+    quotients = []
     for row in hnf:
         p = _pivot_col(row)
         q = v[p] // row[p]
         if q:
             v = [a - q * b for a, b in zip(v, row)]
-    return tuple(v)
+        quotients.append(q)
+    return quotients, tuple(v)
+
+
+def lattice_residue(hnf, vec):
+    """Canonical representative of vec modulo the lattice (floor reduction)."""
+    return _floor_walk(hnf, vec)[1]
 
 
 def lattice_contains(hnf, vec) -> bool:
@@ -96,46 +106,16 @@ def lattice_intersect(rows_a, rows_b, n: int):
 
 def coords_in(hnf, vec):
     """Coefficients expressing vec over the HNF basis, or None if outside."""
-    v = list(vec)
-    coords = []
-    for row in hnf:
-        p = _pivot_col(row)
-        if v[p] % row[p]:
-            return None
-        q = v[p] // row[p]
-        coords.append(q)
-        v = [a - q * b for a, b in zip(v, row)]
-    return coords if not any(v) else None
-
-
-def integer_det(mat) -> int:
-    """Fraction-free (Bareiss) determinant of a small square integer matrix."""
-    m = [list(r) for r in mat]
-    size = len(m)
-    if size == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, size):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
+    coords, residue = _floor_walk(hnf, vec)
+    return None if any(residue) else coords
 
 
 def lattice_index(sub_rows, amb_rows, n: int):
     """Index of the sub-lattice in the ambient lattice; None when infinite.
 
-    Requires sub subset-of ambient (coords_in certifies while computing)."""
+    Requires sub subset-of ambient (coords_in certifies while computing).  The
+    index is the product of the Hermite pivots of sub's square coordinate
+    matrix over ambient's basis; a missing pivot means infinite index."""
     sub = hermite_normal_form(sub_rows, n)
     amb = hermite_normal_form(amb_rows, n)
     if len(sub) < len(amb):
@@ -146,10 +126,10 @@ def lattice_index(sub_rows, amb_rows, n: int):
         if coords is None:
             raise ValueError("sub-lattice vector outside the ambient lattice")
         coeff_rows.append(coords)
-    det = integer_det(coeff_rows)
-    if det == 0:
+    square = hermite_normal_form(coeff_rows, len(amb))
+    if len(square) < len(amb):
         return None
-    return abs(det)
+    return prod(row[i] for i, row in enumerate(square))
 
 
 def smith_diagonal(rows, n: int):

@@ -37,6 +37,7 @@
 #define MAXLEN 12
 #define MAXPTS 96
 #define MAXRUNS 32
+#define FAILURE_CAP 10  /* failures listed in the report */
 
 enum { OK, INEXACT, OVERFLOW, PYERR };
 
@@ -341,15 +342,15 @@ static PyObject *pairs_tuple(int (*pairs)[2], int n)
 }
 
 /* Check the word of the first `len` letters: its normal form must be
-   canonical and denote the word's map.  Record a failure under cap. */
-static int check(Scan *s, int len, int ngen, PyObject *failures, Py_ssize_t cap)
+   canonical and denote the word's map.  Record a failure under FAILURE_CAP. */
+static int check(Scan *s, int len, int ngen, PyObject *failures)
 {
     int letters[MAXLEN][2], k;
     PyObject *item;
     PL *nfmap;
     TRY(pl_of_nf(s->buf, &s->nf[len], s->gens, ngen, &nfmap));
     if ((nf_canonical(&s->nf[len]) && pl_equal(nfmap, &s->word[len]))
-        || PyList_GET_SIZE(failures) >= cap)
+        || PyList_GET_SIZE(failures) >= FAILURE_CAP)
         return OK;
     for (k = 0; k < len; k++) {
         letters[k][0] = s->code[k] >> 1;
@@ -366,7 +367,7 @@ static int check(Scan *s, int len, int ngen, PyObject *failures, Py_ssize_t cap)
 }
 
 static int run_scan(Scan *s, int max_len, int max_index, PyObject *failures,
-                    Py_ssize_t cap, long long *words)
+                    long long *words)
 {
     int ngen = max_index + max_len + 3, nletters = 2 * (max_index + 1);
     int depth = 0, n, c;
@@ -378,7 +379,7 @@ static int run_scan(Scan *s, int max_len, int max_index, PyObject *failures,
     s->nf[0].np = s->nf[0].nn = 0;
     s->code[0] = -1;
     *words = 1;
-    TRY(check(s, 0, ngen, failures, cap));
+    TRY(check(s, 0, ngen, failures));
     while (depth >= 0) {
         c = ++s->code[depth];
         if (c >= nletters || depth >= max_len) {
@@ -393,7 +394,7 @@ static int run_scan(Scan *s, int max_len, int max_index, PyObject *failures,
         nf_cleanup(&s->nf[depth + 1]);
         if ((++*words & 0xFFFFF) == 0 && PyErr_CheckSignals())
             return PYERR;
-        TRY(check(s, depth + 1, ngen, failures, cap));
+        TRY(check(s, depth + 1, ngen, failures));
         s->code[++depth] = -1;
     }
     return OK;
@@ -401,14 +402,14 @@ static int run_scan(Scan *s, int max_len, int max_index, PyObject *failures,
 
 static PyObject *thompson_agreement_scan(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"max_len", "max_index", "failure_cap", NULL};
-    int max_len, max_index, failure_cap = 10, rc;
+    static char *kwlist[] = {"max_len", "max_index", NULL};
+    int max_len, max_index, rc;
     long long words = 0;
     PyObject *failures;
     Scan *s;
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "ii|i:thompson_agreement_scan",
-                                     kwlist, &max_len, &max_index, &failure_cap))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "ii:thompson_agreement_scan",
+                                     kwlist, &max_len, &max_index))
         return NULL;
     if (max_len < 0 || max_index < 0)
         return PyErr_Format(PyExc_ValueError, "max_len and max_index must be non-negative");
@@ -426,7 +427,7 @@ static PyObject *thompson_agreement_scan(PyObject *self, PyObject *args, PyObjec
         Py_DECREF(failures);
         return PyErr_NoMemory();
     }
-    rc = run_scan(s, max_len, max_index, failures, failure_cap, &words);
+    rc = run_scan(s, max_len, max_index, failures, &words);
     PyMem_Free(s);
     if (rc == INEXACT)
         PyErr_SetString(PyExc_ArithmeticError,
@@ -445,7 +446,7 @@ static PyObject *thompson_agreement_scan(PyObject *self, PyObject *args, PyObjec
 static PyMethodDef methods[] = {
     {"thompson_agreement_scan", (PyCFunction)(void (*)(void))thompson_agreement_scan,
      METH_VARARGS | METH_KEYWORDS,
-     "thompson_agreement_scan(max_len, max_index, failure_cap=10)\n--\n\n"
+     "thompson_agreement_scan(max_len, max_index)\n--\n\n"
      "Check engine-vs-model agreement on every freely reduced word of\n"
      "length <= max_len over indices <= max_index."},
     {NULL, NULL, 0, NULL},

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from .thompson import IDENTITY, f_times
 
+FAILURE_CAP = 10  # failures listed in the report
+
 
 def _precision(max_len: int, max_index: int) -> int:
     """Bits E for the scan.  A correct engine needs max_index + max_len + 1.
@@ -107,7 +109,7 @@ def _is_normal_form(pos: tuple, neg: tuple) -> bool:
     return all(i + 1 in pi or i + 1 in ni for i in pi & ni)
 
 
-def thompson_agreement_scan(max_len: int, max_index: int, failure_cap: int = 10) -> dict:
+def thompson_agreement_scan(max_len: int, max_index: int) -> dict:
     """Check engine-vs-model agreement on every freely reduced word of
     length <= max_len over indices <= max_index."""
     if max_len < 0 or max_index < 0:
@@ -131,7 +133,7 @@ def thompson_agreement_scan(max_len: int, max_index: int, failure_cap: int = 10)
         nx, ny = _part_map(nf.negative, parts, bits)
         if (not _is_normal_form(nf.positive, nf.negative)
                 or _compose(_part_map(nf.positive, parts, bits), (ny, nx)) != plw):
-            if len(failures) < failure_cap:
+            if len(failures) < FAILURE_CAP:
                 failures.append((word, (nf.positive, nf.negative)))
         if len(word) < max_len:
             # push in reverse so letters pop in ascending code order

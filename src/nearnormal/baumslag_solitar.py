@@ -1,4 +1,4 @@
-"""BS(m,n) Britton normal forms, specialized to the BS(2,3) fixture.
+"""BS(m,n) Britton normal forms; (m, n) = (2, 3) is only the default.
 
 Generators x (index 0) and y (index 1) with the single relation
 y^-1 x^m y = x^n.  Words reduce to a canonical pinch-free form
@@ -10,6 +10,9 @@ x^r y x^{(n/m)(a-r)} with r = a mod m, and x^a y^-1 as x^r y^-1 x^{(m/n)(a-r)}
 with r = a mod n.  A pinch (zero remainder against an opposite stable pair)
 cancels the pair and cascades.  Interior exponents are therefore reduced
 residues, so equal elements have identical forms.
+
+``least_power`` is the one scan for the least t with w x^t w^-1 in <x^k>:
+power conjugation, the family check and subgroups' x-power intersection.
 """
 
 from __future__ import annotations
@@ -91,10 +94,6 @@ class _Reducer:
             else:
                 raise ValueError(f"BS words use generators x0 (x) and x1 (y); got index {index}")
 
-    def in_x_power(self, a: int) -> bool:
-        """The element pushed so far lies in <x^a>."""
-        return not self.tail and self.head % a == 0
-
     def form(self) -> BrittonForm:
         return BrittonForm(self.head, tuple((e, a) for e, a in self.tail), self.m, self.n)
 
@@ -106,47 +105,37 @@ def britton_reduce(w: Word, m: int = 2, n: int = 3) -> BrittonForm:
     return red.form()
 
 
-def bs_is_trivial(w: Word, m: int = 2, n: int = 3) -> bool:
-    return britton_reduce(w, m, n).is_trivial()
-
-
 def power_of_x_in(w: Word, k: int, m: int = 2, n: int = 3) -> bool:
     """Membership of w in <x^k>: the form is x^a with k | a."""
     form = britton_reduce(w, m, n)
     return form.is_power_of_x() and form.head % k == 0
 
 
-def power_conjugate(g: Word, a_bound: int, m: int = 2, n: int = 3):
-    """Least positive a <= a_bound with g^-1 x^a g = x^b; (a, b) or None."""
-    giv = invert(g)
-    for a in range(1, a_bound + 1):
-        form = britton_reduce(giv * generator(X, a) * g, m, n)
-        if form.is_power_of_x():
-            return (a, form.head)
-    return None
+def least_power(w: Word, k: int, bound: int, m: int = 2, n: int = 3,
+                step: int = 1) -> int | None:
+    """Least t in step, 2 step, ... <= bound with w x^t w^-1 in <x^k>, or None.
 
-
-def _conjugate_in_x_power(w: Word, wi: Word, t: int, a: int, m: int, n: int) -> bool:
-    """w x^t w^-1 in <x^a>, with wi = w^-1: the reducer takes w, then x^t as
-    one syllable, then w^-1, so no product word is built or freely reduced."""
-    red = _Reducer(m, n)
-    red.feed(w.letters)
-    red.push_x(t)
-    red.feed(wi.letters)
-    return red.in_x_power(a)
-
-
-def _least_power_in_conjugate(w: Word, a: int, t_bound: int, m: int, n: int) -> int | None:
-    """Least t >= 1 with x^t in <x^a>^w, i.e. w x^t w^-1 a power x^(a l)."""
+    The reducer takes w, then x^t as one syllable, then w^-1, so no product
+    word is built or freely reduced.
+    """
     wi = invert(w)
-    for t in range(1, t_bound + 1):
-        if _conjugate_in_x_power(w, wi, t, a, m, n):
+    for t in range(step, bound + 1, step):
+        red = _Reducer(m, n)
+        red.feed(w.letters)
+        red.push_x(t)
+        red.feed(wi.letters)
+        if not red.tail and red.head % k == 0:
             return t
     return None
 
 
-def _verify_power_in_conjugate(w: Word, a: int, e: int, m: int, n: int) -> bool:
-    return _conjugate_in_x_power(w, invert(w), e, a, m, n)
+def power_conjugate(g: Word, a_bound: int, m: int = 2, n: int = 3):
+    """Least positive a <= a_bound with g^-1 x^a g = x^b; (a, b) or None."""
+    giv = invert(g)
+    a = least_power(giv, 1, a_bound, m, n)
+    if a is None:
+        return None
+    return (a, britton_reduce(giv * generator(X, a) * g, m, n).head)
 
 
 def conjugator_words(conjugators: list[Word], conj_len: int, m: int = 2,
@@ -198,7 +187,7 @@ def family_axiom_check(conjugators: list[Word], a_bound: int, conj_len: int = 1,
     for a, w in nodes:
         for c in conjugators:
             wc = w * c
-            j = _least_power_in_conjugate(wc, a, t_bound, m, n)
+            j = least_power(wc, a, t_bound, m, n)
             entry = {
                 "power": a,
                 "conjugator_len": len(wc),
@@ -209,7 +198,7 @@ def family_axiom_check(conjugators: list[Word], a_bound: int, conj_len: int = 1,
                 closure_pass = False
             closure.append(entry)
 
-    least = [_least_power_in_conjugate(w, a, t_bound, m, n) for a, w in nodes]
+    least = [least_power(w, a, t_bound, m, n) for a, w in nodes]
     directed = []
     directed_pass = True
     for idx1 in range(len(nodes)):
@@ -222,10 +211,9 @@ def family_axiom_check(conjugators: list[Word], a_bound: int, conj_len: int = 1,
                 directed.append({"pair": (idx1, idx2), "witness": None})
                 continue
             e = t1 * t2 // gcd(t1, t2)
-            ok = (
-                _verify_power_in_conjugate(w1, a1, e, m, n)
-                and _verify_power_in_conjugate(w2, a2, e, m, n)
-            )
+            # a scan with step e and bound e tries t = e alone
+            ok = (least_power(w1, a1, e, m, n, step=e) == e
+                  and least_power(w2, a2, e, m, n, step=e) == e)
             if not ok:
                 directed_pass = False
             directed.append({"pair": (idx1, idx2), "witness": e if ok else None})

@@ -129,8 +129,8 @@ def multiply(tc: TruncatedCompletion, f: CompletionElement,
 def invert_stable(tc: TruncatedCompletion, f: CompletionElement) -> CompletionElement:
     """Inversion over a stable family: per node H, with x a representative of
     f(H), pick a node K <= H meet H^f normal in H^f, take t representing the
-    value at K^(x^-1), and set the H-value to the coset of t^-1.  Nodes K are
-    tried in increasing index order."""
+    value at K^(x^-1), and set the H-value to the coset of t^-1.  K is the
+    candidate with the fewest cosets, ties going to the lower node number."""
     fam = tc.fam
     stab = fam.stability
     if not stab["stable"]:

@@ -224,13 +224,12 @@ def element_ball(ctx, gens, radius: int):
     return [e for e, _ in _element_layers(ctx, gens, radius)]
 
 
-def claim3_check(predicate, ball: CosetGraphBall, gens=None) -> dict:
+def claim3_check(predicate, ball: CosetGraphBall) -> dict:
     """For an element-level predicate B with B = BL: computes the vertex set
-    Y = (union over x of (B + Bx^-1) and (B + Bx)) L inside the ball, checks
-    every boundary edge of B has both endpoints in Y, and reports the
-    boundary-edge count per radius."""
-    gens = ball.gens if gens is None else tuple(gens)
-    elements = element_ball(ball.ctx, gens, ball.radius)
+    Y = (union over the ball's generators x of (B + Bx^-1) and (B + Bx)) L
+    inside the ball, checks every boundary edge of B has both endpoints in Y,
+    and reports the boundary-edge count per radius."""
+    elements = element_ball(ball.ctx, ball.gens, ball.radius)
     for e in elements:
         vi = ball.vertex_index(e)
         if vi is not None and predicate(e) != predicate(ball.vertices[vi]):
@@ -239,7 +238,7 @@ def claim3_check(predicate, ball: CosetGraphBall, gens=None) -> dict:
     y_indices = set()
     for e in elements:
         if any(predicate(e) != predicate(e * x) or predicate(e) != predicate(e * invert(x))
-               for x in gens):
+               for x in ball.gens):
             vi = ball.vertex_index(e)
             if vi is not None:
                 y_indices.add(vi)

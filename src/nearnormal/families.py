@@ -196,7 +196,8 @@ def parse_nodes(ctx: GroupContext, text: str) -> list:
 
 
 # The built-in completion families, (group preset, family name) -> node text.
-# The CLI's --family, the completion suite and the acceptance tests read them.
+# The CLI's --family, the families and completion suites and the acceptance
+# tests read them.
 NAMED_FAMILIES = {
     ("sym3", "normal-order3"): "a b; a,b",
     ("sym3", "all-subgroups"): "-; a; b; a b a; a b; a,b",

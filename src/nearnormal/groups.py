@@ -306,9 +306,9 @@ def _validate_table(table: CosetTable, subgroup_gens: list[Word], relators: tupl
 
 
 @lru_cache(maxsize=None)
-def regular_table(ctx: GroupContext, limit: int | None = None) -> CosetTable | Incomplete:
+def regular_table(ctx: GroupContext) -> CosetTable | Incomplete:
     """Coset table of the trivial subgroup (the regular representation)."""
-    return todd_coxeter(ctx, [], ctx.table_limit if limit is None else limit)
+    return todd_coxeter(ctx, [], ctx.table_limit)
 
 
 def group_elements(ctx: GroupContext) -> tuple[Word, ...]:
@@ -323,18 +323,9 @@ def is_trivial(ctx: GroupContext, w: Word):
     """True / False / "unknown" (only coset-table enumeration can be inconclusive)."""
     if not w:
         return True
-    if ctx.oracle == "coset-table":
-        table = regular_table(ctx)
-        if isinstance(table, Incomplete):
-            return "unknown"
-        return table.coset_of(w) == 0
-    if ctx.oracle == "britton":
-        return bs.bs_is_trivial(w, *ctx.bs_params)
-    if ctx.oracle == "thompson-normal-form":
-        return thompson.f_normal_form(w).is_identity()
-    if ctx.oracle == "free-abelian":
-        return not any(exponent_vector(w, ctx.generator_count))
-    return not w.letters
+    if ctx.oracle == "coset-table" and isinstance(regular_table(ctx), Incomplete):
+        return "unknown"
+    return element_key(ctx, w) == element_key(ctx, Word(()))
 
 
 def element_key(ctx: GroupContext, w: Word):

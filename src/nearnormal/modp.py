@@ -143,23 +143,12 @@ def solve_linear_combination(basis, vec, p: int):
 
 
 def mat_inverse(m, p: int):
-    """Inverse over F_p, or None when singular."""
+    """Inverse over F_p, the right half of rref([M | I]); None when singular."""
     n = len(m)
-    aug = [list(vec_mod(m[i], p)) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, n) if aug[i][col]), None)
-        if piv is None:
-            return None
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][col], p - 2, p)
-        aug[r] = [(a * inv) % p for a in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [(a - c * b) % p for a, b in zip(aug[i], aug[r])]
-        r += 1
-    return tuple(tuple(row[n:]) for row in aug)
+    red, pivots = rref([tuple(row) + e for row, e in zip(m, identity_matrix(n))], p)
+    if pivots != tuple(range(n)):
+        return None
+    return tuple(row[n:] for row in red)
 
 
 def fixed_space(mats, p: int, dim: int | None = None):

@@ -301,12 +301,9 @@ class AM(Oracle):
         if not w:
             return True
         index_bound = max(i for i, _ in w.letters) + len(w.letters) + 4
-        verdict = thompson.a_membership(w, index_bound=index_bound)
-        if verdict is not True:
-            return verdict
         exps = thompson.a_exponents(w, index_bound=index_bound)
-        if exps is None:
-            return "unknown"
+        if not isinstance(exps, dict):
+            return exps
         return all(n >= self.m for n in exps)
 
 
@@ -394,10 +391,10 @@ def am_subgroup(ctx, m: int) -> SubgroupHandle:
     return SubgroupHandle(ctx, gens, None, AM(m))
 
 
-def finite_subgroup(ctx, gens, limit: int | None = None) -> SubgroupHandle:
+def finite_subgroup(ctx, gens) -> SubgroupHandle:
     """Handle with an attached coset table (finite index established or raise)."""
     gens = tuple(gens)
-    table = groups.todd_coxeter(ctx, list(gens), ctx.table_limit if limit is None else limit)
+    table = groups.todd_coxeter(ctx, list(gens), ctx.table_limit)
     if isinstance(table, groups.Incomplete):
         raise ValueError(f"coset enumeration incomplete at {table.limit} live cosets")
     return SubgroupHandle(ctx, gens, table, Table())
@@ -582,15 +579,13 @@ def _intersect_x_powers(h: SubgroupHandle, k: SubgroupHandle) -> SubgroupHandle:
     kk, ck = k.membership.k, k.membership.conjugator
     if not ch and not ck:
         return power_subgroup(h.ctx, lcm(kh, kk))
-    # ch^-1 x^a ch (in h by construction) lies in k iff w x^a w^-1 is a
-    # power of x^kk, w = ck ch^-1; the reducer pushes x^a as one syllable.
-    w, wi = ck * invert(ch), ch * invert(ck)
-    for a in range(kh, _CYCLIC_SCAN_BOUND + 1, kh):
-        if bs._conjugate_in_x_power(w, wi, a, kk, *h.ctx.bs_params):
-            return SubgroupHandle(h.ctx, (invert(ch) * generator(0, a) * ch,), None,
-                                  XPower(a, ch))
-    raise UnsupportedOraclePair(
-        f"no common power found within the scan bound {_CYCLIC_SCAN_BOUND}")
+    # ch^-1 x^a ch (in h when kh | a) lies in k iff w x^a w^-1 is a power
+    # of x^kk, w = ck ch^-1.
+    a = bs.least_power(ck * invert(ch), kk, _CYCLIC_SCAN_BOUND, *h.ctx.bs_params, step=kh)
+    if a is None:
+        raise UnsupportedOraclePair(
+            f"no common power found within the scan bound {_CYCLIC_SCAN_BOUND}")
+    return SubgroupHandle(h.ctx, (invert(ch) * generator(0, a) * ch,), None, XPower(a, ch))
 
 
 def _intersect_free_cyclic(h: SubgroupHandle, k: SubgroupHandle) -> SubgroupHandle:

@@ -158,16 +158,12 @@ def suite_subgroups(seed: int) -> list:
     return out
 
 
-def _sym3_lattice(ctx):
-    a, b = generator(0), generator(1)
-    return families.truncation(ctx, [[], [a], [b], [a * b * a], [a * b], [a, b]])
-
-
 def suite_families(seed: int) -> list:
     out = []
     ctx = groups.preset("sym3")
     a, b = generator(0), generator(1)
-    fam = _sym3_lattice(ctx)
+    fam = families.truncation(ctx, families.parse_nodes(
+        ctx, families.NAMED_FAMILIES["sym3", "all-subgroups"]))
     adm = families.check_admissible(fam)
     _check(out, "families/sym3-lattice-admissible", "full subgroup lattice is conjugation closed and directed",
            {"group": "sym3", "nodes": len(fam.nodes)},
@@ -181,7 +177,8 @@ def suite_families(seed: int) -> list:
            {"group": "sym3", "nodes": len(fam2.nodes)},
            adm2["conjugation_closed"] and not adm2["downward_directed"],
            adm2["violations"][:1] or None)
-    fam3 = families.truncation(ctx, [[a * b], [a, b]])
+    fam3 = families.truncation(ctx, families.parse_nodes(
+        ctx, families.NAMED_FAMILIES["sym3", "normal-order3"]))
     reg = families.regular_module(ctx)
     basis = families.h0_S(reg, fam3)
     _check(out, "families/h0s-regular-dim", "fixed space of the bottom node has dimension 2",
@@ -249,8 +246,8 @@ def suite_completion(seed: int) -> list:
                   "invertible": report["invertible"],
                   "non_invertible": len(report["non_invertible_witnesses"])})
     c4 = groups.preset("cyclic(4)")
-    t = generator(0)
-    fam_c4 = families.truncation(c4, [[t * t], [t]])
+    fam_c4 = families.truncation(c4, families.parse_nodes(
+        c4, families.NAMED_FAMILIES["cyclic(4)", "index2"]))
     agree = completion.profinite_compare(completion.truncated_completion(fam_c4))
     _check(out, "completion/profinite-cyclic4", "normal truncation agrees with the inverse limit of quotients",
            {"fixture": "cyclic4/index2"}, agree)

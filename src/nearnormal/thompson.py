@@ -16,7 +16,8 @@ rebuilding a word, one ``_mul_letter`` and one ``_cleanup`` per letter;
 algorithm.
 
 The subgroup A is generated by a_n = x_{2n+1} x_{2n}^-1 for n >= 0, and
-A_m by those with n >= m.  Membership in A peels one generator pair at a
+A_m by those with n >= m.  ``a_exponents`` decides membership in A and
+reads the exponents in one memoised peel: it takes one generator pair at a
 time off the normal form, by two f_times letters, never rebuilding a word.
 
 ``lemma_report`` checks the pair-generator lemmas at given bounds: the
@@ -28,6 +29,7 @@ thompson suite and the acceptance check read its sections.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .words import Letter, Word, exponent_sum, generator, invert, parse_word
@@ -245,62 +247,46 @@ def _peel(form: FNormalForm, n: int, sign: int) -> FNormalForm:
     return f_times(form, ((i, 1), (i + 1, -1)) if sign == 1 else ((i + 1, 1), (i, -1)))
 
 
-def a_membership(w: Word, index_bound: int):
-    """Is w a product of commuting pairs prod a_n^{c_n} with 2n+1 <= index_bound?
+def a_exponents(w: Word, index_bound: int):
+    """Exponents {n: c_n} with w = prod a_n^{c_n} and 2n+1 <= index_bound.
 
-    Greedy peel on normal forms, verified by reaching the identity; returns
-    True, False, or "unknown" when the form involves indices past the bound.
+    Peels the smallest-index generator pair off the normal form until the
+    identity is reached, trying both signs when that index lies in both
+    parts.  Returns the dict (in peel order), False when w is not in A, or
+    "unknown" when the form involves indices past the bound.
     """
     if exponent_sum(w) != 0:
         return False
     form = f_normal_form(w)
-    if form.is_identity():
-        return True
     if form.indices() and max(form.indices()) > index_bound + 1:
         return "unknown"
 
-    # peel's verdict depends only on (form, fuel) within this call
-    memo: dict = {}
-
+    # peel's verdict depends only on (form, fuel) within this call, so its
+    # cache lives as long as the call; a success is the tuple of (n, sign)
+    # factors peeled on the way
+    @lru_cache(maxsize=None)
     def peel(form: FNormalForm, fuel: int):
         if form.is_identity():
-            return True
+            return ()
         if fuel <= 0:
             return False
-        key = (form, fuel)
-        if key not in memo:
-            got = False
-            for n, sign in _peel_candidates(form):
-                if 2 * n + 1 > index_bound:
-                    got = "unknown"
-                    break
-                got = peel(_peel(form, n, sign), fuel - 1)
-                if got is True or got == "unknown":
-                    break
-            memo[key] = got
-        return memo[key]
+        for n, sign in _peel_candidates(form):
+            if 2 * n + 1 > index_bound:
+                return "unknown"
+            rest = peel(_peel(form, n, sign), fuel - 1)
+            if rest == "unknown":
+                return rest
+            if rest is not False:
+                return ((n, sign),) + rest
+        return False
 
     weight = sum(a for _, a in form.positive) + sum(b for _, b in form.negative)
-    return peel(form, weight + 2)
-
-
-def a_exponents(w: Word, index_bound: int) -> dict[int, int] | None:
-    """Exponent dictionary {n: c_n} when w is in A, else None."""
+    steps = peel(form, weight + 2)
+    if not isinstance(steps, tuple):
+        return steps
     exps: dict[int, int] = {}
-    form = f_normal_form(w)
-    fuel = sum(a for _, a in form.positive) + sum(b for _, b in form.negative) + 2
-    while not form.is_identity():
-        fuel -= 1
-        if fuel < 0:
-            return None
-        cands = _peel_candidates(form)
-        if not cands:
-            return None
-        n, sign = cands[0]
-        if 2 * n + 1 > index_bound:
-            return None
+    for n, sign in steps:
         exps[n] = exps.get(n, 0) + sign
-        form = _peel(form, n, sign)
     return {n: c for n, c in exps.items() if c}
 
 
@@ -319,15 +305,10 @@ def am_in_conjugate_intersection(gs: list[Word], m_bound: int, working_index_bou
     shifts = {}
     for g in gs:
         shifts[g] = verify_shift(invert(g), range(0, working_index_bound))
-    passes = []
-    for n in range(0, top + 1):
-        ok = True
-        for g in gs:
-            conj = g * a_generator(n) * invert(g)
-            if a_membership(conj, 2 * working_index_bound) is not True:
-                ok = False
-                break
-        passes.append(ok)
+    bound = 2 * working_index_bound
+    passes = [all(isinstance(a_exponents(g * a_generator(n) * invert(g), bound), dict)
+                  for g in gs)
+              for n in range(top + 1)]
     m = None
     for cand in range(0, min(m_bound, top) + 1):
         if all(passes[cand:]):

@@ -5,9 +5,10 @@ group F (``thompson.f_normal_form``) and of BS(m,n)
 (``baumslag_solitar.britton_reduce``).  Each search is exponential in the
 word length, so they serve small inputs only.
 
-The word-walking A-membership peel is kept here too, as the reference for
-``thompson.a_membership`` and ``thompson.a_exponents``, which extend normal
-forms in place and memoise the peel.
+Two word-walking A-membership peels are kept here too, as references for
+``thompson.a_exponents``, the one peel that extends normal forms in place
+and memoises: ``a_membership_by_words`` backtracks for the verdict and
+``a_exponents_by_words`` peels greedily for the exponents.
 """
 
 from nearnormal.thompson import _peel_candidates, a_generator, f_normal_form
@@ -95,8 +96,8 @@ def naive_equal(u: Word, v: Word, index_cap: int | None = None, max_states: int 
 
 
 def a_membership_by_words(w: Word, index_bound: int):
-    """thompson.a_membership, each peel step re-normalising the whole word
-    form.word() * a_n^-sign, without a memo."""
+    """The verdict of thompson.a_exponents (True for a dict), each peel step
+    re-normalising the whole word form.word() * a_n^-sign, without a memo."""
     if exponent_sum(w) != 0:
         return False
     form = f_normal_form(w)
@@ -124,7 +125,8 @@ def a_membership_by_words(w: Word, index_bound: int):
 
 
 def a_exponents_by_words(w: Word, index_bound: int):
-    """thompson.a_exponents, each peel step re-normalising the whole word."""
+    """The exponents of thompson.a_exponents by a greedy peel (None when it
+    fails), each peel step re-normalising the whole word."""
     exps: dict[int, int] = {}
     form = f_normal_form(w)
     fuel = sum(a for _, a in form.positive) + sum(b for _, b in form.negative) + 2

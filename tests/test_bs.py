@@ -137,11 +137,11 @@ def test_britton_word_roundtrip():
 
 def test_bs_equal_and_powers():
     z = invert(Y) * X * Y
-    assert bs.bs_is_trivial(z ** 2 * invert(X ** 3))
-    assert not bs.bs_is_trivial(z * invert(X))
+    assert bs.britton_reduce(z ** 2 * invert(X ** 3)).is_trivial()
+    assert not bs.britton_reduce(z * invert(X)).is_trivial()
     for k in range(1, 101):
-        assert not bs.bs_is_trivial(X ** k)
-        assert not bs.bs_is_trivial(Y ** k)
+        assert not bs.britton_reduce(X ** k).is_trivial()
+        assert not bs.britton_reduce(Y ** k).is_trivial()
 
 
 def test_power_of_x_in():
@@ -164,7 +164,7 @@ def test_power_conjugate_is_verified_by_reduction():
         got = bs.power_conjugate(g, 30)
         assert got is not None
         a, b = got
-        assert bs.bs_is_trivial(invert(g) * X ** a * g * invert(X ** b))
+        assert bs.britton_reduce(invert(g) * X ** a * g * invert(X ** b)).is_trivial()
 
 
 def test_family_axiom_check_single_x():
@@ -274,6 +274,31 @@ def reference_family_axiom_check(conjugators, a_bound, conj_len=1, m=2, n=3):
     return {"nodes": len(nodes), "closure": closure, "closure_pass": closure_pass,
             "directed": directed, "directed_pass": directed_pass,
             "all_pass": closure_pass and directed_pass}
+
+
+def test_least_power_matches_the_word_reference():
+    # y x^2 y^-1 = x^3... so y^-1 x^t y is a power of x exactly when 2 | t
+    assert bs.least_power(invert(Y), 1, 1) is None
+    assert bs.least_power(invert(Y), 1, 2) == 2
+    assert bs.least_power(invert(Y), 1, 9, step=3) == 6
+    rng = random.Random(11)
+    balls = reduced_ball(4)
+    nones = steps = 0
+    for m, n in ((2, 3), (1, 2), (3, 2), (2, 4)):
+        for _ in range(40):
+            w = Word(rng.choice(balls))
+            k = rng.randint(1, 4)
+            bound = rng.randint(1, 40)
+            got = bs.least_power(w, k, bound, m, n)
+            assert got == reference_least_power(w, k, bound, m, n), (w, k, bound, m, n)
+            nones += got is None
+            step = rng.randint(2, 5)
+            scanned = bs.least_power(w, k, bound, m, n, step=step)
+            expected = next((t for t in range(step, bound + 1, step)
+                             if reference_verify(w, k, t, m, n)), None)
+            assert scanned == expected, (w, k, bound, m, n, step)
+            steps += scanned is not None
+    assert nones and steps
 
 
 @pytest.mark.parametrize("conj_len, bounds", [(1, (4, 6, 8, 10, 12)), (2, (4, 8, 12))])

@@ -35,6 +35,14 @@ def random_rows(rng, k, n, bound=3):
     return [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(k)]
 
 
+def cofactor_det(m):
+    """Determinant of a 3 x 3 integer matrix by cofactor expansion."""
+    a, b, c = m
+    return (a[0] * (b[1] * c[2] - b[2] * c[1])
+            - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+
 def test_hnf_shape():
     h = intlin.hermite_normal_form([(2, 4), (0, 3)], 2)
     for row in h:
@@ -115,21 +123,6 @@ def test_lattice_intersect_matches_cramer():
             assert in_got == expected, (a, b, v)
 
 
-def test_integer_det():
-    assert intlin.integer_det([]) == 1
-    assert intlin.integer_det([(3,)]) == 3
-    assert intlin.integer_det([(1, 2), (3, 4)]) == -2
-    rng = random.Random(23)
-    for _ in range(20):
-        m = random_rows(rng, 3, 3)
-        # cofactor expansion as the oracle
-        a, b, c = m
-        expected = (a[0] * (b[1] * c[2] - b[2] * c[1])
-                    - a[1] * (b[0] * c[2] - b[2] * c[0])
-                    + a[2] * (b[0] * c[1] - b[1] * c[0]))
-        assert intlin.integer_det(m) == expected
-
-
 def test_lattice_index():
     z2 = [(1, 0), (0, 1)]
     assert intlin.lattice_index([(2, 0), (0, 2)], z2, 2) == 4
@@ -138,6 +131,18 @@ def test_lattice_index():
     assert intlin.lattice_index([(4, 0), (0, 2)], [(2, 0), (0, 1)], 2) == 4
     with pytest.raises(ValueError):
         intlin.lattice_index([(1, 0), (0, 1)], [(2, 0), (0, 2)], 2)
+
+
+def test_lattice_index_is_the_cofactor_determinant():
+    z3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    rng = random.Random(23)
+    singular = 0
+    for _ in range(60):
+        m = random_rows(rng, 3, 3)
+        det = cofactor_det(m)
+        singular += det == 0
+        assert intlin.lattice_index(m, z3, 3) == (abs(det) if det else None), m
+    assert 0 < singular < 60
 
 
 def test_smith_diagonal():
@@ -151,7 +156,7 @@ def test_smith_diagonal():
         # divisibility chain
         for a, b in zip(diag, diag[1:]):
             assert b % a == 0
-        det = intlin.integer_det(m)
+        det = cofactor_det(m)
         if det:
             prod = 1
             for d in diag:

@@ -131,6 +131,24 @@ def test_mat_inverse():
     assert modp.mat_mul(m, inv, p) == modp.identity_matrix(2)
     assert modp.mat_mul(inv, m, p) == modp.identity_matrix(2)
     assert modp.mat_inverse(((1, 1), (1, 1)), p) is None
+    assert modp.mat_inverse((), p) == ()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_mat_inverse_on_seeded_matrices(p):
+    rng = random.Random(31 + p)
+    singular = 0
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        m = random_matrix(rng, n, n, p)
+        inv = modp.mat_inverse(m, p)
+        if modp.rank(m, p) < n:
+            singular += 1
+            assert inv is None, m
+        else:
+            assert modp.mat_mul(m, inv, p) == modp.identity_matrix(n), m
+            assert modp.mat_mul(inv, m, p) == modp.identity_matrix(n), m
+    assert singular
 
 
 def test_fixed_space():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nearnormal import thompson
 from nearnormal.thompson import (
-    IDENTITY, SHIFT_WORDS, BoundExhausted, a_exponents, a_generator, a_membership,
+    IDENTITY, SHIFT_WORDS, BoundExhausted, a_exponents, a_generator,
     am_in_conjugate_intersection, f_equal, f_normal_form, f_times,
     verify_conjugation_identity, verify_shift,
 )
@@ -125,13 +125,14 @@ def test_verify_shift_threshold_is_minimal():
 
 def test_a_membership_and_exponents():
     idx = 30
-    assert a_membership(a_generator(2), idx) is True
-    assert a_membership(a_generator(0) * a_generator(3) ** 2, idx) is True
-    assert a_membership(generator(0), idx) is False
-    assert a_membership(generator(1) * generator(0), idx) is False
+    assert a_exponents(a_generator(2), idx) == {2: 1}
+    assert a_exponents(a_generator(0) * a_generator(3) ** 2, idx) == {0: 1, 3: 2}
+    assert a_exponents(generator(0), idx) is False
+    assert a_exponents(generator(1) * generator(0), idx) is False
+    assert a_exponents(generator(1) * invert(generator(0)) * generator(2), idx) is False
     assert a_exponents(a_generator(1) * a_generator(4) ** -2, idx) == {1: 1, 4: -2}
     assert a_exponents(Word(()), idx) == {}
-    assert a_exponents(generator(0), idx) is None
+    assert a_exponents(a_generator(20), idx) == "unknown"
     # commuting pairs: order of the product does not matter
     u = a_generator(1) * a_generator(3)
     v = a_generator(3) * a_generator(1)
@@ -150,7 +151,7 @@ def test_conjugate_intersection_certificate():
     m = report["m"]
     for n in (m, m + 1, m + 2):
         conj = g * a_generator(n) * invert(g)
-        assert a_membership(conj, 80) is True
+        assert isinstance(a_exponents(conj, 80), dict)
 
 
 def test_conjugate_intersection_multiple_conjugators():
@@ -172,7 +173,10 @@ def test_conjugate_intersection_bound_exhausted():
 
 
 def test_a_membership_matches_the_word_peel():
-    # the reference re-normalises whole words at each step and has no memo
+    # both references re-normalise whole words at each step: the membership
+    # peel backtracks without a memo, the exponent peel is greedy.  The greedy
+    # one may read exponents off a form whose indices pass the bound, where
+    # the membership verdict, and so the one peel's, is "unknown".
     cases = [(parse_word(text), n) for text in SHIFT_WORDS for n in range(20)]
     conjugates = [g * a_generator(n) * invert(g) for g, n in cases]
     rng = random.Random(17)
@@ -188,14 +192,29 @@ def test_a_membership_matches_the_word_peel():
             w = g * a * invert(g)
         if exponent_sum(w) == 0:
             balanced.append(w)
+    unbalanced = []
+    while len(unbalanced) < 50:
+        w = random_word(rng, 5, rng.randrange(1, 9))
+        if exponent_sum(w):
+            unbalanced.append(w)
     verdicts = []
-    for w in conjugates + balanced:
-        for bound in (3, 6, 80):
-            got = a_membership(w, bound)
-            assert got == a_membership_by_words(w, bound), (w, bound)
-            assert a_exponents(w, bound) == a_exponents_by_words(w, bound), (w, bound)
-            verdicts.append(got)
-    assert {True, False, "unknown"} <= set(verdicts)
+    for w in conjugates + balanced + unbalanced:
+        for bound in (1, 3, 6, 15, 80):
+            got = a_exponents(w, bound)
+            member = isinstance(got, dict)
+            assert (True if member else got) == a_membership_by_words(w, bound), (w, bound)
+            greedy = a_exponents_by_words(w, bound)
+            if member:
+                assert got == greedy, (w, bound)
+            else:
+                assert greedy is None or got == "unknown", (w, bound)
+            verdicts.append("member" if member else got)
+    assert {"member", False, "unknown"} <= set(verdicts)
+    assert all(a_exponents(w, bound) is False for w in unbalanced for bound in (1, 80))
+    # a2 a3 a4: its form reaches index 11, past bound 9 + 1
+    w = parse_word("x9 x8^-1 x7 x6^-1 x5 x4^-1")
+    assert a_exponents_by_words(w, 9) == {2: 1, 3: 1, 4: 1}
+    assert a_exponents(w, 9) == "unknown" == a_membership_by_words(w, 9)
 
 
 def test_a_membership_extends_forms_in_place(monkeypatch):
@@ -209,5 +228,5 @@ def test_a_membership_extends_forms_in_place(monkeypatch):
 
     monkeypatch.setattr(thompson, "_mul_letter", counted)
     g = parse_word("x0^2 x1^-2")
-    a_membership(g * a_generator(0) * invert(g), 80)
+    a_exponents(g * a_generator(0) * invert(g), 80)
     assert len(calls) <= 200
