@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .words import Word, generator, invert
+from .words import Word, ball, generator, invert
 
 X, Y = 0, 1
 
@@ -115,13 +115,16 @@ def least_power(w: Word, k: int, bound: int, m: int = 2, n: int = 3,
                 step: int = 1) -> int | None:
     """Least t in step, 2 step, ... <= bound with w x^t w^-1 in <x^k>, or None.
 
-    The reducer takes w, then x^t as one syllable, then w^-1, so no product
-    word is built or freely reduced.
+    The reducer takes w once; each candidate copies that state and takes
+    x^t as one syllable, then w^-1, so no product word is built or freely
+    reduced.
     """
     wi = invert(w)
+    red = _Reducer(m, n)
+    red.feed(w.letters)
+    head, tail = red.head, red.tail
     for t in range(step, bound + 1, step):
-        red = _Reducer(m, n)
-        red.feed(w.letters)
+        red.head, red.tail = head, [list(part) for part in tail]
         red.push_x(t)
         red.feed(wi.letters)
         if not red.tail and red.head % k == 0:
@@ -149,19 +152,7 @@ def conjugator_words(conjugators: list[Word], conj_len: int, m: int = 2,
     keeps every first occurrence and its order: the work is linear in the
     number of distinct elements found, not in len(conjugators)^conj_len.
     """
-    seen = {britton_reduce(Word(), m, n).key(): Word()}
-    frontier = [Word()]
-    for _ in range(conj_len):
-        fresh = []
-        for w in frontier:
-            for c in conjugators:
-                wc = w * c
-                key = britton_reduce(wc, m, n).key()
-                if key not in seen:
-                    seen[key] = wc
-                    fresh.append(wc)
-        frontier = fresh
-    return list(seen.values())
+    return [w for w, _ in ball(conjugators, conj_len, lambda w: britton_reduce(w, m, n).key())]
 
 
 def family_axiom_check(conjugators: list[Word], a_bound: int, conj_len: int = 1,

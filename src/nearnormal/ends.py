@@ -2,10 +2,13 @@
 
 The graph on left cosets gL has an edge (gL, gxL) for every generator x of
 the chosen set X.  Balls are built breadth-first with deterministic discovery
-order, so vertex representatives are canonical.  Ends of the pair (G, L) are
-estimated by counting annulus components that reach the outer sphere over an
-increasing radius schedule; the result is a report with a stabilization flag,
-never a certificate.
+order, so vertex representatives are canonical: the elements come from
+``words.ball`` keyed by ``groups.element_key``, and one
+``subgroups.CosetIndex`` numbers their cosets, by the subgroup's coset key
+read through ``_left_key`` when it has one, else pairwise.  Ends of the pair
+(G, L) are estimated by counting annulus components that reach the outer
+sphere over an increasing radius schedule; the result is a report with a
+stabilization flag, never a certificate.
 
 Almost-invariant subsets B live at two levels: as a vertex subset of the ball
 (B = BL, a union of cosets) and as an element predicate on the group (needed
@@ -18,8 +21,8 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from . import baumslag_solitar as bs
-from . import groups
-from .subgroups import CosetSet, SubgroupHandle, same_coset
+from . import groups, words
+from .subgroups import CosetIndex, CosetSet, SubgroupHandle
 from .words import Word, format_word, invert
 
 Edge = tuple[int, int, int]  # vertex index, vertex index, X index
@@ -38,8 +41,7 @@ class CosetGraphBall:
     vertices: tuple  # canonical representatives, BFS discovery order
     depth: tuple
     edges: tuple  # (u, v, label) with label an index into gens
-    key_to_index: dict = field(repr=False)
-    key_fn: object = field(repr=False)  # right-coset key of sub, or None
+    index: CosetIndex = field(repr=False)  # the left cosets of sub, one per vertex
 
     @property
     def vertex_count(self) -> int:
@@ -47,7 +49,10 @@ class CosetGraphBall:
 
     def vertex_index(self, g: Word) -> int | None:
         """Classify an arbitrary element's coset within the ball."""
-        return _vertex_of(self.sub, self.key_fn, self.key_to_index, self.vertices, g)
+        i = self.index.find(g)
+        if i == "unknown":
+            raise CosetOracleError("coset equality undecided during expansion")
+        return i
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,20 +81,6 @@ def _left_key(key_fn, g: Word):
     return key_fn(invert(g))
 
 
-def _vertex_of(sub, key_fn, key_to_index, vertices, g: Word) -> int | None:
-    """The index of the vertex gL among vertices, None when it is not one:
-    by key when the subgroup has a coset key, else pairwise."""
-    if key_fn is not None:
-        return key_to_index.get(_left_key(key_fn, g))
-    for i, rep in enumerate(vertices):
-        hit = same_coset(sub, rep, g, "left")
-        if hit is True:
-            return i
-        if hit == "unknown":
-            raise CosetOracleError("coset equality undecided during expansion")
-    return None
-
-
 def coset_graph_ball(ctx, sub: SubgroupHandle, gens, radius: int) -> CosetGraphBall:
     """Cosets of all elements of length at most radius, with every edge
     (gL, gxL) witnessed by a ball element g.
@@ -100,31 +91,24 @@ def coset_graph_ball(ctx, sub: SubgroupHandle, gens, radius: int) -> CosetGraphB
     commensurated subgroup has finite but nontrivial local degree)."""
     gens = tuple(gens)
     key_fn = sub.membership.coset_key(sub)
-    vertices: list = []
+    index = CosetIndex(sub, "left", None if key_fn is None else partial(_left_key, key_fn))
     depth: list = []
-    key_to_index: dict = {}
-
-    classify = partial(_vertex_of, sub, key_fn, key_to_index, vertices)
-
-    def add_vertex(g: Word, r: int) -> int:
-        """The index of the vertex gL, which is added at depth r if new."""
-        if key_fn is None:
-            i = classify(g)
-            i = len(vertices) if i is None else i
-        else:
-            i = key_to_index.setdefault(_left_key(key_fn, g), len(vertices))
-        if i == len(vertices):
-            vertices.append(g)
-            depth.append(r)
-        return i
-
     # (element, its vertex), each vertex added when its first element is met
-    elements = [(g, add_vertex(g, r)) for g, r in _element_layers(ctx, gens, radius)]
+    elements = []
+    for g, r in _element_layers(ctx, gens, radius):
+        i = index.add(g)
+        if index.undecided:
+            raise CosetOracleError("coset equality undecided during expansion")
+        if i == len(depth):
+            depth.append(r)
+        elements.append((g, i))
     edges = []
     seen_edges = set()
     for g, source in elements:
         for label, x in enumerate(gens):
-            target = classify(g * x)
+            target = index.find(g * x)
+            if target == "unknown":
+                raise CosetOracleError("coset equality undecided during expansion")
             if target is None:
                 continue
             edge = (source, target, label)
@@ -132,8 +116,8 @@ def coset_graph_ball(ctx, sub: SubgroupHandle, gens, radius: int) -> CosetGraphB
                 seen_edges.add(edge)
                 edges.append(edge)
     return CosetGraphBall(ctx=ctx, sub=sub, gens=gens, radius=radius,
-                          vertices=tuple(vertices), depth=tuple(depth),
-                          edges=tuple(edges), key_to_index=key_to_index, key_fn=key_fn)
+                          vertices=tuple(index.representatives), depth=tuple(depth),
+                          edges=tuple(edges), index=index)
 
 
 # ---------------------------------------------------------------------------
@@ -201,22 +185,8 @@ def boundary_edges(b: VertexSet, ball: CosetGraphBall):
 def _element_layers(ctx, gens, radius: int):
     """Distinct group elements of length at most radius over the given set,
     each with its length, breadth first."""
-    identity = Word(())
-    seen = {groups.element_key(ctx, identity)}
-    yield identity, 0
-    frontier = [identity]
-    for r in range(1, radius + 1):
-        nxt = []
-        for e in frontier:
-            for x in gens:
-                for step in (x, invert(x)):
-                    cand = e * step
-                    key = groups.element_key(ctx, cand)
-                    if key not in seen:
-                        seen.add(key)
-                        nxt.append(cand)
-                        yield cand, r
-        frontier = nxt
+    steps = [s for x in gens for s in (x, invert(x))]
+    return words.ball(steps, radius, partial(groups.element_key, ctx))
 
 
 def element_ball(ctx, gens, radius: int):
@@ -260,37 +230,26 @@ def double_coset_membership(b: CosetSet, sub: SubgroupHandle, ball_radius: int):
     elements, False on a certified escape, otherwise unknown."""
     if b.side != "left":
         raise ValueError("double-coset test expects a union of left cosets")
+    index = CosetIndex(sub, "left")  # pairwise, so find compares with each of B's cosets
+    index.representatives.extend(b.representatives)
     sub_elements = element_ball(sub.ctx, sub.generators, ball_radius)
     undecided = False
     for g in b.representatives:
         for h in sub_elements:
-            cand = h * g
-            hit_any = False
-            cand_undecided = False
-            for rep in b.representatives:
-                hit = same_coset(sub, rep, cand, "left")
-                if hit is True:
-                    hit_any = True
-                    break
-                if hit == "unknown":
-                    cand_undecided = True
-            if not hit_any:
-                if cand_undecided:
-                    undecided = True
-                else:
-                    return False
+            hit = index.find(h * g)
+            if hit is None:
+                return False
+            undecided = undecided or hit == "unknown"
     return "unknown" if undecided else True
 
 
 def double_coset_orbit(sub: SubgroupHandle, g: Word, ball_radius: int) -> CosetSet:
     """The left cosets inside HgH reachable with subgroup elements of the
     given radius: representatives h*g de-duplicated by coset equality."""
-    reps = []
+    index = CosetIndex(sub, "left")
     for h in element_ball(sub.ctx, sub.generators, ball_radius):
-        cand = h * g
-        if not any(same_coset(sub, r, cand, "left") is True for r in reps):
-            reps.append(cand)
-    return CosetSet(sub, tuple(reps), "left")
+        index.add(h * g)
+    return CosetSet(sub, tuple(index.representatives), "left")
 
 
 # ---------------------------------------------------------------------------

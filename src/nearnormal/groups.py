@@ -12,7 +12,9 @@ file names one of
 
 Coset enumeration uses the HLT strategy with a hard live-coset bound.
 Hitting the bound returns an Incomplete value rather than raising: infinite
-index is an expected outcome, not an error.
+index is an expected outcome, not an error.  ``reachable_table`` is the one
+breadth-first numbering of table states: enumeration's compaction and the
+fiber product of two tables in ``subgroups`` both read it.
 """
 
 from __future__ import annotations
@@ -261,31 +263,35 @@ def todd_coxeter(ctx: GroupContext, subgroup_gens: list[Word], limit: int) -> Co
     return _compact(enum, ngens, subgroup_gens, pres.relators)
 
 
+def reachable_table(ngens: int, start, step) -> CosetTable:
+    """The table of the states reachable from start, where step(state, code)
+    is the state after the letter with that column code: states are numbered
+    in breadth-first column order from start = 0, and the word that first
+    reached each state is its representative."""
+    order = {start: 0}
+    states = [start]
+    reps = [Word(())]
+    rows = []
+    for i, state in enumerate(states):  # states grows as the walk finds more
+        row = []
+        for code in range(2 * ngens):
+            target = step(state, code)
+            if target not in order:
+                order[target] = len(states)
+                states.append(target)
+                reps.append(reps[i] * generator(*_code_letter(code)))
+            row.append(order[target])
+        rows.append(tuple(row))
+    return CosetTable(ngens=ngens, action=tuple(rows), representatives=tuple(reps))
+
+
 def _compact(enum: _Enumeration, ngens: int, subgroup_gens: list[Word],
              relators: tuple[Word, ...]) -> CosetTable:
     # Renumber live cosets in breadth-first column order from the base; the
     # BFS word discovering each coset becomes its representative.
-    base = enum.rep(0)
-    order = {base: 0}
-    reps = [Word(())]
-    queue = deque([base])
-    rows = []
-    while queue:
-        old = queue.popleft()
-        row = []
-        for code in range(enum.nl):
-            target = enum.rep(enum.rows[old][code])
-            if target not in order:
-                order[target] = len(order)
-                reps.append(reps[order[old]] * generator(*_code_letter(code)))
-                queue.append(target)
-            row.append(order[target])
-        rows.append(row)
-    if len(order) != enum.n_live:
+    table = reachable_table(ngens, enum.rep(0), lambda c, code: enum.rep(enum.rows[c][code]))
+    if table.coset_count != enum.n_live:
         raise RuntimeError("closed table has unreachable cosets")
-    # rows were appended in BFS (= new id) order already
-    action = tuple(tuple(r) for r in rows)
-    table = CosetTable(ngens=ngens, action=action, representatives=tuple(reps))
     _validate_table(table, subgroup_gens, relators)
     return table
 

@@ -18,13 +18,14 @@ tag names it in certificates:
     Conjugate(h, g) "conjugate"    h^g, i.e. t in h^g  iff  g t g^-1 in h
 
 Only ``intersect`` reads two oracles at once, through its table of pairs.
+``CosetIndex`` is the one way cosets are told apart, by an oracle's coset
+key when it has one, else pairwise through ``same_coset``.
 
 Everything bounded is three-valued: True / False / "unknown", never a guess.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from math import gcd, lcm
@@ -32,7 +33,7 @@ from typing import ClassVar
 
 from . import _intlinalg as intlin
 from . import baumslag_solitar as bs
-from . import groups, thompson
+from . import groups, thompson, words
 from .words import Word, exponent_vector, generator, invert, word_key
 
 INFINITE_OR_EXCEEDS = "infinite-or-exceeds"
@@ -71,17 +72,59 @@ class CosetSet:
     def __post_init__(self):
         if self.side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
-        reps = self.representatives
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                if same_coset(self.base, reps[i], reps[j], self.side) is True:
-                    raise ValueError("representatives are not in distinct cosets")
+        index = CosetIndex(self.base, self.side)
+        for n, g in enumerate(self.representatives):
+            if index.add(g) != n:
+                raise ValueError("representatives are not in distinct cosets")
 
 
 def same_coset(sub: SubgroupHandle, g1: Word, g2: Word, side: str):
     if side == "right":
         return contains(sub, g2 * invert(g1))
     return contains(sub, invert(g1) * g2)
+
+
+class CosetIndex:
+    """The cosets of sub on one side met so far, numbered in order of first
+    sight, each held by its first representative.  Cosets are told apart by
+    ``key`` (a canonical key of the coset of an element) when given, else
+    pairwise through same_coset."""
+
+    def __init__(self, sub: SubgroupHandle, side: str, key=None):
+        self.sub, self.side, self.key = sub, side, key
+        self.representatives: list[Word] = []
+        self._numbers: dict = {}  # coset key -> number, when keyed
+        self.undecided = False  # a coset was taken as new under "unknown"
+
+    def _lookup(self, g: Word):
+        """(the number of g's coset, None or "unknown"; g's key or None)."""
+        if self.key is not None:
+            k = self.key(g)
+            return self._numbers.get(k), k
+        verdict = None
+        for i, rep in enumerate(self.representatives):
+            hit = same_coset(self.sub, rep, g, self.side)
+            if hit is True:
+                return i, None
+            if hit == "unknown":
+                verdict = hit
+        return verdict, None
+
+    def find(self, g: Word):
+        """The number of g's coset; None when it is new, "unknown" when no
+        coset matched and some comparison was undecided."""
+        return self._lookup(g)[0]
+
+    def add(self, g: Word) -> int:
+        """The number of g's coset, recording g when the coset is new."""
+        i, k = self._lookup(g)
+        if isinstance(i, int):
+            return i
+        self.undecided = self.undecided or i == "unknown"
+        if self.key is not None:
+            self._numbers[k] = len(self.representatives)
+        self.representatives.append(g)
+        return len(self.representatives) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -474,38 +517,13 @@ def _coset_bfs_count(sub: SubgroupHandle, bound: int):
     """Count right cosets of sub in its whole ambient group by BFS; exact
     count when the ball closes within bound, else INFINITE_OR_EXCEEDS.
     Cosets are told apart by sub's coset key, else pairwise by membership,
-    where any "unknown" makes the count inexact."""
-    key_fn = sub.membership.coset_key(sub)
-    letters = _ambient_letters(sub.ctx)
-    reps: list[Word] = [Word(())]
-    keys = None if key_fn is None else {key_fn(Word(()))}
-    exact = True
-    frontier = [Word(())]
-    while frontier:
-        nxt = []
-        for rep in frontier:
-            for letter in letters:
-                cand = rep * letter
-                if keys is not None:
-                    key = key_fn(cand)
-                    fresh = key not in keys
-                    keys.add(key)
-                else:
-                    fresh = True
-                    for known in reps:
-                        verdict = same_coset(sub, known, cand, "right")
-                        if verdict is True:
-                            fresh = False
-                            break
-                        if verdict == "unknown":
-                            exact = False
-                if fresh:
-                    if len(reps) >= bound:
-                        return INFINITE_OR_EXCEEDS
-                    reps.append(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    return len(reps) if exact else INFINITE_OR_EXCEEDS
+    where a coset taken as new under "unknown" makes the count inexact.
+    Each level before the ball closes adds a coset, so bound levels decide."""
+    index = CosetIndex(sub, "right", sub.membership.coset_key(sub))
+    for count, _ in enumerate(words.ball(_ambient_letters(sub.ctx), bound, index.add)):
+        if count == bound:
+            return INFINITE_OR_EXCEEDS
+    return INFINITE_OR_EXCEEDS if index.undecided else len(index.representatives)
 
 
 def _capped(index, bound: int):
@@ -635,32 +653,15 @@ def intersect(h: SubgroupHandle, k: SubgroupHandle) -> SubgroupHandle:
 def _fiber_product(h: SubgroupHandle, k: SubgroupHandle) -> SubgroupHandle:
     """Reachable fiber product of two coset tables: the table of h intersect k."""
     ta, tb = h.coset_table, k.coset_table
-    ngens = ta.ngens
-    codes = list(range(2 * ngens))
-    order: dict[tuple[int, int], int] = {(0, 0): 0}
-    reps = [Word(())]
-    rows = []
-    queue = deque([(0, 0)])
-    while queue:
-        i, j = queue.popleft()
-        row = []
-        for code in codes:
-            target = (ta.action[i][code], tb.action[j][code])
-            if target not in order:
-                order[target] = len(order)
-                reps.append(reps[order[(i, j)]] * generator(*groups._code_letter(code)))
-                queue.append(target)
-            row.append(order[target])
-        rows.append(row)
-    table = groups.CosetTable(ngens=ngens, action=tuple(tuple(r) for r in rows),
-                              representatives=tuple(reps))
+    table = groups.reachable_table(
+        ta.ngens, (0, 0), lambda ij, code: (ta.action[ij[0]][code], tb.action[ij[1]][code]))
     # Schreier generators of the base-point stabilizer
+    reps = table.representatives
     gens = []
     seen_keys = set()
-    for state, idx in order.items():
-        for code in codes:
-            target = rows[idx][code]
-            g = reps[idx] * generator(*groups._code_letter(code)) * invert(reps[target])
+    for i, row in enumerate(table.action):
+        for code, target in enumerate(row):
+            g = reps[i] * generator(*groups._code_letter(code)) * invert(reps[target])
             if g and table.coset_of(g) == 0 and groups.is_trivial(h.ctx, g) is not True:
                 key = groups.element_key(h.ctx, g)
                 if key not in seen_keys:
@@ -748,20 +749,10 @@ def neumann_translate(x_set: CosetSet, search_radius: int):
     if x_set.side != "right":
         raise ValueError("translation acts on the right: X must hold right cosets")
     sub = x_set.base
-    reps = x_set.representatives
-    letters = _ambient_letters(sub.ctx)
-    frontier = [Word(())]
-    for _ in range(search_radius):
-        nxt = []
-        for stem in frontier:
-            for letter in letters:
-                cand = stem * letter
-                if len(cand.letters) != len(stem.letters) + 1:
-                    continue  # not freely reduced: already visited
-                nxt.append(cand)
-                if _translate_disjoint(sub, reps, cand):
-                    return cand
-        frontier = nxt
+    # keyed by letters, a product is new exactly when it does not cancel
+    for g, r in words.ball(_ambient_letters(sub.ctx), search_radius, lambda w: w.letters):
+        if r and _translate_disjoint(sub, x_set.representatives, g):
+            return g
     return None
 
 

@@ -188,10 +188,10 @@ def verify_conjugation_identity(m: int, n: int) -> bool:
     """
     if not 0 <= m < n:
         raise ValueError("need 0 <= m < n")
-    rhs = generator(2 * n + 2) * invert(generator(2 * n + 1))
-    for c in (generator(2 * m), generator(2 * m + 1)):
-        lhs = invert(c) * a_generator(n) * c
-        if f_normal_form(lhs) != f_normal_form(rhs):
+    rhs = f_normal_form(generator(2 * n + 2) * invert(generator(2 * n + 1)))
+    a = a_generator(n).letters
+    for i in (2 * m, 2 * m + 1):
+        if f_times(IDENTITY, ((i, -1),) + a + ((i, 1),)) != rhs:
             return False
     return True
 
@@ -203,13 +203,10 @@ def verify_shift(g: Word, n_range) -> dict:
     if not values:
         raise ValueError("empty n_range")
     j = exponent_sum(g)
-    giv = invert(g)
-    ok = []
-    for n in values:
-        if n + j < 0:
-            ok.append(False)
-            continue
-        ok.append(f_equal(giv * generator(n) * g, generator(n + j)))
+    # g^-1 x_n g extends the form of g^-1; x_{n+j} is its own normal form
+    base = f_normal_form(invert(g))
+    ok = [n + j >= 0 and f_times(base, ((n, 1),) + g.letters) == FNormalForm(((n + j, 1),), ())
+          for n in values]
     threshold = None
     for pos in range(len(values)):
         if all(ok[pos:]):
@@ -343,8 +340,9 @@ def lemma_report(identity_bound: int = 10, pair_bound: int = 12, shift_bound: in
     id_failures = [[m, n] for n in range(1, identity_bound + 1) for m in range(n)
                    if not verify_conjugation_identity(m, n)]
     a = [a_generator(i) for i in range(pair_bound + 1)]
+    forms = [f_normal_form(ai) for ai in a]
     comm_failures = [[i, j] for i in range(pair_bound) for j in range(i + 1, pair_bound + 1)
-                     if not f_equal(a[i] * a[j], a[j] * a[i])]
+                     if f_times(forms[i], a[j].letters) != f_times(forms[j], a[i].letters)]
     shift, inter = {}, {}
     for text in words:
         g = parse_word(text)

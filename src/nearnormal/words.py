@@ -6,6 +6,10 @@ letter sequences.  Generators are indexed by integers rather than names;
 an infinite alphabet (Thompson's group) needs no special casing because
 any single word touches finitely many indices.  Name-to-index mapping is
 a presentation/CLI concern, not a word concern.
+
+``ball(steps, radius, key)`` is the one breadth-first word search: the
+element balls of ``ends``, the conjugator words of ``baumslag_solitar``,
+the translate search and the coset count of ``subgroups`` all read it.
 """
 
 from __future__ import annotations
@@ -108,6 +112,27 @@ def generator(index: int, power: int = 1) -> Word:
 def word_key(w: Word) -> tuple:
     """Sort key: shortlex over (index, sign) with x_i before x_i^-1."""
     return (len(w.letters), tuple((i, 0 if s == 1 else 1) for i, s in w.letters))
+
+
+def ball(steps: Sequence[Word], radius: int, key) -> Iterator[tuple[Word, int]]:
+    """(w, r) for the first word w met per value of key(w) within radius
+    steps, breadth first: level 0 is the empty word, and level r is w * s
+    for the level r-1 words w in order and the steps s in order."""
+    identity = Word(_reduced=())
+    seen = {key(identity)}
+    yield identity, 0
+    frontier = [identity]
+    for r in range(1, radius + 1):
+        nxt = []
+        for w in frontier:
+            for s in steps:
+                cand = w * s
+                k = key(cand)
+                if k not in seen:
+                    seen.add(k)
+                    nxt.append(cand)
+                    yield cand, r
+        frontier = nxt
 
 
 # -- text syntax -------------------------------------------------------------

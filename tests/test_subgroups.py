@@ -1,11 +1,14 @@
 """Subgroup handles: membership, conjugation, index, commensurability."""
 
+from functools import partial
+
 import pytest
 
-from nearnormal.groups import group_elements, preset
+from nearnormal import ends
+from nearnormal.groups import context_from_text, group_elements, preset
 from nearnormal.subgroups import (
-    INFINITE_OR_EXCEEDS, CosetSet, UnsupportedOraclePair, am_subgroup,
-    commensurability_report, conjugate, contains, finite_subgroup,
+    INFINITE_OR_EXCEEDS, Conjugate, CosetIndex, CosetSet, UnsupportedOraclePair,
+    am_subgroup, commensurability_report, conjugate, contains, finite_subgroup,
     free_cyclic_subgroup, free_root,
     in_commensurator, index_bounded, intersect, is_commensurable,
     lattice_subgroup, near_normal_on, neumann_translate, power_subgroup,
@@ -151,6 +154,9 @@ def test_index_bounded_bs():
 
 # --- intersection ------------------------------------------------------------
 
+S4 = "gens: a b\nrels: a^2 b^3 (a b)^4"
+
+
 def test_intersect_finite():
     ctx = preset("sym3")
     a_sub = finite_subgroup(ctx, [w("a")])
@@ -160,6 +166,18 @@ def test_intersect_finite():
         expected = contains(a_sub, t) and contains(b_sub, t)
         assert contains(meet, t) == expected
     assert index_bounded(meet, whole_group(ctx), 10) == 6
+    # pairs of S4 subgroups: the meet's members and index, counted by brute force
+    s4 = context_from_text(S4)
+    elements = group_elements(s4)
+    assert len(elements) == 24
+    subs = [finite_subgroup(s4, [w(text) for text in gens.split(",")])
+            for gens in ("a", "b", "a b", "a b a b", "a, b a b^-1", "b, a b a", "a b, b a")]
+    for h in subs:
+        for k in subs:
+            meet = intersect(h, k)
+            both = [contains(h, t) is True and contains(k, t) is True for t in elements]
+            assert [contains(meet, t) is True for t in elements] == both
+            assert index_bounded(meet, whole_group(s4), 24) == 24 // sum(both)
 
 
 def test_intersect_lattices():
@@ -314,9 +332,24 @@ def coset_key(sub):
     return sub.membership.coset_key(sub)
 
 
-@pytest.mark.parametrize("u", ["a", "a^2", "b a^2 b^-1", "a b a b", "a b a^-1 b^-1", "a b"])
-def test_free_cyclic_key_agrees_with_same_coset(u):
-    sub = free_cyclic_subgroup(preset("free(2)"), w(u))
+KEYED = [pytest.param("free(2)", lambda ctx, u=u: free_cyclic_subgroup(ctx, w(u)), id=u)
+         for u in ("a", "a^2", "b a^2 b^-1", "a b a b", "a b a^-1 b^-1", "a b")] + [
+    pytest.param("bs(2,3)", trivial_subgroup, id="trivial"),
+    pytest.param("sym3", lambda ctx: finite_subgroup(ctx, [w("a")]), id="table"),
+    pytest.param("bs(2,3)", lambda ctx: power_subgroup(ctx, 2), id="x-power"),
+    pytest.param("bs(2,3)", lambda ctx: conjugate(power_subgroup(ctx, 3), w("y x", ("x", "y"))),
+                 id="conjugated-x-power"),
+    pytest.param("zn(2)", lambda ctx: lattice_subgroup(ctx, [(2, 1), (0, 3)]), id="lattice"),
+]
+
+
+@pytest.mark.parametrize("group, make", KEYED)
+def test_free_cyclic_key_agrees_with_same_coset(group, make):
+    """Every oracle with a coset key (the name is historical): keys agree
+    with pairwise membership, and an index numbering an element ball's
+    cosets by key matches one comparing pairwise, on both sides."""
+    ctx = preset(group)
+    sub = make(ctx)
     key = coset_key(sub)
     ball = free_ball(4)
     keys = [key(g) for g in ball]
@@ -324,6 +357,23 @@ def test_free_cyclic_key_agrees_with_same_coset(u):
         for j in range(i + 1, len(ball)):
             assert (keys[i] == keys[j]) == same_coset(sub, ball[i], ball[j], "right"), \
                 (ball[i], ball[j])
+    elements = ends.element_ball(ctx, (generator(0), generator(1)), 3)
+    for side, side_key in (("right", key), ("left", partial(ends._left_key, key))):
+        keyed, pairwise = CosetIndex(sub, side, side_key), CosetIndex(sub, side)
+        assert [keyed.add(g) for g in elements] == [pairwise.add(g) for g in elements]
+        assert keyed.representatives == pairwise.representatives
+        assert not keyed.undecided and not pairwise.undecided
+
+
+def test_coset_index_without_a_decision():
+    # a bare handle decides only the empty word: a new coset is taken under
+    # "unknown", and find reports "unknown" when no coset matched
+    ctx = preset("free(2)")
+    index = CosetIndex(subgroup(ctx, (generator(0),)), "right")
+    assert index.add(Word(())) == 0 and not index.undecided
+    assert index.find(generator(0)) == "unknown"
+    assert index.add(generator(0)) == 1 and index.undecided
+    assert index.find(generator(0)) == 1  # the same word decides after an "unknown"
 
 
 def test_free_cyclic_key_is_the_shortlex_least_element():
@@ -335,6 +385,16 @@ def test_free_cyclic_key_is_the_shortlex_least_element():
     key = coset_key(free_cyclic_subgroup(ctx, w("b a^2 b^-1")))
     assert key(w("b a^5")) == key(w("b a")) == w("a").letters
     assert coset_key(free_cyclic_subgroup(ctx, Word(())))(w("a b")) == w("a b").letters
+
+
+def test_whole_group_coset_count_at_its_bound():
+    ctx = preset("free(1)")
+    a3 = free_cyclic_subgroup(ctx, w("a^3"))
+    # the same subgroup without a coset key: cosets compared pairwise
+    pairwise = SubgroupHandle(ctx, a3.generators, None, Conjugate(a3, Word(())))
+    for sub in (a3, pairwise):
+        assert index_bounded(sub, whole_group(ctx), 3) == 3
+        assert index_bounded(sub, whole_group(ctx), 2) == INFINITE_OR_EXCEEDS
 
 
 def test_free_cyclic_index_in_a_free_group_is_infinite():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from nearnormal.words import (
-    Word, free_reduce, invert, exponent_sum, exponent_vector,
+    Word, ball, free_reduce, invert, exponent_sum, exponent_vector,
     generator, word_key, parse_word, format_word,
 )
 
@@ -120,3 +120,20 @@ def test_word_is_immutable_and_hashable():
     with pytest.raises(AttributeError):
         w.letters = ()
     assert len({w, generator(0), generator(1)}) == 2
+
+
+def test_ball_over_free_letters_is_the_nested_loop_order():
+    steps = [generator(0), generator(0, -1), generator(1), generator(1, -1)]
+    found = list(ball(steps, 3, lambda w: w.letters))
+    # reference: level r extends each level r-1 word by every step that does
+    # not cancel, in that nested-loop order
+    levels = [[Word(())]]
+    for _ in range(3):
+        levels.append([Word(w.letters + s.letters) for w in levels[-1] for s in steps
+                       if not w or w.letters[-1] != invert(s).letters[0]])
+    assert [len(level) for level in levels] == [1, 4, 12, 36]
+    assert found == [(w, r) for r, level in enumerate(levels) for w in level]
+    # keyed by exponent sum, only the first word per sum is kept
+    assert list(ball(steps[:2], 2, exponent_sum)) == [
+        (Word(()), 0), (generator(0), 1), (generator(0, -1), 1),
+        (generator(0, 2), 2), (generator(0, -2), 2)]
