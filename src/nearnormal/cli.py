@@ -14,6 +14,12 @@ Output is JSON on stdout; --format text renders the same data as indented
 key/value lines.  Word syntax everywhere: juxtaposed generators and
 parenthesized words with optional ^exponents (``y^-1 x y``, ``(a b)^3 a``);
 commas separate the words of a list; semicolons separate family nodes.
+
+Exit codes: 0 on success, 1 with one ``Error:`` line (or a failing
+``suite`` check), 2 for usage errors.  Commands let the library's
+ValueError and OSError propagate; the ``main`` group is the one boundary
+that turns them into the ``Error:`` line (``parse error: ...`` for a
+malformed presentation).
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import click
 
 from . import baumslag_solitar as bs
 from . import completion, ends, families, groups, modp, scan, subgroups, suites, thompson
-from .words import Word, format_word, generator
+from .words import format_word, generator
 
 _format_option = click.option(
     "--format", "fmt", type=click.Choice(("json", "text")), default="json",
@@ -81,28 +87,17 @@ def _scalar(value):
 
 def _load_context(spec: str) -> groups.GroupContext:
     """Accept a preset name, a presentation file path, or inline text."""
-    try:
-        if "\n" in spec or ":" in spec:
-            return groups.context_from_text(spec)
-        path = pathlib.Path(spec)
-        if path.is_file():
-            return groups.context_from_text(path.read_text())
-        return groups.preset(spec)
-    except groups.PresentationError as exc:
-        raise click.ClickException(f"parse error: {exc}")
-    except (OSError, ValueError) as exc:
-        raise click.ClickException(str(exc))
-
-
-def _word(ctx_obj: groups.GroupContext, text: str) -> Word:
-    try:
-        return groups.parse_context_word(ctx_obj, text)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    if "\n" in spec or ":" in spec:
+        return groups.context_from_text(spec)
+    path = pathlib.Path(spec)
+    if path.is_file():
+        return groups.context_from_text(path.read_text())
+    return groups.preset(spec)
 
 
 def _word_list(ctx_obj, text: str) -> list:
-    return [_word(ctx_obj, part) for part in text.split(",") if part.strip()]
+    return [groups.parse_context_word(ctx_obj, part)
+            for part in text.split(",") if part.strip()]
 
 
 def _default_gens(ctx_obj, text, what: str) -> list:
@@ -115,16 +110,26 @@ def _default_gens(ctx_obj, text, what: str) -> list:
 
 
 def _subgroup(ctx_obj, text: str) -> subgroups.SubgroupHandle:
-    try:
-        return subgroups.subgroup_from_words(ctx_obj, _word_list(ctx_obj, text))
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    return subgroups.subgroup_from_words(ctx_obj, _word_list(ctx_obj, text))
 
 
 # ---------------------------------------------------------------------------
 
 
-@click.group()
+class _Main(click.Group):
+    """The one error boundary: bad input that the library rejects ends as
+    one ``Error:`` line with exit code 1, never as a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except groups.PresentationError as exc:
+            raise click.ClickException(f"parse error: {exc}") from exc
+        except (OSError, ValueError) as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 def main():
     """Commensurability, subgroup families, completions, and ends."""
 
@@ -148,11 +153,7 @@ def group_parse(spec):
     with a line/column diagnostic.
     """
     ctx_obj = _load_context(spec)
-    try:
-        text = groups.serialize_presentation(ctx_obj.presentation, ctx_obj.oracle)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
-    click.echo(text, nl=False)
+    click.echo(groups.serialize_presentation(ctx_obj.presentation, ctx_obj.oracle), nl=False)
 
 
 @group_cmd.command(name="show")
@@ -239,10 +240,7 @@ def family_cmd():
 
 
 def _build_family(ctx_obj, nodes_text: str) -> families.FamilyTruncation:
-    try:
-        return families.truncation(ctx_obj, families.parse_nodes(ctx_obj, nodes_text))
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    return families.truncation(ctx_obj, families.parse_nodes(ctx_obj, nodes_text))
 
 
 def _node_summaries(fam: families.FamilyTruncation) -> list:
@@ -273,17 +271,14 @@ _dim_option = click.option("--dim", type=click.IntRange(min=1), default=1,
 def _load_module(ctx_obj, spec: str, p: int, dim: int) -> families.FiniteModule:
     if ctx_obj.generator_count is None:
         raise click.ClickException("modules need a finitely presented context")
-    try:
-        if spec == "trivial":
-            return families.trivial_module(ctx_obj, dim=dim, p=p)
-        if spec == "regular":
-            return families.regular_module(ctx_obj, p=p)
-        path = pathlib.Path(spec)
-        if path.is_file():
-            mats = families.parse_module_matrices(path.read_text())
-            return families.finite_module(ctx_obj, mats, p=p)
-    except (OSError, ValueError) as exc:
-        raise click.ClickException(str(exc))
+    if spec == "trivial":
+        return families.trivial_module(ctx_obj, dim=dim, p=p)
+    if spec == "regular":
+        return families.regular_module(ctx_obj, p=p)
+    path = pathlib.Path(spec)
+    if path.is_file():
+        mats = families.parse_module_matrices(path.read_text())
+        return families.finite_module(ctx_obj, mats, p=p)
     raise click.ClickException(
         f"module {spec!r} is neither 'trivial', 'regular', nor a matrix file")
 
@@ -329,10 +324,7 @@ def family_h0(group_spec, nodes_text, module_spec, p, dim, fmt):
     ctx_obj = _load_context(group_spec)
     fam = _build_family(ctx_obj, nodes_text)
     module = _load_module(ctx_obj, module_spec, p, dim)
-    try:
-        basis = families.h0_S(module, fam)
-    except ValueError as exc:  # no bottom node
-        raise click.ClickException(str(exc))
+    basis = families.h0_S(module, fam)
     data = {
         "group": group_spec, "module": module_spec, "p": module.p,
         "module_dimension": module.dimension,
@@ -359,10 +351,7 @@ def family_h1(group_spec, module_spec, p, dim, fmt):
     """Derivations modulo inner derivations."""
     ctx_obj = _load_context(group_spec)
     module = _load_module(ctx_obj, module_spec, p, dim)
-    try:
-        report = families.h1_derivations(ctx_obj, module)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    report = families.h1_derivations(ctx_obj, module)
     _emit({"group": group_spec, "module": module_spec, "p": module.p,
            "module_dimension": module.dimension,
            "dim_derivations": report["dim_der"],
@@ -409,13 +398,6 @@ def _completion_options(fn):
     return fn
 
 
-def _completion_of(fam, ceiling):
-    try:
-        return completion.truncated_completion(fam, ceiling)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
-
-
 @completion_cmd.command(name="build")
 @_completion_options
 @_format_option
@@ -423,7 +405,7 @@ def completion_build(group_spec, family_name, nodes_text, ceiling, fmt):
     """Enumerate the compatible coset tuples along the family."""
     ctx_obj = _load_context(group_spec)
     fam = _family_for(ctx_obj, family_name, nodes_text)
-    tc = _completion_of(fam, ceiling)
+    tc = completion.truncated_completion(fam, ceiling)
     _emit({"group": group_spec, "family": family_name or "custom",
            "nodes": _node_summaries(fam),
            "element_count": len(tc.elements),
@@ -438,7 +420,7 @@ def completion_laws(group_spec, family_name, nodes_text, ceiling, fmt):
     """Exhaustively verify the monoid and inversion laws."""
     ctx_obj = _load_context(group_spec)
     fam = _family_for(ctx_obj, family_name, nodes_text)
-    tc = _completion_of(fam, ceiling)
+    tc = completion.truncated_completion(fam, ceiling)
     laws, witnesses = {}, {}
     for name, verdict, witness in completion.law_records(tc):
         laws[name] = verdict
@@ -456,7 +438,7 @@ def completion_scan(group_spec, family_name, nodes_text, ceiling, fmt):
     """Search every element for a two-sided inverse."""
     ctx_obj = _load_context(group_spec)
     fam = _family_for(ctx_obj, family_name, nodes_text)
-    tc = _completion_of(fam, ceiling)
+    tc = completion.truncated_completion(fam, ceiling)
     report = completion.invertibility_scan(tc)
     _emit({"group": group_spec, "family": family_name or "custom",
            "element_count": report["total"],
@@ -495,10 +477,7 @@ def ends_estimate(group_spec, l_text, gens_text, radii, fmt):
         raise click.UsageError(f"bad radii {radii!r}")
     if any(r < 0 for r in schedule):
         raise click.UsageError(f"radii must be non-negative, got {radii!r}")
-    try:
-        report = ends.ends_estimate(ctx_obj, sub, gens, schedule)
-    except (ValueError, ends.CosetOracleError) as exc:
-        raise click.ClickException(str(exc))
+    report = ends.ends_estimate(ctx_obj, sub, gens, schedule)
     _emit({"group": group_spec, "l": l_text,
            "gens": [format_word(g, ctx_obj.generator_names) for g in gens],
            "radii": list(report["radii"]), "counts": list(report["counts"]),
@@ -520,10 +499,7 @@ def ends_graph(group_spec, l_text, gens_text, radius, dot_flag, fmt):
     ctx_obj = _load_context(group_spec)
     sub = _subgroup(ctx_obj, l_text)
     gens = _default_gens(ctx_obj, gens_text, "--gens")
-    try:
-        ball = ends.coset_graph_ball(ctx_obj, sub, gens, radius)
-    except (ValueError, ends.CosetOracleError) as exc:
-        raise click.ClickException(str(exc))
+    ball = ends.coset_graph_ball(ctx_obj, sub, gens, radius)
     names = ctx_obj.generator_names
     if dot_flag:
         click.echo(ends.to_dot(ball, None, names))
@@ -628,7 +604,7 @@ def bs_verify(which, bound, conjugators, conj_len, m_param, n_param, fmt):
 def bs_reduce(word_text, m_param, n_param, fmt):
     """Britton-reduce a word to its pushed-right form."""
     ctx_obj = groups.preset(f"bs({m_param},{n_param})")
-    w = _word(ctx_obj, word_text)
+    w = groups.parse_context_word(ctx_obj, word_text)
     form = bs.britton_reduce(w, m_param, n_param)
     _emit({"word": word_text, "m": m_param, "n": n_param,
            "head": form.head, "tail": [list(t) for t in form.tail],

@@ -6,7 +6,8 @@ carry the K-value to the H-value.  The product twists the right factor by the
 conjugate node, f.f'(H) = f(H) f'(H^f), which makes the set a monoid; over a
 stable family the explicit inversion algorithm makes it a group.
 
-Assignments are tuples of coset ids aligned with fam.nodes.  Representative
+An element is its assignment: a plain tuple of coset ids, one per node in
+fam.nodes order, so elements hash, compare and sort as tuples.  Representative
 words are always the stored table representatives, so every operation is
 deterministic; well-definedness under different choices is a property checked
 by the test suite, not assumed here.
@@ -35,19 +36,10 @@ from .words import Word, format_word, invert
 ENUM_CEILING = 10 ** 6
 
 
-class MissingNodeError(ValueError):
-    """The inversion algorithm needs a node the truncation does not contain."""
-
-
-@dataclass(frozen=True)
-class CompletionElement:
-    assignment: tuple  # coset id per truncation node, in fam.nodes order
-
-
 @dataclass(frozen=True)
 class TruncatedCompletion:
     fam: FamilyTruncation
-    elements: tuple  # every compatible assignment, sorted
+    elements: tuple  # every compatible assignment tuple, sorted
 
 
 def is_compatible(fam: FamilyTruncation, assignment) -> bool:
@@ -91,42 +83,39 @@ def _enumerate_assignments(fam: FamilyTruncation, ceiling: int):
 
 
 def truncated_completion(fam: FamilyTruncation, ceiling: int = ENUM_CEILING) -> TruncatedCompletion:
-    elems = tuple(CompletionElement(a) for a in _enumerate_assignments(fam, ceiling))
-    return TruncatedCompletion(fam=fam, elements=elems)
+    return TruncatedCompletion(fam=fam, elements=tuple(_enumerate_assignments(fam, ceiling)))
 
 
-def identity_element(tc: TruncatedCompletion) -> CompletionElement:
-    return CompletionElement(tuple(0 for _ in tc.fam.nodes))
+def identity_element(tc: TruncatedCompletion) -> tuple:
+    return (0,) * len(tc.fam.nodes)
 
 
-def embed(g: Word, tc: TruncatedCompletion) -> CompletionElement:
-    return CompletionElement(tuple(h.coset_table.coset_of(g) for h in tc.fam.nodes))
+def embed(g: Word, tc: TruncatedCompletion) -> tuple:
+    return tuple(h.coset_table.coset_of(g) for h in tc.fam.nodes)
 
 
-def _representative(tc: TruncatedCompletion, node: int, f: CompletionElement) -> Word:
-    return tc.fam.nodes[node].coset_table.representatives[f.assignment[node]]
+def _representative(tc: TruncatedCompletion, node: int, f: tuple) -> Word:
+    return tc.fam.nodes[node].coset_table.representatives[f[node]]
 
 
-def conj_node(tc: TruncatedCompletion, node: int, f: CompletionElement) -> int:
+def conj_node(tc: TruncatedCompletion, node: int, f: tuple) -> int:
     """The node H^f = H^x for any representative x of f(H)."""
-    return tc.fam.coset_conj[node][f.assignment[node]]
+    return tc.fam.coset_conj[node][f[node]]
 
 
-def multiply(tc: TruncatedCompletion, f: CompletionElement,
-             f2: CompletionElement) -> CompletionElement:
+def multiply(tc: TruncatedCompletion, f: tuple, f2: tuple) -> tuple:
     """f.f'(H) = f(H) f'(H^f), one coset_product lookup per node."""
     fam = tc.fam
-    a, a2 = f.assignment, f2.assignment
-    if len(a) != len(a2) or len(a) != len(fam.nodes):
+    if len(f) != len(f2) or len(f) != len(fam.nodes):
         raise ValueError("elements belong to different truncations")
     conj, product = fam.coset_conj, fam.coset_product
-    out = tuple(product[node][c][a2[conj[node][c]]] for node, c in enumerate(a))
+    out = tuple(product[node][c][f2[conj[node][c]]] for node, c in enumerate(f))
     if not is_compatible(fam, out):
         raise RuntimeError("product violates the compatibility invariant")
-    return CompletionElement(out)
+    return out
 
 
-def invert_stable(tc: TruncatedCompletion, f: CompletionElement) -> CompletionElement:
+def invert_stable(tc: TruncatedCompletion, f: tuple) -> tuple:
     """Inversion over a stable family: per node H, with x a representative of
     f(H), pick a node K <= H meet H^f normal in H^f, take t representing the
     value at K^(x^-1), and set the H-value to the coset of t^-1.  K is the
@@ -143,20 +132,20 @@ def invert_stable(tc: TruncatedCompletion, f: CompletionElement) -> CompletionEl
         candidates = [k for k in range(n)
                       if fam.leq(k, node) and fam.leq(k, hf) and (k, hf) in fam.normal_in]
         if not candidates:
-            raise MissingNodeError(
+            raise ValueError(
                 f"no truncation node below nodes {node} and {hf} is normal in {hf}")
         k = min(candidates, key=lambda c: (fam.nodes[c].coset_table.coset_count, c))
         kx = fam.conj_by_word(k, invert(x))
         t = _representative(tc, kx, f)
         values.append(fam.nodes[node].coset_table.coset_of(invert(t)))
-    out = CompletionElement(tuple(values))
+    out = tuple(values)
     e = identity_element(tc)
     if multiply(tc, out, f) != e or multiply(tc, f, out) != e:
         raise RuntimeError("inversion output fails the two-sided inverse law")
     return out
 
 
-def act(tc: TruncatedCompletion, m, f: CompletionElement, module: FiniteModule):
+def act(tc: TruncatedCompletion, m, f: tuple, module: FiniteModule):
     """Module action m.f = m.x where x represents f(H) for any node H whose
     generators all fix m."""
     fam = tc.fam
@@ -188,7 +177,7 @@ def invertibility_scan(tc: TruncatedCompletion) -> dict:
     witnesses = []
     for f in tc.elements:
         need = {}
-        for node, c in enumerate(f.assignment):
+        for node, c in enumerate(f):
             if need.setdefault(fam.coset_conj[node][c], solve[node][c]) != solve[node][c]:
                 candidates = ()  # two nodes H conjugate to one H^f disagree
                 break
@@ -197,10 +186,10 @@ def invertibility_scan(tc: TruncatedCompletion) -> dict:
             if nodes not in index:
                 buckets = index[nodes] = {}
                 for g in tc.elements:
-                    buckets.setdefault(tuple(g.assignment[m] for m in nodes), []).append(g)
+                    buckets.setdefault(tuple(g[m] for m in nodes), []).append(g)
             candidates = index[nodes].get(tuple(need[m] for m in nodes), ())
         if not any(multiply(tc, f, g) == e and multiply(tc, g, f) == e for g in candidates):
-            witnesses.append(f.assignment)
+            witnesses.append(f)
     return {"total": len(tc.elements),
             "invertible": len(tc.elements) - len(witnesses),
             "non_invertible_witnesses": witnesses}
@@ -224,16 +213,16 @@ def profinite_compare(tc: TruncatedCompletion) -> bool:
             tuple(tuple(table.coset_of(reps[c1] * reps[c2])
                         for c2 in range(table.coset_count))
                   for c1 in range(table.coset_count)))
-    element_set = {f.assignment for f in tc.elements}
-    if identity_element(tc).assignment not in element_set:
+    element_set = set(tc.elements)
+    if identity_element(tc) not in element_set:
         return False
     for f in tc.elements:
         for f2 in tc.elements:
-            limit = tuple(quotient_product[node][f.assignment[node]][f2.assignment[node]]
-                          for node in range(len(fam.nodes)))
+            limit = tuple(quotient_product[node][c][c2]
+                          for node, (c, c2) in enumerate(zip(f, f2)))
             if limit not in element_set:
                 return False
-            if multiply(tc, f, f2).assignment != limit:
+            if multiply(tc, f, f2) != limit:
                 return False
     return True
 
@@ -262,7 +251,7 @@ def law_records(tc: TruncatedCompletion):
     def position(f):
         i = index.get(f)
         if i is None:
-            raise RuntimeError(f"{list(f.assignment)} is not an element of the completion")
+            raise RuntimeError(f"{list(f)} is not an element of the completion")
         return i
 
     def record(name, bad, witness):
@@ -272,7 +261,7 @@ def law_records(tc: TruncatedCompletion):
     e = position(identity_element(tc))
     bad = next((f for i, f in enumerate(elements) if table[e][i] != i or table[i][e] != i),
                None)
-    yield record("identity", bad, bad and list(bad.assignment))
+    yield record("identity", bad, bad and list(bad))
     # (f g) h = f (g h) for every h at once: row fg against row f read through row g.
     bad = None
     for (i, row), j in itertools.product(enumerate(table), range(len(elements))):
@@ -281,16 +270,16 @@ def law_records(tc: TruncatedCompletion):
             k = next(k for k, (x, y) in enumerate(zip(left, right)) if x != y)
             bad = (elements[i], elements[j], elements[k])
             break
-    yield record("associativity", bad, bad and [list(t.assignment) for t in bad])
+    yield record("associativity", bad, bad and [list(t) for t in bad])
     # H -> H^f per element, from the value at H
-    conj = [[fam.coset_conj[node][c] for node, c in enumerate(f.assignment)]
+    conj = [[fam.coset_conj[node][c] for node, c in enumerate(f)]
             for f in elements]
     bad = next(((elements[i], elements[j], node)
                 for i, j in itertools.product(range(len(elements)), repeat=2)
                 for node, h in enumerate(conj[i]) if conj[table[i][j]][node] != conj[j][h]),
                None)
     yield record("conjugation-cocycle", bad,
-                 bad and {"f": list(bad[0].assignment), "g": list(bad[1].assignment),
+                 bad and {"f": list(bad[0]), "g": list(bad[1]),
                           "node": bad[2]})
     words = group_elements(fam.ctx)  # the regular table's representatives
     regular = regular_table(fam.ctx)
@@ -318,11 +307,11 @@ def law_records(tc: TruncatedCompletion):
     yield ("inverses", "pass", None)
     bad = next(((f, g) for (i, f), (j, g) in itertools.product(enumerate(elements), repeat=2)
                 if inv[table[i][j]] != table[inv[j]][inv[i]]), None)
-    yield record("inverse-anti-homomorphism", bad, bad and [list(t.assignment) for t in bad])
+    yield record("inverse-anti-homomorphism", bad, bad and [list(t) for t in bad])
     # An inverse must assign at H^f the coset of x^-1, x representing f(H).
     bad = next(((f, node) for f, finv in inverses.items() for node in range(len(fam.nodes))
                 for hf in (conj_node(tc, node, f),)
-                if finv.assignment[hf] != fam.nodes[hf].coset_table.coset_of(
+                if finv[hf] != fam.nodes[hf].coset_table.coset_of(
                     invert(_representative(tc, node, f)))), None)
     yield record("inverse-necessary-condition", bad,
-                 bad and {"f": list(bad[0].assignment), "node": bad[1]})
+                 bad and {"f": list(bad[0]), "node": bad[1]})

@@ -5,10 +5,11 @@ the chosen set X.  Balls are built breadth-first with deterministic discovery
 order, so vertex representatives are canonical: the elements come from
 ``words.ball`` keyed by ``groups.element_key``, and one
 ``subgroups.CosetIndex`` numbers their cosets, by the subgroup's coset key
-read through ``_left_key`` when it has one, else pairwise.  Ends of the pair
-(G, L) are estimated by counting annulus components that reach the outer
-sphere over an increasing radius schedule; the result is a report with a
-stabilization flag, never a certificate.
+read through ``_left_key`` when it has one, else pairwise.  The ball keeps
+every element with its vertex, and ``claim3_check`` reads those pairs.
+Ends of the pair (G, L) are estimated by counting annulus components that
+reach the outer sphere over an increasing radius schedule; the result is a
+report with a stabilization flag, never a certificate.
 
 Almost-invariant subsets B live at two levels: as a vertex subset of the ball
 (B = BL, a union of cosets) and as an element predicate on the group (needed
@@ -42,6 +43,7 @@ class CosetGraphBall:
     depth: tuple
     edges: tuple  # (u, v, label) with label an index into gens
     index: CosetIndex = field(repr=False)  # the left cosets of sub, one per vertex
+    elements: tuple = field(repr=False)  # (element, its vertex) per ball element, BFS order
 
     @property
     def vertex_count(self) -> int:
@@ -117,7 +119,7 @@ def coset_graph_ball(ctx, sub: SubgroupHandle, gens, radius: int) -> CosetGraphB
                 edges.append(edge)
     return CosetGraphBall(ctx=ctx, sub=sub, gens=gens, radius=radius,
                           vertices=tuple(index.representatives), depth=tuple(depth),
-                          edges=tuple(edges), index=index)
+                          edges=tuple(edges), index=index, elements=tuple(elements))
 
 
 # ---------------------------------------------------------------------------
@@ -199,19 +201,15 @@ def claim3_check(predicate, ball: CosetGraphBall) -> dict:
     Y = (union over the ball's generators x of (B + Bx^-1) and (B + Bx)) L
     inside the ball, checks every boundary edge of B has both endpoints in Y,
     and reports the boundary-edge count per radius."""
-    elements = element_ball(ball.ctx, ball.gens, ball.radius)
-    for e in elements:
-        vi = ball.vertex_index(e)
-        if vi is not None and predicate(e) != predicate(ball.vertices[vi]):
+    for e, vi in ball.elements:
+        if predicate(e) != predicate(ball.vertices[vi]):
             raise ValueError("predicate is not constant on cosets: B != BL")
     b_vertices = vertex_set(ball, predicate)
     y_indices = set()
-    for e in elements:
+    for e, vi in ball.elements:
         if any(predicate(e) != predicate(e * x) or predicate(e) != predicate(e * invert(x))
                for x in ball.gens):
-            vi = ball.vertex_index(e)
-            if vi is not None:
-                y_indices.add(vi)
+            y_indices.add(vi)
     border = boundary_edges(b_vertices, ball)
     per_radius = []
     for r in range(1, ball.radius + 1):

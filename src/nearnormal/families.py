@@ -13,7 +13,7 @@ Derivations satisfy d(gh) = d(g).h + d(h), hence d(x^-1) = -d(x).x^-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import modp
@@ -31,15 +31,11 @@ class FamilyTruncation:
     nodes: tuple[SubgroupHandle, ...]
     members: tuple[tuple[Word, ...], ...]
     order: frozenset  # pairs (i, j): node i <= node j, reflexive
-    conjugation_action: tuple  # sorted ((node, letter), node) pairs, total
+    conjugation_action: dict = field(hash=False)  # (node, letter) -> node, total
     normal_in: frozenset  # pairs (i, j): node i normal in node j
 
     def conj(self, node: int, letter: Letter) -> int:
-        return self._conj_map[(node, letter)]
-
-    @cached_property
-    def _conj_map(self) -> dict:
-        return dict(self.conjugation_action)
+        return self.conjugation_action[node, letter]
 
     def conj_by_word(self, node: int, w: Word) -> int:
         for letter in w.letters:
@@ -153,7 +149,7 @@ def truncation(ctx: GroupContext, node_generator_lists, close: bool = True) -> F
     key_sets = list(index)
     letters = signed_letters(ctx)
     perms = _conjugation_perms(regular, letters)
-    conj_pairs = []
+    conj = {}
     i = 0
     while i < len(handles):
         for letter in letters:
@@ -166,7 +162,7 @@ def truncation(ctx: GroupContext, node_generator_lists, close: bool = True) -> F
                 key_sets.append(ks)
                 handles.append(finite_subgroup(
                     ctx, tuple(invert(l_word) * g * l_word for g in handles[i].generators)))
-            conj_pairs.append(((i, letter), index[ks]))
+            conj[i, letter] = index[ks]
         i += 1
     members = tuple(tuple(reps[c] for c in sorted(ks)) for ks in key_sets)
     n = len(handles)
@@ -176,7 +172,7 @@ def truncation(ctx: GroupContext, node_generator_lists, close: bool = True) -> F
                        if all(_conjugate_keys(key_sets[i], g, perms) == key_sets[i]
                               for g in handles[j].generators))
     return FamilyTruncation(ctx=ctx, nodes=tuple(handles), members=members,
-                            order=order, conjugation_action=tuple(sorted(conj_pairs)),
+                            order=order, conjugation_action=conj,
                             normal_in=normal)
 
 
@@ -221,12 +217,11 @@ def check_admissible(fam: FamilyTruncation) -> dict:
     """Re-verifies conjugation closure and downward directedness."""
     violations = []
     letters = signed_letters(fam.ctx)
-    conj_map = fam._conj_map
     key_sets = [_key_set(fam.ctx, ms) for ms in fam.members]
     conj_ok = True
     for i in range(len(fam.nodes)):
         for letter in letters:
-            target = conj_map.get((i, letter))
+            target = fam.conjugation_action.get((i, letter))
             if target is None:
                 conj_ok = False
                 violations.append(f"no conjugation target for node {i} by letter {letter}")

@@ -32,6 +32,7 @@ from .words import (
 )
 
 ORACLES = ("coset-table", "britton", "thompson-normal-form", "free-abelian", "free")
+TABLE_LIMIT = 20_000  # live-coset bound of the regular table and finite subgroups
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,6 @@ class GroupContext:
     presentation: Presentation
     oracle: str
     bs_params: tuple[int, int] | None = None
-    table_limit: int = 20_000
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
@@ -314,7 +314,7 @@ def _validate_table(table: CosetTable, subgroup_gens: list[Word], relators: tupl
 @lru_cache(maxsize=None)
 def regular_table(ctx: GroupContext) -> CosetTable | Incomplete:
     """Coset table of the trivial subgroup (the regular representation)."""
-    return todd_coxeter(ctx, [], ctx.table_limit)
+    return todd_coxeter(ctx, [], TABLE_LIMIT)
 
 
 def group_elements(ctx: GroupContext) -> tuple[Word, ...]:
@@ -424,9 +424,9 @@ def serialize_presentation(pres: Presentation, oracle: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def context_from_text(text: str, **kwargs) -> GroupContext:
+def context_from_text(text: str) -> GroupContext:
     pres, oracle = parse_presentation(text)
-    return GroupContext(presentation=pres, oracle=oracle, **kwargs)
+    return GroupContext(presentation=pres, oracle=oracle)
 
 
 def parse_context_word(ctx: GroupContext, text: str) -> Word:

@@ -437,7 +437,7 @@ def am_subgroup(ctx, m: int) -> SubgroupHandle:
 def finite_subgroup(ctx, gens) -> SubgroupHandle:
     """Handle with an attached coset table (finite index established or raise)."""
     gens = tuple(gens)
-    table = groups.todd_coxeter(ctx, list(gens), ctx.table_limit)
+    table = groups.todd_coxeter(ctx, list(gens), groups.TABLE_LIMIT)
     if isinstance(table, groups.Incomplete):
         raise ValueError(f"coset enumeration incomplete at {table.limit} live cosets")
     return SubgroupHandle(ctx, gens, table, Table())

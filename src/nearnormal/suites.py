@@ -80,7 +80,7 @@ def suite_groups(seed: int) -> list:
     elements = groups.group_elements(s3)
     _check(out, "groups/sym3-order", "two involutions with product of order 3 give 6 elements",
            {"group": "sym3"}, len(elements) == 6, len(elements))
-    table = groups.todd_coxeter(s3, (generator(0),), s3.table_limit)
+    table = groups.todd_coxeter(s3, (generator(0),), groups.TABLE_LIMIT)
     _check(out, "groups/sym3-subgroup-index", "order-2 subgroup has index 3",
            {"group": "sym3", "subgroup": "a"},
            not isinstance(table, groups.Incomplete) and table.coset_count == 3,

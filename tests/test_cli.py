@@ -302,8 +302,25 @@ def test_word_options_take_parentheses(runner):
     (["ends", "estimate", "--group", "gens: a b\nrels: a^2\noracle: coset-table",
       "--l", "a"], "Error: coset enumeration incomplete at 20000 live cosets"),
     (["bs", "reduce", "--word", "(x y"], "Error: unclosed '('"),
+    (["group", "parse", "thompson-f"], "Error: schema presentations have no text form"),
+    (["group", "show", "gens: a\nrels: a^0"],
+     "Error: parse error: line 2, column 8: zero exponent"),
+    (["family", "check", "--group", "bs(2,3)", "--nodes", "x"],
+     "Error: truncations are built over finite coset-table groups"),
+    (["family", "h0", "--group", "sym3", "--nodes", "a; b"],
+     "Error: truncation has no global lower-bound node"),
+    (["completion", "build", "--group", "sym3", "--family", "normal-order3", "--ceiling", "1"],
+     "Error: completion enumeration exceeds ceiling 1"),
+    (["ends", "estimate", "--group", "sym3", "--l", "a", "--radii", "3,2"],
+     "Error: radii must be strictly increasing and nonempty"),
+    (["family", "h1", "--group", "sym3", "--module", "MATRIX_FILE"],
+     "Error: matrix blocks must be square"),
 ])
-def test_subgroup_and_word_errors_are_one_line(runner, args, message):
+def test_subgroup_and_word_errors_are_one_line(runner, tmp_path, args, message):
+    if "MATRIX_FILE" in args:
+        matrices = tmp_path / "module.txt"
+        matrices.write_text("1 2\n3\n")
+        args = [str(matrices) if a == "MATRIX_FILE" else a for a in args]
     result = runner.invoke(main, args)
     assert result.exit_code == 1
     assert result.output.strip() == message

@@ -6,7 +6,7 @@ import pytest
 
 from nearnormal import cli, completion, families, modp
 from nearnormal.completion import (
-    CompletionElement, act, completion_is_group, conj_node,
+    act, completion_is_group, conj_node,
     embed, identity_element, invert_stable,
     invertibility_scan, law_records, multiply, profinite_compare,
     truncated_completion,
@@ -52,7 +52,7 @@ def test_enumeration_ceiling():
 def test_enumerate_completion_recomputes():
     _, _, tc = sym3_all_subgroups()
     recomputed = completion._enumerate_assignments(tc.fam, completion.ENUM_CEILING)
-    assert [CompletionElement(a) for a in recomputed] == list(tc.elements)
+    assert tuple(recomputed) == tc.elements
 
 
 def test_identity_laws():
@@ -123,9 +123,9 @@ def test_inverse_necessary_condition():
         g = invert_stable(tc, f)
         for node in range(len(fam.nodes)):
             table = fam.nodes[node].coset_table
-            xrep = table.representatives[f.assignment[node]]
+            xrep = table.representatives[f[node]]
             hf = conj_node(tc, node, f)
-            assert g.assignment[hf] == fam.nodes[hf].coset_table.coset_of(invert(xrep))
+            assert g[hf] == fam.nodes[hf].coset_table.coset_of(invert(xrep))
 
 
 def test_invertibility_scan_group_case():
@@ -145,14 +145,14 @@ def test_multiplication_is_representative_independent():
             for node in range(len(fam.nodes)):
                 table = fam.nodes[node].coset_table
                 for x in elements:
-                    if table.coset_of(x) != f1.assignment[node]:
+                    if table.coset_of(x) != f1[node]:
                         continue
                     hf = fam.conj_by_word(node, x)
                     t2 = fam.nodes[hf].coset_table
                     for x2 in elements:
-                        if t2.coset_of(x2) != f2.assignment[hf]:
+                        if t2.coset_of(x2) != f2[hf]:
                             continue
-                        assert table.coset_of(x * x2) == expected.assignment[node]
+                        assert table.coset_of(x * x2) == expected[node]
 
 
 def test_non_stable_family_has_non_invertible_elements():
@@ -199,7 +199,7 @@ def test_profinite_comparison_rejects_non_normal_nodes():
 def test_mismatched_elements_rejected():
     _, _, tc = sym3_all_subgroups()
     with pytest.raises(ValueError):
-        multiply(tc, identity_element(tc), CompletionElement((0,)))
+        multiply(tc, identity_element(tc), (0,))
 
 
 # --- module action -----------------------------------------------------------
@@ -266,17 +266,17 @@ def word_product(tc, f, f2):
     fam = tc.fam
     values = []
     for node, table in enumerate(h.coset_table for h in fam.nodes):
-        x = table.representatives[f.assignment[node]]
+        x = table.representatives[f[node]]
         hf = fam.conj_by_word(node, x)
-        x2 = fam.nodes[hf].coset_table.representatives[f2.assignment[hf]]
+        x2 = fam.nodes[hf].coset_table.representatives[f2[hf]]
         values.append(table.coset_of(x * x2))
-    return CompletionElement(tuple(values))
+    return tuple(values)
 
 
 def exhaustive_scan(tc):
     """The O(N^2) inverse search the solve in invertibility_scan replaces."""
     e = identity_element(tc)
-    witnesses = [f.assignment for f in tc.elements
+    witnesses = [f for f in tc.elements
                  if not any(multiply(tc, f, g) == e and multiply(tc, g, f) == e
                             for g in tc.elements)]
     return {"total": len(tc.elements), "invertible": len(tc.elements) - len(witnesses),
@@ -311,10 +311,10 @@ def test_covering_inclusions_decide_compatibility():
     counts = [h.coset_table.coset_count for h in fam.nodes]
     conj, product = fam.coset_conj, fam.coset_product
     for f, f2 in itertools.product(tc.elements, repeat=2):
-        out = [product[node][c][f2.assignment[conj[node][c]]]
-               for node, c in enumerate(f.assignment)]
+        out = [product[node][c][f2[conj[node][c]]]
+               for node, c in enumerate(f)]
         # the product, and the product with one node's value moved
-        node = (f.assignment[0] + f2.assignment[-1]) % len(out)
+        node = (f[0] + f2[-1]) % len(out)
         moved = list(out)
         moved[node] = (moved[node] + 1) % counts[node]
         for assignment in (out, moved):
@@ -403,15 +403,15 @@ def test_law_records_report_the_first_failing_witness(monkeypatch):
     monkeypatch.setattr(completion, "invert_stable", lambda tc, f: f)
     records = {name: (verdict, witness) for name, verdict, witness in law_records(tc)}
     necessary = next((f, node) for f in tc.elements for node in range(len(fam.nodes))
-                     if f.assignment[conj_node(tc, node, f)]
+                     if f[conj_node(tc, node, f)]
                      != fam.nodes[conj_node(tc, node, f)].coset_table.coset_of(
-                         invert(fam.nodes[node].coset_table.representatives[f.assignment[node]])))
+                         invert(fam.nodes[node].coset_table.representatives[f[node]])))
     assert records["inverse-necessary-condition"] == (
-        "fail", {"f": list(necessary[0].assignment), "node": necessary[1]})
+        "fail", {"f": list(necessary[0]), "node": necessary[1]})
     anti = next((f, g) for f, g in itertools.product(tc.elements, repeat=2)
                 if multiply(tc, f, g) != multiply(tc, g, f))
     assert records["inverse-anti-homomorphism"] == (
-        "fail", [list(anti[0].assignment), list(anti[1].assignment)])
+        "fail", [list(anti[0]), list(anti[1])])
 
 
 def reference_law_records(tc):
@@ -425,18 +425,18 @@ def reference_law_records(tc):
     e = identity_element(tc)
     bad = next((f for f in elements
                 if multiply(tc, e, f) != f or multiply(tc, f, e) != f), None)
-    yield record("identity", bad, bad and list(bad.assignment))
+    yield record("identity", bad, bad and list(bad))
     bad = next(((f, g, h) for f, g, h in itertools.product(elements, repeat=3)
                 if multiply(tc, multiply(tc, f, g), h) != multiply(tc, f, multiply(tc, g, h))),
                None)
-    yield record("associativity", bad, bad and [list(t.assignment) for t in bad])
+    yield record("associativity", bad, bad and [list(t) for t in bad])
     bad = next(((f, g, node) for f, g in itertools.product(elements, repeat=2)
                 for fg in (multiply(tc, f, g),)
                 for node in range(len(fam.nodes))
                 if conj_node(tc, node, fg) != conj_node(tc, conj_node(tc, node, f), g)),
                None)
     yield record("conjugation-cocycle", bad,
-                 bad and {"f": list(bad[0].assignment), "g": list(bad[1].assignment),
+                 bad and {"f": list(bad[0]), "g": list(bad[1]),
                           "node": bad[2]})
     words = group_elements(fam.ctx)
     embeds = [embed(g, tc) for g in words]
@@ -463,14 +463,14 @@ def reference_law_records(tc):
                 for fg in (multiply(tc, f, g),)
                 if fg not in inverses
                 or inverses[fg] != multiply(tc, inverses[g], inverses[f])), None)
-    yield record("inverse-anti-homomorphism", bad, bad and [list(t.assignment) for t in bad])
+    yield record("inverse-anti-homomorphism", bad, bad and [list(t) for t in bad])
     bad = next(((f, node) for f, finv in inverses.items() for node in range(len(fam.nodes))
                 for hf in (conj_node(tc, node, f),)
-                if finv.assignment[hf] != fam.nodes[hf].coset_table.coset_of(
-                    invert(fam.nodes[node].coset_table.representatives[f.assignment[node]]))),
+                if finv[hf] != fam.nodes[hf].coset_table.coset_of(
+                    invert(fam.nodes[node].coset_table.representatives[f[node]]))),
                None)
     yield record("inverse-necessary-condition", bad,
-                 bad and {"f": list(bad[0].assignment), "node": bad[1]})
+                 bad and {"f": list(bad[0]), "node": bad[1]})
 
 
 def outcome(records, tc):

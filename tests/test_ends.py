@@ -2,7 +2,7 @@
 
 import pytest
 
-from nearnormal import ends
+from nearnormal import ends, groups
 from nearnormal.ends import (
     CosetOracleError, boundary_edges, bs_side_predicate, claim3_check,
     coset_graph_ball, double_coset_membership, double_coset_orbit,
@@ -10,7 +10,7 @@ from nearnormal.ends import (
 )
 from nearnormal.groups import element_key, preset
 from nearnormal.subgroups import (
-    CosetSet, XPower, am_subgroup, finite_subgroup, free_cyclic_subgroup,
+    CosetIndex, CosetSet, XPower, am_subgroup, finite_subgroup, free_cyclic_subgroup,
     lattice_subgroup, power_subgroup, same_coset, subgroup, trivial_subgroup,
 )
 from nearnormal.words import Word, exponent_vector, generator, invert, parse_word
@@ -273,6 +273,35 @@ def test_claim3_on_the_bs_side_predicate():
     assert report["contained_in_Y"] is True
     counts = report["boundary_count_per_radius"]
     assert counts == sorted(counts)  # cumulative by construction
+
+
+# The two suite fixtures, ends/claim3-half-plane and ends/claim3-bs-side, and
+# their reports.
+CLAIM3_FIXTURES = {
+    "half-plane": ("zn(2)", lambda ctx: lattice_subgroup(ctx, [(1, 0)]),
+                   lambda ctx: lambda w: exponent_vector(w, 2)[1] > 0,
+                   {"boundary_count_per_radius": [1, 1, 1, 1], "contained_in_Y": True,
+                    "y_vertex_count": 2, "y_vertices": frozenset({0, 1})}),
+    "bs-side": ("bs(2,3)", lambda ctx: power_subgroup(ctx, 2), bs_side_predicate,
+                {"boundary_count_per_radius": [1, 4, 4, 4], "contained_in_Y": True,
+                 "y_vertex_count": 6, "y_vertices": frozenset({0, 1, 2, 4, 6, 8})}),
+}
+
+
+@pytest.mark.parametrize("label", sorted(CLAIM3_FIXTURES))
+def test_claim3_reads_the_classified_ball(monkeypatch, label):
+    group, make_sub, make_predicate, expected = CLAIM3_FIXTURES[label]
+    ctx = preset(group)
+    gens = (generator(0), generator(1))
+    ball = coset_graph_ball(ctx, make_sub(ctx), gens, 4)
+    assert [e for e, _ in ball.elements] == element_ball(ctx, gens, 4)
+    assert all(ball.vertex_index(e) == vi for e, vi in ball.elements)
+    calls = []
+    real = groups.element_key
+    monkeypatch.setattr(groups, "element_key", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(CosetIndex, "find", lambda *a: pytest.fail("coset looked up again"))
+    assert claim3_check(make_predicate(ctx), ball) == expected
+    assert calls == []
 
 
 # --- double cosets -----------------------------------------------------------

@@ -13,7 +13,7 @@ from nearnormal.families import (
     restrict_to_h0s, trivial_module, truncation, word_matrix,
 )
 from nearnormal.groups import (
-    context_from_text, element_key, group_elements, preset, todd_coxeter,
+    context_from_text, element_key, group_elements, preset, signed_letters, todd_coxeter,
 )
 from nearnormal.subgroups import finite_subgroup
 from nearnormal.words import Word, generator, invert, parse_word
@@ -105,11 +105,14 @@ CONJ_FIXTURES = {
 def test_conj_agrees_with_the_conjugation_action(label):
     group, nodes = CONJ_FIXTURES[label]
     ctx = context_from_text(group) if "gens:" in group else preset(group)
-    fam = truncation(ctx, [[parse_word(t, ctx.generator_names) for t in node.split(",")]
-                           if node != "-" else [] for node in nodes])
-    assert fam._conj_map is fam._conj_map  # built once per truncation
-    for (node, letter), target in fam.conjugation_action:
+    parsed = [[parse_word(t, ctx.generator_names) for t in node.split(",")]
+              if node != "-" else [] for node in nodes]
+    fam = truncation(ctx, parsed)
+    assert set(fam.conjugation_action) == {
+        (node, letter) for node in range(len(fam.nodes)) for letter in signed_letters(ctx)}
+    for (node, letter), target in fam.conjugation_action.items():
         assert fam.conj(node, letter) == target
+    assert hash(fam) == hash(truncation(ctx, parsed))  # the dict leaves it hashable
 
 
 def test_bottom_is_the_global_lower_bound():
@@ -167,7 +170,7 @@ def word_truncation(ctx, node_generator_lists):
     normal = frozenset((i, j) for i, j in order
                        if all(element_key(ctx, invert(h) * m * h) in key_sets[i]
                               for h in members[j] for m in members[i]))
-    return handles, members, order, tuple(sorted(conj_pairs)), normal
+    return handles, members, order, dict(conj_pairs), normal
 
 
 REFERENCE_FAMILIES = [
