@@ -11,6 +11,11 @@ with r = a mod n.  A pinch (zero remainder against an opposite stable pair)
 cancels the pair and cascades.  Interior exponents are therefore reduced
 residues, so equal elements have identical forms.
 
+``_Reducer.feed`` is the one Britton loop: it takes the word letter by
+letter, with the x-push and the y-push (split or pinch) inline on the form
+it holds in locals.  ``_Reducer.push_x`` adds a whole x-syllable, which is
+how ``least_power`` takes each candidate x^t.
+
 ``least_power`` is the one scan for the least t with w x^t w^-1 in <x^k>:
 power conjugation, the family check and subgroups' x-power intersection.
 """
@@ -56,7 +61,7 @@ class _Reducer:
             raise ValueError("stable-letter exponents must be positive")
         self.m = m
         self.n = n
-        # parts[0] = head exponent; then alternating (sign, exponent)
+        # the form being built: head exponent, then [y-sign, x-exponent] parts
         self.head = 0
         self.tail: list[list[int]] = []
 
@@ -66,36 +71,45 @@ class _Reducer:
         else:
             self.head += e
 
-    def push_y(self, sign: int) -> None:
-        m, n = self.m, self.n
-        trailing = self.tail[-1][1] if self.tail else self.head
-        modulus, scale = (m, n) if sign == 1 else (n, m)
-        r = trailing % modulus
-        carried = (trailing - r) // modulus * scale
-        if r == 0 and self.tail and self.tail[-1][0] == -sign:
-            # pinch: y^-sign x^(q*modulus) y^sign collapses into x-power
-            self.tail.pop()
-            self.push_x(carried)
-            return
-        if self.tail:
-            self.tail[-1][1] = r
-        else:
-            self.head = r
-        self.tail.append([sign, carried])
-
     def feed(self, letters) -> None:
         """Push a letter sequence; it need not be freely reduced, because
-        push_x is additive and push_y cancels y y^-1 and y^-1 y itself."""
+        x-pushes add and a y-push pinches y y^-1 and y^-1 y itself."""
+        m, n = self.m, self.n
+        head, tail = self.head, self.tail
         for index, sign in letters:
             if index == X:
-                self.push_x(sign)
+                if tail:
+                    tail[-1][1] += sign
+                else:
+                    head += sign
             elif index == Y:
-                self.push_y(sign)
+                if sign == 1:
+                    modulus, scale = m, n
+                else:
+                    modulus, scale = n, m
+                trailing = tail[-1][1] if tail else head
+                r = trailing % modulus
+                carried = (trailing - r) // modulus * scale
+                if r == 0 and tail and tail[-1][0] == -sign:
+                    # pinch: y^-sign x^(q*modulus) y^sign collapses into x-power
+                    tail.pop()
+                    if tail:
+                        tail[-1][1] += carried
+                    else:
+                        head += carried
+                else:
+                    if tail:
+                        tail[-1][1] = r
+                    else:
+                        head = r
+                    tail.append([sign, carried])
             else:
+                self.head = head
                 raise ValueError(f"BS words use generators x0 (x) and x1 (y); got index {index}")
+        self.head = head
 
     def form(self) -> BrittonForm:
-        return BrittonForm(self.head, tuple((e, a) for e, a in self.tail), self.m, self.n)
+        return BrittonForm(self.head, tuple(map(tuple, self.tail)), self.m, self.n)
 
 
 def britton_reduce(w: Word, m: int = 2, n: int = 3) -> BrittonForm:

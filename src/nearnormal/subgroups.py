@@ -34,7 +34,7 @@ from typing import ClassVar
 from . import _intlinalg as intlin
 from . import baumslag_solitar as bs
 from . import groups, thompson, words
-from .words import Word, exponent_vector, generator, invert, word_key
+from .words import Word, cyclic_peel, exponent_vector, generator, invert, word_key
 
 INFINITE_OR_EXCEEDS = "infinite-or-exceeds"
 
@@ -313,7 +313,7 @@ class FreeCyclic(Oracle):
             best = h
             for i in range(1, steps + 1):
                 for step in (forward, backward):
-                    cand = Word(step * i + h.letters)
+                    cand = Word(_reduced=step * i) * h
                     if word_key(cand) < word_key(best):
                         best = cand
             return best.letters
@@ -468,7 +468,7 @@ def _britton_subgroup(ctx, w: Word):
     form = bs.britton_reduce(w, m, n)
     if form.is_power_of_x():
         return trivial_subgroup(ctx) if form.head == 0 else power_subgroup(ctx, abs(form.head))
-    c, core = _peel(w)
+    c, core = cyclic_peel(w)
     form = bs.britton_reduce(core, m, n)
     if not c or not form.is_power_of_x() or form.head == 0:
         return None
@@ -479,19 +479,10 @@ def _britton_subgroup(ctx, w: Word):
 # free roots
 
 
-def _peel(w: Word) -> tuple[Word, Word]:
-    """(c, core) with w = c core c^-1 in the free group, core cyclically reduced."""
-    letters = w.letters
-    i, j = 0, len(letters)
-    while j - i >= 2 and letters[i] == (letters[j - 1][0], -letters[j - 1][1]):
-        i, j = i + 1, j - 1
-    return Word(_reduced=letters[:i]), Word(_reduced=letters[i:j])
-
-
 def _root_parts(w: Word) -> tuple[Word, Word, int]:
     """(c, r, k) with w = c r^k c^-1 in the free group, r cyclically reduced
     and not a proper power; (1, 1, 0) for w = 1."""
-    c, core = _peel(w)
+    c, core = cyclic_peel(w)
     letters, size = core.letters, len(core)
     for p in range(1, size + 1):
         if size % p == 0 and letters == letters[:p] * (size // p):

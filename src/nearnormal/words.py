@@ -7,6 +7,13 @@ an infinite alphabet (Thompson's group) needs no special casing because
 any single word touches finitely many indices.  Name-to-index mapping is
 a presentation/CLI concern, not a word concern.
 
+Letters are checked once, when a word is built from raw letters
+(``Word(letters)``, ``free_reduce``, ``generator``).  Products, powers and
+inverses are built from letters already checked and check none again.  As
+both factors of a product are reduced, letters cancel only where they meet:
+``u * v`` scans the junction, so its cost beyond one copy is the
+cancellation, not a reduction pass over both words.
+
 ``ball(steps, radius, key)`` is the one breadth-first word search: the
 element balls of ``ends``, the conjugator words of ``baumslag_solitar``,
 the translate search and the coset count of ``subgroups`` all read it.
@@ -71,11 +78,24 @@ class Word:
         return bool(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        return free_reduce(self.letters + other.letters)
+        # both factors are reduced: letters cancel only at the junction
+        a, b = self.letters, other.letters
+        size, k, limit = len(a), 0, min(len(a), len(b))
+        while k < limit:
+            index, sign = a[size - 1 - k]
+            b_index, b_sign = b[k]
+            if index != b_index or sign != -b_sign:
+                break
+            k += 1
+        return Word(_reduced=a[:size - k] + b[k:])
 
     def __pow__(self, n: int) -> "Word":
-        base = self if n >= 0 else invert(self)
-        return free_reduce(base.letters * abs(n))
+        """w^n = c core^n c^-1 for w = c core c^-1 with core cyclically
+        reduced: core^n is reduced, and so is its conjugate by c."""
+        if n == 0:
+            return Word(_reduced=())
+        c, core = cyclic_peel(self if n > 0 else invert(self))
+        return Word(_reduced=c.letters + core.letters * abs(n) + invert(c).letters)
 
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r})"
@@ -83,7 +103,16 @@ class Word:
 
 def invert(w: Word) -> Word:
     """Reversed sequence with flipped signs; an involution."""
-    return Word(_reduced=tuple((i, -s) for i, s in reversed(w.letters)))
+    return Word(_reduced=tuple([(i, -s) for i, s in reversed(w.letters)]))
+
+
+def cyclic_peel(w: Word) -> tuple[Word, Word]:
+    """(c, core) with w = c core c^-1 in the free group, core cyclically reduced."""
+    letters = w.letters
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i] == (letters[j - 1][0], -letters[j - 1][1]):
+        i, j = i + 1, j - 1
+    return Word(_reduced=letters[:i]), Word(_reduced=letters[i:j])
 
 
 def exponent_sum(w: Word) -> int:
@@ -103,10 +132,8 @@ def exponent_vector(w: Word, rank: int) -> tuple[int, ...]:
 
 def generator(index: int, power: int = 1) -> Word:
     """The word x_index^power."""
-    if power == 0:
-        return Word()
-    sign = 1 if power > 0 else -1
-    return Word(_reduced=tuple((index, sign) for _ in range(abs(power))))
+    letter = _check_letter((index, 1 if power > 0 else -1))
+    return Word(_reduced=(letter,) * abs(power))
 
 
 def word_key(w: Word) -> tuple:

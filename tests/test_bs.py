@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from nearnormal import baumslag_solitar as bs
-from nearnormal.words import Word, generator, invert
+from nearnormal.words import Word, free_reduce, generator, invert
 from rewriting import bs_naive_equal, bs_neighbors
 
 X = generator(0)
@@ -330,10 +330,17 @@ def test_syllable_reduction_equals_britton_reduce():
 
 
 def test_feed_accepts_unreduced_letters():
-    for w in reduced_ball(4):
-        red = bs._Reducer(2, 3)
-        red.feed(w + tuple((i, -s) for i, s in reversed(w)) + w)
-        assert red.form() == bs.britton_reduce(Word(w))
+    rng = random.Random(3)
+    for m, n in ((1, 2), (2, 3), (3, 2), (2, 4), (3, 3)):
+        for w in reduced_ball(4):
+            letters = list(w + tuple((i, -s) for i, s in reversed(w)) + w)
+            # and one more cancelling pair at a random place
+            i, s = rng.choice(LETTERS)
+            at = rng.randint(0, len(letters))
+            letters[at:at] = [(i, s), (i, -s)]
+            red = bs._Reducer(m, n)
+            red.feed(letters)
+            assert red.form() == bs.britton_reduce(free_reduce(letters), m, n), (w, m, n)
 
 
 def test_corrupted_push_x_fails_the_family_check(monkeypatch):

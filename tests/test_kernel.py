@@ -65,6 +65,55 @@ def test_python_backend_reports_non_canonical_forms(monkeypatch):
         assert any(i + 1 not in indices for i in both)
 
 
+def reference_scan(max_len, max_index):
+    """The scan's report, by a per-word loop with no form cache: each word's
+    form P N^-1 is composed from generator maps letter by letter."""
+    bits = _scan_py._precision(max_len, max_index)
+    one = 1 << bits
+
+    def letter_map(index, sign):
+        xs, ys = _scan_py._generator(index, bits)
+        return (xs, ys) if sign == 1 else (ys, xs)
+
+    letters = [(i, s) for i in range(max_index + 1) for s in (1, -1)]
+    failures, words = [], 0
+
+    def visit(word, plw, nf):
+        nonlocal words
+        words += 1
+        form = [(i, 1) for i, a in nf.positive for _ in range(a)]
+        form += [(j, -1) for j, b in reversed(nf.negative) for _ in range(b)]
+        form_map = ((0, one), (0, one))
+        for letter in form:
+            form_map = _scan_py._compose(form_map, letter_map(*letter))
+        if not _scan_py._is_normal_form(nf.positive, nf.negative) or form_map != plw:
+            failures.append((word, (nf.positive, nf.negative)))
+        if len(word) < max_len:
+            for l in letters:
+                if not word or word[-1] != (l[0], -l[1]):
+                    visit(word + (l,), _scan_py._compose(plw, letter_map(*l)),
+                          thompson.f_times(nf, (l,)))
+
+    visit((), ((0, one), (0, one)), thompson.IDENTITY)
+    return {"words": words, "failures": failures[:_scan_py.FAILURE_CAP], "backend": "python"}
+
+
+@pytest.mark.parametrize("mutation, size", [
+    ("none", (5, 2)), ("none", (6, 2)), ("non-canonical", (5, 2)), ("x1-read-as-x2", (5, 2))],
+    ids=["5:2", "6:2", "5:2-non-canonical", "5:2-x1-read-as-x2"])
+def test_python_backend_matches_the_per_word_reference(monkeypatch, mutation, size):
+    # the scan checks each distinct form once; the reference checks every word
+    if mutation == "non-canonical":
+        monkeypatch.setattr(thompson, "_cleanup", lambda pos, neg: None)
+    elif mutation == "x1-read-as-x2":
+        mul_letter = thompson._mul_letter
+        monkeypatch.setattr(thompson, "_mul_letter", lambda pos, neg, index, sign:
+                            mul_letter(pos, neg, index + (index == 1), sign))
+    report = scan_py(*size)
+    assert report == reference_scan(*size)
+    assert bool(report["failures"]) == (mutation != "none")
+
+
 def test_normal_form_conditions():
     assert _scan_py._is_normal_form(((0, 2), (3, 1)), ((1, 1),))
     assert _scan_py._is_normal_form(((0, 1), (1, 1)), ((0, 1),))

@@ -1,5 +1,7 @@
 """Free-reduction and word-syntax properties."""
 
+import random
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -103,6 +105,43 @@ def test_letter_validation():
         Word(((-1, 1),))
     with pytest.raises(ValueError):
         Word(((0, 2),))
+    with pytest.raises(ValueError):
+        generator(-1)
+    with pytest.raises(ValueError):
+        generator(-2, -3)
+
+
+def test_products_and_powers_match_free_reduction():
+    # products and powers cancel only at junctions; free reduction of the
+    # concatenation is the reference
+    rng = random.Random(14)
+
+    def raw(size):
+        return [(rng.randrange(3), rng.choice((1, -1))) for _ in range(size)]
+
+    cancelled = set()
+    for _ in range(400):
+        u = free_reduce(raw(rng.randrange(10)))
+        k = rng.randint(0, len(u))
+        # v starts with the inverse of u's last k letters
+        tail = u.letters[len(u) - k:]
+        v = free_reduce([(i, -s) for i, s in reversed(tail)] + raw(rng.randrange(6)))
+        product = u * v
+        assert product == free_reduce(u.letters + v.letters), (u, v)
+        lost = (len(u) + len(v) - len(product)) // 2
+        cancelled.add("none" if lost == 0 else "all" if lost == len(u) else "some")
+    assert cancelled == {"none", "some", "all"}
+
+    conjugated = 0
+    for _ in range(200):
+        c = free_reduce(raw(rng.randrange(4)))
+        core = free_reduce(raw(rng.randrange(1, 6)))
+        w = free_reduce(c.letters + core.letters + invert(c).letters)
+        conjugated += len(w) >= 2 and w.letters[0] == invert(w).letters[0]
+        for n in range(-4, 5):
+            base = w if n >= 0 else invert(w)
+            assert w ** n == free_reduce(base.letters * abs(n)), (w, n)
+    assert conjugated  # some w are not cyclically reduced
 
 
 @given(words, words)
