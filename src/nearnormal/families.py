@@ -279,30 +279,27 @@ def _reverify_normal(fam: FamilyTruncation, l: int, h: int) -> bool:
 class FiniteModule:
     dimension: int
     p: int
-    matrices: tuple  # one per ambient generator, right action on rows
+    matrices: tuple  # modp sparse rows, one per ambient generator, right action
     inverses: tuple
 
 
 def finite_module(ctx: GroupContext, matrices, p: int = 2) -> FiniteModule:
-    """Validated module: p prime, matrices invertible, relators act as the
-    identity."""
+    """Validated module from dense integer matrices, stored as sparse rows: p
+    prime, matrices invertible, relators act as the identity."""
     if not modp.is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
-    mats = tuple(modp.mat_mod(m, p) for m in matrices)
     if ctx.presentation.schema is not None:
         raise ValueError("finite modules need a finitely generated presentation")
-    if len(mats) != ctx.generator_count:
+    if len(matrices) != ctx.generator_count:
         raise ValueError("one matrix per ambient generator required")
-    dim = len(mats[0]) if mats else 0
-    inverses = []
-    for m in mats:
-        if len(m) != dim or any(len(row) != dim for row in m):
-            raise ValueError("matrices must be square and of equal size")
-        inv = modp.mat_inverse(m, p)
-        if inv is None:
-            raise ValueError("generator matrix is singular")
-        inverses.append(inv)
-    module = FiniteModule(dimension=dim, p=p, matrices=mats, inverses=tuple(inverses))
+    dim = len(matrices[0]) if matrices else 0
+    if any(len(m) != dim or any(len(row) != dim for row in m) for m in matrices):
+        raise ValueError("matrices must be square and of equal size")
+    mats = tuple(modp.sparse(m, p) for m in matrices)
+    inverses = tuple(modp.mat_inverse(m, p) for m in mats)
+    if None in inverses:
+        raise ValueError("generator matrix is singular")
+    module = FiniteModule(dimension=dim, p=p, matrices=mats, inverses=inverses)
     for r in ctx.presentation.relators:
         if word_matrix(module, r) != modp.identity_matrix(dim):
             raise ValueError("a relator does not act as the identity matrix")
@@ -318,7 +315,7 @@ def word_matrix(module: FiniteModule, w: Word):
 
 
 def trivial_module(ctx: GroupContext, dim: int = 1, p: int = 2) -> FiniteModule:
-    eye = modp.identity_matrix(dim)
+    eye = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
     return finite_module(ctx, tuple(eye for _ in range(ctx.generator_count)), p)
 
 
@@ -376,7 +373,7 @@ def h0_S(module: FiniteModule, fam: FamilyTruncation):
     bottom = fam.bottom()
     basis = node_fixed_space(module, fam, bottom)
     p = module.p
-    if not modp.span_contains(basis, [v for node in range(len(fam.nodes))
+    if not modp.span_contains(basis, [v for node in range(len(fam.nodes)) if node != bottom
                                       for v in node_fixed_space(module, fam, node)], p):
         raise RuntimeError("node fixed space escapes the bottom node: "
                            "truncation is not downward directed")
@@ -393,7 +390,8 @@ def h0_G_mod_S(module: FiniteModule, fam: FamilyTruncation):
     h0_S is the fixed space of the bottom node, so it is the whole module
     exactly when the bottom node's generators act as the identity; the
     union and submodule checks of h0_S then hold for the whole space."""
-    if len(node_fixed_space(module, fam, fam.bottom())) != module.dimension:
+    eye = modp.identity_matrix(module.dimension)
+    if any(word_matrix(module, g) != eye for g in fam.nodes[fam.bottom()].generators):
         raise ValueError("module is not an object of the subcategory: "
                          "h0_S is a proper subspace")
     return modp.fixed_space(list(module.matrices), module.p, dim=module.dimension)
@@ -411,7 +409,7 @@ def restrict_to_h0s(module: FiniteModule, fam: FamilyTruncation):
             if coords is None:
                 raise RuntimeError("h0_S basis is not closed under the action")
             rows.append(coords)
-        mats.append(tuple(rows))
+        mats.append(modp.sparse(rows, p))
     sub = FiniteModule(dimension=len(basis), p=p, matrices=tuple(mats),
                        inverses=tuple(modp.mat_inverse(m, p) for m in mats))
     return sub, basis
@@ -423,18 +421,14 @@ def restrict_to_h0s(module: FiniteModule, fam: FamilyTruncation):
 
 def derivation_eval(module: FiniteModule, delta, w: Word):
     """Evaluate the derivation with generator values delta on a word via
-    d(u l) = d(u).l + d(l)."""
+    d(u x) = d(u).x + d(x) and d(u x^-1) = (d(u) - d(x)).x^-1."""
     p = module.p
     acc = modp.zero_vector(module.dimension)
     for index, sign in w.letters:
         if sign > 0:
-            step = delta[index]
-            mat = module.matrices[index]
+            acc = modp.vec_add(modp.vec_mat(acc, module.matrices[index], p), delta[index], p)
         else:
-            inv = module.inverses[index]
-            step = modp.vec_scale(modp.vec_mat(delta[index], inv, p), p - 1, p)
-            mat = inv
-        acc = modp.vec_add(modp.vec_mat(acc, mat, p), step, p)
+            acc = modp.vec_mat(modp.vec_sub(acc, delta[index], p), module.inverses[index], p)
     return acc
 
 
@@ -444,20 +438,21 @@ def relator_blocks(module: FiniteModule, r: Word) -> list:
 
     The letter at position t contributes the matrix of the suffix after it
     (negated and premultiplied by the inverse for an inverse letter); the
-    suffix matrices are accumulated right to left, one product per letter."""
+    suffix matrices are accumulated right to left, one product per letter,
+    and each block's entries are summed as integers and reduced once."""
     d, p = module.dimension, module.p
-    blocks = [[modp.zero_vector(d) for _ in range(d)] for _ in range(len(module.matrices))]
+    sums = [[{} for _ in range(d)] for _ in module.matrices]
     smat = modp.identity_matrix(d)
     for index, sign in reversed(r.letters):
         if sign > 0:
             coeff = smat
             smat = modp.mat_mul(module.matrices[index], smat, p)
         else:
-            smat = modp.mat_mul(module.inverses[index], smat, p)
-            coeff = tuple(modp.vec_scale(row, p - 1, p) for row in smat)
-        blocks[index] = [modp.vec_add(blocks[index][row], coeff[row], p)
-                         for row in range(d)]
-    return blocks
+            smat = coeff = modp.mat_mul(module.inverses[index], smat, p)
+        for acc, row in zip(sums[index], coeff):
+            for j, a in row:
+                acc[j] = acc.get(j, 0) + sign * a
+    return [tuple(modp.canonical_row(acc, p) for acc in block) for block in sums]
 
 
 def h1_derivations(ctx: GroupContext, module: FiniteModule) -> dict:
@@ -470,29 +465,23 @@ def h1_derivations(ctx: GroupContext, module: FiniteModule) -> dict:
     d = module.dimension
     p = module.p
     relators = pres.relators
-    # Unknown row vector: concatenation of d(x_0), ..., d(x_{n-1}).
+    # Unknown row vector: concatenation of d(x_0), ..., d(x_{n-1}); its row
+    # i*d + row of the system holds block i's row for each relator in turn.
     columns = [relator_blocks(module, r) for r in relators]
-    if relators:
-        big = []
-        for i in range(n):
-            for row in range(d):
-                flat = []
-                for blocks in columns:
-                    flat.extend(blocks[i][row])
-                big.append(tuple(flat))
-        der_basis = modp.left_nullspace(tuple(big), p)
-    else:
-        der_basis = modp.identity_matrix(n * d)
+    big = [tuple((k * d + j, a) for k, blocks in enumerate(columns) for j, a in blocks[i][row])
+           for i in range(n) for row in range(d)]
+    der_basis = modp.left_nullspace(big, p)
+    # The inner derivation of e_j sends x_i to row j of M_i minus e_j.
     ider_rows = []
     for j in range(d):
-        e = tuple(1 if t == j else 0 for t in range(d))
-        flat = []
-        for i in range(n):
-            moved = modp.vec_mat(e, module.matrices[i], p)
-            flat.extend(modp.vec_sub(moved, e, p))
-        ider_rows.append(tuple(flat))
+        flat = [0] * (n * d)
+        for i, m in enumerate(module.matrices):
+            flat[i * d + j] -= 1
+            for c, a in m[j]:
+                flat[i * d + c] += a
+        ider_rows.append(flat)
     ider_basis = modp.row_space(ider_rows, p)
-    if relators and not modp.span_contains(der_basis, ider_basis, p):
+    if not modp.span_contains(der_basis, ider_basis, p):
         raise RuntimeError("inner derivation fails the relator system")
     for v in der_basis:
         delta = tuple(v[i * d:(i + 1) * d] for i in range(n))

@@ -1,7 +1,9 @@
-"""Dense exact linear algebra over a prime field F_p.
+"""Exact linear algebra over a prime field F_p, on sparse matrix rows.
 
-Vectors are tuples of ints in [0, p); matrices are tuples of row tuples.
-The module convention everywhere is right action on row vectors: v -> v. M.
+Vectors, and the bases returned here, are dense tuples of ints in [0, p).  A
+matrix is a tuple of sparse rows: row i is the tuple of (column, value) pairs
+of its nonzero entries in column order, values in [1, p), and products and
+eliminations read only those.  Modules act on the right: v -> v . M.
 """
 
 from __future__ import annotations
@@ -17,14 +19,6 @@ def vec_mod(v, p: int):
     return tuple(a % p for a in v)
 
 
-def mat_mod(m, p: int):
-    return tuple(vec_mod(row, p) for row in m)
-
-
-def identity_matrix(n: int):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def zero_vector(n: int):
     return (0,) * n
 
@@ -37,52 +31,98 @@ def vec_sub(u, v, p: int):
     return tuple((a - b) % p for a, b in zip(u, v))
 
 
-def vec_scale(u, c: int, p: int):
-    return tuple((a * c) % p for a in u)
+def sparse(rows, p: int):
+    """The matrix whose rows are the dense rows given, reduced mod p."""
+    return tuple(tuple((j, a % p) for j, a in enumerate(row) if a % p) for row in rows)
+
+
+def canonical_row(sums: dict, p: int):
+    """The sparse row of a dict column -> integer sum, reduced mod p."""
+    return tuple((j, s % p) for j, s in sorted(sums.items()) if s % p)
+
+
+def identity_matrix(n: int):
+    return tuple(((i, 1),) for i in range(n))
 
 
 def vec_mat(v, m, p: int):
-    cols = len(m[0]) if m else 0
-    out = [0] * cols
+    """v . M for a square matrix M."""
+    out = [0] * len(m)
     for a, row in zip(v, m):
         if a:
-            for j, b in enumerate(row):
-                out[j] = (out[j] + a * b) % p
-    return tuple(out)
+            for j, b in row:
+                out[j] += a * b
+    return tuple(s % p for s in out)
 
 
 def mat_mul(a, b, p: int):
-    return tuple(vec_mat(row, b, p) for row in a)
+    out = []
+    for row in a:
+        sums = {}
+        for k, x in row:
+            for j, y in b[k]:
+                sums[j] = sums.get(j, 0) + x * y
+        out.append(canonical_row(sums, p))
+    return tuple(out)
 
 
-def mat_sub(a, b, p: int):
-    return tuple(vec_sub(u, v, p) for u, v in zip(a, b))
+# Elimination keeps a dict pivot column -> row (a dict column -> value) with
+# 1 at its pivot, nothing left of it and 0 at every other pivot column, so
+# the rows in pivot order are the reduced row echelon form of the rows fed.
+
+
+def _reduce(row: dict, pivots: dict, p: int) -> dict:
+    """row minus multiples of the pivot rows, leaving 0 at every pivot column."""
+    for c in [c for c in row if c in pivots]:
+        f = row[c]
+        for j, a in pivots[c].items():
+            row[j] = (row.get(j, 0) - f * a) % p
+    return {j: a for j, a in row.items() if a}
+
+
+def _echelon(rows, p: int) -> dict:
+    """The pivot rows of the row space of rows, each a dict of nonzero entries."""
+    pivots = {}
+    for row in rows:
+        row = _reduce(row, pivots, p)
+        if not row:
+            continue
+        c = min(row)
+        inv = pow(row[c], p - 2, p)
+        row = {j: a * inv % p for j, a in row.items()}
+        for k, other in pivots.items():
+            if c in other:
+                pivots[k] = _reduce(other, {c: row}, p)
+        pivots[c] = row
+    return pivots
+
+
+def _dicts(rows, p: int):
+    return ({j: a % p for j, a in enumerate(row) if a % p} for row in rows)
+
+
+def _nullspace(pivots: dict, n: int, p: int):
+    """Basis of {v in F_p^n : row . v^T = 0 for every pivot row}, one vector
+    per free column in column order."""
+    basis = {f: [int(j == f) for j in range(n)] for f in range(n) if f not in pivots}
+    for c, row in pivots.items():
+        for j, a in row.items():
+            if j != c:
+                basis[j][c] = -a % p
+    return tuple(tuple(v) for v in basis.values())
 
 
 def rref(rows, p: int):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    mat = [list(vec_mod(r, p)) for r in rows]
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][col], p - 2, p) if p > 2 else mat[r][col]
-        mat[r] = [(a * inv) % p for a in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                c = mat[i][col]
-                mat[i] = [(a - c * b) % p for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
+    """Reduced row echelon form of dense rows; returns (nonzero rows, pivot
+    columns)."""
+    n = len(rows[0]) if rows else 0
+    pivots = _echelon(_dicts(rows, p), p)
+    order = tuple(sorted(pivots))
+    return tuple(tuple(pivots[c].get(j, 0) for j in range(n)) for c in order), order
 
 
 def rank(rows, p: int) -> int:
-    return len(rref(rows, p)[0])
+    return len(_echelon(_dicts(rows, p), p))
 
 
 def row_space(rows, p: int):
@@ -91,11 +131,9 @@ def row_space(rows, p: int):
 
 def span_contains(basis, vectors, p: int) -> bool:
     """True when every vector lies in the row span of basis: one elimination
-    of basis and the nonzero vectors, compared with the rank of basis."""
-    extra = [v for v in vectors if any(vec_mod(v, p))]
-    if not extra:
-        return True
-    return rank(list(basis) + extra, p) == rank(basis, p)
+    of basis, then each vector reduced against it."""
+    pivots = _echelon(_dicts(basis, p), p)
+    return not any(_reduce(row, pivots, p) for row in _dicts(vectors, p))
 
 
 def in_span(basis, vec, p: int) -> bool:
@@ -103,26 +141,18 @@ def in_span(basis, vec, p: int) -> bool:
 
 
 def left_nullspace(m, p: int):
-    """Basis of {v : v . M = 0} for an r x c matrix M, as rows of length r."""
-    r = len(m)
-    if r == 0:
-        return ()
-    transposed = tuple(tuple(m[i][j] for i in range(r)) for j in range(len(m[0])))
-    return right_nullspace_of_rows(transposed, p, r)
+    """Basis of {v : v . M = 0} for a matrix M, as dense rows of length len(M):
+    the null space of the columns of M."""
+    columns = {}
+    for i, row in enumerate(m):
+        for j, a in row:
+            columns.setdefault(j, {})[i] = a
+    return _nullspace(_echelon(columns.values(), p), len(m), p)
 
 
 def right_nullspace_of_rows(rows, p: int, n: int):
-    """Basis of {v in F_p^n : rows . v^T = 0} (each row dotted with v is 0)."""
-    red, pivots = rref(rows, p)
-    free_cols = [j for j in range(n) if j not in pivots]
-    basis = []
-    for f in free_cols:
-        v = [0] * n
-        v[f] = 1
-        for row, pcol in zip(red, pivots):
-            v[pcol] = (-row[f]) % p
-        basis.append(tuple(v))
-    return tuple(basis)
+    """Basis of {v in F_p^n : rows . v^T = 0} (each dense row dotted with v is 0)."""
+    return _nullspace(_echelon(_dicts(rows, p), p), n, p)
 
 
 def solve_linear_combination(basis, vec, p: int):
@@ -145,25 +175,26 @@ def solve_linear_combination(basis, vec, p: int):
 def mat_inverse(m, p: int):
     """Inverse over F_p, the right half of rref([M | I]); None when singular."""
     n = len(m)
-    red, pivots = rref([tuple(row) + e for row, e in zip(m, identity_matrix(n))], p)
-    if pivots != tuple(range(n)):
+    pivots = _echelon(({**dict(row), n + i: 1} for i, row in enumerate(m)), p)
+    if any(c >= n for c in pivots):
         return None
-    return tuple(row[n:] for row in red)
+    return tuple(canonical_row({j - n: a for j, a in pivots[i].items() if j >= n}, p)
+                 for i in range(n))
 
 
 def fixed_space(mats, p: int, dim: int | None = None):
-    """Basis of the simultaneous fixed space {v : v.M = v for every M}."""
+    """Basis of the simultaneous fixed space {v : v . M = v for every M}: the
+    null space of the columns of every M - I."""
     if not mats:
         if dim is None:
             raise ValueError("fixed_space of no matrices needs an explicit dimension")
-        return identity_matrix(dim)
+        return _nullspace({}, dim, p)
     n = len(mats[0])
-    blocks = []
+    constraints = []
     for m in mats:
-        diff = mat_sub(m, identity_matrix(n), p)
-        blocks.append(diff)
-    # v . [M1 - I | M2 - I | ...] = 0
-    joined = tuple(tuple(c for blk in blocks for c in blk[i]) for i in range(n))
-    if not joined or not joined[0]:
-        return identity_matrix(n)
-    return left_nullspace(joined, p)
+        columns = [{j: -1} for j in range(n)]
+        for i, row in enumerate(m):
+            for j, a in row:
+                columns[j][i] = columns[j].get(i, 0) + a
+        constraints.extend({i: a % p for i, a in col.items()} for col in columns)
+    return _nullspace(_echelon(constraints, p), n, p)

@@ -310,12 +310,13 @@ class FreeCyclic(Oracle):
         def key(g):
             h = ci * g
             steps = 2 * len(h) // (period * k)
-            best = h
+            best, best_key = h, word_key(h)
             for i in range(1, steps + 1):
                 for step in (forward, backward):
                     cand = Word(_reduced=step * i) * h
-                    if word_key(cand) < word_key(best):
-                        best = cand
+                    cand_key = word_key(cand)
+                    if cand_key < best_key:
+                        best, best_key = cand, cand_key
             return best.letters
 
         return key

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import dense_modp as ref
 from nearnormal import cli, families, modp
 from nearnormal.families import (
     check_admissible, check_stable, derivation_eval, finite_module, h0_G_mod_S,
@@ -223,7 +224,7 @@ def test_finite_module_validation():
     swap = ((0, 1), (1, 0))
     module = finite_module(ctx, [swap])
     assert module.dimension == 2
-    assert module.inverses[0] == swap
+    assert module.inverses[0] == modp.sparse(swap, 2)
     for p in (-3, 0, 1, 4, 9):
         with pytest.raises(ValueError, match="prime"):
             finite_module(ctx, [swap], p=p)
@@ -250,7 +251,7 @@ def test_permutation_module_on_coset_table():
     # row c has a single 1 at the image coset
     for mat in module.matrices:
         for row in mat:
-            assert sum(row) == 1
+            assert [a for _, a in row] == [1]
 
 
 def test_parse_module_matrices():
@@ -317,11 +318,11 @@ def test_restricted_module_action_matches():
         g = Word([(rng.randrange(2), rng.choice((1, -1))) for _ in range(4)])
         big = word_matrix(module, g)
         small = word_matrix(sub, g)
-        for coeffs, v in zip(small, basis):
+        for coeffs, v in zip(ref.dense(small, len(basis)), basis):
             moved = modp.vec_mat(v, big, p)
             rebuilt = modp.zero_vector(module.dimension)
             for c, row in zip(coeffs, basis):
-                rebuilt = modp.vec_add(rebuilt, modp.vec_scale(row, c, p), p)
+                rebuilt = modp.vec_add(rebuilt, ref.vec_scale(row, c, p), p)
             assert rebuilt == moved
 
 
@@ -406,17 +407,7 @@ def test_h1_rejects_schema_presentations():
 
 def suffix_loop_blocks(module, r):
     """Relator coefficients with each suffix matrix rebuilt from its word."""
-    d, p = module.dimension, module.p
-    blocks = [[modp.zero_vector(d) for _ in range(d)] for _ in module.matrices]
-    letters = r.letters
-    for t, (index, sign) in enumerate(letters):
-        coeff = word_matrix(module, Word(letters[t + 1:]))
-        if sign < 0:
-            coeff = modp.mat_mul(module.inverses[index], coeff, p)
-            coeff = tuple(modp.vec_scale(row, p - 1, p) for row in coeff)
-        blocks[index] = [modp.vec_add(blocks[index][row], coeff[row], p)
-                         for row in range(d)]
-    return blocks
+    return [modp.sparse(block, module.p) for block in ref.relator_blocks(module, r)]
 
 
 A5 = "gens: a b\nrels: a^2 b^3 (a b)^5"
@@ -440,3 +431,79 @@ def test_relator_blocks_match_the_suffix_loop(monkeypatch, spec, kind):
     got = h1_derivations(ctx, module)
     monkeypatch.setattr(families, "relator_blocks", suffix_loop_blocks)
     assert h1_derivations(ctx, module) == got
+
+
+S4 = "gens: a b\nrels: a^2 b^3 (a b)^4"
+
+
+def dense_conjugate(ctx, module, seed):
+    """The module in a seeded random basis: every M becomes P M P^-1, so the
+    matrices are dense while the relators still act as the identity."""
+    rng = random.Random(seed)
+    d, p = module.dimension, module.p
+    while True:
+        pm = tuple(tuple(rng.randrange(p) for _ in range(d)) for _ in range(d))
+        pinv = ref.mat_inverse(pm, p)
+        if pinv is not None:
+            break
+    return finite_module(ctx, [ref.mat_mul(ref.mat_mul(pm, ref.dense(m, d), p), pinv, p)
+                               for m in module.matrices], p)
+
+
+def reference_modules():
+    a5, s4, s4_inv = (context_from_text(t) for t in (A5, S4, S4_INVERSE_LETTERS))
+    yield "a5-regular-p2", a5, regular_module(a5)
+    yield "s4-permutation-p3", s4_inv, permutation_module(
+        s4_inv, todd_coxeter(s4_inv, [w("b")], 100), p=3)
+    yield "s4-dense-p5", s4, dense_conjugate(s4, regular_module(s4, p=5), 3)
+    yield "sym3-trivial-p7", preset("sym3"), trivial_module(preset("sym3"), dim=2, p=7)
+
+
+def test_word_matrix_and_relator_blocks_match_the_dense_reference():
+    rng = random.Random(11)
+    for label, ctx, module in reference_modules():
+        d = module.dimension
+        for _ in range(8):
+            u = Word([(rng.randrange(2), rng.choice((1, -1))) for _ in range(rng.randint(0, 7))])
+            assert ref.dense(word_matrix(module, u), d) == ref.word_matrix(module, u), label
+        for r in ctx.presentation.relators:
+            got = [ref.dense(block, d) for block in relator_blocks(module, r)]
+            assert got == ref.relator_blocks(module, r), label
+
+
+def test_the_dense_conjugate_is_dense_and_keeps_its_invariants():
+    s4 = context_from_text(S4)
+    module = dense_conjugate(s4, regular_module(s4, p=5), 3)
+    nonzero = sum(len(row) for m in module.matrices for row in m)
+    assert nonzero > 0.7 * 2 * 24 * 24
+    assert h1_derivations(s4, module)["dim_h1"] == 0
+    fam = truncation(s4, families.parse_nodes(s4, "-; b; a,b"))
+    assert len(h0_S(module, fam)) == 24
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_shapiro_the_a5_regular_module_has_no_degree_one_classes(p):
+    ctx = context_from_text(A5)
+    got = h1_derivations(ctx, regular_module(ctx, p=p))
+    assert (got["dim_der"], got["dim_ider"], got["dim_h1"]) == (59, 59, 0)
+
+
+def test_h0_of_the_a5_regular_module_at_p3():
+    ctx = context_from_text(A5)
+    fam = truncation(ctx, families.parse_nodes(ctx, "-; b; a,b"))
+    module = regular_module(ctx, p=3)
+    assert len(h0_S(module, fam)) == 60
+    assert len(h0_G_mod_S(module, fam)) == 1
+
+
+def test_a_corrupted_sparse_entry_fails_the_relator_check():
+    ctx = context_from_text(A5)
+    module = regular_module(ctx, p=3)
+    d = module.dimension
+    clean = [ref.dense(m, d) for m in module.matrices]
+    assert finite_module(ctx, clean, p=3).matrices == module.matrices
+    (col, value), = module.matrices[0][0]
+    corrupted = ((((col, 2 * value % 3),),) + module.matrices[0][1:])
+    assert modp.mat_inverse(corrupted, 3) is not None
+    with pytest.raises(ValueError, match="relator"):
+        finite_module(ctx, [ref.dense(corrupted, d), clean[1]], p=3)

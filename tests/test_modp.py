@@ -1,10 +1,12 @@
-"""Prime-field linear algebra against brute-force span enumeration."""
+"""Prime-field linear algebra against brute-force span enumeration and
+against the dense reference in ``dense_modp``."""
 
 import itertools
 import random
 
 import pytest
 
+import dense_modp as ref
 from nearnormal import modp
 
 
@@ -18,7 +20,7 @@ def brute_span(rows, n, p):
     for coeffs in itertools.product(range(p), repeat=len(rows)):
         v = modp.zero_vector(n)
         for c, row in zip(coeffs, rows):
-            v = modp.vec_add(v, modp.vec_scale(row, c, p), p)
+            v = modp.vec_add(v, ref.vec_scale(row, c, p), p)
         span.add(v)
     return span
 
@@ -88,9 +90,9 @@ def test_left_nullspace_annihilates(p):
     rng = random.Random(p)
     for _ in range(20):
         m = random_matrix(rng, 3, 3, p)
-        basis = modp.left_nullspace(m, p)
+        basis = modp.left_nullspace(modp.sparse(m, p), p)
         for v in basis:
-            assert modp.vec_mat(v, m, p) == modp.zero_vector(3)
+            assert modp.vec_mat(v, modp.sparse(m, p), p) == modp.zero_vector(3)
         # rank-nullity on the left
         assert len(basis) == 3 - modp.rank(m, p)
 
@@ -112,12 +114,12 @@ def test_solve_linear_combination_roundtrip():
         coeffs = (rng.randrange(p), rng.randrange(p))
         v = modp.zero_vector(3)
         for c, row in zip(coeffs, basis):
-            v = modp.vec_add(v, modp.vec_scale(row, c, p), p)
+            v = modp.vec_add(v, ref.vec_scale(row, c, p), p)
         got = modp.solve_linear_combination(basis, v, p)
         assert got is not None
         rebuilt = modp.zero_vector(3)
         for c, row in zip(got, basis):
-            rebuilt = modp.vec_add(rebuilt, modp.vec_scale(row, c, p), p)
+            rebuilt = modp.vec_add(rebuilt, ref.vec_scale(row, c, p), p)
         assert rebuilt == v
     assert modp.solve_linear_combination(basis, (0, 0, 1), p) is None
     assert modp.solve_linear_combination((), (0, 0, 0), p) == ()
@@ -126,11 +128,11 @@ def test_solve_linear_combination_roundtrip():
 
 def test_mat_inverse():
     p = 5
-    m = ((1, 2), (3, 4))
+    m = modp.sparse(((1, 2), (3, 4)), p)
     inv = modp.mat_inverse(m, p)
     assert modp.mat_mul(m, inv, p) == modp.identity_matrix(2)
     assert modp.mat_mul(inv, m, p) == modp.identity_matrix(2)
-    assert modp.mat_inverse(((1, 1), (1, 1)), p) is None
+    assert modp.mat_inverse(modp.sparse(((1, 1), (1, 1)), p), p) is None
     assert modp.mat_inverse((), p) == ()
 
 
@@ -141,11 +143,12 @@ def test_mat_inverse_on_seeded_matrices(p):
     for _ in range(40):
         n = rng.randint(1, 5)
         m = random_matrix(rng, n, n, p)
-        inv = modp.mat_inverse(m, p)
+        inv = modp.mat_inverse(modp.sparse(m, p), p)
         if modp.rank(m, p) < n:
             singular += 1
             assert inv is None, m
         else:
+            m = modp.sparse(m, p)
             assert modp.mat_mul(m, inv, p) == modp.identity_matrix(n), m
             assert modp.mat_mul(inv, m, p) == modp.identity_matrix(n), m
     assert singular
@@ -153,12 +156,12 @@ def test_mat_inverse_on_seeded_matrices(p):
 
 def test_fixed_space():
     p = 2
-    swap = ((0, 1), (1, 0))
+    swap = modp.sparse(((0, 1), (1, 0)), p)
     fixed = modp.fixed_space([swap], p)
     assert modp.rref(fixed, p)[0] == modp.rref(((1, 1),), p)[0]
     # identity fixes everything
     assert len(modp.fixed_space([modp.identity_matrix(3)], p)) == 3
-    assert modp.fixed_space([], p, dim=2) == modp.identity_matrix(2)
+    assert modp.fixed_space([], p, dim=2) == ((1, 0), (0, 1))
     with pytest.raises(ValueError):
         modp.fixed_space([], p)
 
@@ -168,9 +171,124 @@ def test_fixed_space_members_are_fixed():
     p = 3
     mats = []
     while len(mats) < 2:
-        m = random_matrix(rng, 3, 3, p)
+        m = modp.sparse(random_matrix(rng, 3, 3, p), p)
         if modp.mat_inverse(m, p) is not None:
             mats.append(m)
     for v in modp.fixed_space(mats, p):
         for m in mats:
             assert modp.vec_mat(v, m, p) == v
+
+
+# --- the sparse-row algebra against the dense reference ----------------------
+
+PRIMES = [2, 3, 5, 7]
+
+
+def seeded_matrices(p):
+    """Dense matrices of every kind an elimination meets: empty, rows with no
+    columns, all zero, full rank, rank deficient, fully dense, sparse, and
+    entries outside [0, p)."""
+    rng = random.Random(1000 + p)
+    out = [(), ((),) * 3, ((0,),), ((0, 0, 0),) * 4]
+    for _ in range(30):
+        r, c = rng.randint(1, 7), rng.randint(1, 7)
+        out.append(random_matrix(rng, r, c, p))
+        out.append(tuple(tuple(rng.randrange(1, p) if p > 2 else 1 for _ in range(c))
+                         for _ in range(r)))
+        out.append(tuple(tuple(rng.randrange(1, p) if rng.random() < 0.2 else 0
+                               for _ in range(c)) for _ in range(r)))
+        out.append(tuple(tuple(rng.randrange(-2 * p, 2 * p) for _ in range(c))
+                         for _ in range(r)))
+        k = rng.randint(1, min(r, c))
+        out.append(ref.mat_mul(random_matrix(rng, r, k, p), random_matrix(rng, k, c, p), p))
+        n = rng.randint(1, 6)
+        while True:
+            m = random_matrix(rng, n, n, p)
+            if ref.rank(m, p) == n:
+                out.append(m)
+                break
+    return out
+
+
+def square(mats):
+    return [m for m in mats if m and len(m) == len(m[0])]
+
+
+def test_seeded_matrices_cover_every_rank_kind():
+    kinds = set()
+    for p in PRIMES:
+        for m in square(seeded_matrices(p)):
+            r = ref.rank(m, p)
+            kinds.add("zero" if r == 0 else "full" if r == len(m) else "deficient")
+            if all(a % p for row in m for a in row):
+                kinds.add("dense")
+    assert kinds == {"zero", "full", "deficient", "dense"}
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_rref_matches_the_dense_reference(p):
+    for m in seeded_matrices(p):
+        assert modp.rref(m, p) == ref.rref(m, p), m
+        assert modp.rank(m, p) == ref.rank(m, p)
+        assert modp.left_nullspace(modp.sparse(m, p), p) == ref.left_nullspace(m, p), m
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_products_match_the_dense_reference(p):
+    rng = random.Random(p)
+    mats = square(seeded_matrices(p))
+    for a in mats:
+        n = len(a)
+        b = random_matrix(rng, n, n, p)
+        sa, sb = modp.sparse(a, p), modp.sparse(b, p)
+        assert ref.dense(sa, n) == tuple(modp.vec_mod(row, p) for row in a)
+        assert ref.dense(modp.mat_mul(sa, sb, p), n) == ref.mat_mul(a, b, p)
+        v = tuple(rng.randrange(p) for _ in range(n))
+        assert modp.vec_mat(v, sa, p) == ref.vec_mat(v, a, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_mat_inverse_matches_the_dense_reference(p):
+    singular = invertible = 0
+    for m in square(seeded_matrices(p)):
+        got, want = modp.mat_inverse(modp.sparse(m, p), p), ref.mat_inverse(m, p)
+        if want is None:
+            singular += 1
+            assert got is None, m
+        else:
+            invertible += 1
+            assert ref.dense(got, len(m)) == want, m
+    assert singular and invertible
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_fixed_space_matches_the_dense_reference(p):
+    rng = random.Random(50 + p)
+    by_size = {}
+    for m in square(seeded_matrices(p)):
+        by_size.setdefault(len(m), []).append(m)
+    for n, mats in sorted(by_size.items()):
+        for _ in range(10):
+            chosen = [rng.choice(mats) for _ in range(rng.randint(1, 3))]
+            got = modp.fixed_space([modp.sparse(m, p) for m in chosen], p)
+            assert got == ref.fixed_space(chosen, p), chosen
+        identity = ref.identity_matrix(n)
+        assert modp.fixed_space([modp.identity_matrix(n)], p) == identity
+        assert modp.fixed_space([], p, dim=n) == ref.fixed_space([], p, dim=n)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_span_contains_matches_the_dense_reference(p):
+    rng = random.Random(70 + p)
+    verdicts = set()
+    for basis in seeded_matrices(p):
+        if not basis or not basis[0]:
+            continue
+        c = len(basis[0])
+        inside = [ref.vec_mat(random_matrix(rng, 1, len(basis), p)[0], basis, p)
+                  for _ in range(3)]
+        for vectors in (inside, inside + [tuple(rng.randrange(p) for _ in range(c))], []):
+            got = modp.span_contains(basis, vectors, p)
+            assert got == ref.span_contains(basis, vectors, p), (basis, vectors)
+            verdicts.add(got)
+    assert verdicts == {True, False}
