@@ -4,9 +4,13 @@ The graph on left cosets gL has an edge (gL, gxL) for every generator x of
 the chosen set X.  Balls are built breadth-first with deterministic discovery
 order, so vertex representatives are canonical: the elements come from
 ``words.ball`` keyed by ``groups.element_key``, and one
-``subgroups.CosetIndex`` numbers their cosets, by the subgroup's coset key
-read through ``_left_key`` when it has one, else pairwise.  The ball keeps
-every element with its vertex, and ``claim3_check`` reads those pairs.
+``subgroups.CosetIndex`` numbers their cosets, by the subgroup's left-coset
+key read through ``_left_key`` when it has one, else pairwise.  Each element
+is keyed once.  An element g below the radius takes its edges from the
+ball's step table: g*x is then a numbered ball element whose vertex is
+known.  Only the elements on the outer sphere classify their products g*x
+through the index.  The ball keeps every element with its vertex, and
+``claim3_check`` reads those pairs.
 Ends of the pair (G, L) are estimated by counting annulus components that
 reach the outer sphere over an increasing radius schedule; the result is a
 report with a stabilization flag, never a certificate.
@@ -78,9 +82,10 @@ def vertex_set(ball: CosetGraphBall, predicate) -> VertexSet:
 
 
 def _left_key(key_fn, g: Word):
-    # gL = g'L iff Lg^-1 = Lg'^-1, so a right-coset key applied to g^-1 is
-    # canonical for the left coset gL.
-    return key_fn(invert(g))
+    """The key of the left coset gL under the subgroup's left-coset key: the
+    one named call per key the ball computes, which the per-layer trace
+    counts."""
+    return key_fn(g)
 
 
 def coset_graph_ball(ctx, sub: SubgroupHandle, gens, radius: int) -> CosetGraphBall:
@@ -90,14 +95,19 @@ def coset_graph_ball(ctx, sub: SubgroupHandle, gens, radius: int) -> CosetGraphB
     Edges must be collected from every element, not only from the canonical
     vertex representatives: when the subgroup is not normal, a coset can gain
     extra neighbors through its non-canonical members (the coset graph of a
-    commensurated subgroup has finite but nontrivial local degree)."""
+    commensurated subgroup has finite but nontrivial local degree).
+
+    An element below the radius has a row in the step table of the element
+    ball, so the vertex of each g*x is that of a numbered element; only the
+    outer sphere asks the index for the coset of g*x."""
     gens = tuple(gens)
-    key_fn = sub.membership.coset_key(sub)
+    key_fn = sub.membership.left_coset_key(sub)
     index = CosetIndex(sub, "left", None if key_fn is None else partial(_left_key, key_fn))
     depth: list = []
     # (element, its vertex), each vertex added when its first element is met
     elements = []
-    for g, r in _element_layers(ctx, gens, radius):
+    table: list = []  # per element below the radius: the numbers of g*x, g*x^-1, ...
+    for g, r in _element_layers(ctx, gens, radius, table):
         i = index.add(g)
         if index.undecided:
             raise CosetOracleError("coset equality undecided during expansion")
@@ -106,11 +116,14 @@ def coset_graph_ball(ctx, sub: SubgroupHandle, gens, radius: int) -> CosetGraphB
         elements.append((g, i))
     edges = []
     seen_edges = set()
-    for g, source in elements:
-        for label, x in enumerate(gens):
-            target = index.find(g * x)
-            if target == "unknown":
+    for e, (g, source) in enumerate(elements):
+        if e < len(table):
+            targets = [elements[n][1] for n in table[e][::2]]
+        else:
+            targets = [index.find(g * x) for x in gens]
+            if "unknown" in targets:
                 raise CosetOracleError("coset equality undecided during expansion")
+        for label, target in enumerate(targets):
             if target is None:
                 continue
             edge = (source, target, label)
@@ -184,11 +197,12 @@ def boundary_edges(b: VertexSet, ball: CosetGraphBall):
             if (u in b.indices) != (v in b.indices)]
 
 
-def _element_layers(ctx, gens, radius: int):
+def _element_layers(ctx, gens, radius: int, table: list | None = None):
     """Distinct group elements of length at most radius over the given set,
-    each with its length, breadth first."""
+    each with its length, breadth first; the steps are x, x^-1 per x in
+    gens, in that order, for the ball's step table."""
     steps = [s for x in gens for s in (x, invert(x))]
-    return words.ball(steps, radius, partial(groups.element_key, ctx))
+    return words.ball(steps, radius, partial(groups.element_key, ctx), table)
 
 
 def element_ball(ctx, gens, radius: int):

@@ -400,16 +400,13 @@ def h0_G_mod_S(module: FiniteModule, fam: FamilyTruncation):
 def restrict_to_h0s(module: FiniteModule, fam: FamilyTruncation):
     """The submodule on the h0_S basis; returns (module, basis rows)."""
     basis = h0_S(module, fam)
-    p = module.p
-    mats = []
-    for m in module.matrices:
-        rows = []
-        for v in basis:
-            coords = modp.solve_linear_combination(basis, modp.vec_mat(v, m, p), p)
-            if coords is None:
-                raise RuntimeError("h0_S basis is not closed under the action")
-            rows.append(coords)
-        mats.append(modp.sparse(rows, p))
+    p, d = module.p, len(basis)
+    # one elimination of the basis, then each image v.M reduced against it
+    images = modp.coordinates(basis, [modp.vec_mat(v, m, p)
+                                      for m in module.matrices for v in basis], p)
+    if None in images:
+        raise RuntimeError("h0_S basis is not closed under the action")
+    mats = [modp.sparse(images[i * d:(i + 1) * d], p) for i in range(len(module.matrices))]
     sub = FiniteModule(dimension=len(basis), p=p, matrices=tuple(mats),
                        inverses=tuple(modp.mat_inverse(m, p) for m in mats))
     return sub, basis

@@ -155,21 +155,28 @@ def right_nullspace_of_rows(rows, p: int, n: int):
     return _nullspace(_echelon(_dicts(rows, p), p), n, p)
 
 
-def solve_linear_combination(basis, vec, p: int):
-    """Coefficients x with sum x_i basis_i = vec, or None when outside the span."""
-    k = len(basis)
-    if k == 0:
-        return () if not any(vec_mod(vec, p)) else None
-    n = len(basis[0])
-    # columns are the basis vectors, one augmented column for vec
-    aug = [[basis[i][j] % p for i in range(k)] + [vec[j] % p] for j in range(n)]
-    red, pivots = rref(aug, p)
-    coeffs = [0] * k
-    for row, pcol in zip(red, pivots):
-        if pcol == k:
-            return None
-        coeffs[pcol] = row[k]
-    return tuple(coeffs)
+def coordinates(basis, vectors, p: int):
+    """Per vector, the coefficients x with sum x_i basis_i = vector, or None
+    when it lies outside the span of basis.  The basis is eliminated once,
+    each row carrying the combination of basis rows it stands for (columns
+    past the vector's), and each vector is then reduced against it; for an
+    independent basis the coefficients are the unique ones."""
+    if not basis:
+        return [None if any(vec_mod(v, p)) else () for v in vectors]
+    n, k = len(basis[0]), len(basis)
+    pivots = _echelon(({**row, n + i: 1} for i, row in enumerate(_dicts(basis, p))), p)
+    out = []
+    for row in _dicts(vectors, p):
+        row = _reduce(row, pivots, p)
+        if any(j < n for j in row):
+            out.append(None)
+            continue
+        # vector - y.basis = 0 leaves -y in the carried columns
+        coeffs = [0] * k
+        for j, a in row.items():
+            coeffs[j - n] = -a % p
+        out.append(tuple(coeffs))
+    return out
 
 
 def mat_inverse(m, p: int):

@@ -4,8 +4,8 @@ near-normality), plus the disjoint-coset-translate search.
 
 A handle pairs a finite generator list with a membership oracle, declared
 per fixture, never inferred.  Each oracle is one small class that owns
-membership, conjugation, the right-coset key and the cyclic coordinate; its
-tag names it in certificates:
+membership, conjugation, the right- and left-coset keys and the cyclic
+coordinate; its tag names it in certificates:
 
     All             "all"          whole-group handle
     Trivial         "trivial"      trivial subgroup (word-problem oracle)
@@ -150,6 +150,13 @@ class Oracle:
         only pairwise membership comparison is available."""
         return None
 
+    def left_coset_key(self, sub: SubgroupHandle):
+        """Canonical key function of the left cosets g(sub), or None when only
+        pairwise membership comparison is available.  By default the right
+        key of g^-1: g(sub) = g'(sub) iff (sub)g^-1 = (sub)g'^-1."""
+        key = self.coset_key(sub)
+        return None if key is None else lambda g: key(invert(g))
+
     def cyclic_coordinate(self, sub: SubgroupHandle):
         """When sub is infinite cyclic: the function w -> t with w = c^t for
         its generator c, None when w is outside sub.  Else None."""
@@ -222,13 +229,17 @@ class XPower(Oracle):
         return SubgroupHandle(sub.ctx, gens, None, XPower(self.k, self.conjugator * g))
 
     def coset_key(self, sub):
-        k, c = self.k, self.conjugator
+        left = self.left_coset_key(sub)
+        return lambda g: left(invert(g))
+
+    def left_coset_key(self, sub):
+        k, ci = self.k, invert(self.conjugator)
         m, n = sub.ctx.bs_params
 
         def key(g):
-            # (sub)g -> g^-1(sub): Britton form of g^-1 c^-1 with the free
-            # trailing exponent reduced mod k is canonical for the coset.
-            form = bs.britton_reduce(invert(c * g), m, n)
+            # g(sub) = g c^-1 <x^k> c: the Britton form of g c^-1 with the
+            # free trailing exponent reduced mod k is canonical for the coset.
+            form = bs.britton_reduce(g * ci if ci else g, m, n)
             if not form.tail:
                 return (form.head % k,)
             sign, last = form.tail[-1]
@@ -269,6 +280,10 @@ class Lattice(Oracle):
         n = sub.ctx.generator_count
         return lambda g: intlin.lattice_residue(self.rows, exponent_vector(g, n))
 
+    def left_coset_key(self, sub):
+        # abelian ambient: the left coset of g is its right coset
+        return self.coset_key(sub)
+
     def cyclic_coordinate(self, sub):
         if len(self.rows) != 1:
             return None
@@ -299,7 +314,14 @@ class FreeCyclic(Oracle):
         <u>g to the coset <r^k>h, whose elements are r^j h for k | j; the key
         is the letters of its shortlex-least element.  As r is cyclically
         reduced, |r^j h| >= |j||r| - |h|, which exceeds |h| = |r^0 h| once
-        |j||r| > 2|h|, so the least element has |j||r| <= 2|h|."""
+        |j||r| > 2|h|, so the least element has |j||r| <= 2|h|.
+
+        In one direction the letters r^(ik) cancels from h only grow with i,
+        and they stop growing at the first i where r^(ik) is not cancelled
+        whole; from there on each step adds k|r| letters.  So once a
+        candidate is longer than the one before it, every later one is
+        longer still, and as shortlex compares lengths first the walk in
+        that direction stops there."""
         if not self.u:
             return lambda g: g.letters
         c, r, k = _root_parts(self.u)
@@ -311,9 +333,13 @@ class FreeCyclic(Oracle):
             h = ci * g
             steps = 2 * len(h) // (period * k)
             best, best_key = h, word_key(h)
-            for i in range(1, steps + 1):
-                for step in (forward, backward):
+            for step in (forward, backward):
+                size = len(h)
+                for i in range(1, steps + 1):
                     cand = Word(_reduced=step * i) * h
+                    if len(cand) > size:
+                        break
+                    size = len(cand)
                     cand_key = word_key(cand)
                     if cand_key < best_key:
                         best, best_key = cand, cand_key

@@ -17,6 +17,9 @@ cancellation, not a reduction pass over both words.
 ``ball(steps, radius, key)`` is the one breadth-first word search: the
 element balls of ``ends``, the conjugator words of ``baumslag_solitar``,
 the translate search and the coset count of ``subgroups`` all read it.
+Asked for its step table, it also records, per word it expands, the numbers
+of the words its products by the steps are equal to under the key, so the
+coset-graph ball of ``ends`` reads its interior edges without a product.
 """
 
 from __future__ import annotations
@@ -141,24 +144,35 @@ def word_key(w: Word) -> tuple:
     return (len(w.letters), tuple((i, 0 if s == 1 else 1) for i, s in w.letters))
 
 
-def ball(steps: Sequence[Word], radius: int, key) -> Iterator[tuple[Word, int]]:
+def ball(steps: Sequence[Word], radius: int, key, table: list | None = None
+         ) -> Iterator[tuple[Word, int]]:
     """(w, r) for the first word w met per value of key(w) within radius
     steps, breadth first: level 0 is the empty word, and level r is w * s
-    for the level r-1 words w in order and the steps s in order."""
+    for the level r-1 words w in order and the steps s in order.
+
+    The words are numbered 0, 1, ... in the order they are yielded.  When
+    ``table`` is a list, each word expanded (every word below the radius)
+    appends to it, in that order, the tuple of the numbers of its products
+    w * s by the steps, so row i of the table is the step row of word i."""
     identity = Word(_reduced=())
-    seen = {key(identity)}
+    numbers = {key(identity): 0}
     yield identity, 0
     frontier = [identity]
     for r in range(1, radius + 1):
         nxt = []
         for w in frontier:
+            row = []
             for s in steps:
                 cand = w * s
                 k = key(cand)
-                if k not in seen:
-                    seen.add(k)
+                n = numbers.get(k)
+                if n is None:
+                    n = numbers[k] = len(numbers)
                     nxt.append(cand)
                     yield cand, r
+                row.append(n)
+            if table is not None:
+                table.append(tuple(row))
         frontier = nxt
 
 

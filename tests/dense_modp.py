@@ -102,6 +102,22 @@ def left_nullspace(m, p: int):
     return right_nullspace_of_rows(transposed, p, r)
 
 
+def solve_linear_combination(basis, vec, p: int):
+    """Coefficients x with sum x_i basis_i = vec, or None when outside the
+    span: the rref of the basis vectors as columns, augmented by vec."""
+    k = len(basis)
+    if k == 0:
+        return () if not any(vec_mod(vec, p)) else None
+    aug = [[basis[i][j] % p for i in range(k)] + [vec[j] % p] for j in range(len(basis[0]))]
+    red, pivots = rref(aug, p)
+    coeffs = [0] * k
+    for row, pcol in zip(red, pivots):
+        if pcol == k:
+            return None
+        coeffs[pcol] = row[k]
+    return tuple(coeffs)
+
+
 def mat_inverse(m, p: int):
     n = len(m)
     red, pivots = rref([tuple(row) + e for row, e in zip(m, identity_matrix(n))], p)

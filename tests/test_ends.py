@@ -10,7 +10,7 @@ from nearnormal.ends import (
 )
 from nearnormal.groups import element_key, preset
 from nearnormal.subgroups import (
-    CosetIndex, CosetSet, XPower, am_subgroup, finite_subgroup, free_cyclic_subgroup,
+    CosetIndex, CosetSet, XPower, am_subgroup, conjugate, finite_subgroup, free_cyclic_subgroup,
     lattice_subgroup, power_subgroup, same_coset, subgroup, trivial_subgroup,
 )
 from nearnormal.words import Word, exponent_vector, generator, invert, parse_word
@@ -218,8 +218,8 @@ def test_ball_builds_its_coset_key_once(monkeypatch):
         built.append(sub)
         return key_fn(oracle, sub)
 
-    key_fn = XPower.coset_key
-    monkeypatch.setattr(XPower, "coset_key", counting)
+    key_fn = XPower.left_coset_key
+    monkeypatch.setattr(XPower, "left_coset_key", counting)
     ctx = preset("bs(2,3)")
     gens = (generator(0), generator(1))
     ball = coset_graph_ball(ctx, power_subgroup(ctx, 2), gens, 3)
@@ -335,21 +335,22 @@ def test_to_dot_output():
 
 def reference_ball(ctx, sub, gens, radius):
     """The reference coset_graph_ball must match: each new vertex is keyed
-    twice, and every element is classified again as an edge source.
-    Returns (vertices, depth, edges, element count)."""
+    twice by the right key of g^-1, and every element is classified again as
+    an edge source, with every product g*x classified by its coset.
+    Returns (vertices, depth, edges, element count, outer sphere count)."""
     key_fn = sub.membership.coset_key(sub)
     vertices, depth, key_to_index = [], [], {}
 
     def classify(g):
         if key_fn is not None:
-            return key_to_index.get(ends._left_key(key_fn, g))
+            return key_to_index.get(key_fn(invert(g)))
         return next((i for i, rep in enumerate(vertices)
                      if same_coset(sub, rep, g, "left") is True), None)
 
     def add_vertex(g, r):
         if classify(g) is None:
             if key_fn is not None:
-                key_to_index[ends._left_key(key_fn, g)] = len(vertices)
+                key_to_index[key_fn(invert(g))] = len(vertices)
             vertices.append(g)
             depth.append(r)
 
@@ -376,28 +377,64 @@ def reference_ball(ctx, sub, gens, radius):
             target = classify(g * x)
             if target is not None and (source, target, label) not in edges:
                 edges.append((source, target, label))
-    return vertices, depth, edges, len(elements)
+    return vertices, depth, edges, len(elements), len(frontier)
 
 
-@pytest.mark.parametrize("group, make_sub, radius", [
-    pytest.param("bs(2,3)", lambda ctx: power_subgroup(ctx, 2), 5, id="bs23-x2"),
-    pytest.param("zn(2)", lambda ctx: lattice_subgroup(ctx, [(1, 0)]), 4, id="z2-lattice"),
+def x_power(k, conjugator=None):
+    def make(ctx):
+        sub = power_subgroup(ctx, k)
+        return sub if conjugator is None else conjugate(sub, parse_word(conjugator, ("x", "y")))
+    return make
+
+
+@pytest.mark.parametrize("group, make_sub, radius, gens", [
+    pytest.param("bs(2,3)", x_power(2), 5, None, id="bs23-x2"),
+    pytest.param("zn(2)", lambda ctx: lattice_subgroup(ctx, [(1, 0)]), 4, None, id="z2-lattice"),
     pytest.param("free(2)", lambda ctx: free_cyclic_subgroup(ctx, parse_word("a b", ("a", "b"))),
-                 3, id="free2-cyclic"),
-    pytest.param("sym3", lambda ctx: finite_subgroup(ctx, (generator(0),)), 3, id="sym3-table"),
+                 3, None, id="free2-cyclic"),
+    pytest.param("sym3", lambda ctx: finite_subgroup(ctx, (generator(0),)), 3, None,
+                 id="sym3-table"),
     # no coset key: classified by pairwise membership tests
-    pytest.param("thompson-f", lambda ctx: am_subgroup(ctx, 1), 2, id="f-a1-unkeyed"),
+    pytest.param("thompson-f", lambda ctx: am_subgroup(ctx, 1), 2, None, id="f-a1-unkeyed"),
+    # steps that are not the group's generators, the smallest radii, conjugated x-powers
+    pytest.param("bs(2,3)", x_power(2), 4, ("x", "x y"), id="bs23-non-generator-gens"),
+    pytest.param("free(2)", lambda ctx: free_cyclic_subgroup(ctx, parse_word("a", ("a", "b"))),
+                 3, ("a", "a b", "b^2"), id="free2-non-generator-gens"),
+    pytest.param("zn(2)", lambda ctx: lattice_subgroup(ctx, [(2, 1)]), 4, ("u v", "v^-1"),
+                 id="z2-non-generator-gens"),
+    pytest.param("sym3", lambda ctx: finite_subgroup(ctx, (generator(1),)), 3, ("a b", "b"),
+                 id="sym3-table-non-generator-gens"),
+    pytest.param("bs(2,3)", x_power(2), 0, None, id="radius-0"),
+    pytest.param("bs(2,3)", x_power(2), 1, None, id="radius-1"),
+    pytest.param("bs(2,3)", x_power(2, "y x"), 4, None, id="bs23-conjugated-x-power"),
+    pytest.param("bs(1,2)", x_power(3, "x y^-1"), 3, ("x y", "y"),
+                 id="bs12-conjugated-non-generator-gens"),
 ])
-def test_ball_keys_each_element_once(monkeypatch, group, make_sub, radius):
+def test_ball_keys_each_element_once(monkeypatch, group, make_sub, radius, gens):
     ctx = preset(group)
     sub = make_sub(ctx)
-    gens = (generator(0), generator(1))
-    vertices, depth, edges, element_count = reference_ball(ctx, sub, gens, radius)
+    gens = ((generator(0), generator(1)) if gens is None
+            else tuple(parse_word(g, ctx.generator_names) for g in gens))
+    vertices, depth, edges, element_count, sphere_count = reference_ball(ctx, sub, gens, radius)
     calls = []
     real = ends._left_key
     monkeypatch.setattr(ends, "_left_key", lambda key_fn, g: calls.append(1) or real(key_fn, g))
     ball = coset_graph_ball(ctx, sub, gens, radius)
     assert (list(ball.vertices), list(ball.depth), list(ball.edges)) == (vertices, depth, edges)
-    # one key per element at discovery, one per element and generator for its edges
+    # one key per element at discovery; inner edges come from the step table,
+    # so only the outer sphere keys its products, one per generator
     keyed = sub.membership.coset_key(sub) is not None
-    assert len(calls) == (element_count * (1 + len(gens)) if keyed else 0)
+    assert len(calls) == (element_count + sphere_count * len(gens) if keyed else 0)
+
+
+def test_inner_edges_do_not_ask_the_oracle_again(monkeypatch):
+    # every element below the radius was classified once, when it was met;
+    # its edges come from the step table, not from an index lookup of g*x
+    ctx = preset("bs(2,3)")
+    gens = (generator(0), generator(1))
+    looked_up = []
+    real = CosetIndex.find
+    monkeypatch.setattr(CosetIndex, "find", lambda self, g: looked_up.append(g) or real(self, g))
+    coset_graph_ball(ctx, power_subgroup(ctx, 2), gens, 4)
+    sphere = element_ball(ctx, gens, 4)[len(element_ball(ctx, gens, 3)):]
+    assert sphere and looked_up == [g * x for g in sphere for x in gens]

@@ -326,6 +326,52 @@ def test_restricted_module_action_matches():
             assert rebuilt == moved
 
 
+# (2, 3, n) triangle groups a^2 = b^3 = (a b)^n with a truncation each:
+# sym3 over <b> = A3, S4 over its normal Klein four-group, A5 over the
+# trivial node (h0_S is the whole module) and over the whole group.
+RESTRICTIONS = {
+    "sym3": (2, "b; a,b"),
+    "s4": (4, "(a b)^2, b (a b)^2 b^-1; a,b"),
+    "a5": (5, "-; b; a,b"),
+    "a5-fixed": (5, "a,b"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESTRICTIONS))
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_restrict_to_h0s_matches_per_vector_solves(case, p):
+    """One elimination of the h0_S basis gives the coordinates that solving
+    for each image v.M on its own gives."""
+    n, nodes = RESTRICTIONS[case]
+    ctx = context_from_text(f"gens: a b\nrels: a^2 b^3 (a b)^{n}")
+    module = regular_module(ctx, p=p)
+    fam = truncation(ctx, families.parse_nodes(ctx, nodes))
+    sub, basis = restrict_to_h0s(module, fam)
+    assert sub.dimension == len(basis) > 0
+    for m, small in zip(module.matrices, sub.matrices):
+        expected = tuple(ref.solve_linear_combination(basis, modp.vec_mat(v, m, p), p)
+                         for v in basis)
+        assert ref.dense(small, len(basis)) == expected
+
+
+def test_restrict_to_h0s_of_a_zero_h0s():
+    # the sign module over F_3 has no vector fixed by all of sym3
+    ctx = preset("sym3")
+    module = finite_module(ctx, [[[2]], [[2]]], p=3)
+    sub, basis = restrict_to_h0s(module, truncation(ctx, [[w("a"), w("b")]]))
+    assert basis == () and sub.dimension == 0 and sub.matrices == ((), ())
+
+
+def test_restrict_to_h0s_refuses_a_basis_that_is_not_closed(monkeypatch):
+    ctx = preset("sym3")
+    fam = truncation(ctx, [[w("a b")], [w("a"), w("b")]])
+    module = regular_module(ctx)
+    basis = h0_S(module, fam)
+    monkeypatch.setattr(families, "h0_S", lambda module, fam: basis[:1])
+    with pytest.raises(RuntimeError, match="not closed"):
+        restrict_to_h0s(module, fam)
+
+
 # --- degree 1 ----------------------------------------------------------------
 
 def test_derivation_cocycle_law():

@@ -115,15 +115,30 @@ def test_solve_linear_combination_roundtrip():
         v = modp.zero_vector(3)
         for c, row in zip(coeffs, basis):
             v = modp.vec_add(v, ref.vec_scale(row, c, p), p)
-        got = modp.solve_linear_combination(basis, v, p)
+        [got] = modp.coordinates(basis, [v], p)
         assert got is not None
         rebuilt = modp.zero_vector(3)
         for c, row in zip(got, basis):
             rebuilt = modp.vec_add(rebuilt, ref.vec_scale(row, c, p), p)
         assert rebuilt == v
-    assert modp.solve_linear_combination(basis, (0, 0, 1), p) is None
-    assert modp.solve_linear_combination((), (0, 0, 0), p) == ()
-    assert modp.solve_linear_combination((), (1, 0, 0), p) is None
+    assert modp.coordinates(basis, [(0, 0, 1)], p) == [None]
+    assert modp.coordinates((), [(0, 0, 0), (1, 0, 0)], p) == [(), None]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_coordinates_match_the_column_solve(p):
+    rng = random.Random(p)
+    for _ in range(30):
+        n, k = rng.randint(1, 7), rng.randint(0, 5)
+        basis = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(k))
+        basis = tuple(v for v in basis if any(v))
+        if modp.rank(basis, p) < len(basis):
+            continue  # the coefficients are unique only for an independent basis
+        vectors = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(4)]
+        vectors += [modp.vec_mod([sum(rng.randrange(p) * v[j] for v in basis)
+                                  for j in range(n)], p) for _ in range(4)]
+        assert modp.coordinates(basis, vectors, p) == [
+            ref.solve_linear_combination(basis, v, p) for v in vectors]
 
 
 def test_mat_inverse():

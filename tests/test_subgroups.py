@@ -1,6 +1,6 @@
 """Subgroup handles: membership, conjugation, index, commensurability."""
 
-from functools import partial
+import random
 
 import pytest
 
@@ -12,9 +12,9 @@ from nearnormal.subgroups import (
     free_cyclic_subgroup, free_root,
     in_commensurator, index_bounded, intersect, is_commensurable,
     lattice_subgroup, near_normal_on, neumann_translate, power_subgroup,
-    SubgroupHandle, XPower, same_coset, subgroup, trivial_subgroup, whole_group,
+    SubgroupHandle, XPower, _root_parts, same_coset, subgroup, trivial_subgroup, whole_group,
 )
-from nearnormal.words import Word, generator, invert, parse_word
+from nearnormal.words import Word, generator, invert, parse_word, word_key
 
 
 def w(text, names=("a", "b")):
@@ -358,11 +358,79 @@ def test_free_cyclic_key_agrees_with_same_coset(group, make):
             assert (keys[i] == keys[j]) == same_coset(sub, ball[i], ball[j], "right"), \
                 (ball[i], ball[j])
     elements = ends.element_ball(ctx, (generator(0), generator(1)), 3)
-    for side, side_key in (("right", key), ("left", partial(ends._left_key, key))):
+    for side, side_key in (("right", key), ("left", sub.membership.left_coset_key(sub))):
         keyed, pairwise = CosetIndex(sub, side, side_key), CosetIndex(sub, side)
         assert [keyed.add(g) for g in elements] == [pairwise.add(g) for g in elements]
         assert keyed.representatives == pairwise.representatives
         assert not keyed.undecided and not pairwise.undecided
+
+
+def random_word(rng, length, gens=2):
+    return Word([(rng.randrange(gens), rng.choice((1, -1))) for _ in range(length)])
+
+
+@pytest.mark.parametrize("group, make", KEYED)
+def test_left_key_partitions_like_the_right_key_of_the_inverse(group, make):
+    """Each oracle's own left key numbers left cosets as the default one,
+    the right key of g^-1, does, and as pairwise membership does."""
+    ctx = preset(group)
+    sub = make(ctx)
+    right, left = coset_key(sub), sub.membership.left_coset_key(sub)
+    rng = random.Random(16)
+    elements = [random_word(rng, rng.randrange(9)) for _ in range(100)]
+    # words in one left coset of each other, so the partition is not discrete
+    elements += [g * h for g in elements[:30] for h in sub.generators]
+    numbers = [[index.add(g) for g in elements] for index in (
+        CosetIndex(sub, "left", left), CosetIndex(sub, "left", lambda g: right(invert(g))),
+        CosetIndex(sub, "left"))]
+    assert numbers[0] == numbers[1] == numbers[2]
+    assert max(numbers[0]) + 1 < len(elements)
+
+
+def test_left_key_defaults_to_the_right_key_of_the_inverse():
+    ctx = preset("free(2)")
+    sub = free_cyclic_subgroup(ctx, w("a b^2"))
+    left = sub.membership.left_coset_key(sub)
+    for g in free_ball(3):
+        assert left(g) == coset_key(sub)(invert(g))
+    assert subgroup(ctx, (generator(0),)).membership.left_coset_key(None) is None
+
+
+def full_scan_free_cyclic_key(u):
+    """The free-cyclic right key by the full scan over every r^(+-ik) h with
+    |ik||r| <= 2|h|, without stopping once candidates grow."""
+    c, r, k = _root_parts(u)
+    ci = invert(c)
+
+    def key(g):
+        h = ci * g
+        cands = [h] + [Word(step.letters * (i * k)) * h
+                       for i in range(1, 2 * len(h) // (len(r) * k) + 1)
+                       for step in (r, invert(r))]
+        return min(cands, key=word_key).letters
+
+    return key
+
+
+def test_free_cyclic_key_matches_the_full_scan():
+    ctx = preset("free(3)")
+    rng = random.Random(16)
+    checked = 0
+    for _ in range(120):
+        root = random_word(rng, rng.randint(1, 4), 3)
+        c = random_word(rng, rng.randrange(3), 3)
+        u = c * root ** rng.randint(1, 3) * invert(c)
+        if not u:
+            continue
+        key = free_cyclic_subgroup(ctx, u).membership.coset_key(None)
+        reference = full_scan_free_cyclic_key(u)
+        for _ in range(25):
+            g = random_word(rng, rng.randrange(12), 3)
+            if rng.random() < 0.5:  # start with a power of u
+                g = u ** rng.choice((-3, -2, -1, 1, 2, 3)) * g
+            assert key(g) == reference(g), (u, g)
+            checked += 1
+    assert checked > 2000
 
 
 def test_coset_index_without_a_decision():
