@@ -14,16 +14,18 @@ residues, so equal elements have identical forms.
 ``_Reducer.feed`` is the one Britton loop: it takes the word letter by
 letter, with the x-push and the y-push (split or pinch) inline on the form
 it holds in locals.  ``_Reducer.push_x`` adds a whole x-syllable, which is
-how ``least_power`` takes each candidate x^t.
+how the family check re-checks each witness w x^t w^-1.
 
-``least_power`` is the one scan for the least t with w x^t w^-1 in <x^k>:
-power conjugation, the family check and subgroups' x-power intersection.
+``x_power_lattice(w)`` is the (l, q) with w x^t w^-1 = x^(q t / l) exactly
+when l | t, read in integers from the y-signs of w's Britton form (Britton's
+lemma, Lyndon and Schupp IV.2).  ``least_power`` (one lcm), power
+conjugation, the family check and subgroups' x-power meet read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .words import Word, ball, generator, invert
 
@@ -125,34 +127,35 @@ def power_of_x_in(w: Word, k: int, m: int = 2, n: int = 3) -> bool:
     return form.is_power_of_x() and form.head % k == 0
 
 
-def least_power(w: Word, k: int, bound: int, m: int = 2, n: int = 3,
-                step: int = 1) -> int | None:
-    """Least t in step, 2 step, ... <= bound with w x^t w^-1 in <x^k>, or None.
+def x_power_lattice(w: Word, m: int = 2, n: int = 3) -> tuple[int, int]:
+    """(l, q) with w x^t w^-1 in <x> exactly when l | t, and then equal to
+    x^(q t / l).  The y-signs of w's Britton form are read innermost first:
+    a y needs n | q t / l and scales it by m / n, a y^-1 needs m | it and
+    scales it by n / m, so t is cut to the multiples of l s, s = modulus /
+    gcd(modulus, q).  A failed divisibility leaves y^e x^c y^-e unpinched,
+    so by Britton's lemma the product is reduced and not a power of x."""
+    l = q = 1
+    for sign, _ in reversed(britton_reduce(w, m, n).tail):
+        modulus, scale = (n, m) if sign == 1 else (m, n)
+        s = modulus // gcd(modulus, q)
+        l *= s
+        q = q * s // modulus * scale
+    return l, q
 
-    The reducer takes w once; each candidate copies that state and takes
-    x^t as one syllable, then w^-1, so no product word is built or freely
-    reduced.
-    """
-    wi = invert(w)
-    red = _Reducer(m, n)
-    red.feed(w.letters)
-    head, tail = red.head, red.tail
-    for t in range(step, bound + 1, step):
-        red.head, red.tail = head, [list(part) for part in tail]
-        red.push_x(t)
-        red.feed(wi.letters)
-        if not red.tail and red.head % k == 0:
-            return t
-    return None
+
+def least_power(w: Word, k: int, m: int = 2, n: int = 3, step: int = 1) -> int:
+    """Least t in step Z, t > 0, with w x^t w^-1 in <x^k>: with (l, q) the
+    lattice of w, t = L u for L = lcm(step, l), and k | (q L / l) u."""
+    l, q = x_power_lattice(w, m, n)
+    L = lcm(step, l)
+    return L * k // gcd(k, q * L // l)
 
 
 def power_conjugate(g: Word, a_bound: int, m: int = 2, n: int = 3):
-    """Least positive a <= a_bound with g^-1 x^a g = x^b; (a, b) or None."""
-    giv = invert(g)
-    a = least_power(giv, 1, a_bound, m, n)
-    if a is None:
-        return None
-    return (a, britton_reduce(giv * generator(X, a) * g, m, n).head)
+    """Least positive a <= a_bound with g^-1 x^a g = x^b: the lattice (a, b)
+    of g^-1, or None."""
+    a, b = x_power_lattice(invert(g), m, n)
+    return (a, b) if a <= a_bound else None
 
 
 def conjugator_words(conjugators: list[Word], conj_len: int, m: int = 2,
@@ -169,6 +172,16 @@ def conjugator_words(conjugators: list[Word], conj_len: int, m: int = 2,
     return [w for w, _ in ball(conjugators, conj_len, lambda w: britton_reduce(w, m, n).key())]
 
 
+def _conjugates_into(w: Word, t: int, k: int, m: int, n: int) -> bool:
+    """w x^t w^-1 in <x^k>, by one syllable reduction: the reducer takes w,
+    x^t as one syllable, then w^-1, so no product word is built."""
+    red = _Reducer(m, n)
+    red.feed(w.letters)
+    red.push_x(t)
+    red.feed(invert(w).letters)
+    return not red.tail and red.head % k == 0
+
+
 def family_axiom_check(conjugators: list[Word], a_bound: int, conj_len: int = 1,
                        m: int = 2, n: int = 3) -> dict:
     """Check the truncation {<x^a>^w : 1 <= a <= a_bound, w short} of the
@@ -176,53 +189,35 @@ def family_axiom_check(conjugators: list[Word], a_bound: int, conj_len: int = 1,
 
     The conjugates w are `conjugator_words` up to conj_len.  Conjugation
     closure: each node conjugated by each conjugator still contains a
-    positive power of x (witness found by a bounded scan, one per node and
-    conjugator).  Directedness: each pair of nodes has a common <x^e> below
-    both, e the lcm of the two least contained powers, then re-verified by
-    reduction.  Each node's least contained power is scanned once and
-    shared by all its pairs; every scan step reduces w x^t w^-1 syllable
-    by syllable.
+    positive power of x, the least one read from the x-power lattice.
+    Directedness: each pair of nodes has a common <x^e> below both, e the
+    lcm of the two least contained powers.  Every witness is re-checked by
+    one syllable reduction of w x^t w^-1, so the check does not rest on the
+    lattice; a witness that fails it is reported as None.
     """
     conj_words = conjugator_words(conjugators, conj_len, m, n)
     nodes = [(a, w) for a in range(1, a_bound + 1) for w in conj_words]
-    t_bound = max(m, n) ** (conj_len + 1) * a_bound * 2
 
     closure = []
-    closure_pass = True
     for a, w in nodes:
         for c in conjugators:
             wc = w * c
-            j = least_power(wc, a, t_bound, m, n)
-            entry = {
-                "power": a,
-                "conjugator_len": len(wc),
-                "witness": j,
-                "in_truncation": j is not None and j <= a_bound,
-            }
-            if j is None:
-                closure_pass = False
-            closure.append(entry)
+            j = least_power(wc, a, m, n)
+            j = j if _conjugates_into(wc, j, a, m, n) else None
+            closure.append({"power": a, "conjugator_len": len(wc), "witness": j,
+                            "in_truncation": j is not None and j <= a_bound})
 
-    least = [least_power(w, a, t_bound, m, n) for a, w in nodes]
+    least = [least_power(w, a, m, n) for a, w in nodes]
     directed = []
-    directed_pass = True
-    for idx1 in range(len(nodes)):
+    for idx1, (a1, w1) in enumerate(nodes):
         for idx2 in range(idx1, len(nodes)):
-            a1, w1 = nodes[idx1]
             a2, w2 = nodes[idx2]
-            t1, t2 = least[idx1], least[idx2]
-            if t1 is None or t2 is None:
-                directed_pass = False
-                directed.append({"pair": (idx1, idx2), "witness": None})
-                continue
-            e = t1 * t2 // gcd(t1, t2)
-            # a scan with step e and bound e tries t = e alone
-            ok = (least_power(w1, a1, e, m, n, step=e) == e
-                  and least_power(w2, a2, e, m, n, step=e) == e)
-            if not ok:
-                directed_pass = False
+            e = lcm(least[idx1], least[idx2])
+            ok = _conjugates_into(w1, e, a1, m, n) and _conjugates_into(w2, e, a2, m, n)
             directed.append({"pair": (idx1, idx2), "witness": e if ok else None})
 
+    closure_pass = all(entry["witness"] is not None for entry in closure)
+    directed_pass = all(entry["witness"] is not None for entry in directed)
     return {
         "nodes": len(nodes),
         "closure": closure,

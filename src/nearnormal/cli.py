@@ -533,7 +533,7 @@ def thompson_cmd():
 @click.option("--shift-bound", type=click.IntRange(min=2), default=20, show_default=True,
               help="Shift property checked for n up to this.")
 @click.option("--m-bound", type=click.IntRange(min=0), default=8, show_default=True,
-              help="Tail-subgroup search bound.")
+              help="Largest m accepted for the tail subgroup A_m.")
 @click.option("--max-len", type=click.IntRange(min=0), default=5, show_default=True,
               help="Scan: word length bound.")
 @click.option("--max-index", type=click.IntRange(min=0), default=2, show_default=True,

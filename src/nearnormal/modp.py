@@ -136,10 +136,6 @@ def span_contains(basis, vectors, p: int) -> bool:
     return not any(_reduce(row, pivots, p) for row in _dicts(vectors, p))
 
 
-def in_span(basis, vec, p: int) -> bool:
-    return span_contains(basis, [vec], p)
-
-
 def left_nullspace(m, p: int):
     """Basis of {v : v . M = 0} for a matrix M, as dense rows of length len(M):
     the null space of the columns of M."""
@@ -148,11 +144,6 @@ def left_nullspace(m, p: int):
         for j, a in row:
             columns.setdefault(j, {})[i] = a
     return _nullspace(_echelon(columns.values(), p), len(m), p)
-
-
-def right_nullspace_of_rows(rows, p: int, n: int):
-    """Basis of {v in F_p^n : rows . v^T = 0} (each dense row dotted with v is 0)."""
-    return _nullspace(_echelon(_dicts(rows, p), p), n, p)
 
 
 def coordinates(basis, vectors, p: int):

@@ -368,10 +368,7 @@ class AM(Oracle):
     tag = "a-m"
 
     def contains(self, sub, w):
-        if not w:
-            return True
-        index_bound = max(i for i, _ in w.letters) + len(w.letters) + 4
-        exps = thompson.a_exponents(w, index_bound=index_bound)
+        exps = thompson.a_exponents(w)
         if not isinstance(exps, dict):
             return exps
         return all(n >= self.m for n in exps)
@@ -603,24 +600,22 @@ def _lattice_rows(sub: SubgroupHandle):
 # intersection
 
 
-_CYCLIC_SCAN_BOUND = 10_000
+def _x_power_meet(h: SubgroupHandle, k: SubgroupHandle) -> tuple[int, int]:
+    """(a, b): h = <x^kh>^ch and k = <x^kk>^ck meet in <x^a>^ch, and
+    ck ch^-1 x^a ch ck^-1 = x^b, so the meet has index a / kh in h and
+    b / kk in k.  Both are infinite cyclic and BS(m,n) commensurates <x>,
+    so a is the least common power, read from the lattice (l, q) of
+    w = ck ch^-1, and b = q a / l; a grows exponentially in len(w)."""
+    kh, ch = h.membership.k, h.membership.conjugator
+    kk, ck = k.membership.k, k.membership.conjugator
+    w = ck * invert(ch)
+    l, q = bs.x_power_lattice(w, *h.ctx.bs_params)
+    a = bs.least_power(w, kk, *h.ctx.bs_params, step=kh)
+    return a, q * a // l
 
 
 def _intersect_x_powers(h: SubgroupHandle, k: SubgroupHandle) -> SubgroupHandle:
-    """<x^lcm> when neither is conjugated; else the subgroup generated by
-    the least common power, found by a bounded scan (each handle is infinite
-    cyclic, so any member subgroup is determined by its least positive
-    element)."""
-    kh, ch = h.membership.k, h.membership.conjugator
-    kk, ck = k.membership.k, k.membership.conjugator
-    if not ch and not ck:
-        return power_subgroup(h.ctx, lcm(kh, kk))
-    # ch^-1 x^a ch (in h when kh | a) lies in k iff w x^a w^-1 is a power
-    # of x^kk, w = ck ch^-1.
-    a = bs.least_power(ck * invert(ch), kk, _CYCLIC_SCAN_BOUND, *h.ctx.bs_params, step=kh)
-    if a is None:
-        raise UnsupportedOraclePair(
-            f"no common power found within the scan bound {_CYCLIC_SCAN_BOUND}")
+    a, ch = _x_power_meet(h, k)[0], h.membership.conjugator
     return SubgroupHandle(h.ctx, (invert(ch) * generator(0, a) * ch,), None, XPower(a, ch))
 
 
@@ -707,9 +702,13 @@ def commensurability_report(h: SubgroupHandle, k: SubgroupHandle, bound: int) ->
         if verdict is not None:
             return verdict
     try:
-        j = intersect(h, k)
-        i1 = index_bounded(j, h, bound)
-        i2 = index_bounded(j, k, bound)
+        if h.ctx == k.ctx and isinstance(h.membership, XPower) and isinstance(k.membership, XPower):
+            # in integers: the meet's generator can be too long to write out
+            a, b = _x_power_meet(h, k)
+            i1, i2 = _capped(a // h.membership.k, bound), _capped(b // k.membership.k, bound)
+        else:
+            j = intersect(h, k)
+            i1, i2 = index_bounded(j, h, bound), index_bounded(j, k, bound)
     except UnsupportedOraclePair as exc:
         return {"result": "unknown", "indices": None, "certificate": str(exc)}
     if i1 == INFINITE_OR_EXCEEDS or i2 == INFINITE_OR_EXCEEDS:

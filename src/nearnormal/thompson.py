@@ -19,6 +19,8 @@ The subgroup A is generated by a_n = x_{2n+1} x_{2n}^-1 for n >= 0, and
 A_m by those with n >= m.  ``a_exponents`` decides membership in A and
 reads the exponents in one memoised peel: it takes one generator pair at a
 time off the normal form, by two f_times letters, never rebuilding a word.
+Past ``shift_threshold(g)`` conjugation by g shifts every x_n, so
+``am_in_conjugate_intersection`` peels only the a_n below it: its m is exact.
 
 ``lemma_report`` checks the pair-generator lemmas at given bounds: the
 conjugation identities, commutation of the a_n, the shift property and A_m
@@ -244,19 +246,20 @@ def _peel(form: FNormalForm, n: int, sign: int) -> FNormalForm:
     return f_times(form, ((i, 1), (i + 1, -1)) if sign == 1 else ((i + 1, 1), (i, -1)))
 
 
-def a_exponents(w: Word, index_bound: int):
-    """Exponents {n: c_n} with w = prod a_n^{c_n} and 2n+1 <= index_bound.
+def a_exponents(w: Word, index_bound: int | None = None):
+    """Exponents {n: c_n} with w = prod a_n^{c_n} and 2n+1 <= index_bound,
+    by default w's largest index + its length + 4.
 
     Peels the smallest-index generator pair off the normal form until the
     identity is reached, trying both signs when that index lies in both
     parts.  Returns the dict (in peel order), False when w is not in A, or
-    "unknown" when the form involves indices past the bound.
+    "unknown" when a peel would need a pair with 2n+1 past the bound.
     """
     if exponent_sum(w) != 0:
         return False
+    if index_bound is None:
+        index_bound = max((i for i, _ in w.letters), default=0) + len(w.letters) + 4
     form = f_normal_form(w)
-    if form.indices() and max(form.indices()) > index_bound + 1:
-        return "unknown"
 
     # peel's verdict depends only on (form, fuel) within this call, so its
     # cache lives as long as the call; a success is the tuple of (n, sign)
@@ -287,37 +290,44 @@ def a_exponents(w: Word, index_bound: int):
     return {n: c for n, c in exps.items() if c}
 
 
-def am_in_conjugate_intersection(gs: list[Word], m_bound: int, working_index_bound: int = 40) -> dict:
-    """Least m <= m_bound with A_m inside every A^g = g^-1 A g, certified on
-    generators a_n up to the working index bound.
+def shift_threshold(g: Word) -> int:
+    """T(g) = max index + len(g) + 1 (shift lemma: am_in_conjugate_intersection)."""
+    return max((i for i, _ in g.letters), default=-1) + len(g.letters) + 1
 
-    a_n lies in A^g exactly when g a_n g^-1 lies in A.  Beyond the shift
-    threshold of g^-1 the conjugate is the generator pair shifted by the even
-    exponent sum, so the bounded check is the honest finite content.
+
+def am_in_conjugate_intersection(gs: list[Word], m_bound: int) -> dict:
+    """Least m <= m_bound with A_m inside every A^g = g^-1 A g, exactly.
+
+    Shift lemma: g^-1 x_n g = x_{n+j} for n >= T(g), g = x_{i_1}^{e_1} ...
+    x_{i_L}^{e_L}, j = sum e_k.  By induction on k, conjugating x_n by the
+    first k letters gives x_{n+j_k}, j_k = e_1 + ... + e_k: before letter k
+    the index is c = n + j_{k-1} >= n - k + 1 >= i_k + 2, so x_i^-1 x_c x_i
+    = x_{c+1} (needs c > i) and x_i x_c x_i^-1 = x_{c-1} (needs c >= i + 2)
+    apply.  The + 1 in T is needed: x3 x4 x3^-1 is not x3.
+
+    a_n is in A^g iff g a_n g^-1 = h^-1 x_{2n+1} x_{2n}^-1 h is in A,
+    h = g^-1, T(h) = T(g); for 2n >= T(g) it is a generator a_{n'}.  So m is
+    one past the largest n < cutoff = max ceil(T(g)/2) whose a_n fails
+    (``a_exponents`` at its default bound, taken downward).  The certificate
+    lists the n below the cutoff that passed and runs verify_shift(g^-1,
+    0..T(g)) for each g.
     """
-    for g in gs:
-        if exponent_sum(g) % 2:
-            raise ValueError("conjugators must have even exponent sum")
-    top = max(0, (working_index_bound - 1) // 2)
-    shifts = {}
-    for g in gs:
-        shifts[g] = verify_shift(invert(g), range(0, working_index_bound))
-    bound = 2 * working_index_bound
-    passes = [all(isinstance(a_exponents(g * a_generator(n) * invert(g), bound), dict)
-                  for g in gs)
-              for n in range(top + 1)]
-    m = None
-    for cand in range(0, min(m_bound, top) + 1):
-        if all(passes[cand:]):
-            m = cand
+    if any(exponent_sum(g) % 2 for g in gs):
+        raise ValueError("conjugators must have even exponent sum")
+    cutoff = max(((shift_threshold(g) + 1) // 2 for g in gs), default=0)
+    m = 0
+    for n in reversed(range(cutoff)):
+        verdicts = [a_exponents(g * a_generator(n) * invert(g)) for g in gs]
+        if False in verdicts:
+            m = n + 1
             break
-    if m is None:
-        raise BoundExhausted(f"no m <= {m_bound} certified within index bound {working_index_bound}")
-    certificates = {
-        "checked_n": list(range(m, top + 1)),
-        "shifts": {f"g{i}": shifts[g] for i, g in enumerate(gs)},
-    }
-    return {"m": m, "certificates": certificates}
+        if "unknown" in verdicts:
+            raise BoundExhausted(f"a_{n} is undecided at its peel bound")
+    if m > m_bound:
+        raise BoundExhausted(f"no m <= {m_bound}")
+    shifts = {f"g{i}": verify_shift(invert(g), range(0, shift_threshold(g) + 1))
+              for i, g in enumerate(gs)}
+    return {"m": m, "certificates": {"checked_n": list(range(m, cutoff)), "shifts": shifts}}
 
 
 # Conjugators of the shift and conjugate-intersection checks, all of even

@@ -103,8 +103,6 @@ def a_membership_by_words(w: Word, index_bound: int):
     form = f_normal_form(w)
     if form.is_identity():
         return True
-    if form.indices() and max(form.indices()) > index_bound + 1:
-        return "unknown"
 
     def peel(form, fuel):
         if form.is_identity():

@@ -215,10 +215,11 @@ def test_reducer_rejects_bad_input():
 # -- the power-family check against the word-walking reference --------------
 
 
-def reference_least_power(w, a, t_bound, m, n):
-    """Least t with w x^t w^-1 in <x^a>, reducing the product word each step."""
+def reference_least_power(w, a, t_bound, m, n, step=1):
+    """Least t in step, 2 step, ... <= t_bound with w x^t w^-1 in <x^a>, or
+    None, reducing the product word each step."""
     wi = invert(w)
-    for t in range(1, t_bound + 1):
+    for t in range(step, t_bound + 1, step):
         form = bs.britton_reduce(w * generator(0, t) * wi, m, n)
         if form.is_power_of_x() and form.head % a == 0:
             return t
@@ -276,29 +277,88 @@ def reference_family_axiom_check(conjugators, a_bound, conj_len=1, m=2, n=3):
             "all_pass": closure_pass and directed_pass}
 
 
+def random_reduced_word(rng, length):
+    letters = []
+    while len(letters) < length:
+        letter = rng.choice(LETTERS)
+        if letters and letters[-1] == (letter[0], -letter[1]):
+            continue
+        letters.append(letter)
+    return Word(letters)
+
+
+LATTICE_PARAMS = ((1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (2, 4), (3, 3), (4, 6))
+
+
+def test_x_power_lattice_matches_the_word_reference():
+    # y^-1 x^2 y = x^3, so y^-1 x^t y = x^(3t/2) exactly when 2 | t
+    assert bs.x_power_lattice(invert(Y)) == (2, 3)
+    assert bs.x_power_lattice(Y ** 2 * X * invert(Y)) == (6, 4)
+    assert bs.x_power_lattice(X ** 5) == (1, 1)
+    rng = random.Random(13)
+    for m, n in LATTICE_PARAMS:
+        for _ in range(15):
+            w = random_reduced_word(rng, rng.randint(0, 6))
+            l, q = bs.x_power_lattice(w, m, n)
+            for t in range(1, 25):
+                form = bs.britton_reduce(w * generator(0, t) * invert(w), m, n)
+                assert form.is_power_of_x() == (t % l == 0), (w, m, n, t)
+                if t % l == 0:
+                    assert form.head == q * t // l, (w, m, n, t)
+
+
 def test_least_power_matches_the_word_reference():
-    # y x^2 y^-1 = x^3... so y^-1 x^t y is a power of x exactly when 2 | t
-    assert bs.least_power(invert(Y), 1, 1) is None
-    assert bs.least_power(invert(Y), 1, 2) == 2
-    assert bs.least_power(invert(Y), 1, 9, step=3) == 6
+    assert bs.least_power(invert(Y), 1) == 2
+    assert bs.least_power(invert(Y), 1, step=3) == 6
+    assert bs.least_power(invert(Y), 9) == 6
     rng = random.Random(11)
-    balls = reduced_ball(4)
-    nones = steps = 0
-    for m, n in ((2, 3), (1, 2), (3, 2), (2, 4)):
-        for _ in range(40):
-            w = Word(rng.choice(balls))
-            k = rng.randint(1, 4)
-            bound = rng.randint(1, 40)
-            got = bs.least_power(w, k, bound, m, n)
-            assert got == reference_least_power(w, k, bound, m, n), (w, k, bound, m, n)
-            nones += got is None
-            step = rng.randint(2, 5)
-            scanned = bs.least_power(w, k, bound, m, n, step=step)
-            expected = next((t for t in range(step, bound + 1, step)
-                             if reference_verify(w, k, t, m, n)), None)
-            assert scanned == expected, (w, k, bound, m, n, step)
-            steps += scanned is not None
-    assert nones and steps
+    bound = 40
+    found = beyond = 0
+    for m, n in LATTICE_PARAMS:
+        for _ in range(30):
+            w = random_reduced_word(rng, rng.randint(0, 10))
+            k = rng.randint(1, 6)
+            step = rng.randint(1, 3)
+            got = bs.least_power(w, k, m, n, step=step)
+            expected = reference_least_power(w, k, bound, m, n, step=step)
+            # the scan answers up to its bound; past it, the least power is larger
+            assert got == expected if expected is not None else got > bound, (w, k, m, n, step)
+            found += expected is not None
+            beyond += expected is None
+    assert found and beyond
+
+
+def test_least_power_past_the_old_scan_cap():
+    # bs(2,3): a word whose least power is far past 10,000; it is least
+    # because it works and t/p fails for each prime p dividing t
+    w = Y ** 3 * X * invert(Y) * X * Y ** 4 * X ** -1 * invert(Y) ** 2 * X * Y ** 3
+    k = 10
+    t = bs.least_power(w, k)
+    assert t > 10_000
+
+    def works(t):
+        return bs._conjugates_into(w, t, k, 2, 3)
+
+    primes = [p for p in range(2, 8) if t % p == 0]
+    assert len(primes) >= 2
+    rest = t
+    for p in primes:
+        while rest % p == 0:
+            rest //= p
+    assert rest == 1  # t has no prime factor past 7
+    assert works(t)
+    assert not any(works(t // p) for p in primes)
+
+
+def test_swapped_lattice_fails_the_family_check(monkeypatch):
+    real = bs.x_power_lattice
+
+    def swapped(w, m=2, n=3):
+        return real(Word([(i, -s) if i == 1 else (i, s) for i, s in w.letters]), m, n)
+
+    monkeypatch.setattr(bs, "x_power_lattice", swapped)
+    report = bs.family_axiom_check([Y, invert(Y)], 6)
+    assert report["all_pass"] is False
 
 
 @pytest.mark.parametrize("conj_len, bounds", [(1, (4, 6, 8, 10, 12)), (2, (4, 8, 12))])

@@ -64,14 +64,19 @@ def test_subgroup_commensurable_bs(runner):
     assert data["certificate"] is None
 
 
-def test_subgroup_commensurable_bs_scan_bound(runner):
-    # x^a in <x>^(y^14) needs 3^14 | a, past the common-power scan bound
-    result = invoke(runner, [
-        "subgroup", "commensurable", "--group", "bs(2,3)",
-        "--h", "x", "--k", "y^14 x y^-14"])
-    data = json.loads(result.output)
-    assert data["result"] == "unknown"
-    assert data["certificate"] == "no common power found within the scan bound 10000"
+def test_subgroup_commensurable_bs_exact_common_power(runner):
+    # <x> meets <x>^(y^p) in <x^(2^p)>, of index 3^p in <x>^(y^p); the x-power
+    # lattice finds it with no scan and no word of 2^p letters, so the answer
+    # at the default bound is immediate, and only --bound limits the answer
+    for p, bound in ((14, 5000000), (40, 3 ** 40)):
+        args = ["subgroup", "commensurable", "--group", "bs(2,3)",
+                "--h", "x", "--k", f"y^{p} x y^-{p}"]
+        data = json.loads(invoke(runner, args).output)
+        assert data["result"] == "unknown"
+        assert data["certificate"] == "an index exceeds the bound 50"
+        data = json.loads(invoke(runner, args + ["--bound", str(bound)]).output)
+        assert data["result"] is True
+        assert data["indices"] == [2 ** p, 3 ** p]
 
 
 def test_subgroup_near_normal(runner):

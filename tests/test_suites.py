@@ -102,10 +102,10 @@ def test_thompson_suite_fails_the_grid_on_a_failing_identity(monkeypatch):
 
 
 def test_thompson_suite_keeps_the_intersection_bound_text(monkeypatch):
-    # a working index bound of 3 certifies no tail subgroup for x0^2
+    # A_m lies in A^(x0^2) from m = 2 on, so an m bound of 1 certifies none
     real = thompson.am_in_conjugate_intersection
     checks = _thompson_outcomes(monkeypatch, "am_in_conjugate_intersection",
-                                lambda gs, m_bound: real(gs, m_bound, working_index_bound=3))
+                                lambda gs, m_bound: real(gs, 1))
     record = checks["thompson/conjugate-intersection"]
     assert record["outcome"] == "fail"
-    assert record["witness"] == "no m <= 8 certified within index bound 3"
+    assert record["witness"] == "no m <= 1"

@@ -143,15 +143,55 @@ def test_a_membership_and_exponents():
 def test_conjugate_intersection_certificate():
     g = generator(0, 2)
     report = am_in_conjugate_intersection([g], m_bound=8)
-    assert report["m"] <= 8
-    certs = report["certificates"]
-    assert certs["checked_n"][0] == report["m"]
-    assert certs["shifts"]["g0"]["all_pass"] is True
-    # the certified m really does put its generators inside the conjugate
     m = report["m"]
+    assert m == 2
+    certs = report["certificates"]
+    # T(x0^2) = 3, so a_n lies in A^g for every n >= 2 by the shift lemma
+    # and no n is left to peel
+    assert certs["checked_n"] == []
+    assert certs["shifts"]["g0"] == {"threshold": 3, "j": -2, "all_pass": True}
+    # the certified m really does put its generators inside the conjugate,
+    # and a_(m-1) is outside it
     for n in (m, m + 1, m + 2):
         conj = g * a_generator(n) * invert(g)
         assert isinstance(a_exponents(conj, 80), dict)
+    assert a_exponents(g * a_generator(m - 1) * invert(g), 80) is False
+    report = am_in_conjugate_intersection([parse_word("x0^2 x1^-2")], m_bound=8)
+    assert report["m"] == 1 and report["certificates"]["checked_n"] == [1, 2]
+
+
+def reference_m(gs, m_bound, top=19, bound=80):
+    """The least m <= m_bound with every a_n, m <= n <= top, inside every
+    A^g, each tested by one peel at a fixed bound; None when there is none."""
+    passes = [all(isinstance(a_exponents(g * a_generator(n) * invert(g), bound), dict)
+                  for g in gs) for n in range(top + 1)]
+    return next((m for m in range(min(m_bound, top) + 1) if all(passes[m:])), None)
+
+
+def test_conjugate_intersection_matches_a_bounded_scan():
+    rng = random.Random(29)
+    gs = [parse_word(text) for text in SHIFT_WORDS]
+    while len(gs) < 30:
+        g = random_word(rng, 4, rng.randrange(1, 7))
+        if exponent_sum(g) % 2 == 0:
+            gs.append(g)
+    for g in gs:
+        assert am_in_conjugate_intersection([g], 19)["m"] == reference_m([g], 19), g
+    for g, h in zip(gs[::2], gs[1::2]):
+        assert am_in_conjugate_intersection([g, h], 19)["m"] == reference_m([g, h], 19), (g, h)
+
+
+def test_shift_holds_from_the_threshold_on():
+    rng = random.Random(31)
+    words = [parse_word("x3^-1")] + [random_word(rng, 4, rng.randrange(8)) for _ in range(40)]
+    for g in words:
+        t = thompson.shift_threshold(g)
+        report = verify_shift(g, range(t, t + 200))
+        assert report["all_pass"] and report["threshold"] == t, g
+    # x3 x4 x3^-1 is not x3: the + 1 in T(x3^-1) = 3 + 1 + 1 is needed
+    g = parse_word("x3^-1")
+    assert thompson.shift_threshold(g) == 5
+    assert verify_shift(g, range(4, 30))["threshold"] == 5
 
 
 def test_conjugate_intersection_multiple_conjugators():
@@ -167,9 +207,10 @@ def test_conjugate_intersection_rejects_odd_exponent_sum():
 
 
 def test_conjugate_intersection_bound_exhausted():
-    # a working index bound too small to certify anything
-    with pytest.raises(BoundExhausted):
-        am_in_conjugate_intersection([generator(0, 4)], m_bound=0, working_index_bound=3)
+    # A_m lies in A^(x0^2) from m = 2 on, so m_bound 1 is too small
+    with pytest.raises(BoundExhausted, match="^no m <= 1$"):
+        am_in_conjugate_intersection([generator(0, 2)], m_bound=1)
+    assert am_in_conjugate_intersection([generator(0, 2)], m_bound=2)["m"] == 2
 
 
 def test_a_membership_matches_the_word_peel():
@@ -211,10 +252,12 @@ def test_a_membership_matches_the_word_peel():
             verdicts.append("member" if member else got)
     assert {"member", False, "unknown"} <= set(verdicts)
     assert all(a_exponents(w, bound) is False for w in unbalanced for bound in (1, 80))
-    # a2 a3 a4: its form reaches index 11, past bound 9 + 1
+    # a2 a3 a4: its form reaches index 11, past bound 9 + 1, but the peel
+    # needs only pairs with 2n+1 <= 9
     w = parse_word("x9 x8^-1 x7 x6^-1 x5 x4^-1")
     assert a_exponents_by_words(w, 9) == {2: 1, 3: 1, 4: 1}
-    assert a_exponents(w, 9) == "unknown" == a_membership_by_words(w, 9)
+    assert a_exponents(w, 9) == {2: 1, 3: 1, 4: 1}
+    assert a_membership_by_words(w, 9) is True
 
 
 def test_a_membership_extends_forms_in_place(monkeypatch):
