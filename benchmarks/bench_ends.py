@@ -4,6 +4,8 @@ Each case is the ball of one subgroup L's left cosets over the group's own
 generators, as ``ends graph`` builds it:
 
     bs23-x2    BS(2,3), L = <x^2>, radius 7
+    bs23-cx2   BS(2,3), L = <y x^2 y^-1>, a conjugated x-power, radius 6
+               (y^-1 x^2 y is x^3 there, so that conjugate is <x^3> itself)
     free2-a    free(2), L = <a>, radius 4
     z2-u       Z^2, L = <u>, radius 20
 
@@ -12,7 +14,7 @@ vertex and edge counts, and the keyed calls: the calls of ``ends._left_key``
 that one ball makes, each the key of one left coset.  The run exits nonzero
 when a case's vertex or edge count is not the one listed in CASES.
 
-Usage: python benchmarks/bench_ends.py [--cases bs23-x2,free2-a,z2-u] [--repeat 5] [--json]
+Usage: python benchmarks/bench_ends.py [--cases bs23-x2,bs23-cx2,free2-a,z2-u] [--repeat 5] [--json]
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from nearnormal.words import generator
 # name -> (group, generator of L, radius, vertices, edges)
 CASES = {
     "bs23-x2": ("bs(2,3)", "x^2", 7, 1030, 1743),
+    "bs23-cx2": ("bs(2,3)", "y x^2 y^-1", 6, 515, 903),
     "free2-a": ("free(2)", "a", 4, 81, 161),
     "z2-u": ("zn(2)", "u", 20, 41, 81),
 }

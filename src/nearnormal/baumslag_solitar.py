@@ -11,10 +11,15 @@ with r = a mod n.  A pinch (zero remainder against an opposite stable pair)
 cancels the pair and cascades.  Interior exponents are therefore reduced
 residues, so equal elements have identical forms.
 
-``_Reducer.feed`` is the one Britton loop: it takes the word letter by
-letter, with the x-push and the y-push (split or pinch) inline on the form
-it holds in locals.  ``_Reducer.push_x`` adds a whole x-syllable, which is
-how the family check re-checks each witness w x^t w^-1.
+``resume(key, letters)`` is the one Britton loop: from the form key of an
+element g (``IDENTITY`` for the empty word) it takes the letters of a word
+w one by one, with the x-push and the y-push (split or pinch) inline on the
+form it holds in locals, and returns the form key of g w.
+``britton_reduce`` is resume from the identity, and a word ball over a
+Britton context steps each element's key by resume, so no ball element is
+reduced from the empty form.  ``push_x`` adds a whole x-syllable to a key,
+which is how the family check re-checks each witness w x^t w^-1: from the
+state after w, kept once per conjugator word with the letters of w^-1.
 
 ``x_power_lattice(w)`` is the (l, q) with w x^t w^-1 = x^(q t / l) exactly
 when l | t, read in integers from the y-signs of w's Britton form (Britton's
@@ -57,68 +62,62 @@ class BrittonForm:
         return (self.head, self.tail)
 
 
-class _Reducer:
-    def __init__(self, m: int, n: int):
-        if m < 1 or n < 1:
-            raise ValueError("stable-letter exponents must be positive")
-        self.m = m
-        self.n = n
-        # the form being built: head exponent, then [y-sign, x-exponent] parts
-        self.head = 0
-        self.tail: list[list[int]] = []
+IDENTITY = (0, ())  # the form key of the empty word
 
-    def push_x(self, e: int) -> None:
-        if self.tail:
-            self.tail[-1][1] += e
-        else:
-            self.head += e
 
-    def feed(self, letters) -> None:
-        """Push a letter sequence; it need not be freely reduced, because
-        x-pushes add and a y-push pinches y y^-1 and y^-1 y itself."""
-        m, n = self.m, self.n
-        head, tail = self.head, self.tail
-        for index, sign in letters:
-            if index == X:
-                if tail:
-                    tail[-1][1] += sign
-                else:
-                    head += sign
-            elif index == Y:
-                if sign == 1:
-                    modulus, scale = m, n
-                else:
-                    modulus, scale = n, m
-                trailing = tail[-1][1] if tail else head
-                r = trailing % modulus
-                carried = (trailing - r) // modulus * scale
-                if r == 0 and tail and tail[-1][0] == -sign:
-                    # pinch: y^-sign x^(q*modulus) y^sign collapses into x-power
-                    tail.pop()
-                    if tail:
-                        tail[-1][1] += carried
-                    else:
-                        head += carried
-                else:
-                    if tail:
-                        tail[-1][1] = r
-                    else:
-                        head = r
-                    tail.append([sign, carried])
+def resume(key: tuple, letters, m: int = 2, n: int = 3) -> tuple:
+    """The form key of g w, for the element g of form key ``key`` and the
+    letters of w.  They need not be freely reduced, because x-pushes add and
+    a y-push pinches y y^-1 and y^-1 y itself."""
+    if m < 1 or n < 1:
+        raise ValueError("stable-letter exponents must be positive")
+    head, tail = key[0], list(key[1])
+    # the last syllable (ysign, trailing) is held apart; ysign 0: no syllable,
+    # and trailing is the head exponent
+    ysign, trailing = tail.pop() if tail else (0, head)
+    for index, sign in letters:
+        if index == X:
+            trailing += sign
+        elif index == Y:
+            if sign == 1:
+                modulus, scale = m, n
             else:
-                self.head = head
-                raise ValueError(f"BS words use generators x0 (x) and x1 (y); got index {index}")
-        self.head = head
+                modulus, scale = n, m
+            r = trailing % modulus
+            carried = (trailing - r) // modulus * scale
+            if r == 0 and ysign == -sign:
+                # pinch: y^-sign x^(q*modulus) y^sign collapses into x-power
+                if tail:
+                    ysign, trailing = tail.pop()
+                    trailing += carried
+                else:
+                    ysign, trailing = 0, head + carried
+            else:
+                if ysign:
+                    tail.append((ysign, r))
+                else:
+                    head = r
+                ysign, trailing = sign, carried
+        else:
+            raise ValueError(f"BS words use generators x0 (x) and x1 (y); got index {index}")
+    if not ysign:
+        return trailing, ()
+    tail.append((ysign, trailing))
+    return head, tuple(tail)
 
-    def form(self) -> BrittonForm:
-        return BrittonForm(self.head, tuple(map(tuple, self.tail)), self.m, self.n)
+
+def push_x(key: tuple, e: int) -> tuple:
+    """The form key of g x^e for the element g of form key ``key``."""
+    head, tail = key
+    if not tail:
+        return head + e, ()
+    sign, trailing = tail[-1]
+    return head, tail[:-1] + ((sign, trailing + e),)
 
 
 def britton_reduce(w: Word, m: int = 2, n: int = 3) -> BrittonForm:
     """Canonical form of w; sound and complete for the word problem."""
-    red = _Reducer(m, n)
-    red.feed(w.letters)
-    return red.form()
+    return BrittonForm(*resume(IDENTITY, w.letters, m, n), m, n)
 
 
 def power_of_x_in(w: Word, k: int, m: int = 2, n: int = 3) -> bool:
@@ -169,17 +168,24 @@ def conjugator_words(conjugators: list[Word], conj_len: int, m: int = 2,
     keeps every first occurrence and its order: the work is linear in the
     number of distinct elements found, not in len(conjugators)^conj_len.
     """
-    return [w for w, _ in ball(conjugators, conj_len, lambda w: britton_reduce(w, m, n).key())]
+    return [w for w, _, _ in ball(conjugators, conj_len, IDENTITY,
+                                  lambda key, c: resume(key, c.letters, m, n))]
 
 
-def _conjugates_into(w: Word, t: int, k: int, m: int, n: int) -> bool:
-    """w x^t w^-1 in <x^k>, by one syllable reduction: the reducer takes w,
-    x^t as one syllable, then w^-1, so no product word is built."""
-    red = _Reducer(m, n)
-    red.feed(w.letters)
-    red.push_x(t)
-    red.feed(invert(w).letters)
-    return not red.tail and red.head % k == 0
+def _conjugation_state(w: Word, m: int, n: int) -> tuple:
+    """The form key of w and the letters of w^-1: what every witness check
+    w x^t w^-1 of one conjugator word w shares."""
+    return resume(IDENTITY, w.letters, m, n), invert(w).letters
+
+
+def _conjugates_into(state: tuple, t: int, k: int, m: int, n: int) -> bool:
+    """w x^t w^-1 in <x^k> for state = _conjugation_state(w), by one
+    syllable reduction: the reducer resumes from the form of w, takes x^t
+    as one syllable, then the letters of w^-1, so no product word is built
+    and w is reduced once, not once per check."""
+    after_w, w_inverse = state
+    head, tail = resume(push_x(after_w, t), w_inverse, m, n)
+    return not tail and head % k == 0
 
 
 def family_axiom_check(conjugators: list[Word], a_bound: int, conj_len: int = 1,
@@ -197,13 +203,14 @@ def family_axiom_check(conjugators: list[Word], a_bound: int, conj_len: int = 1,
     """
     conj_words = conjugator_words(conjugators, conj_len, m, n)
     nodes = [(a, w) for a in range(1, a_bound + 1) for w in conj_words]
+    states = {w: _conjugation_state(w, m, n) for w in conj_words}
 
     closure = []
     for a, w in nodes:
         for c in conjugators:
             wc = w * c
             j = least_power(wc, a, m, n)
-            j = j if _conjugates_into(wc, j, a, m, n) else None
+            j = j if _conjugates_into(_conjugation_state(wc, m, n), j, a, m, n) else None
             closure.append({"power": a, "conjugator_len": len(wc), "witness": j,
                             "in_truncation": j is not None and j <= a_bound})
 
@@ -213,7 +220,8 @@ def family_axiom_check(conjugators: list[Word], a_bound: int, conj_len: int = 1,
         for idx2 in range(idx1, len(nodes)):
             a2, w2 = nodes[idx2]
             e = lcm(least[idx1], least[idx2])
-            ok = _conjugates_into(w1, e, a1, m, n) and _conjugates_into(w2, e, a2, m, n)
+            ok = (_conjugates_into(states[w1], e, a1, m, n)
+                  and _conjugates_into(states[w2], e, a2, m, n))
             directed.append({"pair": (idx1, idx2), "witness": e if ok else None})
 
     closure_pass = all(entry["witness"] is not None for entry in closure)

@@ -3,14 +3,17 @@
 The graph on left cosets gL has an edge (gL, gxL) for every generator x of
 the chosen set X.  Balls are built breadth-first with deterministic discovery
 order, so vertex representatives are canonical: the elements come from
-``words.ball`` keyed by ``groups.element_key``, and one
+``words.ball``, which steps each element's ``groups.element_step`` key by
+one generator, so no element is reduced from the empty word; one
 ``subgroups.CosetIndex`` numbers their cosets, by the subgroup's left-coset
-key read through ``_left_key`` when it has one, else pairwise.  Each element
+key read through ``_left_key`` when it has one, else pairwise.  The left
+key receives the element's ball key too, so a key read from the normal form
+(x-powers in BS(m,n), lattices in Z^n) reduces nothing again.  Each element
 is keyed once.  An element g below the radius takes its edges from the
 ball's step table: g*x is then a numbered ball element whose vertex is
 known.  Only the elements on the outer sphere classify their products g*x
-through the index.  The ball keeps every element with its vertex, and
-``claim3_check`` reads those pairs.
+through the index, each keyed by one step from the key of g.  The ball
+keeps every element with its vertex, and ``claim3_check`` reads those pairs.
 Ends of the pair (G, L) are estimated by counting annulus components that
 reach the outer sphere over an increasing radius schedule; the result is a
 report with a stabilization flag, never a certificate.
@@ -81,11 +84,11 @@ def vertex_set(ball: CosetGraphBall, predicate) -> VertexSet:
         i for i, rep in enumerate(ball.vertices) if predicate(rep)))
 
 
-def _left_key(key_fn, g: Word):
-    """The key of the left coset gL under the subgroup's left-coset key: the
-    one named call per key the ball computes, which the per-layer trace
-    counts."""
-    return key_fn(g)
+def _left_key(key_fn, g: Word, g_key=None):
+    """The key of the left coset gL under the subgroup's left-coset key, from
+    g and its element key when known: the one named call per key the ball
+    computes, which the per-layer trace counts."""
+    return key_fn(g, g_key)
 
 
 def coset_graph_ball(ctx, sub: SubgroupHandle, gens, radius: int) -> CosetGraphBall:
@@ -99,28 +102,32 @@ def coset_graph_ball(ctx, sub: SubgroupHandle, gens, radius: int) -> CosetGraphB
 
     An element below the radius has a row in the step table of the element
     ball, so the vertex of each g*x is that of a numbered element; only the
-    outer sphere asks the index for the coset of g*x."""
+    outer sphere asks the index for the coset of g*x, keyed by one step
+    from the key of g."""
     gens = tuple(gens)
     key_fn = sub.membership.left_coset_key(sub)
     index = CosetIndex(sub, "left", None if key_fn is None else partial(_left_key, key_fn))
+    step = groups.element_step(ctx)[1]
     depth: list = []
     # (element, its vertex), each vertex added when its first element is met
     elements = []
+    keys = []  # the element key of each element
     table: list = []  # per element below the radius: the numbers of g*x, g*x^-1, ...
-    for g, r in _element_layers(ctx, gens, radius, table):
-        i = index.add(g)
+    for g, r, g_key in _element_layers(ctx, gens, radius, table):
+        i = index.add(g, g_key)
         if index.undecided:
             raise CosetOracleError("coset equality undecided during expansion")
         if i == len(depth):
             depth.append(r)
         elements.append((g, i))
+        keys.append(g_key)
     edges = []
     seen_edges = set()
     for e, (g, source) in enumerate(elements):
         if e < len(table):
             targets = [elements[n][1] for n in table[e][::2]]
         else:
-            targets = [index.find(g * x) for x in gens]
+            targets = [index.find(g * x, step(keys[e], x)) for x in gens]
             if "unknown" in targets:
                 raise CosetOracleError("coset equality undecided during expansion")
         for label, target in enumerate(targets):
@@ -199,15 +206,15 @@ def boundary_edges(b: VertexSet, ball: CosetGraphBall):
 
 def _element_layers(ctx, gens, radius: int, table: list | None = None):
     """Distinct group elements of length at most radius over the given set,
-    each with its length, breadth first; the steps are x, x^-1 per x in
-    gens, in that order, for the ball's step table."""
+    each with its length and element key, breadth first; the steps are x,
+    x^-1 per x in gens, in that order, for the ball's step table."""
     steps = [s for x in gens for s in (x, invert(x))]
-    return words.ball(steps, radius, partial(groups.element_key, ctx), table)
+    return words.ball(steps, radius, *groups.element_step(ctx), table)
 
 
 def element_ball(ctx, gens, radius: int):
     """Distinct group elements of length at most radius over the given set."""
-    return [e for e, _ in _element_layers(ctx, gens, radius)]
+    return [e for e, _, _ in _element_layers(ctx, gens, radius)]
 
 
 def claim3_check(predicate, ball: CosetGraphBall) -> dict:

@@ -416,16 +416,25 @@ def restrict_to_h0s(module: FiniteModule, fam: FamilyTruncation):
 # derivations
 
 
-def derivation_eval(module: FiniteModule, delta, w: Word):
-    """Evaluate the derivation with generator values delta on a word via
-    d(u x) = d(u).x + d(x) and d(u x^-1) = (d(u) - d(x)).x^-1."""
-    p = module.p
-    acc = modp.zero_vector(module.dimension)
+def derivation_values(module: FiniteModule, values, w: Word):
+    """The matrix whose row b is delta_b(w), for the derivations delta_b
+    whose values on the generators are given at once: row b of values[i] is
+    delta_b(x_i).  Each letter of w is one sparse product of the rows
+    [d(u) | d(x)] with a 2d x d letter matrix, [M; I] for x and
+    [M^-1; -M^-1] for x^-1, as d(u x) = d(u).x + d(x) and
+    d(u x^-1) = (d(u) - d(x)).x^-1."""
+    d, p = module.dimension, module.p
+    eye = modp.identity_matrix(d)
+    letter = {}
+    for i, (m, inverse) in enumerate(zip(module.matrices, module.inverses)):
+        letter[i, 1] = m + eye
+        letter[i, -1] = inverse + tuple(tuple((j, -a % p) for j, a in row) for row in inverse)
+    # row b of shifted[i] is delta_b(x_i) in the columns d..2d-1
+    shifted = [tuple(tuple((j + d, a) for j, a in row) for row in v) for v in values]
+    acc = ((),) * len(values[0])
     for index, sign in w.letters:
-        if sign > 0:
-            acc = modp.vec_add(modp.vec_mat(acc, module.matrices[index], p), delta[index], p)
-        else:
-            acc = modp.vec_mat(modp.vec_sub(acc, delta[index], p), module.inverses[index], p)
+        rows = tuple(a + s for a, s in zip(acc, shifted[index]))
+        acc = modp.mat_mul(rows, letter[index, sign], p)
     return acc
 
 
@@ -480,11 +489,12 @@ def h1_derivations(ctx: GroupContext, module: FiniteModule) -> dict:
     ider_basis = modp.row_space(ider_rows, p)
     if not modp.span_contains(der_basis, ider_basis, p):
         raise RuntimeError("inner derivation fails the relator system")
-    for v in der_basis:
-        delta = tuple(v[i * d:(i + 1) * d] for i in range(n))
-        for r in relators:
-            if any(derivation_eval(module, delta, r)):
-                raise RuntimeError("solution fails the independent relator re-check")
+    # the independent re-check: every basis derivation on every relator,
+    # evaluated letter by letter, without the Fox blocks
+    values = [modp.sparse([v[i * d:(i + 1) * d] for v in der_basis], p) for i in range(n)]
+    for r in relators:
+        if any(derivation_values(module, values, r)):
+            raise RuntimeError("solution fails the independent relator re-check")
     dim_der = len(der_basis)
     dim_ider = len(ider_basis)
     return {"dim_der": dim_der, "dim_ider": dim_ider, "dim_h1": dim_der - dim_ider,

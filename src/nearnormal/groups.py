@@ -10,6 +10,10 @@ file names one of
     free-abelian          exponent-vector comparison for Z^n
     free                  free reduction alone (no relators)
 
+Each strategy keys elements canonically through one step, the key of g to
+the key of g w (``element_step``): ``element_key`` is that step from the
+identity's key, and a word ball steps each element's key by one generator.
+
 Coset enumeration uses the HLT strategy with a hard live-coset bound.
 Hitting the bound returns an Incomplete value rather than raising: infinite
 index is an expected outcome, not an error.  ``reachable_table`` is the one
@@ -23,12 +27,13 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add
 
 from . import baumslag_solitar as bs
 from . import thompson
 from .words import (
     NAME_RE, Letter, PresentationError, Word, exponent_vector, format_word,
-    generator, parse_relators, parse_word,
+    free_step, generator, parse_relators, parse_word,
 )
 
 ORACLES = ("coset-table", "britton", "thompson-normal-form", "free-abelian", "free")
@@ -334,21 +339,33 @@ def is_trivial(ctx: GroupContext, w: Word):
     return element_key(ctx, w) == element_key(ctx, Word(()))
 
 
-def element_key(ctx: GroupContext, w: Word):
-    """Canonical hashable key: equal group elements get equal keys."""
+def element_step(ctx: GroupContext):
+    """(the key of the identity, step) for the context's oracle, where
+    step(key, w) is the key of g w for the element g with that key: the
+    coset of the regular table after w's letters, the Britton form resumed
+    through them, the normal form of F times them, the exponent vector plus
+    w's, or the letters of the free product."""
     if ctx.oracle == "coset-table":
         table = regular_table(ctx)
         if isinstance(table, Incomplete):
             raise ValueError("no canonical key: regular enumeration incomplete")
-        return table.coset_of(w)
+        return 0, lambda c, w: table.coset_of(w, c)
     if ctx.oracle == "britton":
-        return bs.britton_reduce(w, *ctx.bs_params).key()
+        m, n = ctx.bs_params
+        return bs.IDENTITY, lambda key, w: bs.resume(key, w.letters, m, n)
     if ctx.oracle == "thompson-normal-form":
-        nf = thompson.f_normal_form(w)
-        return (nf.positive, nf.negative)
+        return thompson.IDENTITY, thompson.f_times
     if ctx.oracle == "free-abelian":
-        return exponent_vector(w, ctx.generator_count)
-    return w.letters
+        rank = ctx.generator_count
+        return (0,) * rank, lambda vec, w: tuple(map(add, vec, exponent_vector(w, rank)))
+    return (), free_step
+
+
+def element_key(ctx: GroupContext, w: Word):
+    """Canonical hashable key: equal group elements get equal keys.  It is
+    the context's step from the identity's key by w."""
+    start, step = element_step(ctx)
+    return step(start, w)
 
 
 # ---------------------------------------------------------------------------

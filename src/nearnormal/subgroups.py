@@ -88,7 +88,8 @@ class CosetIndex:
     """The cosets of sub on one side met so far, numbered in order of first
     sight, each held by its first representative.  Cosets are told apart by
     ``key`` (a canonical key of the coset of an element) when given, else
-    pairwise through same_coset."""
+    pairwise through same_coset.  ``find`` and ``add`` take g's element key
+    as well when the caller has it, and pass it on to the key."""
 
     def __init__(self, sub: SubgroupHandle, side: str, key=None):
         self.sub, self.side, self.key = sub, side, key
@@ -96,10 +97,10 @@ class CosetIndex:
         self._numbers: dict = {}  # coset key -> number, when keyed
         self.undecided = False  # a coset was taken as new under "unknown"
 
-    def _lookup(self, g: Word):
+    def _lookup(self, g: Word, g_key):
         """(the number of g's coset, None or "unknown"; g's key or None)."""
         if self.key is not None:
-            k = self.key(g)
+            k = self.key(g) if g_key is None else self.key(g, g_key)
             return self._numbers.get(k), k
         verdict = None
         for i, rep in enumerate(self.representatives):
@@ -110,14 +111,14 @@ class CosetIndex:
                 verdict = hit
         return verdict, None
 
-    def find(self, g: Word):
+    def find(self, g: Word, g_key=None):
         """The number of g's coset; None when it is new, "unknown" when no
         coset matched and some comparison was undecided."""
-        return self._lookup(g)[0]
+        return self._lookup(g, g_key)[0]
 
-    def add(self, g: Word) -> int:
+    def add(self, g: Word, g_key=None) -> int:
         """The number of g's coset, recording g when the coset is new."""
-        i, k = self._lookup(g)
+        i, k = self._lookup(g, g_key)
         if isinstance(i, int):
             return i
         self.undecided = self.undecided or i == "unknown"
@@ -151,11 +152,13 @@ class Oracle:
         return None
 
     def left_coset_key(self, sub: SubgroupHandle):
-        """Canonical key function of the left cosets g(sub), or None when only
-        pairwise membership comparison is available.  By default the right
-        key of g^-1: g(sub) = g'(sub) iff (sub)g^-1 = (sub)g'^-1."""
+        """Canonical key function of the left cosets g(sub), called as
+        key(g, g_key) with g's ``groups.element_key`` g_key when known, or
+        None when only pairwise membership comparison is available.  By
+        default the right key of g^-1: g(sub) = g'(sub) iff
+        (sub)g^-1 = (sub)g'^-1."""
         key = self.coset_key(sub)
-        return None if key is None else lambda g: key(invert(g))
+        return None if key is None else lambda g, g_key=None: key(invert(g))
 
     def cyclic_coordinate(self, sub: SubgroupHandle):
         """When sub is infinite cyclic: the function w -> t with w = c^t for
@@ -233,17 +236,20 @@ class XPower(Oracle):
         return lambda g: left(invert(g))
 
     def left_coset_key(self, sub):
-        k, ci = self.k, invert(self.conjugator)
+        k, ci = self.k, invert(self.conjugator).letters
         m, n = sub.ctx.bs_params
 
-        def key(g):
+        def key(g, g_key=None):
             # g(sub) = g c^-1 <x^k> c: the Britton form of g c^-1 with the
-            # free trailing exponent reduced mod k is canonical for the coset.
-            form = bs.britton_reduce(g * ci if ci else g, m, n)
-            if not form.tail:
-                return (form.head % k,)
-            sign, last = form.tail[-1]
-            return (form.head, form.tail[:-1], sign, last % k)
+            # free trailing exponent reduced mod k is canonical for the coset;
+            # it is g's form key stepped by c^-1.
+            if g_key is None:
+                g_key = groups.element_key(sub.ctx, g)
+            head, tail = bs.resume(g_key, ci, m, n) if ci else g_key
+            if not tail:
+                return (head % k,)
+            sign, last = tail[-1]
+            return (head, tail[:-1], sign, last % k)
 
         return key
 
@@ -277,8 +283,10 @@ class Lattice(Oracle):
         return SubgroupHandle(sub.ctx, gens, None, self)
 
     def coset_key(self, sub):
+        # g's element key in Z^n is its exponent vector
         n = sub.ctx.generator_count
-        return lambda g: intlin.lattice_residue(self.rows, exponent_vector(g, n))
+        return lambda g, g_key=None: intlin.lattice_residue(
+            self.rows, exponent_vector(g, n) if g_key is None else g_key)
 
     def left_coset_key(self, sub):
         # abelian ambient: the left coset of g is its right coset
@@ -535,7 +543,10 @@ def _coset_bfs_count(sub: SubgroupHandle, bound: int):
     where a coset taken as new under "unknown" makes the count inexact.
     Each level before the ball closes adds a coset, so bound levels decide."""
     index = CosetIndex(sub, "right", sub.membership.coset_key(sub))
-    for count, _ in enumerate(words.ball(_ambient_letters(sub.ctx), bound, index.add)):
+    # (sub)gs is (sub)g times s: step a coset from its first representative
+    cosets = words.ball(_ambient_letters(sub.ctx), bound, index.add(Word(())),
+                        lambda c, s: index.add(index.representatives[c] * s))
+    for count, _ in enumerate(cosets):
         if count == bound:
             return INFINITE_OR_EXCEEDS
     return INFINITE_OR_EXCEEDS if index.undecided else len(index.representatives)
@@ -767,7 +778,7 @@ def neumann_translate(x_set: CosetSet, search_radius: int):
         raise ValueError("translation acts on the right: X must hold right cosets")
     sub = x_set.base
     # keyed by letters, a product is new exactly when it does not cancel
-    for g, r in words.ball(_ambient_letters(sub.ctx), search_radius, lambda w: w.letters):
+    for g, r, _ in words.ball(_ambient_letters(sub.ctx), search_radius, (), words.free_step):
         if r and _translate_disjoint(sub, x_set.representatives, g):
             return g
     return None

@@ -14,12 +14,15 @@ both factors of a product are reduced, letters cancel only where they meet:
 ``u * v`` scans the junction, so its cost beyond one copy is the
 cancellation, not a reduction pass over both words.
 
-``ball(steps, radius, key)`` is the one breadth-first word search: the
-element balls of ``ends``, the conjugator words of ``baumslag_solitar``,
-the translate search and the coset count of ``subgroups`` all read it.
-Asked for its step table, it also records, per word it expands, the numbers
-of the words its products by the steps are equal to under the key, so the
-coset-graph ball of ``ends`` reads its interior edges without a product.
+``ball(steps, radius, start, step)`` is the one breadth-first word search:
+the element balls of ``ends``, the conjugator words of ``baumslag_solitar``,
+the translate search and the coset count of ``subgroups`` all read it.  It
+keeps each frontier word with its key and reaches the key of w * s by one
+``step(key, s)`` from the key of w, so no word is keyed from scratch; it
+builds the word w * s only when that key is new.  Asked for its step table,
+it also records, per word it expands, the numbers of the words its products
+by the steps are equal to under the key, so the coset-graph ball of ``ends``
+reads its interior edges without a product.
 """
 
 from __future__ import annotations
@@ -81,16 +84,7 @@ class Word:
         return bool(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        # both factors are reduced: letters cancel only at the junction
-        a, b = self.letters, other.letters
-        size, k, limit = len(a), 0, min(len(a), len(b))
-        while k < limit:
-            index, sign = a[size - 1 - k]
-            b_index, b_sign = b[k]
-            if index != b_index or sign != -b_sign:
-                break
-            k += 1
-        return Word(_reduced=a[:size - k] + b[k:])
+        return Word(_reduced=reduced_product(self.letters, other.letters))
 
     def __pow__(self, n: int) -> "Word":
         """w^n = c core^n c^-1 for w = c core c^-1 with core cyclically
@@ -102,6 +96,24 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r})"
+
+
+def reduced_product(a: tuple[Letter, ...], b: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """The letters of the reduced product of two reduced letter tuples: as
+    both are reduced, letters cancel only at the junction."""
+    size, k, limit = len(a), 0, min(len(a), len(b))
+    while k < limit:
+        index, sign = a[size - 1 - k]
+        b_index, b_sign = b[k]
+        if index != b_index or sign != -b_sign:
+            break
+        k += 1
+    return a[:size - k] + b[k:]
+
+
+def free_step(letters: tuple[Letter, ...], s: Word) -> tuple[Letter, ...]:
+    """The ball step of the free group, whose element keys are letter tuples."""
+    return reduced_product(letters, s.letters)
 
 
 def invert(w: Word) -> Word:
@@ -144,32 +156,34 @@ def word_key(w: Word) -> tuple:
     return (len(w.letters), tuple((i, 0 if s == 1 else 1) for i, s in w.letters))
 
 
-def ball(steps: Sequence[Word], radius: int, key, table: list | None = None
-         ) -> Iterator[tuple[Word, int]]:
-    """(w, r) for the first word w met per value of key(w) within radius
-    steps, breadth first: level 0 is the empty word, and level r is w * s
-    for the level r-1 words w in order and the steps s in order.
+def ball(steps: Sequence[Word], radius: int, start, step, table: list | None = None
+         ) -> Iterator[tuple[Word, int, object]]:
+    """(w, r, key) for the first word w met per key within radius steps,
+    breadth first: level 0 is the empty word, whose key is start, and level
+    r is w * s for the level r-1 words w in order and the steps s in order.
+    The key of w * s is step(key of w, s); the word w * s is built only when
+    that key is new.
 
     The words are numbered 0, 1, ... in the order they are yielded.  When
     ``table`` is a list, each word expanded (every word below the radius)
     appends to it, in that order, the tuple of the numbers of its products
     w * s by the steps, so row i of the table is the step row of word i."""
     identity = Word(_reduced=())
-    numbers = {key(identity): 0}
-    yield identity, 0
-    frontier = [identity]
+    numbers = {start: 0}
+    yield identity, 0, start
+    frontier = [(identity, start)]
     for r in range(1, radius + 1):
         nxt = []
-        for w in frontier:
+        for w, w_key in frontier:
             row = []
             for s in steps:
-                cand = w * s
-                k = key(cand)
+                k = step(w_key, s)
                 n = numbers.get(k)
                 if n is None:
                     n = numbers[k] = len(numbers)
-                    nxt.append(cand)
-                    yield cand, r
+                    cand = w * s
+                    nxt.append((cand, k))
+                    yield cand, r, k
                 row.append(n)
             if table is not None:
                 table.append(tuple(row))

@@ -337,7 +337,7 @@ def test_least_power_past_the_old_scan_cap():
     assert t > 10_000
 
     def works(t):
-        return bs._conjugates_into(w, t, k, 2, 3)
+        return bs._conjugates_into(bs._conjugation_state(w, 2, 3), t, k, 2, 3)
 
     primes = [p for p in range(2, 8) if t % p == 0]
     assert len(primes) >= 2
@@ -382,11 +382,29 @@ def test_syllable_reduction_equals_britton_reduce():
         for _ in range(100):
             w = Word(rng.choice(balls))
             t = rng.randint(-40, 40)
-            red = bs._Reducer(m, n)
-            red.feed(w.letters)
-            red.push_x(t)
-            red.feed(invert(w).letters)
-            assert red.form() == bs.britton_reduce(w * generator(0, t) * invert(w), m, n), (w, t)
+            key = bs.resume(bs.push_x(bs.resume(bs.IDENTITY, w.letters, m, n), t),
+                            invert(w).letters, m, n)
+            assert key == bs.britton_reduce(w * generator(0, t) * invert(w), m, n).key(), (w, t)
+
+
+def test_conjugates_into_from_a_kept_state_matches_the_whole_reduction():
+    # one state per conjugator word, shared by every check of its nodes, as
+    # the directed re-check keeps it; each check against britton_reduce of
+    # the whole word w x^t w^-1
+    rng = random.Random(18)
+    balls = reduced_ball(6)
+    verdicts = set()
+    for m, n in ((2, 3), (1, 2), (3, 2), (2, 4)):
+        for _ in range(40):
+            w = Word(rng.choice(balls))
+            state = bs._conjugation_state(w, m, n)
+            for _ in range(5):
+                t, k = rng.choice((1, 6, 12, 36)) * rng.randint(-6, 6), rng.randint(1, 4)
+                form = bs.britton_reduce(w * generator(0, t) * invert(w), m, n)
+                expected = form.is_power_of_x() and form.head % k == 0
+                assert bs._conjugates_into(state, t, k, m, n) == expected, (w, t, k, m, n)
+                verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_feed_accepts_unreduced_letters():
@@ -398,17 +416,15 @@ def test_feed_accepts_unreduced_letters():
             i, s = rng.choice(LETTERS)
             at = rng.randint(0, len(letters))
             letters[at:at] = [(i, s), (i, -s)]
-            red = bs._Reducer(m, n)
-            red.feed(letters)
-            assert red.form() == bs.britton_reduce(free_reduce(letters), m, n), (w, m, n)
+            key = bs.resume(bs.IDENTITY, letters, m, n)
+            assert key == bs.britton_reduce(free_reduce(letters), m, n).key(), (w, m, n)
 
 
 def test_corrupted_push_x_fails_the_family_check(monkeypatch):
     assert bs.family_axiom_check([Y, invert(Y)], 6)["all_pass"] is True
-    push_x = bs._Reducer.push_x
+    push_x = bs.push_x
     # a syllable x^t with t >= 2 lands one letter too far
-    monkeypatch.setattr(bs._Reducer, "push_x",
-                        lambda self, e: push_x(self, e + 1 if e >= 2 else e))
+    monkeypatch.setattr(bs, "push_x", lambda key, e: push_x(key, e + 1 if e >= 2 else e))
     report = bs.family_axiom_check([Y, invert(Y)], 6)
     assert report["all_pass"] is False
 
@@ -433,5 +449,6 @@ def test_conjugator_words_never_build_every_product(monkeypatch):
     words = bs.conjugator_words([Y, invert(Y)], 40)
     assert len(words) == 81
     assert set(words) == {generator(1, k) for k in range(-40, 41)}
-    # level 1 extends the empty word; each later level extends y^L and y^-L
-    assert len(products) == 2 + 4 * 39
+    # keys step by resume, and a product is built only for a new element:
+    # one per element besides the empty word
+    assert len(products) == 80

@@ -2,7 +2,7 @@
 
 import pytest
 
-from nearnormal import ends, groups
+from nearnormal import baumslag_solitar as bs, ends, groups
 from nearnormal.ends import (
     CosetOracleError, boundary_edges, bs_side_predicate, claim3_check,
     coset_graph_ball, double_coset_membership, double_coset_orbit,
@@ -418,7 +418,7 @@ def test_ball_keys_each_element_once(monkeypatch, group, make_sub, radius, gens)
     vertices, depth, edges, element_count, sphere_count = reference_ball(ctx, sub, gens, radius)
     calls = []
     real = ends._left_key
-    monkeypatch.setattr(ends, "_left_key", lambda key_fn, g: calls.append(1) or real(key_fn, g))
+    monkeypatch.setattr(ends, "_left_key", lambda *args: calls.append(1) or real(*args))
     ball = coset_graph_ball(ctx, sub, gens, radius)
     assert (list(ball.vertices), list(ball.depth), list(ball.edges)) == (vertices, depth, edges)
     # one key per element at discovery; inner edges come from the step table,
@@ -434,7 +434,33 @@ def test_inner_edges_do_not_ask_the_oracle_again(monkeypatch):
     gens = (generator(0), generator(1))
     looked_up = []
     real = CosetIndex.find
-    monkeypatch.setattr(CosetIndex, "find", lambda self, g: looked_up.append(g) or real(self, g))
+    monkeypatch.setattr(CosetIndex, "find",
+                        lambda self, g, *key: looked_up.append(g) or real(self, g, *key))
     coset_graph_ball(ctx, power_subgroup(ctx, 2), gens, 4)
     sphere = element_ball(ctx, gens, 4)[len(element_ball(ctx, gens, 3)):]
     assert sphere and looked_up == [g * x for g in sphere for x in gens]
+
+
+@pytest.mark.parametrize("group, make_sub, radius", [
+    ("bs(2,3)", x_power(2), 5),
+    ("bs(2,3)", x_power(2, "y^-1"), 5),
+    ("bs(1,2)", x_power(3, "x y^-1"), 4),
+])
+def test_britton_ball_reduces_no_whole_word(monkeypatch, group, make_sub, radius):
+    # element keys step by one generator, the left keys read them, and the
+    # outer sphere's products step from their element's key
+    ctx = preset(group)
+    sub = make_sub(ctx)
+    gens = (generator(0), generator(1))
+    expected = reference_ball(ctx, sub, gens, radius)[:3]
+    calls, fed = [], []
+    reduce, resume, key = bs.britton_reduce, bs.resume, groups.element_key
+    monkeypatch.setattr(bs, "britton_reduce", lambda *a: calls.append(a) or reduce(*a))
+    monkeypatch.setattr(groups, "element_key", lambda *a: calls.append(a) or key(*a))
+    monkeypatch.setattr(bs, "resume", lambda k, letters, *a: fed.append(len(letters))
+                        or resume(k, letters, *a))
+    ball = coset_graph_ball(ctx, sub, gens, radius)
+    assert calls == []
+    # each resume takes one generator or the conjugator's inverse, never a word
+    assert fed and max(fed) <= max(1, len(sub.membership.conjugator))
+    assert (list(ball.vertices), list(ball.depth), list(ball.edges)) == expected

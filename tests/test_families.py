@@ -8,7 +8,7 @@ import pytest
 import dense_modp as ref
 from nearnormal import cli, families, modp
 from nearnormal.families import (
-    check_admissible, check_stable, derivation_eval, finite_module, h0_G_mod_S,
+    check_admissible, check_stable, derivation_values, finite_module, h0_G_mod_S,
     h0_S, h1_derivations, h1_trivial_expected, node_fixed_space,
     parse_module_matrices, permutation_module, regular_module, relator_blocks,
     restrict_to_h0s, trivial_module, truncation, word_matrix,
@@ -373,6 +373,49 @@ def test_restrict_to_h0s_refuses_a_basis_that_is_not_closed(monkeypatch):
 
 
 # --- degree 1 ----------------------------------------------------------------
+
+def derivation_eval(module, delta, w):
+    """The reference evaluation of one derivation with generator values
+    delta on a word, one dense vector letter by letter, via
+    d(u x) = d(u).x + d(x) and d(u x^-1) = (d(u) - d(x)).x^-1."""
+    p = module.p
+    acc = modp.zero_vector(module.dimension)
+    for index, sign in w.letters:
+        if sign > 0:
+            acc = modp.vec_add(modp.vec_mat(acc, module.matrices[index], p), delta[index], p)
+        else:
+            acc = modp.vec_mat(modp.vec_sub(acc, delta[index], p), module.inverses[index], p)
+    return acc
+
+
+@pytest.mark.parametrize("text, p", [("gens: a b\nrels: a^2 b^3 (a b)^5", 2),
+                                     ("gens: a b\nrels: a^2 b^-3 (a b^-1)^4", 3)])
+def test_derivation_values_match_the_letter_by_letter_reference(text, p):
+    ctx = context_from_text(text)
+    module = regular_module(ctx, p)
+    d, n = module.dimension, ctx.generator_count
+    rng = random.Random(18)
+    basis = [tuple(rng.randrange(p) for _ in range(n * d)) for _ in range(7)]
+    values = [modp.sparse([v[i * d:(i + 1) * d] for v in basis], p) for i in range(n)]
+    for _ in range(6):
+        w = Word([(rng.randrange(n), rng.choice((1, -1))) for _ in range(rng.randrange(12))])
+        rows = derivation_values(module, values, w)
+        for v, row in zip(basis, rows):
+            delta = tuple(v[i * d:(i + 1) * d] for i in range(n))
+            assert modp.sparse([derivation_eval(module, delta, w)], p)[0] == row
+
+
+def test_h1_relator_recheck_catches_a_wrong_basis(monkeypatch):
+    ctx = preset("sym3")
+    module = regular_module(ctx)
+    assert h1_derivations(ctx, module)["dim_der"]
+    solve = modp.left_nullspace
+    # one more basis vector that is no derivation: e_0 as the value of a
+    monkeypatch.setattr(modp, "left_nullspace", lambda m, p: solve(m, p) + (
+        tuple(int(j == 0) for j in range(len(m))),))
+    with pytest.raises(RuntimeError, match="independent relator re-check"):
+        h1_derivations(ctx, module)
+
 
 def test_derivation_cocycle_law():
     ctx = preset("sym3")

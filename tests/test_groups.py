@@ -197,3 +197,31 @@ def test_preset_rejects_unknown():
 def test_preset_rejects_degenerate_bs(name):
     with pytest.raises(ValueError, match="needs m, n >= 1"):
         preset(name)
+
+
+STEP_CONTEXTS = ["gens: a b\nrels: a^2 b^3 (a b)^4", "bs(2,3)", "bs(1,2)", "thompson-f",
+                 "zn(3)", "free(2)"]
+
+
+@pytest.mark.parametrize("name", STEP_CONTEXTS)
+def test_stepped_keys_equal_the_key_of_the_whole_word(name):
+    """For every oracle: the key of u s stepped from the key of u equals the
+    key of the reduced word u s, and so does the key folded letter by letter
+    from the identity's."""
+    ctx = context_from_text(name) if "\n" in name else preset(name)
+    start, step = groups.element_step(ctx)
+    rank = ctx.generator_count or 3  # thompson-f: words over x0, x1, x2
+    rng = random.Random(18)
+
+    def word(length):
+        return Word([(rng.randrange(rank), rng.choice((1, -1))) for _ in range(length)])
+
+    assert element_key(ctx, Word(())) == start
+    for _ in range(60):
+        u, s = word(rng.randrange(10)), word(rng.randrange(1, 4))
+        assert step(element_key(ctx, u), s) == element_key(ctx, u * s), (u, s)
+        key = start
+        for letter in (u * s).letters:
+            key = step(key, Word([letter]))
+        assert key == element_key(ctx, u * s)
+        assert step(step(element_key(ctx, u), s), invert(s)) == element_key(ctx, u)

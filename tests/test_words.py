@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from nearnormal.words import (
-    Word, ball, free_reduce, invert, exponent_sum, exponent_vector,
+    Word, ball, free_reduce, free_step, invert, exponent_sum, exponent_vector,
     generator, word_key, parse_word, format_word,
 )
 
@@ -163,7 +163,7 @@ def test_word_is_immutable_and_hashable():
 
 def test_ball_over_free_letters_is_the_nested_loop_order():
     steps = [generator(0), generator(0, -1), generator(1), generator(1, -1)]
-    found = list(ball(steps, 3, lambda w: w.letters))
+    found = [(w, r) for w, r, _ in ball(steps, 3, (), free_step)]
     # reference: level r extends each level r-1 word by every step that does
     # not cancel, in that nested-loop order
     levels = [[Word(())]]
@@ -173,6 +173,6 @@ def test_ball_over_free_letters_is_the_nested_loop_order():
     assert [len(level) for level in levels] == [1, 4, 12, 36]
     assert found == [(w, r) for r, level in enumerate(levels) for w in level]
     # keyed by exponent sum, only the first word per sum is kept
-    assert list(ball(steps[:2], 2, exponent_sum)) == [
-        (Word(()), 0), (generator(0), 1), (generator(0, -1), 1),
-        (generator(0, 2), 2), (generator(0, -2), 2)]
+    assert list(ball(steps[:2], 2, 0, lambda e, s: e + exponent_sum(s))) == [
+        (Word(()), 0, 0), (generator(0), 1, 1), (generator(0, -1), 1, -1),
+        (generator(0, 2), 2, 2), (generator(0, -2), 2, -2)]
