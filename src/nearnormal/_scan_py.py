@@ -3,10 +3,12 @@
 Used automatically when the compiled extension is not built.  Maps are the
 dyadic PL homeomorphisms of [0,1] from the Cannon-Floyd-Parry model, held as
 pairs of int tuples (xs, ys): breakpoints scaled by 2^E, canonical (no
-collinear interior breakpoints), so equal tuples are equal maps.  Every
-interpolation is a divmod that raises ArithmeticError unless it is exact,
-and a generator whose breakpoints fall off the 2^-E grid raises too, so a
-precision that is too small can never produce a result.
+collinear interior breakpoints), so equal tuples are equal maps.  A
+composition is one merge of the two maps' breakpoints along the middle axis;
+only the side that lacks a point interpolates, by a divmod that raises
+ArithmeticError unless it is exact, and collinear points are dropped as the
+merge passes them.  A generator whose breakpoints fall off the 2^-E grid
+raises too, so a precision that is too small can never produce a result.
 
 The DFS carries each word's normal form beside its map: a child's form is
 its parent's extended by one letter (thompson.f_times), as _scan_c.c keeps
@@ -50,40 +52,42 @@ def _generator(index: int, bits: int) -> tuple:
     return xs, ys
 
 
-def _values(xs: tuple, ys: tuple, points: list) -> list:
-    """Images of the ascending points under the map (xs, ys)."""
-    out = []
-    k = 0
-    for u in points:
-        while xs[k + 1] < u:
-            k += 1
-        x0, y0 = xs[k], ys[k]
-        q, r = divmod((u - x0) * (ys[k + 1] - y0), xs[k + 1] - x0)
-        if r:
-            raise ArithmeticError("breakpoint image falls off the dyadic grid")
-        out.append(y0 + q)
-    return out
-
-
-def _canonical(xs: list, ys: list) -> tuple:
-    """Drop interior breakpoints whose two slopes agree."""
-    cx, cy = [xs[0]], [ys[0]]
-    for k in range(1, len(xs) - 1):
-        x, y = xs[k], ys[k]
-        if (y - cy[-1]) * (xs[k + 1] - x) != (ys[k + 1] - y) * (x - cx[-1]):
-            cx.append(x)
-            cy.append(y)
-    cx.append(xs[-1])
-    cy.append(ys[-1])
-    return tuple(cx), tuple(cy)
-
-
 def _compose(f: tuple, g: tuple) -> tuple:
-    """The map t -> f(g(t)); g is applied first, as in _plmodel.compose."""
+    """The map t -> f(g(t)); g is applied first, as in _plmodel.compose.
+    One merge walks g's values gy and f's breakpoints fx up the middle axis:
+    a point of both reads both coordinates, a point of one interpolates only
+    the other (f at gy[i], or g^-1 at fx[j]).  Each point is pending until the
+    next shows whether it is collinear with its neighbours; only the others
+    are kept, so the result is canonical."""
     fx, fy = f
     gx, gy = g
-    mid = sorted(set(gy).union(fx))
-    return _canonical(_values(gy, gx, mid), _values(fx, fy, mid))
+    cx, cy = [0], [0]
+    kx = ky = px = py = 0  # the last kept point; the pending point
+    i, j, n = 1, 1, len(gy)
+    while i < n:
+        u, v = gy[i], fx[j]
+        if u < v:
+            y, r = divmod((u - fx[j - 1]) * (fy[j] - fy[j - 1]), v - fx[j - 1])
+            x, y = gx[i], fy[j - 1] + y
+            i += 1
+        elif v < u:
+            x, r = divmod((v - gy[i - 1]) * (gx[i] - gx[i - 1]), u - gy[i - 1])
+            x, y = gx[i - 1] + x, fy[j]
+            j += 1
+        else:
+            x, y, r = gx[i], fy[j], 0
+            i += 1
+            j += 1
+        if r:
+            raise ArithmeticError("breakpoint image falls off the dyadic grid")
+        if (py - ky) * (x - px) != (y - py) * (px - kx):
+            cx.append(px)
+            cy.append(py)
+            kx, ky = px, py
+        px, py = x, y
+    cx.append(px)
+    cy.append(py)
+    return tuple(cx), tuple(cy)
 
 
 def _part_map(runs: tuple, cache: dict, bits: int) -> tuple:

@@ -171,10 +171,6 @@ def f_normal_form(w: Word) -> FNormalForm:
     return f_times(IDENTITY, w)
 
 
-def f_equal(u: Word, v: Word) -> bool:
-    return f_normal_form(u * invert(v)).is_identity()
-
-
 def a_generator(n: int) -> Word:
     """a_n = x_{2n+1} x_{2n}^-1."""
     if n < 0:

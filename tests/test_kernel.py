@@ -114,6 +114,80 @@ def test_python_backend_matches_the_per_word_reference(monkeypatch, mutation, si
     assert bool(report["failures"]) == (mutation != "none")
 
 
+def _values(xs: tuple, ys: tuple, points: list) -> list:
+    """Images of the ascending points under the map (xs, ys)."""
+    out = []
+    k = 0
+    for u in points:
+        while xs[k + 1] < u:
+            k += 1
+        x0, y0 = xs[k], ys[k]
+        q, r = divmod((u - x0) * (ys[k + 1] - y0), xs[k + 1] - x0)
+        if r:
+            raise ArithmeticError("breakpoint image falls off the dyadic grid")
+        out.append(y0 + q)
+    return out
+
+
+def _canonical(xs: list, ys: list) -> tuple:
+    """Drop interior breakpoints whose two slopes agree."""
+    cx, cy = [xs[0]], [ys[0]]
+    for k in range(1, len(xs) - 1):
+        x, y = xs[k], ys[k]
+        if (y - cy[-1]) * (xs[k + 1] - x) != (ys[k + 1] - y) * (x - cx[-1]):
+            cx.append(x)
+            cy.append(y)
+    cx.append(xs[-1])
+    cy.append(ys[-1])
+    return tuple(cx), tuple(cy)
+
+
+def reference_compose(f: tuple, g: tuple) -> tuple:
+    """f after g in three passes: every middle-axis point, both coordinates
+    of each by interpolation, then the collinear points dropped."""
+    fx, fy = f
+    gx, gy = g
+    mid = sorted(set(gy).union(fx))
+    return _canonical(_values(gy, gx, mid), _values(fx, fy, mid))
+
+
+def test_merged_compose_matches_the_three_pass_reference():
+    bits = _scan_py._precision(8, 4)
+    one = 1 << bits
+
+    def letter_map(index, sign):
+        xs, ys = _scan_py._generator(index, bits)
+        return (xs, ys) if sign == 1 else (ys, xs)
+
+    def word_map(word):
+        acc = ((0, one), (0, one))
+        for letter in word:
+            acc = reference_compose(acc, letter_map(*letter))
+        return acc
+
+    rng = random.Random(19)
+    pairs = 0
+    for _ in range(1000):
+        f = word_map(random_word(rng, 8, 4))
+        g = word_map(random_word(rng, 8, 4))
+        letter = letter_map(rng.randrange(5), rng.choice((1, -1)))
+        # word . letter, letter . word and P . N^-1, the form's shape
+        for left, right in ((f, letter), (letter, f), (f, (g[1], g[0]))):
+            assert _scan_py._compose(left, right) == reference_compose(left, right)
+            pairs += 1
+        assert _scan_py._compose(f, (f[1], f[0])) == ((0, one), (0, one))
+    assert pairs == 3000
+
+
+def test_merged_compose_raises_off_the_grid():
+    # at 2 bits x_0 sends 1/4 to 1/8: x_0 x_0 needs an eighth
+    x0 = _scan_py._generator(0, 2)
+    assert x0 == ((0, 2, 3, 4), (0, 1, 2, 4))
+    for compose_fn in (_scan_py._compose, reference_compose):
+        with pytest.raises(ArithmeticError):
+            compose_fn(x0, x0)
+
+
 def test_normal_form_conditions():
     assert _scan_py._is_normal_form(((0, 2), (3, 1)), ((1, 1),))
     assert _scan_py._is_normal_form(((0, 1), (1, 1)), ((0, 1),))
