@@ -29,39 +29,14 @@ conjugation, the family check and subgroups' x-power meet read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 
-from .words import Word, ball, generator, invert
+from .words import Word, ball, invert
 
 X, Y = 0, 1
 
-
-@dataclass(frozen=True)
-class BrittonForm:
-    """head = leading x-exponent; tail = ((y-sign, following x-exponent), ...)."""
-
-    head: int
-    tail: tuple[tuple[int, int], ...]
-    m: int = 2
-    n: int = 3
-
-    def is_power_of_x(self) -> bool:
-        return not self.tail
-
-    def is_trivial(self) -> bool:
-        return self.head == 0 and not self.tail
-
-    def word(self) -> Word:
-        w = generator(X, self.head)
-        for e, a in self.tail:
-            w = w * generator(Y, e) * generator(X, a)
-        return w
-
-    def key(self) -> tuple:
-        return (self.head, self.tail)
-
-
+# A form key is (head, tail): head the leading x-exponent, tail the tuple of
+# syllables (y-sign, following x-exponent).
 IDENTITY = (0, ())  # the form key of the empty word
 
 
@@ -115,15 +90,16 @@ def push_x(key: tuple, e: int) -> tuple:
     return head, tail[:-1] + ((sign, trailing + e),)
 
 
-def britton_reduce(w: Word, m: int = 2, n: int = 3) -> BrittonForm:
-    """Canonical form of w; sound and complete for the word problem."""
-    return BrittonForm(*resume(IDENTITY, w.letters, m, n), m, n)
+def britton_reduce(w: Word, m: int = 2, n: int = 3) -> tuple:
+    """The form key (head, tail) of w; sound and complete for the word
+    problem."""
+    return resume(IDENTITY, w.letters, m, n)
 
 
 def power_of_x_in(w: Word, k: int, m: int = 2, n: int = 3) -> bool:
     """Membership of w in <x^k>: the form is x^a with k | a."""
-    form = britton_reduce(w, m, n)
-    return form.is_power_of_x() and form.head % k == 0
+    head, tail = britton_reduce(w, m, n)
+    return not tail and head % k == 0
 
 
 def x_power_lattice(w: Word, m: int = 2, n: int = 3) -> tuple[int, int]:
@@ -134,7 +110,7 @@ def x_power_lattice(w: Word, m: int = 2, n: int = 3) -> tuple[int, int]:
     gcd(modulus, q).  A failed divisibility leaves y^e x^c y^-e unpinched,
     so by Britton's lemma the product is reduced and not a power of x."""
     l = q = 1
-    for sign, _ in reversed(britton_reduce(w, m, n).tail):
+    for sign, _ in reversed(britton_reduce(w, m, n)[1]):
         modulus, scale = (n, m) if sign == 1 else (m, n)
         s = modulus // gcd(modulus, q)
         l *= s

@@ -605,10 +605,10 @@ def bs_reduce(word_text, m_param, n_param, fmt):
     """Britton-reduce a word to its pushed-right form."""
     ctx_obj = groups.preset(f"bs({m_param},{n_param})")
     w = groups.parse_context_word(ctx_obj, word_text)
-    form = bs.britton_reduce(w, m_param, n_param)
+    head, tail = bs.britton_reduce(w, m_param, n_param)
     _emit({"word": word_text, "m": m_param, "n": n_param,
-           "head": form.head, "tail": [list(t) for t in form.tail],
-           "is_power_of_x": form.is_power_of_x()}, fmt)
+           "head": head, "tail": [list(t) for t in tail],
+           "is_power_of_x": not tail}, fmt)
 
 
 # ---------------------------------------------------------------------------

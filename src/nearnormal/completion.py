@@ -28,8 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import modp
-from .families import FamilyTruncation, FiniteModule, word_matrix
+from .families import FamilyTruncation
 from .groups import group_elements, regular_table, signed_letters
 from .words import Word, format_word, invert
 
@@ -143,19 +142,6 @@ def invert_stable(tc: TruncatedCompletion, f: tuple) -> tuple:
     if multiply(tc, out, f) != e or multiply(tc, f, out) != e:
         raise RuntimeError("inversion output fails the two-sided inverse law")
     return out
-
-
-def act(tc: TruncatedCompletion, m, f: tuple, module: FiniteModule):
-    """Module action m.f = m.x where x represents f(H) for any node H whose
-    generators all fix m."""
-    fam = tc.fam
-    vec = modp.vec_mod(m, module.p)
-    for node in range(len(fam.nodes)):
-        if all(modp.vec_mat(vec, word_matrix(module, g), module.p) == vec
-               for g in fam.nodes[node].generators):
-            x = _representative(tc, node, f)
-            return modp.vec_mat(vec, word_matrix(module, x), module.p)
-    raise ValueError("no truncation node fixes the vector: it is outside h0_S")
 
 
 def invertibility_scan(tc: TruncatedCompletion) -> dict:

@@ -5,14 +5,15 @@ the chosen set X.  Balls are built breadth-first with deterministic discovery
 order, so vertex representatives are canonical: the elements come from
 ``words.ball``, which steps each element's ``groups.element_step`` key by
 one generator, so no element is reduced from the empty word; one
-``subgroups.CosetIndex`` numbers their cosets, by the subgroup's left-coset
-key read through ``_left_key`` when it has one, else pairwise.  The left
-key receives the element's ball key too, so a key read from the normal form
+``subgroups.CosetIndex`` numbers their cosets, by the subgroup's coset key
+read through ``_left_key`` when it has one, else pairwise.  The coset key
+reads only the element's ball key, so a key read from the normal form
 (x-powers in BS(m,n), lattices in Z^n) reduces nothing again.  Each element
 is keyed once.  An element g below the radius takes its edges from the
 ball's step table: g*x is then a numbered ball element whose vertex is
 known.  Only the elements on the outer sphere classify their products g*x
-through the index, each keyed by one step from the key of g.  The ball
+through the index, keyed by one step from the key of g; the product word
+is built only when the cosets are compared pairwise.  The ball
 keeps every element with its vertex, and ``claim3_check`` reads those pairs.
 Ends of the pair (G, L) are estimated by counting annulus components that
 reach the outer sphere over an increasing radius schedule; the result is a
@@ -56,13 +57,6 @@ class CosetGraphBall:
     def vertex_count(self) -> int:
         return len(self.vertices)
 
-    def vertex_index(self, g: Word) -> int | None:
-        """Classify an arbitrary element's coset within the ball."""
-        i = self.index.find(g)
-        if i == "unknown":
-            raise CosetOracleError("coset equality undecided during expansion")
-        return i
-
 
 @dataclass(frozen=True, eq=False)
 class VertexSet:
@@ -73,9 +67,6 @@ class VertexSet:
         if any(i < 0 or i >= self.ball.vertex_count for i in self.indices):
             raise ValueError("vertex set escapes the ball")
 
-    def complement(self) -> "VertexSet":
-        return VertexSet(self.ball, frozenset(range(self.ball.vertex_count)) - self.indices)
-
 
 def vertex_set(ball: CosetGraphBall, predicate) -> VertexSet:
     """The vertex subset where the predicate holds on the canonical
@@ -84,11 +75,11 @@ def vertex_set(ball: CosetGraphBall, predicate) -> VertexSet:
         i for i, rep in enumerate(ball.vertices) if predicate(rep)))
 
 
-def _left_key(key_fn, g: Word, g_key=None):
-    """The key of the left coset gL under the subgroup's left-coset key, from
-    g and its element key when known: the one named call per key the ball
-    computes, which the per-layer trace counts."""
-    return key_fn(g, g_key)
+def _left_key(key_fn, g_key):
+    """The key of the left coset gL under the subgroup's coset key, from g's
+    element key: the one named call per key the ball computes, which the
+    per-layer trace counts."""
+    return key_fn(g_key)
 
 
 def coset_graph_ball(ctx, sub: SubgroupHandle, gens, radius: int) -> CosetGraphBall:
@@ -103,11 +94,11 @@ def coset_graph_ball(ctx, sub: SubgroupHandle, gens, radius: int) -> CosetGraphB
     An element below the radius has a row in the step table of the element
     ball, so the vertex of each g*x is that of a numbered element; only the
     outer sphere asks the index for the coset of g*x, keyed by one step
-    from the key of g."""
+    from the key of g, or compared pairwise through the word g*x."""
     gens = tuple(gens)
-    key_fn = sub.membership.left_coset_key(sub)
-    index = CosetIndex(sub, "left", None if key_fn is None else partial(_left_key, key_fn))
     step = groups.element_step(ctx)[1]
+    key_fn = sub.membership.coset_key(sub)
+    index = CosetIndex(sub, "left", None if key_fn is None else partial(_left_key, key_fn))
     depth: list = []
     # (element, its vertex), each vertex added when its first element is met
     elements = []
@@ -126,8 +117,10 @@ def coset_graph_ball(ctx, sub: SubgroupHandle, gens, radius: int) -> CosetGraphB
     for e, (g, source) in enumerate(elements):
         if e < len(table):
             targets = [elements[n][1] for n in table[e][::2]]
+        elif key_fn is not None:
+            targets = [index.find(None, step(keys[e], x)) for x in gens]
         else:
-            targets = [index.find(g * x, step(keys[e], x)) for x in gens]
+            targets = [index.find(g * x) for x in gens]
             if "unknown" in targets:
                 raise CosetOracleError("coset equality undecided during expansion")
         for label, target in enumerate(targets):
@@ -284,8 +277,8 @@ def bs_side_predicate(ctx):
     m, n = ctx.bs_params
 
     def side(w: Word) -> bool:
-        form = bs.britton_reduce(w, m, n)
-        return bool(form.tail) and form.tail[0][0] == 1
+        tail = bs.britton_reduce(w, m, n)[1]
+        return bool(tail) and tail[0][0] == 1
 
     return side
 

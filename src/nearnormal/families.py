@@ -122,11 +122,11 @@ def _conjugate_keys(keys: frozenset, w: Word, perms: dict) -> frozenset:
     return frozenset(out)
 
 
-def truncation(ctx: GroupContext, node_generator_lists, close: bool = True) -> FamilyTruncation:
+def truncation(ctx: GroupContext, node_generator_lists) -> FamilyTruncation:
     """Build a certified truncation over a finite coset-table group.
 
-    Starts from the given generator lists, optionally closes the node set
-    under conjugation by ambient generator letters, and certifies order,
+    Starts from the given generator lists, closes the node set under
+    conjugation by ambient generator letters, and certifies order,
     conjugation action, and normality pairs.  A node is the set of its
     members' indices in the regular table, and conjugation by a letter is a
     permutation of those indices.  Node i is certified normal in node j when
@@ -156,8 +156,6 @@ def truncation(ctx: GroupContext, node_generator_lists, close: bool = True) -> F
             l_word = generator(*letter)
             ks = _conjugate_keys(key_sets[i], l_word, perms)
             if ks not in index:
-                if not close:
-                    raise ValueError("node set is not closed under conjugation")
                 index[ks] = len(handles)
                 key_sets.append(ks)
                 handles.append(finite_subgroup(
@@ -362,7 +360,7 @@ def parse_module_matrices(text: str):
 def node_fixed_space(module: FiniteModule, fam: FamilyTruncation, node: int):
     gens = fam.nodes[node].generators
     mats = [word_matrix(module, g) for g in gens]
-    return modp.fixed_space(mats, module.p, dim=module.dimension)
+    return modp.fixed_space(mats, module.p, module.dimension)
 
 
 def h0_S(module: FiniteModule, fam: FamilyTruncation):
@@ -394,7 +392,7 @@ def h0_G_mod_S(module: FiniteModule, fam: FamilyTruncation):
     if any(word_matrix(module, g) != eye for g in fam.nodes[fam.bottom()].generators):
         raise ValueError("module is not an object of the subcategory: "
                          "h0_S is a proper subspace")
-    return modp.fixed_space(list(module.matrices), module.p, dim=module.dimension)
+    return modp.fixed_space(module.matrices, module.p, module.dimension)
 
 
 def restrict_to_h0s(module: FiniteModule, fam: FamilyTruncation):

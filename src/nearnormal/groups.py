@@ -473,7 +473,8 @@ _PRESET_RE = re.compile(r"([a-z-]+[a-z0-9-]*?)(?:\((\d+)(?:,(\d+))?\))?$")
 
 
 def preset(name: str) -> GroupContext:
-    """Built-in contexts: sym3, bs(m,n), zn(k), thompson-f, free(k), cyclic(k)."""
+    """Built-in contexts: sym3, klein4, bs(m,n), zn(k), thompson-f, free(k),
+    cyclic(k)."""
     m = _PRESET_RE.match(name.replace(" ", ""))
     if not m:
         raise ValueError(f"unknown preset {name!r}")

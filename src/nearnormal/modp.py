@@ -19,18 +19,6 @@ def vec_mod(v, p: int):
     return tuple(a % p for a in v)
 
 
-def zero_vector(n: int):
-    return (0,) * n
-
-
-def vec_add(u, v, p: int):
-    return tuple((a + b) % p for a, b in zip(u, v))
-
-
-def vec_sub(u, v, p: int):
-    return tuple((a - b) % p for a, b in zip(u, v))
-
-
 def sparse(rows, p: int):
     """The matrix whose rows are the dense rows given, reduced mod p."""
     return tuple(tuple((j, a % p) for j, a in enumerate(row) if a % p) for row in rows)
@@ -180,19 +168,14 @@ def mat_inverse(m, p: int):
                  for i in range(n))
 
 
-def fixed_space(mats, p: int, dim: int | None = None):
-    """Basis of the simultaneous fixed space {v : v . M = v for every M}: the
-    null space of the columns of every M - I."""
-    if not mats:
-        if dim is None:
-            raise ValueError("fixed_space of no matrices needs an explicit dimension")
-        return _nullspace({}, dim, p)
-    n = len(mats[0])
+def fixed_space(mats, p: int, dim: int):
+    """Basis of the simultaneous fixed space {v in F_p^dim : v . M = v for
+    every M}: the null space of the columns of every M - I."""
     constraints = []
     for m in mats:
-        columns = [{j: -1} for j in range(n)]
+        columns = [{j: -1} for j in range(dim)]
         for i, row in enumerate(m):
             for j, a in row:
                 columns[j][i] = columns[j].get(i, 0) + a
         constraints.extend({i: a % p for i, a in col.items()} for col in columns)
-    return _nullspace(_echelon(constraints, p), n, p)
+    return _nullspace(_echelon(constraints, p), dim, p)

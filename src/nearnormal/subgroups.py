@@ -4,13 +4,12 @@ near-normality), plus the disjoint-coset-translate search.
 
 A handle pairs a finite generator list with a membership oracle, declared
 per fixture, never inferred.  Each oracle is one small class that owns
-membership, conjugation, the right- and left-coset keys and the cyclic
-coordinate; its tag names it in certificates:
+membership, conjugation, the left-coset key and the cyclic coordinate; its
+tag names it in certificates:
 
     All             "all"          whole-group handle
     Trivial         "trivial"      trivial subgroup (word-problem oracle)
     Table           "table"        membership via the attached coset table
-    Bare            "bare"         generators only: decides the empty word
     XPower(k, c)    "x-power"      <x^k>^c in BS(m,n); "conjugate" if c != 1
     Lattice(rows)   "lattice"      row-span sublattice of Z^n (free-abelian)
     FreeCyclic(u)   "free-cyclic"  <u> in a free group (root arithmetic)
@@ -19,7 +18,9 @@ coordinate; its tag names it in certificates:
 
 Only ``intersect`` reads two oracles at once, through its table of pairs.
 ``CosetIndex`` is the one way cosets are told apart, by an oracle's coset
-key when it has one, else pairwise through ``same_coset``.
+key when it has one, else pairwise through ``same_coset``.  A coset key keys
+the left cosets g(sub) and reads only g's ``groups.element_key``, so a caller
+that steps element keys (a word ball) never builds the product words.
 
 Everything bounded is three-valued: True / False / "unknown", never a guess.
 """
@@ -87,9 +88,10 @@ def same_coset(sub: SubgroupHandle, g1: Word, g2: Word, side: str):
 class CosetIndex:
     """The cosets of sub on one side met so far, numbered in order of first
     sight, each held by its first representative.  Cosets are told apart by
-    ``key`` (a canonical key of the coset of an element) when given, else
-    pairwise through same_coset.  ``find`` and ``add`` take g's element key
-    as well when the caller has it, and pass it on to the key."""
+    ``key`` (an oracle's ``coset_key``: left cosets, read from the element
+    key) when given, else pairwise through same_coset.  ``find`` and ``add``
+    take g's element key as well when the caller has it; a keyed index reads
+    only that, and computes it from g otherwise."""
 
     def __init__(self, sub: SubgroupHandle, side: str, key=None):
         self.sub, self.side, self.key = sub, side, key
@@ -100,7 +102,7 @@ class CosetIndex:
     def _lookup(self, g: Word, g_key):
         """(the number of g's coset, None or "unknown"; g's key or None)."""
         if self.key is not None:
-            k = self.key(g) if g_key is None else self.key(g, g_key)
+            k = self.key(groups.element_key(self.sub.ctx, g) if g_key is None else g_key)
             return self._numbers.get(k), k
         verdict = None
         for i, rep in enumerate(self.representatives):
@@ -147,18 +149,10 @@ class Oracle:
         return SubgroupHandle(sub.ctx, gens, None, Conjugate(sub, g))
 
     def coset_key(self, sub: SubgroupHandle):
-        """Canonical key function of the right cosets (sub)g, or None when
-        only pairwise membership comparison is available."""
+        """Canonical key function of the left cosets g(sub), called with g's
+        ``groups.element_key`` alone, or None when only pairwise membership
+        comparison is available."""
         return None
-
-    def left_coset_key(self, sub: SubgroupHandle):
-        """Canonical key function of the left cosets g(sub), called as
-        key(g, g_key) with g's ``groups.element_key`` g_key when known, or
-        None when only pairwise membership comparison is available.  By
-        default the right key of g^-1: g(sub) = g'(sub) iff
-        (sub)g^-1 = (sub)g'^-1."""
-        key = self.coset_key(sub)
-        return None if key is None else lambda g, g_key=None: key(invert(g))
 
     def cyclic_coordinate(self, sub: SubgroupHandle):
         """When sub is infinite cyclic: the function w -> t with w = c^t for
@@ -188,7 +182,7 @@ class Trivial(Oracle):
         return sub
 
     def coset_key(self, sub):
-        return partial(groups.element_key, sub.ctx)
+        return lambda g_key: g_key
 
 
 @dataclass(frozen=True)
@@ -202,15 +196,10 @@ class Table(Oracle):
         return finite_subgroup(sub.ctx, gens)
 
     def coset_key(self, sub):
-        return sub.coset_table.coset_of
-
-
-@dataclass(frozen=True)
-class Bare(Oracle):
-    tag = "bare"
-
-    def contains(self, sub, w):
-        return True if not w else "unknown"
+        # the element key of g is its coset c in the regular table, reached
+        # by the word reps[c]; g(sub) = g'(sub) iff (sub)g^-1 = (sub)g'^-1
+        reps = groups.group_elements(sub.ctx)
+        return lambda c: sub.coset_table.coset_of(invert(reps[c]))
 
 
 @dataclass(frozen=True)
@@ -232,19 +221,13 @@ class XPower(Oracle):
         return SubgroupHandle(sub.ctx, gens, None, XPower(self.k, self.conjugator * g))
 
     def coset_key(self, sub):
-        left = self.left_coset_key(sub)
-        return lambda g: left(invert(g))
-
-    def left_coset_key(self, sub):
         k, ci = self.k, invert(self.conjugator).letters
         m, n = sub.ctx.bs_params
 
-        def key(g, g_key=None):
+        def key(g_key):
             # g(sub) = g c^-1 <x^k> c: the Britton form of g c^-1 with the
             # free trailing exponent reduced mod k is canonical for the coset;
             # it is g's form key stepped by c^-1.
-            if g_key is None:
-                g_key = groups.element_key(sub.ctx, g)
             head, tail = bs.resume(g_key, ci, m, n) if ci else g_key
             if not tail:
                 return (head % k,)
@@ -260,10 +243,10 @@ class XPower(Oracle):
         def coordinate(w):
             if not w:
                 return 0
-            form = bs.britton_reduce(c * w * invert(c), m, n)
-            if not form.is_power_of_x() or form.head % k:
+            head, tail = bs.britton_reduce(c * w * invert(c), m, n)
+            if tail or head % k:
                 return None
-            return form.head // k
+            return head // k
 
         return coordinate
 
@@ -284,13 +267,7 @@ class Lattice(Oracle):
 
     def coset_key(self, sub):
         # g's element key in Z^n is its exponent vector
-        n = sub.ctx.generator_count
-        return lambda g, g_key=None: intlin.lattice_residue(
-            self.rows, exponent_vector(g, n) if g_key is None else g_key)
-
-    def left_coset_key(self, sub):
-        # abelian ambient: the left coset of g is its right coset
-        return self.coset_key(sub)
+        return partial(intlin.lattice_residue, self.rows)
 
     def cyclic_coordinate(self, sub):
         if len(self.rows) != 1:
@@ -316,12 +293,12 @@ class FreeCyclic(Oracle):
         return SubgroupHandle(sub.ctx, gens, None, FreeCyclic(invert(g) * self.u * g))
 
     def coset_key(self, sub):
-        """Key of the right coset <u>g.
+        """Key of the left coset g<u>, read from g's letters.
 
-        With u = c r^k c^-1 and h = c^-1 g, left multiplication by c^-1 maps
-        <u>g to the coset <r^k>h, whose elements are r^j h for k | j; the key
-        is the letters of its shortlex-least element.  As r is cyclically
-        reduced, |r^j h| >= |j||r| - |h|, which exceeds |h| = |r^0 h| once
+        With u = c r^k c^-1 and h = g c, right multiplication by c maps g<u>
+        to the coset h<r^k>, whose elements are h r^j for k | j; the key is
+        the letters of its shortlex-least element.  As r is cyclically
+        reduced, |h r^j| >= |j||r| - |h|, which exceeds |h| = |h r^0| once
         |j||r| > 2|h|, so the least element has |j||r| <= 2|h|.
 
         In one direction the letters r^(ik) cancels from h only grow with i,
@@ -331,20 +308,19 @@ class FreeCyclic(Oracle):
         longer still, and as shortlex compares lengths first the walk in
         that direction stops there."""
         if not self.u:
-            return lambda g: g.letters
+            return lambda letters: letters
         c, r, k = _root_parts(self.u)
-        ci = invert(c)
         period = len(r)
         forward, backward = r.letters * k, invert(r).letters * k
 
-        def key(g):
-            h = ci * g
+        def key(letters):
+            h = Word(_reduced=letters) * c
             steps = 2 * len(h) // (period * k)
             best, best_key = h, word_key(h)
             for step in (forward, backward):
                 size = len(h)
                 for i in range(1, steps + 1):
-                    cand = Word(_reduced=step * i) * h
+                    cand = h * Word(_reduced=step * i)
                     if len(cand) > size:
                         break
                     size = len(cand)
@@ -411,12 +387,6 @@ def conjugate(sub: SubgroupHandle, g: Word) -> SubgroupHandle:
 
 # ---------------------------------------------------------------------------
 # constructors
-
-
-def subgroup(ctx, gens, membership: Oracle | None = None, coset_table=None) -> SubgroupHandle:
-    if membership is None:
-        membership = Bare() if coset_table is None else Table()
-    return SubgroupHandle(ctx, tuple(gens), coset_table, membership)
 
 
 def whole_group(ctx) -> SubgroupHandle:
@@ -497,14 +467,14 @@ def subgroup_from_words(ctx, ws) -> SubgroupHandle:
 def _britton_subgroup(ctx, w: Word):
     """Conjugates of powers of x are the decidable one-generator case."""
     m, n = ctx.bs_params
-    form = bs.britton_reduce(w, m, n)
-    if form.is_power_of_x():
-        return trivial_subgroup(ctx) if form.head == 0 else power_subgroup(ctx, abs(form.head))
+    head, tail = bs.britton_reduce(w, m, n)
+    if not tail:
+        return trivial_subgroup(ctx) if head == 0 else power_subgroup(ctx, abs(head))
     c, core = cyclic_peel(w)
-    form = bs.britton_reduce(core, m, n)
-    if not c or not form.is_power_of_x() or form.head == 0:
+    head, tail = bs.britton_reduce(core, m, n)
+    if not c or tail or head == 0:
         return None
-    return conjugate(power_subgroup(ctx, abs(form.head)), invert(c))
+    return conjugate(power_subgroup(ctx, abs(head)), invert(c))
 
 
 # ---------------------------------------------------------------------------
@@ -537,15 +507,18 @@ def _ambient_letters(ctx) -> list[Word]:
 
 
 def _coset_bfs_count(sub: SubgroupHandle, bound: int):
-    """Count right cosets of sub in its whole ambient group by BFS; exact
+    """Count left cosets of sub in its whole ambient group by BFS; exact
     count when the ball closes within bound, else INFINITE_OR_EXCEEDS.
-    Cosets are told apart by sub's coset key, else pairwise by membership,
-    where a coset taken as new under "unknown" makes the count inexact.
-    Each level before the ball closes adds a coset, so bound levels decide."""
-    index = CosetIndex(sub, "right", sub.membership.coset_key(sub))
-    # (sub)gs is (sub)g times s: step a coset from its first representative
+    The index counts right cosets as well: g -> g^-1 maps the left cosets
+    g(sub) with |g| <= r onto the right cosets (sub)g^-1 with |g^-1| <= r,
+    so both sides have as many cosets within each distance.  Cosets are
+    told apart by sub's coset key, else pairwise by membership, where a
+    coset taken as new under "unknown" makes the count inexact.  Each level
+    before the ball closes adds a coset, so bound levels decide."""
+    index = CosetIndex(sub, "left", sub.membership.coset_key(sub))
+    # s(g(sub)) is the coset of s g: step a coset from its first representative
     cosets = words.ball(_ambient_letters(sub.ctx), bound, index.add(Word(())),
-                        lambda c, s: index.add(index.representatives[c] * s))
+                        lambda c, s: index.add(s * index.representatives[c]))
     for count, _ in enumerate(cosets):
         if count == bound:
             return INFINITE_OR_EXCEEDS

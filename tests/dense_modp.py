@@ -8,8 +8,20 @@ form, and ``modp.sparse`` turns it back.  ``word_matrix`` and
 same names.
 """
 
-from nearnormal.modp import vec_add, vec_mod, vec_sub
+from nearnormal.modp import vec_mod
 from nearnormal.words import Word
+
+
+def zero_vector(n: int):
+    return (0,) * n
+
+
+def vec_add(u, v, p: int):
+    return tuple((a + b) % p for a, b in zip(u, v))
+
+
+def vec_sub(u, v, p: int):
+    return tuple((a - b) % p for a, b in zip(u, v))
 
 
 def dense(m, n: int):

@@ -16,6 +16,15 @@ Y = generator(1)
 LETTERS = ((0, 1), (0, -1), (1, 1), (1, -1))
 
 
+def form_word(key):
+    """The pushed-right word x^head y^e1 x^a1 ... of a Britton form key."""
+    head, tail = key
+    w = generator(0, head)
+    for e, a in tail:
+        w = w * generator(1, e) * generator(0, a)
+    return w
+
+
 def reduced_ball(cap):
     """All freely reduced letter tuples of length <= cap."""
     words = [()]
@@ -70,7 +79,7 @@ def test_britton_key_matches_rewriting_components():
                 if ri != rj:
                     parent[ri] = rj
 
-    keys = [bs.britton_reduce(Word(w)).key() for w in words]
+    keys = [bs.britton_reduce(Word(w)) for w in words]
     comp_key = {}
     for i, w in enumerate(words):
         root = find(i)
@@ -108,40 +117,36 @@ def test_britton_form_preserves_the_affine_image():
     # the canonical word of each form must represent the same group element
     for w in reduced_ball(8):
         form = bs.britton_reduce(Word(w))
-        assert affine(form.word().letters) == affine(w), w
+        assert affine(form_word(form).letters) == affine(w), w
 
 
 def test_equal_keys_imply_equal_affine_images():
     by_key = {}
     for w in reduced_ball(8):
-        key = bs.britton_reduce(Word(w)).key()
+        key = bs.britton_reduce(Word(w))
         image = affine(w)
         assert by_key.setdefault(key, image) == image, w
 
 
 def test_britton_fixtures():
-    form = bs.britton_reduce(invert(Y) * X ** 2 * Y)
-    assert form.is_power_of_x() and form.head == 3
-    form = bs.britton_reduce(invert(Y) * X * Y)
-    assert not form.is_power_of_x()
-    assert form.key() == (0, ((-1, 1), (1, 0)))
-    assert bs.britton_reduce(Word(())).is_trivial()
+    assert bs.britton_reduce(invert(Y) * X ** 2 * Y) == (3, ())
+    assert bs.britton_reduce(invert(Y) * X * Y) == (0, ((-1, 1), (1, 0)))
+    assert bs.britton_reduce(Word(())) == bs.IDENTITY
 
 
 def test_britton_word_roundtrip():
     for w in reduced_ball(6):
         form = bs.britton_reduce(Word(w))
-        again = bs.britton_reduce(form.word())
-        assert again.key() == form.key()
+        assert bs.britton_reduce(form_word(form)) == form
 
 
 def test_bs_equal_and_powers():
     z = invert(Y) * X * Y
-    assert bs.britton_reduce(z ** 2 * invert(X ** 3)).is_trivial()
-    assert not bs.britton_reduce(z * invert(X)).is_trivial()
+    assert bs.britton_reduce(z ** 2 * invert(X ** 3)) == bs.IDENTITY
+    assert bs.britton_reduce(z * invert(X)) != bs.IDENTITY
     for k in range(1, 101):
-        assert not bs.britton_reduce(X ** k).is_trivial()
-        assert not bs.britton_reduce(Y ** k).is_trivial()
+        assert bs.britton_reduce(X ** k) != bs.IDENTITY
+        assert bs.britton_reduce(Y ** k) != bs.IDENTITY
 
 
 def test_power_of_x_in():
@@ -164,7 +169,7 @@ def test_power_conjugate_is_verified_by_reduction():
         got = bs.power_conjugate(g, 30)
         assert got is not None
         a, b = got
-        assert bs.britton_reduce(invert(g) * X ** a * g * invert(X ** b)).is_trivial()
+        assert bs.britton_reduce(invert(g) * X ** a * g * invert(X ** b)) == bs.IDENTITY
 
 
 def test_family_axiom_check_single_x():
@@ -201,7 +206,7 @@ def test_naive_equal_spot_checks():
 def test_naive_equal_agrees_with_britton_on_short_words():
     for w in reduced_ball(3):
         u = Word(w)
-        reduced = bs.britton_reduce(u).word()
+        reduced = form_word(bs.britton_reduce(u))
         assert bs_naive_equal(u, reduced, len_slack=2) is True
 
 
@@ -220,15 +225,15 @@ def reference_least_power(w, a, t_bound, m, n, step=1):
     None, reducing the product word each step."""
     wi = invert(w)
     for t in range(step, t_bound + 1, step):
-        form = bs.britton_reduce(w * generator(0, t) * wi, m, n)
-        if form.is_power_of_x() and form.head % a == 0:
+        head, tail = bs.britton_reduce(w * generator(0, t) * wi, m, n)
+        if not tail and head % a == 0:
             return t
     return None
 
 
 def reference_verify(w, a, e, m, n):
-    form = bs.britton_reduce(w * generator(0, e) * invert(w), m, n)
-    return form.is_power_of_x() and form.head % a == 0
+    head, tail = bs.britton_reduce(w * generator(0, e) * invert(w), m, n)
+    return not tail and head % a == 0
 
 
 def reference_conjugator_words(conjugators, conj_len, m, n):
@@ -240,7 +245,7 @@ def reference_conjugator_words(conjugators, conj_len, m, n):
         words.extend(frontier)
     seen = {}
     for w in words:
-        seen.setdefault(bs.britton_reduce(w, m, n).key(), w)
+        seen.setdefault(bs.britton_reduce(w, m, n), w)
     return list(seen.values())
 
 
@@ -301,10 +306,10 @@ def test_x_power_lattice_matches_the_word_reference():
             w = random_reduced_word(rng, rng.randint(0, 6))
             l, q = bs.x_power_lattice(w, m, n)
             for t in range(1, 25):
-                form = bs.britton_reduce(w * generator(0, t) * invert(w), m, n)
-                assert form.is_power_of_x() == (t % l == 0), (w, m, n, t)
+                head, tail = bs.britton_reduce(w * generator(0, t) * invert(w), m, n)
+                assert (not tail) == (t % l == 0), (w, m, n, t)
                 if t % l == 0:
-                    assert form.head == q * t // l, (w, m, n, t)
+                    assert head == q * t // l, (w, m, n, t)
 
 
 def test_least_power_matches_the_word_reference():
@@ -384,7 +389,7 @@ def test_syllable_reduction_equals_britton_reduce():
             t = rng.randint(-40, 40)
             key = bs.resume(bs.push_x(bs.resume(bs.IDENTITY, w.letters, m, n), t),
                             invert(w).letters, m, n)
-            assert key == bs.britton_reduce(w * generator(0, t) * invert(w), m, n).key(), (w, t)
+            assert key == bs.britton_reduce(w * generator(0, t) * invert(w), m, n), (w, t)
 
 
 def test_conjugates_into_from_a_kept_state_matches_the_whole_reduction():
@@ -400,8 +405,8 @@ def test_conjugates_into_from_a_kept_state_matches_the_whole_reduction():
             state = bs._conjugation_state(w, m, n)
             for _ in range(5):
                 t, k = rng.choice((1, 6, 12, 36)) * rng.randint(-6, 6), rng.randint(1, 4)
-                form = bs.britton_reduce(w * generator(0, t) * invert(w), m, n)
-                expected = form.is_power_of_x() and form.head % k == 0
+                head, tail = bs.britton_reduce(w * generator(0, t) * invert(w), m, n)
+                expected = not tail and head % k == 0
                 assert bs._conjugates_into(state, t, k, m, n) == expected, (w, t, k, m, n)
                 verdicts.add(expected)
     assert verdicts == {True, False}
@@ -417,7 +422,7 @@ def test_feed_accepts_unreduced_letters():
             at = rng.randint(0, len(letters))
             letters[at:at] = [(i, s), (i, -s)]
             key = bs.resume(bs.IDENTITY, letters, m, n)
-            assert key == bs.britton_reduce(free_reduce(letters), m, n).key(), (w, m, n)
+            assert key == bs.britton_reduce(free_reduce(letters), m, n), (w, m, n)
 
 
 def test_corrupted_push_x_fails_the_family_check(monkeypatch):

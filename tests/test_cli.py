@@ -320,6 +320,9 @@ def test_word_options_take_parentheses(runner):
      "Error: radii must be strictly increasing and nonempty"),
     (["family", "h1", "--group", "sym3", "--module", "MATRIX_FILE"],
      "Error: matrix blocks must be square"),
+    # a finite-index subgroup of an infinite group: the ball has no element keys
+    (["ends", "estimate", "--group", "gens: a b\nrels: b\noracle: coset-table",
+      "--l", "a^2"], "Error: no canonical key: regular enumeration incomplete"),
 ])
 def test_subgroup_and_word_errors_are_one_line(runner, tmp_path, args, message):
     if "MATRIX_FILE" in args:

@@ -6,12 +6,12 @@ import pytest
 
 from nearnormal import cli, completion, families, modp
 from nearnormal.completion import (
-    act, completion_is_group, conj_node,
+    completion_is_group, conj_node,
     embed, identity_element, invert_stable,
     invertibility_scan, law_records, multiply, profinite_compare,
     truncated_completion,
 )
-from nearnormal.families import h0_S, regular_module, truncation
+from nearnormal.families import h0_S, regular_module, truncation, word_matrix
 from nearnormal.groups import group_elements, preset
 from nearnormal.words import Word, format_word, invert, parse_word
 
@@ -204,6 +204,19 @@ def test_mismatched_elements_rejected():
 
 # --- module action -----------------------------------------------------------
 
+def act(tc, m, f, module):
+    """Module action m.f = m.x where x represents f(H) for any node H whose
+    generators all fix m."""
+    fam = tc.fam
+    vec = modp.vec_mod(m, module.p)
+    for node in range(len(fam.nodes)):
+        if all(modp.vec_mat(vec, word_matrix(module, g), module.p) == vec
+               for g in fam.nodes[node].generators):
+            x = completion._representative(tc, node, f)
+            return modp.vec_mat(vec, word_matrix(module, x), module.p)
+    raise ValueError("no truncation node fixes the vector: it is outside h0_S")
+
+
 def test_action_through_h0s():
     ctx, fam, tc = sym3_normal_family()
     module = regular_module(ctx)
@@ -212,7 +225,6 @@ def test_action_through_h0s():
     for v in basis:
         assert act(tc, v, e, module) == v
     # embedded elements act as their word matrix
-    from nearnormal.families import word_matrix
     for g in group_elements(ctx):
         f = embed(g, tc)
         for v in basis:

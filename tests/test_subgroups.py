@@ -4,15 +4,16 @@ import random
 
 import pytest
 
+from bare import bare_subgroup
 from nearnormal import ends
-from nearnormal.groups import context_from_text, group_elements, preset
+from nearnormal.groups import context_from_text, element_key, group_elements, preset
 from nearnormal.subgroups import (
     INFINITE_OR_EXCEEDS, Conjugate, CosetIndex, CosetSet, UnsupportedOraclePair,
     am_subgroup, commensurability_report, conjugate, contains, finite_subgroup,
     free_cyclic_subgroup, free_root,
     in_commensurator, index_bounded, intersect, is_commensurable,
     lattice_subgroup, near_normal_on, neumann_translate, power_subgroup,
-    SubgroupHandle, XPower, _root_parts, same_coset, subgroup, trivial_subgroup, whole_group,
+    SubgroupHandle, XPower, _root_parts, same_coset, trivial_subgroup, whole_group,
 )
 from nearnormal.words import Word, generator, invert, parse_word, word_key
 
@@ -343,68 +344,45 @@ KEYED = [pytest.param("free(2)", lambda ctx, u=u: free_cyclic_subgroup(ctx, w(u)
 ]
 
 
-@pytest.mark.parametrize("group, make", KEYED)
-def test_free_cyclic_key_agrees_with_same_coset(group, make):
-    """Every oracle with a coset key (the name is historical): keys agree
-    with pairwise membership, and an index numbering an element ball's
-    cosets by key matches one comparing pairwise, on both sides."""
-    ctx = preset(group)
-    sub = make(ctx)
-    key = coset_key(sub)
-    ball = free_ball(4)
-    keys = [key(g) for g in ball]
-    for i in range(len(ball)):
-        for j in range(i + 1, len(ball)):
-            assert (keys[i] == keys[j]) == same_coset(sub, ball[i], ball[j], "right"), \
-                (ball[i], ball[j])
-    elements = ends.element_ball(ctx, (generator(0), generator(1)), 3)
-    for side, side_key in (("right", key), ("left", sub.membership.left_coset_key(sub))):
-        keyed, pairwise = CosetIndex(sub, side, side_key), CosetIndex(sub, side)
-        assert [keyed.add(g) for g in elements] == [pairwise.add(g) for g in elements]
-        assert keyed.representatives == pairwise.representatives
-        assert not keyed.undecided and not pairwise.undecided
-
-
 def random_word(rng, length, gens=2):
     return Word([(rng.randrange(gens), rng.choice((1, -1))) for _ in range(length)])
 
 
 @pytest.mark.parametrize("group, make", KEYED)
-def test_left_key_partitions_like_the_right_key_of_the_inverse(group, make):
-    """Each oracle's own left key numbers left cosets as the default one,
-    the right key of g^-1, does, and as pairwise membership does."""
+def test_free_cyclic_key_agrees_with_same_coset(group, make):
+    """Every oracle with a coset key (the name is historical): the key of
+    g's element key agrees with pairwise membership on left cosets, and an
+    index numbering cosets by key matches one comparing pairwise."""
     ctx = preset(group)
     sub = make(ctx)
-    right, left = coset_key(sub), sub.membership.left_coset_key(sub)
+    key = coset_key(sub)
+    ball = free_ball(4)
+    keys = [key(element_key(ctx, g)) for g in ball]
+    for i in range(len(ball)):
+        for j in range(i + 1, len(ball)):
+            assert (keys[i] == keys[j]) == same_coset(sub, ball[i], ball[j], "left"), \
+                (ball[i], ball[j])
     rng = random.Random(16)
-    elements = [random_word(rng, rng.randrange(9)) for _ in range(100)]
+    elements = ends.element_ball(ctx, (generator(0), generator(1)), 3)
+    elements += [random_word(rng, rng.randrange(9)) for _ in range(100)]
     # words in one left coset of each other, so the partition is not discrete
-    elements += [g * h for g in elements[:30] for h in sub.generators]
-    numbers = [[index.add(g) for g in elements] for index in (
-        CosetIndex(sub, "left", left), CosetIndex(sub, "left", lambda g: right(invert(g))),
-        CosetIndex(sub, "left"))]
-    assert numbers[0] == numbers[1] == numbers[2]
-    assert max(numbers[0]) + 1 < len(elements)
-
-
-def test_left_key_defaults_to_the_right_key_of_the_inverse():
-    ctx = preset("free(2)")
-    sub = free_cyclic_subgroup(ctx, w("a b^2"))
-    left = sub.membership.left_coset_key(sub)
-    for g in free_ball(3):
-        assert left(g) == coset_key(sub)(invert(g))
-    assert subgroup(ctx, (generator(0),)).membership.left_coset_key(None) is None
+    elements += [g * h for g in elements[-30:] for h in sub.generators]
+    keyed, pairwise = CosetIndex(sub, "left", key), CosetIndex(sub, "left")
+    numbers = [keyed.add(g) for g in elements]
+    assert numbers == [pairwise.add(g) for g in elements]
+    assert keyed.representatives == pairwise.representatives
+    assert not keyed.undecided and not pairwise.undecided
+    assert max(numbers) + 1 < len(elements)
 
 
 def full_scan_free_cyclic_key(u):
-    """The free-cyclic right key by the full scan over every r^(+-ik) h with
-    |ik||r| <= 2|h|, without stopping once candidates grow."""
+    """The free-cyclic key of g<u> by the full scan over every h r^(+-ik),
+    h = g c, with |ik||r| <= 2|h|, without stopping once candidates grow."""
     c, r, k = _root_parts(u)
-    ci = invert(c)
 
     def key(g):
-        h = ci * g
-        cands = [h] + [Word(step.letters * (i * k)) * h
+        h = g * c
+        cands = [h] + [h * Word(step.letters * (i * k))
                        for i in range(1, 2 * len(h) // (len(r) * k) + 1)
                        for step in (r, invert(r))]
         return min(cands, key=word_key).letters
@@ -426,9 +404,9 @@ def test_free_cyclic_key_matches_the_full_scan():
         reference = full_scan_free_cyclic_key(u)
         for _ in range(25):
             g = random_word(rng, rng.randrange(12), 3)
-            if rng.random() < 0.5:  # start with a power of u
-                g = u ** rng.choice((-3, -2, -1, 1, 2, 3)) * g
-            assert key(g) == reference(g), (u, g)
+            if rng.random() < 0.5:  # end with a power of u
+                g = g * u ** rng.choice((-3, -2, -1, 1, 2, 3))
+            assert key(g.letters) == reference(g), (u, g)
             checked += 1
     assert checked > 2000
 
@@ -437,7 +415,7 @@ def test_coset_index_without_a_decision():
     # a bare handle decides only the empty word: a new coset is taken under
     # "unknown", and find reports "unknown" when no coset matched
     ctx = preset("free(2)")
-    index = CosetIndex(subgroup(ctx, (generator(0),)), "right")
+    index = CosetIndex(bare_subgroup(ctx, (generator(0),)), "right")
     assert index.add(Word(())) == 0 and not index.undecided
     assert index.find(generator(0)) == "unknown"
     assert index.add(generator(0)) == 1 and index.undecided
@@ -446,23 +424,25 @@ def test_coset_index_without_a_decision():
 
 def test_free_cyclic_key_is_the_shortlex_least_element():
     ctx = preset("free(2)")
-    # r = a b, h = a: the coset <a b> a holds a and b^-1, both of length 1
+    # r = a b, h = b: the coset b <a b> holds b and a^-1, both of length 1
     key = coset_key(free_cyclic_subgroup(ctx, w("a b")))
-    assert key(w("a")) == key(w("b^-1")) == w("a").letters
-    # u = b a^2 b^-1, g = b a^5: c^-1 g = a^5 is cut down to a
-    key = coset_key(free_cyclic_subgroup(ctx, w("b a^2 b^-1")))
-    assert key(w("b a^5")) == key(w("b a")) == w("a").letters
-    assert coset_key(free_cyclic_subgroup(ctx, Word(())))(w("a b")) == w("a b").letters
+    assert key(w("b").letters) == key(w("a^-1").letters) == w("a^-1").letters
+    # u = b^-1 a^2 b, g = a^5 b: g c = a^5 is cut down to a
+    key = coset_key(free_cyclic_subgroup(ctx, w("b^-1 a^2 b")))
+    assert key(w("a^5 b").letters) == key(w("a b").letters) == w("a").letters
+    assert coset_key(free_cyclic_subgroup(ctx, Word(())))(w("a b").letters) == w("a b").letters
 
 
 def test_whole_group_coset_count_at_its_bound():
     ctx = preset("free(1)")
-    a3 = free_cyclic_subgroup(ctx, w("a^3"))
-    # the same subgroup without a coset key: cosets compared pairwise
-    pairwise = SubgroupHandle(ctx, a3.generators, None, Conjugate(a3, Word(())))
-    for sub in (a3, pairwise):
-        assert index_bounded(sub, whole_group(ctx), 3) == 3
-        assert index_bounded(sub, whole_group(ctx), 2) == INFINITE_OR_EXCEEDS
+    for k in range(1, 8):
+        ak = free_cyclic_subgroup(ctx, generator(0, k))
+        # the same subgroup without a coset key: cosets compared pairwise
+        pairwise = SubgroupHandle(ctx, ak.generators, None, Conjugate(ak, Word(())))
+        for sub in (ak, pairwise):
+            for bound in range(1, 10):
+                expected = k if k <= bound else INFINITE_OR_EXCEEDS
+                assert index_bounded(sub, whole_group(ctx), bound) == expected, (k, bound)
 
 
 def test_free_cyclic_index_in_a_free_group_is_infinite():
@@ -488,7 +468,7 @@ def _native(ctx):
 
 
 def _pair_matrix_handles(ctx):
-    base = [whole_group(ctx), trivial_subgroup(ctx), subgroup(ctx, (generator(0),)), _native(ctx)]
+    base = [whole_group(ctx), trivial_subgroup(ctx), bare_subgroup(ctx, (generator(0),)), _native(ctx)]
     return base + [conjugate(h, generator(1)) for h in base]
 
 
