@@ -375,6 +375,25 @@ def test_free_cyclic_key_agrees_with_same_coset(group, make):
     assert max(numbers) + 1 < len(elements)
 
 
+@pytest.mark.parametrize("group, make", KEYED)
+def test_left_key_partitions_like_the_right_key_of_the_inverse(group, make):
+    """Each oracle's left key numbers the left cosets g(sub) as pairwise
+    comparison numbers the right cosets (sub)g^-1 of the inverses:
+    g(sub) = h(sub) iff (sub)g^-1 = (sub)h^-1."""
+    ctx = preset(group)
+    sub = make(ctx)
+    key = coset_key(sub)
+    rng = random.Random(16)
+    elements = [random_word(rng, rng.randrange(9)) for _ in range(100)]
+    # words in one left coset of each other, so the partition is not discrete
+    elements += [g * h for g in elements[:30] for h in sub.generators]
+    left, right = CosetIndex(sub, "left", key), CosetIndex(sub, "right")
+    numbers = [left.add(g) for g in elements]
+    assert numbers == [right.add(invert(g)) for g in elements]
+    assert not left.undecided and not right.undecided
+    assert max(numbers) + 1 < len(elements)
+
+
 def full_scan_free_cyclic_key(u):
     """The free-cyclic key of g<u> by the full scan over every h r^(+-ik),
     h = g c, with |ik||r| <= 2|h|, without stopping once candidates grow."""
