@@ -6,7 +6,7 @@ All routines are exact and sized for small matrices (rank a handful).
 
 from __future__ import annotations
 
-from math import prod
+from math import gcd, prod
 
 
 def hnf_with_transform(rows, n: int):
@@ -133,44 +133,17 @@ def lattice_index(sub_rows, amb_rows, n: int):
 
 
 def smith_diagonal(rows, n: int):
-    """Diagonal of the Smith normal form (nonnegative, divisibility chain)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return []
-    rcount, t = len(mat), 0
-    diag = []
-    while t < min(rcount, n):
-        entries = [(i, j) for i in range(t, rcount) for j in range(t, n) if mat[i][j]]
-        if not entries:
-            break
-        while True:
-            i0, j0 = min(entries, key=lambda ij: abs(mat[ij[0]][ij[1]]))
-            mat[t], mat[i0] = mat[i0], mat[t]
-            for row in mat:
-                row[t], row[j0] = row[j0], row[t]
-            piv = mat[t][t]
-            clean = True
-            for i in range(t + 1, rcount):
-                q = mat[i][t] // piv
-                if q:
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[t])]
-                if mat[i][t]:
-                    clean = False
-            for j in range(t + 1, n):
-                q = mat[t][j] // piv
-                if q:
-                    for row in mat:
-                        row[j] -= q * row[t]
-                if mat[t][j]:
-                    clean = False
-            if clean:
-                # pivot must divide every remaining entry for the chain
-                bad = next(((i, j) for i in range(t + 1, rcount)
-                            for j in range(t + 1, n) if mat[i][j] % piv), None)
-                if bad is None:
-                    break
-                mat[t] = [a + b for a, b in zip(mat[t], mat[bad[0]])]
-            entries = [(i, j) for i in range(t, rcount) for j in range(t, n) if mat[i][j]]
-        diag.append(abs(mat[t][t]))
-        t += 1
+    """Diagonal of the Smith normal form: positive, a divisibility chain, one
+    entry per unit of rank.  Row Hermite forms of the matrix and of its
+    transpose, in turn, make it diagonal; (a, b) -> (gcd, lcm) along the
+    diagonal then makes each entry divide the next.  Both keep the
+    elementary divisors, which are unique, so this is the Smith form."""
+    mat = hermite_normal_form(rows, n)
+    while any(a for i, row in enumerate(mat) for j, a in enumerate(row) if i != j):
+        mat = hermite_normal_form(list(zip(*mat)), len(mat))
+    diag = [row[i] for i, row in enumerate(mat)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
     return diag

@@ -337,20 +337,19 @@ def regular_module(ctx: GroupContext, p: int = 2) -> FiniteModule:
 
 
 def parse_module_matrices(text: str):
-    """Row-major integer matrices, one block per generator, blank-line separated."""
-    blocks = [b for b in text.replace("\r", "").split("\n\n") if b.strip()]
-    mats = []
-    for block in blocks:
-        rows = []
-        for line in block.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append(tuple(int(tok) for tok in line.split()))
-        if rows and any(len(r) != len(rows) for r in rows):
-            raise ValueError("matrix blocks must be square")
-        mats.append(tuple(rows))
-    return tuple(mats)
+    """Row-major integer matrices, one block per generator.  A line that is
+    blank after stripping ends a block, and `#` lines are comments."""
+    blocks: list[list[tuple[int, ...]]] = [[]]
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            blocks.append([])
+        elif not line.startswith("#"):
+            blocks[-1].append(tuple(int(tok) for tok in line.split()))
+    mats = tuple(tuple(rows) for rows in blocks if rows)
+    if any(len(row) != len(m) for m in mats for row in m):
+        raise ValueError("matrix blocks must be square")
+    return mats
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +403,8 @@ def restrict_to_h0s(module: FiniteModule, fam: FamilyTruncation):
                                       for m in module.matrices for v in basis], p)
     if None in images:
         raise RuntimeError("h0_S basis is not closed under the action")
-    mats = [modp.sparse(images[i * d:(i + 1) * d], p) for i in range(len(module.matrices))]
-    sub = FiniteModule(dimension=len(basis), p=p, matrices=tuple(mats),
-                       inverses=tuple(modp.mat_inverse(m, p) for m in mats))
-    return sub, basis
+    mats = [images[i * d:(i + 1) * d] for i in range(len(module.matrices))]
+    return finite_module(fam.ctx, mats, p), basis
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,16 @@ identity's key, and a word ball steps each element's key by one generator.
 
 Coset enumeration uses the HLT strategy with a hard live-coset bound.
 Hitting the bound returns an Incomplete value rather than raising: infinite
-index is an expected outcome, not an error.  ``reachable_table`` is the one
-breadth-first numbering of table states: enumeration's compaction and the
-fiber product of two tables in ``subgroups`` both read it.
+index is an expected outcome, not an error.  ``reachable_table`` numbers
+table states by ``words.ball``, the one breadth-first search, run to
+closure: enumeration's compaction and the fiber product of two tables in
+``subgroups`` both read it.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -32,7 +34,7 @@ from operator import add
 from . import baumslag_solitar as bs
 from . import thompson
 from .words import (
-    NAME_RE, Letter, PresentationError, Word, exponent_vector, format_word,
+    NAME_RE, Letter, PresentationError, Word, ball, exponent_vector, format_word,
     free_step, generator, parse_relators, parse_word,
 )
 
@@ -270,23 +272,14 @@ def todd_coxeter(ctx: GroupContext, subgroup_gens: list[Word], limit: int) -> Co
 
 def reachable_table(ngens: int, start, step) -> CosetTable:
     """The table of the states reachable from start, where step(state, code)
-    is the state after the letter with that column code: states are numbered
-    in breadth-first column order from start = 0, and the word that first
-    reached each state is its representative."""
-    order = {start: 0}
-    states = [start]
-    reps = [Word(())]
-    rows = []
-    for i, state in enumerate(states):  # states grows as the walk finds more
-        row = []
-        for code in range(2 * ngens):
-            target = step(state, code)
-            if target not in order:
-                order[target] = len(states)
-                states.append(target)
-                reps.append(reps[i] * generator(*_code_letter(code)))
-            row.append(order[target])
-        rows.append(tuple(row))
+    is the state after the letter with that column code: the word ball over
+    the letters in column order, run until no new state appears, numbers the
+    states from start = 0, its step table is the action and its words are
+    the representatives."""
+    letters = [generator(*_code_letter(code)) for code in range(2 * ngens)]
+    rows: list[tuple[int, ...]] = []
+    reps = [w for w, _, _ in ball(letters, sys.maxsize, start,
+                                  lambda state, s: step(state, _letter_code(s.letters[0])), rows)]
     return CosetTable(ngens=ngens, action=tuple(rows), representatives=tuple(reps))
 
 

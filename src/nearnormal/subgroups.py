@@ -4,8 +4,8 @@ near-normality), plus the disjoint-coset-translate search.
 
 A handle pairs a finite generator list with a membership oracle, declared
 per fixture, never inferred.  Each oracle is one small class that owns
-membership, conjugation, the left-coset key and the cyclic coordinate; its
-tag names it in certificates:
+membership, conjugation, the left-coset key and, for XPower and FreeCyclic,
+the cyclic coordinate; its tag names it in certificates:
 
     All             "all"          whole-group handle
     Trivial         "trivial"      trivial subgroup (word-problem oracle)
@@ -156,7 +156,9 @@ class Oracle:
 
     def cyclic_coordinate(self, sub: SubgroupHandle):
         """When sub is infinite cyclic: the function w -> t with w = c^t for
-        its generator c, None when w is outside sub.  Else None."""
+        its generator c, None when w is outside sub.  Else None.  XPower and
+        FreeCyclic define it; Z^n indices take the lattice index at every
+        rank."""
         return None
 
 
@@ -268,17 +270,6 @@ class Lattice(Oracle):
     def coset_key(self, sub):
         # g's element key in Z^n is its exponent vector
         return partial(intlin.lattice_residue, self.rows)
-
-    def cyclic_coordinate(self, sub):
-        if len(self.rows) != 1:
-            return None
-        n = sub.ctx.generator_count
-
-        def coordinate(w):
-            coords = intlin.coords_in(self.rows, exponent_vector(w, n))
-            return None if coords is None else coords[0]
-
-        return coordinate
 
 
 @dataclass(frozen=True)

@@ -67,57 +67,40 @@ def _mul_letter(pos: list[list[int]], neg: list[list[int]], index: int, sign: in
 
     Letters travel by the shift relation x_j x_i -> x_i x_{j+1} (i < j):
     passing a smaller-index letter bumps the traveller, passing a
-    larger-index letter bumps the letter passed.
+    larger-index letter bumps the letter passed.  Either sign first walks
+    the traveller through the smaller indices of N; then x_k^-1 joins N,
+    while x_k cancels a letter of N^-1 or travels on left and joins P.
     """
-    k = index
-    if sign == -1:
-        # prepend x_k to the increasing product N (the word gains x_k^-1 on
-        # the right); the traveller moves right through smaller indices
-        t = 0
-        while t < len(neg):
-            q, b = neg[t]
-            if q < k:
-                k += b
-                t += 1
-            elif q == k:
-                neg[t][1] += 1
-                return
-            else:
-                neg.insert(t, [k, 1])
-                return
-        neg.append([k, 1])
-        return
-    # positive letter: travel left through N^-1 (cancelling if possible),
-    # then join P from its right end
-    t = 0
-    while t < len(neg):
+    k, t, size = index, 0, len(neg)
+    while t < size:
         q, b = neg[t]
-        if q < k:
-            k += b
-            t += 1
-        elif q == k:
-            if b == 1:
-                neg.pop(t)
-            else:
-                neg[t][1] -= 1
-            return
-        else:
+        if q >= k:
             break
+        k += b
+        t += 1
+    hit = t < size and neg[t][0] == k
+    if sign == -1:
+        if hit:
+            neg[t][1] += 1
+        else:
+            neg.insert(t, [k, 1])
+        return
+    if hit:
+        if neg[t][1] == 1:
+            neg.pop(t)
+        else:
+            neg[t][1] -= 1
+        return
     for run in neg[t:]:
         run[0] += 1
     s = len(pos)
-    while s > 0:
-        p, a = pos[s - 1]
-        if p > k:
-            pos[s - 1][0] += 1
-            s -= 1
-        elif p == k:
-            pos[s - 1][1] += 1
-            return
-        else:
-            pos.insert(s, [k, 1])
-            return
-    pos.insert(0, [k, 1])
+    while s > 0 and pos[s - 1][0] > k:
+        pos[s - 1][0] += 1
+        s -= 1
+    if s > 0 and pos[s - 1][0] == k:
+        pos[s - 1][1] += 1
+    else:
+        pos.insert(s, [k, 1])
 
 
 def _cleanup(pos: list[list[int]], neg: list[list[int]]) -> None:

@@ -16,7 +16,9 @@ cancellation, not a reduction pass over both words.
 
 ``ball(steps, radius, start, step)`` is the one breadth-first word search:
 the element balls of ``ends``, the conjugator words of ``baumslag_solitar``,
-the translate search and the coset count of ``subgroups`` all read it.  It
+the translate search and coset count of ``subgroups``, and the table
+numbering of ``groups`` all read it.  It returns once a level adds no word,
+so with ``radius=sys.maxsize`` it runs to closure.  It
 keeps each frontier word with its key and reaches the key of w * s by one
 ``step(key, s)`` from the key of w, so no word is keyed from scratch; it
 builds the word w * s only when that key is new.  Asked for its step table,
@@ -162,7 +164,8 @@ def ball(steps: Sequence[Word], radius: int, start, step, table: list | None = N
     breadth first: level 0 is the empty word, whose key is start, and level
     r is w * s for the level r-1 words w in order and the steps s in order.
     The key of w * s is step(key of w, s); the word w * s is built only when
-    that key is new.
+    that key is new.  The search ends at the radius or at the first level
+    that adds no word.
 
     The words are numbered 0, 1, ... in the order they are yielded.  When
     ``table`` is a list, each word expanded (every word below the radius)
@@ -173,6 +176,8 @@ def ball(steps: Sequence[Word], radius: int, start, step, table: list | None = N
     yield identity, 0, start
     frontier = [(identity, start)]
     for r in range(1, radius + 1):
+        if not frontier:
+            return
         nxt = []
         for w, w_key in frontier:
             row = []

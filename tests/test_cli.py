@@ -117,6 +117,19 @@ def test_family_h0_and_h1(runner):
     assert json.loads(h1.output)["dim_h1"] == 1
 
 
+@pytest.mark.parametrize("text", [
+    "1 0\n0 1\n\n0 1\n1 0\n",
+    "1 0\n0 1\n   \n0 1\n1 0\n",  # the separator line holds spaces
+    "1 0\r\n0 1\r\n\r\n0 1\r\n1 0\r\n",
+    "# swap the basis under b\n\n1 0\n0 1\n\n0 1\n1 0\n",  # a comment block first
+], ids=["clean", "spaces", "crlf", "comment"])
+def test_family_h1_reads_module_files(runner, tmp_path, text):
+    matrices = tmp_path / "module.txt"
+    matrices.write_bytes(text.encode())
+    h1 = invoke(runner, ["family", "h1", "--group", "klein4", "--module", str(matrices)])
+    assert json.loads(h1.output)["dim_h1"] == 1
+
+
 def test_completion_build_and_laws(runner):
     result = invoke(runner, [
         "completion", "build", "--group", "sym3", "--family", "normal-order3"])

@@ -1,6 +1,7 @@
 """Presentations, coset enumeration, and the element-key oracles."""
 
 import random
+import sys
 
 import pytest
 
@@ -10,7 +11,7 @@ from nearnormal.groups import (
     group_elements, is_trivial, parse_presentation, preset, regular_table,
     serialize_presentation, todd_coxeter,
 )
-from nearnormal.words import Word, generator, invert, parse_word
+from nearnormal.words import Word, ball, generator, invert, parse_word
 
 # --- a permutation model of sym3 as the independent oracle ------------------
 
@@ -225,3 +226,62 @@ def test_stepped_keys_equal_the_key_of_the_whole_word(name):
             key = step(key, Word([letter]))
         assert key == element_key(ctx, u * s)
         assert step(step(element_key(ctx, u), s), invert(s)) == element_key(ctx, u)
+
+
+# --- the breadth-first numbering of table states -----------------------------
+
+def queue_reachable_table(ngens, start, step):
+    """(action rows, representatives) by a breadth-first queue of states,
+    independent of ``words.ball``: the reference for reachable_table."""
+    order, states, reps, rows = {start: 0}, [start], [Word(())], []
+    for i, state in enumerate(states):  # states grows as the walk finds more
+        row = []
+        for code in range(2 * ngens):
+            target = step(state, code)
+            if target not in order:
+                order[target] = len(states)
+                states.append(target)
+                reps.append(reps[i] * generator(code // 2, 1 if code % 2 == 0 else -1))
+            row.append(order[target])
+        rows.append(tuple(row))
+    return tuple(rows), tuple(reps)
+
+
+TABLE_GROUPS = ["sym3", "klein4", "cyclic(12)", "gens: a b\nrels: a^2 b^3 (a b)^4",
+                "gens: a b\nrels: a^2 b^3 (a b)^5",
+                "gens: a b c\nrels: a^2 b^2 c^2 (a b)^3 (b c)^3 (a c)^2"]
+
+
+@pytest.mark.parametrize("text", TABLE_GROUPS)
+def test_reachable_table_matches_a_queue_numbering(text):
+    ctx = context_from_text(text) if "\n" in text else preset(text)
+    table = regular_table(ctx)
+    ngens = ctx.generator_count
+    rng = random.Random(5)
+    elements = table.representatives
+    tables = [table] + [todd_coxeter(ctx, [rng.choice(elements) for _ in range(k)], 1000)
+                        for k in (1, 1, 2)]
+    for ta in tables:
+        # restart from another state under a relabelling of the states
+        label = list(range(ta.coset_count))
+        rng.shuffle(label)
+        back = {b: a for a, b in enumerate(label)}
+        start = label[rng.randrange(ta.coset_count)]
+        step = lambda c, code: label[ta.action[back[c]][code]]
+        got = groups.reachable_table(ngens, start, step)
+        assert (got.action, got.representatives) == queue_reachable_table(ngens, start, step)
+        for tb in tables:  # the fiber product of subgroups.intersect
+            pair = lambda ij, code: (ta.action[ij[0]][code], tb.action[ij[1]][code])
+            got = groups.reachable_table(ngens, (0, 0), pair)
+            assert (got.action, got.representatives) == queue_reachable_table(ngens, (0, 0), pair)
+
+
+@pytest.mark.parametrize("text", TABLE_GROUPS)
+def test_an_unbounded_ball_closes_on_a_finite_group(text):
+    ctx = context_from_text(text) if "\n" in text else preset(text)
+    order = len(group_elements(ctx))
+    letters = [Word([letter]) for letter in groups.signed_letters(ctx)]
+    rows = []
+    found = list(ball(letters, sys.maxsize, *groups.element_step(ctx), rows))
+    assert len(found) == len(rows) == order
+    assert sorted(key for _, _, key in found) == list(range(order))

@@ -162,3 +162,36 @@ def test_smith_diagonal():
             for d in diag:
                 prod *= d
             assert prod == abs(det)
+
+
+def det(m):
+    """Determinant of a square integer matrix by Laplace expansion."""
+    if not m:
+        return 1
+    return sum((-1) ** j * a * det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j, a in enumerate(m[0]) if a)
+
+
+def determinantal_divisors(m, n):
+    """d_k, the gcd of the k x k minors, for k = 1 .. min(rows, n)."""
+    return [gcd(*(det([[m[i][j] for j in cols] for i in rows])
+                  for rows in itertools.combinations(range(len(m)), k)
+                  for cols in itertools.combinations(range(n), k)))
+            for k in range(1, min(len(m), n) + 1)]
+
+
+def test_smith_diagonal_is_the_quotients_of_determinantal_divisors():
+    # invariant k is d_k / d_(k-1), one per unit of rank (d_k != 0)
+    rng = random.Random(37)
+    deficient = 0
+    for _ in range(300):
+        k, n = rng.randint(0, 5), rng.randint(1, 5)
+        m = random_rows(rng, k, n, bound=6)
+        if k > 2 and rng.random() < 0.4:
+            # the last row a combination of two others: rank below min(k, n)
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            m[-1] = tuple(a * x + b * y for x, y in zip(m[0], m[1]))
+        d = [1] + [dk for dk in determinantal_divisors(m, n) if dk]
+        deficient += len(d) - 1 < min(k, n)
+        assert intlin.smith_diagonal(m, n) == [d[i] // d[i - 1] for i in range(1, len(d))], m
+    assert deficient > 20

@@ -246,6 +246,23 @@ def test_compiled_depth_guard(scan_c):
             scan_c.thompson_agreement_scan(max_len, max_index)
 
 
+def test_compiled_scan_at_the_bit_budget_edge(scan_c):
+    # max_index + 2 * max_len + 4 = 48 bits is the most the kernel admits:
+    # at the edge it agrees with the Python kernel; one bit past, it refuses
+    for max_len, max_index in ((1, 42), (2, 40)):
+        report = scan_c.thompson_agreement_scan(max_len, max_index)
+        assert report["words"] == reduced_word_count(max_len, max_index)
+        assert report["failures"] == []
+        python = scan_py(max_len, max_index)
+        assert (python["words"], python["failures"]) == (report["words"], report["failures"])
+    report = scan_c.thompson_agreement_scan(3, 38)
+    assert report["words"] == reduced_word_count(3, 38) == 468_547
+    assert report["failures"] == []
+    for max_len, max_index in ((0, 45), (1, 43), (2, 41)):
+        with pytest.raises(ValueError, match="bits"):
+            scan_c.thompson_agreement_scan(max_len, max_index)
+
+
 def test_facade_exports_active_backend():
     report = scan.thompson_agreement_scan(2, 1)
     assert report["backend"] == scan.BACKEND

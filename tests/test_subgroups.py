@@ -1,6 +1,7 @@
 """Subgroup handles: membership, conjugation, index, commensurability."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -145,6 +146,23 @@ def test_index_bounded_lattices():
     assert index_bounded(lattice_subgroup(ctx, [(2, 0), (0, 2)]), whole, 10) == 4
     assert index_bounded(lattice_subgroup(ctx, [(2, 0), (0, 3)]), whole, 10) == 6
     assert index_bounded(lattice_subgroup(ctx, [(1, 0)]), whole, 10) == INFINITE_OR_EXCEEDS
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_index_in_a_rank_one_lattice_is_the_gcd_of_coordinates(n):
+    # in <v> the index of <c_1 v, ..., c_k v> is gcd(c_i); rank 0 is infinite
+    ctx = preset(f"zn({n})")
+    rng = random.Random(n)
+    for _ in range(60):
+        v = tuple(rng.randint(-3, 3) for _ in range(n))
+        if not any(v):
+            continue
+        coords = [rng.randint(-12, 12) for _ in range(rng.randint(0, 3))]
+        sub = lattice_subgroup(ctx, [tuple(c * a for a in v) for c in coords])
+        bound = rng.randint(1, 15)
+        g = gcd(*coords)
+        expected = g if 0 < g <= bound else INFINITE_OR_EXCEEDS
+        assert index_bounded(sub, lattice_subgroup(ctx, [v]), bound) == expected
 
 
 def test_index_bounded_bs():

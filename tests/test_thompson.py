@@ -84,6 +84,69 @@ def test_f_times_extends_a_normal_form(u, v, cancel):
     assert f_times(IDENTITY, u) == f_normal_form(Word(u))
 
 
+def two_walk_mul_letter(pos, neg, index, sign):
+    """x_index^sign times the form (pos, neg) in place, with the traveller's
+    walk through the smaller indices of N written once per sign: the
+    reference for thompson._mul_letter."""
+    k = index
+    if sign == -1:
+        t = 0
+        while t < len(neg):
+            q, b = neg[t]
+            if q < k:
+                k += b
+                t += 1
+            elif q == k:
+                neg[t][1] += 1
+                return
+            else:
+                neg.insert(t, [k, 1])
+                return
+        neg.append([k, 1])
+        return
+    t = 0
+    while t < len(neg):
+        q, b = neg[t]
+        if q < k:
+            k += b
+            t += 1
+        elif q == k:
+            if b == 1:
+                neg.pop(t)
+            else:
+                neg[t][1] -= 1
+            return
+        else:
+            break
+    for run in neg[t:]:
+        run[0] += 1
+    s = len(pos)
+    while s > 0:
+        p, a = pos[s - 1]
+        if p > k:
+            pos[s - 1][0] += 1
+            s -= 1
+        elif p == k:
+            pos[s - 1][1] += 1
+            return
+        else:
+            pos.insert(s, [k, 1])
+            return
+    pos.insert(0, [k, 1])
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(u=st.lists(st.tuples(st.integers(0, 6), st.sampled_from((1, -1))), max_size=16),
+       index=st.integers(0, 12), sign=st.sampled_from((1, -1)))
+def test_mul_letter_matches_the_two_walk_reference(u, index, sign):
+    form = f_normal_form(Word(u))
+    got = [list(map(list, form.positive)), list(map(list, form.negative))]
+    want = [list(map(list, form.positive)), list(map(list, form.negative))]
+    thompson._mul_letter(*got, index, sign)
+    two_walk_mul_letter(*want, index, sign)
+    assert got == want
+
+
 def test_a_generator_letters():
     assert a_generator(0) == generator(1) * invert(generator(0))
     assert a_generator(3) == generator(7) * invert(generator(6))
