@@ -192,39 +192,6 @@ static int insert_run(int (*runs)[2], int *n, int at, int index)
     return OK;
 }
 
-/* Multiply the form on the right by x_k^sign.  Letters travel by the shift
-   relation x_j x_i -> x_i x_{j+1} (i < j): passing a smaller-index letter
-   bumps the traveller, passing a larger-index letter bumps the one passed. */
-static int nf_mul_letter(NF *f, int k, int sign)
-{
-    int t = 0, s;
-    while (t < f->nn && f->neg[t][0] < k)
-        k += f->neg[t++][1];
-    if (sign < 0) {
-        if (t < f->nn && f->neg[t][0] == k) {
-            f->neg[t][1]++;
-            return OK;
-        }
-        return insert_run(f->neg, &f->nn, t, k);
-    }
-    if (t < f->nn && f->neg[t][0] == k) {  /* cancels a letter of N^-1 */
-        if (--f->neg[t][1] == 0) {
-            memmove(f->neg[t], f->neg[t + 1], (f->nn - t - 1) * sizeof f->neg[0]);
-            f->nn--;
-        }
-        return OK;
-    }
-    for (s = t; s < f->nn; s++)
-        f->neg[s][0]++;
-    for (s = f->np; s > 0 && f->pos[s - 1][0] > k; s--)
-        f->pos[s - 1][0]++;
-    if (s > 0 && f->pos[s - 1][0] == k) {
-        f->pos[s - 1][1]++;
-        return OK;
-    }
-    return insert_run(f->pos, &f->np, s, k);
-}
-
 static int has_index(int (*runs)[2], int n, int i)
 {
     int k;
@@ -269,6 +236,45 @@ static void nf_cleanup(NF *f)
             pi = ni = 0;
         }
     }
+}
+
+/* Multiply the normal form on the right by x_k^sign.  Letters travel by the
+   shift relation x_j x_i -> x_i x_{j+1} (i < j): passing a smaller-index
+   letter bumps the traveller, passing a larger-index letter bumps the one
+   passed.  Only a new run k of N while k is in P can break the uniqueness
+   condition, so only that case calls nf_cleanup (thompson._mul_letter has
+   the proof). */
+static int nf_mul_letter(NF *f, int k, int sign)
+{
+    int t = 0, s;
+    while (t < f->nn && f->neg[t][0] < k)
+        k += f->neg[t++][1];
+    if (sign < 0) {
+        if (t < f->nn && f->neg[t][0] == k) {
+            f->neg[t][1]++;
+            return OK;
+        }
+        TRY(insert_run(f->neg, &f->nn, t, k));
+        if (has_index(f->pos, f->np, k))
+            nf_cleanup(f);
+        return OK;
+    }
+    if (t < f->nn && f->neg[t][0] == k) {  /* cancels a letter of N^-1 */
+        if (--f->neg[t][1] == 0) {
+            memmove(f->neg[t], f->neg[t + 1], (f->nn - t - 1) * sizeof f->neg[0]);
+            f->nn--;
+        }
+        return OK;
+    }
+    for (s = t; s < f->nn; s++)
+        f->neg[s][0]++;
+    for (s = f->np; s > 0 && f->pos[s - 1][0] > k; s--)
+        f->pos[s - 1][0]++;
+    if (s > 0 && f->pos[s - 1][0] == k) {
+        f->pos[s - 1][1]++;
+        return OK;
+    }
+    return insert_run(f->pos, &f->np, s, k);
 }
 
 /* Indices strictly ascend and exponents are >= 1. */
@@ -391,7 +397,6 @@ static int run_scan(Scan *s, int max_len, int max_index, PyObject *failures,
         TRY(pl_compose(&s->word[depth + 1], &s->word[depth], &s->gens[c]));
         s->nf[depth + 1] = s->nf[depth];
         TRY(nf_mul_letter(&s->nf[depth + 1], c >> 1, c & 1 ? -1 : 1));
-        nf_cleanup(&s->nf[depth + 1]);
         if ((++*words & 0xFFFFF) == 0 && PyErr_CheckSignals())
             return PYERR;
         TRY(check(s, depth + 1, ngen, failures));

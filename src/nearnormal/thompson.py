@@ -11,9 +11,10 @@ the uniqueness condition: whenever index i occurs in both parts, index i+1
 occurs in at least one part.
 
 ``f_times(form, letters)`` multiplies a normal form by letters without
-rebuilding a word, one ``_mul_letter`` and one ``_cleanup`` per letter;
+rebuilding a word, one ``_mul_letter`` per letter on immutable run tuples;
 ``f_normal_form(w)`` is ``f_times(IDENTITY, w)``, the one normal-form
-algorithm.
+algorithm.  Its input must be a normal form: then one kind of step alone
+can break the uniqueness condition, and only it calls ``_cleanup``.
 
 The subgroup A is generated by a_n = x_{2n+1} x_{2n}^-1 for n >= 0, and
 A_m by those with n >= m.  ``a_exponents`` decides membership in A and
@@ -30,9 +31,8 @@ thompson suite and the acceptance check read its sections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .words import Letter, Word, exponent_sum, generator, invert, parse_word
 
@@ -43,9 +43,9 @@ class BoundExhausted(Exception):
     """A bounded search ran out before certifying the requested property."""
 
 
-@dataclass(frozen=True)
-class FNormalForm:
-    """Canonical form; equality of forms is equality of group elements."""
+class FNormalForm(NamedTuple):
+    """Canonical form; equality of forms is equality of group elements, and
+    a form is its own hashable key."""
 
     positive: tuple[Run, ...]
     negative: tuple[Run, ...]
@@ -62,14 +62,23 @@ class FNormalForm:
         return {i for i, _ in self.positive} | {j for j, _ in self.negative}
 
 
-def _mul_letter(pos: list[list[int]], neg: list[list[int]], index: int, sign: int) -> None:
-    """Multiply the form (pos, neg) on the right by x_index^sign, in place.
+def _mul_letter(pos: tuple, neg: tuple, index: int, sign: int) -> tuple[tuple, tuple]:
+    """The normal form (pos, neg) times x_index^sign, as new run tuples.
 
     Letters travel by the shift relation x_j x_i -> x_i x_{j+1} (i < j):
     passing a smaller-index letter bumps the traveller, passing a
     larger-index letter bumps the letter passed.  Either sign first walks
-    the traveller through the smaller indices of N; then x_k^-1 joins N,
-    while x_k cancels a letter of N^-1 or travels on left and joins P.
+    the traveller through the smaller indices of N, arriving as x_k; then
+    x_k^-1 joins N, while x_k cancels a letter of N^-1 or travels on left
+    and joins P.
+
+    From a normal form only x_k^-1 starting a run k of N while k is in P
+    can break the uniqueness condition, so only that step calls _cleanup.
+    An exponent that changes and stays >= 1 keeps both index sets.  x_k
+    joining P raises every index above k in both parts, so k + 1 is free,
+    k is not in N, and an i < k that needed k finds it in P.  x_k
+    cancelling run k of N cannot strand k - 1: k - 1 is not in N, as
+    passing a run k - 1 leaves the traveller at k + 1 or more.
     """
     k, t, size = index, 0, len(neg)
     while t < size:
@@ -81,29 +90,27 @@ def _mul_letter(pos: list[list[int]], neg: list[list[int]], index: int, sign: in
     hit = t < size and neg[t][0] == k
     if sign == -1:
         if hit:
-            neg[t][1] += 1
-        else:
-            neg.insert(t, [k, 1])
-        return
+            return pos, neg[:t] + ((k, neg[t][1] + 1),) + neg[t + 1:]
+        neg = neg[:t] + ((k, 1),) + neg[t:]
+        if any(p == k for p, _ in pos):
+            return _cleanup(pos, neg)
+        return pos, neg
     if hit:
-        if neg[t][1] == 1:
-            neg.pop(t)
-        else:
-            neg[t][1] -= 1
-        return
-    for run in neg[t:]:
-        run[0] += 1
+        b = neg[t][1]
+        if b == 1:
+            return pos, neg[:t] + neg[t + 1:]
+        return pos, neg[:t] + ((k, b - 1),) + neg[t + 1:]
+    neg = neg[:t] + tuple([(q + 1, b) for q, b in neg[t:]])
     s = len(pos)
-    while s > 0 and pos[s - 1][0] > k:
-        pos[s - 1][0] += 1
+    while s and pos[s - 1][0] > k:
         s -= 1
-    if s > 0 and pos[s - 1][0] == k:
-        pos[s - 1][1] += 1
-    else:
-        pos.insert(s, [k, 1])
+    tail = tuple([(p + 1, a) for p, a in pos[s:]])
+    if s and pos[s - 1][0] == k:
+        return pos[:s - 1] + ((k, pos[s - 1][1] + 1),) + tail, neg
+    return pos[:s] + ((k, 1),) + tail, neg
 
 
-def _cleanup(pos: list[list[int]], neg: list[list[int]]) -> None:
+def _cleanup(pos: tuple, neg: tuple) -> tuple[tuple, tuple]:
     """Enforce the uniqueness condition.
 
     If i sits in both parts and i+1 in neither, everything strictly between
@@ -114,21 +121,12 @@ def _cleanup(pos: list[list[int]], neg: list[list[int]]) -> None:
     while True:
         pos_idx = {p for p, _ in pos}
         neg_idx = {q for q, _ in neg}
-        offender = None
-        for i in pos_idx & neg_idx:
-            if i + 1 not in pos_idx and i + 1 not in neg_idx:
-                offender = i
-                break
+        offender = min((i for i in pos_idx & neg_idx
+                        if i + 1 not in pos_idx and i + 1 not in neg_idx), default=None)
         if offender is None:
-            return
-        for runs in (pos, neg):
-            for run in runs:
-                if run[0] == offender:
-                    run[1] -= 1
-                elif run[0] > offender:
-                    run[0] -= 1
-        pos[:] = [r for r in pos if r[1] > 0]
-        neg[:] = [r for r in neg if r[1] > 0]
+            return pos, neg
+        pos, neg = [tuple([(i - (i > offender), e - (i == offender)) for i, e in runs
+                           if i != offender or e > 1]) for runs in (pos, neg)]
 
 
 IDENTITY = FNormalForm((), ())
@@ -137,16 +135,12 @@ IDENTITY = FNormalForm((), ())
 def f_times(form: FNormalForm, letters: Iterable[Letter]) -> FNormalForm:
     """Normal form of form * w, for the letters (index, sign) of a word w.
 
-    The form's runs are copied once and extended one letter at a time, each
-    letter followed by _cleanup, so every intermediate state is the normal
-    form of a prefix and the result is that of the whole product.
+    form must be a normal form; each _mul_letter keeps it one.
     """
-    pos = [list(run) for run in form.positive]
-    neg = [list(run) for run in form.negative]
+    pos, neg = form
     for index, sign in letters:
-        _mul_letter(pos, neg, index, sign)
-        _cleanup(pos, neg)
-    return FNormalForm(tuple(map(tuple, pos)), tuple(map(tuple, neg)))
+        pos, neg = _mul_letter(pos, neg, index, sign)
+    return FNormalForm(pos, neg)
 
 
 def f_normal_form(w: Word) -> FNormalForm:

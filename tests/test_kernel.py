@@ -43,7 +43,7 @@ def test_python_backend_reports_a_broken_engine(monkeypatch):
     mul_letter = thompson._mul_letter
 
     def broken(pos, neg, index, sign):
-        mul_letter(pos, neg, index + (index == 1), sign)
+        return mul_letter(pos, neg, index + (index == 1), sign)
 
     monkeypatch.setattr(thompson, "_mul_letter", broken)
     report = scan_py(4, 2)
@@ -55,7 +55,7 @@ def test_python_backend_reports_a_broken_engine(monkeypatch):
 def test_python_backend_reports_non_canonical_forms(monkeypatch):
     # negative control: without _cleanup every form still denotes the word's
     # map, so only the canonicity check can report the broken engine
-    monkeypatch.setattr(thompson, "_cleanup", lambda pos, neg: None)
+    monkeypatch.setattr(thompson, "_cleanup", lambda pos, neg: (pos, neg))
     report = scan_py(4, 2)
     assert report["words"] == reduced_word_count(4, 2)
     assert len(report["failures"]) == 10
@@ -99,19 +99,36 @@ def reference_scan(max_len, max_index):
 
 
 @pytest.mark.parametrize("mutation, size", [
-    ("none", (5, 2)), ("none", (6, 2)), ("non-canonical", (5, 2)), ("x1-read-as-x2", (5, 2))],
-    ids=["5:2", "6:2", "5:2-non-canonical", "5:2-x1-read-as-x2"])
+    ("none", (5, 2)), ("none", (6, 2)), ("none", (4, 4)), ("non-canonical", (5, 2)),
+    ("x1-read-as-x2", (5, 2)), ("x1-read-as-x2", (4, 4))],
+    ids=["5:2", "6:2", "4:4", "5:2-non-canonical", "5:2-x1-read-as-x2", "4:4-x1-read-as-x2"])
 def test_python_backend_matches_the_per_word_reference(monkeypatch, mutation, size):
-    # the scan checks each distinct form once; the reference checks every word
+    # the scan checks each distinct form and each (form, letter) edge once;
+    # the reference checks every word
+    _break_engine(monkeypatch, mutation)
+    report = scan_py(*size)
+    assert report == reference_scan(*size)
+    assert bool(report["failures"]) == (mutation != "none")
+
+
+@pytest.mark.parametrize("mutation", ["non-canonical", "x1-read-as-x2"])
+def test_python_backend_lists_every_failure_of_the_per_word_reference(monkeypatch, mutation):
+    # with the cap lifted, every failing word is listed, also one whose
+    # (form, letter) edge failed before: the edge table must not keep it
+    monkeypatch.setattr(_scan_py, "FAILURE_CAP", 10 ** 6)
+    _break_engine(monkeypatch, mutation)
+    report = scan_py(4, 4)
+    assert report == reference_scan(4, 4)
+    assert len(report["failures"]) > 10
+
+
+def _break_engine(monkeypatch, mutation):
     if mutation == "non-canonical":
-        monkeypatch.setattr(thompson, "_cleanup", lambda pos, neg: None)
+        monkeypatch.setattr(thompson, "_cleanup", lambda pos, neg: (pos, neg))
     elif mutation == "x1-read-as-x2":
         mul_letter = thompson._mul_letter
         monkeypatch.setattr(thompson, "_mul_letter", lambda pos, neg, index, sign:
                             mul_letter(pos, neg, index + (index == 1), sign))
-    report = scan_py(*size)
-    assert report == reference_scan(*size)
-    assert bool(report["failures"]) == (mutation != "none")
 
 
 def _values(xs: tuple, ys: tuple, points: list) -> list:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nearnormal import thompson
+from nearnormal import _scan_py, thompson
 from nearnormal.thompson import (
     IDENTITY, SHIFT_WORDS, BoundExhausted, a_exponents, a_generator,
     am_in_conjugate_intersection, f_normal_form, f_times,
@@ -84,10 +84,102 @@ def test_f_times_extends_a_normal_form(u, v, cancel):
     assert f_times(IDENTITY, u) == f_normal_form(Word(u))
 
 
+def _reference_mul_letter(pos, neg, index, sign):
+    """The form (pos, neg), runs as [index, exp] lists, times x_index^sign,
+    in place: the traveller walks the smaller indices of N, then joins N,
+    cancels a letter of N^-1 or travels on left into P."""
+    k, t, size = index, 0, len(neg)
+    while t < size:
+        q, b = neg[t]
+        if q >= k:
+            break
+        k += b
+        t += 1
+    hit = t < size and neg[t][0] == k
+    if sign == -1:
+        if hit:
+            neg[t][1] += 1
+        else:
+            neg.insert(t, [k, 1])
+        return
+    if hit:
+        if neg[t][1] == 1:
+            neg.pop(t)
+        else:
+            neg[t][1] -= 1
+        return
+    for run in neg[t:]:
+        run[0] += 1
+    s = len(pos)
+    while s > 0 and pos[s - 1][0] > k:
+        pos[s - 1][0] += 1
+        s -= 1
+    if s > 0 and pos[s - 1][0] == k:
+        pos[s - 1][1] += 1
+    else:
+        pos.insert(s, [k, 1])
+
+
+def _reference_cleanup(pos, neg):
+    """The uniqueness condition enforced in place, by searching both index
+    sets for an offender after any step."""
+    while True:
+        pos_idx = {p for p, _ in pos}
+        neg_idx = {q for q, _ in neg}
+        offender = None
+        for i in pos_idx & neg_idx:
+            if i + 1 not in pos_idx and i + 1 not in neg_idx:
+                offender = i
+                break
+        if offender is None:
+            return
+        for runs in (pos, neg):
+            for run in runs:
+                if run[0] == offender:
+                    run[1] -= 1
+                elif run[0] > offender:
+                    run[0] -= 1
+        pos[:] = [r for r in pos if r[1] > 0]
+        neg[:] = [r for r in neg if r[1] > 0]
+
+
+def reference_f_times(form, letters):
+    """(P, N) of form * w on lists, with a full cleanup after every letter:
+    the reference for thompson.f_times, which cleans up only where the
+    uniqueness condition can break."""
+    pos = [list(run) for run in form.positive]
+    neg = [list(run) for run in form.negative]
+    for index, sign in letters:
+        _reference_mul_letter(pos, neg, index, sign)
+        _reference_cleanup(pos, neg)
+    return tuple(map(tuple, pos)), tuple(map(tuple, neg))
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(u=st.lists(st.tuples(st.integers(0, 6), st.sampled_from((1, -1))), max_size=12),
+       v=st.lists(st.tuples(st.integers(0, 9), st.sampled_from((1, -1))), max_size=14))
+def test_f_times_cleans_up_only_where_it_must(u, v):
+    # f_times calls _cleanup in two cases only; every step from a normal
+    # form must still give the normal form and a canonical one
+    form = f_normal_form(Word(u))
+    for index, sign in v:
+        want = reference_f_times(form, [(index, sign)])
+        form = f_times(form, [(index, sign)])
+        assert form == want
+        assert _scan_py._is_normal_form(*form)
+
+
 def two_walk_mul_letter(pos, neg, index, sign):
-    """x_index^sign times the form (pos, neg) in place, with the traveller's
-    walk through the smaller indices of N written once per sign: the
-    reference for thompson._mul_letter."""
+    """x_index^sign times the normal form (pos, neg), with the traveller's
+    walk through the smaller indices of N written once per sign and a full
+    cleanup after it: the reference for thompson._mul_letter."""
+    pos, neg = list(map(list, pos)), list(map(list, neg))
+    _two_walk(pos, neg, index, sign)
+    _reference_cleanup(pos, neg)
+    return tuple(map(tuple, pos)), tuple(map(tuple, neg))
+
+
+def _two_walk(pos, neg, index, sign):
     k = index
     if sign == -1:
         t = 0
@@ -140,10 +232,8 @@ def two_walk_mul_letter(pos, neg, index, sign):
        index=st.integers(0, 12), sign=st.sampled_from((1, -1)))
 def test_mul_letter_matches_the_two_walk_reference(u, index, sign):
     form = f_normal_form(Word(u))
-    got = [list(map(list, form.positive)), list(map(list, form.negative))]
-    want = [list(map(list, form.positive)), list(map(list, form.negative))]
-    thompson._mul_letter(*got, index, sign)
-    two_walk_mul_letter(*want, index, sign)
+    got = thompson._mul_letter(*form, index, sign)
+    want = two_walk_mul_letter(*form, index, sign)
     assert got == want
 
 
@@ -334,7 +424,7 @@ def test_a_membership_extends_forms_in_place(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        mul_letter(*args)
+        return mul_letter(*args)
 
     monkeypatch.setattr(thompson, "_mul_letter", counted)
     g = parse_word("x0^2 x1^-2")
