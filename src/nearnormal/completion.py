@@ -7,7 +7,9 @@ conjugate node, f.f'(H) = f(H) f'(H^f), which makes the set a monoid; over a
 stable family the explicit inversion algorithm makes it a group.
 
 An element is its assignment: a plain tuple of coset ids, one per node in
-fam.nodes order, so elements hash, compare and sort as tuples.  Representative
+fam.nodes order, so elements hash, compare and sort as tuples.  They are
+enumerated by one lazy generator per node, each extending the prefixes of the
+one before, so they come out in tuple order.  Representative
 words are always the stored table representatives, so every operation is
 deterministic; well-definedness under different choices is a property checked
 by the test suite, not assumed here.
@@ -46,39 +48,32 @@ def is_compatible(fam: FamilyTruncation, assignment) -> bool:
                for (i, j), proj in fam.covering.items())
 
 
-def _enumerate_assignments(fam: FamilyTruncation, ceiling: int):
-    """Depth-first over the nodes, checking each inclusion with an earlier
-    node as soon as both values are set.  An inclusion from an earlier node
-    fixes the value outright, through its projection."""
-    n = len(fam.nodes)
-    counts = [h.coset_table.coset_count for h in fam.nodes]
-    below = [[(i, fam.projection[i, pos]) for i in range(pos) if (i, pos) in fam.projection]
-             for pos in range(n)]
-    above = [[(j, fam.projection[pos, j]) for j in range(pos) if (pos, j) in fam.projection]
-             for pos in range(n)]
-    out = []
-    assignment = [0] * n
+def _extend(prefixes, count: int, below: list, above: list):
+    """Each prefix extended by every value its next node allows, in order.
+    A value fixed from below meets every node above, as projections compose."""
+    if below:
+        (i, fixed), rest = below[0], below[1:]
+        return (p + (c,) for p in prefixes for c in (fixed[p[i]],)
+                if all(proj[p[k]] == c for k, proj in rest))
+    if above:
+        return (p + (c,) for p in prefixes for c in range(count)
+                if all(proj[c] == p[j] for j, proj in above))
+    return (p + (c,) for p in prefixes for c in range(count))
 
-    def fill(pos: int):
-        if pos == n:
-            out.append(tuple(assignment))
-            if len(out) > ceiling:
-                raise ValueError(f"completion enumeration exceeds ceiling {ceiling}")
-            return
-        if below[pos]:
-            i, proj = below[pos][0]
-            candidates = (proj[assignment[i]],)
-        else:
-            candidates = range(counts[pos])
-        for c in candidates:
-            if (all(proj[assignment[i]] == c for i, proj in below[pos])
-                    and all(proj[c] == assignment[j] for j, proj in above[pos])):
-                assignment[pos] = c
-                fill(pos + 1)
-        assignment[pos] = 0
 
-    fill(0)
-    return sorted(out)
+def _enumerate_assignments(fam: FamilyTruncation, ceiling: int) -> list:
+    """The compatible assignments in tuple order, from one _extend per node.
+    An inclusion from an earlier node fixes the value through its projection;
+    one into an earlier node filters.  Stops after ceiling + 1."""
+    chain = [()]
+    for pos, h in enumerate(fam.nodes):
+        below = [(i, fam.projection[i, pos]) for i in range(pos) if (i, pos) in fam.projection]
+        above = [(j, fam.projection[pos, j]) for j in range(pos) if (pos, j) in fam.projection]
+        chain = _extend(chain, h.coset_table.coset_count, below, above)
+    out = list(itertools.islice(chain, ceiling + 1))
+    if len(out) > ceiling:
+        raise ValueError(f"completion enumeration exceeds ceiling {ceiling}")
+    return out
 
 
 def truncated_completion(fam: FamilyTruncation, ceiling: int = ENUM_CEILING) -> TruncatedCompletion:

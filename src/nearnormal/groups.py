@@ -126,9 +126,9 @@ class CosetTable:
         return self.action[coset][2 * index + (0 if sign > 0 else 1)]
 
     def coset_of(self, w: Word, start: int = 0) -> int:
-        c = start
-        for letter in w.letters:
-            c = self.step(c, letter)
+        action, c = self.action, start
+        for index, sign in w.letters:
+            c = action[c][2 * index + (sign < 0)]
         return c
 
 
@@ -295,14 +295,19 @@ def _compact(enum: _Enumeration, ngens: int, subgroup_gens: list[Word],
 
 
 def _validate_table(table: CosetTable, subgroup_gens: list[Word], relators: tuple[Word, ...]) -> None:
-    n = table.coset_count
+    columns = [[row[code] for row in table.action] for code in range(2 * table.ngens)]
+    identity = list(range(table.coset_count))
     for i in range(table.ngens):
-        fwd = [table.action[c][2 * i] for c in range(n)]
-        bwd = [table.action[c][2 * i + 1] for c in range(n)]
-        if sorted(fwd) != list(range(n)) or any(bwd[fwd[c]] != c for c in range(n)):
+        fwd, bwd = columns[2 * i], columns[2 * i + 1]
+        if sorted(fwd) != identity or [bwd[c] for c in fwd] != identity:
             raise RuntimeError(f"generator {i} does not act as a permutation")
+    # each relator's permutation of all cosets, composed one column at a time
     for r in relators:
-        if any(table.coset_of(r, start=c) != c for c in range(n)):
+        image = identity
+        for index, sign in r.letters:
+            column = columns[2 * index + (sign < 0)]
+            image = [column[c] for c in image]
+        if image != identity:
             raise RuntimeError("relator does not act trivially")
     for w in subgroup_gens:
         if table.coset_of(w) != 0:

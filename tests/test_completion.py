@@ -385,6 +385,119 @@ def test_stability_is_checked_once_per_family(monkeypatch):
     assert len(calls) == 1
 
 
+# --- enumeration against the recursive reference ---------------------------
+
+A5 = "gens: a b\nrels: a^2 b^3 (a b)^5"
+S4_CONJUGATES = "b; a b a b, b a b a"  # five nodes, no inclusions: 24,576 elements
+
+
+def reference_assignments(fam, ceiling):
+    """Depth-first over the nodes with one recursive call per partial
+    assignment, sorted at the end: the reference for the lazy chain of
+    completion._enumerate_assignments."""
+    n = len(fam.nodes)
+    counts = [h.coset_table.coset_count for h in fam.nodes]
+    below = [[(i, fam.projection[i, pos]) for i in range(pos) if (i, pos) in fam.projection]
+             for pos in range(n)]
+    above = [[(j, fam.projection[pos, j]) for j in range(pos) if (pos, j) in fam.projection]
+             for pos in range(n)]
+    out = []
+    assignment = [0] * n
+
+    def fill(pos):
+        if pos == n:
+            out.append(tuple(assignment))
+            if len(out) > ceiling:
+                raise ValueError(f"completion enumeration exceeds ceiling {ceiling}")
+            return
+        if below[pos]:
+            i, proj = below[pos][0]
+            candidates = (proj[assignment[i]],)
+        else:
+            candidates = range(counts[pos])
+        for c in candidates:
+            if (all(proj[assignment[i]] == c for i, proj in below[pos])
+                    and all(proj[c] == assignment[j] for j, proj in above[pos])):
+                assignment[pos] = c
+                fill(pos + 1)
+        assignment[pos] = 0
+
+    fill(0)
+    return sorted(out)
+
+
+ENUMERATION_CASES = [pytest.param(group, text, None, id=f"{group}:{name}")
+                     for (group, name), text in NAMED] + [
+    pytest.param("sym3", "a; a,b", 27, id="sym3:order2-orbit"),  # nodes below an earlier one
+    # three order-2 nodes below the Klein four node, which has six cosets
+    pytest.param(S4, "a b a b, b a b a; a b a b", 48, id="s4-klein-above"),
+    # nodes above two earlier nodes with no common node below them
+    pytest.param(S4, "a b a b; a, a b a b", 48, id="s4-two-below"),
+    pytest.param(S4, S4_CONJUGATES, 24576, id="s4-conjugates"),
+    pytest.param(S4, S4_NON_DIRECTED, 216, id="s4-non-directed"),
+    pytest.param(S4, "-; b; a b a b, b a b a", 24, id="s4-trivial-bottom"),
+    pytest.param("cyclic(120)", "-; a^2; a", None, id="cyclic120"),
+    pytest.param(A5, "-; b; a,b", None, id="a5"),
+]
+
+
+@pytest.mark.parametrize("group, nodes_text, size", ENUMERATION_CASES)
+def test_enumeration_matches_the_recursive_reference(group, nodes_text, size):
+    tc = build(group, nodes_text)
+    want = reference_assignments(tc.fam, completion.ENUM_CEILING)
+    assert tc.elements == tuple(want)  # the same tuples in the same order
+    if size is not None:
+        assert len(tc.elements) == size
+
+
+def test_enumeration_cases_reach_every_kind_of_node():
+    # a node fixed by an inclusion from below, one filtered from above only,
+    # and one with no inclusion to an earlier node
+    kinds = set()
+    for group, nodes_text, _ in (case.values for case in ENUMERATION_CASES):
+        fam = build(group, nodes_text).fam
+        for pos in range(len(fam.nodes)):
+            earlier = [pair for pair in fam.projection if pos in pair and max(pair) == pos]
+            kinds.add("below" if any(j == pos for _, j in earlier)
+                      else "above" if earlier else "free")
+    assert kinds == {"below", "above", "free"}
+
+
+@pytest.mark.parametrize("group, nodes_text, size", ENUMERATION_CASES)
+def test_projections_compose_along_chains(group, nodes_text, size):
+    # why a value fixed by a node below needs no check against nodes above
+    proj = build(group, nodes_text).fam.projection
+    chains = [(i, k, j) for (i, k) in proj for (k2, j) in proj if k2 == k]
+    for i, k, j in chains:
+        assert tuple(proj[k, j][c] for c in proj[i, k]) == proj[i, j]
+
+
+def test_enumeration_ceiling_is_exact():
+    fam = build(S4, S4_CONJUGATES).fam
+    assert len(truncated_completion(fam, ceiling=24576).elements) == 24576
+    with pytest.raises(ValueError, match="^completion enumeration exceeds ceiling 24575$"):
+        truncated_completion(fam, ceiling=24575)
+
+
+def test_enumeration_stops_after_ceiling_plus_one(monkeypatch):
+    fam = build(S4, S4_CONJUGATES).fam
+    counts = []
+    real = completion._extend
+
+    def counted(*args):
+        k = len(counts)
+        counts.append(0)
+        for assignment in real(*args):
+            counts[k] += 1
+            yield assignment
+
+    monkeypatch.setattr(completion, "_extend", counted)
+    with pytest.raises(ValueError, match="exceeds ceiling 10$"):
+        truncated_completion(fam, ceiling=10)
+    assert len(counts) == len(fam.nodes)
+    assert counts[-1] <= 11
+
+
 # --- law records -------------------------------------------------------------
 
 LAW_NAMES = ["identity", "associativity", "conjugation-cocycle", "embed-homomorphism",

@@ -8,8 +8,8 @@ import pytest
 from nearnormal import groups
 from nearnormal.groups import (
     Incomplete, PresentationError, context_from_text, element_key,
-    group_elements, is_trivial, parse_presentation, preset, regular_table,
-    serialize_presentation, todd_coxeter,
+    group_elements, is_trivial, parse_context_word, parse_presentation, preset,
+    regular_table, serialize_presentation, todd_coxeter,
 )
 from nearnormal.words import Word, ball, generator, invert, parse_word
 
@@ -84,6 +84,60 @@ def test_coset_table_step_is_an_action():
         for letter in w:
             c = table.step(c, letter)
         assert c == table.coset_of(w)
+
+
+S4_TEXT = "gens: a b\nrels: a^2 b^3 (a b)^4"
+A5_TEXT = "gens: a b\nrels: a^2 b^3 (a b)^5"
+
+
+def context_and_table(group, subgroup):
+    """The context of a preset name or presentation text, and the coset table
+    of the subgroup generated by one word, or the regular table."""
+    ctx = context_from_text(group) if "\n" in group else preset(group)
+    table = (todd_coxeter(ctx, [parse_context_word(ctx, subgroup)], 1000) if subgroup
+             else regular_table(ctx))
+    return ctx, table
+
+
+@pytest.mark.parametrize("group, subgroup", [
+    ("sym3", ""), (S4_TEXT, ""), (A5_TEXT, ""), ("cyclic(120)", ""),
+    (S4_TEXT, "b"),  # the eight cosets of <b>, not a regular table
+], ids=["sym3", "s4", "a5", "cyclic120", "s4-mod-b"])
+def test_coset_of_walks_the_table_like_step(group, subgroup):
+    ctx, table = context_and_table(group, subgroup)
+    assert table.coset_count == (8 if subgroup else len(group_elements(ctx)))
+    rng = random.Random(23)
+    for _ in range(40):
+        w = random_word(rng, ctx.generator_count, 12)
+        for start in range(table.coset_count):
+            c = start
+            for letter in w:
+                c = table.step(c, letter)
+            assert table.coset_of(w, start=start) == c
+
+
+@pytest.mark.parametrize("group, subgroup", [("sym3", ""), (S4_TEXT, "b")], ids=["sym3", "s4-mod-b"])
+def test_validate_table_rejects_a_relator_exactly_when_one_coset_moves(group, subgroup):
+    ctx, table = context_and_table(group, subgroup)
+    groups._validate_table(table, [], ctx.presentation.relators)
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(60):
+        r = random_word(rng, 2, 8)
+        moved = any(table.coset_of(r, start=c) != c for c in range(table.coset_count))
+        outcomes.add(moved)
+        if moved:
+            with pytest.raises(RuntimeError, match="relator does not act trivially"):
+                groups._validate_table(table, [], (r,))
+        else:
+            groups._validate_table(table, [], (r,))
+    assert outcomes == {True, False}
+    # two rows of generator 0's column swapped: no longer an action
+    rows = [list(row) for row in table.action]
+    rows[0][0], rows[1][0] = rows[1][0], rows[0][0]
+    broken = groups.CosetTable(table.ngens, tuple(map(tuple, rows)), table.representatives)
+    with pytest.raises(RuntimeError, match="generator 0 does not act as a permutation"):
+        groups._validate_table(broken, [], ())
 
 
 def test_subgroup_enumeration_indices():
