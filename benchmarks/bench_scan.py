@@ -3,16 +3,17 @@
 Runs the normal-form agreement scan at increasing sizes with both backends
 and reports, per backend, the best-of-N wall-clock seconds and the words
 checked per second.  The run exits nonzero when either backend reports
-failures or the two backends disagree on word or failure counts, so it
-still checks the engine when only the pure-Python backend is available.
+failures or the two backends' reports (words and failure lists) differ, so
+it still checks the engine when only the pure-Python backend is available.
 
 The C kernel (`nearnormal._scan_c`) exists once setup.py has built it, for
 example with `python setup.py build_ext --inplace`.  Both backends use
 exact integer dyadics.  The pure-Python one takes about 0.06 s at size 5:2
 (about 75,000 words/s on a 2-core x86-64 Xeon, Python 3.11), the C kernel
-about 0.005 s; pass --sizes to push both harder.  The pure-Python kernel
+about 0.002 s; pass --sizes to push both harder.  The pure-Python kernel
 gains with size, as more words share a (form, letter) edge: at 6:4 it
-checks about 200,000 words/s.
+checks about 200,000 words/s.  The C kernel checks about 2,000,000 words/s
+at 6:4 and about 1,600,000 at 7:4.
 
 Usage: python benchmarks/bench_scan.py [--sizes 3:2,4:2,5:2] [--repeat 3]
 """
@@ -71,12 +72,15 @@ def main():
             cells += f" {seconds:>12.3f} {reports[name]['words'] / seconds:>18,.0f}"
         print(f"{f'{max_len}:{max_index}':>6} {reports['python']['words']:>11}{cells}",
               flush=True)
-        counts = {name: (r["words"], len(r["failures"])) for name, r in reports.items()}
-        if len(set(counts.values())) > 1 or any(f for _, f in counts.values()):
+        outcomes = {name: (r["words"], r["failures"]) for name, r in reports.items()}
+        first = next(iter(outcomes.values()))
+        agree = all(outcome == first for outcome in outcomes.values())
+        if not agree or first[1]:
             raise SystemExit(
                 f"scan check failed at {max_len}:{max_index}: "
-                + ", ".join(f"{name} {w} words / {f} failures"
-                            for name, (w, f) in counts.items()))
+                + ", ".join(f"{name} {w} words / {len(f)} failures"
+                            for name, (w, f) in outcomes.items())
+                + ("" if agree else "; the backends' reports differ"))
 
 
 if __name__ == "__main__":

@@ -11,7 +11,10 @@
    int64, slopes are powers of two, and every shift is checked to drop no
    bits, so a map that leaves the grid raises ArithmeticError and a map or
    normal form that outgrows its array raises OverflowError; neither can
-   produce a result.
+   produce a result.  Two maps compose in one merge of their breakpoints
+   along the middle axis, as in _scan_py._compose; a composed piece's slope
+   exponent is the sum of its factors', so a collinear point is overwritten
+   as the merge passes it and the result is canonical as it is built.
 
    Bit budget.  The generator x_n has its breakpoints on the grid 2^-(n+2)
    Z, and a letter map (slopes 1/2, 1, 2) and its inverse send the grid
@@ -29,6 +32,7 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <limits.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -63,10 +67,10 @@ static void pl_identity(PL *f)
     f->xs[1] = f->ys[1] = ONE;
 }
 
-/* Slope exponent sigma of a segment: dy = dx * 2^sigma, exactly. */
-static int seg_exp(int64_t x0, int64_t y0, int64_t x1, int64_t y1, int *sigma)
+/* Slope exponent sigma of f's segment k-1..k: dy = dx * 2^sigma, exactly. */
+static int seg_exp(const PL *f, int k, int *sigma)
 {
-    int64_t dx = x1 - x0, dy = y1 - y0;
+    int64_t dx = f->xs[k] - f->xs[k - 1], dy = f->ys[k] - f->ys[k - 1];
     int s = 0;
     if (dx <= 0 || dy <= 0)
         return INEXACT;
@@ -99,43 +103,6 @@ static int shift_add(int64_t a, int64_t d, int s, int64_t *out)
     return OK;
 }
 
-/* Images of the ascending points pts[0..m-1] under the map with
-   breakpoints (xs, ys), walking the segments once. */
-static int values(const int64_t *xs, const int64_t *ys, const int64_t *pts, int m,
-                  int64_t *out)
-{
-    int j, k = 0, s;
-    TRY(seg_exp(xs[0], ys[0], xs[1], ys[1], &s));
-    for (j = 0; j < m; j++) {
-        if (xs[k + 1] < pts[j]) {
-            while (xs[k + 1] < pts[j])
-                k++;
-            TRY(seg_exp(xs[k], ys[k], xs[k + 1], ys[k + 1], &s));
-        }
-        TRY(shift_add(ys[k], pts[j] - xs[k], s, &out[j]));
-    }
-    return OK;
-}
-
-/* Drop interior breakpoints whose two slopes agree. */
-static int pl_canonicalize(PL *f)
-{
-    int out = 1, k, left, right;
-    TRY(seg_exp(f->xs[0], f->ys[0], f->xs[1], f->ys[1], &left));
-    for (k = 1; k < f->n - 1; k++, left = right) {
-        TRY(seg_exp(f->xs[k], f->ys[k], f->xs[k + 1], f->ys[k + 1], &right));
-        if (left != right) {
-            f->xs[out] = f->xs[k];
-            f->ys[out] = f->ys[k];
-            out++;
-        }
-    }
-    f->xs[out] = f->xs[f->n - 1];
-    f->ys[out] = f->ys[f->n - 1];
-    f->n = out + 1;
-    return OK;
-}
-
 /* x_n: identity on [0, 1 - 2^-n], then the base map, which sends
    1/2 -> 1/4 and 3/4 -> 1/2, scaled onto the tail.  Needs n + 2 <= EXP. */
 static void pl_generator(PL *f, int n, int inverse)
@@ -151,25 +118,41 @@ static void pl_generator(PL *f, int n, int inverse)
     }
 }
 
-/* dst = F after g (g is applied first): the breakpoints in the middle
-   coordinate are g's values and F's breakpoints, mapped back through g^-1
-   and forward through F. */
+/* dst = F after g (g is applied first), in the one merge of
+   _scan_py._compose: g's values and F's breakpoints walk up the middle axis
+   together.  A point of both reads both coordinates; a point of one takes
+   the other coordinate by one exact shift along the current segment (F at
+   g's value shifts by sf, g^-1 at F's breakpoint by -sg).  Each composed
+   piece lies inside one segment of each map, so its slope exponent is
+   sg + sf; the previous point is overwritten whenever the next piece has
+   the same exponent, so dst is canonical as it is built. */
 static int pl_compose(PL *dst, const PL *F, const PL *g)
 {
-    int64_t mid[MAXPTS];
-    int n = 0, i = 0, j = 0;
+    int n = 1, i = 1, j = 1, sg, sf, last = 0;
     if (F->n + g->n > MAXPTS)
         return OVERFLOW;
-    while (i < g->n && j < F->n) {  /* both ascend from 0 to ONE */
-        int64_t a = g->ys[i], b = F->xs[j];
-        mid[n++] = a < b ? a : b;
-        i += a <= b;
-        j += b <= a;
+    dst->xs[0] = dst->ys[0] = 0;
+    TRY(seg_exp(g, 1, &sg));
+    TRY(seg_exp(F, 1, &sf));
+    while (i < g->n) {  /* both end at ONE, so j reaches F->n with i */
+        int64_t u = g->ys[i], v = F->xs[j];
+        if (n > 1 && sg + sf == last)
+            n--;
+        last = sg + sf;
+        dst->xs[n] = g->xs[i];
+        dst->ys[n] = F->ys[j];
+        if (u < v)
+            TRY(shift_add(F->ys[j - 1], u - F->xs[j - 1], sf, &dst->ys[n]));
+        else if (v < u)
+            TRY(shift_add(g->xs[i - 1], v - g->ys[i - 1], -sg, &dst->xs[n]));
+        n++;
+        if (u <= v && ++i < g->n)
+            TRY(seg_exp(g, i, &sg));
+        if (v <= u && ++j < F->n)
+            TRY(seg_exp(F, j, &sf));
     }
-    TRY(values(g->ys, g->xs, mid, n, dst->xs));
-    TRY(values(F->xs, F->ys, mid, n, dst->ys));
     dst->n = n;
-    return pl_canonicalize(dst);
+    return OK;
 }
 
 static int pl_equal(const PL *a, const PL *b)
@@ -405,34 +388,48 @@ static int run_scan(Scan *s, int max_len, int max_index, PyObject *failures,
     return OK;
 }
 
+/* "O&" converter for a size: an int clamped to long long, so that a size
+   too large for C fails the range checks below with ValueError too. */
+static int size_arg(PyObject *obj, void *out)
+{
+    int overflow;
+    long long v = PyLong_AsLongLongAndOverflow(obj, &overflow);
+    if (v == -1 && PyErr_Occurred())
+        return 0;
+    *(long long *)out = overflow > 0 ? LLONG_MAX : overflow < 0 ? LLONG_MIN : v;
+    return 1;
+}
+
 static PyObject *thompson_agreement_scan(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"max_len", "max_index", NULL};
-    int max_len, max_index, rc;
-    long long words = 0;
+    long long max_len, max_index, words = 0;
+    int rc;
     PyObject *failures;
     Scan *s;
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "ii:thompson_agreement_scan",
-                                     kwlist, &max_len, &max_index))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O&O&:thompson_agreement_scan", kwlist,
+                                     size_arg, &max_len, size_arg, &max_index))
         return NULL;
     if (max_len < 0 || max_index < 0)
         return PyErr_Format(PyExc_ValueError, "max_len and max_index must be non-negative");
     if (max_len > MAXLEN)
         return PyErr_Format(PyExc_ValueError,
                             "max_len too large for compiled kernel (<= %d)", MAXLEN);
-    if (max_index + 2 * max_len + 4 > EXP)
+    /* max_index + 2 * max_len + 4 <= EXP, rearranged so nothing overflows */
+    if (max_index > EXP - 4 - 2 * max_len)
         return PyErr_Format(PyExc_ValueError,
                             "index range too large for compiled kernel: "
-                            "max_index + 2 * max_len + 4 = %d bits, the kernel has %d",
-                            max_index + 2 * max_len + 4, EXP);
+                            "max_index + 2 * max_len + 4 must be <= %d bits, "
+                            "so max_index <= %d at max_len %d",
+                            EXP, (int)(EXP - 4 - 2 * max_len), (int)max_len);
     if (!(failures = PyList_New(0)))
         return NULL;
     if (!(s = PyMem_Malloc(sizeof *s))) {
         Py_DECREF(failures);
         return PyErr_NoMemory();
     }
-    rc = run_scan(s, max_len, max_index, failures, &words);
+    rc = run_scan(s, (int)max_len, (int)max_index, failures, &words);
     PyMem_Free(s);
     if (rc == INEXACT)
         PyErr_SetString(PyExc_ArithmeticError,

@@ -243,6 +243,20 @@ def test_thompson_verify_scan_kernel_limit_is_a_usage_error(runner, monkeypatch)
     assert "Error: max_len too large for compiled kernel (<= 12)" in result.output
 
 
+@pytest.mark.parametrize("max_index", ["2147483648", str(2 ** 64)])
+def test_thompson_verify_scan_beyond_c_int_is_a_usage_error(runner, monkeypatch, scan_c,
+                                                            max_index):
+    # the compiled kernel raises ValueError, not OverflowError, for a size no
+    # C int holds, so the CLI ends in one Error: line instead of a traceback
+    monkeypatch.setattr(scan, "thompson_agreement_scan", scan_c.thompson_agreement_scan)
+    result = runner.invoke(main, [
+        "thompson", "verify", "--suite", "scan", "--max-len", "1", "--max-index", max_index])
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert errors == ["Error: index range too large for compiled kernel: max_index + 2 * "
+                      "max_len + 4 must be <= 48 bits, so max_index <= 42 at max_len 1"]
+
+
 def test_bs_preset_rejects_zero_exponent(runner):
     result = runner.invoke(main, [
         "ends", "estimate", "--group", "bs(0,3)", "--l", "-", "--radii", "2"])

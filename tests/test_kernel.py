@@ -1,6 +1,9 @@
 """Scan kernel backends and the dyadic PL model they are checked against."""
 
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -244,16 +247,41 @@ def test_python_backend_maps_match_the_fraction_model():
 
 
 def test_backend_parity(scan_c):
-    for max_len, max_index in ((3, 2), (4, 2), (5, 2)):
+    for max_len, max_index in ((3, 2), (4, 2), (5, 2), (6, 3)):
         a = scan_c.thompson_agreement_scan(max_len, max_index)
         b = scan_py(max_len, max_index)
         assert a["backend"] == "compiled"
         assert a["words"] == b["words"] == reduced_word_count(max_len, max_index)
         assert a["failures"] == b["failures"] == []
-    for max_len, max_index in ((6, 3), (7, 3)):
-        report = scan_c.thompson_agreement_scan(max_len=max_len, max_index=max_index)
-        assert report["words"] == reduced_word_count(max_len, max_index)
-        assert report["failures"] == []
+    report = scan_c.thompson_agreement_scan(max_len=7, max_index=3)
+    assert report["words"] == reduced_word_count(7, 3)
+    assert report["failures"] == []
+
+
+# text edits that break a copy of _scan_c.c, each at one place: the first two
+# are the engine mutations of _break_engine, the last leaves maps uncanonical
+C_MUTATIONS = {
+    "x1-read-as-x2": ("nf_mul_letter(&s->nf[depth + 1], c >> 1,",
+                      "nf_mul_letter(&s->nf[depth + 1], (c >> 1) + (c >> 1 == 1),"),
+    "non-canonical": ("        if (has_index(f->pos, f->np, k))\n            nf_cleanup(f);\n", ""),
+    "collinear-kept": ("        if (n > 1 && sg + sf == last)\n            n--;\n", ""),
+}
+
+
+@pytest.mark.parametrize("mutation", list(C_MUTATIONS))
+def test_compiled_backend_reports_a_broken_kernel(build_scan_c, monkeypatch, mutation):
+    # negative controls: a mutated kernel must report failures, and a broken
+    # engine the same ones as the Python kernel under the same mutation
+    old, new = C_MUTATIONS[mutation]
+    source = pathlib.Path(_scan_py.__file__).with_name("_scan_c.c").read_text()
+    assert source.count(old) == 1
+    report = build_scan_c(source.replace(old, new)).thompson_agreement_scan(4, 2)
+    assert report["words"] == reduced_word_count(4, 2)
+    assert len(report["failures"]) == _scan_py.FAILURE_CAP
+    if mutation != "collinear-kept":
+        _break_engine(monkeypatch, mutation)
+        python = scan_py(4, 2)
+        assert (report["words"], report["failures"]) == (python["words"], python["failures"])
 
 
 def test_compiled_depth_guard(scan_c):
@@ -261,6 +289,27 @@ def test_compiled_depth_guard(scan_c):
     for max_len, max_index in ((13, 2), (12, 25), (-1, 2), (2, -1)):
         with pytest.raises(ValueError):
             scan_c.thompson_agreement_scan(max_len, max_index)
+
+
+@pytest.mark.parametrize("max_len, max_index, message", [
+    (2, 2 ** 31 - 1, "bits"), (1, 2 ** 31 - 5, "bits"), (1, 2 ** 31, "bits"),
+    (1, 2 ** 64, "bits"), (2 ** 64, 1, "max_len too large"), (-2 ** 64, 1, "non-negative")])
+def test_compiled_size_guard_cannot_overflow(scan_c, max_len, max_index, message):
+    # sizes near or past the C int range must fail the size checks, not wrap
+    # round them into a scan or a crash; a fresh interpreter confines a crash
+    code = (
+        "import importlib.util\n"
+        f"spec = importlib.util.spec_from_file_location('nearnormal._scan_c', {scan_c.__file__!r})\n"
+        "kernel = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(kernel)\n"
+        "try:\n"
+        f"    print(kernel.thompson_agreement_scan({max_len}, {max_index}))\n"
+        "except ValueError as exc:\n"
+        "    print('ValueError:', exc)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ValueError:") and message in done.stdout, done.stdout
 
 
 def test_compiled_scan_at_the_bit_budget_edge(scan_c):
