@@ -1,0 +1,260 @@
+"""Benchmark the layers the exact checks run on, from one case table.
+
+Each positional case is LAYER:ARG:
+
+    completion:NAME       one completion call on a fresh truncation, NAME in
+                          COMPLETION; the tables the call reads are built in
+                          its timing, the truncation itself only for build
+    ends:NAME             ends.coset_graph_ball, NAME in ENDS; keyed counts
+                          the ends._left_key calls, one per coset key
+    modp:[dense-]GROUP:P  the regular module of the (2, 3, n) triangle group
+                          GROUP over F_p, with dense- in a seeded random
+                          basis (M -> Q M Q^-1); times h0_S and
+                          restrict_to_h0s on "-; b; a,b", h1_derivations and
+                          one rref of the inner-derivation rows
+    scan:LEN:INDEX        the F normal-form agreement scan over words of
+                          length <= LEN in x_0..x_INDEX on the pure-Python
+                          kernel, and on the C kernel once it is built
+                          (python setup.py build_ext --inplace)
+
+Each case prints one row of best-of-N seconds and counts.  The run exits 1
+and lists every count that is not the one the case must have, and exits 2
+with one line on a case it does not know.
+
+Usage: python benchmarks/bench.py [CASE ...] [--repeat 3] [--json]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import random
+import sys
+import time
+
+from nearnormal import _scan_py, completion, ends, families, modp, subgroups
+from nearnormal.groups import context_from_text, parse_context_word, preset
+from nearnormal.words import generator
+
+try:
+    from nearnormal import _scan_c
+except ImportError:
+    _scan_c = None
+
+S4 = "gens: a b\nrels: a^2 b^3 (a b)^4"
+TRIANGLES = {"sym3": 2, "s4": 4, "a5": 5}  # name -> n in a^2 = b^3 = (a b)^n = 1
+
+# name -> (preset or presentation, nodes, call, elements, count): the count
+# is of the truncation's nodes (build), of the invertible elements (scan) or
+# of the laws that pass (laws)
+COMPLETION = {
+    "s4-directed": (S4, "b; a b a b, b a b a", "build", 24576, 5),
+    "s4-nondirected": (S4, "a b; a b, b a b a", "scan", 216, 48),
+    "sym3-all": ("sym3", "-; a; b; a b a; a b; a,b", "laws", 6, 7),
+}
+# name -> (preset, generator of L, radius, vertices, edges); in BS(2,3)
+# y^-1 x^2 y is x^3, so <y x^2 y^-1> is the conjugate <x^3> itself
+ENDS = {
+    "bs23-x2": ("bs(2,3)", "x^2", 7, 1030, 1743),
+    "bs23-cx2": ("bs(2,3)", "y x^2 y^-1", 6, 515, 903),
+    "free2-a": ("free(2)", "a", 4, 81, 161),
+    "z2-u": ("zn(2)", "u", 20, 41, 81),
+}
+DEFAULT_CASES = ([f"completion:{name}" for name in COMPLETION] + [f"ends:{name}" for name in ENDS]
+                 + ["modp:a5:2", "modp:a5:5", "modp:dense-s4:5",
+                    "scan:3:2", "scan:4:2", "scan:5:2"])
+
+
+def best(fn, repeat: int, setup=None):
+    """The best of repeat wall-clock seconds of one call and its last result;
+    with setup, each call is fn(setup()), and setup is not timed."""
+    seconds = result = None
+    for _ in range(repeat):
+        args = () if setup is None else (setup(),)
+        t0 = time.perf_counter()
+        result = fn(*args)
+        dt = time.perf_counter() - t0
+        seconds = dt if seconds is None else min(seconds, dt)
+    return seconds, result
+
+
+def pick(table: dict, name: str):
+    if name not in table:
+        raise ValueError(f"unknown case {name!r}, expected one of {', '.join(table)}")
+    return table[name]
+
+
+# Each layer parses its ARG (ValueError when it cannot) and returns the run:
+# a function of repeat giving (row, the counts the row must have).
+
+def completion_layer(arg: str):
+    group, nodes_text, call, elements, count = pick(COMPLETION, arg)
+
+    def run(repeat):
+        ctx = context_from_text(group) if group.startswith("gens:") else preset(group)
+        nodes = families.parse_nodes(ctx, nodes_text)
+
+        def build():
+            return completion.truncated_completion(families.truncation(ctx, nodes))
+
+        if call == "build":
+            seconds, tc = best(build, repeat)
+            got = len(tc.fam.nodes)
+        else:
+            counted = {"scan": lambda tc: completion.invertibility_scan(tc)["invertible"],
+                       "laws": lambda tc: sum(verdict == "pass" for _, verdict, _
+                                              in completion.law_records(tc))}[call]
+            seconds, (tc, got) = best(lambda tc: (tc, counted(tc)), repeat, setup=build)
+        return ({"call": call, "seconds": seconds, "elements": len(tc.elements), "count": got},
+                {"elements": elements, "count": count})
+    return run
+
+
+def ends_layer(arg: str):
+    group, l_text, radius, vertices, edges = pick(ENDS, arg)
+
+    def run(repeat):
+        ctx = preset(group)
+        sub = subgroups.subgroup_from_words(ctx, [parse_context_word(ctx, l_text)])
+        gens = [generator(i) for i in range(ctx.generator_count)]
+        real, keyed = ends._left_key, []
+
+        def counting(*args):
+            keyed.append(None)
+            return real(*args)
+
+        ends._left_key = counting
+        try:
+            seconds, ball = best(lambda _: ends.coset_graph_ball(ctx, sub, gens, radius),
+                                 repeat, setup=keyed.clear)
+        finally:
+            ends._left_key = real
+        return ({"seconds": seconds, "vertices": ball.vertex_count, "edges": len(ball.edges),
+                 "elements": len(ball.elements), "keyed": len(keyed)},
+                {"vertices": vertices, "edges": edges})
+    return run
+
+
+def dense_basis(ctx, module, seed: int = 1):
+    """The module with every matrix M replaced by Q M Q^-1, Q seeded random."""
+    rng = random.Random(seed)
+    d, p = module.dimension, module.p
+    while True:
+        q = modp.sparse([[rng.randrange(p) for _ in range(d)] for _ in range(d)], p)
+        q_inv = modp.mat_inverse(q, p)
+        if q_inv is not None:
+            break
+    mats = [modp.mat_mul(modp.mat_mul(q, m, p), q_inv, p) for m in module.matrices]
+    rows = [[[0] * d for _ in range(d)] for _ in mats]
+    for m, out in zip(mats, rows):
+        for i, row in enumerate(m):
+            for j, a in row:
+                out[i][j] = a
+    return families.finite_module(ctx, rows, p)
+
+
+def modp_layer(arg: str):
+    name, _, p_text = arg.rpartition(":")
+    group = name.removeprefix("dense-")
+    if group not in TRIANGLES or not p_text.isdigit() or not modp.is_prime(int(p_text)):
+        raise ValueError(f"expected [dense-]GROUP:P, GROUP in {', '.join(TRIANGLES)}, P prime")
+
+    def run(repeat):
+        ctx = context_from_text(f"gens: a b\nrels: a^2 b^3 (a b)^{TRIANGLES[group]}")
+        module = families.regular_module(ctx, p=int(p_text))
+        if name != group:
+            module = dense_basis(ctx, module)
+        d = module.dimension
+        fam = families.truncation(ctx, families.parse_nodes(ctx, "-; b; a,b"))
+        ider_rows = families.inner_derivation_rows(module)
+        h0_s, basis = best(lambda: families.h0_S(module, fam), repeat)
+        h1_s, h1 = best(lambda: families.h1_derivations(ctx, module), repeat)
+        rref_s, (red, _) = best(lambda: modp.rref(ider_rows, module.p), repeat)
+        res_s, (sub, _) = best(lambda: families.restrict_to_h0s(module, fam), repeat)
+        nonzero = sum(len(row) for m in module.matrices for row in m)
+        # a regular module has full h0_S here (the bottom node is trivial)
+        # and no degree-1 classes (Shapiro's lemma), in any basis
+        return ({"dim": d, "nonzero": nonzero, "h0_seconds": h0_s, "h1_seconds": h1_s,
+                 "rref_seconds": rref_s, "res_seconds": res_s, "h0_dim": len(basis),
+                 "dim_h1": h1["dim_h1"], "rank": len(red), "res_dim": sub.dimension},
+                {"h0_dim": d, "dim_h1": 0, "rank": d - 1, "res_dim": d})
+    return run
+
+
+def scan_layer(arg: str):
+    len_text, _, index_text = arg.partition(":")
+    if not (len_text.isdigit() and index_text.isdigit()):
+        raise ValueError("expected MAX_LEN:MAX_INDEX, two non-negative integers")
+    max_len, max_index = int(len_text), int(index_text)
+
+    def run(repeat):
+        row, reports = {}, {}
+        for name, kernel in (("python", _scan_py), ("compiled", _scan_c)):
+            if kernel is None:
+                row[name] = "not built"
+                continue
+            seconds, reports[name] = best(
+                lambda: kernel.thompson_agreement_scan(max_len, max_index), repeat)
+            row[f"{name}_seconds"] = seconds
+            row[f"{name}_words_per_s"] = round(reports[name]["words"] / seconds)
+        python = reports["python"]
+        # 1 + 2n + 2n(2n - 1) + ...: the freely reduced words over n generators
+        letters = 2 * (max_index + 1)
+        reduced = 1 + sum(letters * (letters - 1) ** k for k in range(max_len))
+        agree = all((r["words"], r["failures"]) == (python["words"], python["failures"])
+                    for r in reports.values())
+        return ({"words": python["words"], **row, "failures": len(python["failures"]),
+                 "kernels_agree": agree},
+                {"words": reduced, "failures": 0, "kernels_agree": True})
+    return run
+
+
+LAYERS = {"completion": completion_layer, "ends": ends_layer, "modp": modp_layer,
+          "scan": scan_layer}
+
+
+def show(row: dict) -> str:
+    return "  ".join(f"{key}={value:.4f}" if isinstance(value, float) else f"{key}={value}"
+                     for key, value in row.items())
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description="Benchmark the completion, ends, GF(p) and "
+                                             "scan layers.")
+    ap.add_argument("cases", nargs="*", default=DEFAULT_CASES,
+                    help="LAYER:ARG cases, LAYER among " + ", ".join(LAYERS)
+                         + " (default: all " + str(len(DEFAULT_CASES)) + " listed above).")
+    ap.add_argument("--repeat", type=int, default=3,
+                    help="Repetitions per measurement (best is reported).")
+    ap.add_argument("--json", action="store_true", help="Print the rows as JSON.")
+    args = ap.parse_args(argv)
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
+    runs = []
+    for case in args.cases:
+        layer, _, arg = case.partition(":")
+        try:
+            if layer not in LAYERS:
+                raise ValueError(f"unknown layer {layer!r}, expected one of {', '.join(LAYERS)}")
+            runs.append((case, LAYERS[layer](arg)))
+        except ValueError as err:
+            print(f"bench.py: {case}: {err}", file=sys.stderr)
+            raise SystemExit(2)
+    rows, wrong = [], []
+    for case, run in runs:
+        row, want = run(args.repeat)
+        row = {"case": case, **row}
+        rows.append(row)
+        wrong += [f"{case}: {key} {row[key]}, expected {value}"
+                  for key, value in want.items() if row[key] != value]
+        if not args.json:
+            print(show(row), flush=True)
+    if args.json:
+        print(json.dumps(rows, indent=2))
+    if wrong:
+        print("count check failed:", *wrong, sep="\n  ", file=sys.stderr)
+        raise SystemExit(1)
+
+
+if __name__ == "__main__":
+    main()

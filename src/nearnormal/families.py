@@ -324,7 +324,7 @@ def permutation_module(ctx: GroupContext, table, p: int = 2) -> FiniteModule:
     for i in range(table.ngens):
         rows = [[0] * dim for _ in range(dim)]
         for c in range(dim):
-            rows[c][table.action[c][2 * i]] = 1
+            rows[c][table.step(c, (i, 1))] = 1
         mats.append(tuple(tuple(r) for r in rows))
     return finite_module(ctx, tuple(mats), p)
 
@@ -456,6 +456,21 @@ def relator_blocks(module: FiniteModule, r: Word) -> list:
     return [tuple(modp.canonical_row(acc, p) for acc in block) for block in sums]
 
 
+def inner_derivation_rows(module: FiniteModule) -> list[list[int]]:
+    """One dense row per basis vector e_j: the inner derivation of e_j, which
+    sends x_i to row j of M_i minus e_j, as d(x_0), ..., d(x_{n-1}) in turn."""
+    d, n = module.dimension, len(module.matrices)
+    rows = []
+    for j in range(d):
+        flat = [0] * (n * d)
+        for i, m in enumerate(module.matrices):
+            flat[i * d + j] -= 1
+            for c, a in m[j]:
+                flat[i * d + c] += a
+        rows.append(flat)
+    return rows
+
+
 def h1_derivations(ctx: GroupContext, module: FiniteModule) -> dict:
     """Solve the relator-expansion linear system for derivations and quotient
     by inner derivations; returns dimensions and bases."""
@@ -472,16 +487,7 @@ def h1_derivations(ctx: GroupContext, module: FiniteModule) -> dict:
     big = [tuple((k * d + j, a) for k, blocks in enumerate(columns) for j, a in blocks[i][row])
            for i in range(n) for row in range(d)]
     der_basis = modp.left_nullspace(big, p)
-    # The inner derivation of e_j sends x_i to row j of M_i minus e_j.
-    ider_rows = []
-    for j in range(d):
-        flat = [0] * (n * d)
-        for i, m in enumerate(module.matrices):
-            flat[i * d + j] -= 1
-            for c, a in m[j]:
-                flat[i * d + c] += a
-        ider_rows.append(flat)
-    ider_basis = modp.row_space(ider_rows, p)
+    ider_basis = modp.row_space(inner_derivation_rows(module), p)
     if not modp.span_contains(der_basis, ider_basis, p):
         raise RuntimeError("inner derivation fails the relator system")
     # the independent re-check: every basis derivation on every relator,

@@ -109,10 +109,6 @@ def rref(rows, p: int):
     return tuple(tuple(pivots[c].get(j, 0) for j in range(n)) for c in order), order
 
 
-def rank(rows, p: int) -> int:
-    return len(_echelon(_dicts(rows, p), p))
-
-
 def row_space(rows, p: int):
     return rref(rows, p)[0]
 

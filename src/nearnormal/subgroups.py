@@ -647,9 +647,10 @@ def _fiber_product(h: SubgroupHandle, k: SubgroupHandle) -> SubgroupHandle:
     reps = table.representatives
     gens = []
     seen_keys = set()
+    letters = groups.signed_letters(h.ctx)
     for i, row in enumerate(table.action):
-        for code, target in enumerate(row):
-            g = reps[i] * generator(*groups._code_letter(code)) * invert(reps[target])
+        for letter, target in zip(letters, row):
+            g = reps[i] * generator(*letter) * invert(reps[target])
             if g and table.coset_of(g) == 0 and groups.is_trivial(h.ctx, g) is not True:
                 key = groups.element_key(h.ctx, g)
                 if key not in seen_keys:

@@ -50,11 +50,6 @@ class FNormalForm(NamedTuple):
     positive: tuple[Run, ...]
     negative: tuple[Run, ...]
 
-    def word(self) -> Word:
-        letters = [(i, 1) for i, a in self.positive for _ in range(a)]
-        letters += [(j, -1) for j, b in reversed(self.negative) for _ in range(b)]
-        return Word(letters)
-
     def is_identity(self) -> bool:
         return not self.positive and not self.negative
 

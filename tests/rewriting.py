@@ -17,6 +17,13 @@ from nearnormal.words import Word, exponent_sum
 X, Y = 0, 1
 
 
+def form_word(form) -> Word:
+    """The word x_i^a ... x_j^-b that a normal form of F spells."""
+    letters = [(i, 1) for i, a in form.positive for _ in range(a)]
+    letters += [(j, -1) for j, b in reversed(form.negative) for _ in range(b)]
+    return Word(letters)
+
+
 # -- Thompson's group F -------------------------------------------------------
 
 
@@ -97,7 +104,7 @@ def naive_equal(u: Word, v: Word, index_cap: int | None = None, max_states: int 
 
 def a_membership_by_words(w: Word, index_bound: int):
     """The verdict of thompson.a_exponents (True for a dict), each peel step
-    re-normalising the whole word form.word() * a_n^-sign, without a memo."""
+    re-normalising the whole word form_word(form) * a_n^-sign, without a memo."""
     if exponent_sum(w) != 0:
         return False
     form = f_normal_form(w)
@@ -112,7 +119,7 @@ def a_membership_by_words(w: Word, index_bound: int):
         for n, sign in _peel_candidates(form):
             if 2 * n + 1 > index_bound:
                 return "unknown"
-            rest = f_normal_form(form.word() * a_generator(n) ** (-sign))
+            rest = f_normal_form(form_word(form) * a_generator(n) ** (-sign))
             got = peel(rest, fuel - 1)
             if got is True or got == "unknown":
                 return got
@@ -139,7 +146,7 @@ def a_exponents_by_words(w: Word, index_bound: int):
         if 2 * n + 1 > index_bound:
             return None
         exps[n] = exps.get(n, 0) + sign
-        form = f_normal_form(form.word() * a_generator(n) ** (-sign))
+        form = f_normal_form(form_word(form) * a_generator(n) ** (-sign))
     return {n: c for n, c in exps.items() if c}
 
 

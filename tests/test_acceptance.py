@@ -18,7 +18,7 @@ from nearnormal import (
     completion, ends, families, groups, modp, subgroups, suites, thompson,
 )
 from nearnormal.words import Word, exponent_sum, generator, invert, parse_word
-from rewriting import naive_equal
+from rewriting import form_word, naive_equal
 
 
 @contextmanager
@@ -131,7 +131,7 @@ def test_acceptance_06_thompson_lemma_grid(request):
                         if not (w and w[-1][0] == l[0] and w[-1][1] == -l[1])]
             words.extend(Word(w) for w in frontier)
         for w in words:
-            assert naive_equal(w, thompson.f_normal_form(w).word()) is True
+            assert naive_equal(w, form_word(thompson.f_normal_form(w))) is True
         # engine vs the exact homeomorphism model, every word of length <= 8
         # over indices <= 4 (unreduced words factor through free reduction);
         # the kernel is requested last so the checks above run without it

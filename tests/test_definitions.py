@@ -2,9 +2,12 @@
 
 A function, class or method that nothing in src/ names is code no command
 runs; it belongs in tests/ beside its callers.  The scan is by name, like the
-unused-import check: a definition counts as used when its name is read as a
-name or an attribute anywhere in src/, so a method counts as used when an
-attribute of that name is read on any object.
+unused-import check.  A definition counts as used when an attribute of its
+name is read anywhere in src/, so a method counts as used when an attribute
+of that name is read on any object.  A bare name counts only where it can
+mean the definition: in the defining module, or in a module that imports
+that name (under any alias).  So a local variable ``rank`` elsewhere does not
+keep a module-level ``rank`` alive.
 
 Exempt are click commands and groups, which the CLI reaches through their
 decorators, dunder methods, which Python calls, and ``_plmodel.py``: only
@@ -49,12 +52,17 @@ def exempt(node) -> bool:
 def unread_definitions(sources: dict) -> list[str]:
     """'<file> <qualified name>' per definition whose name nothing reads."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    read = {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))}
+    attributes = {node.attr for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+    names = {name: {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+             for name, tree in trees.items()}
+    # bare names read in other modules, by the imported name they stand for
+    imported = {alias.name for name, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names
+                if (alias.asname or alias.name) in names[name]}
     return [f"{name} {qualified}" for name, tree in trees.items()
             for qualified, node in definitions(tree)
-            if not exempt(node) and node.name not in read]
+            if not exempt(node) and node.name not in attributes | names[name] | imported]
 
 
 def test_the_check_sees_a_definition_nothing_reads():
@@ -67,8 +75,14 @@ def test_the_check_sees_a_definition_nothing_reads():
               "@click.group()\n"
               "def main(): pass\n"
               "@main.command(name='go')\n"
-              "def go(): C().method()\n")
-    assert unread_definitions({"m.py": source}) == ["m.py unused"]
+              "def go(): C().method()\n"
+              "def imported(): pass\n"
+              "def shadowed(): pass\n")
+    # a local of the same name elsewhere is not a read of m.shadowed
+    other = ("from m import imported as i\n"
+             "shadowed = 1\n"
+             "i(shadowed)\n")
+    assert unread_definitions({"m.py": source, "n.py": other}) == ["m.py unused", "m.py shadowed"]
 
 
 def test_src_defines_nothing_only_tests_use():

@@ -16,6 +16,7 @@ from nearnormal._plmodel import (
 from nearnormal._scan_py import thompson_agreement_scan as scan_py
 from nearnormal.thompson import f_normal_form
 from nearnormal.words import Word, generator, invert
+from rewriting import form_word
 
 
 def reduced_word_count(max_len, max_index):
@@ -440,4 +441,4 @@ def test_normal_form_word_has_same_map():
     for _ in range(60):
         w = random_word(rng, 7, 3)
         nf = f_normal_form(w)
-        assert word_pl(nf.word()) == word_pl(w)
+        assert word_pl(form_word(nf)) == word_pl(w)

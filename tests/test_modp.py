@@ -37,7 +37,7 @@ def test_rank_counts_the_span(nrows, ncols, p):
     rng = random.Random(nrows * 100 + ncols * 10 + p)
     for _ in range(20):
         m = random_matrix(rng, nrows, ncols, p)
-        assert p ** modp.rank(m, p) == len(brute_span(m, ncols, p))
+        assert p ** len(modp.row_space(m, p)) == len(brute_span(m, ncols, p))
 
 
 @pytest.mark.parametrize("nrows,ncols,p", CASES)
@@ -94,7 +94,7 @@ def test_left_nullspace_annihilates(p):
         for v in basis:
             assert modp.vec_mat(v, modp.sparse(m, p), p) == ref.zero_vector(3)
         # rank-nullity on the left
-        assert len(basis) == 3 - modp.rank(m, p)
+        assert len(basis) == 3 - len(modp.row_space(m, p))
 
 
 def test_solve_linear_combination_roundtrip():
@@ -123,7 +123,7 @@ def test_coordinates_match_the_column_solve(p):
         n, k = rng.randint(1, 7), rng.randint(0, 5)
         basis = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(k))
         basis = tuple(v for v in basis if any(v))
-        if modp.rank(basis, p) < len(basis):
+        if len(modp.row_space(basis, p)) < len(basis):
             continue  # the coefficients are unique only for an independent basis
         vectors = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(4)]
         vectors += [modp.vec_mod([sum(rng.randrange(p) * v[j] for v in basis)
@@ -150,7 +150,7 @@ def test_mat_inverse_on_seeded_matrices(p):
         n = rng.randint(1, 5)
         m = random_matrix(rng, n, n, p)
         inv = modp.mat_inverse(modp.sparse(m, p), p)
-        if modp.rank(m, p) < n:
+        if len(modp.row_space(m, p)) < n:
             singular += 1
             assert inv is None, m
         else:
@@ -233,7 +233,7 @@ def test_seeded_matrices_cover_every_rank_kind():
 def test_rref_matches_the_dense_reference(p):
     for m in seeded_matrices(p):
         assert modp.rref(m, p) == ref.rref(m, p), m
-        assert modp.rank(m, p) == ref.rank(m, p)
+        assert len(modp.row_space(m, p)) == ref.rank(m, p)
         assert modp.left_nullspace(modp.sparse(m, p), p) == ref.left_nullspace(m, p), m
 
 
