@@ -7,11 +7,11 @@ Each positional case is LAYER:ARG:
                           its timing, the truncation itself only for build
     ends:NAME             ends.coset_graph_ball, NAME in ENDS; keyed counts
                           the ends._left_key calls, one per coset key
-    modp:[dense-]GROUP:P  the regular module of the (2, 3, n) triangle group
-                          GROUP over F_p, with dense- in a seeded random
-                          basis (M -> Q M Q^-1); times h0_S and
-                          restrict_to_h0s on "-; b; a,b", h1_derivations and
-                          one rref of the inner-derivation rows
+    modp:[dense-]GROUP:P  the regular module of GROUP in MODP_GROUPS over
+                          F_p, with dense- in a seeded random basis
+                          (M -> Q M Q^-1); times h0_S and restrict_to_h0s on
+                          "-; b; a,b", h1_derivations and one rref of the
+                          inner-derivation rows
     scan:LEN:INDEX        the F normal-form agreement scan over words of
                           length <= LEN in x_0..x_INDEX on the pure-Python
                           kernel, and on the C kernel once it is built
@@ -42,7 +42,13 @@ except ImportError:
     _scan_c = None
 
 S4 = "gens: a b\nrels: a^2 b^3 (a b)^4"
-TRIANGLES = {"sym3": 2, "s4": 4, "a5": 5}  # name -> n in a^2 = b^3 = (a b)^n = 1
+# name -> (presentation, group order) of the modp cases' regular modules
+MODP_GROUPS = {
+    "sym3": ("gens: a b\nrels: a^2 b^3 (a b)^2", 6),
+    "s4": (S4, 24),
+    "a5": ("gens: a b\nrels: a^2 b^3 (a b)^5", 60),
+    "s5": ("gens: a b\nrels: a^2 b^5 (a b)^4 (a b^-1 a b)^3", 120),
+}
 
 # name -> (preset or presentation, nodes, call, elements, count): the count
 # is of the truncation's nodes (build), of the invertible elements (scan) or
@@ -61,7 +67,7 @@ ENDS = {
     "z2-u": ("zn(2)", "u", 20, 41, 81),
 }
 DEFAULT_CASES = ([f"completion:{name}" for name in COMPLETION] + [f"ends:{name}" for name in ENDS]
-                 + ["modp:a5:2", "modp:a5:5", "modp:dense-s4:5",
+                 + ["modp:a5:2", "modp:a5:5", "modp:s5:2", "modp:dense-s4:5",
                     "scan:3:2", "scan:4:2", "scan:5:2"])
 
 
@@ -156,11 +162,12 @@ def dense_basis(ctx, module, seed: int = 1):
 def modp_layer(arg: str):
     name, _, p_text = arg.rpartition(":")
     group = name.removeprefix("dense-")
-    if group not in TRIANGLES or not p_text.isdigit() or not modp.is_prime(int(p_text)):
-        raise ValueError(f"expected [dense-]GROUP:P, GROUP in {', '.join(TRIANGLES)}, P prime")
+    if group not in MODP_GROUPS or not p_text.isdigit() or not modp.is_prime(int(p_text)):
+        raise ValueError(f"expected [dense-]GROUP:P, GROUP in {', '.join(MODP_GROUPS)}, P prime")
+    presentation, order = MODP_GROUPS[group]
 
     def run(repeat):
-        ctx = context_from_text(f"gens: a b\nrels: a^2 b^3 (a b)^{TRIANGLES[group]}")
+        ctx = context_from_text(presentation)
         module = families.regular_module(ctx, p=int(p_text))
         if name != group:
             module = dense_basis(ctx, module)
@@ -177,7 +184,8 @@ def modp_layer(arg: str):
         return ({"dim": d, "nonzero": nonzero, "h0_seconds": h0_s, "h1_seconds": h1_s,
                  "rref_seconds": rref_s, "res_seconds": res_s, "h0_dim": len(basis),
                  "dim_h1": h1["dim_h1"], "rank": len(red), "res_dim": sub.dimension},
-                {"h0_dim": d, "dim_h1": 0, "rank": d - 1, "res_dim": d})
+                {"dim": order, "h0_dim": order, "dim_h1": 0, "rank": order - 1,
+                 "res_dim": order})
     return run
 
 

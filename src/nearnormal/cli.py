@@ -268,6 +268,17 @@ _dim_option = click.option("--dim", type=click.IntRange(min=1), default=1,
                            show_default=True, help="Dimension of the trivial module.")
 
 
+def _dense(rows, n: int) -> list:
+    """Sparse rows as dense lists of length n, for the report."""
+    out = []
+    for row in rows:
+        v = [0] * n
+        for j, a in row:
+            v[j] = a
+        out.append(v)
+    return out
+
+
 def _load_module(ctx_obj, spec: str, p: int, dim: int) -> families.FiniteModule:
     if ctx_obj.generator_count is None:
         raise click.ClickException("modules need a finitely presented context")
@@ -329,12 +340,12 @@ def family_h0(group_spec, nodes_text, module_spec, p, dim, fmt):
         "group": group_spec, "module": module_spec, "p": module.p,
         "module_dimension": module.dimension,
         "h0_dimension": len(basis),
-        "h0_basis": [list(v) for v in basis],
+        "h0_basis": _dense(basis, module.dimension),
     }
     try:
         quotient = families.h0_G_mod_S(module, fam)
         data["ambient_fixed_dimension"] = len(quotient)
-        data["ambient_fixed_basis"] = [list(v) for v in quotient]
+        data["ambient_fixed_basis"] = _dense(quotient, module.dimension)
     except ValueError:
         data["ambient_fixed_dimension"] = None
         data["ambient_fixed_basis"] = None

@@ -293,7 +293,13 @@ def finite_module(ctx: GroupContext, matrices, p: int = 2) -> FiniteModule:
     dim = len(matrices[0]) if matrices else 0
     if any(len(m) != dim or any(len(row) != dim for row in m) for m in matrices):
         raise ValueError("matrices must be square and of equal size")
-    mats = tuple(modp.sparse(m, p) for m in matrices)
+    return _sparse_module(ctx, tuple(modp.sparse(m, p) for m in matrices), p)
+
+
+def _sparse_module(ctx: GroupContext, mats: tuple, p: int) -> FiniteModule:
+    """The module on square sparse-row matrices over F_p, one per generator
+    of a finitely presented ctx, after the invertibility and relator checks."""
+    dim = len(mats[0]) if mats else 0
     inverses = tuple(modp.mat_inverse(m, p) for m in mats)
     if None in inverses:
         raise ValueError("generator matrix is singular")
@@ -319,14 +325,11 @@ def trivial_module(ctx: GroupContext, dim: int = 1, p: int = 2) -> FiniteModule:
 
 def permutation_module(ctx: GroupContext, table, p: int = 2) -> FiniteModule:
     """Module on the cosets of a table; generator g sends e_c to e_{c.g}."""
-    dim = table.coset_count
-    mats = []
-    for i in range(table.ngens):
-        rows = [[0] * dim for _ in range(dim)]
-        for c in range(dim):
-            rows[c][table.step(c, (i, 1))] = 1
-        mats.append(tuple(tuple(r) for r in rows))
-    return finite_module(ctx, tuple(mats), p)
+    if not modp.is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
+    return _sparse_module(ctx, tuple(tuple(((table.step(c, (i, 1)), 1),)
+                                           for c in range(table.coset_count))
+                                     for i in range(table.ngens)), p)
 
 
 def regular_module(ctx: GroupContext, p: int = 2) -> FiniteModule:
@@ -403,8 +406,8 @@ def restrict_to_h0s(module: FiniteModule, fam: FamilyTruncation):
                                       for m in module.matrices for v in basis], p)
     if None in images:
         raise RuntimeError("h0_S basis is not closed under the action")
-    mats = [images[i * d:(i + 1) * d] for i in range(len(module.matrices))]
-    return finite_module(fam.ctx, mats, p), basis
+    mats = tuple(tuple(images[i * d:(i + 1) * d]) for i in range(len(module.matrices)))
+    return _sparse_module(fam.ctx, mats, p), basis
 
 
 # ---------------------------------------------------------------------------
@@ -456,24 +459,24 @@ def relator_blocks(module: FiniteModule, r: Word) -> list:
     return [tuple(modp.canonical_row(acc, p) for acc in block) for block in sums]
 
 
-def inner_derivation_rows(module: FiniteModule) -> list[list[int]]:
-    """One dense row per basis vector e_j: the inner derivation of e_j, which
+def inner_derivation_rows(module: FiniteModule) -> list:
+    """One sparse row per basis vector e_j: the inner derivation of e_j, which
     sends x_i to row j of M_i minus e_j, as d(x_0), ..., d(x_{n-1}) in turn."""
-    d, n = module.dimension, len(module.matrices)
+    d, p = module.dimension, module.p
     rows = []
     for j in range(d):
-        flat = [0] * (n * d)
+        row = []
         for i, m in enumerate(module.matrices):
-            flat[i * d + j] -= 1
-            for c, a in m[j]:
-                flat[i * d + c] += a
-        rows.append(flat)
+            sums = dict(m[j])
+            sums[j] = sums.get(j, 0) - 1
+            row.extend((i * d + c, a) for c, a in modp.canonical_row(sums, p))
+        rows.append(tuple(row))
     return rows
 
 
 def h1_derivations(ctx: GroupContext, module: FiniteModule) -> dict:
     """Solve the relator-expansion linear system for derivations and quotient
-    by inner derivations; returns dimensions and bases."""
+    by inner derivations; returns dimensions and bases (sparse rows)."""
     pres = ctx.presentation
     if pres.schema is not None:
         raise ValueError("derivation computation needs explicit relators")
@@ -492,7 +495,8 @@ def h1_derivations(ctx: GroupContext, module: FiniteModule) -> dict:
         raise RuntimeError("inner derivation fails the relator system")
     # the independent re-check: every basis derivation on every relator,
     # evaluated letter by letter, without the Fox blocks
-    values = [modp.sparse([v[i * d:(i + 1) * d] for v in der_basis], p) for i in range(n)]
+    values = [tuple(tuple((j - i * d, a) for j, a in v if i * d <= j < (i + 1) * d)
+                    for v in der_basis) for i in range(n)]
     for r in relators:
         if any(derivation_values(module, values, r)):
             raise RuntimeError("solution fails the independent relator re-check")

@@ -1,15 +1,18 @@
 """Dense linear algebra over F_p: the reference for the sparse-row ``modp``.
 
-A matrix here is a tuple of dense row tuples, and every product and every
-elimination step touches each entry, as ``nearnormal.modp`` did before its
-matrices became sparse rows.  ``dense`` turns a sparse-row matrix into this
-form, and ``modp.sparse`` turns it back.  ``word_matrix`` and
-``relator_blocks`` are the dense forms of the ``families`` functions of the
-same names.
+A vector here is a dense tuple and a matrix a tuple of dense row tuples, and
+every product and every elimination step touches each entry, as
+``nearnormal.modp`` did before its vectors and matrices became sparse rows.
+``dense`` turns sparse rows into this form, and ``modp.sparse`` turns it
+back.  ``word_matrix`` and ``relator_blocks`` are the dense forms of the
+``families`` functions of the same names.
 """
 
-from nearnormal.modp import vec_mod
 from nearnormal.words import Word
+
+
+def vec_mod(v, p: int):
+    return tuple(a % p for a in v)
 
 
 def zero_vector(n: int):
@@ -25,7 +28,7 @@ def vec_sub(u, v, p: int):
 
 
 def dense(m, n: int):
-    """The dense rows of length n of a sparse-row matrix."""
+    """The dense rows of length n of sparse rows."""
     out = []
     for row in m:
         v = [0] * n

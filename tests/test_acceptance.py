@@ -215,6 +215,8 @@ def _brute_h1_dims(ctx, module):
     """Exhaustive cocycle enumeration: dimensions from raw counting."""
     p, d = module.p, module.dimension
     ngens = ctx.generator_count
+    mats = [ref.dense(m, d) for m in module.matrices]
+    inverses = [ref.dense(m, d) for m in module.inverses]
     vectors = list(itertools.product(range(p), repeat=d))
 
     def d_eval(assign, w):
@@ -222,13 +224,13 @@ def _brute_h1_dims(ctx, module):
         for index, sign in w.letters:
             if sign > 0:
                 val = ref.vec_add(
-                    modp.vec_mat(val, module.matrices[index], p),
+                    ref.vec_mat(val, mats[index], p),
                     assign[index], p)
             else:
-                minv = module.inverses[index]
+                minv = inverses[index]
                 val = ref.vec_sub(
-                    modp.vec_mat(val, minv, p),
-                    modp.vec_mat(assign[index], minv, p), p)
+                    ref.vec_mat(val, minv, p),
+                    ref.vec_mat(assign[index], minv, p), p)
         return val
 
     zero = ref.zero_vector(d)
@@ -239,7 +241,7 @@ def _brute_h1_dims(ctx, module):
     inner = set()
     for m in vectors:
         inner.add(tuple(
-            ref.vec_sub(modp.vec_mat(m, module.matrices[i], p), m, p)
+            ref.vec_sub(ref.vec_mat(m, mats[i], p), m, p)
             for i in range(ngens)))
     der_dim = 0
     while p ** der_dim < der:

@@ -204,11 +204,10 @@ def test_mismatched_elements_rejected():
 
 # --- module action -----------------------------------------------------------
 
-def act(tc, m, f, module):
-    """Module action m.f = m.x where x represents f(H) for any node H whose
-    generators all fix m."""
+def act(tc, vec, f, module):
+    """Module action vec.f = vec.x where x represents f(H) for any node H
+    whose generators all fix the sparse row vec."""
     fam = tc.fam
-    vec = modp.vec_mod(m, module.p)
     for node in range(len(fam.nodes)):
         if all(modp.vec_mat(vec, word_matrix(module, g), module.p) == vec
                for g in fam.nodes[node].generators):
@@ -247,7 +246,7 @@ def test_action_is_compatible_with_multiplication():
 def test_action_rejects_vectors_outside_h0s():
     ctx, fam, tc = sym3_normal_family()
     module = regular_module(ctx)
-    outside = (1, 0, 0, 0, 0, 0)
+    outside = modp.sparse([(1, 0, 0, 0, 0, 0)], module.p)[0]
     with pytest.raises(ValueError):
         act(tc, outside, identity_element(tc), module)
 

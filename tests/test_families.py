@@ -264,7 +264,7 @@ def test_h0_s_is_the_bottom_fixed_space():
     module = regular_module(ctx)
     basis = h0_S(module, fam)
     assert len(basis) == 6  # bottom node is trivial, so everything is fixed
-    assert h0_S(trivial_module(ctx), fam) == ((1,),)
+    assert ref.dense(h0_S(trivial_module(ctx), fam), 1) == ((1,),)
 
 
 def test_h0_s_on_a_normal_family():
@@ -307,15 +307,16 @@ def test_restricted_module_action_matches():
     module = regular_module(ctx)
     sub, basis = restrict_to_h0s(module, fam)
     p = module.p
+    dense_basis = ref.dense(basis, module.dimension)
     rng = random.Random(7)
     for _ in range(20):
         g = Word([(rng.randrange(2), rng.choice((1, -1))) for _ in range(4)])
         big = word_matrix(module, g)
         small = word_matrix(sub, g)
-        for coeffs, v in zip(ref.dense(small, len(basis)), basis):
-            moved = modp.vec_mat(v, big, p)
+        for coeffs, v in zip(ref.dense(small, len(basis)), dense_basis):
+            moved = ref.vec_mat(v, ref.dense(big, module.dimension), p)
             rebuilt = ref.zero_vector(module.dimension)
-            for c, row in zip(coeffs, basis):
+            for c, row in zip(coeffs, dense_basis):
                 rebuilt = ref.vec_add(rebuilt, ref.vec_scale(row, c, p), p)
             assert rebuilt == moved
 
@@ -342,8 +343,10 @@ def test_restrict_to_h0s_matches_per_vector_solves(case, p):
     fam = truncation(ctx, families.parse_nodes(ctx, nodes))
     sub, basis = restrict_to_h0s(module, fam)
     assert sub.dimension == len(basis) > 0
+    basis = ref.dense(basis, module.dimension)
     for m, small in zip(module.matrices, sub.matrices):
-        expected = tuple(ref.solve_linear_combination(basis, modp.vec_mat(v, m, p), p)
+        m = ref.dense(m, module.dimension)
+        expected = tuple(ref.solve_linear_combination(basis, ref.vec_mat(v, m, p), p)
                          for v in basis)
         assert ref.dense(small, len(basis)) == expected
 
@@ -372,13 +375,15 @@ def derivation_eval(module, delta, w):
     """The reference evaluation of one derivation with generator values
     delta on a word, one dense vector letter by letter, via
     d(u x) = d(u).x + d(x) and d(u x^-1) = (d(u) - d(x)).x^-1."""
-    p = module.p
-    acc = ref.zero_vector(module.dimension)
+    p, d = module.p, module.dimension
+    acc = ref.zero_vector(d)
     for index, sign in w.letters:
         if sign > 0:
-            acc = ref.vec_add(modp.vec_mat(acc, module.matrices[index], p), delta[index], p)
+            acc = ref.vec_add(ref.vec_mat(acc, ref.dense(module.matrices[index], d), p),
+                              delta[index], p)
         else:
-            acc = modp.vec_mat(ref.vec_sub(acc, delta[index], p), module.inverses[index], p)
+            acc = ref.vec_mat(ref.vec_sub(acc, delta[index], p),
+                              ref.dense(module.inverses[index], d), p)
     return acc
 
 
@@ -405,8 +410,7 @@ def test_h1_relator_recheck_catches_a_wrong_basis(monkeypatch):
     assert h1_derivations(ctx, module)["dim_der"]
     solve = modp.left_nullspace
     # one more basis vector that is no derivation: e_0 as the value of a
-    monkeypatch.setattr(modp, "left_nullspace", lambda m, p: solve(m, p) + (
-        tuple(int(j == 0) for j in range(len(m))),))
+    monkeypatch.setattr(modp, "left_nullspace", lambda m, p: solve(m, p) + (((0, 1),),))
     with pytest.raises(RuntimeError, match="independent relator re-check"):
         h1_derivations(ctx, module)
 
@@ -421,7 +425,7 @@ def test_derivation_cocycle_law():
         v = Word([(rng.randrange(2), rng.choice((1, -1))) for _ in range(4)])
         left = derivation_eval(module, delta, u * v)
         right = ref.vec_add(
-            modp.vec_mat(derivation_eval(module, delta, u), word_matrix(module, v), 2),
+            ref.vec_mat(derivation_eval(module, delta, u), ref.word_matrix(module, v), 2),
             derivation_eval(module, delta, v), 2)
         assert left == right
 
@@ -441,12 +445,11 @@ def brute_force_derivation_count(ctx, module):
 
 
 def brute_force_inner_count(ctx, module):
-    n = ctx.generator_count
     p = module.p
+    mats = [ref.dense(mat, module.dimension) for mat in module.matrices]
     seen = set()
     for m in itertools.product(range(p), repeat=module.dimension):
-        delta = tuple(ref.vec_sub(modp.vec_mat(m, module.matrices[i], p), m, p)
-                      for i in range(n))
+        delta = tuple(ref.vec_sub(ref.vec_mat(m, mat, p), m, p) for mat in mats)
         seen.add(delta)
     return len(seen)
 

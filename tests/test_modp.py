@@ -1,5 +1,7 @@
 """Prime-field linear algebra against brute-force span enumeration and
-against the dense reference in ``dense_modp``."""
+against the dense reference in ``dense_modp``.  Inputs are built dense, as
+the reference reads them, and passed to ``modp`` through ``modp.sparse``;
+its sparse results are compared through ``dense_modp.dense``."""
 
 import itertools
 import random
@@ -29,6 +31,17 @@ def random_matrix(rng, rows, cols, p):
     return tuple(tuple(rng.randrange(p) for _ in range(cols)) for _ in range(rows))
 
 
+def sp(m, p):
+    return modp.sparse(m, p)
+
+
+def assert_canonical(rows, p):
+    """Every row is a sparse row: columns strictly ascending, values in [1, p)."""
+    for row in rows:
+        assert all(0 <= j < k for (j, _), (k, _) in zip(row, row[1:])), row
+        assert all(isinstance(j, int) and j >= 0 and 1 <= a < p for j, a in row), row
+
+
 CASES = [(2, 3, 3), (3, 2, 3), (3, 3, 2), (2, 4, 2), (4, 3, 5)]
 
 
@@ -37,7 +50,7 @@ def test_rank_counts_the_span(nrows, ncols, p):
     rng = random.Random(nrows * 100 + ncols * 10 + p)
     for _ in range(20):
         m = random_matrix(rng, nrows, ncols, p)
-        assert p ** len(modp.row_space(m, p)) == len(brute_span(m, ncols, p))
+        assert p ** len(modp.row_space(sp(m, p), p)) == len(brute_span(m, ncols, p))
 
 
 @pytest.mark.parametrize("nrows,ncols,p", CASES)
@@ -47,7 +60,7 @@ def test_in_span_matches_enumeration(nrows, ncols, p):
         m = random_matrix(rng, nrows, ncols, p)
         span = brute_span(m, ncols, p)
         for v in all_vectors(ncols, p):
-            assert modp.span_contains(m, [v], p) == (v in span)
+            assert modp.span_contains(sp(m, p), sp([v], p), p) == (v in span)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -58,8 +71,9 @@ def test_span_contains_matches_per_vector_checks(p):
         span = brute_span(basis, 3, p)
         vectors = random_matrix(rng, rng.randrange(4), 3, p)
         expected = all(v in span for v in vectors)
-        assert modp.span_contains(basis, vectors, p) == expected
-        assert all(modp.span_contains(basis, [v], p) for v in vectors) == expected
+        assert modp.span_contains(sp(basis, p), sp(vectors, p), p) == expected
+        assert all(modp.span_contains(sp(basis, p), sp([v], p), p)
+                   for v in vectors) == expected
 
 
 def test_is_prime():
@@ -74,14 +88,14 @@ def test_rref_is_canonical_for_the_row_space():
         rng.shuffle(rows)
         # adding a row already in the span must not change the rref
         extra = rows + [ref.vec_add(m[0], m[1], 3)]
-        assert modp.rref(m, 3)[0] == modp.rref(extra, 3)[0]
+        assert modp.rref(sp(m, 3), 3)[0] == modp.rref(sp(extra, 3), 3)[0]
 
 
 def test_row_space_rows_are_in_the_span():
     rng = random.Random(6)
     m = random_matrix(rng, 3, 4, 5)
     span = brute_span(m, 4, 5)
-    for row in modp.row_space(m, 5):
+    for row in ref.dense(modp.row_space(sp(m, 5), 5), 4):
         assert row in span
 
 
@@ -90,11 +104,13 @@ def test_left_nullspace_annihilates(p):
     rng = random.Random(p)
     for _ in range(20):
         m = random_matrix(rng, 3, 3, p)
-        basis = modp.left_nullspace(modp.sparse(m, p), p)
+        basis = modp.left_nullspace(sp(m, p), p)
+        for v in ref.dense(basis, 3):
+            assert ref.vec_mat(v, m, p) == ref.zero_vector(3)
         for v in basis:
-            assert modp.vec_mat(v, modp.sparse(m, p), p) == ref.zero_vector(3)
+            assert modp.vec_mat(v, sp(m, p), p) == ()
         # rank-nullity on the left
-        assert len(basis) == 3 - len(modp.row_space(m, p))
+        assert len(basis) == 3 - len(modp.row_space(sp(m, p), p))
 
 
 def test_solve_linear_combination_roundtrip():
@@ -106,14 +122,14 @@ def test_solve_linear_combination_roundtrip():
         v = ref.zero_vector(3)
         for c, row in zip(coeffs, basis):
             v = ref.vec_add(v, ref.vec_scale(row, c, p), p)
-        [got] = modp.coordinates(basis, [v], p)
+        [got] = modp.coordinates(sp(basis, p), sp([v], p), p)
         assert got is not None
         rebuilt = ref.zero_vector(3)
-        for c, row in zip(got, basis):
+        for c, row in zip(ref.dense([got], 2)[0], basis):
             rebuilt = ref.vec_add(rebuilt, ref.vec_scale(row, c, p), p)
         assert rebuilt == v
-    assert modp.coordinates(basis, [(0, 0, 1)], p) == [None]
-    assert modp.coordinates((), [(0, 0, 0), (1, 0, 0)], p) == [(), None]
+    assert modp.coordinates(sp(basis, p), sp([(0, 0, 1)], p), p) == [None]
+    assert modp.coordinates((), sp([(0, 0, 0), (1, 0, 0)], p), p) == [(), None]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -123,12 +139,14 @@ def test_coordinates_match_the_column_solve(p):
         n, k = rng.randint(1, 7), rng.randint(0, 5)
         basis = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(k))
         basis = tuple(v for v in basis if any(v))
-        if len(modp.row_space(basis, p)) < len(basis):
+        if len(modp.row_space(sp(basis, p), p)) < len(basis):
             continue  # the coefficients are unique only for an independent basis
         vectors = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(4)]
-        vectors += [modp.vec_mod([sum(rng.randrange(p) * v[j] for v in basis)
-                                  for j in range(n)], p) for _ in range(4)]
-        assert modp.coordinates(basis, vectors, p) == [
+        vectors += [ref.vec_mod([sum(rng.randrange(p) * v[j] for v in basis)
+                                 for j in range(n)], p) for _ in range(4)]
+        got = modp.coordinates(sp(basis, p), sp(vectors, p), p)
+        assert_canonical([c for c in got if c is not None], p)
+        assert [c if c is None else ref.dense([c], len(basis))[0] for c in got] == [
             ref.solve_linear_combination(basis, v, p) for v in vectors]
 
 
@@ -150,7 +168,7 @@ def test_mat_inverse_on_seeded_matrices(p):
         n = rng.randint(1, 5)
         m = random_matrix(rng, n, n, p)
         inv = modp.mat_inverse(modp.sparse(m, p), p)
-        if len(modp.row_space(m, p)) < n:
+        if len(modp.row_space(sp(m, p), p)) < n:
             singular += 1
             assert inv is None, m
         else:
@@ -164,10 +182,10 @@ def test_fixed_space():
     p = 2
     swap = modp.sparse(((0, 1), (1, 0)), p)
     fixed = modp.fixed_space([swap], p, 2)
-    assert modp.rref(fixed, p)[0] == modp.rref(((1, 1),), p)[0]
+    assert modp.rref(fixed, p)[0] == modp.rref(sp(((1, 1),), p), p)[0]
     # identity fixes everything, and so does an empty set of matrices
     assert len(modp.fixed_space([modp.identity_matrix(3)], p, 3)) == 3
-    assert modp.fixed_space([], p, 2) == ((1, 0), (0, 1))
+    assert ref.dense(modp.fixed_space([], p, 2), 2) == ((1, 0), (0, 1))
 
 
 def test_fixed_space_members_are_fixed():
@@ -232,9 +250,12 @@ def test_seeded_matrices_cover_every_rank_kind():
 @pytest.mark.parametrize("p", PRIMES)
 def test_rref_matches_the_dense_reference(p):
     for m in seeded_matrices(p):
-        assert modp.rref(m, p) == ref.rref(m, p), m
-        assert len(modp.row_space(m, p)) == ref.rank(m, p)
-        assert modp.left_nullspace(modp.sparse(m, p), p) == ref.left_nullspace(m, p), m
+        rows, pivots = modp.rref(sp(m, p), p)
+        assert (ref.dense(rows, len(m[0]) if m else 0), pivots) == ref.rref(m, p), m
+        assert len(modp.row_space(sp(m, p), p)) == ref.rank(m, p)
+        basis = modp.left_nullspace(sp(m, p), p)
+        assert ref.dense(basis, len(m)) == ref.left_nullspace(m, p), m
+        assert_canonical(rows + basis, p)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -245,10 +266,13 @@ def test_products_match_the_dense_reference(p):
         n = len(a)
         b = random_matrix(rng, n, n, p)
         sa, sb = modp.sparse(a, p), modp.sparse(b, p)
-        assert ref.dense(sa, n) == tuple(modp.vec_mod(row, p) for row in a)
-        assert ref.dense(modp.mat_mul(sa, sb, p), n) == ref.mat_mul(a, b, p)
+        assert ref.dense(sa, n) == tuple(ref.vec_mod(row, p) for row in a)
+        product = modp.mat_mul(sa, sb, p)
+        assert ref.dense(product, n) == ref.mat_mul(a, b, p)
         v = tuple(rng.randrange(p) for _ in range(n))
-        assert modp.vec_mat(v, sa, p) == ref.vec_mat(v, a, p)
+        image = modp.vec_mat(sp([v], p)[0], sa, p)
+        assert ref.dense([image], n)[0] == ref.vec_mat(v, a, p)
+        assert_canonical(sa + product + (image,), p)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -262,6 +286,7 @@ def test_mat_inverse_matches_the_dense_reference(p):
         else:
             invertible += 1
             assert ref.dense(got, len(m)) == want, m
+            assert_canonical(got, p)
     assert singular and invertible
 
 
@@ -274,11 +299,12 @@ def test_fixed_space_matches_the_dense_reference(p):
     for n, mats in sorted(by_size.items()):
         for _ in range(10):
             chosen = [rng.choice(mats) for _ in range(rng.randint(1, 3))]
-            got = modp.fixed_space([modp.sparse(m, p) for m in chosen], p, n)
-            assert got == ref.fixed_space(chosen, p), chosen
+            got = modp.fixed_space([sp(m, p) for m in chosen], p, n)
+            assert ref.dense(got, n) == ref.fixed_space(chosen, p), chosen
+            assert_canonical(got, p)
         identity = ref.identity_matrix(n)
-        assert modp.fixed_space([modp.identity_matrix(n)], p, n) == identity
-        assert modp.fixed_space([], p, n) == ref.fixed_space([], p, dim=n)
+        assert ref.dense(modp.fixed_space([modp.identity_matrix(n)], p, n), n) == identity
+        assert ref.dense(modp.fixed_space([], p, n), n) == ref.fixed_space([], p, dim=n)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -292,7 +318,88 @@ def test_span_contains_matches_the_dense_reference(p):
         inside = [ref.vec_mat(random_matrix(rng, 1, len(basis), p)[0], basis, p)
                   for _ in range(3)]
         for vectors in (inside, inside + [tuple(rng.randrange(p) for _ in range(c))], []):
-            got = modp.span_contains(basis, vectors, p)
+            got = modp.span_contains(sp(basis, p), sp(vectors, p), p)
             assert got == ref.span_contains(basis, vectors, p), (basis, vectors)
             verdicts.add(got)
     assert verdicts == {True, False}
+
+
+# --- entries that cancel to 0 mod p never become pivots ----------------------
+
+def cancelling_matrices(p):
+    """3 x 3 matrices whose columns cancel to 0 mod p: the identity, whose
+    M - I is zero, and matrices with 1s on the diagonal and columns of M or
+    of M - I that sum to p, so that M - I, the columns and the eliminations
+    all meet entries that are 0 mod p."""
+    return [
+        ref.identity_matrix(3),
+        ((1, 0, 0), (p - 1, 1, 0), (1, 0, 1)),
+        ((1, 1, 0), (p - 1, p - 1, 1), (0, 0, 1)),
+        ((2, 1, p - 1), (p - 2, 1, 1), (0, p - 2, 1)),
+    ]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_cancelling_columns_match_the_dense_reference(p):
+    for m in cancelling_matrices(p):
+        m = tuple(ref.vec_mod(row, p) for row in m)
+        fixed = modp.fixed_space([sp(m, p)], p, 3)
+        assert ref.dense(fixed, 3) == ref.fixed_space([m], p), m
+        null = modp.left_nullspace(sp(m, p), p)
+        assert ref.dense(null, 3) == ref.left_nullspace(m, p), m
+        # the rows of m, their sum (0 where a column sums to p) and e_0
+        total = ref.vec_mod([sum(col) for col in zip(*m)], p)
+        vectors = list(m) + [total, (1, 0, 0)]
+        assert modp.span_contains(sp(m, p), sp(vectors, p), p) == ref.span_contains(
+            m, vectors, p), m
+        basis = ref.rref(m, p)[0]
+        got = modp.coordinates(sp(basis, p), sp(vectors, p), p)
+        assert [c if c is None else ref.dense([c], len(basis))[0] for c in got] == [
+            ref.solve_linear_combination(basis, v, p) for v in vectors], m
+        assert_canonical(fixed + null + tuple(c for c in got if c is not None), p)
+
+
+# --- products and canonical rows ---------------------------------------------
+
+def permutation(perm):
+    return tuple(tuple(int(j == perm[i]) for j in range(len(perm))) for i in range(len(perm)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_products_of_one_entry_and_dense_rows(p):
+    rng = random.Random(90 + p)
+    n = 6
+    perm = permutation([3, 0, 5, 1, 2, 4])
+    scaled = tuple(tuple(a * rng.randrange(1, p) if p > 2 else a for a in row)
+                   for row in permutation([1, 2, 0, 5, 4, 3]))
+    dense = random_matrix(rng, n, n, p)
+    mixed = tuple(perm[i] if i % 2 else dense[i] for i in range(n))
+    factors = [perm, scaled, ref.identity_matrix(n), dense, mixed,
+               tuple(ref.vec_scale(row, p - 1, p) for row in mixed)]
+    for a in factors:
+        for b in factors:
+            product = modp.mat_mul(sp(a, p), sp(b, p), p)
+            assert ref.dense(product, n) == ref.mat_mul(a, b, p), (a, b)
+            assert_canonical(product, p)
+    assert modp.mat_mul(modp.identity_matrix(n), sp(dense, p), p) == sp(dense, p)
+    assert modp.mat_mul(sp(dense, p), modp.identity_matrix(n), p) == sp(dense, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_every_result_is_canonical(p):
+    rng = random.Random(110 + p)
+    for m in square(seeded_matrices(p)):
+        n = len(m)
+        s = sp(m, p)
+        vectors = sp(random_matrix(rng, 3, n, p), p)
+        basis = modp.row_space(s, p)
+        results = [s, modp.identity_matrix(n), modp.rref(s, p)[0], basis,
+                   modp.left_nullspace(s, p), modp.fixed_space([s], p, n),
+                   modp.mat_mul(s, s, p), [modp.vec_mat(v, s, p) for v in vectors],
+                   [c for c in modp.coordinates(basis, vectors, p) if c is not None],
+                   [modp.canonical_row({j: a - p for j, a in v}, p) for v in vectors]]
+        inverse = modp.mat_inverse(s, p)
+        if inverse is not None:
+            results.append(inverse)
+        for rows in results:
+            assert_canonical(rows, p)
