@@ -33,7 +33,7 @@ import sys
 import time
 
 from nearnormal import _scan_py, completion, ends, families, modp, subgroups
-from nearnormal.groups import context_from_text, parse_context_word, preset
+from nearnormal.groups import load, parse_context_word, preset
 from nearnormal.words import generator
 
 try:
@@ -41,21 +41,21 @@ try:
 except ImportError:
     _scan_c = None
 
-S4 = "gens: a b\nrels: a^2 b^3 (a b)^4"
-# name -> (presentation, group order) of the modp cases' regular modules
+# name -> (group spec, group order) of the modp cases' regular modules: S3 as
+# the (2, 3, 2) triangle group, as its preset has other generators, and presets
 MODP_GROUPS = {
     "sym3": ("gens: a b\nrels: a^2 b^3 (a b)^2", 6),
-    "s4": (S4, 24),
-    "a5": ("gens: a b\nrels: a^2 b^3 (a b)^5", 60),
-    "s5": ("gens: a b\nrels: a^2 b^5 (a b)^4 (a b^-1 a b)^3", 120),
+    "s4": ("sym4", 24),
+    "a5": ("alt5", 60),
+    "s5": ("sym5", 120),
 }
 
-# name -> (preset or presentation, nodes, call, elements, count): the count
+# name -> (preset, nodes, call, elements, count): the count
 # is of the truncation's nodes (build), of the invertible elements (scan) or
 # of the laws that pass (laws)
 COMPLETION = {
-    "s4-directed": (S4, "b; a b a b, b a b a", "build", 24576, 5),
-    "s4-nondirected": (S4, "a b; a b, b a b a", "scan", 216, 48),
+    "s4-directed": ("sym4", "b; a b a b, b a b a", "build", 24576, 5),
+    "s4-nondirected": ("sym4", "a b; a b, b a b a", "scan", 216, 48),
     "sym3-all": ("sym3", "-; a; b; a b a; a b; a,b", "laws", 6, 7),
 }
 # name -> (preset, generator of L, radius, vertices, edges); in BS(2,3)
@@ -97,7 +97,7 @@ def completion_layer(arg: str):
     group, nodes_text, call, elements, count = pick(COMPLETION, arg)
 
     def run(repeat):
-        ctx = context_from_text(group) if group.startswith("gens:") else preset(group)
+        ctx = preset(group)
         nodes = families.parse_nodes(ctx, nodes_text)
 
         def build():
@@ -164,10 +164,10 @@ def modp_layer(arg: str):
     group = name.removeprefix("dense-")
     if group not in MODP_GROUPS or not p_text.isdigit() or not modp.is_prime(int(p_text)):
         raise ValueError(f"expected [dense-]GROUP:P, GROUP in {', '.join(MODP_GROUPS)}, P prime")
-    presentation, order = MODP_GROUPS[group]
+    spec, order = MODP_GROUPS[group]
 
     def run(repeat):
-        ctx = context_from_text(presentation)
+        ctx = load(spec)
         module = families.regular_module(ctx, p=int(p_text))
         if name != group:
             module = dense_basis(ctx, module)

@@ -85,16 +85,6 @@ def _scalar(value):
 # input helpers
 
 
-def _load_context(spec: str) -> groups.GroupContext:
-    """Accept a preset name, a presentation file path, or inline text."""
-    if "\n" in spec or ":" in spec:
-        return groups.context_from_text(spec)
-    path = pathlib.Path(spec)
-    if path.is_file():
-        return groups.context_from_text(path.read_text())
-    return groups.preset(spec)
-
-
 def _word_list(ctx_obj, text: str) -> list:
     return [groups.parse_context_word(ctx_obj, part)
             for part in text.split(",") if part.strip()]
@@ -152,7 +142,7 @@ def group_parse(spec):
     ``gens:``/``rels:``/``oracle:`` format.  Malformed input is rejected
     with a line/column diagnostic.
     """
-    ctx_obj = _load_context(spec)
+    ctx_obj = groups.load(spec)
     click.echo(groups.serialize_presentation(ctx_obj.presentation, ctx_obj.oracle), nl=False)
 
 
@@ -161,13 +151,13 @@ def group_parse(spec):
 @_format_option
 def group_show(spec, fmt):
     """Summarize generators, relators, oracle, and order when finite."""
-    ctx_obj = _load_context(spec)
+    ctx_obj = groups.load(spec)
     pres = ctx_obj.presentation
     names = pres.generator_names
     data = {
         "name": ctx_obj.name or None,
         "oracle": ctx_obj.oracle,
-        "schema": pres.schema,
+        "schema": "thompson" if names is None else None,
         "generators": list(names) if names is not None else None,
         "relators": [format_word(r, names) for r in pres.relators],
         "order": None,
@@ -202,7 +192,7 @@ def subgroup_cmd():
 @_format_option
 def subgroup_commensurable(group_spec, h_text, k_text, bound, fmt):
     """Decide whether H and K share a finite-index common subgroup."""
-    ctx_obj = _load_context(group_spec)
+    ctx_obj = groups.load(group_spec)
     h = _subgroup(ctx_obj, h_text)
     k = _subgroup(ctx_obj, k_text)
     report = subgroups.commensurability_report(h, k, bound)
@@ -221,7 +211,7 @@ def subgroup_commensurable(group_spec, h_text, k_text, bound, fmt):
 @_format_option
 def subgroup_near_normal(group_spec, h_text, gens_text, bound, fmt):
     """Check that each conjugator keeps H commensurable with itself."""
-    ctx_obj = _load_context(group_spec)
+    ctx_obj = groups.load(group_spec)
     h = _subgroup(ctx_obj, h_text)
     gens = _default_gens(ctx_obj, gens_text, "--gens")
     verdict = subgroups.near_normal_on(h, gens, bound)
@@ -302,7 +292,7 @@ def _load_module(ctx_obj, spec: str, p: int, dim: int) -> families.FiniteModule:
 @_format_option
 def family_check(group_spec, nodes_text, fmt):
     """Certify a truncation: conjugation closure, directedness, stability."""
-    ctx_obj = _load_context(group_spec)
+    ctx_obj = groups.load(group_spec)
     fam = _build_family(ctx_obj, nodes_text)
     adm = families.check_admissible(fam)
     stab = families.check_stable(fam)
@@ -332,7 +322,7 @@ def family_check(group_spec, nodes_text, fmt):
 @_format_option
 def family_h0(group_spec, nodes_text, module_spec, p, dim, fmt):
     """Vectors fixed by the family, and by the ambient group when legal."""
-    ctx_obj = _load_context(group_spec)
+    ctx_obj = groups.load(group_spec)
     fam = _build_family(ctx_obj, nodes_text)
     module = _load_module(ctx_obj, module_spec, p, dim)
     basis = families.h0_S(module, fam)
@@ -360,7 +350,7 @@ def family_h0(group_spec, nodes_text, module_spec, p, dim, fmt):
 @_format_option
 def family_h1(group_spec, module_spec, p, dim, fmt):
     """Derivations modulo inner derivations."""
-    ctx_obj = _load_context(group_spec)
+    ctx_obj = groups.load(group_spec)
     module = _load_module(ctx_obj, module_spec, p, dim)
     report = families.h1_derivations(ctx_obj, module)
     _emit({"group": group_spec, "module": module_spec, "p": module.p,
@@ -414,7 +404,7 @@ def _completion_options(fn):
 @_format_option
 def completion_build(group_spec, family_name, nodes_text, ceiling, fmt):
     """Enumerate the compatible coset tuples along the family."""
-    ctx_obj = _load_context(group_spec)
+    ctx_obj = groups.load(group_spec)
     fam = _family_for(ctx_obj, family_name, nodes_text)
     tc = completion.truncated_completion(fam, ceiling)
     _emit({"group": group_spec, "family": family_name or "custom",
@@ -429,7 +419,7 @@ def completion_build(group_spec, family_name, nodes_text, ceiling, fmt):
 @_format_option
 def completion_laws(group_spec, family_name, nodes_text, ceiling, fmt):
     """Exhaustively verify the monoid and inversion laws."""
-    ctx_obj = _load_context(group_spec)
+    ctx_obj = groups.load(group_spec)
     fam = _family_for(ctx_obj, family_name, nodes_text)
     tc = completion.truncated_completion(fam, ceiling)
     laws, witnesses = {}, {}
@@ -447,7 +437,7 @@ def completion_laws(group_spec, family_name, nodes_text, ceiling, fmt):
 @_format_option
 def completion_scan(group_spec, family_name, nodes_text, ceiling, fmt):
     """Search every element for a two-sided inverse."""
-    ctx_obj = _load_context(group_spec)
+    ctx_obj = groups.load(group_spec)
     fam = _family_for(ctx_obj, family_name, nodes_text)
     tc = completion.truncated_completion(fam, ceiling)
     report = completion.invertibility_scan(tc)
@@ -479,7 +469,7 @@ def ends_cmd():
 @_format_option
 def ends_estimate(group_spec, l_text, gens_text, radii, fmt):
     """Count unbounded annulus components of the coset graph."""
-    ctx_obj = _load_context(group_spec)
+    ctx_obj = groups.load(group_spec)
     sub = _subgroup(ctx_obj, l_text)
     gens = _default_gens(ctx_obj, gens_text, "--gens")
     try:
@@ -507,7 +497,7 @@ def ends_estimate(group_spec, l_text, gens_text, radii, fmt):
 @_format_option
 def ends_graph(group_spec, l_text, gens_text, radius, dot_flag, fmt):
     """Materialize a ball of the coset graph."""
-    ctx_obj = _load_context(group_spec)
+    ctx_obj = groups.load(group_spec)
     sub = _subgroup(ctx_obj, l_text)
     gens = _default_gens(ctx_obj, gens_text, "--gens")
     ball = ends.coset_graph_ball(ctx_obj, sub, gens, radius)

@@ -286,7 +286,7 @@ def finite_module(ctx: GroupContext, matrices, p: int = 2) -> FiniteModule:
     prime, matrices invertible, relators act as the identity."""
     if not modp.is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
-    if ctx.presentation.schema is not None:
+    if ctx.generator_names is None:
         raise ValueError("finite modules need a finitely generated presentation")
     if len(matrices) != ctx.generator_count:
         raise ValueError("one matrix per ambient generator required")
@@ -478,7 +478,7 @@ def h1_derivations(ctx: GroupContext, module: FiniteModule) -> dict:
     """Solve the relator-expansion linear system for derivations and quotient
     by inner derivations; returns dimensions and bases (sparse rows)."""
     pres = ctx.presentation
-    if pres.schema is not None:
+    if pres.generator_names is None:
         raise ValueError("derivation computation needs explicit relators")
     n = ctx.generator_count
     d = module.dimension

@@ -10,6 +10,10 @@ file names one of
     free-abelian          exponent-vector comparison for Z^n
     free                  free reduction alone (no relators)
 
+``PRESETS`` holds each preset as the presentation text of its arguments,
+read by ``parse_presentation`` like a file; ``load`` turns every group spec
+(inline text, a file path or a preset name) into a context.
+
 Each strategy keys elements canonically through one step, the key of g to
 the key of g w (``element_step``): ``element_key`` is that step from the
 identity's key, and a word ball steps each element's key by one generator.
@@ -24,6 +28,7 @@ closure: enumeration's compaction and the fiber product of two tables in
 
 from __future__ import annotations
 
+import pathlib
 import re
 import sys
 from collections import deque
@@ -44,21 +49,17 @@ TABLE_LIMIT = 20_000  # live-coset bound of the regular table and finite subgrou
 
 @dataclass(frozen=True)
 class Presentation:
-    """Finite presentation, or the infinite relator schema of Thompson's F."""
+    """Finite presentation; no generator names (and no relators) stand for
+    the infinite relator schema of Thompson's F."""
 
     generator_names: tuple[str, ...] | None
     relators: tuple[Word, ...] = ()
-    schema: str | None = None
 
     def __post_init__(self):
-        if self.schema is not None:
-            if self.schema != "thompson":
-                raise ValueError(f"unknown relator schema {self.schema!r}")
-            if self.generator_names is not None or self.relators:
+        if self.generator_names is None:
+            if self.relators:
                 raise ValueError("schema presentations carry no explicit generators or relators")
             return
-        if self.generator_names is None:
-            raise ValueError("non-schema presentations need explicit generator names")
         for r in self.relators:
             if not r:
                 raise ValueError("relators must be nonempty after reduction")
@@ -68,9 +69,7 @@ class Presentation:
 
     @property
     def generator_count(self) -> int | None:
-        if self.schema is not None:
-            return None
-        return len(self.generator_names)
+        return None if self.generator_names is None else len(self.generator_names)
 
 
 @dataclass(frozen=True)
@@ -244,7 +243,7 @@ class _Enumeration:
 def todd_coxeter(ctx: GroupContext, subgroup_gens: list[Word], limit: int) -> CosetTable | Incomplete:
     """Enumerate cosets of <subgroup_gens>; Incomplete once live cosets exceed limit."""
     pres = ctx.presentation
-    if pres.schema is not None:
+    if pres.generator_names is None:
         raise ValueError("coset enumeration needs a finite presentation")
     ngens = pres.generator_count
     enum = _Enumeration(ngens, limit)
@@ -380,7 +379,6 @@ def parse_presentation(text: str) -> tuple[Presentation, str]:
     names: tuple[str, ...] | None = None
     relators: list[Word] = []
     oracle: str | None = None
-    seen_rels_at: tuple[int, int] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -390,22 +388,23 @@ def parse_presentation(text: str) -> tuple[Presentation, str]:
             raise PresentationError("expected 'gens:', 'rels:' or 'oracle:'",
                                     lineno, raw.index(stripped[0]) + 1)
         key = m.group(1)
-        body_col = raw.index(stripped) + m.end() + 1
         body = stripped[m.end():].strip()
+        body_col = raw.index(body, raw.index(stripped) + m.end()) + 1
         if key == "gens":
             if names is not None:
                 raise PresentationError("duplicate gens line", lineno, 1)
-            parts = body.split()
-            for p in parts:
-                if not NAME_RE.fullmatch(p):
-                    raise PresentationError(f"bad generator name {p!r}", lineno, body_col)
-            if len(set(parts)) != len(parts):
-                raise PresentationError("repeated generator name", lineno, body_col)
+            parts: list[str] = []
+            for part in re.finditer(r"\S+", body):
+                name, col = part.group(), body_col + part.start()
+                if not NAME_RE.fullmatch(name):
+                    raise PresentationError(f"bad generator name {name!r}", lineno, col)
+                if name in parts:
+                    raise PresentationError("repeated generator name", lineno, col)
+                parts.append(name)
             names = tuple(parts)
         elif key == "rels":
             if names is None:
                 raise PresentationError("rels before gens", lineno, 1)
-            seen_rels_at = (lineno, body_col)
             relators.extend(parse_relators(body, names, lineno, body_col))
         elif key == "oracle":
             if body not in ORACLES:
@@ -415,17 +414,13 @@ def parse_presentation(text: str) -> tuple[Presentation, str]:
             raise PresentationError(f"unknown section {key!r}", lineno, 1)
     if names is None:
         raise PresentationError("missing gens line", max(1, text.count("\n") + 1), 1)
-    for w in relators:
-        if not w:
-            line, col = seen_rels_at
-            raise PresentationError("relator reduces to the empty word", line, col)
     if oracle is None:
         oracle = "coset-table" if relators else "free"
     return Presentation(generator_names=names, relators=tuple(relators)), oracle
 
 
 def serialize_presentation(pres: Presentation, oracle: str) -> str:
-    if pres.schema is not None:
+    if pres.generator_names is None:
         raise ValueError("schema presentations have no text form")
     names = pres.generator_names
     lines = ["gens: " + " ".join(names)]
@@ -460,58 +455,63 @@ def parse_context_word(ctx: GroupContext, text: str) -> Word:
 
 
 # ---------------------------------------------------------------------------
-# presets
+# presets and group specs
 
 
-def _commutator(i: int, j: int) -> Word:
-    return generator(i, -1) * generator(j, -1) * generator(i) * generator(j)
+def _gens(letters: str, k: int) -> list[str]:
+    """k generator names: the first k letters, or letters[0] indexed 0..k-1."""
+    return list(letters[:k]) if k <= len(letters) else [f"{letters[0]}{i}" for i in range(k)]
 
 
+def _zn(k: int) -> str:
+    names = _gens("uvw", k)
+    rels = " ".join(f"({a}^-1 {b}^-1 {a} {b})" for i, a in enumerate(names) for b in names[i + 1:])
+    return f"gens: {' '.join(names)}\nrels: {rels}\noracle: free-abelian"
+
+
+# name -> (argument count, the presentation text of the positive integer
+# arguments); thompson-f, whose relators are a schema, gives its
+# (presentation, oracle) pair instead
+PRESETS = {
+    "sym3": (0, lambda: "gens: a b\nrels: a^2 b^2 (a b)^3"),
+    "klein4": (0, lambda: "gens: a b\nrels: a^2 b^2 (a b)^2"),
+    "sym4": (0, lambda: "gens: a b\nrels: a^2 b^3 (a b)^4"),
+    "alt5": (0, lambda: "gens: a b\nrels: a^2 b^3 (a b)^5"),
+    "sym5": (0, lambda: "gens: a b\nrels: a^2 b^5 (a b)^4 (a b^-1 a b)^3"),
+    "cyclic": (1, lambda k: f"gens: a\nrels: a^{k}"),
+    "bs": (2, lambda m, n: f"gens: x y\nrels: (y^-1 x^{m} y x^-{n})\noracle: britton"),
+    "zn": (1, _zn),
+    "free": (1, lambda k: "gens: " + " ".join(_gens("abcd", k))),
+    "thompson-f": (0, lambda: (Presentation(None), "thompson-normal-form")),
+}
 _PRESET_RE = re.compile(r"([a-z-]+[a-z0-9-]*?)(?:\((\d+)(?:,(\d+))?\))?$")
 
 
+@lru_cache
 def preset(name: str) -> GroupContext:
-    """Built-in contexts: sym3, klein4, bs(m,n), zn(k), thompson-f, free(k),
-    cyclic(k)."""
+    """The context of a PRESETS name with its arguments: sym3, klein4, sym4,
+    alt5, sym5, cyclic(k), bs(m,n), zn(k), free(k), thompson-f."""
     m = _PRESET_RE.match(name.replace(" ", ""))
-    if not m:
+    base = m and m.group(1)
+    args = tuple(int(a) for a in m.groups()[1:] if a is not None) if m else ()
+    if base not in PRESETS or PRESETS[base][0] != len(args):
         raise ValueError(f"unknown preset {name!r}")
-    base, arg1, arg2 = m.group(1), m.group(2), m.group(3)
-    if base == "sym3" and arg1 is None:
-        a, b = generator(0), generator(1)
-        pres = Presentation(("a", "b"), (a * a, b * b, (a * b) ** 3))
-        return GroupContext(pres, "coset-table", name="sym3")
-    if base == "klein4" and arg1 is None:
-        a, b = generator(0), generator(1)
-        pres = Presentation(("a", "b"), (a * a, b * b, a * b * a * b))
-        return GroupContext(pres, "coset-table", name="klein4")
-    if base == "cyclic" and arg1 is not None and arg2 is None:
-        k = int(arg1)
-        if k < 1:
-            raise ValueError("cyclic(k) needs k >= 1")
-        pres = Presentation(("a",), (generator(0) ** k,))
-        return GroupContext(pres, "coset-table", name=f"cyclic({k})")
-    if base == "bs" and arg1 is not None and arg2 is not None:
-        p, q = int(arg1), int(arg2)
-        if p < 1 or q < 1:
-            raise ValueError("bs(m,n) needs m, n >= 1")
-        rel = generator(1, -1) * generator(0, p) * generator(1) * generator(0, -q)
-        pres = Presentation(("x", "y"), (rel,))
-        return GroupContext(pres, "britton", bs_params=(p, q), name=f"bs({p},{q})")
-    if base == "zn" and arg1 is not None and arg2 is None:
-        k = int(arg1)
-        if k < 1:
-            raise ValueError("zn(k) needs k >= 1")
-        names = tuple("uvw"[:k]) if k <= 3 else tuple(f"u{i}" for i in range(k))
-        rels = tuple(_commutator(i, j) for i in range(k) for j in range(i + 1, k))
-        return GroupContext(Presentation(names, rels), "free-abelian", name=f"zn({k})")
-    if base == "free" and arg1 is not None and arg2 is None:
-        k = int(arg1)
-        if k < 1:
-            raise ValueError("free(k) needs k >= 1")
-        names = tuple("abcd"[:k]) if k <= 4 else tuple(f"a{i}" for i in range(k))
-        return GroupContext(Presentation(names, ()), "free", name=f"free({k})")
-    if base == "thompson-f" and arg1 is None:
-        pres = Presentation(None, (), schema="thompson")
-        return GroupContext(pres, "thompson-normal-form", name="thompson-f")
-    raise ValueError(f"unknown preset {name!r}")
+    if min(args, default=1) < 1:
+        params = "m, n" if len(args) == 2 else "k"
+        raise ValueError(f"{base}({params.replace(' ', '')}) needs {params} >= 1")
+    made = PRESETS[base][1](*args)
+    pres, oracle = parse_presentation(made) if isinstance(made, str) else made
+    label = f"{base}({','.join(map(str, args))})" if args else base
+    return GroupContext(pres, oracle, bs_params=args if oracle == "britton" else None, name=label)
+
+
+def load(spec: str) -> GroupContext:
+    """The context of a group spec: presentation text when it holds a
+    newline or a colon, else the presentation file at that path, else a
+    preset name."""
+    if "\n" in spec or ":" in spec:
+        return context_from_text(spec)
+    path = pathlib.Path(spec)
+    if path.is_file():
+        return context_from_text(path.read_text())
+    return preset(spec)

@@ -93,6 +93,8 @@ class Word:
         reduced: core^n is reduced, and so is its conjugate by c."""
         if n == 0:
             return Word(_reduced=())
+        if n == 1:
+            return self
         c, core = cyclic_peel(self if n > 0 else invert(self))
         return Word(_reduced=c.letters + core.letters * abs(n) + invert(c).letters)
 
@@ -293,11 +295,16 @@ def parse_word(text: str, names: Sequence[str] | None = None) -> Word:
 
 def parse_relators(text: str, names: Sequence[str], line: int, col_base: int) -> list[Word]:
     """The top-level factors of a presentation's `rels:` text, one relator
-    each; errors are PresentationErrors at their line and column."""
+    each; errors, an empty relator among them, are PresentationErrors at
+    their line and column."""
     scanner = _Scanner(text, names, line, col_base)
     relators = []
     while not scanner.at_end():
-        relators.append(scanner.factor())
+        start = scanner.pos
+        relator = scanner.factor()
+        if not relator:
+            scanner.error("relator reduces to the empty word", at=start)
+        relators.append(relator)
     return relators
 
 

@@ -1,15 +1,23 @@
 """Session fixtures shared by the test modules."""
 
 import importlib.util
+import json
 import pathlib
 import subprocess
 import sys
 import sysconfig
+from importlib import resources
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCAN_C = ROOT / "src" / "nearnormal" / "_scan_c.c"
+
+
+@pytest.fixture(scope="session")
+def report_schema():
+    """The JSON schema every suite report validates against."""
+    return json.loads(resources.files("nearnormal").joinpath("data/report_schema.json").read_text())
 
 
 @pytest.fixture(scope="session")

@@ -85,14 +85,20 @@ def naive_equal(u: Word, v: Word, index_cap: int | None = None, max_states: int 
         index_cap = top + len(start) + len(goal) + 2
     if len(goal) > len(start):
         start, goal = goal, start
+    return _search(start, goal, lambda word: _neighbors(word, index_cap), max_states)
+
+
+def _search(start: tuple, goal: tuple, neighbors, max_states: int):
+    """Breadth first from start over neighbors(word): True once goal is
+    seen, False when the search space is exhausted, "unknown" at the cap."""
     seen = {start}
     frontier = [start]
     while frontier:
-        if start == goal or goal in seen:
+        if goal in seen:
             return True
         nxt = []
         for word in frontier:
-            for nb in _neighbors(word, index_cap):
+            for nb in neighbors(word):
                 if nb not in seen:
                     if len(seen) >= max_states:
                         return "unknown"
@@ -194,18 +200,4 @@ def bs_naive_equal(u: Word, v: Word, m: int = 2, n: int = 3,
     (search space exhausted), or "unknown" at the state cap."""
     start, goal = tuple(u.letters), tuple(v.letters)
     len_cap = max(len(start), len(goal)) + len_slack
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        if goal in seen:
-            return True
-        nxt = []
-        for word in frontier:
-            for nb in bs_neighbors(word, m, n, len_cap):
-                if nb not in seen:
-                    if len(seen) >= max_states:
-                        return "unknown"
-                    seen.add(nb)
-                    nxt.append(nb)
-        frontier = nxt
-    return goal in seen
+    return _search(start, goal, lambda word: bs_neighbors(word, m, n, len_cap), max_states)

@@ -1,7 +1,6 @@
 """Command-line interface: output contracts, exit codes, determinism."""
 
 import json
-from importlib import resources
 
 import jsonschema
 import pytest
@@ -11,11 +10,6 @@ from hypothesis import strategies as st
 
 from nearnormal import groups, scan, suites, thompson
 from nearnormal.cli import main
-
-
-def load_schema():
-    text = resources.files("nearnormal").joinpath("data/report_schema.json").read_text()
-    return json.loads(text)
 
 
 @pytest.fixture
@@ -336,7 +330,7 @@ def test_word_options_take_parentheses(runner):
     (["bs", "reduce", "--word", "(x y"], "Error: unclosed '('"),
     (["group", "parse", "thompson-f"], "Error: schema presentations have no text form"),
     (["group", "show", "gens: a\nrels: a^0"],
-     "Error: parse error: line 2, column 8: zero exponent"),
+     "Error: parse error: line 2, column 9: zero exponent"),
     (["family", "check", "--group", "bs(2,3)", "--nodes", "x"],
      "Error: truncations are built over finite coset-table groups"),
     (["family", "h0", "--group", "sym3", "--nodes", "a; b"],
@@ -369,14 +363,14 @@ def test_zero_conj_len_and_radius_are_accepted(runner):
     assert data["vertex_count"] == 1
 
 
-def test_suite_json_is_schema_valid(runner):
+def test_suite_json_is_schema_valid(runner, report_schema):
     result = invoke(runner, ["suite", "words"])
     report = json.loads(result.output)
-    jsonschema.validate(report, load_schema())
+    jsonschema.validate(report, report_schema)
     assert report["timing"] is None
     timed = invoke(runner, ["suite", "words", "--timing"])
     treport = json.loads(timed.output)
-    jsonschema.validate(treport, load_schema())
+    jsonschema.validate(treport, report_schema)
     assert treport["timing"]["seconds"] >= 0
 
 

@@ -28,8 +28,7 @@ def sym3_normal_family():
 
 def sym3_all_subgroups():
     ctx = preset("sym3")
-    fam = truncation(ctx, [[], [w("a")], [w("b")], [w("a b a")],
-                           [w("a b")], [w("a"), w("b")]])
+    fam = truncation(ctx, families.parse_nodes(ctx, "-; a; b; a b a; a b; a,b"))
     return ctx, fam, truncated_completion(fam)
 
 
@@ -253,21 +252,19 @@ def test_action_rejects_vectors_outside_h0s():
 
 # --- integer tables against the word-walking reference ----------------------
 
-S4 = "gens: a b\nrels: a^2 b^3 (a b)^4"
 S4_DIRECTED = "-; b; a b a b, b a b a; b, a b a; a, b"
 S4_NON_DIRECTED = "a b; a b, b a b a"  # 216 elements, 48 invertible
 
 
 def build(group, nodes_text):
-    ctx = cli._load_context(group)
-    return truncated_completion(cli._build_family(ctx, nodes_text))
+    return truncated_completion(cli._build_family(preset(group), nodes_text))
 
 
 NAMED = sorted(families.NAMED_FAMILIES.items())
 TABLE_CASES = [pytest.param(group, text, id=f"{group}:{name}")
                for (group, name), text in NAMED] + [
-    pytest.param(S4, S4_DIRECTED, id="s4-directed"),
-    pytest.param(S4, S4_NON_DIRECTED, id="s4-non-directed"),
+    pytest.param("sym4", S4_DIRECTED, id="s4-directed"),
+    pytest.param("sym4", S4_NON_DIRECTED, id="s4-non-directed"),
 ]
 
 
@@ -315,7 +312,7 @@ def test_table_product_matches_word_reference(group, nodes_text):
 
 
 def test_covering_inclusions_decide_compatibility():
-    tc = build(S4, S4_DIRECTED)
+    tc = build("sym4", S4_DIRECTED)
     fam = tc.fam
     assert (len(fam.covering), len(fam.projection)) == (11, 18)
     assert set(fam.covering) <= set(fam.projection)
@@ -351,7 +348,7 @@ def test_corrupted_product_table_breaks_compatibility(monkeypatch):
 @pytest.mark.parametrize("group, nodes_text", [
     pytest.param(group, text, id=f"{group}:{name}") for (group, name), text in NAMED] + [
     pytest.param("sym3", "a; a,b", id="sym3:order2-orbit"),
-    pytest.param(S4, S4_NON_DIRECTED, id="s4-non-directed"),
+    pytest.param("sym4", S4_NON_DIRECTED, id="s4-non-directed"),
 ])
 def test_solved_scan_matches_exhaustive_search(group, nodes_text):
     tc = build(group, nodes_text)
@@ -365,7 +362,7 @@ def test_scan_of_the_4096_element_non_directed_family():
     # Four conjugate order-3 subgroups of S4 and S4 itself: no lower bounds,
     # so 8^4 compatible assignments.  The counts were cross-checked once
     # against the exhaustive O(N^2) scan on the tables (16.8M pairs).
-    tc = build(S4, "b; a,b")
+    tc = build("sym4", "b; a,b")
     assert len(tc.fam.nodes) == 5
     assert not families.check_admissible(tc.fam)["downward_directed"]
     report = invertibility_scan(tc)
@@ -386,7 +383,6 @@ def test_stability_is_checked_once_per_family(monkeypatch):
 
 # --- enumeration against the recursive reference ---------------------------
 
-A5 = "gens: a b\nrels: a^2 b^3 (a b)^5"
 S4_CONJUGATES = "b; a b a b, b a b a"  # five nodes, no inclusions: 24,576 elements
 
 
@@ -429,14 +425,14 @@ ENUMERATION_CASES = [pytest.param(group, text, None, id=f"{group}:{name}")
                      for (group, name), text in NAMED] + [
     pytest.param("sym3", "a; a,b", 27, id="sym3:order2-orbit"),  # nodes below an earlier one
     # three order-2 nodes below the Klein four node, which has six cosets
-    pytest.param(S4, "a b a b, b a b a; a b a b", 48, id="s4-klein-above"),
+    pytest.param("sym4", "a b a b, b a b a; a b a b", 48, id="s4-klein-above"),
     # nodes above two earlier nodes with no common node below them
-    pytest.param(S4, "a b a b; a, a b a b", 48, id="s4-two-below"),
-    pytest.param(S4, S4_CONJUGATES, 24576, id="s4-conjugates"),
-    pytest.param(S4, S4_NON_DIRECTED, 216, id="s4-non-directed"),
-    pytest.param(S4, "-; b; a b a b, b a b a", 24, id="s4-trivial-bottom"),
+    pytest.param("sym4", "a b a b; a, a b a b", 48, id="s4-two-below"),
+    pytest.param("sym4", S4_CONJUGATES, 24576, id="s4-conjugates"),
+    pytest.param("sym4", S4_NON_DIRECTED, 216, id="s4-non-directed"),
+    pytest.param("sym4", "-; b; a b a b, b a b a", 24, id="s4-trivial-bottom"),
     pytest.param("cyclic(120)", "-; a^2; a", None, id="cyclic120"),
-    pytest.param(A5, "-; b; a,b", None, id="a5"),
+    pytest.param("alt5", "-; b; a,b", None, id="a5"),
 ]
 
 
@@ -472,14 +468,14 @@ def test_projections_compose_along_chains(group, nodes_text, size):
 
 
 def test_enumeration_ceiling_is_exact():
-    fam = build(S4, S4_CONJUGATES).fam
+    fam = build("sym4", S4_CONJUGATES).fam
     assert len(truncated_completion(fam, ceiling=24576).elements) == 24576
     with pytest.raises(ValueError, match="^completion enumeration exceeds ceiling 24575$"):
         truncated_completion(fam, ceiling=24575)
 
 
 def test_enumeration_stops_after_ceiling_plus_one(monkeypatch):
-    fam = build(S4, S4_CONJUGATES).fam
+    fam = build("sym4", S4_CONJUGATES).fam
     counts = []
     real = completion._extend
 
@@ -607,7 +603,7 @@ def outcome(records, tc):
 
 @pytest.mark.parametrize("group, nodes_text", [
     pytest.param(group, text, id=f"{group}:{name}") for (group, name), text in NAMED] + [
-    pytest.param(S4, S4_DIRECTED, id="s4-directed"),
+    pytest.param("sym4", S4_DIRECTED, id="s4-directed"),
     pytest.param("sym3", "a; a,b", id="sym3:order2-orbit"),
 ])
 def test_law_table_matches_the_reference(group, nodes_text):
@@ -654,7 +650,7 @@ def test_law_table_rejects_a_product_outside_the_elements():
 
 
 def test_law_table_makes_n_squared_products(monkeypatch):
-    tc = build(S4, S4_DIRECTED)
+    tc = build("sym4", S4_DIRECTED)
     calls = []
     real = completion.multiply
     monkeypatch.setattr(completion, "multiply",
@@ -667,7 +663,7 @@ def test_law_table_makes_n_squared_products(monkeypatch):
 
 
 def test_law_records_on_the_216_element_family():
-    tc = build(S4, S4_NON_DIRECTED)
+    tc = build("sym4", S4_NON_DIRECTED)
     assert len(tc.elements) == 216
     records = list(law_records(tc))
     assert [r[0] for r in records] == LAW_NAMES

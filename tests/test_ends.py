@@ -56,6 +56,13 @@ def bfs_components(ball, members):
     return comps
 
 
+def plane_over_the_u_line(radius):
+    """The coset-graph ball of Z^2 over <u> = <(1, 0)>, on both generators."""
+    ctx = preset("zn(2)")
+    sub = lattice_subgroup(ctx, [(1, 0)])
+    return coset_graph_ball(ctx, sub, (generator(0), generator(1)), radius)
+
+
 def test_line_ball_shape():
     ctx = preset("zn(1)")
     sub = trivial_subgroup(ctx)
@@ -96,10 +103,7 @@ def test_line_quotient_of_plane_has_two_ends():
 
 
 def test_quotient_ball_vertices_and_loops():
-    ctx = preset("zn(2)")
-    sub = lattice_subgroup(ctx, [(1, 0)])
-    gens = (generator(0), generator(1))
-    ball = coset_graph_ball(ctx, sub, gens, 2)
+    ball = plane_over_the_u_line(2)
     # cosets are classified by the v-exponent alone
     assert ball.vertex_count == 5
     loops = [(u, v, l) for u, v, l in ball.edges if u == v]
@@ -131,10 +135,7 @@ def half_line_predicate(w):
 
 
 def test_boundary_edges_of_a_half_line():
-    ctx = preset("zn(2)")
-    sub = lattice_subgroup(ctx, [(1, 0)])
-    gens = (generator(0), generator(1))
-    ball = coset_graph_ball(ctx, sub, gens, 4)
+    ball = plane_over_the_u_line(4)
     half = vertex_set(ball, half_line_predicate)
     border = boundary_edges(half, ball)
     assert len(border) == 1
@@ -162,10 +163,7 @@ def test_vertex_set_validation():
 
 
 def test_claim3_half_line_boundary_is_bounded():
-    ctx = preset("zn(2)")
-    sub = lattice_subgroup(ctx, [(1, 0)])
-    gens = (generator(0), generator(1))
-    ball = coset_graph_ball(ctx, sub, gens, 4)
+    ball = plane_over_the_u_line(4)
     report = claim3_check(half_line_predicate, ball)
     assert report["contained_in_Y"] is True
     assert report["y_vertex_count"] == 2
@@ -173,10 +171,7 @@ def test_claim3_half_line_boundary_is_bounded():
 
 
 def test_claim3_trivial_predicate():
-    ctx = preset("zn(2)")
-    sub = lattice_subgroup(ctx, [(1, 0)])
-    gens = (generator(0), generator(1))
-    ball = coset_graph_ball(ctx, sub, gens, 4)
+    ball = plane_over_the_u_line(4)
     report = claim3_check(lambda w: False, ball)
     assert report["y_vertex_count"] == 0
     assert report["boundary_count_per_radius"] == [0, 0, 0, 0]
@@ -184,10 +179,7 @@ def test_claim3_trivial_predicate():
 
 
 def test_claim3_rejects_non_coset_predicates():
-    ctx = preset("zn(2)")
-    sub = lattice_subgroup(ctx, [(1, 0)])
-    gens = (generator(0), generator(1))
-    ball = coset_graph_ball(ctx, sub, gens, 3)
+    ball = plane_over_the_u_line(3)
     with pytest.raises(ValueError):
         claim3_check(lambda w: exponent_vector(w, 2)[0] > 0, ball)
 

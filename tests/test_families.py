@@ -6,16 +6,14 @@ import random
 import pytest
 
 import dense_modp as ref
-from nearnormal import cli, families, modp
+from nearnormal import cli, families, groups, modp
 from nearnormal.families import (
     check_admissible, check_stable, derivation_values, finite_module, h0_G_mod_S,
     h0_S, h1_derivations, h1_trivial_expected, node_fixed_space,
     parse_module_matrices, permutation_module, regular_module, relator_blocks,
     restrict_to_h0s, trivial_module, truncation, word_matrix,
 )
-from nearnormal.groups import (
-    context_from_text, element_key, group_elements, preset, signed_letters, todd_coxeter,
-)
+from nearnormal.groups import element_key, group_elements, preset, signed_letters, todd_coxeter
 from nearnormal.subgroups import finite_subgroup
 from nearnormal.words import Word, generator, invert, parse_word
 
@@ -26,9 +24,7 @@ def w(text):
 
 def sym3_full_lattice():
     ctx = preset("sym3")
-    fam = truncation(ctx, [[], [w("a")], [w("b")], [w("a b a")],
-                           [w("a b")], [w("a"), w("b")]])
-    return ctx, fam
+    return ctx, truncation(ctx, families.parse_nodes(ctx, "-; a; b; a b a; a b; a,b"))
 
 
 # --- truncations -------------------------------------------------------------
@@ -90,16 +86,15 @@ CONJ_FIXTURES = {
     "sym3/normal-order3": ("sym3", ["a b", "a,b"]),
     "cyclic4/index2": ("cyclic(4)", ["a^2", "a"]),
     "klein4/all-subgroups": ("klein4", ["-", "a", "b", "a b", "a,b"]),
-    "s4/directed": ("gens: a b\nrels: a^2 b^3 (a b)^4",
-                    ["-", "b", "a b a b, b a b a", "b, a b a", "a, b"]),
-    "s4/non-directed": ("gens: a b\nrels: a^2 b^3 (a b)^4", ["a b", "a b, b a b a"]),
+    "s4/directed": ("sym4", ["-", "b", "a b a b, b a b a", "b, a b a", "a, b"]),
+    "s4/non-directed": ("sym4", ["a b", "a b, b a b a"]),
 }
 
 
 @pytest.mark.parametrize("label", sorted(CONJ_FIXTURES))
 def test_conj_agrees_with_the_conjugation_action(label):
     group, nodes = CONJ_FIXTURES[label]
-    ctx = context_from_text(group) if "gens:" in group else preset(group)
+    ctx = preset(group)
     parsed = [[parse_word(t, ctx.generator_names) for t in node.split(",")]
               if node != "-" else [] for node in nodes]
     fam = truncation(ctx, parsed)
@@ -171,16 +166,15 @@ def word_truncation(ctx, node_generator_lists):
 REFERENCE_FAMILIES = [
     pytest.param(group, text, id=f"{group}:{name}")
     for (group, name), text in sorted(families.NAMED_FAMILIES.items())] + [
-    pytest.param("gens: a b\nrels: a^2 b^3 (a b)^4",
-                 "-; b; a b a b, b a b a; b, a b a; a, b", id="s4-directed"),
+    pytest.param("sym4", "-; b; a b a b, b a b a; b, a b a; a, b", id="s4-directed"),
     pytest.param("cyclic(120)", "-; a^2; a", id="cyclic120"),
-    pytest.param("gens: a b\nrels: a^2 b^3 (a b)^5", "-; b; a,b", id="a5"),
+    pytest.param("alt5", "-; b; a,b", id="a5"),
 ]
 
 
 @pytest.mark.parametrize("group, nodes_text", REFERENCE_FAMILIES)
 def test_truncation_matches_the_word_reference(group, nodes_text):
-    ctx = cli._load_context(group)
+    ctx = preset(group)
     fam = cli._build_family(ctx, nodes_text)
     handles, members, order, conj, normal = word_truncation(ctx, families.parse_nodes(ctx, nodes_text))
     assert [h.generators for h in fam.nodes] == [h.generators for h in handles]
@@ -325,10 +319,10 @@ def test_restricted_module_action_matches():
 # sym3 over <b> = A3, S4 over its normal Klein four-group, A5 over the
 # trivial node (h0_S is the whole module) and over the whole group.
 RESTRICTIONS = {
-    "sym3": (2, "b; a,b"),
-    "s4": (4, "(a b)^2, b (a b)^2 b^-1; a,b"),
-    "a5": (5, "-; b; a,b"),
-    "a5-fixed": (5, "a,b"),
+    "sym3": ("gens: a b\nrels: a^2 b^3 (a b)^2", "b; a,b"),
+    "s4": ("sym4", "(a b)^2, b (a b)^2 b^-1; a,b"),
+    "a5": ("alt5", "-; b; a,b"),
+    "a5-fixed": ("alt5", "a,b"),
 }
 
 
@@ -337,8 +331,8 @@ RESTRICTIONS = {
 def test_restrict_to_h0s_matches_per_vector_solves(case, p):
     """One elimination of the h0_S basis gives the coordinates that solving
     for each image v.M on its own gives."""
-    n, nodes = RESTRICTIONS[case]
-    ctx = context_from_text(f"gens: a b\nrels: a^2 b^3 (a b)^{n}")
+    group, nodes = RESTRICTIONS[case]
+    ctx = groups.load(group)
     module = regular_module(ctx, p=p)
     fam = truncation(ctx, families.parse_nodes(ctx, nodes))
     sub, basis = restrict_to_h0s(module, fam)
@@ -387,10 +381,12 @@ def derivation_eval(module, delta, w):
     return acc
 
 
-@pytest.mark.parametrize("text, p", [("gens: a b\nrels: a^2 b^3 (a b)^5", 2),
-                                     ("gens: a b\nrels: a^2 b^-3 (a b^-1)^4", 3)])
-def test_derivation_values_match_the_letter_by_letter_reference(text, p):
-    ctx = context_from_text(text)
+S4_INVERSE_LETTERS = "gens: a b\nrels: a^2 b^-3 (a b^-1)^4"
+
+
+@pytest.mark.parametrize("group, p", [("alt5", 2), (S4_INVERSE_LETTERS, 3)])
+def test_derivation_values_match_the_letter_by_letter_reference(group, p):
+    ctx = groups.load(group)
     module = regular_module(ctx, p)
     d, n = module.dimension, ctx.generator_count
     rng = random.Random(18)
@@ -496,16 +492,12 @@ def suffix_loop_blocks(module, r):
     return [modp.sparse(block, module.p) for block in ref.relator_blocks(module, r)]
 
 
-A5 = "gens: a b\nrels: a^2 b^3 (a b)^5"
-S4_INVERSE_LETTERS = "gens: a b\nrels: a^2 b^-3 (a b^-1)^4"
-
-
 @pytest.mark.parametrize("spec, kind", [
-    (A5, "regular"), (S4_INVERSE_LETTERS, "permutation"),
-    (S4_INVERSE_LETTERS, "trivial"), (A5, "trivial"),
+    ("alt5", "regular"), (S4_INVERSE_LETTERS, "permutation"),
+    (S4_INVERSE_LETTERS, "trivial"), ("alt5", "trivial"),
 ], ids=["a5-regular", "s4-permutation", "s4-trivial", "a5-trivial"])
 def test_relator_blocks_match_the_suffix_loop(monkeypatch, spec, kind):
-    ctx = context_from_text(spec)
+    ctx = groups.load(spec)
     if kind == "regular":
         module = regular_module(ctx)
     elif kind == "permutation":
@@ -517,9 +509,6 @@ def test_relator_blocks_match_the_suffix_loop(monkeypatch, spec, kind):
     got = h1_derivations(ctx, module)
     monkeypatch.setattr(families, "relator_blocks", suffix_loop_blocks)
     assert h1_derivations(ctx, module) == got
-
-
-S4 = "gens: a b\nrels: a^2 b^3 (a b)^4"
 
 
 def dense_conjugate(ctx, module, seed):
@@ -537,7 +526,7 @@ def dense_conjugate(ctx, module, seed):
 
 
 def reference_modules():
-    a5, s4, s4_inv = (context_from_text(t) for t in (A5, S4, S4_INVERSE_LETTERS))
+    a5, s4, s4_inv = preset("alt5"), preset("sym4"), groups.load(S4_INVERSE_LETTERS)
     yield "a5-regular-p2", a5, regular_module(a5)
     yield "s4-permutation-p3", s4_inv, permutation_module(
         s4_inv, todd_coxeter(s4_inv, [w("b")], 100), p=3)
@@ -558,7 +547,7 @@ def test_word_matrix_and_relator_blocks_match_the_dense_reference():
 
 
 def test_the_dense_conjugate_is_dense_and_keeps_its_invariants():
-    s4 = context_from_text(S4)
+    s4 = preset("sym4")
     module = dense_conjugate(s4, regular_module(s4, p=5), 3)
     nonzero = sum(len(row) for m in module.matrices for row in m)
     assert nonzero > 0.7 * 2 * 24 * 24
@@ -569,13 +558,13 @@ def test_the_dense_conjugate_is_dense_and_keeps_its_invariants():
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_shapiro_the_a5_regular_module_has_no_degree_one_classes(p):
-    ctx = context_from_text(A5)
+    ctx = preset("alt5")
     got = h1_derivations(ctx, regular_module(ctx, p=p))
     assert (got["dim_der"], got["dim_ider"], got["dim_h1"]) == (59, 59, 0)
 
 
 def test_h0_of_the_a5_regular_module_at_p3():
-    ctx = context_from_text(A5)
+    ctx = preset("alt5")
     fam = truncation(ctx, families.parse_nodes(ctx, "-; b; a,b"))
     module = regular_module(ctx, p=3)
     assert len(h0_S(module, fam)) == 60
@@ -583,7 +572,7 @@ def test_h0_of_the_a5_regular_module_at_p3():
 
 
 def test_a_corrupted_sparse_entry_fails_the_relator_check():
-    ctx = context_from_text(A5)
+    ctx = preset("alt5")
     module = regular_module(ctx, p=3)
     d = module.dimension
     clean = [ref.dense(m, d) for m in module.matrices]

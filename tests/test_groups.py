@@ -86,22 +86,18 @@ def test_coset_table_step_is_an_action():
         assert c == table.coset_of(w)
 
 
-S4_TEXT = "gens: a b\nrels: a^2 b^3 (a b)^4"
-A5_TEXT = "gens: a b\nrels: a^2 b^3 (a b)^5"
-
-
 def context_and_table(group, subgroup):
-    """The context of a preset name or presentation text, and the coset table
-    of the subgroup generated by one word, or the regular table."""
-    ctx = context_from_text(group) if "\n" in group else preset(group)
+    """The context of a group spec, and the coset table of the subgroup
+    generated by one word, or the regular table."""
+    ctx = groups.load(group)
     table = (todd_coxeter(ctx, [parse_context_word(ctx, subgroup)], 1000) if subgroup
              else regular_table(ctx))
     return ctx, table
 
 
 @pytest.mark.parametrize("group, subgroup", [
-    ("sym3", ""), (S4_TEXT, ""), (A5_TEXT, ""), ("cyclic(120)", ""),
-    (S4_TEXT, "b"),  # the eight cosets of <b>, not a regular table
+    ("sym3", ""), ("sym4", ""), ("alt5", ""), ("cyclic(120)", ""),
+    ("sym4", "b"),  # the eight cosets of <b>, not a regular table
 ], ids=["sym3", "s4", "a5", "cyclic120", "s4-mod-b"])
 def test_coset_of_walks_the_table_like_step(group, subgroup):
     ctx, table = context_and_table(group, subgroup)
@@ -116,7 +112,7 @@ def test_coset_of_walks_the_table_like_step(group, subgroup):
             assert table.coset_of(w, start=start) == c
 
 
-@pytest.mark.parametrize("group, subgroup", [("sym3", ""), (S4_TEXT, "b")], ids=["sym3", "s4-mod-b"])
+@pytest.mark.parametrize("group, subgroup", [("sym3", ""), ("sym4", "b")], ids=["sym3", "s4-mod-b"])
 def test_validate_table_rejects_a_relator_exactly_when_one_coset_moves(group, subgroup):
     ctx, table = context_and_table(group, subgroup)
     groups._validate_table(table, [], ctx.presentation.relators)
@@ -215,24 +211,33 @@ def test_context_from_text_runs():
     assert len(group_elements(ctx)) == 6
 
 
-@pytest.mark.parametrize("text,fragment,line", [
-    ("rels: a\ngens: a", "rels before gens", 1),
-    ("gens: a\ngens: b", "duplicate gens", 2),
-    ("gens: a a", "repeated generator", 1),
-    ("gens: a 9q", "bad generator name", 1),
-    ("gens: a\nrels: b", "undeclared generator", 2),
-    ("gens: a\noracle: magic", "unknown oracle", 2),
-    ("gens: a\nwhat: ever", "unknown section", 2),
-    ("rels-only nonsense", "expected", 1),
-    ("", "missing gens", 1),
-    ("gens: a\nrels: (a a^-1)", "empty word", 2),
-])
-def test_parse_errors_carry_position(text, fragment, line):
+# (text, message fragment, line, column of the offending token)
+PARSE_ERRORS = [
+    ("rels: a\ngens: a", "rels before gens", 1, 1),
+    ("gens: a\ngens: b", "duplicate gens", 2, 1),
+    ("gens: a a", "repeated generator", 1, 9),
+    ("gens: a 9q", "bad generator name", 1, 9),
+    ("  gens:   a  9q", "bad generator name", 1, 14),
+    ("gens: a\nrels: b", "undeclared generator", 2, 7),
+    ("gens: a\nrels: a^0", "zero exponent", 2, 9),
+    ("gens: a\nrels:    a^0", "zero exponent", 2, 12),
+    ("gens: a\noracle: magic", "unknown oracle", 2, 9),
+    ("gens: a\nwhat: ever", "unknown section", 2, 1),
+    ("rels-only nonsense", "expected", 1, 1),
+    ("", "missing gens", 1, 1),
+    ("gens: a\nrels: (a a^-1)", "empty word", 2, 7),
+    ("gens: a b\nrels: b^2 (a a^-1)\nrels: b^3", "empty word", 2, 11),
+]
+
+
+@pytest.mark.parametrize("text,fragment,line,column", PARSE_ERRORS, ids=[
+    f"{text}-{fragment}-{line}" for text, fragment, line, _ in PARSE_ERRORS])
+def test_parse_errors_carry_position(text, fragment, line, column):
     with pytest.raises(PresentationError) as exc:
         parse_presentation(text)
     assert fragment in str(exc.value)
-    assert exc.value.line == line
-    assert f"line {line}, column {exc.value.column}:" in str(exc.value)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert f"line {line}, column {column}:" in str(exc.value)
 
 
 def test_parse_word_with_presentation_names():
@@ -254,8 +259,42 @@ def test_preset_rejects_degenerate_bs(name):
         preset(name)
 
 
-STEP_CONTEXTS = ["gens: a b\nrels: a^2 b^3 (a b)^4", "bs(2,3)", "bs(1,2)", "thompson-f",
-                 "zn(3)", "free(2)"]
+# sample arguments per argument count, the message that rejects 0 per parametric
+# preset, and the relators (tables number cosets in their order) and order per finite group
+PRESET_ARGS = {0: [()], 1: [(1,), (3,), (5,)], 2: [(1, 1), (2, 3), (3, 2)]}
+ZERO_MESSAGES = {"bs": "bs(m,n) needs m, n >= 1", "cyclic": "cyclic(k) needs k >= 1",
+                 "zn": "zn(k) needs k >= 1", "free": "free(k) needs k >= 1"}
+FINITE = {"sym4": ("a^2 b^3 (a b)^4", 24), "alt5": ("a^2 b^3 (a b)^5", 60),
+          "sym5": ("a^2 b^5 (a b)^4 (a b^-1 a b)^3", 120)}
+
+
+@pytest.mark.parametrize("name", sorted(groups.PRESETS))
+def test_every_preset_reads_back_from_its_text(name):
+    count = groups.PRESETS[name][0]
+    for args in PRESET_ARGS[count]:
+        ctx = preset(f"{name}({','.join(map(str, args))})" if args else name)
+        if ctx.generator_names is not None:  # thompson-f has no text form
+            text = serialize_presentation(ctx.presentation, ctx.oracle)
+            assert parse_presentation(text) == (ctx.presentation, ctx.oracle)
+    assert (name in ZERO_MESSAGES) == (count > 0)
+    if count:
+        with pytest.raises(ValueError) as exc:
+            preset(f"{name}({','.join('0' * count)})")
+        assert str(exc.value) == ZERO_MESSAGES[name]
+    if name in FINITE:
+        relators, order = FINITE[name]
+        assert ctx == context_from_text(f"gens: a b\nrels: {relators}")
+        assert len(group_elements(ctx)) == order
+
+
+def test_load_reads_text_then_a_file_then_a_memoised_preset(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sym4").write_text("gens: a\nrels: a^7\n")
+    assert groups.load("sym4") == groups.load("gens: a\nrels: a^7") != preset("sym4")
+    assert groups.load("alt5") is preset("alt5")
+
+
+STEP_CONTEXTS = ["sym4", "bs(2,3)", "bs(1,2)", "thompson-f", "zn(3)", "free(2)"]
 
 
 @pytest.mark.parametrize("name", STEP_CONTEXTS)
@@ -263,7 +302,7 @@ def test_stepped_keys_equal_the_key_of_the_whole_word(name):
     """For every oracle: the key of u s stepped from the key of u equals the
     key of the reduced word u s, and so does the key folded letter by letter
     from the identity's."""
-    ctx = context_from_text(name) if "\n" in name else preset(name)
+    ctx = preset(name)
     start, step = groups.element_step(ctx)
     rank = ctx.generator_count or 3  # thompson-f: words over x0, x1, x2
     rng = random.Random(18)
@@ -301,14 +340,13 @@ def queue_reachable_table(ngens, start, step):
     return tuple(rows), tuple(reps)
 
 
-TABLE_GROUPS = ["sym3", "klein4", "cyclic(12)", "gens: a b\nrels: a^2 b^3 (a b)^4",
-                "gens: a b\nrels: a^2 b^3 (a b)^5",
+TABLE_GROUPS = ["sym3", "klein4", "cyclic(12)", "sym4", "alt5",
                 "gens: a b c\nrels: a^2 b^2 c^2 (a b)^3 (b c)^3 (a c)^2"]
 
 
 @pytest.mark.parametrize("text", TABLE_GROUPS)
 def test_reachable_table_matches_a_queue_numbering(text):
-    ctx = context_from_text(text) if "\n" in text else preset(text)
+    ctx = groups.load(text)
     table = regular_table(ctx)
     ngens = ctx.generator_count
     rng = random.Random(5)
@@ -332,7 +370,7 @@ def test_reachable_table_matches_a_queue_numbering(text):
 
 @pytest.mark.parametrize("text", TABLE_GROUPS)
 def test_an_unbounded_ball_closes_on_a_finite_group(text):
-    ctx = context_from_text(text) if "\n" in text else preset(text)
+    ctx = groups.load(text)
     order = len(group_elements(ctx))
     letters = [Word([letter]) for letter in groups.signed_letters(ctx)]
     rows = []

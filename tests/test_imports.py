@@ -1,10 +1,11 @@
-"""No module in src/ or tests/ imports a name it never uses."""
+"""No module in src/, tests/ or benchmarks/ imports a name it never uses."""
 
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-FILES = sorted([*ROOT.joinpath("src").rglob("*.py"), *ROOT.joinpath("tests").rglob("*.py")])
+FILES = sorted([*ROOT.joinpath("src").rglob("*.py"), *ROOT.joinpath("tests").rglob("*.py"),
+                *ROOT.joinpath("benchmarks").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:

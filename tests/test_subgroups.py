@@ -7,7 +7,7 @@ import pytest
 
 from bare import bare_subgroup
 from nearnormal import ends
-from nearnormal.groups import context_from_text, element_key, group_elements, preset
+from nearnormal.groups import element_key, group_elements, preset
 from nearnormal.subgroups import (
     INFINITE_OR_EXCEEDS, Conjugate, CosetIndex, CosetSet, UnsupportedOraclePair,
     am_subgroup, commensurability_report, conjugate, contains, finite_subgroup,
@@ -173,9 +173,6 @@ def test_index_bounded_bs():
 
 # --- intersection ------------------------------------------------------------
 
-S4 = "gens: a b\nrels: a^2 b^3 (a b)^4"
-
-
 def test_intersect_finite():
     ctx = preset("sym3")
     a_sub = finite_subgroup(ctx, [w("a")])
@@ -186,7 +183,7 @@ def test_intersect_finite():
         assert contains(meet, t) == expected
     assert index_bounded(meet, whole_group(ctx), 10) == 6
     # pairs of S4 subgroups: the meet's members and index, counted by brute force
-    s4 = context_from_text(S4)
+    s4 = preset("sym4")
     elements = group_elements(s4)
     assert len(elements) == 24
     subs = [finite_subgroup(s4, [w(text) for text in gens.split(",")])

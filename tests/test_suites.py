@@ -1,18 +1,12 @@
 """Named check suites: determinism, schema conformance, outcomes."""
 
 import json
-from importlib import resources
 
 import jsonschema
 import pytest
 
 from nearnormal import thompson
 from nearnormal.suites import SUITES, UnknownSuiteError, report_failures, run_suite
-
-
-def load_schema():
-    text = resources.files("nearnormal").joinpath("data/report_schema.json").read_text()
-    return json.loads(text)
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -37,27 +31,25 @@ def test_report_shape_and_ordering():
             assert check["witness"] is not None
 
 
-def test_schema_validation():
-    schema = load_schema()
-    jsonschema.Draft7Validator.check_schema(schema)
+def test_schema_validation(report_schema):
+    jsonschema.Draft7Validator.check_schema(report_schema)
     report = run_suite("words", seed=0)
-    jsonschema.validate(report, schema)
+    jsonschema.validate(report, report_schema)
     timed = run_suite("words", seed=0, timing=True)
     assert timed["timing"] is not None and timed["timing"]["seconds"] >= 0
-    jsonschema.validate(timed, schema)
+    jsonschema.validate(timed, report_schema)
 
 
-def test_schema_rejects_malformed_reports():
-    schema = load_schema()
+def test_schema_rejects_malformed_reports(report_schema):
     bad = run_suite("words", seed=0)
     bad["checks"][0]["outcome"] = "maybe"
     with pytest.raises(jsonschema.ValidationError):
-        jsonschema.validate(bad, schema)
+        jsonschema.validate(bad, report_schema)
     failing_without_witness = run_suite("words", seed=0)
     failing_without_witness["checks"][0]["outcome"] = "fail"
     failing_without_witness["checks"][0]["witness"] = None
     with pytest.raises(jsonschema.ValidationError):
-        jsonschema.validate(failing_without_witness, schema)
+        jsonschema.validate(failing_without_witness, report_schema)
 
 
 def test_unknown_suite():
