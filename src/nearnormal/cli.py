@@ -143,7 +143,7 @@ def group_parse(spec):
     with a line/column diagnostic.
     """
     ctx_obj = groups.load(spec)
-    click.echo(groups.serialize_presentation(ctx_obj.presentation, ctx_obj.oracle), nl=False)
+    click.echo(groups.serialize_presentation(ctx_obj), nl=False)
 
 
 @group_cmd.command(name="show")
@@ -152,14 +152,13 @@ def group_parse(spec):
 def group_show(spec, fmt):
     """Summarize generators, relators, oracle, and order when finite."""
     ctx_obj = groups.load(spec)
-    pres = ctx_obj.presentation
-    names = pres.generator_names
+    names = ctx_obj.generator_names
     data = {
         "name": ctx_obj.name or None,
         "oracle": ctx_obj.oracle,
         "schema": "thompson" if names is None else None,
         "generators": list(names) if names is not None else None,
-        "relators": [format_word(r, names) for r in pres.relators],
+        "relators": [format_word(r, names) for r in ctx_obj.relators],
         "order": None,
     }
     if ctx_obj.oracle == "coset-table":
@@ -567,8 +566,6 @@ def bs_cmd():
 
 
 @bs_cmd.command(name="verify")
-@click.option("--suite", "which", type=click.Choice(("family",)),
-              default="family", show_default=True)
 @click.option("--bound", type=click.IntRange(min=1), default=12, show_default=True,
               help="Largest power of x in the truncation.")
 @click.option("--conjugators", default="y,y^-1", show_default=True,
@@ -578,12 +575,12 @@ def bs_cmd():
 @click.option("--m", "m_param", type=click.IntRange(min=1), default=2, show_default=True)
 @click.option("--n", "n_param", type=click.IntRange(min=1), default=3, show_default=True)
 @_format_option
-def bs_verify(which, bound, conjugators, conj_len, m_param, n_param, fmt):
+def bs_verify(bound, conjugators, conj_len, m_param, n_param, fmt):
     """Check conjugation closure and directedness of the power family."""
     ctx_obj = groups.preset(f"bs({m_param},{n_param})")
     words = _word_list(ctx_obj, conjugators)
     report = bs.family_axiom_check(words, bound, conj_len, m_param, n_param)
-    _emit({"suite": which, "m": m_param, "n": n_param, "a_bound": bound,
+    _emit({"suite": "family", "m": m_param, "n": n_param, "a_bound": bound,
            "conjugators": [format_word(w, ctx_obj.generator_names) for w in words],
            "nodes": report["nodes"],
            "closure_checked": len(report["closure"]),

@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 
 from .families import FamilyTruncation
-from .groups import group_elements, regular_table, signed_letters
+from .groups import finished_table, signed_letters
 from .words import Word, format_word, invert
 
 ENUM_CEILING = 10 ** 6
@@ -262,8 +262,8 @@ def law_records(tc: TruncatedCompletion):
     yield record("conjugation-cocycle", bad,
                  bad and {"f": list(bad[0]), "g": list(bad[1]),
                           "node": bad[2]})
-    words = group_elements(fam.ctx)  # the regular table's representatives
-    regular = regular_table(fam.ctx)
+    regular = finished_table(fam.ctx)
+    words = regular.representatives
     embeds = [position(embed(g, tc)) for g in words]
     # g1 g2 lies in the regular coset reached by walking g2 from g1's coset
     bad = next(((g1, g2) for (a, g1), (b, g2) in itertools.product(enumerate(words), repeat=2)

@@ -18,8 +18,7 @@ from functools import cached_property
 
 from . import modp
 from .groups import (
-    GroupContext, Incomplete, element_key, parse_context_word, preset,
-    regular_table, signed_letters,
+    GroupContext, element_key, finished_table, parse_context_word, preset, signed_letters,
 )
 from .subgroups import SubgroupHandle, contains, finite_subgroup
 from .words import Letter, Word, exponent_vector, generator, invert
@@ -134,9 +133,7 @@ def truncation(ctx: GroupContext, node_generator_lists) -> FamilyTruncation:
     is exact, because the normaliser of H_i is a subgroup."""
     if ctx.oracle != "coset-table":
         raise ValueError("truncations are built over finite coset-table groups")
-    regular = regular_table(ctx)
-    if isinstance(regular, Incomplete):
-        raise ValueError("ambient group enumeration incomplete")
+    regular = finished_table(ctx)
     reps = regular.representatives
     handles = []
     index = {}  # key set -> node
@@ -304,7 +301,7 @@ def _sparse_module(ctx: GroupContext, mats: tuple, p: int) -> FiniteModule:
     if None in inverses:
         raise ValueError("generator matrix is singular")
     module = FiniteModule(dimension=dim, p=p, matrices=mats, inverses=inverses)
-    for r in ctx.presentation.relators:
+    for r in ctx.relators:
         if word_matrix(module, r) != modp.identity_matrix(dim):
             raise ValueError("a relator does not act as the identity matrix")
     return module
@@ -333,10 +330,7 @@ def permutation_module(ctx: GroupContext, table, p: int = 2) -> FiniteModule:
 
 
 def regular_module(ctx: GroupContext, p: int = 2) -> FiniteModule:
-    table = regular_table(ctx)
-    if isinstance(table, Incomplete):
-        raise ValueError("regular module needs a finished enumeration")
-    return permutation_module(ctx, table, p)
+    return permutation_module(ctx, finished_table(ctx), p)
 
 
 def parse_module_matrices(text: str):
@@ -477,13 +471,12 @@ def inner_derivation_rows(module: FiniteModule) -> list:
 def h1_derivations(ctx: GroupContext, module: FiniteModule) -> dict:
     """Solve the relator-expansion linear system for derivations and quotient
     by inner derivations; returns dimensions and bases (sparse rows)."""
-    pres = ctx.presentation
-    if pres.generator_names is None:
+    if ctx.generator_names is None:
         raise ValueError("derivation computation needs explicit relators")
     n = ctx.generator_count
     d = module.dimension
     p = module.p
-    relators = pres.relators
+    relators = ctx.relators
     # Unknown row vector: concatenation of d(x_0), ..., d(x_{n-1}); its row
     # i*d + row of the system holds block i's row for each relator in turn.
     columns = [relator_blocks(module, r) for r in relators]
@@ -512,7 +505,7 @@ def h1_trivial_expected(ctx: GroupContext, p: int = 2) -> int:
     from ._intlinalg import smith_diagonal
 
     n = ctx.generator_count
-    rows = [exponent_vector(r, n) for r in ctx.presentation.relators]
+    rows = [exponent_vector(r, n) for r in ctx.relators]
     diag = smith_diagonal(rows, n)
     free_rank = n - len(diag)
     torsion = sum(1 for dd in diag if dd and dd % p == 0)

@@ -1,7 +1,8 @@
 """Group presentations, word-problem oracles, and Todd-Coxeter coset enumeration.
 
-A GroupContext pairs a presentation with the strategy that decides its word
-problem.  Strategies are declared, never inferred: a preset or presentation
+A GroupContext is one value for a group: its generator names, its relators,
+the strategy that decides its word problem and a display name that equality
+ignores.  Strategies are declared, never inferred: a preset or presentation
 file names one of
 
     coset-table           enumerate cosets of the trivial subgroup (finite groups)
@@ -10,9 +11,15 @@ file names one of
     free-abelian          exponent-vector comparison for Z^n
     free                  free reduction alone (no relators)
 
+A britton context has two generators x y and the one relator
+y^-1 x^m y x^-n, m, n >= 1; ``bs_params`` reads (m, n) off it, and any other
+relator set is refused when the context is built.
+
 ``PRESETS`` holds each preset as the presentation text of its arguments,
-read by ``parse_presentation`` like a file; ``load`` turns every group spec
-(inline text, a file path or a preset name) into a context.
+read by ``context_from_text`` like a file; ``load`` turns every group spec
+(inline text, a file path or a preset name) into a context.  The text that
+``serialize_presentation`` (``group parse``) writes loads back to an equal
+context for every preset with a text form.
 
 Each strategy keys elements canonically through one step, the key of g to
 the key of g w (``element_step``): ``element_key`` is that step from the
@@ -33,7 +40,7 @@ import re
 import sys
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add
 
 from . import baumslag_solitar as bs
@@ -48,50 +55,45 @@ TABLE_LIMIT = 20_000  # live-coset bound of the regular table and finite subgrou
 
 
 @dataclass(frozen=True)
-class Presentation:
-    """Finite presentation; no generator names (and no relators) stand for
-    the infinite relator schema of Thompson's F."""
+class GroupContext:
+    """A finite presentation with the oracle that decides its word problem.
+    No generator names (and no relators) stand for the infinite relator
+    schema of Thompson's F.  Under the britton oracle the one relator is
+    y^-1 x^m y x^-n over two generators, and bs_params reads (m, n) off it."""
 
     generator_names: tuple[str, ...] | None
-    relators: tuple[Word, ...] = ()
+    relators: tuple[Word, ...]
+    oracle: str
+    name: str = field(default="", compare=False)
 
     def __post_init__(self):
-        if self.generator_names is None:
-            if self.relators:
-                raise ValueError("schema presentations carry no explicit generators or relators")
-            return
+        if self.oracle not in ORACLES:
+            raise ValueError(f"unknown oracle {self.oracle!r}")
+        if self.generator_names is None and self.relators:
+            raise ValueError("schema presentations carry no explicit generators or relators")
         for r in self.relators:
             if not r:
                 raise ValueError("relators must be nonempty after reduction")
             for index, _ in r.letters:
                 if index >= len(self.generator_names):
                     raise ValueError(f"relator {format_word(r)} uses an undeclared generator")
+        if self.oracle == "britton":
+            self.bs_params  # computed here, so a context with a wrong relator is never built
 
     @property
     def generator_count(self) -> int | None:
         return None if self.generator_names is None else len(self.generator_names)
 
-
-@dataclass(frozen=True)
-class GroupContext:
-    presentation: Presentation
-    oracle: str
-    bs_params: tuple[int, int] | None = None
-    name: str = field(default="", compare=False)
-
-    def __post_init__(self):
-        if self.oracle not in ORACLES:
-            raise ValueError(f"unknown oracle {self.oracle!r}")
-        if self.oracle == "britton" and self.bs_params is None:
-            raise ValueError("britton oracle needs bs_params (m, n)")
-
-    @property
-    def generator_names(self) -> tuple[str, ...] | None:
-        return self.presentation.generator_names
-
-    @property
-    def generator_count(self) -> int | None:
-        return self.presentation.generator_count
+    @cached_property
+    def bs_params(self) -> tuple[int, int]:
+        """(m, n) of the britton relator y^-1 x^m y x^-n, m, n >= 1."""
+        letters = self.relators[0].letters if len(self.relators) == 1 else ()
+        m, n = letters.count((0, 1)), letters.count((0, -1))
+        if (self.generator_count != 2 or not m or not n
+                or letters != ((1, -1),) + ((0, 1),) * m + ((1, 1),) + ((0, -1),) * n):
+            raise ValueError("britton oracle needs two generators x y and the one relator "
+                             "y^-1 x^m y x^-n with m, n >= 1")
+        return m, n
 
 
 @dataclass(frozen=True)
@@ -242,12 +244,11 @@ class _Enumeration:
 
 def todd_coxeter(ctx: GroupContext, subgroup_gens: list[Word], limit: int) -> CosetTable | Incomplete:
     """Enumerate cosets of <subgroup_gens>; Incomplete once live cosets exceed limit."""
-    pres = ctx.presentation
-    if pres.generator_names is None:
+    if ctx.generator_names is None:
         raise ValueError("coset enumeration needs a finite presentation")
-    ngens = pres.generator_count
+    ngens = ctx.generator_count
     enum = _Enumeration(ngens, limit)
-    rel_codes = [tuple(_letter_code(l) for l in r.letters) for r in pres.relators]
+    rel_codes = [tuple(_letter_code(l) for l in r.letters) for r in ctx.relators]
     gen_codes = [tuple(_letter_code(l) for l in w.letters) for w in subgroup_gens]
     try:
         for codes in gen_codes:
@@ -266,7 +267,7 @@ def todd_coxeter(ctx: GroupContext, subgroup_gens: list[Word], limit: int) -> Co
             alpha += 1
     except _BoundHit:
         return Incomplete(live_cosets=enum.n_live, limit=limit)
-    return _compact(enum, ngens, subgroup_gens, pres.relators)
+    return _compact(enum, ngens, subgroup_gens, ctx.relators)
 
 
 def reachable_table(ngens: int, start, step) -> CosetTable:
@@ -319,12 +320,17 @@ def regular_table(ctx: GroupContext) -> CosetTable | Incomplete:
     return todd_coxeter(ctx, [], TABLE_LIMIT)
 
 
-def group_elements(ctx: GroupContext) -> tuple[Word, ...]:
-    """All elements of a finite coset-table group, as table representatives."""
+def finished_table(ctx: GroupContext) -> CosetTable:
+    """The regular table; ValueError naming the limit when it is Incomplete."""
     table = regular_table(ctx)
     if isinstance(table, Incomplete):
-        raise ValueError(f"group not finished within {table.limit} cosets")
-    return table.representatives
+        raise ValueError(f"regular enumeration incomplete at {table.limit} cosets")
+    return table
+
+
+def group_elements(ctx: GroupContext) -> tuple[Word, ...]:
+    """All elements of a finite coset-table group, as table representatives."""
+    return finished_table(ctx).representatives
 
 
 def is_trivial(ctx: GroupContext, w: Word):
@@ -343,9 +349,7 @@ def element_step(ctx: GroupContext):
     through them, the normal form of F times them, the exponent vector plus
     w's, or the letters of the free product."""
     if ctx.oracle == "coset-table":
-        table = regular_table(ctx)
-        if isinstance(table, Incomplete):
-            raise ValueError("no canonical key: regular enumeration incomplete")
+        table = finished_table(ctx)
         return 0, lambda c, w: table.coset_of(w, c)
     if ctx.oracle == "britton":
         m, n = ctx.bs_params
@@ -369,8 +373,8 @@ def element_key(ctx: GroupContext, w: Word):
 # presentation text format
 
 
-def parse_presentation(text: str) -> tuple[Presentation, str]:
-    """Parse the line-based format; returns (presentation, oracle tag).
+def context_from_text(text: str, name: str = "") -> GroupContext:
+    """Parse the line-based format into a context with that name.
 
     gens: a b
     rels: a^2 b^2 (a b)^3
@@ -395,12 +399,12 @@ def parse_presentation(text: str) -> tuple[Presentation, str]:
                 raise PresentationError("duplicate gens line", lineno, 1)
             parts: list[str] = []
             for part in re.finditer(r"\S+", body):
-                name, col = part.group(), body_col + part.start()
-                if not NAME_RE.fullmatch(name):
-                    raise PresentationError(f"bad generator name {name!r}", lineno, col)
-                if name in parts:
+                gen, col = part.group(), body_col + part.start()
+                if not NAME_RE.fullmatch(gen):
+                    raise PresentationError(f"bad generator name {gen!r}", lineno, col)
+                if gen in parts:
                     raise PresentationError("repeated generator name", lineno, col)
-                parts.append(name)
+                parts.append(gen)
             names = tuple(parts)
         elif key == "rels":
             if names is None:
@@ -416,27 +420,23 @@ def parse_presentation(text: str) -> tuple[Presentation, str]:
         raise PresentationError("missing gens line", max(1, text.count("\n") + 1), 1)
     if oracle is None:
         oracle = "coset-table" if relators else "free"
-    return Presentation(generator_names=names, relators=tuple(relators)), oracle
+    return GroupContext(names, tuple(relators), oracle, name)
 
 
-def serialize_presentation(pres: Presentation, oracle: str) -> str:
-    if pres.generator_names is None:
+def serialize_presentation(ctx: GroupContext) -> str:
+    """The text that context_from_text reads back to an equal context."""
+    names = ctx.generator_names
+    if names is None:
         raise ValueError("schema presentations have no text form")
-    names = pres.generator_names
     lines = ["gens: " + " ".join(names)]
     parts = []
-    for r in pres.relators:
+    for r in ctx.relators:
         text = format_word(r, names)
         # a relator with embedded spaces must stay one token on the line
         parts.append(f"({text})" if " " in text else text)
     lines.append(("rels: " + " ".join(parts)).rstrip())
-    lines.append(f"oracle: {oracle}")
+    lines.append(f"oracle: {ctx.oracle}")
     return "\n".join(lines) + "\n"
-
-
-def context_from_text(text: str) -> GroupContext:
-    pres, oracle = parse_presentation(text)
-    return GroupContext(presentation=pres, oracle=oracle)
 
 
 def parse_context_word(ctx: GroupContext, text: str) -> Word:
@@ -470,8 +470,8 @@ def _zn(k: int) -> str:
 
 
 # name -> (argument count, the presentation text of the positive integer
-# arguments); thompson-f, whose relators are a schema, gives its
-# (presentation, oracle) pair instead
+# arguments); thompson-f, whose relators are a schema, gives its context
+# instead
 PRESETS = {
     "sym3": (0, lambda: "gens: a b\nrels: a^2 b^2 (a b)^3"),
     "klein4": (0, lambda: "gens: a b\nrels: a^2 b^2 (a b)^2"),
@@ -482,7 +482,7 @@ PRESETS = {
     "bs": (2, lambda m, n: f"gens: x y\nrels: (y^-1 x^{m} y x^-{n})\noracle: britton"),
     "zn": (1, _zn),
     "free": (1, lambda k: "gens: " + " ".join(_gens("abcd", k))),
-    "thompson-f": (0, lambda: (Presentation(None), "thompson-normal-form")),
+    "thompson-f": (0, lambda: GroupContext(None, (), "thompson-normal-form", "thompson-f")),
 }
 _PRESET_RE = re.compile(r"([a-z-]+[a-z0-9-]*?)(?:\((\d+)(?:,(\d+))?\))?$")
 
@@ -500,9 +500,8 @@ def preset(name: str) -> GroupContext:
         params = "m, n" if len(args) == 2 else "k"
         raise ValueError(f"{base}({params.replace(' ', '')}) needs {params} >= 1")
     made = PRESETS[base][1](*args)
-    pres, oracle = parse_presentation(made) if isinstance(made, str) else made
     label = f"{base}({','.join(map(str, args))})" if args else base
-    return GroupContext(pres, oracle, bs_params=args if oracle == "britton" else None, name=label)
+    return context_from_text(made, label) if isinstance(made, str) else made
 
 
 def load(spec: str) -> GroupContext:

@@ -86,11 +86,10 @@ def suite_groups(seed: int) -> list:
            not isinstance(table, groups.Incomplete) and table.coset_count == 3,
            getattr(table, "coset_count", None))
     text = "gens: a b\nrels: a^2 b^2 (a b)^3\n"
-    pres, oracle = groups.parse_presentation(text)
-    canonical = groups.serialize_presentation(pres, oracle)
-    pres2, oracle2 = groups.parse_presentation(canonical)
+    ctx = groups.context_from_text(text)
+    canonical = groups.serialize_presentation(ctx)
     _check(out, "groups/parse-roundtrip", "serialize(parse(text)) is a fixed point",
-           {"text": text}, (pres, oracle) == (pres2, oracle2), canonical)
+           {"text": text}, groups.context_from_text(canonical) == ctx, canonical)
     bs_ctx = groups.preset("bs(2,3)")
     result = groups.todd_coxeter(bs_ctx, (), 2000)
     _check(out, "groups/bs-enumeration-incomplete", "coset enumeration of an infinite group hits the bound",

@@ -236,7 +236,7 @@ def _brute_h1_dims(ctx, module):
     zero = ref.zero_vector(d)
     der = 0
     for assign in itertools.product(vectors, repeat=ngens):
-        if all(d_eval(assign, r) == zero for r in ctx.presentation.relators):
+        if all(d_eval(assign, r) == zero for r in ctx.relators):
             der += 1
     inner = set()
     for m in vectors:

@@ -1,6 +1,8 @@
 """Command-line interface: output contracts, exit codes, determinism."""
 
 import json
+import pathlib
+import shlex
 
 import jsonschema
 import pytest
@@ -24,13 +26,32 @@ def invoke(runner, args, expect=0):
     return result
 
 
-def test_group_parse_preset(runner):
-    result = invoke(runner, ["group", "parse", "sym3"])
-    ctx = groups.preset("sym3")
-    assert result.output == groups.serialize_presentation(ctx.presentation, ctx.oracle)
-    # canonical output is a fixed point of parsing
+# every preset with a text form, parametric ones at the arguments (2, 3)
+TEXT_PRESETS = [f"{name}({','.join('23'[:count])})" if count else name
+                for name, (count, _) in groups.PRESETS.items() if name != "thompson-f"]
+
+
+@pytest.mark.parametrize("name", TEXT_PRESETS)
+def test_group_parse_preset(runner, name):
+    result = invoke(runner, ["group", "parse", name])
+    assert result.output == groups.serialize_presentation(groups.preset(name))
+    # canonical output is a fixed point of parsing and loads again
     again = invoke(runner, ["group", "parse", result.output])
     assert again.output == result.output
+    invoke(runner, ["group", "show", result.output])
+
+
+@pytest.mark.parametrize("text", [
+    "gens: x y\nrels: (x^2 y x^-3 y^-1)\noracle: britton",
+    "gens: x y\nrels: (y^-1 x^2 y x^-3) x^6\noracle: britton",
+    "gens: x y z\nrels: (y^-1 x^2 y x^-3)\noracle: britton",
+], ids=["permuted-relator", "two-relators", "three-generators"])
+def test_britton_text_needs_the_one_bs_relator(runner, text):
+    result = runner.invoke(main, ["group", "show", text])
+    assert result.exit_code == 1
+    assert result.output.strip() == (
+        "Error: britton oracle needs two generators x y and the one relator "
+        "y^-1 x^m y x^-n with m, n >= 1")
 
 
 def test_group_parse_error_has_position(runner):
@@ -343,7 +364,7 @@ def test_word_options_take_parentheses(runner):
      "Error: matrix blocks must be square"),
     # a finite-index subgroup of an infinite group: the ball has no element keys
     (["ends", "estimate", "--group", "gens: a b\nrels: b\noracle: coset-table",
-      "--l", "a^2"], "Error: no canonical key: regular enumeration incomplete"),
+      "--l", "a^2"], "Error: regular enumeration incomplete at 20000 cosets"),
 ])
 def test_subgroup_and_word_errors_are_one_line(runner, tmp_path, args, message):
     if "MATRIX_FILE" in args:
@@ -463,6 +484,7 @@ _presentation = st.builds(
     st.sampled_from(["gens: a b", "gens: x y", "gens: a", "gens: a a", "gens:", "# no gens"]),
     st.lists(st.one_of(_word_text.map("rels: {}".format),
                        st.sampled_from(["oracle: coset-table", "oracle: free", "oracle: magic",
+                                        "oracle: britton", "rels: (y^-1 x^2 y x^-3)",
                                         "what: ever", "nonsense", ""])), max_size=3))
 
 
@@ -496,5 +518,18 @@ def _assert_clean_exit(result, args):
 @given(text=_word_text, other=_word_text, presentation=_presentation)
 def test_fuzzed_cli_input_exits_cleanly(text, other, presentation):
     runner = CliRunner()
-    for args in _word_commands(text, other) + [["group", "parse", presentation]]:
+    for args in _word_commands(text, other) + [["group", "parse", presentation],
+                                               ["group", "show", presentation]]:
         _assert_clean_exit(runner.invoke(main, args), args)
+
+
+README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+README_COMMANDS = README.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+@pytest.mark.parametrize("line", README_COMMANDS)
+def test_readme_commands_run(runner, line):
+    nearnormal, *args = shlex.split(line)
+    assert nearnormal == "nearnormal"
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0 and "Error:" not in result.output, result.output

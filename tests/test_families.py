@@ -435,7 +435,7 @@ def brute_force_derivation_count(ctx, module):
     for flat in itertools.product(range(p), repeat=n * d):
         delta = tuple(tuple(flat[i * d:(i + 1) * d]) for i in range(n))
         if all(not any(derivation_eval(module, delta, r))
-               for r in ctx.presentation.relators):
+               for r in ctx.relators):
             count += 1
     return count
 
@@ -504,7 +504,7 @@ def test_relator_blocks_match_the_suffix_loop(monkeypatch, spec, kind):
         module = permutation_module(ctx, todd_coxeter(ctx, [w("b")], 100), p=3)
     else:
         module = trivial_module(ctx, dim=2, p=3)
-    for r in ctx.presentation.relators:
+    for r in ctx.relators:
         assert relator_blocks(module, r) == suffix_loop_blocks(module, r)
     got = h1_derivations(ctx, module)
     monkeypatch.setattr(families, "relator_blocks", suffix_loop_blocks)
@@ -541,7 +541,7 @@ def test_word_matrix_and_relator_blocks_match_the_dense_reference():
         for _ in range(8):
             u = Word([(rng.randrange(2), rng.choice((1, -1))) for _ in range(rng.randint(0, 7))])
             assert ref.dense(word_matrix(module, u), d) == ref.word_matrix(module, u), label
-        for r in ctx.presentation.relators:
+        for r in ctx.relators:
             got = [ref.dense(block, d) for block in relator_blocks(module, r)]
             assert got == ref.relator_blocks(module, r), label
 

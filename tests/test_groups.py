@@ -8,7 +8,7 @@ import pytest
 from nearnormal import groups
 from nearnormal.groups import (
     Incomplete, PresentationError, context_from_text, element_key,
-    group_elements, is_trivial, parse_context_word, parse_presentation, preset,
+    group_elements, is_trivial, parse_context_word, preset,
     regular_table, serialize_presentation, todd_coxeter,
 )
 from nearnormal.words import Word, ball, generator, invert, parse_word
@@ -115,7 +115,7 @@ def test_coset_of_walks_the_table_like_step(group, subgroup):
 @pytest.mark.parametrize("group, subgroup", [("sym3", ""), ("sym4", "b")], ids=["sym3", "s4-mod-b"])
 def test_validate_table_rejects_a_relator_exactly_when_one_coset_moves(group, subgroup):
     ctx, table = context_and_table(group, subgroup)
-    groups._validate_table(table, [], ctx.presentation.relators)
+    groups._validate_table(table, [], ctx.relators)
     rng = random.Random(5)
     outcomes = set()
     for _ in range(60):
@@ -187,23 +187,21 @@ oracle: coset-table
 
 
 def test_parse_serialize_roundtrip():
-    pres, oracle = parse_presentation(SYM3_TEXT)
-    assert pres.generator_names == ("a", "b")
-    assert oracle == "coset-table"
-    assert len(pres.relators) == 3
-    text = serialize_presentation(pres, oracle)
-    pres2, oracle2 = parse_presentation(text)
-    assert pres2 == pres and oracle2 == oracle
+    ctx = context_from_text(SYM3_TEXT)
+    assert ctx.generator_names == ("a", "b")
+    assert ctx.oracle == "coset-table"
+    assert len(ctx.relators) == 3
+    text = serialize_presentation(ctx)
+    assert context_from_text(text) == ctx
     # multi-atom relators stay parenthesized as single tokens
     assert "(a b a b a b)" in text or "((a b)^3)" in text
 
 
 def test_parse_comments_blanks_and_default_oracle():
-    pres, oracle = parse_presentation("# title\n\ngens: a\nrels: a^4\n")
-    assert oracle == "coset-table"
-    pres, oracle = parse_presentation("gens: a b\n")
-    assert oracle == "free"
-    assert pres.relators == ()
+    assert context_from_text("# title\n\ngens: a\nrels: a^4\n").oracle == "coset-table"
+    ctx = context_from_text("gens: a b\n")
+    assert ctx.oracle == "free"
+    assert ctx.relators == ()
 
 
 def test_context_from_text_runs():
@@ -234,15 +232,14 @@ PARSE_ERRORS = [
     f"{text}-{fragment}-{line}" for text, fragment, line, _ in PARSE_ERRORS])
 def test_parse_errors_carry_position(text, fragment, line, column):
     with pytest.raises(PresentationError) as exc:
-        parse_presentation(text)
+        context_from_text(text)
     assert fragment in str(exc.value)
     assert (exc.value.line, exc.value.column) == (line, column)
     assert f"line {line}, column {column}:" in str(exc.value)
 
 
 def test_parse_word_with_presentation_names():
-    pres, _ = parse_presentation(SYM3_TEXT)
-    w = parse_word("a b^-1", pres.generator_names)
+    w = parse_word("a b^-1", context_from_text(SYM3_TEXT).generator_names)
     assert w == generator(0) * generator(1, -1)
 
 
@@ -274,8 +271,10 @@ def test_every_preset_reads_back_from_its_text(name):
     for args in PRESET_ARGS[count]:
         ctx = preset(f"{name}({','.join(map(str, args))})" if args else name)
         if ctx.generator_names is not None:  # thompson-f has no text form
-            text = serialize_presentation(ctx.presentation, ctx.oracle)
-            assert parse_presentation(text) == (ctx.presentation, ctx.oracle)
+            again = groups.load(serialize_presentation(ctx))
+            assert again == ctx
+            if ctx.oracle == "britton":
+                assert again.bs_params == ctx.bs_params == args
     assert (name in ZERO_MESSAGES) == (count > 0)
     if count:
         with pytest.raises(ValueError) as exc:
