@@ -1,4 +1,5 @@
-"""BS(m,n) Britton normal forms; (m, n) = (2, 3) is only the default.
+"""BS(m,n) Britton normal forms, for the (m, n) a caller passes (a context's
+``bs_params``).
 
 Generators x (index 0) and y (index 1) with the single relation
 y^-1 x^m y = x^n.  Words reduce to a canonical pinch-free form
@@ -40,7 +41,7 @@ X, Y = 0, 1
 IDENTITY = (0, ())  # the form key of the empty word
 
 
-def resume(key: tuple, letters, m: int = 2, n: int = 3) -> tuple:
+def resume(key: tuple, letters, m: int, n: int) -> tuple:
     """The form key of g w, for the element g of form key ``key`` and the
     letters of w.  They need not be freely reduced, because x-pushes add and
     a y-push pinches y y^-1 and y^-1 y itself."""
@@ -90,19 +91,19 @@ def push_x(key: tuple, e: int) -> tuple:
     return head, tail[:-1] + ((sign, trailing + e),)
 
 
-def britton_reduce(w: Word, m: int = 2, n: int = 3) -> tuple:
+def britton_reduce(w: Word, m: int, n: int) -> tuple:
     """The form key (head, tail) of w; sound and complete for the word
     problem."""
     return resume(IDENTITY, w.letters, m, n)
 
 
-def power_of_x_in(w: Word, k: int, m: int = 2, n: int = 3) -> bool:
+def power_of_x_in(w: Word, k: int, m: int, n: int) -> bool:
     """Membership of w in <x^k>: the form is x^a with k | a."""
     head, tail = britton_reduce(w, m, n)
     return not tail and head % k == 0
 
 
-def x_power_lattice(w: Word, m: int = 2, n: int = 3) -> tuple[int, int]:
+def x_power_lattice(w: Word, m: int, n: int) -> tuple[int, int]:
     """(l, q) with w x^t w^-1 in <x> exactly when l | t, and then equal to
     x^(q t / l).  The y-signs of w's Britton form are read innermost first:
     a y needs n | q t / l and scales it by m / n, a y^-1 needs m | it and
@@ -118,7 +119,7 @@ def x_power_lattice(w: Word, m: int = 2, n: int = 3) -> tuple[int, int]:
     return l, q
 
 
-def least_power(w: Word, k: int, m: int = 2, n: int = 3, step: int = 1) -> int:
+def least_power(w: Word, k: int, m: int, n: int, step: int = 1) -> int:
     """Least t in step Z, t > 0, with w x^t w^-1 in <x^k>: with (l, q) the
     lattice of w, t = L u for L = lcm(step, l), and k | (q L / l) u."""
     l, q = x_power_lattice(w, m, n)
@@ -126,15 +127,14 @@ def least_power(w: Word, k: int, m: int = 2, n: int = 3, step: int = 1) -> int:
     return L * k // gcd(k, q * L // l)
 
 
-def power_conjugate(g: Word, a_bound: int, m: int = 2, n: int = 3):
+def power_conjugate(g: Word, a_bound: int, m: int, n: int):
     """Least positive a <= a_bound with g^-1 x^a g = x^b: the lattice (a, b)
     of g^-1, or None."""
     a, b = x_power_lattice(invert(g), m, n)
     return (a, b) if a <= a_bound else None
 
 
-def conjugator_words(conjugators: list[Word], conj_len: int, m: int = 2,
-                     n: int = 3) -> list[Word]:
+def conjugator_words(conjugators: list[Word], conj_len: int, m: int, n: int) -> list[Word]:
     """One word per distinct element among the products of at most conj_len
     conjugators: the first one met level by level, level L holding w * c for
     the words w of level L-1 in order and c in order.
@@ -164,8 +164,8 @@ def _conjugates_into(state: tuple, t: int, k: int, m: int, n: int) -> bool:
     return not tail and head % k == 0
 
 
-def family_axiom_check(conjugators: list[Word], a_bound: int, conj_len: int = 1,
-                       m: int = 2, n: int = 3) -> dict:
+def family_axiom_check(conjugators: list[Word], a_bound: int, conj_len: int,
+                       m: int, n: int) -> dict:
     """Check the truncation {<x^a>^w : 1 <= a <= a_bound, w short} of the
     family of subgroups containing a positive power of x.
 

@@ -11,9 +11,10 @@ Law and lemma commands print the reports of the shared checkers
 and the acceptance tests also read.
 
 Output is JSON on stdout; --format text renders the same data as indented
-key/value lines.  Word syntax everywhere: juxtaposed generators and
-parenthesized words with optional ^exponents (``y^-1 x y``, ``(a b)^3 a``);
-commas separate the words of a list; semicolons separate family nodes.
+key/value lines (``ends graph --format dot`` prints DOT).  Word syntax
+everywhere: juxtaposed generators and parenthesized words with optional
+^exponents (``y^-1 x y``, ``(a b)^3 a``); commas separate the words of a
+list; semicolons separate family nodes.
 
 Exit codes: 0 on success, 1 with one ``Error:`` line (or a failing
 ``suite`` check), 2 for usage errors.  Commands let the library's
@@ -34,9 +35,13 @@ from . import baumslag_solitar as bs
 from . import completion, ends, families, groups, modp, scan, subgroups, suites, thompson
 from .words import format_word, generator
 
-_format_option = click.option(
-    "--format", "fmt", type=click.Choice(("json", "text")), default="json",
-    show_default=True, help="Report format.")
+
+def _format_choice(*formats):
+    return click.option("--format", "fmt", type=click.Choice(formats), default="json",
+                        show_default=True, help="Report format.")
+
+
+_format_option = _format_choice("json", "text")
 
 
 def _emit(data, fmt):
@@ -491,18 +496,16 @@ def ends_estimate(group_spec, l_text, gens_text, radii, fmt):
               help="Generators of the subgroup L, comma-separated.")
 @click.option("--gens", "gens_text", default=None)
 @click.option("--radius", type=click.IntRange(min=0), default=3, show_default=True)
-@click.option("--dot", "dot_flag", is_flag=True,
-              help="Emit DOT text instead of JSON.")
-@_format_option
-def ends_graph(group_spec, l_text, gens_text, radius, dot_flag, fmt):
+@_format_choice("json", "text", "dot")
+def ends_graph(group_spec, l_text, gens_text, radius, fmt):
     """Materialize a ball of the coset graph."""
     ctx_obj = groups.load(group_spec)
     sub = _subgroup(ctx_obj, l_text)
     gens = _default_gens(ctx_obj, gens_text, "--gens")
     ball = ends.coset_graph_ball(ctx_obj, sub, gens, radius)
     names = ctx_obj.generator_names
-    if dot_flag:
-        click.echo(ends.to_dot(ball, None, names))
+    if fmt == "dot":
+        click.echo(ends.to_dot(ball, names))
         return
     _emit({"group": group_spec, "l": l_text, "radius": radius,
            "vertex_count": ball.vertex_count,
@@ -524,8 +527,6 @@ def thompson_cmd():
 
 
 @thompson_cmd.command(name="verify")
-@click.option("--suite", "which", type=click.Choice(("lemma", "scan")),
-              default="lemma", show_default=True)
 @click.option("--identity-bound", type=click.IntRange(min=0), default=10, show_default=True,
               help="Conjugation identities for 0 <= m < n <= this.")
 @click.option("--pair-bound", type=click.IntRange(min=0), default=12, show_default=True,
@@ -534,26 +535,29 @@ def thompson_cmd():
               help="Shift property checked for n up to this.")
 @click.option("--m-bound", type=click.IntRange(min=0), default=8, show_default=True,
               help="Largest m accepted for the tail subgroup A_m.")
-@click.option("--max-len", type=click.IntRange(min=0), default=5, show_default=True,
-              help="Scan: word length bound.")
-@click.option("--max-index", type=click.IntRange(min=0), default=2, show_default=True,
-              help="Scan: generator index bound.")
 @_format_option
-def thompson_verify(which, identity_bound, pair_bound, shift_bound, m_bound,
-                    max_len, max_index, fmt):
-    """Run the lemma grids or the normal-form agreement scan."""
-    if which == "scan":
-        try:
-            report = scan.thompson_agreement_scan(max_len, max_index)
-        except ValueError as exc:  # the compiled kernel's size limits
-            raise click.UsageError(str(exc))
-        _emit({"suite": "scan", "max_len": max_len, "max_index": max_index,
-               "backend": report["backend"], "words": report["words"],
-               "failures": [list(f) for f in report["failures"]],
-               "pass": not report["failures"]}, fmt)
-        return
+def thompson_verify(identity_bound, pair_bound, shift_bound, m_bound, fmt):
+    """Run the pair-generator lemma grids."""
     _emit({"suite": "lemma", **thompson.lemma_report(identity_bound, pair_bound,
                                                      shift_bound, m_bound)}, fmt)
+
+
+@thompson_cmd.command(name="scan")
+@click.option("--max-len", type=click.IntRange(min=0), default=5, show_default=True,
+              help="Word length bound.")
+@click.option("--max-index", type=click.IntRange(min=0), default=2, show_default=True,
+              help="Generator index bound.")
+@_format_option
+def thompson_scan(max_len, max_index, fmt):
+    """Check the normal-form engine against the homeomorphism model on every word."""
+    try:
+        report = scan.thompson_agreement_scan(max_len, max_index)
+    except ValueError as exc:  # the compiled kernel's size limits
+        raise click.UsageError(str(exc))
+    _emit({"suite": "scan", "max_len": max_len, "max_index": max_index,
+           "backend": report["backend"], "words": report["words"],
+           "failures": [list(f) for f in report["failures"]],
+           "pass": not report["failures"]}, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -572,15 +576,16 @@ def bs_cmd():
               help="Comma-separated conjugator words.")
 @click.option("--conj-len", type=click.IntRange(min=0), default=1, show_default=True,
               help="Conjugator word-length bound.")
-@click.option("--m", "m_param", type=click.IntRange(min=1), default=2, show_default=True)
-@click.option("--n", "n_param", type=click.IntRange(min=1), default=3, show_default=True)
+@click.option("--group", "group_spec", default="bs(2,3)", show_default=True,
+              help="A group under the britton oracle (preset, file, or inline text).")
 @_format_option
-def bs_verify(bound, conjugators, conj_len, m_param, n_param, fmt):
+def bs_verify(bound, conjugators, conj_len, group_spec, fmt):
     """Check conjugation closure and directedness of the power family."""
-    ctx_obj = groups.preset(f"bs({m_param},{n_param})")
+    ctx_obj = groups.load(group_spec)
+    m, n = ctx_obj.bs_params
     words = _word_list(ctx_obj, conjugators)
-    report = bs.family_axiom_check(words, bound, conj_len, m_param, n_param)
-    _emit({"suite": "family", "m": m_param, "n": n_param, "a_bound": bound,
+    report = bs.family_axiom_check(words, bound, conj_len, m, n)
+    _emit({"suite": "family", "m": m, "n": n, "a_bound": bound,
            "conjugators": [format_word(w, ctx_obj.generator_names) for w in words],
            "nodes": report["nodes"],
            "closure_checked": len(report["closure"]),
@@ -596,15 +601,16 @@ def bs_verify(bound, conjugators, conj_len, m_param, n_param, fmt):
 
 @bs_cmd.command(name="reduce")
 @click.option("--word", "word_text", required=True)
-@click.option("--m", "m_param", type=click.IntRange(min=1), default=2, show_default=True)
-@click.option("--n", "n_param", type=click.IntRange(min=1), default=3, show_default=True)
+@click.option("--group", "group_spec", default="bs(2,3)", show_default=True,
+              help="A group under the britton oracle (preset, file, or inline text).")
 @_format_option
-def bs_reduce(word_text, m_param, n_param, fmt):
+def bs_reduce(word_text, group_spec, fmt):
     """Britton-reduce a word to its pushed-right form."""
-    ctx_obj = groups.preset(f"bs({m_param},{n_param})")
+    ctx_obj = groups.load(group_spec)
+    m, n = ctx_obj.bs_params
     w = groups.parse_context_word(ctx_obj, word_text)
-    head, tail = bs.britton_reduce(w, m_param, n_param)
-    _emit({"word": word_text, "m": m_param, "n": n_param,
+    head, tail = bs.britton_reduce(w, m, n)
+    _emit({"word": word_text, "m": m, "n": n,
            "head": head, "tail": [list(t) for t in tail],
            "is_power_of_x": not tail}, fmt)
 

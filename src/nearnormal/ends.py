@@ -272,8 +272,6 @@ def bs_side_predicate(ctx):
     """Classifies an element of an HNN fixture by the sign of the first
     stable letter of its normal form; pure base elements land on False.
     Constant on left cosets of any base-group subgroup."""
-    if ctx.oracle != "britton":
-        raise ValueError("side predicate is defined for britton contexts")
     m, n = ctx.bs_params
 
     def side(w: Word) -> bool:
@@ -283,15 +281,11 @@ def bs_side_predicate(ctx):
     return side
 
 
-def to_dot(ball: CosetGraphBall, highlight: VertexSet | None = None,
-           names=None) -> str:
-    """The ball as an undirected DOT graph; highlighted vertices are filled."""
-    marked = highlight.indices if highlight is not None else frozenset()
+def to_dot(ball: CosetGraphBall, names=None) -> str:
+    """The ball as an undirected DOT graph."""
     lines = ["graph ball {", "  node [shape=circle];"]
     for i, rep in enumerate(ball.vertices):
-        label = format_word(rep, names)
-        style = ' style=filled fillcolor="lightgray"' if i in marked else ""
-        lines.append(f'  v{i} [label="{label}"{style}];')
+        lines.append(f'  v{i} [label="{format_word(rep, names)}"];')
     for u, v, label in ball.edges:
         x = format_word(ball.gens[label], names)
         lines.append(f'  v{u} -- v{v} [label="{x}"];')

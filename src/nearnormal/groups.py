@@ -87,6 +87,8 @@ class GroupContext:
     @cached_property
     def bs_params(self) -> tuple[int, int]:
         """(m, n) of the britton relator y^-1 x^m y x^-n, m, n >= 1."""
+        if self.oracle != "britton":
+            raise ValueError(f"BS(m,n) needs the britton oracle, not {self.oracle}")
         letters = self.relators[0].letters if len(self.relators) == 1 else ()
         m, n = letters.count((0, 1)), letters.count((0, -1))
         if (self.generator_count != 2 or not m or not n

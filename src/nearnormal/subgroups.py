@@ -52,10 +52,6 @@ class SubgroupHandle:
     membership: Oracle
 
     def __post_init__(self):
-        if self.coset_table is not None:
-            for w in self.generators:
-                if self.coset_table.coset_of(w) != 0:
-                    raise ValueError("generator moves the base coset of the attached table")
         for w in self.generators:
             if contains(self, w) is False:
                 raise ValueError("membership oracle rejects a listed generator")
@@ -381,9 +377,8 @@ def conjugate(sub: SubgroupHandle, g: Word) -> SubgroupHandle:
 
 
 def whole_group(ctx) -> SubgroupHandle:
-    names = ctx.generator_count
-    count = 2 if names is None else names
-    return SubgroupHandle(ctx, tuple(generator(i) for i in range(count)), None, All())
+    gens = tuple(generator(i) for i, sign in groups.signed_letters(ctx) if sign > 0)
+    return SubgroupHandle(ctx, gens, None, All())
 
 
 def trivial_subgroup(ctx) -> SubgroupHandle:

@@ -347,25 +347,26 @@ def suite_thompson(seed: int) -> list:
 def suite_bs(seed: int) -> list:
     out = []
     x, y = generator(0), generator(1)
-    head, tail = bs.britton_reduce(invert(y) * x * x * y)
+    ctx = groups.preset("bs(2,3)")
+    m, n = ctx.bs_params
+    head, tail = bs.britton_reduce(invert(y) * x * x * y, m, n)
     _check(out, "bs/britton-defining-relation", "y^-1 x^2 y reduces to x^3",
            {"group": "bs(2,3)"}, not tail and head == 3,
            {"head": head, "tail": list(tail)})
-    pc = bs.power_conjugate(y, 10)
+    pc = bs.power_conjugate(y, 10, m, n)
     _check(out, "bs/power-conjugate-y", "conjugating by y carries x^2 to x^3",
            {"g": "y", "bound": 10}, pc == (2, 3), pc)
-    pc2 = bs.power_conjugate(invert(y), 10)
+    pc2 = bs.power_conjugate(invert(y), 10, m, n)
     _check(out, "bs/power-conjugate-y-inv", "conjugating by y^-1 carries x^3 to x^2",
            {"g": "y^-1", "bound": 10}, pc2 == (3, 2), pc2)
-    pc3 = bs.power_conjugate(y * y, 20)
+    pc3 = bs.power_conjugate(y * y, 20, m, n)
     _check(out, "bs/power-conjugate-yy", "conjugating by y^2 carries x^4 to x^9",
            {"g": "y^2", "bound": 20}, pc3 == (4, 9), pc3)
-    ctx = groups.preset("bs(2,3)")
     h = subgroups.power_subgroup(ctx, 1)
     nn = subgroups.near_normal_on(h, [x, y], 60)
     _check(out, "bs/near-normal", "<x> is near normal",
            {"bound": 60}, nn is True, nn)
-    fam = bs.family_axiom_check([y], 4)
+    fam = bs.family_axiom_check([y], 4, 1, m, n)
     _check(out, "bs/family-axioms", "bounded truncation of the power family is closed and directed",
            {"conjugators": ["y"], "a_bound": 4},
            fam["all_pass"], {"nodes": fam["nodes"], "closure": fam["closure_pass"],

@@ -303,8 +303,8 @@ def am_in_conjugate_intersection(gs: list[Word], m_bound: int) -> dict:
 SHIFT_WORDS = ("x0^2", "x0^-2", "x0 x1", "x1 x0^-1", "x0^2 x1^-2")
 
 
-def lemma_report(identity_bound: int = 10, pair_bound: int = 12, shift_bound: int = 20,
-                 m_bound: int = 8, words=SHIFT_WORDS) -> dict:
+def lemma_report(identity_bound: int, pair_bound: int, shift_bound: int, m_bound: int,
+                 words=SHIFT_WORDS) -> dict:
     """The pair-generator lemma grid, one section per lemma, each with its
     failures and a pass flag:
 

@@ -143,14 +143,15 @@ def test_acceptance_06_thompson_lemma_grid(request):
 def test_acceptance_07_bs_fixture():
     with verdict(7, "bs(2,3) reduction, power conjugation, and family axioms"):
         x, y = generator(0), generator(1)
-        assert bs.britton_reduce(invert(y) * x * x * y) == (3, ())
-        assert bs.power_conjugate(y, 10) == (2, 3)
-        assert bs.power_conjugate(invert(y), 10) == (3, 2)
-        assert bs.power_conjugate(y * y, 20) == (4, 9)
         ctx = groups.preset("bs(2,3)")
+        m, n = ctx.bs_params
+        assert bs.britton_reduce(invert(y) * x * x * y, m, n) == (3, ())
+        assert bs.power_conjugate(y, 10, m, n) == (2, 3)
+        assert bs.power_conjugate(invert(y), 10, m, n) == (3, 2)
+        assert bs.power_conjugate(y * y, 20, m, n) == (4, 9)
         h = subgroups.power_subgroup(ctx, 1)
         assert subgroups.near_normal_on(h, [x, y], 60) is True
-        report = bs.family_axiom_check([y, invert(y)], 12)
+        report = bs.family_axiom_check([y, invert(y)], 12, 1, m, n)
         assert report["all_pass"] is True
         result = groups.todd_coxeter(ctx, (x,), 10_000)
         assert isinstance(result, groups.Incomplete)

@@ -12,6 +12,7 @@ from rewriting import bs_naive_equal, bs_neighbors
 
 X = generator(0)
 Y = generator(1)
+M, N = 2, 3  # the fixtures below are about BS(2,3)
 
 LETTERS = ((0, 1), (0, -1), (1, 1), (1, -1))
 
@@ -72,14 +73,14 @@ def test_britton_key_matches_rewriting_components():
         return a
 
     for w, i in index.items():
-        for nb in bs_neighbors(w, 2, 3, cap):
+        for nb in bs_neighbors(w, M, N, cap):
             j = index.get(free_reduce_tuple(nb))
             if j is not None:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[ri] = rj
 
-    keys = [bs.britton_reduce(Word(w)) for w in words]
+    keys = [bs.britton_reduce(Word(w), M, N) for w in words]
     comp_key = {}
     for i, w in enumerate(words):
         root = find(i)
@@ -116,70 +117,70 @@ def test_affine_model_is_a_homomorphism():
 def test_britton_form_preserves_the_affine_image():
     # the canonical word of each form must represent the same group element
     for w in reduced_ball(8):
-        form = bs.britton_reduce(Word(w))
+        form = bs.britton_reduce(Word(w), M, N)
         assert affine(form_word(form).letters) == affine(w), w
 
 
 def test_equal_keys_imply_equal_affine_images():
     by_key = {}
     for w in reduced_ball(8):
-        key = bs.britton_reduce(Word(w))
+        key = bs.britton_reduce(Word(w), M, N)
         image = affine(w)
         assert by_key.setdefault(key, image) == image, w
 
 
 def test_britton_fixtures():
-    assert bs.britton_reduce(invert(Y) * X ** 2 * Y) == (3, ())
-    assert bs.britton_reduce(invert(Y) * X * Y) == (0, ((-1, 1), (1, 0)))
-    assert bs.britton_reduce(Word(())) == bs.IDENTITY
+    assert bs.britton_reduce(invert(Y) * X ** 2 * Y, M, N) == (3, ())
+    assert bs.britton_reduce(invert(Y) * X * Y, M, N) == (0, ((-1, 1), (1, 0)))
+    assert bs.britton_reduce(Word(()), M, N) == bs.IDENTITY
 
 
 def test_britton_word_roundtrip():
     for w in reduced_ball(6):
-        form = bs.britton_reduce(Word(w))
-        assert bs.britton_reduce(form_word(form)) == form
+        form = bs.britton_reduce(Word(w), M, N)
+        assert bs.britton_reduce(form_word(form), M, N) == form
 
 
 def test_bs_equal_and_powers():
     z = invert(Y) * X * Y
-    assert bs.britton_reduce(z ** 2 * invert(X ** 3)) == bs.IDENTITY
-    assert bs.britton_reduce(z * invert(X)) != bs.IDENTITY
+    assert bs.britton_reduce(z ** 2 * invert(X ** 3), M, N) == bs.IDENTITY
+    assert bs.britton_reduce(z * invert(X), M, N) != bs.IDENTITY
     for k in range(1, 101):
-        assert bs.britton_reduce(X ** k) != bs.IDENTITY
-        assert bs.britton_reduce(Y ** k) != bs.IDENTITY
+        assert bs.britton_reduce(X ** k, M, N) != bs.IDENTITY
+        assert bs.britton_reduce(Y ** k, M, N) != bs.IDENTITY
 
 
 def test_power_of_x_in():
-    assert bs.power_of_x_in(X ** 6, 2)
-    assert not bs.power_of_x_in(X ** 6, 4)
-    assert bs.power_of_x_in(invert(Y) * X ** 2 * Y, 3)
-    assert not bs.power_of_x_in(invert(Y) * X * Y, 1)
+    assert bs.power_of_x_in(X ** 6, 2, M, N)
+    assert not bs.power_of_x_in(X ** 6, 4, M, N)
+    assert bs.power_of_x_in(invert(Y) * X ** 2 * Y, 3, M, N)
+    assert not bs.power_of_x_in(invert(Y) * X * Y, 1, M, N)
 
 
 def test_power_conjugate_fixtures():
-    assert bs.power_conjugate(Y, 10) == (2, 3)
-    assert bs.power_conjugate(invert(Y), 10) == (3, 2)
-    assert bs.power_conjugate(Y ** 2, 10) == (4, 9)
-    assert bs.power_conjugate(X, 10) == (1, 1)
-    assert bs.power_conjugate(Y, 1) is None
+    assert bs.power_conjugate(Y, 10, M, N) == (2, 3)
+    assert bs.power_conjugate(invert(Y), 10, M, N) == (3, 2)
+    assert bs.power_conjugate(Y ** 2, 10, M, N) == (4, 9)
+    assert bs.power_conjugate(X, 10, M, N) == (1, 1)
+    assert bs.power_conjugate(Y, 1, M, N) is None
 
 
 def test_power_conjugate_is_verified_by_reduction():
     for g in (Y, invert(Y), Y ** 2, X * Y, Y * X ** 2):
-        got = bs.power_conjugate(g, 30)
+        got = bs.power_conjugate(g, 30, M, N)
         assert got is not None
         a, b = got
-        assert bs.britton_reduce(invert(g) * X ** a * g * invert(X ** b)) == bs.IDENTITY
+        assert bs.britton_reduce(invert(g) * X ** a * g * invert(X ** b), M, N) == bs.IDENTITY
 
 
 def test_family_axiom_check_single_x():
-    report = bs.family_axiom_check([X], a_bound=4)
+    report = bs.family_axiom_check([X], 4, 1, M, N)
     assert report["all_pass"] is True
     assert report["closure_pass"] is True and report["directed_pass"] is True
 
 
 def test_family_axiom_check_y_pair():
-    report = bs.family_axiom_check([Y, invert(Y)], a_bound=12)
+    report = bs.family_axiom_check([Y, invert(Y)], 12, 1, M, N)
     assert report["all_pass"] is True
     assert report["nodes"] > 0
     for entry in report["closure"]:
@@ -192,7 +193,7 @@ def test_family_axiom_check_y_pair():
 
 def test_family_axiom_check_is_json_safe():
     import json
-    json.dumps(bs.family_axiom_check([Y], a_bound=3))
+    json.dumps(bs.family_axiom_check([Y], 3, 1, M, N))
 
 
 def test_naive_equal_spot_checks():
@@ -206,15 +207,15 @@ def test_naive_equal_spot_checks():
 def test_naive_equal_agrees_with_britton_on_short_words():
     for w in reduced_ball(3):
         u = Word(w)
-        reduced = form_word(bs.britton_reduce(u))
+        reduced = form_word(bs.britton_reduce(u, M, N))
         assert bs_naive_equal(u, reduced, len_slack=2) is True
 
 
 def test_reducer_rejects_bad_input():
     with pytest.raises(ValueError):
-        bs.britton_reduce(generator(2))
+        bs.britton_reduce(generator(2), M, N)
     with pytest.raises(ValueError):
-        bs.britton_reduce(X, m=0)
+        bs.britton_reduce(X, 0, N)
 
 
 # -- the power-family check against the word-walking reference --------------
@@ -249,7 +250,7 @@ def reference_conjugator_words(conjugators, conj_len, m, n):
     return list(seen.values())
 
 
-def reference_family_axiom_check(conjugators, a_bound, conj_len=1, m=2, n=3):
+def reference_family_axiom_check(conjugators, a_bound, conj_len, m, n):
     """The family check scanning both nodes of every pair from scratch."""
     conj_words = reference_conjugator_words(conjugators, conj_len, m, n)
     nodes = [(a, w) for a in range(1, a_bound + 1) for w in conj_words]
@@ -297,9 +298,9 @@ LATTICE_PARAMS = ((1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (2, 4), (3, 3), (4, 6)
 
 def test_x_power_lattice_matches_the_word_reference():
     # y^-1 x^2 y = x^3, so y^-1 x^t y = x^(3t/2) exactly when 2 | t
-    assert bs.x_power_lattice(invert(Y)) == (2, 3)
-    assert bs.x_power_lattice(Y ** 2 * X * invert(Y)) == (6, 4)
-    assert bs.x_power_lattice(X ** 5) == (1, 1)
+    assert bs.x_power_lattice(invert(Y), M, N) == (2, 3)
+    assert bs.x_power_lattice(Y ** 2 * X * invert(Y), M, N) == (6, 4)
+    assert bs.x_power_lattice(X ** 5, M, N) == (1, 1)
     rng = random.Random(13)
     for m, n in LATTICE_PARAMS:
         for _ in range(15):
@@ -313,9 +314,9 @@ def test_x_power_lattice_matches_the_word_reference():
 
 
 def test_least_power_matches_the_word_reference():
-    assert bs.least_power(invert(Y), 1) == 2
-    assert bs.least_power(invert(Y), 1, step=3) == 6
-    assert bs.least_power(invert(Y), 9) == 6
+    assert bs.least_power(invert(Y), 1, M, N) == 2
+    assert bs.least_power(invert(Y), 1, M, N, step=3) == 6
+    assert bs.least_power(invert(Y), 9, M, N) == 6
     rng = random.Random(11)
     bound = 40
     found = beyond = 0
@@ -338,11 +339,11 @@ def test_least_power_past_the_old_scan_cap():
     # because it works and t/p fails for each prime p dividing t
     w = Y ** 3 * X * invert(Y) * X * Y ** 4 * X ** -1 * invert(Y) ** 2 * X * Y ** 3
     k = 10
-    t = bs.least_power(w, k)
+    t = bs.least_power(w, k, M, N)
     assert t > 10_000
 
     def works(t):
-        return bs._conjugates_into(bs._conjugation_state(w, 2, 3), t, k, 2, 3)
+        return bs._conjugates_into(bs._conjugation_state(w, M, N), t, k, M, N)
 
     primes = [p for p in range(2, 8) if t % p == 0]
     assert len(primes) >= 2
@@ -358,11 +359,11 @@ def test_least_power_past_the_old_scan_cap():
 def test_swapped_lattice_fails_the_family_check(monkeypatch):
     real = bs.x_power_lattice
 
-    def swapped(w, m=2, n=3):
+    def swapped(w, m, n):
         return real(Word([(i, -s) if i == 1 else (i, s) for i, s in w.letters]), m, n)
 
     monkeypatch.setattr(bs, "x_power_lattice", swapped)
-    report = bs.family_axiom_check([Y, invert(Y)], 6)
+    report = bs.family_axiom_check([Y, invert(Y)], 6, 1, M, N)
     assert report["all_pass"] is False
 
 
@@ -370,14 +371,14 @@ def test_swapped_lattice_fails_the_family_check(monkeypatch):
 def test_family_axiom_check_matches_the_word_reference(conj_len, bounds):
     conjugators = [Y, invert(Y)]
     for a_bound in bounds:
-        assert bs.family_axiom_check(conjugators, a_bound, conj_len) \
-            == reference_family_axiom_check(conjugators, a_bound, conj_len), a_bound
+        assert bs.family_axiom_check(conjugators, a_bound, conj_len, M, N) \
+            == reference_family_axiom_check(conjugators, a_bound, conj_len, M, N), a_bound
 
 
 def test_family_axiom_check_matches_the_word_reference_on_other_conjugators():
     for conjugators in ([X, Y], [Y, X * Y * invert(X)]):
-        assert bs.family_axiom_check(conjugators, 4, 2) \
-            == reference_family_axiom_check(conjugators, 4, 2)
+        assert bs.family_axiom_check(conjugators, 4, 2, M, N) \
+            == reference_family_axiom_check(conjugators, 4, 2, M, N)
 
 
 def test_syllable_reduction_equals_britton_reduce():
@@ -426,19 +427,19 @@ def test_feed_accepts_unreduced_letters():
 
 
 def test_corrupted_push_x_fails_the_family_check(monkeypatch):
-    assert bs.family_axiom_check([Y, invert(Y)], 6)["all_pass"] is True
+    assert bs.family_axiom_check([Y, invert(Y)], 6, 1, M, N)["all_pass"] is True
     push_x = bs.push_x
     # a syllable x^t with t >= 2 lands one letter too far
     monkeypatch.setattr(bs, "push_x", lambda key, e: push_x(key, e + 1 if e >= 2 else e))
-    report = bs.family_axiom_check([Y, invert(Y)], 6)
+    report = bs.family_axiom_check([Y, invert(Y)], 6, 1, M, N)
     assert report["all_pass"] is False
 
 
 @pytest.mark.parametrize("conjugators", [[Y, invert(Y)], [X, Y], [Y, X * Y * invert(X)]])
 def test_conjugator_words_match_the_full_enumeration(conjugators):
     for conj_len in range(5):
-        assert bs.conjugator_words(conjugators, conj_len) \
-            == reference_conjugator_words(conjugators, conj_len, 2, 3)
+        assert bs.conjugator_words(conjugators, conj_len, M, N) \
+            == reference_conjugator_words(conjugators, conj_len, M, N)
 
 
 def test_conjugator_words_never_build_every_product(monkeypatch):
@@ -451,7 +452,7 @@ def test_conjugator_words_never_build_every_product(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(Word, "__mul__", counting)
-    words = bs.conjugator_words([Y, invert(Y)], 40)
+    words = bs.conjugator_words([Y, invert(Y)], 40, M, N)
     assert len(words) == 81
     assert set(words) == {generator(1, k) for k in range(-40, 41)}
     # keys step by resume, and a product is built only for a new element:

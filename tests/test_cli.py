@@ -10,8 +10,10 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from nearnormal import baumslag_solitar as bs
 from nearnormal import groups, scan, suites, thompson
 from nearnormal.cli import main
+from nearnormal.words import generator, invert
 
 
 @pytest.fixture
@@ -186,7 +188,7 @@ def test_ends_estimate_line(runner):
 def test_ends_graph_dot(runner):
     result = invoke(runner, [
         "ends", "graph", "--group", "sym3", "--l", "a", "--radius", "2",
-        "--dot"])
+        "--format", "dot"])
     assert result.output.startswith("graph ball {")
     assert " -- " in result.output
     plain = invoke(runner, [
@@ -232,8 +234,7 @@ def test_thompson_verify_reports_an_exhausted_intersection(runner, monkeypatch):
 
 def test_thompson_verify_scan(runner):
     result = invoke(runner, [
-        "thompson", "verify", "--suite", "scan", "--max-len", "3",
-        "--max-index", "1"])
+        "thompson", "scan", "--max-len", "3", "--max-index", "1"])
     data = json.loads(result.output)
     assert data["words"] == 53
     assert data["pass"] is True
@@ -242,7 +243,7 @@ def test_thompson_verify_scan(runner):
 @pytest.mark.parametrize("option, value", [("--max-len", "-1"), ("--max-index", "-3")])
 def test_thompson_verify_scan_rejects_negative_bounds(runner, option, value):
     result = runner.invoke(main, [
-        "thompson", "verify", "--suite", "scan", option, value])
+        "thompson", "scan", option, value])
     assert result.exit_code == 2
     assert option in result.output
 
@@ -253,7 +254,7 @@ def test_thompson_verify_scan_kernel_limit_is_a_usage_error(runner, monkeypatch)
 
     monkeypatch.setattr(scan, "thompson_agreement_scan", limited)
     result = runner.invoke(main, [
-        "thompson", "verify", "--suite", "scan", "--max-len", "13"])
+        "thompson", "scan", "--max-len", "13"])
     assert result.exit_code == 2
     assert "Error: max_len too large for compiled kernel (<= 12)" in result.output
 
@@ -265,7 +266,7 @@ def test_thompson_verify_scan_beyond_c_int_is_a_usage_error(runner, monkeypatch,
     # C int holds, so the CLI ends in one Error: line instead of a traceback
     monkeypatch.setattr(scan, "thompson_agreement_scan", scan_c.thompson_agreement_scan)
     result = runner.invoke(main, [
-        "thompson", "verify", "--suite", "scan", "--max-len", "1", "--max-index", max_index])
+        "thompson", "scan", "--max-len", "1", "--max-index", max_index])
     assert result.exit_code == 2
     errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
     assert errors == ["Error: index range too large for compiled kernel: max_index + 2 * "
@@ -293,15 +294,61 @@ def test_bs_verify_and_reduce(runner):
     assert rdata["is_power_of_x"] is True
 
 
+def test_bs_verify_reads_m_and_n_from_the_group(runner):
+    data = json.loads(invoke(runner, ["bs", "verify", "--group", "bs(3,5)", "--bound", "4"]).output)
+    y = generator(1)
+    report = bs.family_axiom_check([y, invert(y)], 4, 1, 3, 5)
+    assert (data["m"], data["n"], data["a_bound"]) == (3, 5, 4)
+    assert (data["nodes"], data["closure_checked"], data["directed_checked"]) \
+        == (report["nodes"], len(report["closure"]), len(report["directed"]))
+    assert data["all_pass"] is report["all_pass"] is True
+    # in BS(3,5), not the default BS(2,3), y^-1 x^3 y reduces to x^5
+    reduced = json.loads(invoke(runner, ["bs", "reduce", "--group", "bs(3,5)",
+                                         "--word", "y^-1 x^3 y"]).output)
+    assert (reduced["m"], reduced["n"], reduced["head"], reduced["tail"]) == (3, 5, 5, [])
+
+
+def test_bs_reduce_takes_a_group_as_text(runner):
+    text = invoke(runner, ["group", "parse", "bs(1,2)"]).output
+    args = ["bs", "reduce", "--word", "y^-1 x y x^2"]
+    assert invoke(runner, args + ["--group", text]).output \
+        == invoke(runner, args + ["--group", "bs(1,2)"]).output
+
+
+@pytest.mark.parametrize("command", [["bs", "verify"], ["bs", "reduce", "--word", "x"]],
+                         ids=["verify", "reduce"])
+@pytest.mark.parametrize("group, message", [
+    ("sym3", "Error: BS(m,n) needs the britton oracle, not coset-table"),
+    ("bs(0,3)", "Error: bs(m,n) needs m, n >= 1"),
+])
+def test_bs_commands_need_a_britton_group(runner, command, group, message):
+    result = runner.invoke(main, command + ["--group", group])
+    assert result.exit_code == 1
+    assert result.output.strip() == message
+
+
+@pytest.mark.parametrize("args, option", [
+    (["thompson", "verify", "--max-len", "3"], "--max-len"),
+    (["thompson", "scan", "--identity-bound", "3"], "--identity-bound"),
+    (["ends", "graph", "--group", "sym3", "--l", "a", "--dot"], "--dot"),
+    (["bs", "verify", "--m", "3"], "--m"),
+])
+def test_each_command_lists_only_its_own_options(runner, args, option):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert f"No such option '{option}'" in result.output
+
+
 @pytest.mark.parametrize("args, option", [
     (["bs", "verify", "--bound", "0"], "--bound"),
     (["bs", "verify", "--bound", "-1"], "--bound"),
     (["bs", "verify", "--conj-len", "-1"], "--conj-len"),
     (["ends", "graph", "--group", "free(2)", "--l", "a", "--radius", "-1"], "--radius"),
-    (["bs", "verify", "--m", "0"], "--m"),
-    (["bs", "verify", "--n", "-1"], "--n"),
-    (["bs", "reduce", "--word", "x", "--m", "0"], "--m"),
-    (["bs", "reduce", "--word", "x", "--n", "-1"], "--n"),
+    (["bs", "verify", "--group", "bs(3,5)", "--bound", "0"], "--bound"),
+    (["bs", "verify", "--group", "bs(1,2)", "--conj-len", "-1"], "--conj-len"),
+    (["ends", "graph", "--group", "sym3", "--l", "a", "--radius", "-1", "--format", "dot"],
+     "--radius"),
+    (["bs", "verify", "--format", "dot"], "--format"),  # dot is for ends graph only
     (["thompson", "verify", "--shift-bound", "1"], "--shift-bound"),
     (["thompson", "verify", "--identity-bound", "-3"], "--identity-bound"),
     (["thompson", "verify", "--pair-bound", "-1"], "--pair-bound"),

@@ -33,6 +33,19 @@ def test_finite_subgroup_membership():
     assert contains(h, Word(())) is True
 
 
+def test_table_handle_rejects_a_generator_outside_its_table():
+    ctx = preset("sym3")
+    h = finite_subgroup(ctx, [w("a")])
+    with pytest.raises(ValueError, match="membership oracle rejects a listed generator"):
+        SubgroupHandle(ctx, (w("a"), w("b")), h.coset_table, h.membership)
+
+
+def test_whole_group_is_generated_by_the_signed_letters():
+    assert whole_group(preset("zn(3)")).generators == tuple(generator(i) for i in range(3))
+    # a schema context: x_0 and x_1 generate F
+    assert whole_group(preset("thompson-f")).generators == (generator(0), generator(1))
+
+
 def test_whole_and_trivial():
     ctx = preset("sym3")
     assert contains(whole_group(ctx), w("a b")) is True
