@@ -16,6 +16,10 @@ Each positional case is LAYER:ARG:
                           length <= LEN in x_0..x_INDEX on the pure-Python
                           kernel, and on the C kernel once it is built
                           (python setup.py build_ext --inplace)
+    suite:NAME            suites.run_suite(NAME) at seed 0, NAME a suite
+                          or all, with the lru caches cleared before each
+                          run as in one CLI call; reports the checks and
+                          the processes the suites ran on
 
 Each case prints one row of best-of-N seconds and counts.  The run exits 1
 and lists every count that is not the one the case must have, and exits 2
@@ -32,7 +36,7 @@ import random
 import sys
 import time
 
-from nearnormal import _scan_py, completion, ends, families, modp, subgroups
+from nearnormal import _scan_py, completion, ends, families, modp, subgroups, suites
 from nearnormal.groups import load, parse_context_word, preset
 from nearnormal.words import generator
 
@@ -66,9 +70,12 @@ ENDS = {
     "free2-a": ("free(2)", "a", 4, 81, 161),
     "z2-u": ("zn(2)", "u", 20, 41, 81),
 }
+# suite name or all -> checks in its report
+SUITE_CHECKS = {"all": 83, "thompson": 6, "ends": 8, "completion": 34, "subgroups": 9,
+                "families": 10, "groups": 5, "bs": 7, "words": 4}
 DEFAULT_CASES = ([f"completion:{name}" for name in COMPLETION] + [f"ends:{name}" for name in ENDS]
                  + ["modp:a5:2", "modp:a5:5", "modp:s5:2", "modp:dense-s4:5",
-                    "scan:3:2", "scan:4:2", "scan:5:2"])
+                    "scan:3:2", "scan:4:2", "scan:5:2", "suite:all"])
 
 
 def best(fn, repeat: int, setup=None):
@@ -217,8 +224,27 @@ def scan_layer(arg: str):
     return run
 
 
+def suite_layer(arg: str):
+    checks = pick(SUITE_CHECKS, arg)
+
+    def cold():
+        for name, module in list(sys.modules.items()):
+            if name.startswith("nearnormal."):
+                for obj in vars(module).values():
+                    if hasattr(obj, "cache_clear"):
+                        obj.cache_clear()
+
+    def run(repeat):
+        seconds, report = best(lambda _: suites.run_suite(arg, timing=True), repeat, setup=cold)
+        return ({"seconds": seconds, "checks": len(report["checks"]),
+                 "failed": len(suites.report_failures(report)),
+                 "workers": report["timing"]["workers"]},
+                {"checks": checks, "failed": 0})
+    return run
+
+
 LAYERS = {"completion": completion_layer, "ends": ends_layer, "modp": modp_layer,
-          "scan": scan_layer}
+          "scan": scan_layer, "suite": suite_layer}
 
 
 def show(row: dict) -> str:
@@ -228,7 +254,7 @@ def show(row: dict) -> str:
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description="Benchmark the completion, ends, GF(p) and "
-                                             "scan layers.")
+                                             "scan layers and the check suites.")
     ap.add_argument("cases", nargs="*", default=DEFAULT_CASES,
                     help="LAYER:ARG cases, LAYER among " + ", ".join(LAYERS)
                          + " (default: all " + str(len(DEFAULT_CASES)) + " listed above).")

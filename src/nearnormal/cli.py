@@ -552,7 +552,7 @@ def thompson_scan(max_len, max_index, fmt):
     """Check the normal-form engine against the homeomorphism model on every word."""
     try:
         report = scan.thompson_agreement_scan(max_len, max_index)
-    except ValueError as exc:  # the compiled kernel's size limits
+    except ValueError as exc:  # the kernels' size limits
         raise click.UsageError(str(exc))
     _emit({"suite": "scan", "max_len": max_len, "max_index": max_index,
            "backend": report["backend"], "words": report["words"],
@@ -623,7 +623,8 @@ def bs_reduce(word_text, group_spec, fmt):
 @click.argument("name")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--timing", is_flag=True,
-              help="Include wall-clock seconds (breaks byte determinism).")
+              help="Include wall-clock seconds, in all and per suite, and the number "
+                   "of processes (breaks byte determinism).")
 @_format_option
 def suite_cmd(name, seed, timing, fmt):
     """Run a named check suite or 'all'; exit 1 if any check fails."""
@@ -643,8 +644,11 @@ def suite_cmd(name, seed, timing, fmt):
         failed = len(suites.report_failures(report))
         total = len(report["checks"])
         click.echo(f"{total - failed}/{total} checks passed")
-        if report["timing"]:
-            click.echo(f"elapsed: {report['timing']['seconds']}s")
+        timing = report["timing"]
+        if timing:
+            click.echo(f"elapsed: {timing['seconds']}s on {timing['workers']} processes")
+            for suite, spent in sorted(timing["suites"].items(), key=lambda kv: -kv[1]["seconds"]):
+                click.echo(f"  {suite}: {spent['seconds']}s")
     if suites.report_failures(report):
         sys.exit(1)
 

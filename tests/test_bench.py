@@ -32,7 +32,10 @@ def run_bench(*cases):
      "modp:s5:2": {"dim": 120, "h0_dim": 120, "dim_h1": 0, "rank": 119, "res_dim": 120}},
     # 1 + 6 + 6*5 + 6*5*5 freely reduced words over x_0..x_2
     {"scan:3:2": {"words": 187, "failures": 0}},
-], ids=["completion", "ends", "modp", "scan"])
+    # every check of the 8 suites; words is one suite, so one process
+    {"suite:all": {"checks": 83, "failed": 0},
+     "suite:words": {"checks": 4, "failed": 0, "workers": 1}},
+], ids=["completion", "ends", "modp", "scan", "suite"])
 def test_bench_runs_its_smallest_cases(want):
     done = run_bench(*want)
     assert done.returncode == 0, done.stderr
@@ -44,7 +47,7 @@ def test_bench_runs_its_smallest_cases(want):
 
 
 @pytest.mark.parametrize("case", ["nope:x", "completion:nope", "ends:", "modp:q4:2",
-                                  "modp:a5:4", "scan:3", "scan:3:x"])
+                                  "modp:a5:4", "scan:3", "scan:3:x", "suite:nope"])
 def test_bench_refuses_a_bad_case_in_one_line(case):
     done = run_bench("completion:sym3-all", case)
     assert done.returncode == 2

@@ -259,6 +259,25 @@ def test_thompson_verify_scan_kernel_limit_is_a_usage_error(runner, monkeypatch)
     assert "Error: max_len too large for compiled kernel (<= 12)" in result.output
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--max-len", "13"], "max_len too large for compiled kernel (<= 12)"),
+    (["--max-len", "2", "--max-index", "41"],
+     "index range too large for compiled kernel: max_index + 2 * max_len + 4 must be "
+     "<= 48 bits, so max_index <= 40 at max_len 2"),
+])
+def test_thompson_scan_refuses_the_sizes_on_either_kernel(runner, monkeypatch, args, message):
+    # the facade checks the compiled kernel's limits before it dispatches, so
+    # the pure-Python kernel never starts a scan it would run for minutes
+    def no_scan(max_len, max_index):
+        raise AssertionError("a kernel was called")
+
+    monkeypatch.setattr(scan, "_kernel", no_scan)
+    result = runner.invoke(main, ["thompson", "scan", *args])
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert errors == [f"Error: {message}"]
+
+
 @pytest.mark.parametrize("max_index", ["2147483648", str(2 ** 64)])
 def test_thompson_verify_scan_beyond_c_int_is_a_usage_error(runner, monkeypatch, scan_c,
                                                             max_index):
@@ -440,6 +459,16 @@ def test_suite_json_is_schema_valid(runner, report_schema):
     treport = json.loads(timed.output)
     jsonschema.validate(treport, report_schema)
     assert treport["timing"]["seconds"] >= 0
+
+
+def test_suite_timing_text_names_the_processes_and_each_suite(runner):
+    lines = invoke(runner, ["suite", "all", "--timing", "--format", "text"]).output.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("elapsed: "))
+    assert lines[at].endswith(" processes")
+    per_suite = lines[at + 1:]
+    assert sorted(line.split(":")[0].strip() for line in per_suite) == sorted(suites.SUITES)
+    seconds = [float(line.split(": ")[1].rstrip("s")) for line in per_suite]
+    assert seconds == sorted(seconds, reverse=True)
 
 
 def test_suite_byte_determinism(runner):

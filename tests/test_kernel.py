@@ -330,6 +330,30 @@ def test_compiled_scan_at_the_bit_budget_edge(scan_c):
             scan_c.thompson_agreement_scan(max_len, max_index)
 
 
+@pytest.mark.parametrize("max_len, max_index", [
+    (13, 0), (12, 21), (2, 41), (1, 43), (0, 45), (-1, 2), (2, -1), (2 ** 64, 1), (1, 2 ** 64)])
+def test_facade_refuses_what_the_compiled_kernel_refuses(scan_c, monkeypatch, max_len, max_index):
+    # the facade's size checks run before either kernel, with the same messages
+    with pytest.raises(ValueError) as compiled:
+        scan_c.thompson_agreement_scan(max_len, max_index)
+
+    def no_scan(max_len, max_index):
+        raise AssertionError("a kernel was called")
+
+    monkeypatch.setattr(scan, "_kernel", no_scan)
+    with pytest.raises(ValueError) as facade:
+        scan.thompson_agreement_scan(max_len, max_index)
+    assert str(facade.value) == str(compiled.value)
+
+
+def test_facade_admits_the_sizes_at_the_limits(monkeypatch):
+    calls = []
+    monkeypatch.setattr(scan, "_kernel", lambda *args: calls.append(args))
+    for size in ((12, 20), (2, 40), (0, 44)):
+        scan.thompson_agreement_scan(*size)
+    assert calls == [(12, 20), (2, 40), (0, 44)]
+
+
 def test_facade_exports_active_backend():
     report = scan.thompson_agreement_scan(2, 1)
     assert report["backend"] == scan.BACKEND

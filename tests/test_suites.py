@@ -1,11 +1,16 @@
 """Named check suites: determinism, schema conformance, outcomes."""
 
+import contextlib
 import json
+import os
+import signal
+import threading
+import time
 
 import jsonschema
 import pytest
 
-from nearnormal import thompson
+from nearnormal import suites, thompson
 from nearnormal.suites import SUITES, UnknownSuiteError, report_failures, run_suite
 
 
@@ -37,7 +42,15 @@ def test_schema_validation(report_schema):
     jsonschema.validate(report, report_schema)
     timed = run_suite("words", seed=0, timing=True)
     assert timed["timing"] is not None and timed["timing"]["seconds"] >= 0
+    assert timed["timing"]["workers"] == 1
+    assert list(timed["timing"]["suites"]) == ["words"]
     jsonschema.validate(timed, report_schema)
+    timed_all = run_suite("all", seed=0, timing=True)
+    assert set(timed_all["timing"]["suites"]) == set(SUITES)
+    jsonschema.validate(timed_all, report_schema)
+    del timed_all["timing"]["suites"]["words"]["seconds"]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(timed_all, report_schema)
 
 
 def test_schema_rejects_malformed_reports(report_schema):
@@ -101,3 +114,186 @@ def test_thompson_suite_keeps_the_intersection_bound_text(monkeypatch):
     record = checks["thompson/conjugate-intersection"]
     assert record["outcome"] == "fail"
     assert record["witness"] == "no m <= 1"
+
+
+# -- the suites on worker processes ------------------------------------------
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in this process if the block runs past ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_suites_are_listed_longest_first():
+    assert list(SUITES)[:2] == ["thompson", "ends"]
+    assert sorted(SUITES) == ["bs", "completion", "ends", "families", "groups", "subgroups",
+                              "thompson", "words"]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_all_is_byte_identical_on_one_process(monkeypatch, seed):
+    fanned = run_suite("all", seed=seed, timing=True)
+    assert fanned["timing"]["workers"] == suites._worker_count(len(SUITES))
+    monkeypatch.setattr(suites, "_worker_count", lambda jobs: 1)
+    alone = run_suite("all", seed=seed, timing=True)
+    assert alone["timing"]["workers"] == 1
+    for report in (fanned, alone):
+        report["timing"] = None
+    assert json.dumps(fanned, sort_keys=True) == json.dumps(alone, sort_keys=True)
+    assert_no_children()
+
+
+def test_worker_count_is_bounded_by_cpus_and_suites(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert [suites._worker_count(jobs) for jobs in (1, 2, 3, 8)] == [1, 2, 3, 3]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
+    assert suites._worker_count(8) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert suites._worker_count(8) == 4
+    monkeypatch.delattr(os, "fork")
+    assert suites._worker_count(8) == 1
+
+
+def never_fork():
+    raise AssertionError("os.fork was called")
+
+
+def test_one_cpu_never_forks(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", never_fork)
+    report = run_suite("all", seed=0, timing=True)
+    assert report["timing"]["workers"] == 1 and not report_failures(report)
+    assert_no_children()
+
+
+def test_one_suite_never_forks(monkeypatch):
+    monkeypatch.setattr(os, "fork", never_fork)
+    assert run_suite("ends", seed=0, timing=True)["timing"]["workers"] == 1
+    assert_no_children()
+
+
+def test_a_live_thread_means_no_fork(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", never_fork)
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait, args=(30,))
+    waiter.start()
+    try:
+        report = run_suite("all", seed=0, timing=True)
+    finally:
+        stop.set()
+        waiter.join(timeout=30)
+    assert not waiter.is_alive()
+    assert report["timing"]["workers"] == 1 and not report_failures(report)
+    assert_no_children()
+
+
+def two_suites(monkeypatch, tmp_path, second):
+    """SUITES of two on two processes: this process takes "first", which
+    returns once "second" has started in the forked worker."""
+    parent, started = os.getpid(), tmp_path / "started"
+
+    def first(seed):
+        limit = time.monotonic() + 30
+        while not started.exists():
+            assert time.monotonic() < limit, "the second suite never started"
+            time.sleep(0.005)
+        return []
+
+    def in_worker(seed):
+        assert os.getpid() != parent, "the second suite ran in the parent"
+        started.touch()
+        return second(seed)
+
+    monkeypatch.setattr(suites, "SUITES", {"first": first, "second": in_worker})
+    monkeypatch.setattr(suites, "_worker_count", lambda jobs: 2)
+
+
+def test_a_worker_exception_keeps_its_type_and_message(monkeypatch, tmp_path):
+    def bad(seed):
+        raise ValueError(f"no check at seed {seed}")
+
+    two_suites(monkeypatch, tmp_path, bad)
+    with deadline(60), pytest.raises(ValueError) as info:
+        run_suite("all", seed=3)
+    assert type(info.value) is ValueError and str(info.value) == "no check at seed 3"
+    assert_no_children()
+
+
+def test_an_unpicklable_worker_exception_keeps_its_text(monkeypatch, tmp_path):
+    class Local(Exception):
+        pass
+
+    def bad(seed):
+        raise Local("local class")
+
+    two_suites(monkeypatch, tmp_path, bad)
+    with deadline(60), pytest.raises(RuntimeError, match="^Local: local class$"):
+        run_suite("all")
+    assert_no_children()
+
+
+def test_a_worker_that_exits_without_a_result_is_an_error(monkeypatch, tmp_path):
+    two_suites(monkeypatch, tmp_path, lambda seed: os._exit(3))
+    with deadline(60), pytest.raises(RuntimeError, match="suites not run: second$"):
+        run_suite("all")
+    assert_no_children()
+
+
+def test_the_parent_reaps_its_workers_when_its_own_suite_raises(monkeypatch, tmp_path):
+    # the worker's result is larger than a pipe holds, so it blocks until read
+    def big(seed):
+        return [{"id": f"second/{i:06d}", "law": "l", "inputs": {}, "outcome": "pass",
+                 "witness": "w" * 64} for i in range(4000)]
+
+    two_suites(monkeypatch, tmp_path, big)
+    first = suites.SUITES["first"]
+
+    def first_then_raise(seed):
+        first(seed)
+        raise KeyError("parent share")
+
+    monkeypatch.setitem(suites.SUITES, "first", first_then_raise)
+    with deadline(60), pytest.raises(KeyError, match="parent share"):
+        run_suite("all")
+    assert_no_children()
+
+
+def test_more_workers_than_cpus_run_each_suite_once(monkeypatch, tmp_path):
+    log = tmp_path / "ran"
+
+    def suite(i):
+        def run(seed):
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, f"{i}\n".encode())
+            finally:
+                os.close(fd)
+            return [{"id": f"s{i:02d}/ran", "law": "l", "inputs": {}, "outcome": "pass",
+                     "witness": None}]
+        return run
+
+    monkeypatch.setattr(suites, "SUITES", {f"s{i:02d}": suite(i) for i in range(40)})
+    monkeypatch.setattr(suites, "_worker_count", lambda jobs: 6)
+    with deadline(60):
+        report = run_suite("all", timing=True)
+    assert [c["id"] for c in report["checks"]] == [f"s{i:02d}/ran" for i in range(40)]
+    assert sorted(map(int, log.read_text().split())) == list(range(40))
+    assert report["timing"]["workers"] == 6
+    assert_no_children()
