@@ -532,12 +532,10 @@ def _run_queue(names: list, runners: list, seed: int) -> tuple:
     finally:
         os.close(queue)
         messages = _collect(children)
-    lost = False
     for message in messages:
         try:
             ok, payload = marshal.loads(message)
         except (EOFError, ValueError, TypeError):  # the worker died before it wrote
-            lost = True
             continue
         if not ok:
             import pickle
@@ -545,9 +543,9 @@ def _run_queue(names: list, runners: list, seed: int) -> tuple:
             raise pickle.loads(payload)
         done.update(payload)
     missing = [names[i] for i in range(len(runners)) if i not in done]
-    if lost or missing:
+    if missing:
         raise RuntimeError("a suite worker ended without a result; suites not run: "
-                           + (", ".join(missing) or "none"))
+                           + ", ".join(missing))
     return done, workers
 
 
