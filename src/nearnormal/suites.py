@@ -9,14 +9,16 @@ suites read the shared checkers ``completion.law_records`` and
 ``thompson.lemma_report``, the latter at smaller bounds than the CLI.
 
 ``run_suite`` runs its suites on forked processes, one per CPU this
-process may use and at most one per suite.  They drain one queue that
-holds the suites longest first, and the calling process takes the head,
-so ``thompson`` (its 5:2 agreement scan is most of ``all``) starts at once.
-Each worker sends its records back through a pipe and exits; the caller
-reaps every worker before it returns or raises, and sorts the records by
-id, so the report does not depend on which process ran which suite.  The
-caller runs every suite itself when there is one suite or one CPU, when
-the platform has no ``os.fork``, and when other threads are running.
+process may use and at most one per suite.  The suites are listed longest
+first; the calling process runs the first, ``thompson`` (its 5:2 agreement
+scan is most of ``all``), and the workers deal the others between them in
+turn, so each process runs the same suites on every run.  Each worker
+sends its records back through a pipe and exits; the caller reaps every
+worker before it returns or raises, and sorts the records by id, so the
+report does not depend on which process ran which suite.  The caller runs
+every suite itself when there is one suite or one CPU, when the platform
+has no ``os.fork``, when other threads are running, and runs the shares
+of the workers it could not fork.
 """
 
 from __future__ import annotations
@@ -390,9 +392,10 @@ def suite_bs(seed: int) -> list:
     return out
 
 
-# Longest first: the queue hands the suites out in this order, so the
-# longest starts at once.  Median milliseconds of each suite at seed 7, run
-# alone in one process with the lru caches cleared, on a 2-core x86-64 Xeon.
+# Longest first: the calling process runs the first suite and the workers
+# share the rest, so the longest runs beside all the others.  Median
+# milliseconds of each suite at seed 7, run alone in one process with the lru
+# caches cleared, on a 2-core x86-64 Xeon with the pure-Python scan kernel.
 SUITES = {
     "thompson": suite_thompson,  # 89, 85 of them the 5:2 agreement scan
     "ends": suite_ends,  # 16
@@ -417,7 +420,7 @@ def run_suite(name: str, seed: int = 0, timing: bool = False) -> dict:
         raise UnknownSuiteError(f"unknown suite {name!r}; choose from "
                                 f"{', '.join(sorted(SUITES))} or all")
     start = time.monotonic()
-    done, workers = _run_queue(names, [SUITES[k] for k in names], seed)
+    done, workers = _run_shares(names, [SUITES[k] for k in names], seed)
     checks = [c for i in range(len(names)) for c in done[i][0]]
     checks.sort(key=lambda c: c["id"])
     elapsed = None
@@ -429,10 +432,10 @@ def run_suite(name: str, seed: int = 0, timing: bool = False) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The suites run in forked processes that drain one queue: a pipe holding
-# one byte per suite index, in SUITES order.  A one-byte pipe read is atomic,
-# so each suite runs in exactly one process.  Fork, not spawn: a spawned
-# worker imports the package again, which costs more than all the suites.
+# The suites run in forked processes, each on a share fixed before it forks,
+# so the same process runs the same suites on every run.  Fork, not spawn: a
+# spawned worker imports the package again, which costs more than all the
+# suites.
 
 
 def _worker_count(jobs: int) -> int:
@@ -448,15 +451,22 @@ def _worker_count(jobs: int) -> int:
     return min(jobs, cpus)
 
 
-def _drain(index: bytes, queue: int, runners: list, seed: int) -> dict:
-    """Run the suite at ``index``, then each one whose index is read from the
-    queue until it is empty: {index: (checks, seconds)}."""
+def _shares(jobs: int, workers: int) -> list:
+    """The suite indices each process runs: the caller's first.  With more
+    than one process the caller runs suite 0, the longest, alone, and the
+    others deal the rest between them in turn."""
+    if workers == 1:
+        return [list(range(jobs))]
+    return [[0]] + [list(range(k, jobs, workers - 1)) for k in range(1, workers)]
+
+
+def _run(share: list, runners: list, seed: int) -> dict:
+    """{index: (checks, seconds)} of each suite in ``share``."""
     done = {}
-    while index:
+    for i in share:
         start = time.monotonic()
-        checks = runners[index[0]](seed)
-        done[index[0]] = (checks, time.monotonic() - start)
-        index = os.read(queue, 1)
+        checks = runners[i](seed)
+        done[i] = (checks, time.monotonic() - start)
     return done
 
 
@@ -471,8 +481,8 @@ def _pickled(exc: Exception) -> bytes:
     return blob
 
 
-def _fork(queue: int, children: list, runners: list, seed: int) -> None:
-    """Fork a worker that drains the queue and writes (True, its results) or
+def _fork(share: list, children: list, runners: list, seed: int) -> None:
+    """Fork a worker that runs ``share`` and writes (True, its results) or
     (False, its pickled exception) to a pipe of its own, then exits."""
     read_end, write_end = os.pipe()
     try:
@@ -483,15 +493,15 @@ def _fork(queue: int, children: list, runners: list, seed: int) -> None:
         raise
     if pid:
         os.close(write_end)
-        children.append((pid, os.fdopen(read_end, "rb")))
+        children.append((pid, share, os.fdopen(read_end, "rb")))
         return
     status = 1
     try:
         os.close(read_end)
-        for _, pipe in children:  # so only the parent holds each reader
+        for _, _, pipe in children:  # so only the parent holds each reader
             pipe.close()
         try:
-            message = marshal.dumps((True, _drain(os.read(queue, 1), queue, runners, seed)))
+            message = marshal.dumps((True, _run(share, runners, seed)))
         except Exception as exc:
             message = marshal.dumps((False, _pickled(exc)))
         with open(write_end, "wb") as out:
@@ -505,48 +515,42 @@ def _collect(children: list) -> list:
     """Each child's message, read to EOF before the child is reaped, so a
     child blocked writing a large result cannot deadlock the wait."""
     try:
-        return [pipe.read() for _, pipe in children]
+        return [pipe.read() for _, _, pipe in children]
     finally:
-        for pid, pipe in children:
+        for pid, _, pipe in children:
             pipe.close()
             os.waitpid(pid, 0)
 
 
-def _run_queue(names: list, runners: list, seed: int) -> tuple:
+def _run_shares(names: list, runners: list, seed: int) -> tuple:
     """({index: (checks, seconds)} of every runner, processes used).  This
-    process takes the head of the queue, the longest suite, before it forks
-    and drains the queue alongside its children; it reaps every child before
-    it returns or raises."""
-    workers = _worker_count(len(runners))
-    queue, tail = os.pipe()
+    process forks a worker for each share after its own, takes over the
+    shares it could not fork for, runs its own, and reaps every worker
+    before it returns or raises."""
+    mine, *rest = _shares(len(runners), _worker_count(len(runners)))
     children = []
     try:
-        try:
-            os.write(tail, bytes(range(len(runners))))
-        finally:
-            os.close(tail)
-        head = os.read(queue, 1)
-        for _ in range(workers - 1):
-            _fork(queue, children, runners, seed)
-        done = _drain(head, queue, runners, seed)
+        for k, share in enumerate(rest):
+            try:
+                _fork(share, children, runners, seed)
+            except OSError:  # out of processes or memory: run the rest here
+                mine = mine + [i for left in rest[k:] for i in left]
+                break
+        done = _run(mine, runners, seed)
     finally:
-        os.close(queue)
         messages = _collect(children)
-    for message in messages:
+    for (_, share, _), message in zip(children, messages):
         try:
             ok, payload = marshal.loads(message)
         except (EOFError, ValueError, TypeError):  # the worker died before it wrote
-            continue
+            raise RuntimeError("a suite worker ended without a result; suites not run: "
+                               + ", ".join(names[i] for i in share)) from None
         if not ok:
             import pickle
 
             raise pickle.loads(payload)
         done.update(payload)
-    missing = [names[i] for i in range(len(runners)) if i not in done]
-    if missing:
-        raise RuntimeError("a suite worker ended without a result; suites not run: "
-                           + ", ".join(missing))
-    return done, workers
+    return done, 1 + len(children)
 
 
 def report_failures(report: dict) -> list:

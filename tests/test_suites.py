@@ -275,25 +275,94 @@ def test_the_parent_reaps_its_workers_when_its_own_suite_raises(monkeypatch, tmp
     assert_no_children()
 
 
-def test_more_workers_than_cpus_run_each_suite_once(monkeypatch, tmp_path):
+def logged_suites(monkeypatch, tmp_path, count):
+    """SUITES of ``count`` suites that each log "index pid" to a file; the
+    returned function reads {index: pid} off that log."""
     log = tmp_path / "ran"
 
     def suite(i):
         def run(seed):
             fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
             try:
-                os.write(fd, f"{i}\n".encode())
+                os.write(fd, f"{i} {os.getpid()}\n".encode())
             finally:
                 os.close(fd)
             return [{"id": f"s{i:02d}/ran", "law": "l", "inputs": {}, "outcome": "pass",
                      "witness": None}]
         return run
 
-    monkeypatch.setattr(suites, "SUITES", {f"s{i:02d}": suite(i) for i in range(40)})
+    monkeypatch.setattr(suites, "SUITES", {f"s{i:02d}": suite(i) for i in range(count)})
+
+    def ran():
+        lines = [line.split() for line in log.read_text().splitlines()]
+        log.unlink()
+        by_index = {int(i): int(pid) for i, pid in lines}
+        assert len(by_index) == len(lines) == count, "a suite ran twice or not at all"
+        return by_index
+    return ran
+
+
+def shares_by_process(by_index):
+    """{pid: the set of suite indices that process ran}."""
+    shares = {}
+    for i, pid in by_index.items():
+        shares.setdefault(pid, set()).add(i)
+    return shares
+
+
+def test_shares_put_the_longest_suite_alone_in_the_caller():
+    assert suites._shares(8, 1) == [list(range(8))]
+    assert suites._shares(8, 2) == [[0], [1, 2, 3, 4, 5, 6, 7]]
+    assert suites._shares(8, 3) == [[0], [1, 3, 5, 7], [2, 4, 6]]
+    assert suites._shares(8, 8) == [[i] for i in range(8)]
+
+
+def test_each_process_runs_the_same_share_on_every_run(monkeypatch, tmp_path):
+    ran = logged_suites(monkeypatch, tmp_path, 40)
     monkeypatch.setattr(suites, "_worker_count", lambda jobs: 6)
+    want = {frozenset([0])} | {frozenset(range(k, 40, 5)) for k in range(1, 6)}
+    for _ in range(2):
+        with deadline(60):
+            report = run_suite("all", timing=True)
+        assert [c["id"] for c in report["checks"]] == [f"s{i:02d}/ran" for i in range(40)]
+        assert report["timing"]["workers"] == 6
+        shares = shares_by_process(ran())
+        assert shares.pop(os.getpid()) == {0}
+        assert set(map(frozenset, shares.values())) | {frozenset([0])} == want
+        assert_no_children()
+
+
+def test_a_failed_fork_runs_every_suite_in_the_caller(monkeypatch):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    alone = run_suite("all", seed=7)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", no_fork)
+    report = run_suite("all", seed=7, timing=True)
+    assert report["timing"]["workers"] == 1
+    assert set(report["timing"]["suites"]) == set(SUITES)
+    report["timing"] = None
+    assert json.dumps(report, sort_keys=True) == json.dumps(alone, sort_keys=True)
+    assert_no_children()
+
+
+def test_the_caller_takes_the_shares_it_could_not_fork(monkeypatch, tmp_path):
+    ran = logged_suites(monkeypatch, tmp_path, 5)
+    monkeypatch.setattr(suites, "_worker_count", lambda jobs: 3)
+    real_fork, forks = os.fork, []
+
+    def fork_once():
+        forks.append(None)
+        if len(forks) > 1:
+            raise OSError(12, "Cannot allocate memory")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
     with deadline(60):
         report = run_suite("all", timing=True)
-    assert [c["id"] for c in report["checks"]] == [f"s{i:02d}/ran" for i in range(40)]
-    assert sorted(map(int, log.read_text().split())) == list(range(40))
-    assert report["timing"]["workers"] == 6
+    assert report["timing"]["workers"] == 2 and len(report["checks"]) == 5
+    shares = shares_by_process(ran())
+    assert shares.pop(os.getpid()) == {0, 2, 4}
+    assert list(shares.values()) == [{1, 3}]
     assert_no_children()
