@@ -5,6 +5,11 @@ Each positional case is LAYER:ARG:
     completion:NAME       one completion call on a fresh truncation, NAME in
                           COMPLETION; the tables the call reads are built in
                           its timing, the truncation itself only for build
+    family:NAME           families.truncation, check_admissible and
+                          check_stable on the nodes of NAME in FAMILY, with
+                          the lru caches cleared before each run as in one
+                          CLI call; needs the family's node count and
+                          stability verdict, and conjugation closure
     ends:NAME             ends.coset_graph_ball, NAME in ENDS; keyed counts
                           the ends._left_key calls, one per coset key
     modp:[dense-]GROUP:P  the regular module of GROUP in MODP_GROUPS over
@@ -63,6 +68,14 @@ COMPLETION = {
     "s4-nondirected": ("sym4", "a b; a b, b a b a", "scan", 216, 48),
     "sym3-all": ("sym3", "-; a; b; a b a; a b; a,b", "laws", 6, 7),
 }
+# name -> (preset, nodes, node count of the truncation, stable): the families
+# the perfbench family-build workload checks; in S5 the node <b, a b a> is
+# A5, and no node below the order-5 node <b> is normal in it
+FAMILY = {
+    "cyclic120": ("cyclic(120)", "-; a^2; a", 3, True),
+    "s5": ("sym5", "b; b, a b a", 7, False),
+    "a5": ("alt5", "-; b; a,b", 12, True),
+}
 # name -> (preset, generator of L, radius, vertices, edges); in BS(2,3)
 # y^-1 x^2 y is x^3, so <y x^2 y^-1> is the conjugate <x^3> itself
 ENDS = {
@@ -73,7 +86,8 @@ ENDS = {
 }
 # checks in the report of suite:all; a single suite must only not fail
 ALL_CHECKS = 83
-DEFAULT_CASES = ([f"completion:{name}" for name in COMPLETION] + [f"ends:{name}" for name in ENDS]
+DEFAULT_CASES = ([f"completion:{name}" for name in COMPLETION]
+                 + [f"family:{name}" for name in FAMILY] + [f"ends:{name}" for name in ENDS]
                  + ["modp:a5:2", "modp:a5:5", "modp:s5:2", "modp:dense-s4:5",
                     "scan:3:2", "scan:4:2", "scan:5:2", "suite:all"])
 
@@ -89,6 +103,15 @@ def best(fn, repeat: int, setup=None):
         dt = time.perf_counter() - t0
         seconds = dt if seconds is None else min(seconds, dt)
     return seconds, result
+
+
+def cold():
+    """Empty every lru cache of nearnormal, as at the start of a CLI call."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nearnormal."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
 
 
 def pick(table: dict, name: str):
@@ -120,6 +143,24 @@ def completion_layer(arg: str):
             seconds, (tc, got) = best(lambda tc: (tc, counted(tc)), repeat, setup=build)
         return ({"call": call, "seconds": seconds, "elements": len(tc.elements), "count": got},
                 {"elements": elements, "count": count})
+    return run
+
+
+def family_layer(arg: str):
+    group, nodes_text, count, stable = pick(FAMILY, arg)
+
+    def run(repeat):
+        ctx = preset(group)
+        nodes = families.parse_nodes(ctx, nodes_text)
+
+        def build_and_check(_):
+            fam = families.truncation(ctx, nodes)
+            return fam, families.check_admissible(fam), families.check_stable(fam)
+
+        seconds, (fam, adm, stab) = best(build_and_check, repeat, setup=cold)
+        return ({"seconds": seconds, "nodes": len(fam.nodes),
+                 "conjugation_closed": adm["conjugation_closed"], "stable": stab["stable"]},
+                {"nodes": count, "conjugation_closed": True, "stable": stable})
     return run
 
 
@@ -229,13 +270,6 @@ def suite_layer(arg: str):
         raise ValueError(f"unknown case {arg!r}, expected all or one of {', '.join(suites.SUITES)}")
     must = {"checks": ALL_CHECKS, "failed": 0} if arg == "all" else {"failed": 0}
 
-    def cold():
-        for name, module in list(sys.modules.items()):
-            if name.startswith("nearnormal."):
-                for obj in vars(module).values():
-                    if hasattr(obj, "cache_clear"):
-                        obj.cache_clear()
-
     def run(repeat):
         seconds, report = best(lambda _: suites.run_suite(arg, timing=True), repeat, setup=cold)
         return ({"seconds": seconds, "checks": len(report["checks"]),
@@ -245,8 +279,8 @@ def suite_layer(arg: str):
     return run
 
 
-LAYERS = {"completion": completion_layer, "ends": ends_layer, "modp": modp_layer,
-          "scan": scan_layer, "suite": suite_layer}
+LAYERS = {"completion": completion_layer, "family": family_layer, "ends": ends_layer,
+          "modp": modp_layer, "scan": scan_layer, "suite": suite_layer}
 
 
 def show(row: dict) -> str:
@@ -255,8 +289,8 @@ def show(row: dict) -> str:
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description="Benchmark the completion, ends, GF(p) and "
-                                             "scan layers and the check suites.")
+    ap = argparse.ArgumentParser(description="Benchmark the completion, family, ends, GF(p) "
+                                             "and scan layers and the check suites.")
     ap.add_argument("cases", nargs="*", default=DEFAULT_CASES,
                     help="LAYER:ARG cases, LAYER among " + ", ".join(LAYERS)
                          + " (default: all " + str(len(DEFAULT_CASES)) + " listed above).")

@@ -1,12 +1,6 @@
 """Finite truncations of subgroup families, the admissibility and stability
 axioms, and the degree-0 / degree-1 cohomological functors on finite modules.
 
-A FamilyTruncation is explicit certified data over a finite coset-table
-group: nodes (subgroup handles with tables), the inclusion order, the
-conjugation action by ambient generator letters, and the verified
-normal-inclusion pairs.  Nothing is inferred at check time; checks re-verify
-the certificates they rely on.
-
 Module convention: right action of the group on row vectors over F_p.
 Derivations satisfy d(gh) = d(g).h + d(h), hence d(x^-1) = -d(x).x^-1.
 """
@@ -18,14 +12,20 @@ from functools import cached_property
 
 from . import modp
 from .groups import (
-    GroupContext, element_key, finished_table, parse_context_word, preset, signed_letters,
+    GroupContext, element_step, finished_table, parse_context_word, preset, signed_letters,
 )
-from .subgroups import SubgroupHandle, contains, finite_subgroup
+from .subgroups import SubgroupHandle, conjugate, contains, finite_subgroup
 from .words import Letter, Word, exponent_vector, generator, invert
 
 
 @dataclass(frozen=True)
 class FamilyTruncation:
+    """Explicit certified data over a finite coset-table group: nodes (subgroup
+    handles with tables; a node that conjugation by l adds to H holds H's
+    table re-rooted at the coset Hl), the inclusion order, the conjugation
+    action by generator letters and the verified normal-inclusion pairs.
+    Nothing is inferred at check time; checks re-verify what they rely on."""
+
     ctx: GroupContext
     nodes: tuple[SubgroupHandle, ...]
     members: tuple[tuple[Word, ...], ...]
@@ -97,10 +97,6 @@ class FamilyTruncation:
         raise ValueError("truncation has no global lower-bound node")
 
 
-def _key_set(ctx: GroupContext, elements) -> frozenset:
-    return frozenset(element_key(ctx, e) for e in elements)
-
-
 def _conjugation_perms(table, letters) -> dict:
     """perms[l][x] is the regular-table index of l^-1 x l: the walk along the
     representative of x from the coset of l^-1, then one step along l."""
@@ -124,13 +120,14 @@ def _conjugate_keys(keys: frozenset, w: Word, perms: dict) -> frozenset:
 def truncation(ctx: GroupContext, node_generator_lists) -> FamilyTruncation:
     """Build a certified truncation over a finite coset-table group.
 
-    Starts from the given generator lists, closes the node set under
-    conjugation by ambient generator letters, and certifies order,
-    conjugation action, and normality pairs.  A node is the set of its
-    members' indices in the regular table, and conjugation by a letter is a
-    permutation of those indices.  Node i is certified normal in node j when
-    g^-1 H_i g = H_i for every generator g of node j: for finite groups this
-    is exact, because the normaliser of H_i is a subgroup."""
+    Closes the given nodes under conjugation by generator letters and
+    certifies order, conjugation action and normality pairs.  A node is the
+    set of its members' indices in the regular table, and conjugation by a
+    letter permutes them; a node that conjugation by l adds to H is
+    ``subgroups.conjugate(H, l)``, H's table re-rooted at the coset Hl.
+    Node i is certified normal in node j when g^-1 H_i g = H_i for every
+    generator g of node j: for finite groups this is exact, because the
+    normaliser of H_i is a subgroup."""
     if ctx.oracle != "coset-table":
         raise ValueError("truncations are built over finite coset-table groups")
     regular = finished_table(ctx)
@@ -155,8 +152,7 @@ def truncation(ctx: GroupContext, node_generator_lists) -> FamilyTruncation:
             if ks not in index:
                 index[ks] = len(handles)
                 key_sets.append(ks)
-                handles.append(finite_subgroup(
-                    ctx, tuple(invert(l_word) * g * l_word for g in handles[i].generators)))
+                handles.append(conjugate(handles[i], l_word))
             conj[i, letter] = index[ks]
         i += 1
     members = tuple(tuple(reps[c] for c in sorted(ks)) for ks in key_sets)
@@ -209,31 +205,30 @@ def named_families() -> list:
 
 
 def check_admissible(fam: FamilyTruncation) -> dict:
-    """Re-verifies conjugation closure and downward directedness."""
+    """Re-verifies conjugation closure and downward directedness.  Each key
+    is stepped afresh through the regular table from the member words (l^-1
+    m l along l^-1, m, l), never read off the build's permutations or key
+    sets, so a wrong or missing conjugation target shows."""
     violations = []
-    letters = signed_letters(fam.ctx)
-    key_sets = [_key_set(fam.ctx, ms) for ms in fam.members]
-    conj_ok = True
+    start, step = element_step(fam.ctx)
+    key_sets = [frozenset(step(start, m) for m in ms) for ms in fam.members]
     for i in range(len(fam.nodes)):
-        for letter in letters:
+        for letter in signed_letters(fam.ctx):
             target = fam.conjugation_action.get((i, letter))
             if target is None:
-                conj_ok = False
                 violations.append(f"no conjugation target for node {i} by letter {letter}")
                 continue
             l_word = generator(*letter)
-            ks = _key_set(fam.ctx, (invert(l_word) * m * l_word for m in fam.members[i]))
+            l_start = step(start, invert(l_word))
+            ks = frozenset(step(step(l_start, m), l_word) for m in fam.members[i])
             if ks != key_sets[target]:
-                conj_ok = False
                 violations.append(f"conjugate of node {i} by {letter} is not node {target}")
-    directed = True
-    for i in range(len(fam.nodes)):
-        for j in range(i, len(fam.nodes)):
-            if not any(fam.leq(l, i) and fam.leq(l, j) for l in range(len(fam.nodes))):
-                directed = False
-                violations.append(f"nodes ({i}, {j}) have no lower bound in the truncation")
-    return {"conjugation_closed": conj_ok, "downward_directed": directed,
-            "violations": violations}
+    n = len(fam.nodes)
+    unbounded = [f"nodes ({i}, {j}) have no lower bound in the truncation"
+                 for i in range(n) for j in range(i, n)
+                 if not any(fam.leq(l, i) and fam.leq(l, j) for l in range(n))]
+    return {"conjugation_closed": not violations, "downward_directed": not unbounded,
+            "violations": violations + unbounded}
 
 
 def check_stable(fam: FamilyTruncation) -> dict:

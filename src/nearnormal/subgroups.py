@@ -191,7 +191,11 @@ class Table(Oracle):
         return sub.coset_table.coset_of(w) == 0
 
     def conjugate(self, sub, g, gens):
-        return finite_subgroup(sub.ctx, gens)
+        # the right-coset table of sub^g is sub's table re-rooted at (sub)g
+        h = sub.coset_table
+        table = groups.reachable_table(h.ngens, h.coset_of(g), lambda c, code: h.action[c][code])
+        groups._validate_table(table, gens, sub.ctx.relators)
+        return SubgroupHandle(sub.ctx, gens, table, self)
 
     def coset_key(self, sub):
         # the element key of g is its coset c in the regular table, reached
@@ -425,7 +429,8 @@ def am_subgroup(ctx, m: int) -> SubgroupHandle:
 def finite_subgroup(ctx, gens) -> SubgroupHandle:
     """Handle with an attached coset table (finite index established or raise)."""
     gens = tuple(gens)
-    table = groups.todd_coxeter(ctx, list(gens), groups.TABLE_LIMIT)
+    table = (groups.todd_coxeter(ctx, list(gens), groups.TABLE_LIMIT) if gens
+             else groups.regular_table(ctx))
     if isinstance(table, groups.Incomplete):
         raise ValueError(f"coset enumeration incomplete at {table.limit} live cosets")
     return SubgroupHandle(ctx, gens, table, Table())

@@ -22,6 +22,7 @@ def run_bench(*cases):
 
 @pytest.mark.parametrize("want", [
     {"completion:sym3-all": {"call": "laws", "elements": 6, "count": 7}},
+    {"family:cyclic120": {"nodes": 3, "conjugation_closed": True, "stable": True}},
     # one key per element, and one per generator for each outer-sphere element
     {"ends:free2-a": {"vertices": 81, "edges": 161, "elements": 161, "keyed": 377},
      "ends:z2-u": {"vertices": 41, "edges": 81, "elements": 841, "keyed": 1001}},
@@ -35,7 +36,7 @@ def run_bench(*cases):
     # every check of the 8 suites; words is one suite, so one process
     {"suite:all": {"checks": 83, "failed": 0},
      "suite:words": {"checks": 4, "failed": 0, "workers": 1}},
-], ids=["completion", "ends", "modp", "scan", "suite"])
+], ids=["completion", "family", "ends", "modp", "scan", "suite"])
 def test_bench_runs_its_smallest_cases(want):
     done = run_bench(*want)
     assert done.returncode == 0, done.stderr
@@ -46,7 +47,7 @@ def test_bench_runs_its_smallest_cases(want):
                if key.endswith("seconds"))
 
 
-@pytest.mark.parametrize("case", ["nope:x", "completion:nope", "ends:", "modp:q4:2",
+@pytest.mark.parametrize("case", ["nope:x", "completion:nope", "family:nope", "ends:", "modp:q4:2",
                                   "modp:a5:4", "scan:3", "scan:3:x", "suite:nope"])
 def test_bench_refuses_a_bad_case_in_one_line(case):
     done = run_bench("completion:sym3-all", case)

@@ -1,5 +1,6 @@
 """Subgroup-family truncations, finite modules, and the degree-0/1 functors."""
 
+import dataclasses
 import itertools
 import random
 
@@ -182,6 +183,73 @@ def test_truncation_matches_the_word_reference(group, nodes_text):
     assert fam.order == order
     assert fam.conjugation_action == conj
     assert fam.normal_in == normal
+
+
+@pytest.mark.parametrize("group, nodes_text", [("sym3", "-; a; b; a b a; a b; a,b"),
+                                               ("alt5", "-; b; a,b")])
+def test_the_conjugation_recheck_catches_a_wrong_or_missing_target(group, nodes_text):
+    ctx = preset(group)
+    fam = truncation(ctx, families.parse_nodes(ctx, nodes_text))
+    assert check_admissible(fam)["violations"] == []
+    n = len(fam.nodes)
+    for (node, letter), target in fam.conjugation_action.items():
+        wrong = (target + 1) % n
+        report = check_admissible(dataclasses.replace(
+            fam, conjugation_action={**fam.conjugation_action, (node, letter): wrong}))
+        assert report["conjugation_closed"] is False
+        assert report["violations"] == [f"conjugate of node {node} by {letter} is not node {wrong}"]
+        dropped = {key: t for key, t in fam.conjugation_action.items() if key != (node, letter)}
+        report = check_admissible(dataclasses.replace(fam, conjugation_action=dropped))
+        assert report["conjugation_closed"] is False
+        assert report["violations"] == [f"no conjugation target for node {node} by letter {letter}"]
+
+
+def test_the_conjugation_recheck_keys_the_member_words_alone(monkeypatch):
+    ctx, fam = sym3_full_lattice()
+    for name in ("_conjugation_perms", "_conjugate_keys"):
+        monkeypatch.setattr(families, name, lambda *a: pytest.fail("read the build's tables"))
+    monkeypatch.setattr(Word, "__mul__", lambda *a: pytest.fail("built a product word"))
+    monkeypatch.setattr(groups, "element_key", lambda *a: pytest.fail("keyed one element"))
+    assert check_admissible(fam) == {"conjugation_closed": True, "downward_directed": True,
+                                     "violations": []}
+
+
+@pytest.mark.parametrize("group, nodes_text, added", [("sym4", "b; a b a b, b a b a", 3),
+                                                      ("alt5", "-; b; a,b", 9),
+                                                      ("sym5", "b; b, a b a", 5)])
+def test_a_conjugate_node_has_its_parent_table_rerooted(group, nodes_text, added):
+    ctx = preset(group)
+    given = families.parse_nodes(ctx, nodes_text)
+    fam = truncation(ctx, given)
+    assert len(fam.nodes) == len(given) + added
+    letters = signed_letters(ctx)
+    for node in range(len(given), len(fam.nodes)):
+        # the first (parent, letter) of the closure that reached this node
+        parent, letter = next((i, l) for i in range(node) for l in letters
+                              if fam.conj(i, l) == node)
+        l_word = generator(*letter)
+        gens = fam.nodes[node].generators
+        assert gens == tuple(invert(l_word) * g * l_word for g in fam.nodes[parent].generators)
+        enumerated = finite_subgroup(ctx, gens).coset_table
+        assert fam.nodes[node].coset_table.action == enumerated.action
+        assert fam.nodes[node].coset_table.representatives == enumerated.representatives
+        # re-rooted at a coset Hx with H^x another node, the table fails its
+        # check; at every Hx with H^x this node, it is the enumerated table
+        table = fam.nodes[parent].coset_table
+        valid, equal = set(), set()
+        for c in range(table.coset_count):
+            rerooted = groups.reachable_table(table.ngens, c, lambda d, code: table.action[d][code])
+            try:
+                groups._validate_table(rerooted, gens, ctx.relators)
+                valid.add(c)
+            except RuntimeError:
+                pass
+            if rerooted == enumerated:
+                equal.add(c)
+        onto = {c for c, rep in enumerate(table.representatives)
+                if fam.conj_by_word(parent, rep) == node}
+        assert table.coset_of(l_word) in onto and 0 not in onto
+        assert valid == equal == onto
 
 
 def test_a_non_normal_subgroup_has_no_normal_pair():

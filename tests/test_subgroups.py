@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from bare import bare_subgroup
-from nearnormal import ends
+from nearnormal import ends, groups
 from nearnormal.groups import element_key, group_elements, preset
 from nearnormal.subgroups import (
     INFINITE_OR_EXCEEDS, Conjugate, CosetIndex, CosetSet, UnsupportedOraclePair,
@@ -38,6 +38,17 @@ def test_table_handle_rejects_a_generator_outside_its_table():
     h = finite_subgroup(ctx, [w("a")])
     with pytest.raises(ValueError, match="membership oracle rejects a listed generator"):
         SubgroupHandle(ctx, (w("a"), w("b")), h.coset_table, h.membership)
+
+
+def test_the_trivial_subgroup_reads_the_regular_table(monkeypatch):
+    ctx = preset("alt5")
+    regular = groups.regular_table(ctx)
+    monkeypatch.setattr(groups, "todd_coxeter", lambda *a: pytest.fail("enumerated again"))
+    h = finite_subgroup(ctx, ())
+    assert h.coset_table is regular and h.generators == ()
+    monkeypatch.setattr(groups, "regular_table", lambda ctx: groups.Incomplete(7, 7))
+    with pytest.raises(ValueError, match="coset enumeration incomplete at 7 live cosets"):
+        finite_subgroup(ctx, ())
 
 
 def test_whole_group_is_generated_by_the_signed_letters():
@@ -84,6 +95,15 @@ def test_conjugate_membership_relation():
     hg = conjugate(h, g)
     for t in group_elements(ctx):
         assert contains(hg, t) == contains(h, g * t * invert(g))
+
+
+def test_a_conjugate_table_is_the_enumerated_table():
+    ctx = preset("sym4")
+    h = finite_subgroup(ctx, [w("b")])  # index 8, with 4 conjugates
+    for g in group_elements(ctx)[1:]:
+        hg = conjugate(h, g)
+        assert hg.generators == tuple(invert(g) * x * g for x in h.generators)
+        assert hg.coset_table == finite_subgroup(ctx, hg.generators).coset_table
 
 
 def test_conjugate_by_identity_is_same_handle():
