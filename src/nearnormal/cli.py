@@ -95,13 +95,10 @@ def _word_list(ctx_obj, text: str) -> list:
             for part in text.split(",") if part.strip()]
 
 
-def _default_gens(ctx_obj, text, what: str) -> list:
+def _default_gens(ctx_obj, text) -> list:
     if text:
         return _word_list(ctx_obj, text)
-    rank = ctx_obj.generator_count
-    if rank is None:
-        raise click.ClickException(f"pass {what} explicitly for this group")
-    return [generator(i) for i in range(rank)]
+    return [generator(i) for i in range(ctx_obj.generator_count)]
 
 
 def _subgroup(ctx_obj, text: str) -> subgroups.SubgroupHandle:
@@ -161,8 +158,7 @@ def group_show(spec, fmt):
     data = {
         "name": ctx_obj.name or None,
         "oracle": ctx_obj.oracle,
-        "schema": "thompson" if names is None else None,
-        "generators": list(names) if names is not None else None,
+        "generators": list(names),
         "relators": [format_word(r, names) for r in ctx_obj.relators],
         "order": None,
     }
@@ -217,7 +213,7 @@ def subgroup_near_normal(group_spec, h_text, gens_text, bound, fmt):
     """Check that each conjugator keeps H commensurable with itself."""
     ctx_obj = groups.load(group_spec)
     h = _subgroup(ctx_obj, h_text)
-    gens = _default_gens(ctx_obj, gens_text, "--gens")
+    gens = _default_gens(ctx_obj, gens_text)
     verdict = subgroups.near_normal_on(h, gens, bound)
     _emit({"group": group_spec, "h": h_text, "bound": bound,
            "conjugators": [format_word(g, ctx_obj.generator_names) for g in gens],
@@ -274,8 +270,6 @@ def _dense(rows, n: int) -> list:
 
 
 def _load_module(ctx_obj, spec: str, p: int, dim: int) -> families.FiniteModule:
-    if ctx_obj.generator_count is None:
-        raise click.ClickException("modules need a finitely presented context")
     if spec == "trivial":
         return families.trivial_module(ctx_obj, dim=dim, p=p)
     if spec == "regular":
@@ -475,7 +469,7 @@ def ends_estimate(group_spec, l_text, gens_text, radii, fmt):
     """Count unbounded annulus components of the coset graph."""
     ctx_obj = groups.load(group_spec)
     sub = _subgroup(ctx_obj, l_text)
-    gens = _default_gens(ctx_obj, gens_text, "--gens")
+    gens = _default_gens(ctx_obj, gens_text)
     try:
         schedule = tuple(int(r) for r in radii.split(","))
     except ValueError:
@@ -501,7 +495,7 @@ def ends_graph(group_spec, l_text, gens_text, radius, fmt):
     """Materialize a ball of the coset graph."""
     ctx_obj = groups.load(group_spec)
     sub = _subgroup(ctx_obj, l_text)
-    gens = _default_gens(ctx_obj, gens_text, "--gens")
+    gens = _default_gens(ctx_obj, gens_text)
     ball = ends.coset_graph_ball(ctx_obj, sub, gens, radius)
     names = ctx_obj.generator_names
     if fmt == "dot":

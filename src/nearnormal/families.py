@@ -278,8 +278,6 @@ def finite_module(ctx: GroupContext, matrices, p: int = 2) -> FiniteModule:
     prime, matrices invertible, relators act as the identity."""
     if not modp.is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
-    if ctx.generator_names is None:
-        raise ValueError("finite modules need a finitely generated presentation")
     if len(matrices) != ctx.generator_count:
         raise ValueError("one matrix per ambient generator required")
     dim = len(matrices[0]) if matrices else 0
@@ -290,7 +288,7 @@ def finite_module(ctx: GroupContext, matrices, p: int = 2) -> FiniteModule:
 
 def _sparse_module(ctx: GroupContext, mats: tuple, p: int) -> FiniteModule:
     """The module on square sparse-row matrices over F_p, one per generator
-    of a finitely presented ctx, after the invertibility and relator checks."""
+    of ctx, after the invertibility and relator checks."""
     dim = len(mats[0]) if mats else 0
     inverses = tuple(modp.mat_inverse(m, p) for m in mats)
     if None in inverses:
@@ -466,8 +464,6 @@ def inner_derivation_rows(module: FiniteModule) -> list:
 def h1_derivations(ctx: GroupContext, module: FiniteModule) -> dict:
     """Solve the relator-expansion linear system for derivations and quotient
     by inner derivations; returns dimensions and bases (sparse rows)."""
-    if ctx.generator_names is None:
-        raise ValueError("derivation computation needs explicit relators")
     n = ctx.generator_count
     d = module.dimension
     p = module.p

@@ -19,7 +19,9 @@ relator set is refused when the context is built.
 read by ``context_from_text`` like a file; ``load`` turns every group spec
 (inline text, a file path or a preset name) into a context.  The text that
 ``serialize_presentation`` (``group parse``) writes loads back to an equal
-context for every preset with a text form.
+context for every preset.  Thompson's F is the two-relator presentation of
+Cannon, Floyd and Parry on x0 = A and x1 = B; words in F may still name any
+x_n, which its normal form reads.
 
 Each strategy keys elements canonically through one step, the key of g to
 the key of g w (``element_step``): ``element_key`` is that step from the
@@ -57,11 +59,10 @@ TABLE_LIMIT = 20_000  # live-coset bound of the regular table and finite subgrou
 @dataclass(frozen=True)
 class GroupContext:
     """A finite presentation with the oracle that decides its word problem.
-    No generator names (and no relators) stand for the infinite relator
-    schema of Thompson's F.  Under the britton oracle the one relator is
-    y^-1 x^m y x^-n over two generators, and bs_params reads (m, n) off it."""
+    Under the britton oracle the one relator is y^-1 x^m y x^-n over two
+    generators, and bs_params reads (m, n) off it."""
 
-    generator_names: tuple[str, ...] | None
+    generator_names: tuple[str, ...]
     relators: tuple[Word, ...]
     oracle: str
     name: str = field(default="", compare=False)
@@ -69,8 +70,6 @@ class GroupContext:
     def __post_init__(self):
         if self.oracle not in ORACLES:
             raise ValueError(f"unknown oracle {self.oracle!r}")
-        if self.generator_names is None and self.relators:
-            raise ValueError("schema presentations carry no explicit generators or relators")
         for r in self.relators:
             if not r:
                 raise ValueError("relators must be nonempty after reduction")
@@ -81,8 +80,8 @@ class GroupContext:
             self.bs_params  # computed here, so a context with a wrong relator is never built
 
     @property
-    def generator_count(self) -> int | None:
-        return None if self.generator_names is None else len(self.generator_names)
+    def generator_count(self) -> int:
+        return len(self.generator_names)
 
     @cached_property
     def bs_params(self) -> tuple[int, int]:
@@ -145,10 +144,8 @@ def _code_letter(code: int) -> Letter:
 
 
 def signed_letters(ctx: GroupContext) -> list[Letter]:
-    """x_0, x_0^-1, x_1, x_1^-1, ... over the context's generators; over
-    x_0 and x_1, which generate F, when the presentation is a schema."""
-    count = 2 if ctx.generator_count is None else ctx.generator_count
-    return [(i, sign) for i in range(count) for sign in (1, -1)]
+    """x_0, x_0^-1, x_1, x_1^-1, ... over the context's generators."""
+    return [(i, sign) for i in range(ctx.generator_count) for sign in (1, -1)]
 
 
 class _BoundHit(Exception):
@@ -246,8 +243,6 @@ class _Enumeration:
 
 def todd_coxeter(ctx: GroupContext, subgroup_gens: list[Word], limit: int) -> CosetTable | Incomplete:
     """Enumerate cosets of <subgroup_gens>; Incomplete once live cosets exceed limit."""
-    if ctx.generator_names is None:
-        raise ValueError("coset enumeration needs a finite presentation")
     ngens = ctx.generator_count
     enum = _Enumeration(ngens, limit)
     rel_codes = [tuple(_letter_code(l) for l in r.letters) for r in ctx.relators]
@@ -428,8 +423,6 @@ def context_from_text(text: str, name: str = "") -> GroupContext:
 def serialize_presentation(ctx: GroupContext) -> str:
     """The text that context_from_text reads back to an equal context."""
     names = ctx.generator_names
-    if names is None:
-        raise ValueError("schema presentations have no text form")
     lines = ["gens: " + " ".join(names)]
     parts = []
     for r in ctx.relators:
@@ -443,16 +436,16 @@ def serialize_presentation(ctx: GroupContext) -> str:
 
 def parse_context_word(ctx: GroupContext, text: str) -> Word:
     """A word in the context's generator names; "", "1" and "-" are the
-    empty word.  ValueError for an unknown name or an index beyond the rank."""
+    empty word.  ValueError for an unknown name or an index beyond the rank,
+    except in F, whose normal form reads every x_n."""
     if text.strip() in ("", "1", "-"):
         return Word(())
     w = parse_word(text, ctx.generator_names)
     rank = ctx.generator_count
-    if rank is not None:
-        for index, _ in w.letters:
-            if index >= rank:
-                raise ValueError(f"word {text!r} uses generator index {index}, "
-                                 f"but the group has rank {rank}")
+    for index, _ in w.letters:
+        if index >= rank and ctx.oracle != "thompson-normal-form":
+            raise ValueError(f"word {text!r} uses generator index {index}, "
+                             f"but the group has rank {rank}")
     return w
 
 
@@ -472,8 +465,8 @@ def _zn(k: int) -> str:
 
 
 # name -> (argument count, the presentation text of the positive integer
-# arguments); thompson-f, whose relators are a schema, gives its context
-# instead
+# arguments); thompson-f's relators are [AB^-1, A^-1 B A] and
+# [AB^-1, A^-2 B A^2] with A = x0, B = x1 (Cannon, Floyd and Parry 1996)
 PRESETS = {
     "sym3": (0, lambda: "gens: a b\nrels: a^2 b^2 (a b)^3"),
     "klein4": (0, lambda: "gens: a b\nrels: a^2 b^2 (a b)^2"),
@@ -484,7 +477,8 @@ PRESETS = {
     "bs": (2, lambda m, n: f"gens: x y\nrels: (y^-1 x^{m} y x^-{n})\noracle: britton"),
     "zn": (1, _zn),
     "free": (1, lambda k: "gens: " + " ".join(_gens("abcd", k))),
-    "thompson-f": (0, lambda: GroupContext(None, (), "thompson-normal-form", "thompson-f")),
+    "thompson-f": (0, lambda: "gens: x0 x1\nrels: (x1 x0^-2 x1^-1 x0^2 x1^-1 x0^-1 x1 x0) "
+                              "(x1 x0^-3 x1^-1 x0^3 x1^-1 x0^-2 x1 x0^2)\noracle: thompson-normal-form"),
 }
 _PRESET_RE = re.compile(r"([a-z-]+[a-z0-9-]*?)(?:\((\d+)(?:,(\d+))?\))?$")
 
@@ -501,9 +495,8 @@ def preset(name: str) -> GroupContext:
     if min(args, default=1) < 1:
         params = "m, n" if len(args) == 2 else "k"
         raise ValueError(f"{base}({params.replace(' ', '')}) needs {params} >= 1")
-    made = PRESETS[base][1](*args)
     label = f"{base}({','.join(map(str, args))})" if args else base
-    return context_from_text(made, label) if isinstance(made, str) else made
+    return context_from_text(PRESETS[base][1](*args), label)
 
 
 def load(spec: str) -> GroupContext:

@@ -679,9 +679,10 @@ def commensurability_report(h: SubgroupHandle, k: SubgroupHandle, bound: int) ->
             return verdict
     try:
         if h.ctx == k.ctx and isinstance(h.membership, XPower) and isinstance(k.membership, XPower):
-            # in integers: the meet's generator can be too long to write out
+            # exact, in integers: the meet's generator can be too long to
+            # write out, and no search runs for the bound to cap
             a, b = _x_power_meet(h, k)
-            i1, i2 = _capped(a // h.membership.k, bound), _capped(b // k.membership.k, bound)
+            i1, i2 = a // h.membership.k, b // k.membership.k
         else:
             j = intersect(h, k)
             i1, i2 = index_bounded(j, h, bound), index_bounded(j, k, bound)

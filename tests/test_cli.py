@@ -30,7 +30,7 @@ def invoke(runner, args, expect=0):
 
 # every preset with a text form, parametric ones at the arguments (2, 3)
 TEXT_PRESETS = [f"{name}({','.join('23'[:count])})" if count else name
-                for name, (count, _) in groups.PRESETS.items() if name != "thompson-f"]
+                for name, (count, _) in groups.PRESETS.items()]
 
 
 @pytest.mark.parametrize("name", TEXT_PRESETS)
@@ -83,16 +83,13 @@ def test_subgroup_commensurable_bs(runner):
 
 def test_subgroup_commensurable_bs_exact_common_power(runner):
     # <x> meets <x>^(y^p) in <x^(2^p)>, of index 3^p in <x>^(y^p); the x-power
-    # lattice finds it with no scan and no word of 2^p letters, so the answer
-    # at the default bound is immediate, and only --bound limits the answer
-    for p, bound in ((14, 5000000), (40, 3 ** 40)):
-        args = ["subgroup", "commensurable", "--group", "bs(2,3)",
-                "--h", "x", "--k", f"y^{p} x y^-{p}"]
-        data = json.loads(invoke(runner, args).output)
-        assert data["result"] == "unknown"
-        assert data["certificate"] == "an index exceeds the bound 50"
-        data = json.loads(invoke(runner, args + ["--bound", str(bound)]).output)
-        assert data["result"] is True
+    # lattice finds it with no scan and no word of 2^p letters, so the exact
+    # indices stand at the default bound, which caps only searches
+    for p in (5, 14, 40):
+        data = json.loads(invoke(runner, [
+            "subgroup", "commensurable", "--group", "bs(2,3)",
+            "--h", "x", "--k", f"y^{p} x y^-{p}"]).output)
+        assert (data["bound"], data["result"], data["certificate"]) == (50, True, None)
         assert data["indices"] == [2 ** p, 3 ** p]
 
 
@@ -415,7 +412,8 @@ def test_word_options_take_parentheses(runner):
     (["ends", "estimate", "--group", "gens: a b\nrels: a^2\noracle: coset-table",
       "--l", "a"], "Error: coset enumeration incomplete at 20000 live cosets"),
     (["bs", "reduce", "--word", "(x y"], "Error: unclosed '('"),
-    (["group", "parse", "thompson-f"], "Error: schema presentations have no text form"),
+    (["subgroup", "commensurable", "--group", "zn(2)", "--h", "x5", "--k", "u"],
+     "Error: word 'x5' uses generator index 5, but the group has rank 2"),
     (["group", "show", "gens: a\nrels: a^0"],
      "Error: parse error: line 2, column 9: zero exponent"),
     (["family", "check", "--group", "bs(2,3)", "--nodes", "x"],

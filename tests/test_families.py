@@ -542,6 +542,7 @@ def test_h1_dimensions_match_brute_force(name, kind, dims):
 @pytest.mark.parametrize("name,expected", [
     ("cyclic(2)", 1), ("cyclic(3)", 0), ("cyclic(4)", 1),
     ("sym3", 1), ("klein4", 2), ("zn(1)", 1), ("zn(2)", 2), ("free(2)", 2),
+    ("thompson-f", 2),
 ])
 def test_h1_trivial_expected_from_abelianization(name, expected):
     ctx = preset(name)
@@ -550,9 +551,51 @@ def test_h1_trivial_expected_from_abelianization(name, expected):
     assert got["dim_h1"] == expected
 
 
-def test_h1_rejects_schema_presentations():
-    with pytest.raises(ValueError):
-        h1_derivations(preset("thompson-f"), None)
+def _invertible(rng, d, p):
+    while True:
+        a = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
+        if modp.mat_inverse(modp.sparse(a, p), p) is not None:
+            return a
+
+
+def _dense_power(a, k, p):
+    d = len(a)
+    acc = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(k):
+        acc = [[sum(acc[i][t] * a[t][j] for t in range(d)) % p for j in range(d)]
+               for i in range(d)]
+    return acc
+
+
+def test_h1_of_thompson_f_is_h1_of_its_abelianization():
+    """F' acts trivially on every finite module of F and is perfect, so
+    H^1(F, M) = H^1(Z^2, M): on commuting pairs (A, A^k) the two-relator
+    presentation of F and zn(2) give the same derivations."""
+    f, z2 = preset("thompson-f"), preset("zn(2)")
+    rng = random.Random(32)
+    cases = 0
+    for p in (2, 3, 5):
+        assert h1_derivations(f, trivial_module(f, p=p))["dim_h1"] == 2
+        for d in (1, 2, 3):
+            for _ in range(2):
+                a = _invertible(rng, d, p)
+                for k in (0, 1, 2):
+                    mats = [a, _dense_power(a, k, p)]
+                    got = h1_derivations(f, finite_module(f, mats, p))
+                    want = h1_derivations(z2, finite_module(z2, mats, p))
+                    assert (got["dim_der"], got["dim_h1"]) == (want["dim_der"], want["dim_h1"])
+                    cases += 1
+    assert cases == 54
+
+
+def test_thompson_f_relators_refuse_non_commuting_matrices():
+    # every proper quotient of F is abelian, so matrices that F's relators
+    # accept commute; S3's transposition and 3-cycle do not
+    swap = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    cycle = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
+    for p in (2, 3, 5):
+        with pytest.raises(ValueError, match="a relator does not act as the identity matrix"):
+            finite_module(preset("thompson-f"), [swap, cycle], p)
 
 
 def suffix_loop_blocks(module, r):

@@ -152,6 +152,20 @@ def test_enumeration_gives_up_at_the_limit():
     assert result.live_cosets > 0
 
 
+def test_thompson_f_is_its_two_relator_presentation():
+    from nearnormal.thompson import IDENTITY, f_normal_form
+    ctx = preset("thompson-f")
+    assert ctx.generator_names == ("x0", "x1") and len(ctx.relators) == 2
+    for r in ctx.relators:
+        assert f_normal_form(r) == IDENTITY
+    # the normal form reads every x_n; a rank-2 presentation still refuses x5
+    assert parse_context_word(ctx, "x5") == generator(5)
+    with pytest.raises(ValueError, match="uses generator index 5, but the group has rank 2"):
+        parse_context_word(preset("zn(2)"), "x5")
+    # F is infinite: its coset enumeration stops at the limit
+    assert isinstance(todd_coxeter(ctx, [], 200), Incomplete)
+
+
 def test_is_trivial_across_oracles():
     x, y = generator(0), generator(1)
     bs = preset("bs(2,3)")
@@ -270,11 +284,10 @@ def test_every_preset_reads_back_from_its_text(name):
     count = groups.PRESETS[name][0]
     for args in PRESET_ARGS[count]:
         ctx = preset(f"{name}({','.join(map(str, args))})" if args else name)
-        if ctx.generator_names is not None:  # thompson-f has no text form
-            again = groups.load(serialize_presentation(ctx))
-            assert again == ctx
-            if ctx.oracle == "britton":
-                assert again.bs_params == ctx.bs_params == args
+        again = groups.load(serialize_presentation(ctx))
+        assert again == ctx
+        if ctx.oracle == "britton":
+            assert again.bs_params == ctx.bs_params == args
     assert (name in ZERO_MESSAGES) == (count > 0)
     if count:
         with pytest.raises(ValueError) as exc:
@@ -303,7 +316,8 @@ def test_stepped_keys_equal_the_key_of_the_whole_word(name):
     from the identity's."""
     ctx = preset(name)
     start, step = groups.element_step(ctx)
-    rank = ctx.generator_count or 3  # thompson-f: words over x0, x1, x2
+    # F's normal form reads every x_n, so its words draw x2 as well
+    rank = 3 if ctx.oracle == "thompson-normal-form" else ctx.generator_count
     rng = random.Random(18)
 
     def word(length):

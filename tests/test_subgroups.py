@@ -53,7 +53,7 @@ def test_the_trivial_subgroup_reads_the_regular_table(monkeypatch):
 
 def test_whole_group_is_generated_by_the_signed_letters():
     assert whole_group(preset("zn(3)")).generators == tuple(generator(i) for i in range(3))
-    # a schema context: x_0 and x_1 generate F
+    # x_0 and x_1 generate F
     assert whole_group(preset("thompson-f")).generators == (generator(0), generator(1))
 
 
