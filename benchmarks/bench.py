@@ -11,7 +11,9 @@ Each positional case is LAYER:ARG:
                           CLI call; needs the family's node count and
                           stability verdict, and conjugation closure
     ends:NAME             ends.coset_graph_ball, NAME in ENDS; keyed counts
-                          the ends._left_key calls, one per coset key
+                          the ends._left_key calls, one per coset key: one
+                          per element and one per outer-sphere product
+                          that is not a ball element
     modp:[dense-]GROUP:P  the regular module of GROUP in MODP_GROUPS over
                           F_p, with dense- in a seeded random basis
                           (M -> Q M Q^-1); times h0_S and restrict_to_h0s on
@@ -76,13 +78,13 @@ FAMILY = {
     "s5": ("sym5", "b; b, a b a", 7, False),
     "a5": ("alt5", "-; b; a,b", 12, True),
 }
-# name -> (preset, generator of L, radius, vertices, edges); in BS(2,3)
-# y^-1 x^2 y is x^3, so <y x^2 y^-1> is the conjugate <x^3> itself
+# name -> (preset, generator of L, radius, vertices, edges, keyed); in
+# BS(2,3) y^-1 x^2 y is x^3, so <y x^2 y^-1> is the conjugate <x^3> itself
 ENDS = {
-    "bs23-x2": ("bs(2,3)", "x^2", 7, 1030, 1743),
-    "bs23-cx2": ("bs(2,3)", "y x^2 y^-1", 6, 515, 903),
-    "free2-a": ("free(2)", "a", 4, 81, 161),
-    "z2-u": ("zn(2)", "u", 20, 41, 81),
+    "bs23-x2": ("bs(2,3)", "x^2", 7, 1030, 1743, 4690),
+    "bs23-cx2": ("bs(2,3)", "y x^2 y^-1", 6, 515, 903, 1836),
+    "free2-a": ("free(2)", "a", 4, 81, 161, 323),
+    "z2-u": ("zn(2)", "u", 20, 41, 81, 923),
 }
 # checks in the report of suite:all; a single suite must only not fail
 ALL_CHECKS = 83
@@ -165,7 +167,7 @@ def family_layer(arg: str):
 
 
 def ends_layer(arg: str):
-    group, l_text, radius, vertices, edges = pick(ENDS, arg)
+    group, l_text, radius, vertices, edges, keyed_count = pick(ENDS, arg)
 
     def run(repeat):
         ctx = preset(group)
@@ -185,7 +187,7 @@ def ends_layer(arg: str):
             ends._left_key = real
         return ({"seconds": seconds, "vertices": ball.vertex_count, "edges": len(ball.edges),
                  "elements": len(ball.elements), "keyed": len(keyed)},
-                {"vertices": vertices, "edges": edges})
+                {"vertices": vertices, "edges": edges, "keyed": keyed_count})
     return run
 
 

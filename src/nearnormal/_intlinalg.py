@@ -88,10 +88,9 @@ def lattice_contains(hnf, vec) -> bool:
     return not any(lattice_residue(hnf, vec))
 
 
-def lattice_intersect(rows_a, rows_b, n: int):
-    """HNF basis of (row span of A) intersect (row span of B)."""
-    a_hnf = hermite_normal_form(rows_a, n)
-    b_hnf = hermite_normal_form(rows_b, n)
+def lattice_intersect(a_hnf, b_hnf, n: int):
+    """HNF basis of (row span of A) intersect (row span of B), for A and B
+    given as Hermite rows, which are not reduced again."""
     stacked = [list(r) for r in a_hnf] + [list(r) for r in b_hnf]
     _, kernel = hnf_with_transform(stacked, n)
     ra = len(a_hnf)
@@ -110,14 +109,13 @@ def coords_in(hnf, vec):
     return None if any(residue) else coords
 
 
-def lattice_index(sub_rows, amb_rows, n: int):
+def lattice_index(sub, amb, n: int):
     """Index of the sub-lattice in the ambient lattice; None when infinite.
+    Both are given as Hermite rows, which are not reduced again.
 
     Requires sub subset-of ambient (coords_in certifies while computing).  The
     index is the product of the Hermite pivots of sub's square coordinate
     matrix over ambient's basis; a missing pivot means infinite index."""
-    sub = hermite_normal_form(sub_rows, n)
-    amb = hermite_normal_form(amb_rows, n)
     if len(sub) < len(amb):
         return None
     coeff_rows = []

@@ -16,11 +16,11 @@ residues, so equal elements have identical forms.
 element g (``IDENTITY`` for the empty word) it takes the letters of a word
 w one by one, with the x-push and the y-push (split or pinch) inline on the
 form it holds in locals, and returns the form key of g w.
-``britton_reduce`` is resume from the identity, and a word ball over a
-Britton context steps each element's key by resume, so no ball element is
-reduced from the empty form.  ``push_x`` adds a whole x-syllable to a key,
-which is how the family check re-checks each witness w x^t w^-1: from the
-state after w, kept once per conjugator word with the letters of w^-1.
+``britton_reduce`` is resume from the identity.  ``form_step(letters)`` is
+a word's key map, built once: ``push_x``, which adds a whole x-syllable to
+a key, for a power of x, else resume with the letters bound, so a word ball
+steps each key by one x-push or y-push.  The family check re-checks each
+witness w x^t w^-1 from the state after w, kept once per conjugator word.
 
 ``x_power_lattice(w)`` is the (l, q) with w x^t w^-1 = x^(q t / l) exactly
 when l | t, read in integers from the y-signs of w's Britton form (Britton's
@@ -30,6 +30,7 @@ conjugation, the family check and subgroups' x-power meet read it.
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd, lcm
 
 from .words import Word, ball, invert
@@ -91,6 +92,15 @@ def push_x(key: tuple, e: int) -> tuple:
     return head, tail[:-1] + ((sign, trailing + e),)
 
 
+def form_step(letters: tuple, m: int, n: int):
+    """The map from the form key of g to that of g w, for w with these
+    letters: one x-push when w is a power of x, else resume through them."""
+    if letters and set(letters) == {(X, letters[0][1])}:
+        e = len(letters) * letters[0][1]
+        return lambda key: push_x(key, e)
+    return lambda key: resume(key, letters, m, n)
+
+
 def britton_reduce(w: Word, m: int, n: int) -> tuple:
     """The form key (head, tail) of w; sound and complete for the word
     problem."""
@@ -144,8 +154,8 @@ def conjugator_words(conjugators: list[Word], conj_len: int, m: int, n: int) -> 
     keeps every first occurrence and its order: the work is linear in the
     number of distinct elements found, not in len(conjugators)^conj_len.
     """
-    return [w for w, _, _ in ball(conjugators, conj_len, IDENTITY,
-                                  lambda key, c: resume(key, c.letters, m, n))]
+    maps = [form_step(c.letters, m, n) for c in conjugators]
+    return [w for w, _, _ in ball(conjugators, conj_len, IDENTITY, maps)]
 
 
 def _conjugation_state(w: Word, m: int, n: int) -> tuple:
@@ -175,7 +185,8 @@ def family_axiom_check(conjugators: list[Word], a_bound: int, conj_len: int,
     Directedness: each pair of nodes has a common <x^e> below both, e the
     lcm of the two least contained powers.  Every witness is re-checked by
     one syllable reduction of w x^t w^-1, so the check does not rest on the
-    lattice; a witness that fails it is reported as None.
+    lattice; a witness that fails it is reported as None.  A directed
+    re-check runs once per (node, e), however many pairs ask for it.
     """
     conj_words = conjugator_words(conjugators, conj_len, m, n)
     nodes = [(a, w) for a in range(1, a_bound + 1) for w in conj_words]
@@ -191,13 +202,17 @@ def family_axiom_check(conjugators: list[Word], a_bound: int, conj_len: int,
                             "in_truncation": j is not None and j <= a_bound})
 
     least = [least_power(w, a, m, n) for a, w in nodes]
+
+    @cache
+    def conjugates_into(idx, e):
+        a, w = nodes[idx]
+        return _conjugates_into(states[w], e, a, m, n)
+
     directed = []
-    for idx1, (a1, w1) in enumerate(nodes):
+    for idx1 in range(len(nodes)):
         for idx2 in range(idx1, len(nodes)):
-            a2, w2 = nodes[idx2]
             e = lcm(least[idx1], least[idx2])
-            ok = (_conjugates_into(states[w1], e, a1, m, n)
-                  and _conjugates_into(states[w2], e, a2, m, n))
+            ok = conjugates_into(idx1, e) and conjugates_into(idx2, e)
             directed.append({"pair": (idx1, idx2), "witness": e if ok else None})
 
     closure_pass = all(entry["witness"] is not None for entry in closure)

@@ -11,9 +11,9 @@ reads only the element's ball key, so a key read from the normal form
 (x-powers in BS(m,n), lattices in Z^n) reduces nothing again.  Each element
 is keyed once.  An element g below the radius takes its edges from the
 ball's step table: g*x is then a numbered ball element whose vertex is
-known.  Only the elements on the outer sphere classify their products g*x
-through the index, keyed by one step from the key of g; the product word
-is built only when the cosets are compared pairwise.  The ball
+known.  On the outer sphere, g*x steps from the key of g and is looked up
+in the ball's own numbering first: only products outside the ball are
+keyed, or compared pairwise through the word g*x.  The ball
 keeps every element with its vertex, and ``claim3_check`` reads those pairs.
 Ends of the pair (G, L) are estimated by counting annulus components that
 reach the outer sphere over an increasing radius schedule; the result is a
@@ -92,35 +92,39 @@ def coset_graph_ball(ctx, sub: SubgroupHandle, gens, radius: int) -> CosetGraphB
     commensurated subgroup has finite but nontrivial local degree).
 
     An element below the radius has a row in the step table of the element
-    ball, so the vertex of each g*x is that of a numbered element; only the
-    outer sphere asks the index for the coset of g*x, keyed by one step
-    from the key of g, or compared pairwise through the word g*x."""
+    ball, so the vertex of each g*x is that of a numbered element; so is
+    that of an outer-sphere product whose element key, one map from the key
+    of g, is a ball element's.  Only a product outside the ball asks the
+    index, keyed from that element key or compared pairwise by the word."""
     gens = tuple(gens)
-    step = groups.element_step(ctx)[1]
+    x_maps = [groups.element_step(ctx)[1](x) for x in gens]
     key_fn = sub.membership.coset_key(sub)
     index = CosetIndex(sub, "left", None if key_fn is None else partial(_left_key, key_fn))
     depth: list = []
     # (element, its vertex), each vertex added when its first element is met
     elements = []
-    keys = []  # the element key of each element
     table: list = []  # per element below the radius: the numbers of g*x, g*x^-1, ...
-    for g, r, g_key in _element_layers(ctx, gens, radius, table):
+    numbers: dict = {}  # the ball's element key -> element number
+    for g, r, g_key in _element_layers(ctx, gens, radius, table, numbers):
         i = index.add(g, g_key)
         if index.undecided:
             raise CosetOracleError("coset equality undecided during expansion")
         if i == len(depth):
             depth.append(r)
         elements.append((g, i))
-        keys.append(g_key)
+    keys = list(numbers)  # the element key of each element, numbered in order
     edges = []
     seen_edges = set()
     for e, (g, source) in enumerate(elements):
         if e < len(table):
             targets = [elements[n][1] for n in table[e][::2]]
-        elif key_fn is not None:
-            targets = [index.find(None, step(keys[e], x)) for x in gens]
         else:
-            targets = [index.find(g * x) for x in gens]
+            targets = []
+            for x, x_map in zip(gens, x_maps):
+                k = x_map(keys[e])
+                n = numbers.get(k)  # g*x is a ball element: take its vertex
+                targets.append(elements[n][1] if n is not None else index.find(None, k)
+                               if key_fn is not None else index.find(g * x))
             if "unknown" in targets:
                 raise CosetOracleError("coset equality undecided during expansion")
         for label, target in enumerate(targets):
@@ -197,12 +201,13 @@ def boundary_edges(b: VertexSet, ball: CosetGraphBall):
             if (u in b.indices) != (v in b.indices)]
 
 
-def _element_layers(ctx, gens, radius: int, table: list | None = None):
+def _element_layers(ctx, gens, radius: int, table: list | None = None, numbers=None):
     """Distinct group elements of length at most radius over the given set,
     each with its length and element key, breadth first; the steps are x,
     x^-1 per x in gens, in that order, for the ball's step table."""
     steps = [s for x in gens for s in (x, invert(x))]
-    return words.ball(steps, radius, *groups.element_step(ctx), table)
+    start, prepare = groups.element_step(ctx)
+    return words.ball(steps, radius, start, [prepare(s) for s in steps], table, numbers)
 
 
 def element_ball(ctx, gens, radius: int):

@@ -210,8 +210,9 @@ def check_admissible(fam: FamilyTruncation) -> dict:
     m l along l^-1, m, l), never read off the build's permutations or key
     sets, so a wrong or missing conjugation target shows."""
     violations = []
-    start, step = element_step(fam.ctx)
-    key_sets = [frozenset(step(start, m) for m in ms) for ms in fam.members]
+    start, prepare = element_step(fam.ctx)
+    member_maps = [[prepare(m) for m in ms] for ms in fam.members]
+    key_sets = [frozenset(m_map(start) for m_map in maps) for maps in member_maps]
     for i in range(len(fam.nodes)):
         for letter in signed_letters(fam.ctx):
             target = fam.conjugation_action.get((i, letter))
@@ -219,8 +220,8 @@ def check_admissible(fam: FamilyTruncation) -> dict:
                 violations.append(f"no conjugation target for node {i} by letter {letter}")
                 continue
             l_word = generator(*letter)
-            l_start = step(start, invert(l_word))
-            ks = frozenset(step(step(l_start, m), l_word) for m in fam.members[i])
+            l_start, l_map = prepare(invert(l_word))(start), prepare(l_word)
+            ks = frozenset(l_map(m_map(l_start)) for m_map in member_maps[i])
             if ks != key_sets[target]:
                 violations.append(f"conjugate of node {i} by {letter} is not node {target}")
     n = len(fam.nodes)

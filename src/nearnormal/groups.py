@@ -23,9 +23,9 @@ context for every preset.  Thompson's F is the two-relator presentation of
 Cannon, Floyd and Parry on x0 = A and x1 = B; words in F may still name any
 x_n, which its normal form reads.
 
-Each strategy keys elements canonically through one step, the key of g to
-the key of g w (``element_step``): ``element_key`` is that step from the
-identity's key, and a word ball steps each element's key by one generator.
+Each strategy keys elements canonically through the map of a word w, built
+once, from the key of g to that of g w (``element_step``): ``element_key``
+is w's map on the identity's key, and a word ball prepares one per step.
 
 Coset enumeration uses the HLT strategy with a hard live-coset bound.
 Hitting the bound returns an Incomplete value rather than raising: infinite
@@ -42,7 +42,7 @@ import re
 import sys
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from operator import add
 
 from . import baumslag_solitar as bs
@@ -274,9 +274,9 @@ def reachable_table(ngens: int, start, step) -> CosetTable:
     states from start = 0, its step table is the action and its words are
     the representatives."""
     letters = [generator(*_code_letter(code)) for code in range(2 * ngens)]
+    maps = [lambda state, code=code: step(state, code) for code in range(2 * ngens)]
     rows: list[tuple[int, ...]] = []
-    reps = [w for w, _, _ in ball(letters, sys.maxsize, start,
-                                  lambda state, s: step(state, _letter_code(s.letters[0])), rows)]
+    reps = [w for w, _, _ in ball(letters, sys.maxsize, start, maps, rows)]
     return CosetTable(ngens=ngens, action=tuple(rows), representatives=tuple(reps))
 
 
@@ -340,30 +340,37 @@ def is_trivial(ctx: GroupContext, w: Word):
 
 
 def element_step(ctx: GroupContext):
-    """(the key of the identity, step) for the context's oracle, where
-    step(key, w) is the key of g w for the element g with that key: the
-    coset of the regular table after w's letters, the Britton form resumed
-    through them, the normal form of F times them, the exponent vector plus
-    w's, or the letters of the free product."""
+    """(the key of the identity, prepare) for the context's oracle, where
+    prepare(w) is the map, built once, from the key of an element g to that
+    of g w: a column read of the regular table (coset_of for longer w), an
+    x-push or y-push of the Britton form (else resume), F's normal form times
+    w's letters, the exponent vector plus w's, or the free product's letters."""
     if ctx.oracle == "coset-table":
         table = finished_table(ctx)
-        return 0, lambda c, w: table.coset_of(w, c)
+        action, coset_of = table.action, table.coset_of
+        return 0, lambda w: (partial(coset_of, w) if len(w) != 1 else
+                             lambda c, code=_letter_code(w.letters[0]): action[c][code])
     if ctx.oracle == "britton":
         m, n = ctx.bs_params
-        return bs.IDENTITY, lambda key, w: bs.resume(key, w.letters, m, n)
+        return bs.IDENTITY, lambda w: bs.form_step(w.letters, m, n)
     if ctx.oracle == "thompson-normal-form":
-        return thompson.IDENTITY, thompson.f_times
+        return thompson.IDENTITY, lambda w: lambda form, ls=w.letters: thompson.f_times(form, ls)
     if ctx.oracle == "free-abelian":
         rank = ctx.generator_count
-        return (0,) * rank, lambda vec, w: tuple(map(add, vec, exponent_vector(w, rank)))
+
+        def prepare(w):
+            vec = exponent_vector(w, rank)
+            return lambda key: tuple(map(add, key, vec))
+
+        return (0,) * rank, prepare
     return (), free_step
 
 
 def element_key(ctx: GroupContext, w: Word):
     """Canonical hashable key: equal group elements get equal keys.  It is
-    the context's step from the identity's key by w."""
-    start, step = element_step(ctx)
-    return step(start, w)
+    the map of w applied to the identity's key."""
+    start, prepare = element_step(ctx)
+    return prepare(w)(start)
 
 
 # ---------------------------------------------------------------------------

@@ -297,7 +297,8 @@ class FreeCyclic(Oracle):
         whole; from there on each step adds k|r| letters.  So once a
         candidate is longer than the one before it, every later one is
         longer still, and as shortlex compares lengths first the walk in
-        that direction stops there."""
+        that direction stops there.  Candidate i is candidate i-1 times
+        r^(+-k), and word_key is read only to break a tie in length."""
         if not self.u:
             return lambda letters: letters
         c, r, k = _root_parts(self.u)
@@ -305,20 +306,20 @@ class FreeCyclic(Oracle):
         forward, backward = r.letters * k, invert(r).letters * k
 
         def key(letters):
-            h = Word(_reduced=letters) * c
+            h = words.reduced_product(letters, c.letters)
             steps = 2 * len(h) // (period * k)
-            best, best_key = h, word_key(h)
+            best = h
             for step in (forward, backward):
-                size = len(h)
-                for i in range(1, steps + 1):
-                    cand = h * Word(_reduced=step * i)
-                    if len(cand) > size:
+                cand = h
+                for _ in range(steps):
+                    nxt = words.reduced_product(cand, step)
+                    if len(nxt) > len(cand):
                         break
-                    size = len(cand)
-                    cand_key = word_key(cand)
-                    if cand_key < best_key:
-                        best, best_key = cand, cand_key
-            return best.letters
+                    cand = nxt
+                    if len(cand) < len(best) or (len(cand) == len(best) and word_key(
+                            Word(_reduced=cand)) < word_key(Word(_reduced=best))):
+                        best = cand
+            return best
 
         return key
 
@@ -507,9 +508,10 @@ def _coset_bfs_count(sub: SubgroupHandle, bound: int):
     coset taken as new under "unknown" makes the count inexact.  Each level
     before the ball closes adds a coset, so bound levels decide."""
     index = CosetIndex(sub, "left", sub.membership.coset_key(sub))
+    letters = _ambient_letters(sub.ctx)
     # s(g(sub)) is the coset of s g: step a coset from its first representative
-    cosets = words.ball(_ambient_letters(sub.ctx), bound, index.add(Word(())),
-                        lambda c, s: index.add(s * index.representatives[c]))
+    cosets = words.ball(letters, bound, index.add(Word(())),
+                        [lambda c, s=s: index.add(s * index.representatives[c]) for s in letters])
     for count, _ in enumerate(cosets):
         if count == bound:
             return INFINITE_OR_EXCEEDS
@@ -565,8 +567,10 @@ def _ensure_table(sub: SubgroupHandle) -> SubgroupHandle:
 
 
 def _lattice_rows(sub: SubgroupHandle):
-    """Hermite form of the generators' exponent vectors in a free-abelian
-    context; a lattice handle's generators are its own Hermite rows."""
+    """Hermite rows of sub in a free-abelian context: a lattice handle's
+    own, else the Hermite form of the generators' exponent vectors."""
+    if isinstance(sub.membership, Lattice):
+        return sub.membership.rows
     n = sub.ctx.generator_count
     return intlin.hermite_normal_form([exponent_vector(w, n) for w in sub.generators], n)
 
@@ -744,7 +748,8 @@ def neumann_translate(x_set: CosetSet, search_radius: int):
         raise ValueError("translation acts on the right: X must hold right cosets")
     sub = x_set.base
     # keyed by letters, a product is new exactly when it does not cancel
-    for g, r, _ in words.ball(_ambient_letters(sub.ctx), search_radius, (), words.free_step):
+    letters = _ambient_letters(sub.ctx)
+    for g, r, _ in words.ball(letters, search_radius, (), [words.free_step(s) for s in letters]):
         if r and _translate_disjoint(sub, x_set.representatives, g):
             return g
     return None

@@ -14,17 +14,17 @@ both factors of a product are reduced, letters cancel only where they meet:
 ``u * v`` scans the junction, so its cost beyond one copy is the
 cancellation, not a reduction pass over both words.
 
-``ball(steps, radius, start, step)`` is the one breadth-first word search:
+``ball(steps, radius, start, maps)`` is the one breadth-first word search:
 the element balls of ``ends``, the conjugator words of ``baumslag_solitar``,
 the translate search and coset count of ``subgroups``, and the table
 numbering of ``groups`` all read it.  It returns once a level adds no word,
-so with ``radius=sys.maxsize`` it runs to closure.  It
-keeps each frontier word with its key and reaches the key of w * s by one
-``step(key, s)`` from the key of w, so no word is keyed from scratch; it
-builds the word w * s only when that key is new.  Asked for its step table,
-it also records, per word it expands, the numbers of the words its products
-by the steps are equal to under the key, so the coset-graph ball of ``ends``
-reads its interior edges without a product.
+so with ``radius=sys.maxsize`` it runs to closure.  It keeps each frontier
+word with its key and reaches the key of w * s by one call of s's key map,
+built once before the search, so no word is keyed from scratch; it builds
+the word w * s only when that key is new.  Asked for its step table and its
+numbering, it records per word it expands the numbers of its products by
+the steps, and fills the caller's dict from key to number, so the
+coset-graph ball of ``ends`` finds its edges to ball elements without a product.
 """
 
 from __future__ import annotations
@@ -115,9 +115,10 @@ def reduced_product(a: tuple[Letter, ...], b: tuple[Letter, ...]) -> tuple[Lette
     return a[:size - k] + b[k:]
 
 
-def free_step(letters: tuple[Letter, ...], s: Word) -> tuple[Letter, ...]:
-    """The ball step of the free group, whose element keys are letter tuples."""
-    return reduced_product(letters, s.letters)
+def free_step(s: Word):
+    """The key map of s in the free group, whose element keys are letters."""
+    letters = s.letters
+    return lambda key: reduced_product(key, letters)
 
 
 def invert(w: Word) -> Word:
@@ -160,22 +161,25 @@ def word_key(w: Word) -> tuple:
     return (len(w.letters), tuple((i, 0 if s == 1 else 1) for i, s in w.letters))
 
 
-def ball(steps: Sequence[Word], radius: int, start, step, table: list | None = None
-         ) -> Iterator[tuple[Word, int, object]]:
+def ball(steps: Sequence[Word], radius: int, start, maps: Sequence, table: list | None = None,
+         numbers: dict | None = None) -> Iterator[tuple[Word, int, object]]:
     """(w, r, key) for the first word w met per key within radius steps,
     breadth first: level 0 is the empty word, whose key is start, and level
     r is w * s for the level r-1 words w in order and the steps s in order.
-    The key of w * s is step(key of w, s); the word w * s is built only when
-    that key is new.  The search ends at the radius or at the first level
-    that adds no word.
+    The key of w * s is the map of s (maps[i] for steps[i]) applied to the
+    key of w; the word w * s is built only when that key is new.  The search
+    ends at the radius or at the first level that adds no word.
 
     The words are numbered 0, 1, ... in the order they are yielded.  When
     ``table`` is a list, each word expanded (every word below the radius)
     appends to it, in that order, the tuple of the numbers of its products
-    w * s by the steps, so row i of the table is the step row of word i."""
+    w * s by the steps, so row i of the table is the step row of word i.
+    A ``numbers`` dict is filled with the numbering, key -> number."""
     identity = Word(_reduced=())
-    numbers = {start: 0}
+    numbers = {} if numbers is None else numbers
+    numbers[start] = 0
     yield identity, 0, start
+    stepping = list(zip(steps, maps))
     frontier = [(identity, start)]
     for r in range(1, radius + 1):
         if not frontier:
@@ -183,8 +187,8 @@ def ball(steps: Sequence[Word], radius: int, start, step, table: list | None = N
         nxt = []
         for w, w_key in frontier:
             row = []
-            for s in steps:
-                k = step(w_key, s)
+            for s, key_map in stepping:
+                k = key_map(w_key)
                 n = numbers.get(k)
                 if n is None:
                     n = numbers[k] = len(numbers)

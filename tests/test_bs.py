@@ -381,6 +381,17 @@ def test_family_axiom_check_matches_the_word_reference_on_other_conjugators():
             == reference_family_axiom_check(conjugators, 4, 2, M, N)
 
 
+def test_each_directed_recheck_runs_once_per_node_and_power(monkeypatch):
+    # bs verify --bound 12 --conj-len 2: 120 closure re-checks, and 1,064
+    # directed ones, one per (node, e) that some pair asks for, of 3,660 asks
+    calls = []
+    real = bs._conjugates_into
+    monkeypatch.setattr(bs, "_conjugates_into", lambda *a: calls.append(a) or real(*a))
+    report = bs.family_axiom_check([Y, invert(Y)], 12, 2, M, N)
+    assert report["all_pass"] is True
+    assert (len(report["closure"]), len(calls)) == (120, 1184)
+
+
 def test_syllable_reduction_equals_britton_reduce():
     rng = random.Random(5)
     balls = reduced_ball(6)

@@ -93,6 +93,23 @@ def test_subgroup_commensurable_bs_exact_common_power(runner):
         assert data["indices"] == [2 ** p, 3 ** p]
 
 
+def test_subgroup_commensurable_zn_generators_not_in_hermite_form(runner):
+    # u^2 v, u^4 v^3 are the rows (2, 1), (4, 3), not a Hermite form; the
+    # indices [H : H n K] and [K : H n K] are counted by brute force in
+    # (Z/12)^2, as both lattices contain 12 Z^2
+    data = json.loads(invoke(runner, [
+        "subgroup", "commensurable", "--group", "zn(2)",
+        "--h", "u^2 v, u^4 v^3", "--k", "u^3, v^2"]).output)
+
+    def image(r, s):  # the lattice spanned by r and s, modulo 12 Z^2
+        return {((a * r[0] + b * s[0]) % 12, (a * r[1] + b * s[1]) % 12)
+                for a in range(12) for b in range(12)}
+
+    h, k = image((2, 1), (4, 3)), image((3, 0), (0, 2))
+    assert (data["result"], data["certificate"]) == (True, None)
+    assert data["indices"] == [len(h) // len(h & k), len(k) // len(h & k)]
+
+
 def test_subgroup_near_normal(runner):
     result = invoke(runner, [
         "subgroup", "near-normal", "--group", "bs(2,3)", "--h", "x"])

@@ -341,7 +341,8 @@ def reference_ball(ctx, sub, gens, radius):
     """The reference coset_graph_ball must match: each element is
     classified by pairwise same_coset against every vertex found so far,
     again as an edge source, with every product g*x classified the same way.
-    Returns (vertices, depth, edges, element count, outer sphere count)."""
+    Returns (vertices, depth, edges, element count, the number of products
+    g*x of the outer sphere's elements g that are not ball elements)."""
     vertices, depth = [], []
 
     def classify(g):
@@ -376,7 +377,8 @@ def reference_ball(ctx, sub, gens, radius):
             target = classify(g * x)
             if target is not None and (source, target, label) not in edges:
                 edges.append((source, target, label))
-    return vertices, depth, edges, len(elements), len(frontier)
+    outside = sum(element_key(ctx, g * x) not in seen for g in frontier for x in gens)
+    return vertices, depth, edges, len(elements), outside
 
 
 def x_power(k, conjugator=None):
@@ -414,22 +416,24 @@ def test_ball_keys_each_element_once(monkeypatch, group, make_sub, radius, gens)
     sub = make_sub(ctx)
     gens = ((generator(0), generator(1)) if gens is None
             else tuple(parse_word(g, ctx.generator_names) for g in gens))
-    vertices, depth, edges, element_count, sphere_count = reference_ball(ctx, sub, gens, radius)
+    vertices, depth, edges, element_count, outside = reference_ball(ctx, sub, gens, radius)
     calls = []
     real = ends._left_key
     monkeypatch.setattr(ends, "_left_key", lambda *args: calls.append(1) or real(*args))
     ball = coset_graph_ball(ctx, sub, gens, radius)
     assert (list(ball.vertices), list(ball.depth), list(ball.edges)) == (vertices, depth, edges)
     # one key per element at discovery; inner edges come from the step table,
-    # so only the outer sphere keys its products, one per generator
+    # and an outer-sphere product that is a ball element takes its vertex, so
+    # only the outer sphere's products outside the ball are keyed
     keyed = sub.membership.coset_key(sub) is not None
-    assert len(calls) == (element_count + sphere_count * len(gens) if keyed else 0)
+    assert len(calls) == (element_count + outside if keyed else 0)
 
 
 def test_inner_edges_do_not_ask_the_oracle_again(monkeypatch):
     # every element below the radius was classified once, when it was met;
     # its edges come from the step table, not from an index lookup of g*x.
-    # The outer sphere's lookups pass the stepped element key and no word.
+    # The outer sphere looks g*x up in the ball first; only products outside
+    # it reach the index, with the stepped element key and no word.
     ctx = preset("bs(2,3)")
     gens = (generator(0), generator(1))
     looked_up = []
@@ -437,9 +441,36 @@ def test_inner_edges_do_not_ask_the_oracle_again(monkeypatch):
     monkeypatch.setattr(CosetIndex, "find",
                         lambda self, g, *key: looked_up.append((g, *key)) or real(self, g, *key))
     coset_graph_ball(ctx, power_subgroup(ctx, 2), gens, 4)
-    sphere = element_ball(ctx, gens, 4)[len(element_ball(ctx, gens, 3)):]
-    assert sphere and looked_up == [(None, element_key(ctx, g * x))
-                                    for g in sphere for x in gens]
+    elements = element_ball(ctx, gens, 4)
+    in_ball = {element_key(ctx, g) for g in elements}
+    sphere = elements[len(element_ball(ctx, gens, 3)):]
+    outside = [element_key(ctx, g * x) for g in sphere for x in gens]
+    outside = [(None, k) for k in outside if k not in in_ball]
+    assert sphere and outside and len(outside) < len(sphere) * len(gens)
+    assert looked_up == outside
+
+
+@pytest.mark.parametrize("group, make_sub", [
+    ("bs(2,3)", x_power(2)),
+    ("free(2)", lambda ctx: free_cyclic_subgroup(ctx, parse_word("a", ("a", "b")))),
+    ("zn(2)", lambda ctx: lattice_subgroup(ctx, [(1, 0)])),
+])
+def test_a_ball_with_one_column_swapped_differs_from_the_reference(monkeypatch, group, make_sub):
+    # negative control of the prepared steps: with the map of the first
+    # generator in the column of the second, the ball is no longer the reference
+    ctx = preset(group)
+    sub = make_sub(ctx)
+    gens = (generator(0), generator(1))
+    expected = reference_ball(ctx, sub, gens, 3)[:3]
+    real = groups.element_step
+
+    def swapped(ctx):
+        start, prepare = real(ctx)
+        return start, lambda w: prepare(gens[0] if w == gens[1] else w)
+
+    monkeypatch.setattr(groups, "element_step", swapped)
+    ball = coset_graph_ball(ctx, sub, gens, 3)
+    assert (list(ball.vertices), list(ball.depth), list(ball.edges)) != expected
 
 
 @pytest.mark.parametrize("group, make_sub, radius", [
@@ -448,20 +479,25 @@ def test_inner_edges_do_not_ask_the_oracle_again(monkeypatch):
     ("bs(1,2)", x_power(3, "x y^-1"), 4),
 ])
 def test_britton_ball_reduces_no_whole_word(monkeypatch, group, make_sub, radius):
-    # element keys step by one generator, the left keys read them, and the
-    # outer sphere's products step from their element's key
+    # element keys step by one generator, an x-push or a one-letter y-push,
+    # the left keys read them, and the outer sphere's products step from
+    # their element's key
     ctx = preset(group)
     sub = make_sub(ctx)
     gens = (generator(0), generator(1))
     expected = reference_ball(ctx, sub, gens, radius)[:3]
-    calls, fed = [], []
-    reduce, resume, key = bs.britton_reduce, bs.resume, groups.element_key
+    calls, fed, pushed = [], [], []
+    reduce, resume, push_x, key = bs.britton_reduce, bs.resume, bs.push_x, groups.element_key
     monkeypatch.setattr(bs, "britton_reduce", lambda *a: calls.append(a) or reduce(*a))
     monkeypatch.setattr(groups, "element_key", lambda *a: calls.append(a) or key(*a))
-    monkeypatch.setattr(bs, "resume", lambda k, letters, *a: fed.append(len(letters))
+    monkeypatch.setattr(bs, "resume", lambda k, letters, *a: fed.append(letters)
                         or resume(k, letters, *a))
+    monkeypatch.setattr(bs, "push_x", lambda k, e: pushed.append(e) or push_x(k, e))
     ball = coset_graph_ball(ctx, sub, gens, radius)
     assert calls == []
-    # each resume takes one generator or the conjugator's inverse, never a word
-    assert fed and max(fed) <= max(1, len(sub.membership.conjugator))
+    # each x step is one x-push; each resume takes one y or the conjugator's
+    # inverse, never a word
+    assert set(pushed) == {1, -1}
+    conjugator_inverse = invert(sub.membership.conjugator).letters
+    assert fed and set(fed) <= {((1, 1),), ((1, -1),), conjugator_inverse}
     assert (list(ball.vertices), list(ball.depth), list(ball.edges)) == expected

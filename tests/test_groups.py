@@ -4,6 +4,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearnormal import groups
 from nearnormal.groups import (
@@ -315,7 +317,11 @@ def test_stepped_keys_equal_the_key_of_the_whole_word(name):
     key of the reduced word u s, and so does the key folded letter by letter
     from the identity's."""
     ctx = preset(name)
-    start, step = groups.element_step(ctx)
+    start, prepare = groups.element_step(ctx)
+
+    def step(key, w):
+        return prepare(w)(key)
+
     # F's normal form reads every x_n, so its words draw x2 as well
     rank = 3 if ctx.oracle == "thompson-normal-form" else ctx.generator_count
     rng = random.Random(18)
@@ -332,6 +338,20 @@ def test_stepped_keys_equal_the_key_of_the_whole_word(name):
             key = step(key, Word([letter]))
         assert key == element_key(ctx, u * s)
         assert step(step(element_key(ctx, u), s), invert(s)) == element_key(ctx, u)
+
+
+@pytest.mark.parametrize("name", STEP_CONTEXTS)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_the_prepared_map_of_a_word_steps_to_the_key_of_the_product(name, data):
+    """For every oracle and random g and s, the empty word, one letter or
+    several: s's prepared map applied to the key of g is the key of g s."""
+    ctx = preset(name)
+    prepare = groups.element_step(ctx)[1]
+    rank = 3 if ctx.oracle == "thompson-normal-form" else ctx.generator_count
+    letters = st.lists(st.tuples(st.integers(0, rank - 1), st.sampled_from((1, -1))), max_size=6)
+    g, s = Word(data.draw(letters)), Word(data.draw(letters))
+    assert prepare(s)(element_key(ctx, g)) == element_key(ctx, g * s)
 
 
 # --- the breadth-first numbering of table states -----------------------------
@@ -387,6 +407,7 @@ def test_an_unbounded_ball_closes_on_a_finite_group(text):
     order = len(group_elements(ctx))
     letters = [Word([letter]) for letter in groups.signed_letters(ctx)]
     rows = []
-    found = list(ball(letters, sys.maxsize, *groups.element_step(ctx), rows))
+    start, prepare = groups.element_step(ctx)
+    found = list(ball(letters, sys.maxsize, start, [prepare(s) for s in letters], rows))
     assert len(found) == len(rows) == order
     assert sorted(key for _, _, key in found) == list(range(order))

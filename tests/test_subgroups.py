@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from bare import bare_subgroup
-from nearnormal import ends, groups
+from nearnormal import _intlinalg as intlin, ends, groups
 from nearnormal.groups import element_key, group_elements, preset
 from nearnormal.subgroups import (
     INFINITE_OR_EXCEEDS, Conjugate, CosetIndex, CosetSet, UnsupportedOraclePair,
@@ -14,7 +14,8 @@ from nearnormal.subgroups import (
     free_cyclic_subgroup, free_root,
     in_commensurator, index_bounded, intersect, is_commensurable,
     lattice_subgroup, near_normal_on, neumann_translate, power_subgroup,
-    SubgroupHandle, XPower, _root_parts, same_coset, trivial_subgroup, whole_group,
+    SubgroupHandle, XPower, _root_parts, same_coset, subgroup_from_words, trivial_subgroup,
+    whole_group,
 )
 from nearnormal.words import Word, generator, invert, parse_word, word_key
 
@@ -239,6 +240,21 @@ def test_intersect_lattices():
     assert contains(meet, u ** 2 * v ** 3) is True
     assert contains(meet, u ** 2) is True
     assert contains(meet, v) is False
+
+
+def test_zn3_commensurability_takes_one_hermite_form_per_lattice(monkeypatch):
+    # H and K are reduced once, when built; the intersection's kernel and
+    # basis, the meet's handle and each index's coordinate matrix add seven
+    ctx = preset("zn(3)")
+    u, v, w = (generator(i) for i in range(3))
+    h = subgroup_from_words(ctx, [u ** 2, v ** 3, w ** 4])
+    k = subgroup_from_words(ctx, [u ** 3, v ** 2, w ** 6])
+    calls = []
+    real = intlin.hnf_with_transform
+    monkeypatch.setattr(intlin, "hnf_with_transform", lambda *a: calls.append(a) or real(*a))
+    report = commensurability_report(h, k, 50)
+    assert (report["result"], report["indices"]) == (True, [18, 12])
+    assert len(calls) == 7
 
 
 def test_intersect_free_cyclic():

@@ -163,7 +163,7 @@ def test_word_is_immutable_and_hashable():
 
 def test_ball_over_free_letters_is_the_nested_loop_order():
     steps = [generator(0), generator(0, -1), generator(1), generator(1, -1)]
-    found = [(w, r) for w, r, _ in ball(steps, 3, (), free_step)]
+    found = [(w, r) for w, r, _ in ball(steps, 3, (), [free_step(s) for s in steps])]
     # reference: level r extends each level r-1 word by every step that does
     # not cancel, in that nested-loop order
     levels = [[Word(())]]
@@ -173,6 +173,7 @@ def test_ball_over_free_letters_is_the_nested_loop_order():
     assert [len(level) for level in levels] == [1, 4, 12, 36]
     assert found == [(w, r) for r, level in enumerate(levels) for w in level]
     # keyed by exponent sum, only the first word per sum is kept
-    assert list(ball(steps[:2], 2, 0, lambda e, s: e + exponent_sum(s))) == [
+    sums = [lambda e, d=exponent_sum(s): e + d for s in steps[:2]]
+    assert list(ball(steps[:2], 2, 0, sums)) == [
         (Word(()), 0, 0), (generator(0), 1, 1), (generator(0, -1), 1, -1),
         (generator(0, 2), 2, 2), (generator(0, -2), 2, -2)]
