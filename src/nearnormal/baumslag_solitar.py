@@ -19,8 +19,9 @@ form it holds in locals, and returns the form key of g w.
 ``britton_reduce`` is resume from the identity.  ``form_step(letters)`` is
 a word's key map, built once: ``push_x``, which adds a whole x-syllable to
 a key, for a power of x, else resume with the letters bound, so a word ball
-steps each key by one x-push or y-push.  The family check re-checks each
-witness w x^t w^-1 from the state after w, kept once per conjugator word.
+steps each key by one x-push or y-push.  The family check reads each
+distinct word's lattice and form once and re-checks each witness
+w x^t w^-1 from the form of w.
 
 ``x_power_lattice(w)`` is the (l, q) with w x^t w^-1 = x^(q t / l) exactly
 when l | t, read in integers from the y-signs of w's Britton form (Britton's
@@ -129,10 +130,10 @@ def x_power_lattice(w: Word, m: int, n: int) -> tuple[int, int]:
     return l, q
 
 
-def least_power(w: Word, k: int, m: int, n: int, step: int = 1) -> int:
-    """Least t in step Z, t > 0, with w x^t w^-1 in <x^k>: with (l, q) the
-    lattice of w, t = L u for L = lcm(step, l), and k | (q L / l) u."""
-    l, q = x_power_lattice(w, m, n)
+def least_power(lattice: tuple[int, int], k: int, step: int = 1) -> int:
+    """Least t in step Z, t > 0, with w x^t w^-1 in <x^k>, for (l, q) the
+    lattice of w: t = L u for L = lcm(step, l), and k | (q L / l) u."""
+    l, q = lattice
     L = lcm(step, l)
     return L * k // gcd(k, q * L // l)
 
@@ -190,23 +191,27 @@ def family_axiom_check(conjugators: list[Word], a_bound: int, conj_len: int,
     """
     conj_words = conjugator_words(conjugators, conj_len, m, n)
     nodes = [(a, w) for a in range(1, a_bound + 1) for w in conj_words]
-    states = {w: _conjugation_state(w, m, n) for w in conj_words}
+
+    @cache
+    def read(w):  # once per distinct conjugator word or product w c
+        return x_power_lattice(w, m, n), _conjugation_state(w, m, n)
 
     closure = []
     for a, w in nodes:
         for c in conjugators:
             wc = w * c
-            j = least_power(wc, a, m, n)
-            j = j if _conjugates_into(_conjugation_state(wc, m, n), j, a, m, n) else None
+            lattice, state = read(wc)
+            j = least_power(lattice, a)
+            j = j if _conjugates_into(state, j, a, m, n) else None
             closure.append({"power": a, "conjugator_len": len(wc), "witness": j,
                             "in_truncation": j is not None and j <= a_bound})
 
-    least = [least_power(w, a, m, n) for a, w in nodes]
+    least = [least_power(read(w)[0], a) for a, w in nodes]
 
     @cache
     def conjugates_into(idx, e):
         a, w = nodes[idx]
-        return _conjugates_into(states[w], e, a, m, n)
+        return _conjugates_into(read(w)[1], e, a, m, n)
 
     directed = []
     for idx1 in range(len(nodes)):

@@ -627,7 +627,7 @@ def suite_cmd(name, seed, timing, fmt):
     except suites.UnknownSuiteError as exc:
         raise click.UsageError(str(exc))
     if fmt == "json":
-        click.echo(json.dumps(report, indent=2, sort_keys=True))
+        _emit(report, "json")
     else:
         for rec in report["checks"]:
             mark = {"pass": "PASS", "fail": "FAIL"}.get(rec["outcome"], "????")

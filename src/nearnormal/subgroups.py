@@ -588,8 +588,8 @@ def _x_power_meet(h: SubgroupHandle, k: SubgroupHandle) -> tuple[int, int]:
     kh, ch = h.membership.k, h.membership.conjugator
     kk, ck = k.membership.k, k.membership.conjugator
     w = ck * invert(ch)
-    l, q = bs.x_power_lattice(w, *h.ctx.bs_params)
-    a = bs.least_power(w, kk, *h.ctx.bs_params, step=kh)
+    l, q = lattice = bs.x_power_lattice(w, *h.ctx.bs_params)
+    a = bs.least_power(lattice, kk, step=kh)
     return a, q * a // l
 
 

@@ -8,17 +8,14 @@ same seed serialize to identical bytes.  The completion and thompson
 suites read the shared checkers ``completion.law_records`` and
 ``thompson.lemma_report``, the latter at smaller bounds than the CLI.
 
-``run_suite`` runs its suites on forked processes, one per CPU this
-process may use and at most one per suite.  The suites are listed longest
-first; the calling process runs the first, ``thompson`` (its 5:2 agreement
-scan is most of ``all``), and the workers deal the others between them in
-turn, so each process runs the same suites on every run.  Each worker
-sends its records back through a pipe and exits; the caller reaps every
-worker before it returns or raises, and sorts the records by id, so the
-report does not depend on which process ran which suite.  The caller runs
-every suite itself when there is one suite or one CPU, when the platform
-has no ``os.fork``, when other threads are running, and runs the shares
-of the workers it could not fork.
+``run_suite`` runs its suites on two processes where it can: the caller
+runs the first suite, ``thompson`` (its 5:2 agreement scan is most of
+``all``), and one forked worker runs the others in order and sends their
+records back through a pipe.  The caller reaps the worker before it returns
+or raises and sorts the records by id, so the report does not depend on
+which process ran which suite.  The caller runs every suite itself when
+there is one suite or one CPU, when the platform has no ``os.fork``, when
+other threads are running, or when the pipe or the fork fails.
 """
 
 from __future__ import annotations
@@ -392,10 +389,11 @@ def suite_bs(seed: int) -> list:
     return out
 
 
-# Longest first: the calling process runs the first suite and the workers
-# share the rest, so the longest runs beside all the others.  Median
-# milliseconds of each suite at seed 7, run alone in one process with the lru
-# caches cleared, on a 2-core x86-64 Xeon with the pure-Python scan kernel.
+# The calling process runs the first suite and a worker runs the rest, so
+# thompson, longer than all the others together, comes first; the order of
+# the rest does not matter.  Median milliseconds of each suite at seed 7, run
+# alone in one process with the lru caches cleared, on a 2-core x86-64 Xeon
+# with the pure-Python scan kernel.
 SUITES = {
     "thompson": suite_thompson,  # 89, 85 of them the 5:2 agreement scan
     "ends": suite_ends,  # 16
@@ -420,7 +418,7 @@ def run_suite(name: str, seed: int = 0, timing: bool = False) -> dict:
         raise UnknownSuiteError(f"unknown suite {name!r}; choose from "
                                 f"{', '.join(sorted(SUITES))} or all")
     start = time.monotonic()
-    done, workers = _run_shares(names, [SUITES[k] for k in names], seed)
+    done, workers = _run_split(names, [SUITES[k] for k in names], seed)
     checks = [c for i in range(len(names)) for c in done[i][0]]
     checks.sort(key=lambda c: c["id"])
     elapsed = None
@@ -432,35 +430,24 @@ def run_suite(name: str, seed: int = 0, timing: bool = False) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The suites run in forked processes, each on a share fixed before it forks,
-# so the same process runs the same suites on every run.  Fork, not spawn: a
-# spawned worker imports the package again, which costs more than all the
-# suites.
+# Fork, not spawn: a spawned worker imports the package again, which costs
+# more than all the suites.
 
 
-def _worker_count(jobs: int) -> int:
-    """Processes for ``jobs`` suites: one per CPU this process may run on and
-    at most one per suite, or this process alone where it cannot fork or
-    where forking is unsafe because it runs other threads."""
+def _forks_a_worker(jobs: int) -> bool:
+    """Whether ``jobs`` suites run on two processes: more than one suite and
+    more than one CPU this process may run on, where it can fork and where
+    forking is safe because it runs no other threads."""
     if jobs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
+        return False
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
         cpus = os.cpu_count() or 1
-    return min(jobs, cpus)
+    return cpus > 1
 
 
-def _shares(jobs: int, workers: int) -> list:
-    """The suite indices each process runs: the caller's first.  With more
-    than one process the caller runs suite 0, the longest, alone, and the
-    others deal the rest between them in turn."""
-    if workers == 1:
-        return [list(range(jobs))]
-    return [[0]] + [list(range(k, jobs, workers - 1)) for k in range(1, workers)]
-
-
-def _run(share: list, runners: list, seed: int) -> dict:
+def _run(share, runners: list, seed: int) -> dict:
     """{index: (checks, seconds)} of each suite in ``share``."""
     done = {}
     for i in share:
@@ -481,76 +468,58 @@ def _pickled(exc: Exception) -> bytes:
     return blob
 
 
-def _fork(share: list, children: list, runners: list, seed: int) -> None:
-    """Fork a worker that runs ``share`` and writes (True, its results) or
-    (False, its pickled exception) to a pipe of its own, then exits."""
-    read_end, write_end = os.pipe()
+def _run_split(names: list, runners: list, seed: int) -> tuple:
+    """({index: (checks, seconds)} of every runner, processes used).  With a
+    worker, this process runs runner 0 and a forked worker runs the rest and
+    writes (True, its results) or (False, its pickled exception) to a pipe,
+    which is read to EOF before the worker is reaped on every path, so a
+    worker blocked writing a large result cannot deadlock the wait."""
+    everything = range(len(runners))
+    if not _forks_a_worker(len(runners)):
+        return _run(everything, runners, seed), 1
     try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid:
-        os.close(write_end)
-        children.append((pid, share, os.fdopen(read_end, "rb")))
-        return
-    status = 1
-    try:
-        os.close(read_end)
-        for _, _, pipe in children:  # so only the parent holds each reader
-            pipe.close()
+        read_end, write_end = os.pipe()
         try:
-            message = marshal.dumps((True, _run(share, runners, seed)))
-        except Exception as exc:
-            message = marshal.dumps((False, _pickled(exc)))
-        with open(write_end, "wb") as out:
-            out.write(message)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _collect(children: list) -> list:
-    """Each child's message, read to EOF before the child is reaped, so a
-    child blocked writing a large result cannot deadlock the wait."""
-    try:
-        return [pipe.read() for _, _, pipe in children]
-    finally:
-        for pid, _, pipe in children:
-            pipe.close()
-            os.waitpid(pid, 0)
-
-
-def _run_shares(names: list, runners: list, seed: int) -> tuple:
-    """({index: (checks, seconds)} of every runner, processes used).  This
-    process forks a worker for each share after its own, takes over the
-    shares it could not fork for, runs its own, and reaps every worker
-    before it returns or raises."""
-    mine, *rest = _shares(len(runners), _worker_count(len(runners)))
-    children = []
-    try:
-        for k, share in enumerate(rest):
+            pid = os.fork()
+        except BaseException:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+    except OSError:  # out of processes or memory: run everything here
+        return _run(everything, runners, seed), 1
+    if not pid:
+        status = 1
+        try:
+            os.close(read_end)
             try:
-                _fork(share, children, runners, seed)
-            except OSError:  # out of processes or memory: run the rest here
-                mine = mine + [i for left in rest[k:] for i in left]
-                break
-        done = _run(mine, runners, seed)
+                message = marshal.dumps((True, _run(everything[1:], runners, seed)))
+            except Exception as exc:
+                message = marshal.dumps((False, _pickled(exc)))
+            with open(write_end, "wb") as out:
+                out.write(message)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            try:
+                done = _run(everything[:1], runners, seed)
+            finally:
+                message = pipe.read()
     finally:
-        messages = _collect(children)
-    for (_, share, _), message in zip(children, messages):
-        try:
-            ok, payload = marshal.loads(message)
-        except (EOFError, ValueError, TypeError):  # the worker died before it wrote
-            raise RuntimeError("a suite worker ended without a result; suites not run: "
-                               + ", ".join(names[i] for i in share)) from None
-        if not ok:
-            import pickle
+        os.waitpid(pid, 0)
+    try:
+        ok, payload = marshal.loads(message)
+    except (EOFError, ValueError, TypeError):  # the worker died before it wrote
+        raise RuntimeError("a suite worker ended without a result; suites not run: "
+                           + ", ".join(names[1:])) from None
+    if not ok:
+        import pickle
 
-            raise pickle.loads(payload)
-        done.update(payload)
-    return done, 1 + len(children)
+        raise pickle.loads(payload)
+    done.update(payload)
+    return done, 2
 
 
 def report_failures(report: dict) -> list:

@@ -314,9 +314,10 @@ def test_x_power_lattice_matches_the_word_reference():
 
 
 def test_least_power_matches_the_word_reference():
-    assert bs.least_power(invert(Y), 1, M, N) == 2
-    assert bs.least_power(invert(Y), 1, M, N, step=3) == 6
-    assert bs.least_power(invert(Y), 9, M, N) == 6
+    lattice = bs.x_power_lattice(invert(Y), M, N)
+    assert bs.least_power(lattice, 1) == 2
+    assert bs.least_power(lattice, 1, step=3) == 6
+    assert bs.least_power(lattice, 9) == 6
     rng = random.Random(11)
     bound = 40
     found = beyond = 0
@@ -325,7 +326,7 @@ def test_least_power_matches_the_word_reference():
             w = random_reduced_word(rng, rng.randint(0, 10))
             k = rng.randint(1, 6)
             step = rng.randint(1, 3)
-            got = bs.least_power(w, k, m, n, step=step)
+            got = bs.least_power(bs.x_power_lattice(w, m, n), k, step=step)
             expected = reference_least_power(w, k, bound, m, n, step=step)
             # the scan answers up to its bound; past it, the least power is larger
             assert got == expected if expected is not None else got > bound, (w, k, m, n, step)
@@ -339,7 +340,7 @@ def test_least_power_past_the_old_scan_cap():
     # because it works and t/p fails for each prime p dividing t
     w = Y ** 3 * X * invert(Y) * X * Y ** 4 * X ** -1 * invert(Y) ** 2 * X * Y ** 3
     k = 10
-    t = bs.least_power(w, k, M, N)
+    t = bs.least_power(bs.x_power_lattice(w, M, N), k)
     assert t > 10_000
 
     def works(t):
@@ -390,6 +391,16 @@ def test_each_directed_recheck_runs_once_per_node_and_power(monkeypatch):
     report = bs.family_axiom_check([Y, invert(Y)], 12, 2, M, N)
     assert report["all_pass"] is True
     assert (len(report["closure"]), len(calls)) == (120, 1184)
+
+
+def test_each_word_lattice_is_read_once(monkeypatch):
+    # bs verify --bound 12 --conj-len 2: 5 conjugator words and 10 products
+    # w c, 7 distinct words among them, where reading per power took 180
+    words = []
+    real = bs.x_power_lattice
+    monkeypatch.setattr(bs, "x_power_lattice", lambda w, m, n: words.append(w) or real(w, m, n))
+    assert bs.family_axiom_check([Y, invert(Y)], 12, 2, M, N)["all_pass"] is True
+    assert len(words) == len(set(words)) == 7
 
 
 def test_syllable_reduction_equals_britton_reduce():

@@ -148,8 +148,8 @@ def test_suites_are_listed_longest_first():
 @pytest.mark.parametrize("seed", [0, 7])
 def test_all_is_byte_identical_on_one_process(monkeypatch, seed):
     fanned = run_suite("all", seed=seed, timing=True)
-    assert fanned["timing"]["workers"] == suites._worker_count(len(SUITES))
-    monkeypatch.setattr(suites, "_worker_count", lambda jobs: 1)
+    assert fanned["timing"]["workers"] == (2 if suites._forks_a_worker(len(SUITES)) else 1)
+    monkeypatch.setattr(suites, "_forks_a_worker", lambda jobs: False)
     alone = run_suite("all", seed=seed, timing=True)
     assert alone["timing"]["workers"] == 1
     for report in (fanned, alone):
@@ -158,16 +158,17 @@ def test_all_is_byte_identical_on_one_process(monkeypatch, seed):
     assert_no_children()
 
 
-def test_worker_count_is_bounded_by_cpus_and_suites(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    assert [suites._worker_count(jobs) for jobs in (1, 2, 3, 8)] == [1, 2, 3, 3]
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
-    assert suites._worker_count(8) == 1
+def test_a_worker_is_forked_for_two_suites_on_two_cpus(monkeypatch):
+    for cpus in ({5}, {0, 1}, {0, 1, 2, 3}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        assert [suites._forks_a_worker(jobs) for jobs in (1, 2, 8)] \
+            == [False, len(cpus) > 1, len(cpus) > 1], cpus
     monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert suites._worker_count(8) == 4
+    for count, forks in ((None, False), (1, False), (2, True), (4, True)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert suites._forks_a_worker(8) is forks, count
     monkeypatch.delattr(os, "fork")
-    assert suites._worker_count(8) == 1
+    assert suites._forks_a_worker(8) is False
 
 
 def never_fork():
@@ -222,7 +223,7 @@ def two_suites(monkeypatch, tmp_path, second):
         return second(seed)
 
     monkeypatch.setattr(suites, "SUITES", {"first": first, "second": in_worker})
-    monkeypatch.setattr(suites, "_worker_count", lambda jobs: 2)
+    monkeypatch.setattr(suites, "_forks_a_worker", lambda jobs: True)
 
 
 def test_a_worker_exception_keeps_its_type_and_message(monkeypatch, tmp_path):
@@ -310,26 +311,39 @@ def shares_by_process(by_index):
     return shares
 
 
-def test_shares_put_the_longest_suite_alone_in_the_caller():
-    assert suites._shares(8, 1) == [list(range(8))]
-    assert suites._shares(8, 2) == [[0], [1, 2, 3, 4, 5, 6, 7]]
-    assert suites._shares(8, 3) == [[0], [1, 3, 5, 7], [2, 4, 6]]
-    assert suites._shares(8, 8) == [[i] for i in range(8)]
-
-
 def test_each_process_runs_the_same_share_on_every_run(monkeypatch, tmp_path):
     ran = logged_suites(monkeypatch, tmp_path, 40)
-    monkeypatch.setattr(suites, "_worker_count", lambda jobs: 6)
-    want = {frozenset([0])} | {frozenset(range(k, 40, 5)) for k in range(1, 6)}
+    monkeypatch.setattr(suites, "_forks_a_worker", lambda jobs: True)
     for _ in range(2):
         with deadline(60):
             report = run_suite("all", timing=True)
         assert [c["id"] for c in report["checks"]] == [f"s{i:02d}/ran" for i in range(40)]
-        assert report["timing"]["workers"] == 6
+        assert report["timing"]["workers"] == 2
         shares = shares_by_process(ran())
         assert shares.pop(os.getpid()) == {0}
-        assert set(map(frozenset, shares.values())) | {frozenset([0])} == want
+        assert list(shares.values()) == [set(range(1, 40))]
         assert_no_children()
+
+
+def test_four_cpus_fork_one_worker(monkeypatch):
+    real_fork, forks = os.fork, []
+
+    def counted_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    alone = run_suite("all", seed=7, timing=True)
+    assert alone["timing"]["workers"] == 1
+    alone["timing"] = None
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(os, "fork", counted_fork)
+    with deadline(60):
+        report = run_suite("all", seed=7, timing=True)
+    assert len(forks) == 1 and report["timing"]["workers"] == 2
+    report["timing"] = None
+    assert json.dumps(report, sort_keys=True) == json.dumps(alone, sort_keys=True)
+    assert_no_children()
 
 
 def test_a_failed_fork_runs_every_suite_in_the_caller(monkeypatch):
@@ -347,22 +361,14 @@ def test_a_failed_fork_runs_every_suite_in_the_caller(monkeypatch):
     assert_no_children()
 
 
-def test_the_caller_takes_the_shares_it_could_not_fork(monkeypatch, tmp_path):
-    ran = logged_suites(monkeypatch, tmp_path, 5)
-    monkeypatch.setattr(suites, "_worker_count", lambda jobs: 3)
-    real_fork, forks = os.fork, []
+def test_a_failed_pipe_runs_every_suite_in_the_caller(monkeypatch):
+    def no_pipe():
+        raise OSError(24, "Too many open files")
 
-    def fork_once():
-        forks.append(None)
-        if len(forks) > 1:
-            raise OSError(12, "Cannot allocate memory")
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork_once)
-    with deadline(60):
-        report = run_suite("all", timing=True)
-    assert report["timing"]["workers"] == 2 and len(report["checks"]) == 5
-    shares = shares_by_process(ran())
-    assert shares.pop(os.getpid()) == {0, 2, 4}
-    assert list(shares.values()) == [{1, 3}]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    monkeypatch.setattr(os, "fork", never_fork)
+    report = run_suite("all", seed=0, timing=True)
+    assert report["timing"]["workers"] == 1 and not report_failures(report)
+    assert set(report["timing"]["suites"]) == set(SUITES)
     assert_no_children()
