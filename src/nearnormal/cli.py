@@ -180,6 +180,12 @@ def subgroup_cmd():
     """Commensurability and near-normality of subgroup pairs."""
 
 
+_search_bound_option = click.option(
+    "--bound", type=click.IntRange(min=1), default=50, show_default=True,
+    help="Caps only the coset search of a whole group with no table, lattice "
+         "or cyclic coordinate; every other index is exact.")
+
+
 @subgroup_cmd.command(name="commensurable")
 @click.option("--group", "group_spec", required=True,
               help="Ambient group (preset, file, or inline text).")
@@ -187,8 +193,7 @@ def subgroup_cmd():
               help="Generators of H, comma-separated words.")
 @click.option("--k", "k_text", required=True,
               help="Generators of K, comma-separated words.")
-@click.option("--bound", type=click.IntRange(min=1), default=50, show_default=True,
-              help="Index search bound.")
+@_search_bound_option
 @_format_option
 def subgroup_commensurable(group_spec, h_text, k_text, bound, fmt):
     """Decide whether H and K share a finite-index common subgroup."""
@@ -207,7 +212,7 @@ def subgroup_commensurable(group_spec, h_text, k_text, bound, fmt):
               help="Generators of H, comma-separated words.")
 @click.option("--gens", "gens_text", default=None,
               help="Conjugating elements; defaults to the group generators.")
-@click.option("--bound", type=click.IntRange(min=1), default=50, show_default=True)
+@_search_bound_option
 @_format_option
 def subgroup_near_normal(group_spec, h_text, gens_text, bound, fmt):
     """Check that each conjugator keeps H commensurable with itself."""

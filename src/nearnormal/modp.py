@@ -8,11 +8,21 @@ only the nonzero entries.  Modules act on the right: v -> v . M.
 
 from __future__ import annotations
 
-from math import isqrt
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_LIMIT = 318665857834031151167461  # the least composite passing them all
 
 
 def is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+    """Deterministic Miller-Rabin on the twelve primes up to 37: exact below
+    PRIME_LIMIT (about 3.2e23), ValueError at or above it."""
+    if p >= PRIME_LIMIT:
+        raise ValueError(f"primality is decided only below {PRIME_LIMIT}")
+    if p < 2 or any(p % a == 0 for a in _WITNESSES):
+        return p in _WITNESSES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2^s, d odd
+    d = (p - 1) >> s
+    return all(pow(a, d, p) == 1 or p - 1 in (pow(a, d << i, p) for i in range(s))
+               for a in _WITNESSES)
 
 
 def sparse(rows, p: int):

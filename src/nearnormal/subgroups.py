@@ -1,4 +1,4 @@
-"""Subgroup handles: conjugates, intersections, bounded indices, and the
+"""Subgroup handles: conjugates, intersections, indices, and the
 relations built on them (commensurability, commensurator membership,
 near-normality), plus the disjoint-coset-translate search.
 
@@ -22,7 +22,10 @@ key when it has one, else pairwise through ``same_coset``.  A coset key keys
 the left cosets g(sub) and reads only g's ``groups.element_key``, so a caller
 that steps element keys (a word ball) never builds the product words.
 
-Everything bounded is three-valued: True / False / "unknown", never a guess.
+Indices are exact wherever an oracle reads them (coset tables, lattices, the
+gcd of cyclic coordinates): an int, or None when infinite.  A bound caps only
+the coset search of a whole group with none of these, so the relations built
+on indices are three-valued: True / False / "unknown", never a guess.
 """
 
 from __future__ import annotations
@@ -518,52 +521,45 @@ def _coset_bfs_count(sub: SubgroupHandle, bound: int):
     return INFINITE_OR_EXCEEDS if index.undecided else len(index.representatives)
 
 
-def _capped(index, bound: int):
-    return index if index is not None and index <= bound else INFINITE_OR_EXCEEDS
-
-
 def index_bounded(sub: SubgroupHandle, ambient: SubgroupHandle, bound: int):
-    """Exact index of sub in ambient when established and <= bound, else
-    INFINITE_OR_EXCEEDS.  Requires sub's generators inside ambient."""
+    """Index of sub in ambient, which must hold sub's generators.  Coset
+    tables, lattices and cyclic coordinates read it exactly: an int, or None
+    when it is infinite.  A whole group with none of these counts cosets by
+    search, and ``bound`` caps only that search (INFINITE_OR_EXCEEDS)."""
     for w in sub.generators:
         if contains(ambient, w) is False:
             raise ValueError("sub generator outside the ambient subgroup")
-    if sub == ambient:
+    if sub == ambient or not ambient.generators:  # no generators: trivial
         return 1
     ctx = ambient.ctx
-    whole = isinstance(ambient.membership, All)
-    if whole and ctx.oracle == "coset-table":
-        table = groups.todd_coxeter(ctx, list(sub.generators), max(4 * bound, 64))
-        return _capped(None if isinstance(table, groups.Incomplete) else table.coset_count, bound)
-    if whole and ctx.oracle != "free-abelian":  # Z^n takes the lattice index below
+    if ctx.oracle == "coset-table":
+        isub, iamb = _table_index(sub), _table_index(ambient)
+        if isub % iamb:
+            raise ValueError("inconsistent tables: indices not multiplicative")
+        return isub // iamb
+    if ctx.oracle == "free-abelian":
+        return intlin.lattice_index(_lattice_rows(sub), _lattice_rows(ambient), ctx.generator_count)
+    if isinstance(ambient.membership, All):
         return _coset_bfs_count(sub, bound)
     coordinate = ambient.membership.cyclic_coordinate(ambient)
     if coordinate is not None:
         coords = [coordinate(w) for w in sub.generators]
         if any(c is None for c in coords):
             raise ValueError("sub generator outside the ambient subgroup")
-        return _capped(gcd(*coords) or None, bound)
-    # both finite-index in a coset-table group: divide whole-group indices
-    if ctx.oracle == "coset-table":
-        isub = _ensure_table(sub).coset_table.coset_count
-        iamb = _ensure_table(ambient).coset_table.coset_count
-        if isub % iamb:
-            raise ValueError("inconsistent tables: indices not multiplicative")
-        return _capped(isub // iamb, bound)
-    if ctx.oracle == "free-abelian":
-        n = ctx.generator_count
-        return _capped(intlin.lattice_index(_lattice_rows(sub), _lattice_rows(ambient), n), bound)
+        return gcd(*coords) or None
     raise UnsupportedOraclePair(
         f"no index strategy for {sub.membership.tag} inside {ambient.membership.tag}")
 
 
+def _table_index(sub: SubgroupHandle) -> int:
+    """[G : sub] in a coset-table context: 1 for the whole group, else the
+    coset count of sub's table (the regular table for the trivial group)."""
+    return 1 if isinstance(sub.membership, All) else _ensure_table(sub).coset_table.coset_count
+
+
 def _ensure_table(sub: SubgroupHandle) -> SubgroupHandle:
     """Attach a coset table in a finite coset-table context (idempotent)."""
-    if sub.coset_table is not None:
-        return sub
-    if sub.ctx.oracle != "coset-table":
-        raise UnsupportedOraclePair("no coset table available for this handle")
-    return finite_subgroup(sub.ctx, sub.generators)
+    return sub if sub.coset_table is not None else finite_subgroup(sub.ctx, sub.generators)
 
 
 def _lattice_rows(sub: SubgroupHandle):
@@ -668,49 +664,27 @@ def _fiber_product(h: SubgroupHandle, k: SubgroupHandle) -> SubgroupHandle:
 
 
 def commensurability_report(h: SubgroupHandle, k: SubgroupHandle, bound: int) -> dict:
-    """{result: True|False|"unknown", indices, certificate}."""
-    if h.ctx.oracle == "free-abelian":
-        n = h.ctx.generator_count
-        rh, rk = _lattice_rows(h), _lattice_rows(k)
-        ri = intlin.lattice_intersect(rh, rk, n)
-        if len(ri) < max(len(rh), len(rk)):
-            return {"result": False, "indices": None,
-                    "certificate": f"lattice ranks: intersection {len(ri)}, "
-                                   f"operands {len(rh)} and {len(rk)}"}
-    if isinstance(h.membership, FreeCyclic) and isinstance(k.membership, FreeCyclic):
-        verdict = _free_commensurable(h.membership.u, k.membership.u)
-        if verdict is not None:
-            return verdict
+    """{result, indices, certificate}: True with [H : H n K] and [K : H n K]
+    when both are finite, False when one is infinite, "unknown" only for an
+    oracle pair with no strategy or a coset search that the bound stopped."""
     try:
         if h.ctx == k.ctx and isinstance(h.membership, XPower) and isinstance(k.membership, XPower):
             # exact, in integers: the meet's generator can be too long to
             # write out, and no search runs for the bound to cap
             a, b = _x_power_meet(h, k)
-            i1, i2 = a // h.membership.k, b // k.membership.k
+            indices = [a // h.membership.k, b // k.membership.k]
         else:
             j = intersect(h, k)
-            i1, i2 = index_bounded(j, h, bound), index_bounded(j, k, bound)
+            indices = [index_bounded(j, h, bound), index_bounded(j, k, bound)]
     except UnsupportedOraclePair as exc:
         return {"result": "unknown", "indices": None, "certificate": str(exc)}
-    if i1 == INFINITE_OR_EXCEEDS or i2 == INFINITE_OR_EXCEEDS:
+    if None in indices:
+        return {"result": False, "indices": None,
+                "certificate": "the intersection has infinite index in an operand"}
+    if INFINITE_OR_EXCEEDS in indices:
         return {"result": "unknown", "indices": None,
-                "certificate": f"an index exceeds the bound {bound}"}
-    return {"result": True, "indices": [i1, i2], "certificate": None}
-
-
-def _free_commensurable(u: Word, v: Word):
-    if not u and not v:
-        return {"result": True, "indices": [1, 1], "certificate": None}
-    if not u or not v:
-        return {"result": False, "indices": None,
-                "certificate": "one side is trivial, the other infinite cyclic"}
-    ru, _ = free_root(u)
-    rv, _ = free_root(v)
-    if ru != rv and ru != invert(rv):
-        return {"result": False, "indices": None,
-                "certificate": "distinct free roots: intersection is trivial "
-                               "but both subgroups are infinite cyclic"}
-    return None
+                "certificate": f"a coset search stopped at the bound {bound}"}
+    return {"result": True, "indices": indices, "certificate": None}
 
 
 def is_commensurable(h: SubgroupHandle, k: SubgroupHandle, bound: int):

@@ -538,6 +538,15 @@ def test_family_functors_accept_an_odd_prime(runner):
     assert h1["dim_h1"] == 0
 
 
+def test_family_h1_checks_a_19_digit_prime(runner):
+    h1 = json.loads(invoke(runner, ["family", "h1", "--group", "sym3",
+                                    "--p", str(2 ** 61 - 1)]).output)
+    assert (h1["p"], h1["dim_h1"]) == (2 ** 61 - 1, 0)
+    result = runner.invoke(main, ["family", "h1", "--group", "sym3", "--p", str(10 ** 24)])
+    assert result.exit_code == 1
+    assert result.output == "Error: primality is decided only below 318665857834031151167461\n"
+
+
 def test_family_h0_without_a_bottom_node(runner):
     result = runner.invoke(main, ["family", "h0", "--group", "sym3", "--nodes", "a"])
     assert result.exit_code == 1

@@ -5,6 +5,7 @@ its sparse results are compared through ``dense_modp.dense``."""
 
 import itertools
 import random
+from math import isqrt
 
 import pytest
 
@@ -78,6 +79,29 @@ def test_span_contains_matches_per_vector_checks(p):
 
 def test_is_prime():
     assert [n for n in range(-2, 30) if modp.is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    def by_trial_division(p):
+        return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+
+    assert all(modp.is_prime(p) == by_trial_division(p) for p in range(10 ** 5))
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to base 2; to 2, 3, 5, 7; and to every prime up to
+    # 31, which base 37 alone exposes
+    for n in (2047, 3215031751, 3825123056546413051):
+        assert modp.is_prime(n) is False, n
+    assert modp.is_prime(2 ** 61 - 1) is True
+    assert modp.is_prime(10 ** 14 + 31) is True
+
+
+def test_is_prime_refuses_p_past_its_limit():
+    # the limit passes all twelve witnesses, yet it is composite
+    assert modp.PRIME_LIMIT == 399165290221 * 798330580441
+    with pytest.raises(ValueError, match="primality is decided only below"):
+        modp.is_prime(modp.PRIME_LIMIT)
 
 
 def test_rref_is_canonical_for_the_row_space():

@@ -1,7 +1,7 @@
 """Subgroup handles: membership, conjugation, index, commensurability."""
 
 import random
-from math import gcd
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -179,12 +179,37 @@ def test_index_bounded_lattices():
     whole = whole_group(ctx)
     assert index_bounded(lattice_subgroup(ctx, [(2, 0), (0, 2)]), whole, 10) == 4
     assert index_bounded(lattice_subgroup(ctx, [(2, 0), (0, 3)]), whole, 10) == 6
-    assert index_bounded(lattice_subgroup(ctx, [(1, 0)]), whole, 10) == INFINITE_OR_EXCEEDS
+    assert index_bounded(lattice_subgroup(ctx, [(1, 0)]), whole, 10) is None
+    # read from the Hermite pivots, never capped by the bound
+    assert index_bounded(lattice_subgroup(ctx, [(7, 0), (0, 5)]), whole, 10) == 35
+
+
+def test_diagonal_z3_indices_past_the_bound_are_exact():
+    # diagonal lattices a, b of Z^3 meet in the diagonal lcm(a_i, b_i), so
+    # [H : H n K] = prod lcm(a_i, b_i) / a_i and symmetrically for K
+    ctx = preset("zn(3)")
+    rng = random.Random(3)
+    checked = 0
+    while checked < 20:
+        a = [rng.randint(1, 12) for _ in range(3)]
+        b = [rng.randint(1, 12) for _ in range(3)]
+        lcms = [lcm(x, y) for x, y in zip(a, b)]
+        indices = [prod(m // x for m, x in zip(lcms, a)), prod(m // y for m, y in zip(lcms, b))]
+        if max(indices) <= 5:
+            continue
+        h = lattice_subgroup(ctx, [tuple(x if i == j else 0 for j in range(3))
+                                   for i, x in enumerate(a)])
+        k = lattice_subgroup(ctx, [tuple(y if i == j else 0 for j in range(3))
+                                   for i, y in enumerate(b)])
+        report = commensurability_report(h, k, 5)
+        assert (report["result"], report["indices"]) == (True, indices), (a, b)
+        checked += 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_index_in_a_rank_one_lattice_is_the_gcd_of_coordinates(n):
-    # in <v> the index of <c_1 v, ..., c_k v> is gcd(c_i); rank 0 is infinite
+    # in <v> the index of <c_1 v, ..., c_k v> is gcd(c_i) at any bound; rank
+    # 0 (gcd 0) is infinite
     ctx = preset(f"zn({n})")
     rng = random.Random(n)
     for _ in range(60):
@@ -195,14 +220,15 @@ def test_index_in_a_rank_one_lattice_is_the_gcd_of_coordinates(n):
         sub = lattice_subgroup(ctx, [tuple(c * a for a in v) for c in coords])
         bound = rng.randint(1, 15)
         g = gcd(*coords)
-        expected = g if 0 < g <= bound else INFINITE_OR_EXCEEDS
-        assert index_bounded(sub, lattice_subgroup(ctx, [v]), bound) == expected
+        assert index_bounded(sub, lattice_subgroup(ctx, [v]), bound) == (g or None)
 
 
 def test_index_bounded_bs():
     ctx = preset("bs(2,3)")
     assert index_bounded(power_subgroup(ctx, 1), whole_group(ctx), 20) == INFINITE_OR_EXCEEDS
     assert index_bounded(power_subgroup(ctx, 2), power_subgroup(ctx, 1), 20) == 2
+    # the coset search of a whole group with no table stays capped
+    assert index_bounded(power_subgroup(ctx, 2), whole_group(ctx), 100) == INFINITE_OR_EXCEEDS
 
 
 # --- intersection ------------------------------------------------------------
@@ -230,6 +256,24 @@ def test_intersect_finite():
             assert index_bounded(meet, whole_group(s4), 24) == 24 // sum(both)
 
 
+def test_s4_subgroup_pairs_are_commensurable_at_any_bound():
+    # every pair of subgroups of a finite group is commensurable; the
+    # indices |H| / |H n K| and |K| / |H n K| are read from tables, so the
+    # smallest bound does not stop them
+    s4 = preset("sym4")
+    elements = group_elements(s4)
+    subs = [finite_subgroup(s4, [w(text) for text in gens.split(",")])
+            for gens in ("a", "b", "a b", "a b a b", "a, b a b^-1", "b, a b a", "a b, b a")]
+    for h in subs:
+        for k in subs:
+            in_h = [contains(h, t) is True for t in elements]
+            in_k = [contains(k, t) is True for t in elements]
+            meet = sum(x and y for x, y in zip(in_h, in_k))
+            report = commensurability_report(h, k, 1)
+            assert (report["result"], report["indices"]) == (True, [sum(in_h) // meet,
+                                                                    sum(in_k) // meet])
+
+
 def test_intersect_lattices():
     ctx = preset("zn(2)")
     h = lattice_subgroup(ctx, [(2, 0), (0, 1)])
@@ -244,7 +288,7 @@ def test_intersect_lattices():
 
 def test_zn3_commensurability_takes_one_hermite_form_per_lattice(monkeypatch):
     # H and K are reduced once, when built; the intersection's kernel and
-    # basis, the meet's handle and each index's coordinate matrix add seven
+    # basis, the meet's handle and each index's coordinate matrix add five
     ctx = preset("zn(3)")
     u, v, w = (generator(i) for i in range(3))
     h = subgroup_from_words(ctx, [u ** 2, v ** 3, w ** 4])
@@ -254,7 +298,7 @@ def test_zn3_commensurability_takes_one_hermite_form_per_lattice(monkeypatch):
     monkeypatch.setattr(intlin, "hnf_with_transform", lambda *a: calls.append(a) or real(*a))
     report = commensurability_report(h, k, 50)
     assert (report["result"], report["indices"]) == (True, [18, 12])
-    assert len(calls) == 7
+    assert len(calls) == 5
 
 
 def test_intersect_free_cyclic():
@@ -333,6 +377,17 @@ def test_free_commensurability():
     assert is_commensurable(h, k, 10) is True
     other = free_cyclic_subgroup(ctx, b)
     assert is_commensurable(h, other, 10) is False
+    assert is_commensurable(free_cyclic_subgroup(ctx, Word(())), trivial_subgroup(ctx), 10) is True
+
+
+@pytest.mark.parametrize("group, text", [
+    ("bs(2,3)", "x"), ("bs(2,3)", "y x y^-1"), ("bs(1,2)", "x"), ("free(2)", "a b")])
+def test_the_trivial_subgroup_is_not_commensurable_with_an_infinite_cyclic_one(group, text):
+    ctx = preset(group)
+    h = subgroup_from_words(ctx, [parse_word(text, ctx.generator_names)])
+    one = trivial_subgroup(ctx)
+    for report in (commensurability_report(one, h, 50), commensurability_report(h, one, 50)):
+        assert (report["result"], report["indices"]) == (False, None), report
 
 
 def test_near_normal_verdicts():
@@ -576,4 +631,11 @@ def test_every_oracle_pair_returns_or_raises_a_documented_error(group):
         for k in handles:
             outcomes.add(_documented_outcome(lambda: intersect(h, k)))
             outcomes.add(_documented_outcome(lambda: index_bounded(h, k, 20)))
+            report = commensurability_report(h, k, 20)
+            if report["result"] == "unknown":
+                assert report["certificate"].startswith(("no index strategy",
+                                                         "no intersection strategy",
+                                                         "a coset search stopped at the bound 20"))
+            else:
+                assert report["result"] in (True, False), report
     assert "returned" in outcomes
