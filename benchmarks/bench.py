@@ -13,7 +13,9 @@ Each positional case is LAYER:ARG:
     ends:NAME             ends.coset_graph_ball, NAME in ENDS; keyed counts
                           the ends._left_key calls, one per coset key: one
                           per element and one per outer-sphere product
-                          that is not a ball element
+                          that is not a ball element; words counts the
+                          Word products the ball builds (none with a
+                          coset key)
     modp:[dense-]GROUP:P  the regular module of GROUP in MODP_GROUPS over
                           F_p, with dense- in a seeded random basis
                           (M -> Q M Q^-1); times h0_S and restrict_to_h0s on
@@ -46,7 +48,7 @@ import time
 
 from nearnormal import _scan_py, completion, ends, families, modp, subgroups, suites
 from nearnormal.groups import load, parse_context_word, preset
-from nearnormal.words import generator
+from nearnormal.words import Word, generator
 
 try:
     from nearnormal import _scan_c
@@ -78,13 +80,13 @@ FAMILY = {
     "s5": ("sym5", "b; b, a b a", 7, False),
     "a5": ("alt5", "-; b; a,b", 12, True),
 }
-# name -> (preset, generator of L, radius, vertices, edges, keyed); in
+# name -> (preset, generator of L, radius, vertices, edges, keyed, words); in
 # BS(2,3) y^-1 x^2 y is x^3, so <y x^2 y^-1> is the conjugate <x^3> itself
 ENDS = {
-    "bs23-x2": ("bs(2,3)", "x^2", 7, 1030, 1743, 4690),
-    "bs23-cx2": ("bs(2,3)", "y x^2 y^-1", 6, 515, 903, 1836),
-    "free2-a": ("free(2)", "a", 4, 81, 161, 323),
-    "z2-u": ("zn(2)", "u", 20, 41, 81, 923),
+    "bs23-x2": ("bs(2,3)", "x^2", 7, 1030, 1743, 4690, 0),
+    "bs23-cx2": ("bs(2,3)", "y x^2 y^-1", 6, 515, 903, 1836, 0),
+    "free2-a": ("free(2)", "a", 4, 81, 161, 323, 0),
+    "z2-u": ("zn(2)", "u", 20, 41, 81, 923, 0),
 }
 # checks in the report of suite:all; a single suite must only not fail
 ALL_CHECKS = 83
@@ -167,27 +169,36 @@ def family_layer(arg: str):
 
 
 def ends_layer(arg: str):
-    group, l_text, radius, vertices, edges, keyed_count = pick(ENDS, arg)
+    group, l_text, radius, vertices, edges, keyed_count, words_count = pick(ENDS, arg)
 
     def run(repeat):
         ctx = preset(group)
         sub = subgroups.subgroup_from_words(ctx, [parse_context_word(ctx, l_text)])
         gens = [generator(i) for i in range(ctx.generator_count)]
-        real, keyed = ends._left_key, []
+        real_key, real_mul, keyed, built = ends._left_key, Word.__mul__, [], []
 
-        def counting(*args):
+        def counting_key(*args):
             keyed.append(None)
-            return real(*args)
+            return real_key(*args)
 
-        ends._left_key = counting
+        def counting_mul(*args):
+            built.append(None)
+            return real_mul(*args)
+
+        def clear():
+            keyed.clear()
+            built.clear()
+
+        ends._left_key, Word.__mul__ = counting_key, counting_mul
         try:
             seconds, ball = best(lambda _: ends.coset_graph_ball(ctx, sub, gens, radius),
-                                 repeat, setup=keyed.clear)
+                                 repeat, setup=clear)
         finally:
-            ends._left_key = real
+            ends._left_key, Word.__mul__ = real_key, real_mul
         return ({"seconds": seconds, "vertices": ball.vertex_count, "edges": len(ball.edges),
-                 "elements": len(ball.elements), "keyed": len(keyed)},
-                {"vertices": vertices, "edges": edges, "keyed": keyed_count})
+                 "elements": len(ball.vertex), "keyed": len(keyed), "words": len(built)},
+                {"vertices": vertices, "edges": edges, "keyed": keyed_count,
+                 "words": words_count})
     return run
 
 

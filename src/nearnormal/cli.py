@@ -506,14 +506,14 @@ def ends_graph(group_spec, l_text, gens_text, radius, fmt):
     if fmt == "dot":
         click.echo(ends.to_dot(ball, names))
         return
+    labels = [format_word(x, names) for x in gens]
     _emit({"group": group_spec, "l": l_text, "radius": radius,
            "vertex_count": ball.vertex_count,
            "vertices": [{"index": i,
                          "representative": format_word(rep, names),
                          "depth": ball.depth[i]}
                         for i, rep in enumerate(ball.vertices)],
-           "edges": [[u, v, format_word(gens[label], names)]
-                     for u, v, label in ball.edges]}, fmt)
+           "edges": [[u, v, labels[label]] for u, v, label in ball.edges]}, fmt)
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,18 @@
 
 The graph on left cosets gL has an edge (gL, gxL) for every generator x of
 the chosen set X.  Balls are built breadth-first with deterministic discovery
-order, so vertex representatives are canonical: the elements come from
-``words.ball``, which steps each element's ``groups.element_step`` key by
-one generator, so no element is reduced from the empty word; one
-``subgroups.CosetIndex`` numbers their cosets, by the subgroup's coset key
-read through ``_left_key`` when it has one, else pairwise.  The coset key
-reads only the element's ball key, so a key read from the normal form
-(x-powers in BS(m,n), lattices in Z^n) reduces nothing again.  Each element
-is keyed once.  An element g below the radius takes its edges from the
-ball's step table: g*x is then a numbered ball element whose vertex is
-known.  On the outer sphere, g*x steps from the key of g and is looked up
-in the ball's own numbering first: only products outside the ball are
-keyed, or compared pairwise through the word g*x.  The ball
-keeps every element with its vertex, and ``claim3_check`` reads those pairs.
+order, so vertex representatives are canonical.  The elements come from
+``words.ball_tree``, which steps each element's ``groups.element_step`` key
+by one generator, so no element is reduced from the empty word, and one
+``subgroups.CosetIndex`` numbers their cosets: by the subgroup's coset key,
+read through ``_left_key`` from the element key alone, when it has one, else
+pairwise.  Each element is keyed once.  An element below the radius takes
+its edges from the tree's step table; on the outer sphere g*x steps from the
+key of g and is looked up among the ball's keys first, so only products
+outside the ball are keyed, or compared pairwise through the word g*x.  The
+ball keeps integers: per element its parent, step and vertex, per vertex its
+depth and first element.  With a coset key it builds no word; ``vertices``
+and ``elements`` are words built on first read, one product per element.
 Ends of the pair (G, L) are estimated by counting annulus components that
 reach the outer sphere over an increasing radius schedule; the result is a
 report with a stabilization flag, never a certificate.
@@ -27,14 +26,12 @@ for right translates Bx, which do not descend to cosets).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 from . import baumslag_solitar as bs
 from . import groups, words
 from .subgroups import CosetIndex, CosetSet, SubgroupHandle
 from .words import Word, format_word, invert
-
-Edge = tuple[int, int, int]  # vertex index, vertex index, X index
 
 
 class CosetOracleError(ValueError):
@@ -47,15 +44,41 @@ class CosetGraphBall:
     sub: SubgroupHandle
     gens: tuple  # the generating set X
     radius: int
-    vertices: tuple  # canonical representatives, BFS discovery order
-    depth: tuple
-    edges: tuple  # (u, v, label) with label an index into gens
     index: CosetIndex = field(repr=False)  # the left cosets of sub, one per vertex
-    elements: tuple = field(repr=False)  # (element, its vertex) per ball element, BFS order
+    steps: tuple = field(repr=False)  # x, x^-1 per x in gens
+    # per ball element, BFS order: the element it steps from, its step, its vertex
+    parent: tuple = field(repr=False)
+    step: tuple = field(repr=False)
+    vertex: list = field(default_factory=list, repr=False)
+    first: list = field(default_factory=list, repr=False)  # per vertex: its first element
+    depth: list = field(default_factory=list)
+    edges: list = field(default_factory=list)  # (u, v, label), label an index into gens
+    _words: dict = field(default_factory=lambda: {0: Word(())}, init=False, repr=False)
 
     @property
     def vertex_count(self) -> int:
-        return len(self.vertices)
+        return len(self.first)
+
+    def word(self, e: int) -> Word:
+        """Element e's word: its parent's word times its step, built once."""
+        path = []
+        while e not in self._words:
+            path.append(e)
+            e = self.parent[e]
+        w = self._words[e]
+        for e in reversed(path):
+            w = self._words[e] = w * self.steps[self.step[e]]
+        return w
+
+    @cached_property
+    def vertices(self) -> tuple:
+        """The canonical representatives, BFS discovery order."""
+        return tuple(map(self.word, self.first))
+
+    @cached_property
+    def elements(self) -> tuple:
+        """(element, its vertex) per ball element, BFS order."""
+        return tuple(zip(map(self.word, range(len(self.vertex))), self.vertex))
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,86 +115,64 @@ def coset_graph_ball(ctx, sub: SubgroupHandle, gens, radius: int) -> CosetGraphB
     commensurated subgroup has finite but nontrivial local degree).
 
     An element below the radius has a row in the step table of the element
-    ball, so the vertex of each g*x is that of a numbered element; so is
+    tree, so the vertex of each g*x is that of a numbered element; so is
     that of an outer-sphere product whose element key, one map from the key
     of g, is a ball element's.  Only a product outside the ball asks the
     index, keyed from that element key or compared pairwise by the word."""
     gens = tuple(gens)
-    x_maps = [groups.element_step(ctx)[1](x) for x in gens]
+    steps, start, maps = _element_steps(ctx, gens)
     key_fn = sub.membership.coset_key(sub)
     index = CosetIndex(sub, "left", None if key_fn is None else partial(_left_key, key_fn))
-    depth: list = []
-    # (element, its vertex), each vertex added when its first element is met
-    elements = []
     table: list = []  # per element below the radius: the numbers of g*x, g*x^-1, ...
-    numbers: dict = {}  # the ball's element key -> element number
-    for g, r, g_key in _element_layers(ctx, gens, radius, table, numbers):
-        i = index.add(g, g_key)
-        if index.undecided:
+    levels, parent, step, keys = zip(*words.ball_tree(maps, radius, start, table))
+    ball = CosetGraphBall(ctx=ctx, sub=sub, gens=gens, radius=radius, index=index,
+                          steps=steps, parent=parent, step=step)
+    # a keyed index names a coset by its first element's number, not a word
+    elements = range(len(keys))
+    ball.vertex.extend(map(index.add, elements if key_fn is not None
+                           else map(ball.word, elements), keys))
+    if index.undecided:
+        raise CosetOracleError("coset equality undecided during expansion")
+    for e, i in enumerate(ball.vertex):
+        if i == len(ball.first):
+            ball.first.append(e)
+            ball.depth.append(levels[e])
+    vertex, inner = ball.vertex, len(table)
+    vertex_at = dict(zip(keys, vertex))  # element key -> vertex
+    rows = [[vertex[n] for n in row[::2]] for row in table]
+    # the outer sphere, element by element: the element keys of g*x per x
+    for e, products in enumerate(zip(*(map(x_map, keys[inner:]) for x_map in maps[::2])), inner):
+        targets = [v if (v := vertex_at.get(k)) is not None  # g*x is a ball element
+                   else index.find(None, k) if key_fn is not None
+                   else index.find(ball.word(e) * x) for k, x in zip(products, gens)]
+        if "unknown" in targets:
             raise CosetOracleError("coset equality undecided during expansion")
-        if i == len(depth):
-            depth.append(r)
-        elements.append((g, i))
-    keys = list(numbers)  # the element key of each element, numbered in order
-    edges = []
-    seen_edges = set()
-    for e, (g, source) in enumerate(elements):
-        if e < len(table):
-            targets = [elements[n][1] for n in table[e][::2]]
-        else:
-            targets = []
-            for x, x_map in zip(gens, x_maps):
-                k = x_map(keys[e])
-                n = numbers.get(k)  # g*x is a ball element: take its vertex
-                targets.append(elements[n][1] if n is not None else index.find(None, k)
-                               if key_fn is not None else index.find(g * x))
-            if "unknown" in targets:
-                raise CosetOracleError("coset equality undecided during expansion")
-        for label, target in enumerate(targets):
-            if target is None:
-                continue
-            edge = (source, target, label)
-            if edge not in seen_edges:
-                seen_edges.add(edge)
-                edges.append(edge)
-    return CosetGraphBall(ctx=ctx, sub=sub, gens=gens, radius=radius,
-                          vertices=tuple(index.representatives), depth=tuple(depth),
-                          edges=tuple(edges), index=index, elements=tuple(elements))
+        rows.append(targets)
+    ball.edges.extend(dict.fromkeys(
+        (source, target, label) for source, targets in zip(vertex, rows)
+        for label, target in enumerate(targets) if target is not None))
+    return ball
 
 
 # ---------------------------------------------------------------------------
 # ends estimation
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {i: i for i in items}
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[ri] = rj
-
-
 def _annulus_components(ball: CosetGraphBall, inner: int, outer: int) -> int:
     """Components of the subgraph on depths in (inner, outer] that contain a
-    vertex on the outer sphere."""
-    members = [i for i in range(ball.vertex_count) if inner < ball.depth[i] <= outer]
-    if not members:
-        return 0
-    uf = _UnionFind(members)
-    member_set = set(members)
+    vertex on the outer sphere, by union-find over the members."""
+    root = {i: i for i, d in enumerate(ball.depth) if inner < d <= outer}
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
     for u, v, _ in ball.edges:
-        if u in member_set and v in member_set:
-            uf.union(u, v)
-    touching = {uf.find(i) for i in members if ball.depth[i] == outer}
-    return len(touching)
+        if u in root and v in root:
+            root[find(u)] = find(v)
+    return len({find(i) for i in root if ball.depth[i] == outer})
 
 
 def ends_estimate(ctx, sub: SubgroupHandle, gens, radii) -> dict:
@@ -201,18 +202,18 @@ def boundary_edges(b: VertexSet, ball: CosetGraphBall):
             if (u in b.indices) != (v in b.indices)]
 
 
-def _element_layers(ctx, gens, radius: int, table: list | None = None, numbers=None):
-    """Distinct group elements of length at most radius over the given set,
-    each with its length and element key, breadth first; the steps are x,
-    x^-1 per x in gens, in that order, for the ball's step table."""
-    steps = [s for x in gens for s in (x, invert(x))]
+def _element_steps(ctx, gens):
+    """The steps x, x^-1 per x in gens, in that order, the identity's
+    element key and the key map of each step."""
+    steps = tuple(s for x in gens for s in (x, invert(x)))
     start, prepare = groups.element_step(ctx)
-    return words.ball(steps, radius, start, [prepare(s) for s in steps], table, numbers)
+    return steps, start, [prepare(s) for s in steps]
 
 
 def element_ball(ctx, gens, radius: int):
     """Distinct group elements of length at most radius over the given set."""
-    return [e for e, _, _ in _element_layers(ctx, gens, radius)]
+    steps, start, maps = _element_steps(ctx, gens)
+    return [e for e, _, _ in words.ball(steps, radius, start, maps)]
 
 
 def claim3_check(predicate, ball: CosetGraphBall) -> dict:
@@ -291,8 +292,7 @@ def to_dot(ball: CosetGraphBall, names=None) -> str:
     lines = ["graph ball {", "  node [shape=circle];"]
     for i, rep in enumerate(ball.vertices):
         lines.append(f'  v{i} [label="{format_word(rep, names)}"];')
-    for u, v, label in ball.edges:
-        x = format_word(ball.gens[label], names)
-        lines.append(f'  v{u} -- v{v} [label="{x}"];')
+    labels = [format_word(x, names) for x in ball.gens]
+    lines.extend(f'  v{u} -- v{v} [label="{labels[label]}"];' for u, v, label in ball.edges)
     lines.append("}")
     return "\n".join(lines)

@@ -30,8 +30,8 @@ is w's map on the identity's key, and a word ball prepares one per step.
 Coset enumeration uses the HLT strategy with a hard live-coset bound.
 Hitting the bound returns an Incomplete value rather than raising: infinite
 index is an expected outcome, not an error.  ``reachable_table`` numbers
-table states by ``words.ball``, the one breadth-first search, run to
-closure: enumeration's compaction, and the fiber product of two tables and
+table states by ``words.ball``, the word view of the one breadth-first
+search, run to closure: enumeration's compaction, and the fiber product of two tables and
 the re-rooted table of a conjugate in ``subgroups``, read it.
 """
 

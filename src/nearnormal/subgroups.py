@@ -86,11 +86,13 @@ def same_coset(sub: SubgroupHandle, g1: Word, g2: Word, side: str):
 
 class CosetIndex:
     """The cosets of sub on one side met so far, numbered in order of first
-    sight, each held by its first representative.  Cosets are told apart by
-    ``key`` (an oracle's ``coset_key``: left cosets, read from the element
-    key) when given, else pairwise through same_coset.  ``find`` and ``add``
-    take g's element key as well when the caller has it; a keyed index reads
-    only that, and computes it from g otherwise."""
+    sight, each held by its first representative: a word, or for a keyed
+    index whatever the caller names it by, as a ball's element number.
+    Cosets are told apart by ``key`` (an oracle's ``coset_key``: left
+    cosets, read from the element key) when given, else pairwise through
+    same_coset.  ``find`` and ``add`` take g's element key as well when the
+    caller has it; a keyed index reads only that, and computes it from g
+    otherwise."""
 
     def __init__(self, sub: SubgroupHandle, side: str, key=None):
         self.sub, self.side, self.key = sub, side, key
@@ -513,8 +515,8 @@ def _coset_bfs_count(sub: SubgroupHandle, bound: int):
     index = CosetIndex(sub, "left", sub.membership.coset_key(sub))
     letters = _ambient_letters(sub.ctx)
     # s(g(sub)) is the coset of s g: step a coset from its first representative
-    cosets = words.ball(letters, bound, index.add(Word(())),
-                        [lambda c, s=s: index.add(s * index.representatives[c]) for s in letters])
+    cosets = words.ball_tree([lambda c, s=s: index.add(s * index.representatives[c])
+                              for s in letters], bound, index.add(Word(())))
     for count, _ in enumerate(cosets):
         if count == bound:
             return INFINITE_OR_EXCEEDS

@@ -14,17 +14,13 @@ both factors of a product are reduced, letters cancel only where they meet:
 ``u * v`` scans the junction, so its cost beyond one copy is the
 cancellation, not a reduction pass over both words.
 
-``ball(steps, radius, start, maps)`` is the one breadth-first word search:
-the element balls of ``ends``, the conjugator words of ``baumslag_solitar``,
-the translate search and coset count of ``subgroups``, and the table
-numbering of ``groups`` all read it.  It returns once a level adds no word,
-so with ``radius=sys.maxsize`` it runs to closure.  It keeps each frontier
-word with its key and reaches the key of w * s by one call of s's key map,
-built once before the search, so no word is keyed from scratch; it builds
-the word w * s only when that key is new.  Asked for its step table and its
-numbering, it records per word it expands the numbers of its products by
-the steps, and fills the caller's dict from key to number, so the
-coset-graph ball of ``ends`` finds its edges to ball elements without a product.
+``ball_tree(maps, radius, start)`` is the one breadth-first search, and it
+builds no word: per element first met it yields the level, its parent's
+number, its step's index and its key, reached from the parent's key by one
+call of the step's key map, built once before the search.  It returns once
+a level adds no element, so with ``radius=sys.maxsize`` it runs to closure,
+and it can record each expanded element's step row of element numbers.
+``ball`` is its word view, each word its parent's word times its step.
 """
 
 from __future__ import annotations
@@ -161,44 +157,46 @@ def word_key(w: Word) -> tuple:
     return (len(w.letters), tuple((i, 0 if s == 1 else 1) for i, s in w.letters))
 
 
-def ball(steps: Sequence[Word], radius: int, start, maps: Sequence, table: list | None = None,
-         numbers: dict | None = None) -> Iterator[tuple[Word, int, object]]:
-    """(w, r, key) for the first word w met per key within radius steps,
-    breadth first: level 0 is the empty word, whose key is start, and level
-    r is w * s for the level r-1 words w in order and the steps s in order.
-    The key of w * s is the map of s (maps[i] for steps[i]) applied to the
-    key of w; the word w * s is built only when that key is new.  The search
-    ends at the radius or at the first level that adds no word.
-
-    The words are numbered 0, 1, ... in the order they are yielded.  When
-    ``table`` is a list, each word expanded (every word below the radius)
-    appends to it, in that order, the tuple of the numbers of its products
-    w * s by the steps, so row i of the table is the step row of word i.
-    A ``numbers`` dict is filled with the numbering, key -> number."""
-    identity = Word(_reduced=())
-    numbers = {} if numbers is None else numbers
-    numbers[start] = 0
-    yield identity, 0, start
-    stepping = list(zip(steps, maps))
-    frontier = [(identity, start)]
+def ball_tree(maps: Sequence, radius: int, start, table: list | None = None) -> Iterator[tuple]:
+    """(r, parent, step, key) per element first met within radius steps,
+    numbered 0, 1, ... as yielded: element 0 is start at level 0, parent and
+    step None; level r holds the new keys maps[step](k) of the level r-1
+    elements k in order and the steps in order.  The search ends at the
+    radius or at the first level that adds no element.  Each element expanded
+    (every one below the radius) appends to a ``table`` list the tuple of
+    the numbers of its products by the steps: row i is element i's."""
+    numbers = {start: 0}
+    yield 0, None, None, start
+    stepping = list(enumerate(maps))
+    frontier = [(0, start)]
     for r in range(1, radius + 1):
         if not frontier:
             return
         nxt = []
-        for w, w_key in frontier:
+        for parent, parent_key in frontier:
             row = []
-            for s, key_map in stepping:
-                k = key_map(w_key)
+            for step, key_map in stepping:
+                k = key_map(parent_key)
                 n = numbers.get(k)
                 if n is None:
                     n = numbers[k] = len(numbers)
-                    cand = w * s
-                    nxt.append((cand, k))
-                    yield cand, r, k
+                    nxt.append((n, k))
+                    yield r, parent, step, k
                 row.append(n)
             if table is not None:
                 table.append(tuple(row))
         frontier = nxt
+
+
+def ball(steps: Sequence[Word], radius: int, start, maps: Sequence,
+         table: list | None = None) -> Iterator[tuple[Word, int, object]]:
+    """(w, r, key) per element of ``ball_tree``, maps[i] the key map of
+    steps[i]: w is its parent's word times its step, the first word met per key."""
+    found: list[Word] = []
+    for r, parent, step, key in ball_tree(maps, radius, start, table):
+        w = Word(_reduced=()) if parent is None else found[parent] * steps[step]
+        found.append(w)
+        yield w, r, key
 
 
 # -- text syntax -------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line interface: output contracts, exit codes, determinism."""
 
+import hashlib
 import json
 import pathlib
 import shlex
@@ -210,6 +211,23 @@ def test_ends_graph_dot(runner):
     data = json.loads(plain.output)
     assert data["vertex_count"] == 3
     assert all(len(e) == 3 for e in data["edges"])
+
+
+# sha256 of ends graph reports: the ball builds its words only when a report
+# reads them, and in what order it builds them must not change a byte
+@pytest.mark.parametrize("args, digest", [
+    (["--group", "bs(2,3)", "--l", "x^2", "--radius", "4", "--format", "dot"],
+     "cee46c04b21c27fd6b0d12ec0b0b50ea55ec6d709875c1d758065fbdc2334f96"),
+    (["--group", "bs(2,3)", "--l", "x^2", "--radius", "4", "--format", "text"],
+     "cf00fdf4382163f2169b3266914202aac7409df2823543b4f9c73eaef9a7f5f2"),
+    (["--group", "free(2)", "--l", "a", "--gens", "a, a b", "--format", "dot"],
+     "3689064fc874ae346cc817856982ab6714f498c6380577de6b1fd29e363e888e"),
+    (["--group", "free(2)", "--l", "a", "--gens", "a, a b", "--format", "text"],
+     "da9967702e469abde4e47fcaab12b14397ad89c5b9904683d0c8b55e6e533ceb"),
+], ids=["bs23-dot", "bs23-text", "free2-gens-dot", "free2-gens-text"])
+def test_ends_graph_reports_keep_their_bytes(runner, args, digest):
+    output = invoke(runner, ["ends", "graph", *args]).output
+    assert hashlib.sha256(output.encode()).hexdigest() == digest
 
 
 def test_thompson_verify_lemma(runner):

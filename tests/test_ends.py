@@ -9,10 +9,10 @@ from nearnormal.ends import (
     coset_graph_ball, double_coset_membership, double_coset_orbit,
     VertexSet, element_ball, ends_estimate, to_dot, vertex_set,
 )
-from nearnormal.groups import element_key, preset
+from nearnormal.groups import element_key, parse_context_word, preset
 from nearnormal.subgroups import (
     CosetIndex, CosetSet, XPower, am_subgroup, conjugate, finite_subgroup, free_cyclic_subgroup,
-    lattice_subgroup, power_subgroup, same_coset, trivial_subgroup,
+    lattice_subgroup, power_subgroup, same_coset, subgroup_from_words, trivial_subgroup,
 )
 from nearnormal.words import Word, exponent_vector, generator, invert, parse_word
 
@@ -501,3 +501,26 @@ def test_britton_ball_reduces_no_whole_word(monkeypatch, group, make_sub, radius
     conjugator_inverse = invert(sub.membership.conjugator).letters
     assert fed and set(fed) <= {((1, 1),), ((1, -1),), conjugator_inverse}
     assert (list(ball.vertices), list(ball.depth), list(ball.edges)) == expected
+
+
+@pytest.mark.parametrize("group, l_text, radius", [
+    ("bs(2,3)", "x^2", 7), ("zn(2)", "u", 20), ("free(2)", "a", 4)])
+def test_a_keyed_ball_builds_words_only_when_read(monkeypatch, group, l_text, radius):
+    # with a coset key the ball is integers; its vertices and elements are
+    # words built on first read, each element's from its parent's, once
+    ctx = preset(group)
+    sub = subgroup_from_words(ctx, [parse_context_word(ctx, l_text)])
+    gens = (generator(0), generator(1))
+    expected = element_ball(ctx, gens, radius)
+    products = []
+    real = Word.__mul__
+    monkeypatch.setattr(Word, "__mul__", lambda *a: products.append(a) or real(*a))
+    ends_estimate(ctx, sub, gens, [radius - 1, radius])
+    ball = coset_graph_ball(ctx, sub, gens, radius)
+    assert products == []
+    vertices = ball.vertices
+    assert len(products) < len(expected) and ball.vertices is vertices
+    elements = ball.elements
+    assert len(products) == len(expected) - 1 and ball.elements is elements
+    assert [e for e, _ in elements] == expected
+    assert vertices == tuple(elements[e][0] for e in ball.first)
