@@ -11,9 +11,10 @@ pairwise.  Each element is keyed once.  An element below the radius takes
 its edges from the tree's step table; on the outer sphere g*x steps from the
 key of g and is looked up among the ball's keys first, so only products
 outside the ball are keyed, or compared pairwise through the word g*x.  The
-ball keeps integers: per element its parent, step and vertex, per vertex its
-depth and first element.  With a coset key it builds no word; ``vertices``
-and ``elements`` are words built on first read, one product per element.
+ball keeps per element its parent, step, element key and vertex, per vertex
+its depth and first element, and the step table.  With a coset key it builds
+no word; ``vertices`` and ``elements`` are words built on first read, one
+product per element.
 Ends of the pair (G, L) are estimated by counting annulus components that
 reach the outer sphere over an increasing radius schedule; the result is a
 report with a stabilization flag, never a certificate.
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import chain
 
 from . import baumslag_solitar as bs
 from . import groups, words
@@ -46,9 +48,13 @@ class CosetGraphBall:
     radius: int
     index: CosetIndex = field(repr=False)  # the left cosets of sub, one per vertex
     steps: tuple = field(repr=False)  # x, x^-1 per x in gens
-    # per ball element, BFS order: the element it steps from, its step, its vertex
+    # per ball element, BFS order: the element it steps from, its step, its
+    # element key, its vertex; per element below the radius, the numbers of
+    # its products by the steps
     parent: tuple = field(repr=False)
     step: tuple = field(repr=False)
+    keys: tuple = field(repr=False)
+    table: list = field(repr=False)
     vertex: list = field(default_factory=list, repr=False)
     first: list = field(default_factory=list, repr=False)  # per vertex: its first element
     depth: list = field(default_factory=list)
@@ -91,13 +97,6 @@ class VertexSet:
             raise ValueError("vertex set escapes the ball")
 
 
-def vertex_set(ball: CosetGraphBall, predicate) -> VertexSet:
-    """The vertex subset where the predicate holds on the canonical
-    representative."""
-    return VertexSet(ball, frozenset(
-        i for i, rep in enumerate(ball.vertices) if predicate(rep)))
-
-
 def _left_key(key_fn, g_key):
     """The key of the left coset gL under the subgroup's coset key, from g's
     element key: the one named call per key the ball computes, which the
@@ -126,7 +125,7 @@ def coset_graph_ball(ctx, sub: SubgroupHandle, gens, radius: int) -> CosetGraphB
     table: list = []  # per element below the radius: the numbers of g*x, g*x^-1, ...
     levels, parent, step, keys = zip(*words.ball_tree(maps, radius, start, table))
     ball = CosetGraphBall(ctx=ctx, sub=sub, gens=gens, radius=radius, index=index,
-                          steps=steps, parent=parent, step=step)
+                          steps=steps, parent=parent, step=step, keys=keys, table=table)
     # a keyed index names a coset by its first element's number, not a word
     elements = range(len(keys))
     ball.vertex.extend(map(index.add, elements if key_fn is not None
@@ -220,15 +219,23 @@ def claim3_check(predicate, ball: CosetGraphBall) -> dict:
     """For an element-level predicate B with B = BL: computes the vertex set
     Y = (union over the ball's generators x of (B + Bx^-1) and (B + Bx)) L
     inside the ball, checks every boundary edge of B has both endpoints in Y,
-    and reports the boundary-edge count per radius."""
-    for e, vi in ball.elements:
-        if predicate(e) != predicate(ball.vertices[vi]):
-            raise ValueError("predicate is not constant on cosets: B != BL")
-    b_vertices = vertex_set(ball, predicate)
+    and reports the boundary-edge count per radius.
+
+    The predicate runs once per ball element; a product g*x^(+-1) that is a
+    ball element, read from the step table below the radius and by element
+    key on the outer sphere, reuses that element's value, so the predicate
+    runs again only on products that leave the ball."""
+    value = [predicate(ball.word(e)) for e in range(len(ball.vertex))]
+    if any(v != value[ball.first[vi]] for v, vi in zip(value, ball.vertex)):
+        raise ValueError("predicate is not constant on cosets: B != BL")
+    b_vertices = VertexSet(ball, frozenset(i for i, e in enumerate(ball.first) if value[e]))
+    _, _, maps = _element_steps(ball.ctx, ball.gens)
+    number = {k: e for e, k in enumerate(ball.keys)}
+    outer = ([number.get(x_map(k)) for x_map in maps] for k in ball.keys[len(ball.table):])
     y_indices = set()
-    for e, vi in ball.elements:
-        if any(predicate(e) != predicate(e * x) or predicate(e) != predicate(e * invert(x))
-               for x in ball.gens):
+    for e, (row, vi) in enumerate(zip(chain(ball.table, outer), ball.vertex)):
+        if any(value[e] != (predicate(ball.word(e) * x) if n is None else value[n])
+               for n, x in zip(row, ball.steps)):
             y_indices.add(vi)
     border = boundary_edges(b_vertices, ball)
     per_radius = []

@@ -20,6 +20,7 @@ other threads are running, or when the pipe or the fork fails.
 
 from __future__ import annotations
 
+import gc
 import marshal
 import os
 import random
@@ -391,25 +392,26 @@ def suite_bs(seed: int) -> list:
 
 # The calling process runs the first suite and a worker runs the rest, so
 # thompson, longer than all the others together, comes first; the order of
-# the rest does not matter.  Median milliseconds of each suite at seed 7, run
-# alone in one process with the lru caches cleared, on a 2-core x86-64 Xeon
-# with the pure-Python scan kernel.
+# the rest does not matter.  Median milliseconds of each suite in 11 runs of
+# ``suite all --seed 7 --timing`` pinned to one CPU (so one process) of a
+# 2-core x86-64 Xeon, with the pure-Python scan kernel.
 SUITES = {
-    "thompson": suite_thompson,  # 89, 85 of them the 5:2 agreement scan
-    "ends": suite_ends,  # 16
-    "completion": suite_completion,  # 7.7
-    "subgroups": suite_subgroups,  # 7.2
-    "families": suite_families,  # 6.2
-    "groups": suite_groups,  # 5.1
-    "bs": suite_bs,  # 5.0
-    "words": suite_words,  # 4.3
+    "thompson": suite_thompson,  # 40, 37.5 of them the 5:2 agreement scan
+    "ends": suite_ends,  # 6
+    "completion": suite_completion,  # 4
+    "subgroups": suite_subgroups,  # 3
+    "families": suite_families,  # 2
+    "groups": suite_groups,  # 2
+    "bs": suite_bs,  # 2
+    "words": suite_words,  # 2
 }
 
 
 def run_suite(name: str, seed: int = 0, timing: bool = False) -> dict:
     """RunReport: {suite, seed, checks sorted by id, timing (null unless
     requested)}.  The timing object holds the total seconds, the number of
-    processes that ran the suites and each suite's own seconds."""
+    processes that ran the suites and each suite's own seconds and cyclic
+    garbage collections (all generations, in the process that ran it)."""
     if name == "all":
         names = list(SUITES)
     elif name in SUITES:
@@ -424,8 +426,8 @@ def run_suite(name: str, seed: int = 0, timing: bool = False) -> dict:
     elapsed = None
     if timing:
         elapsed = {"seconds": round(time.monotonic() - start, 3), "workers": workers,
-                   "suites": {names[i]: {"seconds": round(seconds, 3)}
-                              for i, (_, seconds) in done.items()}}
+                   "suites": {names[i]: {"seconds": round(seconds, 3), "collections": collections}
+                              for i, (_, seconds, collections) in done.items()}}
     return {"suite": name, "seed": seed, "checks": checks, "timing": elapsed}
 
 
@@ -447,13 +449,17 @@ def _forks_a_worker(jobs: int) -> bool:
     return cpus > 1
 
 
+def _collections() -> int:
+    return sum(generation["collections"] for generation in gc.get_stats())
+
+
 def _run(share, runners: list, seed: int) -> dict:
-    """{index: (checks, seconds)} of each suite in ``share``."""
+    """{index: (checks, seconds, collections)} of each suite in ``share``."""
     done = {}
     for i in share:
-        start = time.monotonic()
+        start, collected = time.monotonic(), _collections()
         checks = runners[i](seed)
-        done[i] = (checks, time.monotonic() - start)
+        done[i] = (checks, time.monotonic() - start, _collections() - collected)
     return done
 
 
@@ -469,11 +475,12 @@ def _pickled(exc: Exception) -> bytes:
 
 
 def _run_split(names: list, runners: list, seed: int) -> tuple:
-    """({index: (checks, seconds)} of every runner, processes used).  With a
-    worker, this process runs runner 0 and a forked worker runs the rest and
-    writes (True, its results) or (False, its pickled exception) to a pipe,
-    which is read to EOF before the worker is reaped on every path, so a
-    worker blocked writing a large result cannot deadlock the wait."""
+    """({index: (checks, seconds, collections)} of every runner, processes
+    used).  With a worker, this process runs runner 0 and a forked worker
+    runs the rest and writes (True, its results) or (False, its pickled
+    exception) to a pipe, which is read to EOF before the worker is reaped
+    on every path, so a worker blocked writing a large result cannot
+    deadlock the wait."""
     everything = range(len(runners))
     if not _forks_a_worker(len(runners)):
         return _run(everything, runners, seed), 1

@@ -1,5 +1,6 @@
 """Command-line interface: output contracts, exit codes, determinism."""
 
+import gc
 import hashlib
 import json
 import pathlib
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from nearnormal import baumslag_solitar as bs
 from nearnormal import groups, scan, suites, thompson
-from nearnormal.cli import main
+from nearnormal.cli import GC_THRESHOLD, main
 from nearnormal.words import generator, invert
 
 
@@ -498,10 +499,12 @@ def test_suite_timing_text_names_the_processes_and_each_suite(runner):
     lines = invoke(runner, ["suite", "all", "--timing", "--format", "text"]).output.splitlines()
     at = next(i for i, line in enumerate(lines) if line.startswith("elapsed: "))
     assert lines[at].endswith(" processes")
-    per_suite = lines[at + 1:]
-    assert sorted(line.split(":")[0].strip() for line in per_suite) == sorted(suites.SUITES)
-    seconds = [float(line.split(": ")[1].rstrip("s")) for line in per_suite]
+    per_suite = [line.split(": ") for line in lines[at + 1:]]
+    assert sorted(name.strip() for name, _ in per_suite) == sorted(suites.SUITES)
+    spent = [figures.split("s, ") for _, figures in per_suite]
+    seconds = [float(s) for s, _ in spent]
     assert seconds == sorted(seconds, reverse=True)
+    assert all(c.endswith(" collections") and int(c.split()[0]) >= 0 for _, c in spent)
 
 
 def test_suite_byte_determinism(runner):
@@ -514,6 +517,32 @@ def test_suite_unknown_name_exits_2(runner):
     result = runner.invoke(main, ["suite", "nope"])
     assert result.exit_code == 2
     assert "unknown suite" in result.output
+
+
+@pytest.fixture
+def caller_thresholds():
+    """A distinctive caller setting of the collector; the interpreter's own
+    thresholds come back afterwards."""
+    own = gc.get_threshold()
+    gc.set_threshold(123, 4, 5)
+    yield (123, 4, 5)
+    gc.set_threshold(*own)
+    assert gc.get_threshold() == own
+
+
+def test_commands_raise_the_first_gc_threshold_and_give_the_callers_back(
+        runner, monkeypatch, caller_thresholds):
+    seen = []
+    monkeypatch.setitem(suites.SUITES, "toy", lambda seed: seen.append(gc.get_threshold()) or [])
+    invoke(runner, ["suite", "toy"])
+    assert seen == [(GC_THRESHOLD, 4, 5)] and GC_THRESHOLD > 700
+    assert gc.get_threshold() == caller_thresholds
+    for args, code in ((["group", "show", "gens: a\nrels: a^"], 1),
+                       (["suite", "nope"], 2),
+                       (["suite", "toy", "--seed", "x"], 2)):
+        assert runner.invoke(main, args).exit_code == code, args
+        assert gc.get_threshold() == caller_thresholds, args
+    assert len(seen) == 1
 
 
 def test_suite_failure_exits_1(runner, monkeypatch):

@@ -7,7 +7,7 @@ from nearnormal import baumslag_solitar as bs, ends, groups
 from nearnormal.ends import (
     CosetOracleError, boundary_edges, bs_side_predicate, claim3_check,
     coset_graph_ball, double_coset_membership, double_coset_orbit,
-    VertexSet, element_ball, ends_estimate, to_dot, vertex_set,
+    VertexSet, element_ball, ends_estimate, to_dot,
 )
 from nearnormal.groups import element_key, parse_context_word, preset
 from nearnormal.subgroups import (
@@ -23,6 +23,13 @@ def vertex_index(ball, g):
     if i == "unknown":
         raise CosetOracleError("coset equality undecided during expansion")
     return i
+
+
+def vertex_set(ball, predicate):
+    """The vertex subset where the predicate holds on the canonical
+    representative."""
+    return VertexSet(ball, frozenset(
+        i for i, rep in enumerate(ball.vertices) if predicate(rep)))
 
 
 def complement(b):
@@ -308,6 +315,48 @@ def test_claim3_reads_the_classified_ball(monkeypatch, label):
     monkeypatch.setattr(CosetIndex, "find", lambda *a: pytest.fail("coset looked up again"))
     assert claim3_check(make_predicate(ctx), ball) == expected
     assert calls == []
+
+
+def test_claim3_calls_the_predicate_once_per_element_and_per_product_leaving_the_ball():
+    group, make_sub, make_predicate, expected = CLAIM3_FIXTURES["bs-side"]
+    ctx = preset(group)
+    ball = coset_graph_ball(ctx, make_sub(ctx), (generator(0), generator(1)), 4)
+    side, seen = make_predicate(ctx), []
+    assert claim3_check(lambda w: seen.append(w) or side(w), ball) == expected
+    elements = [e for e, _ in ball.elements]
+    assert len(elements) == 147 and seen[:147] == elements
+    # the rest are products of outer-sphere elements that leave the ball
+    keys = {element_key(ctx, e) for e in elements}
+    assert all(element_key(ctx, w) not in keys for w in seen[147:])
+    assert len(seen) == 401  # 1,524 when every element and product was asked again
+
+
+def claim3_by_words(predicate, ball):
+    """claim3_check's vertex sets asked of the predicate on every word again."""
+    for e, vi in ball.elements:
+        if predicate(e) != predicate(ball.vertices[vi]):
+            raise ValueError("predicate is not constant on cosets: B != BL")
+    y = {vi for e, vi in ball.elements
+         if any(predicate(e) != predicate(e * s) for s in ball.steps)}
+    return vertex_set(ball, predicate).indices, y
+
+
+@pytest.mark.parametrize("group, sub_word, radius, predicate", [
+    ("zn(2)", "u", 0, half_line_predicate),
+    ("zn(2)", "u", 5, half_line_predicate),
+    ("bs(2,3)", "x", 5, bs_side_predicate(preset("bs(2,3)"))),
+    ("sym3", "a b", 3, lambda w: len(w) % 2 == 1),  # the sign, constant on <ab>
+    ("free(2)", "", 3, lambda w: bool(w.letters) and w.letters[0] == (1, 1)),
+])
+def test_claim3_matches_asking_every_word(group, sub_word, radius, predicate):
+    ctx = preset(group)
+    sub = subgroup_from_words(ctx, [parse_context_word(ctx, sub_word)] if sub_word else [])
+    ball = coset_graph_ball(ctx, sub, (generator(0), generator(1)), radius)
+    b, y = claim3_by_words(predicate, ball)
+    report = claim3_check(predicate, ball)
+    assert report["y_vertices"] == y and report["y_vertex_count"] == len(y)
+    border = boundary_edges(VertexSet(ball, b), ball)
+    assert report["contained_in_Y"] == all(u in y and v in y for u, v, _ in border)
 
 
 # --- double cosets -----------------------------------------------------------

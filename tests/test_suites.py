@@ -1,6 +1,7 @@
 """Named check suites: determinism, schema conformance, outcomes."""
 
 import contextlib
+import gc
 import json
 import os
 import signal
@@ -9,8 +10,10 @@ import time
 
 import jsonschema
 import pytest
+from click.testing import CliRunner
 
 from nearnormal import suites, thompson
+from nearnormal.cli import GC_THRESHOLD, main
 from nearnormal.suites import SUITES, UnknownSuiteError, report_failures, run_suite
 
 
@@ -48,6 +51,14 @@ def test_schema_validation(report_schema):
     timed_all = run_suite("all", seed=0, timing=True)
     assert set(timed_all["timing"]["suites"]) == set(SUITES)
     jsonschema.validate(timed_all, report_schema)
+    assert all(isinstance(spent["collections"], int) and spent["collections"] >= 0
+               for spent in timed_all["timing"]["suites"].values())
+    del timed_all["timing"]["suites"]["thompson"]["collections"]  # optional
+    jsonschema.validate(timed_all, report_schema)
+    timed_all["timing"]["suites"]["groups"]["collections"] = -1
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(timed_all, report_schema)
+    timed_all["timing"]["suites"]["groups"]["collections"] = 0
     del timed_all["timing"]["suites"]["words"]["seconds"]
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(timed_all, report_schema)
@@ -155,6 +166,22 @@ def test_all_is_byte_identical_on_one_process(monkeypatch, seed):
     for report in (fanned, alone):
         report["timing"] = None
     assert json.dumps(fanned, sort_keys=True) == json.dumps(alone, sort_keys=True)
+    assert_no_children()
+
+
+def test_the_forked_worker_runs_under_the_cli_gc_threshold(monkeypatch):
+    def threshold(seed):
+        return [{"id": "toy/threshold", "law": "the worker runs under the command's policy",
+                 "inputs": {"pid": os.getpid()}, "outcome": "pass",
+                 "witness": gc.get_threshold()[0]}]
+
+    monkeypatch.setattr(suites, "SUITES", {"first": lambda seed: [], "later": threshold})
+    forks = suites._forks_a_worker(2)
+    result = CliRunner().invoke(main, ["suite", "all"])
+    assert result.exit_code == 0, result.output
+    (check,) = json.loads(result.output)["checks"]
+    assert check["witness"] == GC_THRESHOLD != gc.get_threshold()[0]
+    assert (check["inputs"]["pid"] != os.getpid()) is forks
     assert_no_children()
 
 
