@@ -80,12 +80,14 @@ FAMILY = {
     "s5": ("sym5", "b; b, a b a", 7, False),
     "a5": ("alt5", "-; b; a,b", 12, True),
 }
-# name -> (preset, generator of L, radius, vertices, edges, keyed, words); in
-# BS(2,3) y^-1 x^2 y is x^3, so <y x^2 y^-1> is the conjugate <x^3> itself
+# name -> (preset, generators of L, radius, vertices, edges, keyed, words); in
+# BS(2,3) y^-1 x^2 y is x^3, so <y x^2 y^-1> is the conjugate <x^3> itself;
+# <a b, b a> is free of rank 2 and of infinite index in free(2)
 ENDS = {
     "bs23-x2": ("bs(2,3)", "x^2", 7, 1030, 1743, 4690, 0),
     "bs23-cx2": ("bs(2,3)", "y x^2 y^-1", 6, 515, 903, 1836, 0),
     "free2-a": ("free(2)", "a", 4, 81, 161, 323, 0),
+    "free2-ab": ("free(2)", "a b, b a", 4, 55, 108, 323, 0),
     "z2-u": ("zn(2)", "u", 20, 41, 81, 923, 0),
 }
 # checks in the report of suite:all; a single suite must only not fail
@@ -173,7 +175,8 @@ def ends_layer(arg: str):
 
     def run(repeat):
         ctx = preset(group)
-        sub = subgroups.subgroup_from_words(ctx, [parse_context_word(ctx, l_text)])
+        sub = subgroups.subgroup_from_words(
+            ctx, [parse_context_word(ctx, text) for text in l_text.split(",")])
         gens = [generator(i) for i in range(ctx.generator_count)]
         real_key, real_mul, keyed, built = ends._left_key, Word.__mul__, [], []
 

@@ -200,12 +200,6 @@ def subgroup_cmd():
     """Commensurability and near-normality of subgroup pairs."""
 
 
-_search_bound_option = click.option(
-    "--bound", type=click.IntRange(min=1), default=50, show_default=True,
-    help="Caps only the coset search of a whole group with no table, lattice "
-         "or cyclic coordinate; every other index is exact.")
-
-
 @subgroup_cmd.command(name="commensurable")
 @click.option("--group", "group_spec", required=True,
               help="Ambient group (preset, file, or inline text).")
@@ -213,15 +207,15 @@ _search_bound_option = click.option(
               help="Generators of H, comma-separated words.")
 @click.option("--k", "k_text", required=True,
               help="Generators of K, comma-separated words.")
-@_search_bound_option
 @_format_option
-def subgroup_commensurable(group_spec, h_text, k_text, bound, fmt):
+def subgroup_commensurable(group_spec, h_text, k_text, fmt):
     """Decide whether H and K share a finite-index common subgroup."""
     ctx_obj = groups.load(group_spec)
     h = _subgroup(ctx_obj, h_text)
     k = _subgroup(ctx_obj, k_text)
-    report = subgroups.commensurability_report(h, k, bound)
-    _emit({"group": group_spec, "h": h_text, "k": k_text, "bound": bound,
+    # a handle built from words reads every index exactly: 50 caps no search here
+    report = subgroups.commensurability_report(h, k, 50)
+    _emit({"group": group_spec, "h": h_text, "k": k_text,
            "result": report["result"], "indices": report["indices"],
            "certificate": report["certificate"]}, fmt)
 
@@ -232,15 +226,14 @@ def subgroup_commensurable(group_spec, h_text, k_text, bound, fmt):
               help="Generators of H, comma-separated words.")
 @click.option("--gens", "gens_text", default=None,
               help="Conjugating elements; defaults to the group generators.")
-@_search_bound_option
 @_format_option
-def subgroup_near_normal(group_spec, h_text, gens_text, bound, fmt):
+def subgroup_near_normal(group_spec, h_text, gens_text, fmt):
     """Check that each conjugator keeps H commensurable with itself."""
     ctx_obj = groups.load(group_spec)
     h = _subgroup(ctx_obj, h_text)
     gens = _default_gens(ctx_obj, gens_text)
-    verdict = subgroups.near_normal_on(h, gens, bound)
-    _emit({"group": group_spec, "h": h_text, "bound": bound,
+    verdict = subgroups.near_normal_on(h, gens, 50)  # caps no search, as above
+    _emit({"group": group_spec, "h": h_text,
            "conjugators": [format_word(g, ctx_obj.generator_names) for g in gens],
            "near_normal": verdict}, fmt)
 

@@ -29,10 +29,13 @@ is w's map on the identity's key, and a word ball prepares one per step.
 
 Coset enumeration uses the HLT strategy with a hard live-coset bound.
 Hitting the bound returns an Incomplete value rather than raising: infinite
-index is an expected outcome, not an error.  ``reachable_table`` numbers
+index is an expected outcome, not an error.  ``fold`` runs only its subgroup
+phase, which in a free group leaves the Stallings graph of the subgroup: a
+partial table, None where an edge is missing.  ``reachable_table`` numbers
 table states by ``words.ball``, the word view of the one breadth-first
-search, run to closure: enumeration's compaction, and the fiber product of two tables and
-the re-rooted table of a conjugate in ``subgroups``, read it.
+search, run to closure: enumeration's compaction and ``fold``, and the fiber
+product of two tables and the re-rooted table of a conjugate in
+``subgroups``, read it.
 """
 
 from __future__ import annotations
@@ -107,7 +110,8 @@ class Incomplete:
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Closed table of the right cosets of a subgroup.
+    """Table of the right cosets of a subgroup: closed, or partial (a
+    Stallings graph, None where an edge is missing).
 
     Column 2i is the action of generator i, column 2i+1 of its inverse.
     Coset 0 is the base coset (the subgroup itself); representatives[c] is
@@ -267,12 +271,28 @@ def todd_coxeter(ctx: GroupContext, subgroup_gens: list[Word], limit: int) -> Co
     return _compact(enum, ngens, subgroup_gens, ctx.relators)
 
 
+def fold(ngens: int, gens) -> CosetTable:
+    """The Stallings graph of the subgroup of the free group of rank ngens
+    generated by the reduced words gens (Stallings 1983): the partial table
+    that scanning each word from coset 0 leaves, its coincidences the folds,
+    so a reduced word reads at most one path from each coset."""
+    enum = _Enumeration(ngens, sys.maxsize)
+    for w in gens:
+        enum.scan_and_fill(0, tuple(_letter_code(l) for l in w.letters))
+
+    def step(c, code):
+        t = enum.rows[c][code]
+        return None if t is None else enum.rep(t)
+
+    return reachable_table(ngens, 0, step)
+
+
 def reachable_table(ngens: int, start, step) -> CosetTable:
     """The table of the states reachable from start, where step(state, code)
-    is the state after the letter with that column code: the word ball over
-    the letters in column order, run until no new state appears, numbers the
-    states from start = 0, its step table is the action and its words are
-    the representatives."""
+    is the state after the letter with that column code, or None for no
+    edge: the word ball over the letters in column order, run until no new
+    state appears, numbers the states from start = 0, its step table is the
+    action and its words are the representatives."""
     letters = [generator(*_code_letter(code)) for code in range(2 * ngens)]
     maps = [lambda state, code=code: step(state, code) for code in range(2 * ngens)]
     rows: list[tuple[int, ...]] = []

@@ -4,15 +4,16 @@ near-normality), plus the disjoint-coset-translate search.
 
 A handle pairs a finite generator list with a membership oracle, declared
 per fixture, never inferred.  Each oracle is one small class that owns
-membership, conjugation, the left-coset key and, for XPower and FreeCyclic,
-the cyclic coordinate; its tag names it in certificates:
+membership, conjugation, the left-coset key and, for XPower and Folded, the
+index of a subgroup in its handle; its tag names it in certificates:
 
     All             "all"          whole-group handle
     Trivial         "trivial"      trivial subgroup (word-problem oracle)
     Table           "table"        membership via the attached coset table
     XPower(k, c)    "x-power"      <x^k>^c in BS(m,n); "conjugate" if c != 1
     Lattice(rows)   "lattice"      row-span sublattice of Z^n (free-abelian)
-    FreeCyclic(u)   "free-cyclic"  <u> in a free group (root arithmetic)
+    Folded          "folded"       any finitely generated subgroup of a free
+                                   group, by its attached Stallings graph
     AM(m)           "a-m"          the subgroup A_m of Thompson's F
     Conjugate(h, g) "conjugate"    h^g, i.e. t in h^g  iff  g t g^-1 in h
 
@@ -22,8 +23,8 @@ key when it has one, else pairwise through ``same_coset``.  A coset key keys
 the left cosets g(sub) and reads only g's ``groups.element_key``, so a caller
 that steps element keys (a word ball) never builds the product words.
 
-Indices are exact wherever an oracle reads them (coset tables, lattices, the
-gcd of cyclic coordinates): an int, or None when infinite.  A bound caps only
+Indices are exact wherever an oracle reads them (coset tables, lattices,
+x-power exponents, Stallings graphs): an int, or None when infinite.  A bound caps only
 the coset search of a whole group with none of these, so the relations built
 on indices are three-valued: True / False / "unknown", never a guess.
 """
@@ -32,13 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from math import gcd, lcm
+from math import gcd
 from typing import ClassVar
 
 from . import _intlinalg as intlin
 from . import baumslag_solitar as bs
 from . import groups, thompson, words
-from .words import Word, cyclic_peel, exponent_vector, generator, invert, word_key
+from .words import Word, cyclic_peel, exponent_vector, generator, invert
 
 INFINITE_OR_EXCEEDS = "infinite-or-exceeds"
 
@@ -155,12 +156,10 @@ class Oracle:
         comparison is available."""
         return None
 
-    def cyclic_coordinate(self, sub: SubgroupHandle):
-        """When sub is infinite cyclic: the function w -> t with w = c^t for
-        its generator c, None when w is outside sub.  Else None.  XPower and
-        FreeCyclic define it; Z^n indices take the lattice index at every
-        rank."""
-        return None
+    def index_of(self, sub: SubgroupHandle, j: SubgroupHandle):
+        """[sub : j] for a handle j whose generators sub holds: an int, or
+        None when it is infinite.  XPower and Folded read it exactly."""
+        raise UnsupportedOraclePair(f"no index strategy for {j.membership.tag} inside {self.tag}")
 
 
 @dataclass(frozen=True)
@@ -243,19 +242,12 @@ class XPower(Oracle):
 
         return key
 
-    def cyclic_coordinate(self, sub):
-        k, c = self.k, self.conjugator
+    def index_of(self, sub, j):
+        # each generator of j is c^-1 x^(k t) c, and [sub : j] is the gcd of the t
+        c = self.conjugator
         m, n = sub.ctx.bs_params
-
-        def coordinate(w):
-            if not w:
-                return 0
-            head, tail = bs.britton_reduce(c * w * invert(c), m, n)
-            if tail or head % k:
-                return None
-            return head // k
-
-        return coordinate
+        return gcd(*(bs.britton_reduce(c * w * invert(c), m, n)[0] // self.k
+                     for w in j.generators)) or None
 
 
 @dataclass(frozen=True)
@@ -278,69 +270,62 @@ class Lattice(Oracle):
 
 
 @dataclass(frozen=True)
-class FreeCyclic(Oracle):
-    u: Word
-    tag = "free-cyclic"
+class Folded(Oracle):
+    """A subgroup of a free group by its Stallings graph, the partial table
+    of ``groups.fold`` attached to the handle: a reduced word reads at most
+    one path from the base, and it is a member when it reads to the end at
+    the base."""
+
+    tag = "folded"
 
     def contains(self, sub, w):
-        return self._coordinate(w) is not None if self.u else not w
+        action, c = sub.coset_table.action, 0
+        for index, sign in w.letters:
+            c = action[c][2 * index + (sign < 0)]
+            if c is None:
+                return False
+        return c == 0
 
     def conjugate(self, sub, g, gens):
-        return SubgroupHandle(sub.ctx, gens, None, FreeCyclic(invert(g) * self.u * g))
+        return free_subgroup(sub.ctx, gens)
 
     def coset_key(self, sub):
-        """Key of the left coset g<u>, read from g's letters.
-
-        With u = c r^k c^-1 and h = g c, right multiplication by c maps g<u>
-        to the coset h<r^k>, whose elements are h r^j for k | j; the key is
-        the letters of its shortlex-least element.  As r is cyclically
-        reduced, |h r^j| >= |j||r| - |h|, which exceeds |h| = |h r^0| once
-        |j||r| > 2|h|, so the least element has |j||r| <= 2|h|.
-
-        In one direction the letters r^(ik) cancels from h only grow with i,
-        and they stop growing at the first i where r^(ik) is not cancelled
-        whole; from there on each step adds k|r| letters.  So once a
-        candidate is longer than the one before it, every later one is
-        longer still, and as shortlex compares lengths first the walk in
-        that direction stops there.  Candidate i is candidate i-1 times
-        r^(+-k), and word_key is read only to break a tie in length."""
-        if not self.u:
-            return lambda letters: letters
-        c, r, k = _root_parts(self.u)
-        period = len(r)
-        forward, backward = r.letters * k, invert(r).letters * k
+        action = sub.coset_table.action
 
         def key(letters):
-            h = words.reduced_product(letters, c.letters)
-            steps = 2 * len(h) // (period * k)
-            best = h
-            for step in (forward, backward):
-                cand = h
-                for _ in range(steps):
-                    nxt = words.reduced_product(cand, step)
-                    if len(nxt) > len(cand):
-                        break
-                    cand = nxt
-                    if len(cand) < len(best) or (len(cand) == len(best) and word_key(
-                            Word(_reduced=cand)) < word_key(Word(_reduced=best))):
-                        best = cand
-            return best
+            # g(sub) = g'(sub) iff (sub)g^-1 = (sub)g'^-1.  Reading g^-1 stops
+            # at a vertex c with g's first n letters unread; the coset graph
+            # hangs a tree off each missing edge, so (c, those letters) names
+            # the coset, as the graph is folded.
+            c, n = 0, len(letters)
+            while n:
+                index, sign = letters[n - 1]
+                t = action[c][2 * index + (sign > 0)]
+                if t is None:
+                    break
+                c, n = t, n - 1
+            return c, letters[:n]
 
         return key
 
-    def cyclic_coordinate(self, sub):
-        return self._coordinate if self.u else None
-
-    def _coordinate(self, w):
-        if not w:
-            return 0
-        ru, ku = free_root(self.u)
-        rw, kw = free_root(w)
-        if rw == ru and kw % ku == 0:
-            return kw // ku
-        if rw == invert(ru) and kw % ku == 0:
-            return -kw // ku
-        return None
+    def index_of(self, sub, j):
+        # sub is free on its Schreier basis (Schreier 1927): j's generators,
+        # read along sub's graph, are words in that basis, and the graph they
+        # fold to is complete exactly when [sub : j] is finite, one vertex per coset
+        action = sub.coset_table.action
+        basis = {edge: n for n, edge in enumerate(_schreier_basis(sub.coset_table))}
+        rewritten = []
+        for w in j.generators:
+            c, letters = 0, []
+            for index, sign in w.letters:
+                t = action[c][2 * index + (sign < 0)]
+                n = basis.get((c, 2 * index) if sign > 0 else (t, 2 * index))
+                if n is not None:
+                    letters.append((n, sign))
+                c = t
+            rewritten.append(Word(letters))
+        graph = groups.fold(len(basis), rewritten)
+        return None if any(None in row for row in graph.action) else graph.coset_count
 
 
 @dataclass(frozen=True)
@@ -418,11 +403,12 @@ def _vector_word(vec) -> Word:
     return w
 
 
-def free_cyclic_subgroup(ctx, u: Word) -> SubgroupHandle:
+def free_subgroup(ctx, gens) -> SubgroupHandle:
+    """The subgroup of a free group generated by gens, by its Stallings graph."""
     if ctx.oracle != "free":
-        raise ValueError("free_cyclic_subgroup needs a free context")
-    gens = (u,) if u else ()
-    return SubgroupHandle(ctx, gens, None, FreeCyclic(u))
+        raise ValueError("free_subgroup needs a free context")
+    gens = tuple(gens)
+    return SubgroupHandle(ctx, gens, groups.fold(ctx.generator_count, gens), Folded())
 
 
 def am_subgroup(ctx, m: int) -> SubgroupHandle:
@@ -451,8 +437,8 @@ def subgroup_from_words(ctx, ws) -> SubgroupHandle:
         return finite_subgroup(ctx, ws)
     if ctx.oracle == "free-abelian":
         return lattice_subgroup(ctx, [exponent_vector(w, ctx.generator_count) for w in ws])
-    if ctx.oracle == "free" and len(ws) == 1:
-        return free_cyclic_subgroup(ctx, ws[0])
+    if ctx.oracle == "free":
+        return free_subgroup(ctx, ws)
     if ctx.oracle == "britton" and len(ws) == 1:
         handle = _britton_subgroup(ctx, ws[0])
         if handle is not None:
@@ -472,27 +458,6 @@ def _britton_subgroup(ctx, w: Word):
     if not c or tail or head == 0:
         return None
     return conjugate(power_subgroup(ctx, abs(head)), invert(c))
-
-
-# ---------------------------------------------------------------------------
-# free roots
-
-
-def _root_parts(w: Word) -> tuple[Word, Word, int]:
-    """(c, r, k) with w = c r^k c^-1 in the free group, r cyclically reduced
-    and not a proper power; (1, 1, 0) for w = 1."""
-    c, core = cyclic_peel(w)
-    letters, size = core.letters, len(core)
-    for p in range(1, size + 1):
-        if size % p == 0 and letters == letters[:p] * (size // p):
-            return c, Word(_reduced=letters[:p]), size // p
-    return c, core, 0
-
-
-def free_root(w: Word) -> tuple[Word, int]:
-    """(r, k) with w = r^k in the free group, r not a proper power; k=0 for 1."""
-    conj, r, k = _root_parts(w)
-    return conj * r * invert(conj), k
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +490,10 @@ def _coset_bfs_count(sub: SubgroupHandle, bound: int):
 
 def index_bounded(sub: SubgroupHandle, ambient: SubgroupHandle, bound: int):
     """Index of sub in ambient, which must hold sub's generators.  Coset
-    tables, lattices and cyclic coordinates read it exactly: an int, or None
-    when it is infinite.  A whole group with none of these counts cosets by
-    search, and ``bound`` caps only that search (INFINITE_OR_EXCEEDS)."""
+    tables, lattices and the ambient's ``index_of`` read it exactly: an int,
+    or None when it is infinite.  A whole group with none of these counts
+    cosets by search, and ``bound`` caps only that search
+    (INFINITE_OR_EXCEEDS)."""
     for w in sub.generators:
         if contains(ambient, w) is False:
             raise ValueError("sub generator outside the ambient subgroup")
@@ -543,14 +509,7 @@ def index_bounded(sub: SubgroupHandle, ambient: SubgroupHandle, bound: int):
         return intlin.lattice_index(_lattice_rows(sub), _lattice_rows(ambient), ctx.generator_count)
     if isinstance(ambient.membership, All):
         return _coset_bfs_count(sub, bound)
-    coordinate = ambient.membership.cyclic_coordinate(ambient)
-    if coordinate is not None:
-        coords = [coordinate(w) for w in sub.generators]
-        if any(c is None for c in coords):
-            raise ValueError("sub generator outside the ambient subgroup")
-        return gcd(*coords) or None
-    raise UnsupportedOraclePair(
-        f"no index strategy for {sub.membership.tag} inside {ambient.membership.tag}")
+    return ambient.membership.index_of(ambient, sub)
 
 
 def _table_index(sub: SubgroupHandle) -> int:
@@ -596,21 +555,43 @@ def _intersect_x_powers(h: SubgroupHandle, k: SubgroupHandle) -> SubgroupHandle:
     return SubgroupHandle(h.ctx, (invert(ch) * generator(0, a) * ch,), None, XPower(a, ch))
 
 
-def _intersect_free_cyclic(h: SubgroupHandle, k: SubgroupHandle) -> SubgroupHandle:
-    u, v = h.membership.u, k.membership.u
-    if not u or not v:
-        return trivial_subgroup(h.ctx)
-    ru, ku = free_root(u)
-    rv, kv = free_root(v)
-    if rv not in (ru, invert(ru)):
-        return trivial_subgroup(h.ctx)
-    return free_cyclic_subgroup(h.ctx, ru ** lcm(ku, kv))
+def _fiber_product(h: SubgroupHandle, k: SubgroupHandle) -> SubgroupHandle:
+    """Reachable fiber product of two coset tables, closed or partial: the
+    table of h intersect k (of two Stallings graphs, Stallings' pullback),
+    with h's oracle, Table or Folded.  Its generators are the Schreier
+    words that the group does not make trivial, one per element."""
+    ta, tb = h.coset_table.action, k.coset_table.action
+
+    def step(ij, code):
+        i, j = ta[ij[0]][code], tb[ij[1]][code]
+        return None if i is None or j is None else (i, j)
+
+    table = groups.reachable_table(h.coset_table.ngens, (0, 0), step)
+    gens = {}
+    for g in _schreier_basis(table).values():
+        if groups.is_trivial(h.ctx, g) is not True:
+            gens.setdefault(groups.element_key(h.ctx, g), g)
+    return SubgroupHandle(h.ctx, tuple(gens.values()), table, h.membership)
+
+
+def _schreier_basis(table: groups.CosetTable) -> dict:
+    """{(c, code): w} per edge of the table off the representatives' tree,
+    code a generator's column and w = reps[c] x reps[cx]^-1, not empty:
+    the words generate the stabilizer of coset 0, and freely in a free
+    group (Schreier).  The inverse columns read the same edges backwards."""
+    reps, basis = table.representatives, {}
+    for c, row in enumerate(table.action):
+        for code in range(0, 2 * table.ngens, 2):
+            t = row[code]
+            if t is not None and (w := reps[c] * generator(code // 2) * invert(reps[t])):
+                basis[c, code] = w
+    return basis
 
 
 # The strategies that read both oracles, by (type of h's, type of k's).
 _PAIR_INTERSECTIONS = {
     (XPower, XPower): _intersect_x_powers,
-    (FreeCyclic, FreeCyclic): _intersect_free_cyclic,
+    (Folded, Folded): _fiber_product,
     (AM, AM): lambda h, k: am_subgroup(h.ctx, max(h.membership.m, k.membership.m)),
 }
 
@@ -638,27 +619,6 @@ def intersect(h: SubgroupHandle, k: SubgroupHandle) -> SubgroupHandle:
         return _fiber_product(_ensure_table(h), _ensure_table(k))
     raise UnsupportedOraclePair(
         f"no intersection strategy for ({h.membership.tag}, {k.membership.tag})")
-
-
-def _fiber_product(h: SubgroupHandle, k: SubgroupHandle) -> SubgroupHandle:
-    """Reachable fiber product of two coset tables: the table of h intersect k."""
-    ta, tb = h.coset_table, k.coset_table
-    table = groups.reachable_table(
-        ta.ngens, (0, 0), lambda ij, code: (ta.action[ij[0]][code], tb.action[ij[1]][code]))
-    # Schreier generators of the base-point stabilizer
-    reps = table.representatives
-    gens = []
-    seen_keys = set()
-    letters = groups.signed_letters(h.ctx)
-    for i, row in enumerate(table.action):
-        for letter, target in zip(letters, row):
-            g = reps[i] * generator(*letter) * invert(reps[target])
-            if g and table.coset_of(g) == 0 and groups.is_trivial(h.ctx, g) is not True:
-                key = groups.element_key(h.ctx, g)
-                if key not in seen_keys:
-                    seen_keys.add(key)
-                    gens.append(g)
-    return SubgroupHandle(h.ctx, tuple(gens), table, Table())
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,7 @@ def suite_subgroups(seed: int) -> list:
            {"group": "bs(2,3)", "bound": 60}, nn is True, nn)
     free2 = groups.preset("free(2)")
     a, b = generator(0), generator(1)
-    fa = subgroups.free_cyclic_subgroup(free2, a)
+    fa = subgroups.free_subgroup(free2, [a])
     nn2 = subgroups.near_normal_on(fa, [a, b], 40)
     _check(out, "subgroups/free-not-near-normal", "<a> in a free group is not commensurated by b",
            {"group": "free(2)", "bound": 40}, nn2 is False, nn2)

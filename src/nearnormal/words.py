@@ -17,7 +17,8 @@ cancellation, not a reduction pass over both words.
 ``ball_tree(maps, radius, start)`` is the one breadth-first search, and it
 builds no word: per element first met it yields the level, its parent's
 number, its step's index and its key, reached from the parent's key by one
-call of the step's key map, built once before the search.  It returns once
+call of the step's key map, built once before the search; a map that returns
+None has no edge there, as in a partial coset table.  It returns once
 a level adds no element, so with ``radius=sys.maxsize`` it runs to closure,
 and it can record each expanded element's step row of element numbers.
 ``ball`` is its word view, each word its parent's word times its step.
@@ -152,19 +153,15 @@ def generator(index: int, power: int = 1) -> Word:
     return Word(_reduced=(letter,) * abs(power))
 
 
-def word_key(w: Word) -> tuple:
-    """Sort key: shortlex over (index, sign) with x_i before x_i^-1."""
-    return (len(w.letters), tuple((i, 0 if s == 1 else 1) for i, s in w.letters))
-
-
 def ball_tree(maps: Sequence, radius: int, start, table: list | None = None) -> Iterator[tuple]:
     """(r, parent, step, key) per element first met within radius steps,
     numbered 0, 1, ... as yielded: element 0 is start at level 0, parent and
     step None; level r holds the new keys maps[step](k) of the level r-1
-    elements k in order and the steps in order.  The search ends at the
-    radius or at the first level that adds no element.  Each element expanded
-    (every one below the radius) appends to a ``table`` list the tuple of
-    the numbers of its products by the steps: row i is element i's."""
+    elements k in order and the steps in order, where a key None is no
+    element.  The search ends at the radius or at the first level that adds
+    no element.  Each element expanded (every one below the radius) appends
+    to a ``table`` list the tuple of the numbers of its products by the
+    steps, None where the key was: row i is element i's."""
     numbers = {start: 0}
     yield 0, None, None, start
     stepping = list(enumerate(maps))
@@ -178,7 +175,7 @@ def ball_tree(maps: Sequence, radius: int, start, table: list | None = None) -> 
             for step, key_map in stepping:
                 k = key_map(parent_key)
                 n = numbers.get(k)
-                if n is None:
+                if n is None and k is not None:
                     n = numbers[k] = len(numbers)
                     nxt.append((n, k))
                     yield r, parent, step, k

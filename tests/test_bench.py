@@ -26,6 +26,7 @@ def run_bench(*cases):
     # one key per element, and one per outer-sphere product g*x that is not
     # a ball element
     {"ends:free2-a": {"vertices": 81, "edges": 161, "elements": 161, "keyed": 323},
+     "ends:free2-ab": {"vertices": 55, "edges": 108, "elements": 161, "keyed": 323},
      "ends:z2-u": {"vertices": 41, "edges": 81, "elements": 841, "keyed": 923}},
     # dim, h0 dim, dim h1 and inner-derivation rank of the regular module;
     # s5 is the 120-dimensional case, about 0.3 s at --repeat 1

@@ -86,12 +86,12 @@ def test_subgroup_commensurable_bs(runner):
 def test_subgroup_commensurable_bs_exact_common_power(runner):
     # <x> meets <x>^(y^p) in <x^(2^p)>, of index 3^p in <x>^(y^p); the x-power
     # lattice finds it with no scan and no word of 2^p letters, so the exact
-    # indices stand at the default bound, which caps only searches
+    # indices stand with no search bound to name
     for p in (5, 14, 40):
         data = json.loads(invoke(runner, [
             "subgroup", "commensurable", "--group", "bs(2,3)",
             "--h", "x", "--k", f"y^{p} x y^-{p}"]).output)
-        assert (data["bound"], data["result"], data["certificate"]) == (50, True, None)
+        assert (data["result"], data["certificate"]) == (True, None) and "bound" not in data
         assert data["indices"] == [2 ** p, 3 ** p]
 
 
@@ -384,6 +384,10 @@ def test_bs_commands_need_a_britton_group(runner, command, group, message):
     (["thompson", "scan", "--identity-bound", "3"], "--identity-bound"),
     (["ends", "graph", "--group", "sym3", "--l", "a", "--dot"], "--dot"),
     (["bs", "verify", "--m", "3"], "--m"),
+    # every index of a handle built from words is exact: no search to bound
+    (["subgroup", "commensurable", "--group", "free(2)", "--h", "a", "--k", "a^2",
+      "--bound", "-1"], "--bound"),
+    (["subgroup", "near-normal", "--group", "free(2)", "--h", "a", "--bound", "50"], "--bound"),
 ])
 def test_each_command_lists_only_its_own_options(runner, args, option):
     result = runner.invoke(main, args)
@@ -405,9 +409,6 @@ def test_each_command_lists_only_its_own_options(runner, args, option):
     (["thompson", "verify", "--identity-bound", "-3"], "--identity-bound"),
     (["thompson", "verify", "--pair-bound", "-1"], "--pair-bound"),
     (["thompson", "verify", "--m-bound", "-1"], "--m-bound"),
-    (["subgroup", "commensurable", "--group", "free(2)", "--h", "a", "--k", "a^2",
-      "--bound", "-1"], "--bound"),
-    (["subgroup", "near-normal", "--group", "free(2)", "--h", "a", "--bound", "0"], "--bound"),
 ])
 def test_negative_or_vacuous_bounds_are_usage_errors(runner, args, option):
     result = runner.invoke(main, args)
@@ -639,7 +640,7 @@ def _word_commands(text, other):
     return [
         ["subgroup", "commensurable", "--group", "free(2)", "--h", text, "--k", other],
         ["subgroup", "commensurable", "--group", "zn(2)", "--h", text, "--k", other],
-        ["subgroup", "near-normal", "--group", "bs(2,3)", "--h", text, "--bound", "8"],
+        ["subgroup", "near-normal", "--group", "bs(2,3)", "--h", text],
         ["subgroup", "near-normal", "--group", "sym3", "--h", text],
         ["ends", "estimate", "--group", "free(2)", "--l", text, "--radii", "1,2"],
         ["ends", "estimate", "--group", "thompson-f", "--l", text, "--gens", other,

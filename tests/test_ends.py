@@ -11,7 +11,7 @@ from nearnormal.ends import (
 )
 from nearnormal.groups import element_key, parse_context_word, preset
 from nearnormal.subgroups import (
-    CosetIndex, CosetSet, XPower, am_subgroup, conjugate, finite_subgroup, free_cyclic_subgroup,
+    CosetIndex, CosetSet, XPower, am_subgroup, conjugate, finite_subgroup, free_subgroup,
     lattice_subgroup, power_subgroup, same_coset, subgroup_from_words, trivial_subgroup,
 )
 from nearnormal.words import Word, exponent_vector, generator, invert, parse_word
@@ -212,7 +212,7 @@ def test_bs_ball_matches_pairwise_classification():
 @pytest.mark.parametrize("u", ["a", "b a^2 b^-1", "a b a^-1 b^-1"])
 def test_free_cyclic_ball_matches_pairwise_classification(u):
     ctx = preset("free(2)")
-    sub = free_cyclic_subgroup(ctx, parse_word(u, ("a", "b")))
+    sub = free_subgroup(ctx, [parse_word(u, ("a", "b"))])
     gens = (generator(0), generator(1))
     ball = coset_graph_ball(ctx, sub, gens, 3)
     expected = []
@@ -440,15 +440,18 @@ def x_power(k, conjugator=None):
 @pytest.mark.parametrize("group, make_sub, radius, gens", [
     pytest.param("bs(2,3)", x_power(2), 5, None, id="bs23-x2"),
     pytest.param("zn(2)", lambda ctx: lattice_subgroup(ctx, [(1, 0)]), 4, None, id="z2-lattice"),
-    pytest.param("free(2)", lambda ctx: free_cyclic_subgroup(ctx, parse_word("a b", ("a", "b"))),
+    pytest.param("free(2)", lambda ctx: free_subgroup(ctx, [parse_word("a b", ("a", "b"))]),
                  3, None, id="free2-cyclic"),
+    pytest.param("free(2)", lambda ctx: free_subgroup(ctx, [parse_word(t, ("a", "b"))
+                                                          for t in ("a b", "b a")]),
+                 4, None, id="free2-rank-2"),
     pytest.param("sym3", lambda ctx: finite_subgroup(ctx, (generator(0),)), 3, None,
                  id="sym3-table"),
     # no coset key: classified by pairwise membership tests
     pytest.param("thompson-f", lambda ctx: am_subgroup(ctx, 1), 2, None, id="f-a1-unkeyed"),
     # steps that are not the group's generators, the smallest radii, conjugated x-powers
     pytest.param("bs(2,3)", x_power(2), 4, ("x", "x y"), id="bs23-non-generator-gens"),
-    pytest.param("free(2)", lambda ctx: free_cyclic_subgroup(ctx, parse_word("a", ("a", "b"))),
+    pytest.param("free(2)", lambda ctx: free_subgroup(ctx, [parse_word("a", ("a", "b"))]),
                  3, ("a", "a b", "b^2"), id="free2-non-generator-gens"),
     pytest.param("zn(2)", lambda ctx: lattice_subgroup(ctx, [(2, 1)]), 4, ("u v", "v^-1"),
                  id="z2-non-generator-gens"),
@@ -501,7 +504,7 @@ def test_inner_edges_do_not_ask_the_oracle_again(monkeypatch):
 
 @pytest.mark.parametrize("group, make_sub", [
     ("bs(2,3)", x_power(2)),
-    ("free(2)", lambda ctx: free_cyclic_subgroup(ctx, parse_word("a", ("a", "b")))),
+    ("free(2)", lambda ctx: free_subgroup(ctx, [parse_word("a", ("a", "b"))])),
     ("zn(2)", lambda ctx: lattice_subgroup(ctx, [(1, 0)])),
 ])
 def test_a_ball_with_one_column_swapped_differs_from_the_reference(monkeypatch, group, make_sub):

@@ -11,13 +11,12 @@ from nearnormal.groups import element_key, group_elements, preset
 from nearnormal.subgroups import (
     INFINITE_OR_EXCEEDS, Conjugate, CosetIndex, CosetSet, UnsupportedOraclePair,
     am_subgroup, commensurability_report, conjugate, contains, finite_subgroup,
-    free_cyclic_subgroup, free_root,
-    in_commensurator, index_bounded, intersect, is_commensurable,
+    free_subgroup, in_commensurator, index_bounded, intersect, is_commensurable,
     lattice_subgroup, near_normal_on, neumann_translate, power_subgroup,
-    SubgroupHandle, XPower, _root_parts, same_coset, subgroup_from_words, trivial_subgroup,
+    Folded, SubgroupHandle, XPower, same_coset, subgroup_from_words, trivial_subgroup,
     whole_group,
 )
-from nearnormal.words import Word, generator, invert, parse_word, word_key
+from nearnormal.words import Word, cyclic_peel, generator, invert, parse_word
 
 
 def w(text, names=("a", "b")):
@@ -142,7 +141,7 @@ def test_lattice_subgroup_membership():
 def test_free_cyclic_membership_and_root():
     ctx = preset("free(2)")
     a, b = generator(0), generator(1)
-    h = free_cyclic_subgroup(ctx, (a * b) ** 2)
+    h = free_subgroup(ctx, [(a * b) ** 2])
     assert contains(h, (a * b) ** 4) is True
     assert contains(h, (a * b) ** 3) is False
     assert contains(h, invert((a * b) ** 2)) is True
@@ -304,8 +303,8 @@ def test_zn3_commensurability_takes_one_hermite_form_per_lattice(monkeypatch):
 def test_intersect_free_cyclic():
     ctx = preset("free(1)")
     a = generator(0)
-    h = free_cyclic_subgroup(ctx, a ** 2)
-    k = free_cyclic_subgroup(ctx, a ** 3)
+    h = free_subgroup(ctx, [a ** 2])
+    k = free_subgroup(ctx, [a ** 3])
     meet = intersect(h, k)
     assert contains(meet, a ** 6) is True
     assert contains(meet, a ** 2) is False
@@ -372,12 +371,12 @@ def test_bs_commensurability_certificate():
 def test_free_commensurability():
     ctx = preset("free(2)")
     a, b = generator(0), generator(1)
-    h = free_cyclic_subgroup(ctx, a ** 2)
-    k = free_cyclic_subgroup(ctx, a ** 3)
+    h = free_subgroup(ctx, [a ** 2])
+    k = free_subgroup(ctx, [a ** 3])
     assert is_commensurable(h, k, 10) is True
-    other = free_cyclic_subgroup(ctx, b)
+    other = free_subgroup(ctx, [b])
     assert is_commensurable(h, other, 10) is False
-    assert is_commensurable(free_cyclic_subgroup(ctx, Word(())), trivial_subgroup(ctx), 10) is True
+    assert is_commensurable(free_subgroup(ctx, [Word(())]), trivial_subgroup(ctx), 10) is True
 
 
 @pytest.mark.parametrize("group, text", [
@@ -397,7 +396,7 @@ def test_near_normal_verdicts():
     assert near_normal_on(h, [x, y], 50) is True
     free_ctx = preset("free(2)")
     a, b = generator(0), generator(1)
-    ha = free_cyclic_subgroup(free_ctx, a)
+    ha = free_subgroup(free_ctx, [a])
     assert near_normal_on(ha, [a], 10) is True
     assert near_normal_on(ha, [a, b], 10) is False
 
@@ -434,7 +433,7 @@ def test_neumann_translate_exhausts_on_a_cover():
     assert neumann_translate(x_set, 4) is None
 
 
-# --- free-cyclic coset key ---------------------------------------------------
+# --- coset keys ----------------------------------------------------------------
 
 
 def free_ball(radius):
@@ -452,8 +451,8 @@ def coset_key(sub):
     return sub.membership.coset_key(sub)
 
 
-KEYED = [pytest.param("free(2)", lambda ctx, u=u: free_cyclic_subgroup(ctx, w(u)), id=u)
-         for u in ("a", "a^2", "b a^2 b^-1", "a b a b", "a b a^-1 b^-1", "a b")] + [
+KEYED = [pytest.param("free(2)", lambda ctx, u=u: free_subgroup(ctx, map(w, u.split(","))), id=u)
+         for u in ("a", "a^2", "b a^2 b^-1", "a b a b", "a b a^-1 b^-1", "a b", "a^2, b a b^-1")] + [
     pytest.param("bs(2,3)", trivial_subgroup, id="trivial"),
     pytest.param("sym3", lambda ctx: finite_subgroup(ctx, [w("a")]), id="table"),
     pytest.param("bs(2,3)", lambda ctx: power_subgroup(ctx, 2), id="x-power"),
@@ -513,22 +512,37 @@ def test_left_key_partitions_like_the_right_key_of_the_inverse(group, make):
     assert max(numbers) + 1 < len(elements)
 
 
-def full_scan_free_cyclic_key(u):
-    """The free-cyclic key of g<u> by the full scan over every h r^(+-ik),
-    h = g c, with |ik||r| <= 2|h|, without stopping once candidates grow."""
-    c, r, k = _root_parts(u)
-
-    def key(g):
-        h = g * c
-        cands = [h] + [h * Word(step.letters * (i * k))
-                       for i in range(1, 2 * len(h) // (len(r) * k) + 1)
-                       for step in (r, invert(r))]
-        return min(cands, key=word_key).letters
-
-    return key
+def free_root(u):
+    """(r, k) with u = r^k in the free group, r not a proper power; k = 0
+    for u = 1: the root arithmetic that decides cyclic subgroups."""
+    c, core = cyclic_peel(u)
+    letters, size = core.letters, len(core)
+    for p in range(1, size + 1):
+        if size % p == 0 and letters == letters[:p] * (size // p):
+            return c * Word(letters[:p]) * invert(c), size // p
+    return Word(()), 0
 
 
-def test_free_cyclic_key_matches_the_full_scan():
+def root_coordinate(u, g):
+    """t with g = u^t, None when g is outside <u>, for u != 1."""
+    (ru, ku), (rg, kg) = free_root(u), free_root(g)
+    if not g:
+        return 0
+    if kg % ku or rg not in (ru, invert(ru)):
+        return None
+    return kg // ku if rg == ru else -kg // ku
+
+
+def root_report(u, v):
+    """The commensurability verdict and indices of <u> and <v>, u, v != 1:
+    they meet in <r^lcm(ku, kv)> when their roots agree up to inversion."""
+    (ru, ku), (rv, kv) = free_root(u), free_root(v)
+    if rv not in (ru, invert(ru)):
+        return False, None
+    return True, [lcm(ku, kv) // ku, lcm(ku, kv) // kv]
+
+
+def test_cyclic_handles_match_root_arithmetic():
     ctx = preset("free(3)")
     rng = random.Random(16)
     checked = 0
@@ -538,13 +552,19 @@ def test_free_cyclic_key_matches_the_full_scan():
         u = c * root ** rng.randint(1, 3) * invert(c)
         if not u:
             continue
-        key = free_cyclic_subgroup(ctx, u).membership.coset_key(None)
-        reference = full_scan_free_cyclic_key(u)
+        h = free_subgroup(ctx, [u])
+        partners = [c * root ** e * invert(c) for e in (1, -2, 3, 4)]
         for _ in range(25):
             g = random_word(rng, rng.randrange(12), 3)
             if rng.random() < 0.5:  # end with a power of u
                 g = g * u ** rng.choice((-3, -2, -1, 1, 2, 3))
-            assert key(g.letters) == reference(g), (u, g)
+            assert contains(h, g) is (root_coordinate(u, g) is not None), (u, g)
+            checked += 1
+            if g:
+                partners.append(g)
+        for v in partners:
+            report = commensurability_report(h, free_subgroup(ctx, [v]), 50)
+            assert (report["result"], report["indices"]) == root_report(u, v), (u, v)
             checked += 1
     assert checked > 2000
 
@@ -560,21 +580,25 @@ def test_coset_index_without_a_decision():
     assert index.find(generator(0)) == 1  # the same word decides after an "unknown"
 
 
-def test_free_cyclic_key_is_the_shortlex_least_element():
+def test_folded_key_is_the_vertex_and_the_unread_letters():
     ctx = preset("free(2)")
-    # r = a b, h = b: the coset b <a b> holds b and a^-1, both of length 1
-    key = coset_key(free_cyclic_subgroup(ctx, w("a b")))
-    assert key(w("b").letters) == key(w("a^-1").letters) == w("a^-1").letters
-    # u = b^-1 a^2 b, g = a^5 b: g c = a^5 is cut down to a
-    key = coset_key(free_cyclic_subgroup(ctx, w("b^-1 a^2 b")))
-    assert key(w("a^5 b").letters) == key(w("a b").letters) == w("a").letters
-    assert coset_key(free_cyclic_subgroup(ctx, Word(())))(w("a b").letters) == w("a b").letters
+    # <a b> is the loop 0 -a-> 1 -b-> 0: b^-1 and a both read to vertex 1
+    key = coset_key(free_subgroup(ctx, [w("a b")]))
+    assert key(w("b").letters) == key(w("a^-1").letters) == (1, ())
+    # (a^5 b)^-1 = b^-1 a^-5 reads along the stem b^-1 into the 2-loop of a
+    key = coset_key(free_subgroup(ctx, [w("b^-1 a^2 b")]))
+    assert key(w("a^5 b").letters) == key(w("a b").letters) == (2, ())
+    # <a> has no b edge: a^3 b stays unread, and b a^2 leaves b unread
+    key = coset_key(free_subgroup(ctx, [w("a")]))
+    assert key(w("a^3 b").letters) == (0, w("a^3 b").letters)
+    assert key(w("b a^2").letters) == key(w("b").letters) == (0, w("b").letters)
+    assert coset_key(free_subgroup(ctx, [Word(())]))(w("a b").letters) == (0, w("a b").letters)
 
 
 def test_whole_group_coset_count_at_its_bound():
     ctx = preset("free(1)")
     for k in range(1, 8):
-        ak = free_cyclic_subgroup(ctx, generator(0, k))
+        ak = free_subgroup(ctx, [generator(0, k)])
         # the same subgroup without a coset key: cosets compared pairwise
         pairwise = SubgroupHandle(ctx, ak.generators, None, Conjugate(ak, Word(())))
         for sub in (ak, pairwise):
@@ -585,8 +609,97 @@ def test_whole_group_coset_count_at_its_bound():
 
 def test_free_cyclic_index_in_a_free_group_is_infinite():
     ctx = preset("free(2)")
-    assert index_bounded(free_cyclic_subgroup(ctx, w("a")), whole_group(ctx), 30) \
+    assert index_bounded(free_subgroup(ctx, [w("a")]), whole_group(ctx), 30) \
         == INFINITE_OR_EXCEEDS
+
+
+# --- free subgroups by their Stallings graphs --------------------------------
+
+
+def graph_rank(sub):
+    """The rank of a folded handle: edges less vertices plus one."""
+    action = sub.coset_table.action
+    return sum(t is not None for row in action for t in row[::2]) - len(action) + 1
+
+
+def transitive_action(rng, n):
+    """Images of a and b, two random permutations of range(n) with one orbit."""
+    while True:
+        perms = [rng.sample(range(n), n) for _ in range(2)]
+        orbit, frontier = {0}, [0]
+        while frontier:
+            frontier = [p[i] for i in frontier for p in perms if p[i] not in orbit]
+            orbit.update(frontier)
+        if len(orbit) == n:
+            return perms
+
+
+def stabilizer(ctx, perms):
+    """The free subgroup fixing point 0, by the Schreier generators
+    reps[c] x reps[c x]^-1 of a breadth-first tree of the action."""
+    reps, order = {0: Word(())}, [0]
+    for c in order:  # grows while it runs: breadth-first
+        for i, p in enumerate(perms):
+            for d, x in ((p[c], generator(i)), (p.index(c), generator(i, -1))):
+                if d not in reps:
+                    reps[d] = reps[c] * x
+                    order.append(d)
+    return free_subgroup(ctx, [reps[c] * generator(i) * invert(reps[p[c]])
+                               for c in reps for i, p in enumerate(perms)])
+
+
+def test_transitive_actions_give_schreier_ranks_and_multiplicative_indices():
+    ctx = preset("free(2)")
+    whole = free_subgroup(ctx, [generator(0), generator(1)])
+    rng = random.Random(38)
+    for _ in range(60):
+        n, m = rng.randint(1, 5), rng.randint(1, 4)
+        first, second = transitive_action(rng, n), transitive_action(rng, m)
+        h, k = stabilizer(ctx, first), stabilizer(ctx, second)
+        # a stabilizer of index n in free(2) is free of rank n(2 - 1) + 1
+        assert (index_bounded(h, whole, 1), graph_rank(h)) == (n, n + 1)
+        assert h.coset_table.coset_count == n and None not in sum(h.coset_table.action, ())
+        j = intersect(h, k)
+        # j fixes (0, 0) in the product action: its orbit is [F : j]
+        orbit, frontier = {(0, 0)}, [(0, 0)]
+        while frontier:
+            frontier = [(p[c], q[d]) for c, d in frontier for p, q in zip(first, second)
+                        if (p[c], q[d]) not in orbit]
+            orbit.update(frontier)
+        assert index_bounded(j, whole, 1) == len(orbit)
+        assert index_bounded(j, h, 1) * n == len(orbit)
+        assert index_bounded(j, k, 1) * m == len(orbit)
+
+
+def test_intersections_keep_the_hanna_neumann_bound():
+    ctx = preset("free(2)")
+    rng = random.Random(38)
+    probes = [random_word(rng, rng.randrange(8)) for _ in range(60)]
+    for _ in range(150):
+        h, k = (free_subgroup(ctx, [random_word(rng, rng.randint(1, 5))
+                                    for _ in range(rng.randint(1, 3))]) for _ in range(2))
+        j = intersect(h, k)
+        reduced = [max(graph_rank(sub) - 1, 0) for sub in (h, k, j)]
+        assert reduced[2] <= reduced[0] * reduced[1], (h.generators, k.generators)
+        # the pullback's generators are a basis
+        assert len(j.generators) == graph_rank(j)
+        for g in probes + list(h.generators) + list(k.generators):
+            assert contains(j, g) is (contains(h, g) and contains(k, g))
+
+
+def test_free_subgroups_with_several_generators():
+    ctx = preset("free(2)")
+    whole = free_subgroup(ctx, [w("a"), w("b")])
+    even = subgroup_from_words(ctx, [w("a^2"), w("b"), w("a b a^-1")])
+    assert isinstance(even.membership, Folded)
+    assert index_bounded(even, whole, 6) == index_bounded(even, whole_group(ctx), 6) == 2
+    # <a b, b a> is free of rank 2 and of infinite index: its graph is not complete
+    ab = subgroup_from_words(ctx, [w("a b"), w("b a")])
+    assert index_bounded(ab, whole, 6) is None
+    assert index_bounded(ab, whole_group(ctx), 6) == INFINITE_OR_EXCEEDS
+    assert commensurability_report(even, ab, 50)["result"] is False
+    assert commensurability_report(even, conjugate(even, w("b a")), 50) == {
+        "result": True, "indices": [1, 1], "certificate": None}
 
 
 # --- the oracle pair matrix --------------------------------------------------
@@ -601,7 +714,7 @@ def _native(ctx):
     if ctx.oracle == "free-abelian":
         return lattice_subgroup(ctx, [(2, 0)])
     if ctx.oracle == "free":
-        return free_cyclic_subgroup(ctx, generator(0) * generator(1))
+        return free_subgroup(ctx, [generator(0) * generator(1)])
     return am_subgroup(ctx, 1)
 
 

@@ -7,7 +7,7 @@ from hypothesis import assume, given, strategies as st
 
 from nearnormal.words import (
     Word, ball, free_reduce, free_step, invert, exponent_sum, exponent_vector,
-    generator, word_key, parse_word, format_word,
+    ball_tree, generator, parse_word, format_word,
 )
 
 letters = st.tuples(st.integers(min_value=0, max_value=5),
@@ -144,14 +144,14 @@ def test_products_and_powers_match_free_reduction():
     assert conjugated  # some w are not cyclically reduced
 
 
-@given(words, words)
-def test_word_key_orders_by_length_first(u, v):
-    if len(u) < len(v):
-        assert word_key(u) < word_key(v)
-
-
-def test_word_key_prefers_positive_sign():
-    assert word_key(generator(0)) < word_key(generator(0, -1))
+def test_ball_tree_reads_a_none_key_as_no_edge():
+    # the path 0 - 1 - 2 as a partial table: +1 has no edge at 2, -1 none at 0
+    steps = [lambda k: k + 1 if k < 2 else None, lambda k: k - 1 if k > 0 else None]
+    table = []
+    found = list(ball_tree(steps, 5, 0, table))
+    assert [(r, parent, step, key) for r, parent, step, key in found] == [
+        (0, None, None, 0), (1, 0, 0, 1), (2, 1, 0, 2)]
+    assert table == [(1, None), (2, 0), (None, 1)]
 
 
 def test_word_is_immutable_and_hashable():
