@@ -5,6 +5,12 @@ Each positional case is LAYER:ARG:
     completion:NAME       one completion call on a fresh truncation, NAME in
                           COMPLETION; the tables the call reads are built in
                           its timing, the truncation itself only for build
+    import:MODULE         import nearnormal.MODULE and nearnormal.scan in a
+                          fresh interpreter, from a copy of the package with
+                          no bytecode and PYTHONDONTWRITEBYTECODE=1, as a
+                          fresh checkout starts every command; reports the
+                          nearnormal modules loaded and the classes built by
+                          the dataclass decorator, which must be none
     family:NAME           families.truncation, check_admissible and
                           check_stable on the nodes of NAME in FAMILY, with
                           the lru caches cleared before each run as in one
@@ -41,11 +47,18 @@ Usage: python benchmarks/bench.py [CASE ...] [--repeat 3] [--json]
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
+import os
+import pathlib
 import random
+import shutil
+import subprocess
 import sys
+import tempfile
 import time
 
+import nearnormal
 from nearnormal import _scan_py, completion, ends, families, modp, subgroups, suites
 from nearnormal.groups import load, parse_context_word, preset
 from nearnormal.words import Word, generator
@@ -95,7 +108,18 @@ ALL_CHECKS = 83
 DEFAULT_CASES = ([f"completion:{name}" for name in COMPLETION]
                  + [f"family:{name}" for name in FAMILY] + [f"ends:{name}" for name in ENDS]
                  + ["modp:a5:2", "modp:a5:5", "modp:s5:2", "modp:dense-s4:5",
-                    "scan:3:2", "scan:4:2", "scan:5:2", "suite:all"])
+                    "scan:3:2", "scan:4:2", "scan:5:2", "suite:all", "import:cli"])
+# run by import:MODULE in the fresh interpreter: seconds, modules, dataclasses
+IMPORT_CHILD = """
+import sys, time
+t0 = time.perf_counter()
+import nearnormal.{module}, nearnormal.scan
+seconds = time.perf_counter() - t0
+modules = [m for name, m in sys.modules.items() if name.startswith("nearnormal.")]
+built = sum(isinstance(obj, type) and obj.__module__ == m.__name__
+            and hasattr(obj, "__dataclass_fields__") for m in modules for obj in vars(m).values())
+print(seconds, len(modules), built)
+"""
 
 
 def best(fn, repeat: int, setup=None):
@@ -281,6 +305,32 @@ def scan_layer(arg: str):
     return run
 
 
+def import_layer(arg: str):
+    if not arg.isidentifier() or importlib.util.find_spec(f"nearnormal.{arg}") is None:
+        raise ValueError(f"no module nearnormal.{arg}")
+
+    def run(repeat):
+        # a copy, not PYTHONPYCACHEPREFIX: a prefix would also hide the
+        # bytecode of the standard library and click, which a fresh checkout has
+        runs = []
+        with tempfile.TemporaryDirectory() as root:
+            shutil.copytree(pathlib.Path(nearnormal.__file__).parent,
+                            pathlib.Path(root, "nearnormal"),
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+                filter(None, [root, os.environ.get("PYTHONPATH")])))
+            env.pop("PYTHONPYCACHEPREFIX", None)
+            for _ in range(repeat):
+                out = subprocess.run([sys.executable, "-c", IMPORT_CHILD.format(module=arg)],
+                                     env=env, capture_output=True, text=True, check=True)
+                runs.append(out.stdout.split())
+        seconds, modules, built = runs[-1]
+        return ({"seconds": min(float(run[0]) for run in runs), "modules": int(modules),
+                 "dataclasses": int(built)},
+                {"dataclasses": 0})
+    return run
+
+
 def suite_layer(arg: str):
     if arg != "all" and arg not in suites.SUITES:
         raise ValueError(f"unknown case {arg!r}, expected all or one of {', '.join(suites.SUITES)}")
@@ -296,7 +346,7 @@ def suite_layer(arg: str):
 
 
 LAYERS = {"completion": completion_layer, "family": family_layer, "ends": ends_layer,
-          "modp": modp_layer, "scan": scan_layer, "suite": suite_layer}
+          "modp": modp_layer, "scan": scan_layer, "suite": suite_layer, "import": import_layer}
 
 
 def show(row: dict) -> str:
@@ -306,7 +356,8 @@ def show(row: dict) -> str:
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description="Benchmark the completion, family, ends, GF(p) "
-                                             "and scan layers and the check suites.")
+                                             "and scan layers, the check suites and the "
+                                             "package's import.")
     ap.add_argument("cases", nargs="*", default=DEFAULT_CASES,
                     help="LAYER:ARG cases, LAYER among " + ", ".join(LAYERS)
                          + " (default: all " + str(len(DEFAULT_CASES)) + " listed above).")

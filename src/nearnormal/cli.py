@@ -36,9 +36,10 @@ inherits the threshold.  Library functions never touch the collector.
 from __future__ import annotations
 
 import gc
-import json
 import pathlib
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
+from math import inf
 
 import click
 
@@ -57,10 +58,57 @@ _format_option = _format_choice("json", "text")
 
 def _emit(data, fmt):
     if fmt == "json":
-        click.echo(json.dumps(data, indent=2, sort_keys=True, default=str))
+        click.echo(_json(data))
     else:
         for line in _text_lines(data, 0):
             click.echo(line)
+
+
+def _json(value, nl: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True, default=str), byte for byte,
+    without the generator-based encoder that indent selects: strings through
+    the C ASCII escaper, and a list of plain ints or strs joined in one go.
+    nl is the newline and indent of value's closing bracket."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (inf, -inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    inner = nl + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        items = (map(_json_str, value) if kinds == {str} else
+                 map(int.__repr__, value) if kinds == {int} else
+                 [_json(item, inner) for item in value])
+        return f"[{inner}{(',' + inner).join(items)}{nl}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_json_str(_json_key(key))}: {_json(item, inner)}"
+                 for key, item in sorted(value.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
+    return _json_str(str(value))
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _json(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def _text_lines(data, depth):

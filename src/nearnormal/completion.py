@@ -28,19 +28,21 @@ products.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .families import FamilyTruncation
-from .groups import finished_table, signed_letters
+from .groups import Frozen, finished_table, signed_letters
 from .words import Word, format_word, invert
 
 ENUM_CEILING = 10 ** 6
 
 
-@dataclass(frozen=True)
-class TruncatedCompletion:
-    fam: FamilyTruncation
-    elements: tuple  # every compatible assignment tuple, sorted
+class TruncatedCompletion(Frozen):
+    _key = attrgetter("fam", "elements")
+
+    def __init__(self, fam: FamilyTruncation, elements: tuple):
+        # elements: every compatible assignment tuple, sorted
+        self.__dict__.update(fam=fam, elements=elements)
 
 
 def is_compatible(fam: FamilyTruncation, assignment) -> bool:

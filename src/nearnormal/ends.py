@@ -26,7 +26,6 @@ for right translates Bx, which do not descend to cosets).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain
 
@@ -40,26 +39,25 @@ class CosetOracleError(ValueError):
     """Coset equality could not be decided by the subgroup's oracle."""
 
 
-@dataclass(frozen=True, eq=False)
-class CosetGraphBall:
-    ctx: groups.GroupContext
-    sub: SubgroupHandle
-    gens: tuple  # the generating set X
-    radius: int
-    index: CosetIndex = field(repr=False)  # the left cosets of sub, one per vertex
-    steps: tuple = field(repr=False)  # x, x^-1 per x in gens
-    # per ball element, BFS order: the element it steps from, its step, its
-    # element key, its vertex; per element below the radius, the numbers of
-    # its products by the steps
-    parent: tuple = field(repr=False)
-    step: tuple = field(repr=False)
-    keys: tuple = field(repr=False)
-    table: list = field(repr=False)
-    vertex: list = field(default_factory=list, repr=False)
-    first: list = field(default_factory=list, repr=False)  # per vertex: its first element
-    depth: list = field(default_factory=list)
-    edges: list = field(default_factory=list)  # (u, v, label), label an index into gens
-    _words: dict = field(default_factory=lambda: {0: Word(())}, init=False, repr=False)
+class CosetGraphBall(groups.Frozen):
+    __eq__, __hash__ = object.__eq__, object.__hash__  # one ball is equal to itself alone
+
+    def __init__(self, ctx: groups.GroupContext, sub: SubgroupHandle, gens: tuple, radius: int,
+                 index: CosetIndex, steps: tuple, parent: tuple, step: tuple, keys: tuple,
+                 table: list, vertex: list | None = None, first: list | None = None,
+                 depth: list | None = None, edges: list | None = None):
+        # gens is the generating set X; index holds the left cosets of sub,
+        # one per vertex; steps is x, x^-1 per x in gens.  Per ball element,
+        # BFS order: the element it steps from, its step, its element key,
+        # its vertex; per element below the radius (table), the numbers of
+        # its products by the steps.  Per vertex: its first element and its
+        # depth; edges are (u, v, label), label an index into gens.
+        self.__dict__.update(
+            ctx=ctx, sub=sub, gens=gens, radius=radius, index=index, steps=steps,
+            parent=parent, step=step, keys=keys, table=table,
+            vertex=[] if vertex is None else vertex, first=[] if first is None else first,
+            depth=[] if depth is None else depth, edges=[] if edges is None else edges,
+            _words={0: Word(())})
 
     @property
     def vertex_count(self) -> int:
@@ -87,13 +85,12 @@ class CosetGraphBall:
         return tuple(zip(map(self.word, range(len(self.vertex))), self.vertex))
 
 
-@dataclass(frozen=True, eq=False)
-class VertexSet:
-    ball: CosetGraphBall
-    indices: frozenset
+class VertexSet(groups.Frozen):
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        if any(i < 0 or i >= self.ball.vertex_count for i in self.indices):
+    def __init__(self, ball: CosetGraphBall, indices: frozenset):
+        self.__dict__.update(ball=ball, indices=indices)
+        if any(i < 0 or i >= ball.vertex_count for i in indices):
             raise ValueError("vertex set escapes the ball")
 
 

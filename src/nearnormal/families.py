@@ -7,31 +7,38 @@ Derivations satisfy d(gh) = d(g).h + d(h), hence d(x^-1) = -d(x).x^-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
 from . import modp
 from .groups import (
-    GroupContext, element_step, finished_table, parse_context_word, preset, signed_letters,
+    Frozen, GroupContext, element_step, finished_table, parse_context_word, preset,
+    signed_letters,
 )
 from .subgroups import SubgroupHandle, conjugate, contains, finite_subgroup
 from .words import Letter, Word, exponent_vector, generator, invert
 
 
-@dataclass(frozen=True)
-class FamilyTruncation:
+class FamilyTruncation(Frozen):
     """Explicit certified data over a finite coset-table group: nodes (subgroup
     handles with tables; a node that conjugation by l adds to H holds H's
     table re-rooted at the coset Hl), the inclusion order, the conjugation
     action by generator letters and the verified normal-inclusion pairs.
     Nothing is inferred at check time; checks re-verify what they rely on."""
 
-    ctx: GroupContext
-    nodes: tuple[SubgroupHandle, ...]
-    members: tuple[tuple[Word, ...], ...]
-    order: frozenset  # pairs (i, j): node i <= node j, reflexive
-    conjugation_action: dict = field(hash=False)  # (node, letter) -> node, total
-    normal_in: frozenset  # pairs (i, j): node i normal in node j
+    _key = attrgetter("ctx", "nodes", "members", "order", "conjugation_action", "normal_in")
+
+    def __init__(self, ctx: GroupContext, nodes: tuple[SubgroupHandle, ...],
+                 members: tuple[tuple[Word, ...], ...], order: frozenset,
+                 conjugation_action: dict, normal_in: frozenset):
+        # order: pairs (i, j), node i <= node j, reflexive; conjugation_action:
+        # (node, letter) -> node, total; normal_in: pairs (i, j), node i normal in node j
+        self.__dict__.update(ctx=ctx, nodes=nodes, members=members, order=order,
+                             conjugation_action=conjugation_action, normal_in=normal_in)
+
+    def __hash__(self):
+        # conjugation_action, a dict, is compared but not hashed
+        return hash((self.ctx, self.nodes, self.members, self.order, self.normal_in))
 
     def conj(self, node: int, letter: Letter) -> int:
         return self.conjugation_action[node, letter]
@@ -266,12 +273,12 @@ def _reverify_normal(fam: FamilyTruncation, l: int, h: int) -> bool:
 # finite modules
 
 
-@dataclass(frozen=True)
-class FiniteModule:
-    dimension: int
-    p: int
-    matrices: tuple  # modp sparse rows, one per ambient generator, right action
-    inverses: tuple
+class FiniteModule(Frozen):
+    _key = attrgetter("dimension", "p", "matrices", "inverses")
+
+    def __init__(self, dimension: int, p: int, matrices: tuple, inverses: tuple):
+        # matrices: modp sparse rows, one per ambient generator, right action
+        self.__dict__.update(dimension=dimension, p=p, matrices=matrices, inverses=inverses)
 
 
 def finite_module(ctx: GroupContext, matrices, p: int = 2) -> FiniteModule:

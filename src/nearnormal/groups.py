@@ -44,9 +44,8 @@ import pathlib
 import re
 import sys
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from operator import add
+from operator import add, attrgetter
 
 from . import baumslag_solitar as bs
 from . import thompson
@@ -59,27 +58,50 @@ ORACLES = ("coset-table", "britton", "thompson-normal-form", "free-abelian", "fr
 TABLE_LIMIT = 20_000  # live-coset bound of the regular table and finite subgroups
 
 
-@dataclass(frozen=True)
-class GroupContext:
+class Frozen:
+    """Base of the package's immutable values.  A subclass's __init__ writes
+    its fields into ``__dict__`` once; setting or deleting an attribute
+    afterwards raises AttributeError.  Two instances are equal when their
+    types match and ``_key``, an attrgetter over the compared fields, reads
+    equal values from both, and an instance hashes by ``_key`` alone."""
+
+    _key: attrgetter
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+
+class GroupContext(Frozen):
     """A finite presentation with the oracle that decides its word problem.
     Under the britton oracle the one relator is y^-1 x^m y x^-n over two
-    generators, and bs_params reads (m, n) off it."""
+    generators, and bs_params reads (m, n) off it.  Equality ignores name."""
 
-    generator_names: tuple[str, ...]
-    relators: tuple[Word, ...]
-    oracle: str
-    name: str = field(default="", compare=False)
+    _key = attrgetter("generator_names", "relators", "oracle")
 
-    def __post_init__(self):
-        if self.oracle not in ORACLES:
-            raise ValueError(f"unknown oracle {self.oracle!r}")
-        for r in self.relators:
+    def __init__(self, generator_names: tuple[str, ...], relators: tuple[Word, ...],
+                 oracle: str, name: str = ""):
+        self.__dict__.update(generator_names=generator_names, relators=relators,
+                             oracle=oracle, name=name)
+        if oracle not in ORACLES:
+            raise ValueError(f"unknown oracle {oracle!r}")
+        for r in relators:
             if not r:
                 raise ValueError("relators must be nonempty after reduction")
             for index, _ in r.letters:
-                if index >= len(self.generator_names):
+                if index >= len(generator_names):
                     raise ValueError(f"relator {format_word(r)} uses an undeclared generator")
-        if self.oracle == "britton":
+        if oracle == "britton":
             self.bs_params  # computed here, so a context with a wrong relator is never built
 
     @property
@@ -100,16 +122,16 @@ class GroupContext:
         return m, n
 
 
-@dataclass(frozen=True)
-class Incomplete:
+class Incomplete(Frozen):
     """A coset enumeration that hit its live-coset bound before closing."""
 
-    live_cosets: int
-    limit: int
+    _key = attrgetter("live_cosets", "limit")
+
+    def __init__(self, live_cosets: int, limit: int):
+        self.__dict__.update(live_cosets=live_cosets, limit=limit)
 
 
-@dataclass(frozen=True)
-class CosetTable:
+class CosetTable(Frozen):
     """Table of the right cosets of a subgroup: closed, or partial (a
     Stallings graph, None where an edge is missing).
 
@@ -119,9 +141,11 @@ class CosetTable:
     representatives are deterministic and representatives[0] is empty.
     """
 
-    ngens: int
-    action: tuple[tuple[int, ...], ...]
-    representatives: tuple[Word, ...]
+    _key = attrgetter("ngens", "action", "representatives")
+
+    def __init__(self, ngens: int, action: tuple[tuple[int, ...], ...],
+                 representatives: tuple[Word, ...]):
+        self.__dict__.update(ngens=ngens, action=action, representatives=representatives)
 
     @property
     def coset_count(self) -> int:

@@ -31,9 +31,9 @@ on indices are three-valued: True / False / "unknown", never a guess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from math import gcd
+from operator import attrgetter
 from typing import ClassVar
 
 from . import _intlinalg as intlin
@@ -48,33 +48,31 @@ class UnsupportedOraclePair(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SubgroupHandle:
-    ctx: groups.GroupContext
-    generators: tuple[Word, ...]
-    coset_table: groups.CosetTable | None
-    membership: Oracle
+class SubgroupHandle(groups.Frozen):
+    _key = attrgetter("ctx", "generators", "coset_table", "membership")
 
-    def __post_init__(self):
-        for w in self.generators:
+    def __init__(self, ctx: groups.GroupContext, generators: tuple[Word, ...],
+                 coset_table: groups.CosetTable | None, membership: Oracle):
+        self.__dict__.update(ctx=ctx, generators=generators, coset_table=coset_table,
+                             membership=membership)
+        for w in generators:
             if contains(self, w) is False:
                 raise ValueError("membership oracle rejects a listed generator")
 
 
-@dataclass(frozen=True)
-class CosetSet:
+class CosetSet(groups.Frozen):
     """Finite union of cosets of one subgroup; side 'right' holds cosets Hg,
     side 'left' holds cosets gH."""
 
-    base: SubgroupHandle
-    representatives: tuple[Word, ...]
-    side: str = "right"
+    _key = attrgetter("base", "representatives", "side")
 
-    def __post_init__(self):
-        if self.side not in ("left", "right"):
+    def __init__(self, base: SubgroupHandle, representatives: tuple[Word, ...],
+                 side: str = "right"):
+        self.__dict__.update(base=base, representatives=representatives, side=side)
+        if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
-        index = CosetIndex(self.base, self.side)
-        for n, g in enumerate(self.representatives):
+        index = CosetIndex(base, side)
+        for n, g in enumerate(representatives):
             if index.add(g) != n:
                 raise ValueError("representatives are not in distinct cosets")
 
@@ -136,11 +134,13 @@ class CosetIndex:
 # oracles
 
 
-class Oracle:
-    """Membership oracle of the handle ``sub`` passed to each method; each
-    subclass is a frozen dataclass, so oracles compare and hash by value."""
+class Oracle(groups.Frozen):
+    """Membership oracle of the handle ``sub`` passed to each method.  Oracles
+    compare and hash by value: by their fields, and one without fields is
+    equal to every other of its class."""
 
     tag: ClassVar[str]
+    _key = staticmethod(lambda oracle: ())
 
     def contains(self, sub: SubgroupHandle, w: Word):
         """w in sub: True / False / "unknown"."""
@@ -162,7 +162,6 @@ class Oracle:
         raise UnsupportedOraclePair(f"no index strategy for {j.membership.tag} inside {self.tag}")
 
 
-@dataclass(frozen=True)
 class All(Oracle):
     tag = "all"
 
@@ -173,7 +172,6 @@ class All(Oracle):
         return sub
 
 
-@dataclass(frozen=True)
 class Trivial(Oracle):
     tag = "trivial"
 
@@ -187,7 +185,6 @@ class Trivial(Oracle):
         return lambda g_key: g_key
 
 
-@dataclass(frozen=True)
 class Table(Oracle):
     tag = "table"
 
@@ -208,12 +205,13 @@ class Table(Oracle):
         return lambda c: sub.coset_table.coset_of(invert(reps[c]))
 
 
-@dataclass(frozen=True)
 class XPower(Oracle):
     """<x^k>^c in BS(m,n): t is a member iff c t c^-1 is a power of x^k."""
 
-    k: int
-    conjugator: Word = Word(())
+    _key = attrgetter("k", "conjugator")
+
+    def __init__(self, k: int, conjugator: Word = Word(())):
+        self.__dict__.update(k=k, conjugator=conjugator)
 
     @property
     def tag(self) -> str:
@@ -250,12 +248,14 @@ class XPower(Oracle):
                      for w in j.generators)) or None
 
 
-@dataclass(frozen=True)
 class Lattice(Oracle):
     """Row span of ``rows``, a Hermite normal form, in Z^n."""
 
-    rows: tuple[tuple[int, ...], ...]
     tag = "lattice"
+    _key = attrgetter("rows")
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(rows=rows)
 
     def contains(self, sub, w):
         return intlin.lattice_contains(self.rows, exponent_vector(w, sub.ctx.generator_count))
@@ -269,7 +269,6 @@ class Lattice(Oracle):
         return partial(intlin.lattice_residue, self.rows)
 
 
-@dataclass(frozen=True)
 class Folded(Oracle):
     """A subgroup of a free group by its Stallings graph, the partial table
     of ``groups.fold`` attached to the handle: a reduced word reads at most
@@ -328,10 +327,12 @@ class Folded(Oracle):
         return None if any(None in row for row in graph.action) else graph.coset_count
 
 
-@dataclass(frozen=True)
 class AM(Oracle):
-    m: int
     tag = "a-m"
+    _key = attrgetter("m")
+
+    def __init__(self, m: int):
+        self.__dict__.update(m=m)
 
     def contains(self, sub, w):
         exps = thompson.a_exponents(w)
@@ -340,13 +341,14 @@ class AM(Oracle):
         return all(n >= self.m for n in exps)
 
 
-@dataclass(frozen=True)
 class Conjugate(Oracle):
     """inner^g for a handle whose oracle has no conjugation of its own."""
 
-    inner: SubgroupHandle
-    g: Word
     tag = "conjugate"
+    _key = attrgetter("inner", "g")
+
+    def __init__(self, inner: SubgroupHandle, g: Word):
+        self.__dict__.update(inner=inner, g=g)
 
     def contains(self, sub, w):
         return contains(self.inner, self.g * w * invert(self.g))

@@ -27,6 +27,7 @@ and it can record each expanded element's step row of element numbers.
 from __future__ import annotations
 
 import re
+import sys
 from typing import Iterable, Iterator, Sequence
 
 Letter = tuple[int, int]
@@ -247,9 +248,12 @@ class _Scanner:
         if not m:
             self.error("expected an integer exponent after '^'")
         self.pos = m.end()
-        if int(m.group()) == 0:
+        exponent = int(m.group())
+        if exponent == 0:
             self.error("zero exponent", at=m.start())
-        return int(m.group())
+        if abs(exponent) > sys.maxsize:  # a longer word has no index-sized length
+            self.error("exponent too large", at=m.start())
+        return exponent
 
     def _index(self, m: re.Match) -> int:
         name = m.group()

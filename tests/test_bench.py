@@ -38,7 +38,9 @@ def run_bench(*cases):
     # every check of the 8 suites; words is one suite, so one process
     {"suite:all": {"checks": 83, "failed": 0},
      "suite:words": {"checks": 4, "failed": 0, "workers": 1}},
-], ids=["completion", "family", "ends", "modp", "scan", "suite"])
+    # a fresh interpreter loads the CLI's modules and builds no dataclass
+    {"import:cli": {"modules": 14, "dataclasses": 0}},
+], ids=["completion", "family", "ends", "modp", "scan", "suite", "import"])
 def test_bench_runs_its_smallest_cases(want):
     done = run_bench(*want)
     assert done.returncode == 0, done.stderr
@@ -50,7 +52,8 @@ def test_bench_runs_its_smallest_cases(want):
 
 
 @pytest.mark.parametrize("case", ["nope:x", "completion:nope", "family:nope", "ends:", "modp:q4:2",
-                                  "modp:a5:4", "scan:3", "scan:3:x", "suite:nope"])
+                                  "modp:a5:4", "scan:3", "scan:3:x", "suite:nope", "import:nope",
+                                  "import:cli.x"])
 def test_bench_refuses_a_bad_case_in_one_line(case):
     done = run_bench("completion:sym3-all", case)
     assert done.returncode == 2

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import math
 import pathlib
 import shlex
 
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 
 from nearnormal import baumslag_solitar as bs
 from nearnormal import groups, scan, suites, thompson
-from nearnormal.cli import GC_THRESHOLD, main
-from nearnormal.words import generator, invert
+from nearnormal.cli import GC_THRESHOLD, _json, main
+from nearnormal.words import Word, generator, invert
 
 
 @pytest.fixture
@@ -466,6 +467,14 @@ def test_word_options_take_parentheses(runner):
     # a finite-index subgroup of an infinite group: the ball has no element keys
     (["ends", "estimate", "--group", "gens: a b\nrels: b\noracle: coset-table",
       "--l", "a^2"], "Error: regular enumeration incomplete at 20000 cosets"),
+    # an exponent above sys.maxsize has no index-sized word; one between
+    # 10^8 and sys.maxsize would build that many letters, so none is tried
+    (["bs", "reduce", "--word", "x^99999999999999999999"], "Error: exponent too large"),
+    (["bs", "reduce", "--word", "(x y)^99999999999999999999"], "Error: exponent too large"),
+    (["subgroup", "commensurable", "--group", "zn(2)", "--h", "u^99999999999999999999",
+      "--k", "u"], "Error: exponent too large"),
+    (["group", "show", "gens: a\nrels: a^99999999999999999999"],
+     "Error: parse error: line 2, column 9: exponent too large"),
 ])
 def test_subgroup_and_word_errors_are_one_line(runner, tmp_path, args, message):
     if "MATRIX_FILE" in args:
@@ -669,6 +678,55 @@ def test_fuzzed_cli_input_exits_cleanly(text, other, presentation):
     for args in _word_commands(text, other) + [["group", "parse", presentation],
                                                ["group", "show", presentation]]:
         _assert_clean_exit(runner.invoke(main, args), args)
+
+
+def _dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True, default=str)
+
+
+class _Named:
+    def __str__(self):
+        return "named ü"
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), {"a": {}, "b": [], "c": [[], {}, ()]}, [[[]], [{}]],
+    [None, True, False, 0, -7, 2 ** 70, 1.5, -0.0, 1e300, math.nan, math.inf, -math.inf],
+    {"é": "ünïcode \u2603 \ud800", "tab\t": "quote\" \\ \x00"},
+    {1: "int", 2.5: "float", True: "bool", -3: (4, 5)}, {None: 1}, {False: [1, "a"]},
+    {math.inf: 1, -math.inf: 2, 0.1: 3}, (1, "a", (2, "b")), ["a", "b"], [1, 2, 3],
+    [_Named(), Word(()), generator(0, 2), {1, 2}], _Named(), "top", 3, None, [True, 1],
+])
+def test_json_writer_matches_json_dumps(value):
+    assert _json(value) == _dumps(value)
+
+
+_json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.text() | st.builds(_Named))
+_json_keys = st.one_of(st.text(), st.integers(), st.floats(allow_nan=False))
+_json_values = st.recursive(_json_scalars, lambda inner: (
+    st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(_json_keys, inner, max_size=5)), max_leaves=30)
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(value=_json_values)
+def test_json_writer_matches_json_dumps_on_drawn_values(value):
+    try:
+        want = _dumps(value)
+    except TypeError:  # keys that do not sort, such as str beside int
+        with pytest.raises(TypeError):
+            _json(value)
+    else:
+        assert _json(value) == want
+
+
+def test_json_writer_refuses_the_keys_json_refuses():
+    for key in [(1, 2), frozenset(), Word(())]:
+        with pytest.raises(TypeError) as err:
+            _dumps({key: 1})
+        with pytest.raises(TypeError, match=str(err.value)):
+            _json({key: 1})
 
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()

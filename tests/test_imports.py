@@ -37,3 +37,23 @@ def test_no_unused_imports():
     found = [f"{path.relative_to(ROOT)} {problem}"
              for path in FILES for problem in unused_imports(path.read_text())]
     assert found == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules a source imports, relative ones left out."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_no_source_module_imports_dataclasses():
+    # the decorator writes out and execs its methods at every import, about
+    # 9 ms of each command's start-up; groups.Frozen holds the same policy
+    assert imported_modules("import dataclasses as d\nfrom .x import y\n") == {"dataclasses"}
+    found = [str(path.relative_to(ROOT)) for path in ROOT.joinpath("src").rglob("*.py")
+             if "dataclasses" in imported_modules(path.read_text())]
+    assert found == []
