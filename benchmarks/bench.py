@@ -5,6 +5,14 @@ Each positional case is LAYER:ARG:
     completion:NAME       one completion call on a fresh truncation, NAME in
                           COMPLETION; the tables the call reads are built in
                           its timing, the truncation itself only for build
+    cli:dispatch          cli.main.main in process on the five command shapes
+                          of the perfbench infinite-oracles workload, output
+                          captured and lru caches cleared before each call;
+                          reports the median microseconds per call, the
+                          callbacks' share of the calls' time, and the
+                          median microseconds per call with each callback
+                          replaced by one that returns at once (parsing and
+                          dispatch alone); needs every call to exit 0
     import:MODULE         import nearnormal.MODULE and nearnormal.scan in a
                           fresh interpreter, from a copy of the package with
                           no bytecode and PYTHONDONTWRITEBYTECODE=1, as a
@@ -47,19 +55,22 @@ Usage: python benchmarks/bench.py [CASE ...] [--repeat 3] [--json]
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import pathlib
 import random
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
 
 import nearnormal
-from nearnormal import _scan_py, completion, ends, families, modp, subgroups, suites
+from nearnormal import _scan_py, cli, completion, ends, families, modp, subgroups, suites
 from nearnormal.groups import load, parse_context_word, preset
 from nearnormal.words import Word, generator
 
@@ -103,12 +114,22 @@ ENDS = {
     "free2-ab": ("free(2)", "a b, b a", 4, 55, 108, 323, 0),
     "z2-u": ("zn(2)", "u", 20, 41, 81, 923, 0),
 }
+# one command of each shape perfbench's infinite-oracles workload runs
+CLI_DISPATCH = (
+    ("bs", "verify", "--bound", "12", "--conj-len", "2"),
+    ("ends", "estimate", "--group", "bs(2,3)", "--l", "x^2", "--radii", "3,5,7"),
+    ("ends", "graph", "--group", "bs(2,3)", "--l", "x^2", "--radius", "6"),
+    ("subgroup", "near-normal", "--group", "bs(2,3)", "--h", "y^2 x^7 y^-2"),
+    ("subgroup", "commensurable", "--group", "zn(3)", "--h", "u^2, v^3, w^4",
+     "--k", "u^3, v^2, w^6"),
+)
 # checks in the report of suite:all; a single suite must only not fail
 ALL_CHECKS = 83
 DEFAULT_CASES = ([f"completion:{name}" for name in COMPLETION]
                  + [f"family:{name}" for name in FAMILY] + [f"ends:{name}" for name in ENDS]
                  + ["modp:a5:2", "modp:a5:5", "modp:s5:2", "modp:dense-s4:5",
-                    "scan:3:2", "scan:4:2", "scan:5:2", "suite:all", "import:cli"])
+                    "scan:3:2", "scan:4:2", "scan:5:2", "suite:all", "cli:dispatch",
+                    "import:cli"])
 # run by import:MODULE in the fresh interpreter: seconds, modules, dataclasses
 IMPORT_CHILD = """
 import sys, time
@@ -311,7 +332,7 @@ def import_layer(arg: str):
 
     def run(repeat):
         # a copy, not PYTHONPYCACHEPREFIX: a prefix would also hide the
-        # bytecode of the standard library and click, which a fresh checkout has
+        # bytecode of the standard library, which a fresh checkout has
         runs = []
         with tempfile.TemporaryDirectory() as root:
             shutil.copytree(pathlib.Path(nearnormal.__file__).parent,
@@ -331,6 +352,56 @@ def import_layer(arg: str):
     return run
 
 
+def cli_layer(arg: str):
+    if arg != "dispatch":
+        raise ValueError(f"unknown case {arg!r}, expected dispatch")
+    commands = {cli.main.commands[group].commands[name] for group, name, *_ in CLI_DISPATCH}
+
+    def calls(count: int) -> tuple[list, int]:
+        """The seconds of count calls of each command, and the failed calls."""
+        seconds, failed = [], 0
+        for _ in range(count):
+            for args in CLI_DISPATCH:
+                cold()
+                with contextlib.redirect_stdout(io.StringIO()):
+                    t0 = time.perf_counter()
+                    try:
+                        cli.main.main(list(args), standalone_mode=False)
+                    except (Exception, SystemExit):
+                        failed += 1
+                    seconds.append(time.perf_counter() - t0)
+        return seconds, failed
+
+    def timed(callback, inside):
+        def call(**kwargs):
+            t0 = time.perf_counter()
+            try:
+                return callback(**kwargs)
+            finally:
+                inside.append(time.perf_counter() - t0)
+        return call
+
+    def run(repeat):
+        real = {command: command.callback for command in commands}
+        inside = []
+        try:
+            for command in commands:
+                command.callback = timed(real[command], inside)
+            seconds, failed = calls(repeat)
+            for command in commands:  # the parse and dispatch alone
+                command.callback = lambda **kwargs: 0
+            bare, _ = calls(20 * repeat)
+        finally:
+            for command, callback in real.items():
+                command.callback = callback
+        return ({"commands": len(CLI_DISPATCH), "failed": failed,
+                 "call_us": statistics.median(seconds) * 1e6,
+                 "dispatch_us": statistics.median(bare) * 1e6,
+                 "callback_share": sum(inside) / sum(seconds)},
+                {"commands": len(CLI_DISPATCH), "failed": 0})
+    return run
+
+
 def suite_layer(arg: str):
     if arg != "all" and arg not in suites.SUITES:
         raise ValueError(f"unknown case {arg!r}, expected all or one of {', '.join(suites.SUITES)}")
@@ -346,7 +417,8 @@ def suite_layer(arg: str):
 
 
 LAYERS = {"completion": completion_layer, "family": family_layer, "ends": ends_layer,
-          "modp": modp_layer, "scan": scan_layer, "suite": suite_layer, "import": import_layer}
+          "modp": modp_layer, "scan": scan_layer, "suite": suite_layer, "cli": cli_layer,
+          "import": import_layer}
 
 
 def show(row: dict) -> str:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import re
 import sys
+from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 Letter = tuple[int, int]
@@ -67,6 +68,10 @@ class Word:
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
+
+    def __reduce__(self):
+        # pickle and copy would restore the slot through __setattr__
+        return partial(Word, _reduced=self.letters), ()
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -38,9 +38,11 @@ def run_bench(*cases):
     # every check of the 8 suites; words is one suite, so one process
     {"suite:all": {"checks": 83, "failed": 0},
      "suite:words": {"checks": 4, "failed": 0, "workers": 1}},
+    # the five command shapes of infinite-oracles, each call exiting 0
+    {"cli:dispatch": {"commands": 5, "failed": 0}},
     # a fresh interpreter loads the CLI's modules and builds no dataclass
     {"import:cli": {"modules": 14, "dataclasses": 0}},
-], ids=["completion", "family", "ends", "modp", "scan", "suite", "import"])
+], ids=["completion", "family", "ends", "modp", "scan", "suite", "cli", "import"])
 def test_bench_runs_its_smallest_cases(want):
     done = run_bench(*want)
     assert done.returncode == 0, done.stderr
@@ -52,8 +54,8 @@ def test_bench_runs_its_smallest_cases(want):
 
 
 @pytest.mark.parametrize("case", ["nope:x", "completion:nope", "family:nope", "ends:", "modp:q4:2",
-                                  "modp:a5:4", "scan:3", "scan:3:x", "suite:nope", "import:nope",
-                                  "import:cli.x"])
+                                  "modp:a5:4", "scan:3", "scan:3:x", "suite:nope", "cli:nope",
+                                  "import:nope", "import:cli.x"])
 def test_bench_refuses_a_bad_case_in_one_line(case):
     done = run_bench("completion:sym3-all", case)
     assert done.returncode == 2

@@ -9,7 +9,7 @@ import shlex
 
 import jsonschema
 import pytest
-from click.testing import CliRunner
+from clirun import Runner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +21,7 @@ from nearnormal.words import Word, generator, invert
 
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def invoke(runner, args, expect=0):
@@ -418,6 +418,56 @@ def test_negative_or_vacuous_bounds_are_usage_errors(runner, args, option):
     assert "Traceback" not in result.output
 
 
+def _table(node, path=()):
+    """(path, node) for the CLI's top-level group and every group and command below it."""
+    yield path, node
+    for name, sub in node.commands.items():
+        yield from _table(sub, (*path, name))
+
+
+TABLE = list(_table(main))
+
+
+def _accepted(param) -> str:
+    """A value the parser takes for param; the command may still refuse it."""
+    if param.choices:
+        return param.choices[0]
+    return "x" if param.type is str else str(param.default)
+
+
+@pytest.mark.parametrize("path, node", TABLE, ids=[" ".join(path) or "main" for path, _ in TABLE])
+def test_every_table_entry_keeps_the_cli_contract(runner, path, node):
+    path = list(path)
+    shown = invoke(runner, path + ["--help"]).output.split("\n\n")
+    assert shown[0].startswith(f"Usage: nearnormal {' '.join(path)}".rstrip())
+    sections = {part.split(":\n")[0]: part.splitlines()[1:] for part in shown if ":\n  " in part}
+    if node.callback is None:
+        assert [line.split()[0] for line in sections["Commands"]] == sorted(node.commands)
+    options = [p for p in node.params if not p.positional]
+    assert [line.split()[0] for line in sections["Options"] if line.startswith("  -")] \
+        == [p.name for p in options] + ["--help"]
+    assert all(f" {p.name.upper()}" in shown[0] for p in node.params if p.positional)
+
+    unknown = runner.invoke(main, path + ["--no-such-option"])
+    assert unknown.exit_code == 2
+    assert "No such option '--no-such-option'." in unknown.output
+
+    arguments = [_accepted(p) for p in node.params if p.positional]
+    required = [p for p in options if p.required]
+    for left_out in required:
+        given = [text for p in required if p is not left_out for text in (p.name, _accepted(p))]
+        result = runner.invoke(main, path + arguments + given)
+        assert result.exit_code == 2, left_out.name
+        assert f"Missing option '{left_out.name}'." in result.output
+    given = [text for p in required for text in (p.name, _accepted(p))]
+    for bounded in (p for p in options if p.minimum is not None):
+        result = runner.invoke(main, path + [bounded.name, str(bounded.minimum - 1)]
+                               + arguments + given)
+        assert result.exit_code == 2, bounded.name
+        assert f"Invalid value for '{bounded.name}': {bounded.minimum - 1} is not in the range" \
+            in result.output
+
+
 @pytest.mark.parametrize("radii", ["-1,2", "1,-2", "-3"])
 def test_ends_estimate_rejects_negative_radii(runner, radii):
     result = runner.invoke(main, [
@@ -674,7 +724,7 @@ def _assert_clean_exit(result, args):
           suppress_health_check=[HealthCheck.too_slow])
 @given(text=_word_text, other=_word_text, presentation=_presentation)
 def test_fuzzed_cli_input_exits_cleanly(text, other, presentation):
-    runner = CliRunner()
+    runner = Runner()
     for args in _word_commands(text, other) + [["group", "parse", presentation],
                                                ["group", "show", presentation]]:
         _assert_clean_exit(runner.invoke(main, args), args)

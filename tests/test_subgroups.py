@@ -1,5 +1,7 @@
 """Subgroup handles: membership, conjugation, index, commensurability."""
 
+import copy
+import pickle
 import random
 from math import gcd, lcm, prod
 
@@ -752,3 +754,21 @@ def test_every_oracle_pair_returns_or_raises_a_documented_error(group):
             else:
                 assert report["result"] in (True, False), report
     assert "returned" in outcomes
+
+
+@pytest.mark.parametrize("copier", [lambda value: pickle.loads(pickle.dumps(value)),
+                                    copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+def test_words_contexts_and_handles_survive_pickle_and_copy(copier):
+    # a Word's slot is rebuilt through Word(_reduced=...), not through the
+    # __setattr__ that refuses every write
+    ctx = preset("free(2)")
+    h = free_subgroup(ctx, [w("a^2"), w("b a b^-1")])
+    assert isinstance(h.membership, Folded)
+    for value in (generator(1, -3) * generator(0, 2), Word(()), ctx, h):
+        again = copier(value)
+        assert again == value and type(again) is type(value)
+    word = copier(w("a b^-1 a"))
+    assert word.letters == ((0, 1), (1, -1), (0, 1))
+    with pytest.raises(AttributeError, match="Word is immutable"):
+        word.letters = ()
+    assert contains(copier(h), w("b a^4 b^-1")) is True

@@ -10,7 +10,7 @@ import time
 
 import jsonschema
 import pytest
-from click.testing import CliRunner
+from clirun import Runner
 
 from nearnormal import suites, thompson
 from nearnormal.cli import GC_THRESHOLD, main
@@ -177,7 +177,7 @@ def test_the_forked_worker_runs_under_the_cli_gc_threshold(monkeypatch):
 
     monkeypatch.setattr(suites, "SUITES", {"first": lambda seed: [], "later": threshold})
     forks = suites._forks_a_worker(2)
-    result = CliRunner().invoke(main, ["suite", "all"])
+    result = Runner().invoke(main, ["suite", "all"])
     assert result.exit_code == 0, result.output
     (check,) = json.loads(result.output)["checks"]
     assert check["witness"] == GC_THRESHOLD != gc.get_threshold()[0]
